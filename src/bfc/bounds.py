@@ -17,7 +17,9 @@ from typing import Callable
 
 import mpmath
 
-mpmath.mp.dps = 50
+# digits of every mpmath evaluation here, set locally with mpmath.workdps so
+# that importing bfc leaves the caller's mpmath precision alone
+_DPS = 50
 
 # 10-digit Euler-Mascheroni constant used by the certificate/sensitivity bound
 EULER_GAMMA = 0.5772156649
@@ -273,6 +275,7 @@ def dp_degree(d_max: int, caps: CapProfile) -> BoundGrid:
     )
 
 
+@mpmath.workdps(_DPS)
 def dp_mixed_ds(
     beta, d_max: int, caps: CapProfile, step: str = "profile"
 ) -> BoundGrid:
@@ -355,6 +358,7 @@ class InfluenceMinimum:
     profile: tuple[tuple[int, float], ...]  # (k, objective) for the scan
 
 
+@mpmath.workdps(_DPS)
 def ds_influence_min(beta, k_max: int = 200) -> InfluenceMinimum:
     """Minimise k/2^(2-beta) + sum_{i>k} i^3 / (2^(2-beta) * 2^(beta i)).
 

@@ -176,8 +176,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; bad input (arity caps, malformed or missing files,
+    invalid parameters) ends in one ``bfc: error:`` line and exit code 2."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:  # ArityError is a ValueError
+        print(f"bfc: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

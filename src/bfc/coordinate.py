@@ -22,6 +22,7 @@ from .bf import (
     ArityError,
     BooleanFunction,
     degree_of_vector,
+    half_mask,
     restrict_bit,
 )
 from .measures import (
@@ -34,13 +35,16 @@ from .measures import (
     _sensitivity,
 )
 
-mpmath.mp.dps = 50
-
 MIXED_ERROR_BOUND = 1e-12
 MONOMIAL_CHECK_MAX_ARITY = 10
 
+# digits of every mpmath evaluation here, set locally with mpmath.workdps so
+# that importing bfc leaves the caller's mpmath precision alone
+_DPS = 50
+
 # zeta(2); junta-count constant sum_{j>=1} j/j**3
-_SUM_INV_SQUARES = float(mpmath.zeta(2))
+with mpmath.workdps(_DPS):
+    _SUM_INV_SQUARES = float(mpmath.zeta(2))
 
 
 @dataclass(frozen=True)
@@ -107,51 +111,48 @@ def _deg_i_all(n: int, table: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=1 << 17)
-def _sens_i_all(n: int, table: int) -> tuple[int, ...]:
-    """max over sensitive edges of s_x + s_{x^i}, per coordinate."""
-    sx = _point_sensitivity(n, table)
+def _edge_max(n: int, table: int, point: tuple[int, ...]) -> tuple[int, ...]:
+    """max over sensitive edges {x, x^i} of point[x] + point[x^i], per coordinate.
+
+    Each edge is visited once, from its endpoint with x_i = 0.
+    """
     out = []
     for i, d in enumerate(_diffs(n, table)):
         bit = 1 << i
+        d &= half_mask(n, i)
         best = 0
         while d:
             low = d & -d
             x = low.bit_length() - 1
-            v = sx[x] + sx[x ^ bit]
+            v = point[x] + point[x ^ bit]
             if v > best:
                 best = v
             d ^= low
         out.append(best)
     return tuple(out)
+
+
+@lru_cache(maxsize=1 << 17)
+def _sens_i_all(n: int, table: int) -> tuple[int, ...]:
+    """max over sensitive edges of s_x + s_{x^i}, per coordinate."""
+    return _edge_max(n, table, _point_sensitivity(n, table))
 
 
 @lru_cache(maxsize=1 << 16)
 def _cert_i_all(n: int, table: int) -> tuple[int, ...]:
     """max over sensitive edges of C_x + C_{x^i}, per coordinate."""
-    cx = _point_certificates(n, table)
-    out = []
-    for i, d in enumerate(_diffs(n, table)):
-        bit = 1 << i
-        best = 0
-        while d:
-            low = d & -d
-            x = low.bit_length() - 1
-            v = cx[x] + cx[x ^ bit]
-            if v > best:
-                best = v
-            d ^= low
-        out.append(best)
-    return tuple(out)
+    return _edge_max(n, table, _point_certificates(n, table))
 
 
-def _kind_values(n: int, table: int, kind: CoordinateMeasureKind) -> tuple[Fraction, ...]:
+def _kind_values(n: int, table: int, kind: CoordinateMeasureKind) -> tuple:
+    """The measure per coordinate: the cached ints for deg, sens and cert,
+    Fractions for the two mixes."""
     if kind.tag == "deg":
-        return tuple(Fraction(v) for v in _deg_i_all(n, table))
+        return _deg_i_all(n, table)
     if kind.tag == "sens":
-        return tuple(Fraction(v) for v in _sens_i_all(n, table))
+        return _sens_i_all(n, table)
     if kind.tag == "cert":
-        return tuple(Fraction(v) for v in _cert_i_all(n, table))
+        return _cert_i_all(n, table)
     beta = kind.beta
     if kind.tag == "mix_ds":
         first, second = _deg_i_all(n, table), _sens_i_all(n, table)
@@ -175,7 +176,7 @@ def cert_i(f: BooleanFunction, i: int) -> int:
     return _cert_i_all(f.n, f.table)[i - 1]
 
 
-def coordinate_measure(f: BooleanFunction, i: int, kind: CoordinateMeasureKind) -> Fraction:
+def coordinate_measure(f: BooleanFunction, i: int, kind: CoordinateMeasureKind):
     _check_coord(f, i)
     return _kind_values(f.n, f.table, kind)[i - 1]
 
@@ -194,7 +195,7 @@ class PotentialValue:
     """Sum of 2**(-m_i) over relevant coordinates, with per-term breakdown."""
 
     kind: CoordinateMeasureKind
-    terms: tuple[tuple[int, Fraction, object], ...]  # (coordinate, m_i, weight)
+    terms: tuple[tuple[int, int | Fraction, object], ...]  # (coordinate, m_i, weight)
     value: object  # Fraction when exact, float otherwise
     exact: bool
     error_bound: float  # 0.0 for exact values
@@ -219,10 +220,11 @@ class PotentialValue:
         return lines
 
 
-def _term_weight(m: Fraction):
+def _term_weight(m: int | Fraction):
     if m.denominator == 1:
         return Fraction(1, 2 ** m.numerator) if m >= 0 else Fraction(2 ** -m.numerator)
-    return mpmath.power(2, -mpmath.mpf(m.numerator) / m.denominator)
+    with mpmath.workdps(_DPS):
+        return mpmath.power(2, -mpmath.mpf(m.numerator) / m.denominator)
 
 
 def _potential_over(
@@ -241,11 +243,14 @@ def _potential_over(
             all_int = False
         terms.append((i, m, _term_weight(m)))
     if all_int:
-        total = sum((t for _, _, t in terms), Fraction(0))
+        exps = [m.numerator for _, m, _ in terms]
+        top = max([0] + exps)
+        total = Fraction(sum(1 << (top - e) for e in exps), 1 << top)
         return PotentialValue(kind, tuple(terms), total, True, 0.0)
-    total = mpmath.mpf(0)
-    for _, _, t in terms:
-        total += t if not isinstance(t, Fraction) else mpmath.mpf(t.numerator) / t.denominator
+    with mpmath.workdps(_DPS):
+        total = mpmath.mpf(0)
+        for _, _, t in terms:
+            total += t if not isinstance(t, Fraction) else mpmath.mpf(t.numerator) / t.denominator
     return PotentialValue(kind, tuple(terms), float(total), False, MIXED_ERROR_BOUND)
 
 
@@ -264,6 +269,10 @@ def restricted_potential(
 
 # ---------------------------------------------------------------------------
 # axioms and structural checks
+#
+# Each inequality has one kernel on (n, table) that returns its first
+# violation; the public check_* validates its arguments and wraps the
+# kernel, and the theorem suite in verify.py calls the same kernel.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -273,51 +282,54 @@ class CheckResult:
     counterexample: tuple | None = None
 
 
-def _restriction_index(i0: int, j0: int) -> int:
-    """Index of old coordinate i0 after coordinate j0 is removed (0-based)."""
-    return i0 - 1 if i0 > j0 else i0
+def _rrcm_violation(
+    n: int, table: int, kind: CoordinateMeasureKind, coords: Iterable[int]
+) -> tuple[int, int, int, str] | None:
+    """First (i0, j0, b, axiom) at which a 0-based coordinate of ``coords``
+    breaks a restriction-reducing axiom, or None.
+
+    For every other coordinate j0 and branch bit b: (axiom1) the measure
+    never grows when j0 is fixed; (axiom2) if the j0 = b branch makes i0
+    irrelevant while i0 matters for f, the other branch's measure drops by
+    at least one.  Both restrictions of each j0 are built once for all of
+    ``coords``; the order is j0, then i0 in ``coords``, then b.
+    """
+    coords = tuple(coords)
+    vals = _kind_values(n, table, kind)
+    diffs = _diffs(n, table)
+    for j0 in range(n):
+        others = [i0 for i0 in coords if i0 != j0]
+        if not others:
+            continue
+        subs = [restrict_bit(table, n, j0, b) for b in (0, 1)]
+        sub_vals = [_kind_values(n - 1, t, kind) for t in subs]
+        sub_diffs = [_diffs(n - 1, t) for t in subs]
+        for i0 in others:
+            ii = i0 - 1 if i0 > j0 else i0  # index of i0 once j0 is removed
+            m_f = vals[i0]
+            for b in (0, 1):
+                if sub_vals[b][ii] > m_f:
+                    return i0, j0, b, "axiom1"
+                if diffs[i0] and not sub_diffs[b][ii] and sub_vals[1 - b][ii] > m_f - 1:
+                    return i0, j0, b, "axiom2"
+    return None
 
 
 def check_rrcm(f: BooleanFunction, i: int, kind: CoordinateMeasureKind) -> CheckResult:
     """Verify both restriction-reducing axioms for coordinate ``i``.
 
-    For every other coordinate j and branch bit b: (1) the measure never
-    grows when j is fixed; (2) if the j=b branch makes i irrelevant while i
-    matters for f, the other branch's measure drops by at least one.
-    Returns the first violating (j, b) in lexicographic order.
+    Returns the first violating (j, b) in lexicographic order, with the
+    axiom that fails.
     """
-    n, table = f.n, f.table
     _check_coord(f, i)
-    i0 = i - 1
-    m_f = _kind_values(n, table, kind)[i0]
-    delta_f = 1 if _diffs(n, table)[i0] else 0
-    for j in range(1, n + 1):
-        if j == i:
-            continue
-        j0 = j - 1
-        sub_tables = [restrict_bit(table, n, j0, b) for b in (0, 1)]
-        ii = _restriction_index(i0, j0)
-        sub_m = []
-        sub_delta = []
-        for t in sub_tables:
-            sub_m.append(_kind_values(n - 1, t, kind)[ii])
-            sub_delta.append(1 if _diffs(n - 1, t)[ii] else 0)
-        for b in (0, 1):
-            if sub_m[b] > m_f:
-                return CheckResult(
-                    False,
-                    f"measure grew from {m_f} to {sub_m[b]} fixing x{j}={b}",
-                    (j, b),
-                )
-            if delta_f and not sub_delta[b] and sub_m[1 - b] > m_f - 1:
-                return CheckResult(
-                    False,
-                    f"surviving branch x{j}={1 - b} kept measure {sub_m[1 - b]} > {m_f} - 1",
-                    (j, b),
-                )
-    return CheckResult(True)
+    hit = _rrcm_violation(f.n, f.table, kind, (i - 1,))
+    if hit is None:
+        return CheckResult(True)
+    _, j0, b, axiom = hit
+    return CheckResult(False, f"{axiom} fails for x{i} fixing x{j0 + 1}={b}", (j0 + 1, b))
 
 
+@mpmath.workdps(_DPS)
 def check_restriction_inequality(
     f: BooleanFunction,
     i: int,
@@ -361,7 +373,7 @@ def check_restriction_inequality(
 
 
 @lru_cache(maxsize=None)
-def _dictator_floor(kind: CoordinateMeasureKind) -> Fraction:
+def _dictator_floor(kind: CoordinateMeasureKind) -> int | Fraction:
     """min of the measure over the two one-variable non-constants.
 
     Recomputed from the DICT family as a guard against convention drift; the
@@ -377,9 +389,9 @@ def _dictator_floor(kind: CoordinateMeasureKind) -> Fraction:
     ]
     r = min(vals)
     if kind.tag == "deg":
-        expected = Fraction(1)
+        expected = 1
     elif kind.tag in ("sens", "cert"):
-        expected = Fraction(2)
+        expected = 2
     elif kind.tag == "mix_ds":
         expected = kind.beta * 1 + (1 - kind.beta) * 2
     else:
@@ -391,75 +403,86 @@ def _dictator_floor(kind: CoordinateMeasureKind) -> Fraction:
     return r
 
 
-def check_influence_bound(f: BooleanFunction, kind: CoordinateMeasureKind) -> CheckResult:
-    """Per-coordinate weight <= 2^-r * Inf_i, and in sum for the potential.
+def _influence_violation(n: int, table: int, kind: CoordinateMeasureKind) -> int | None:
+    """First relevant coordinate (0-based) with 2^-m_i > 2^-r * Inf_i, or None.
 
-    ``r`` is the dictator floor of the measure.  With integer exponents both
-    sides are compared exactly as scaled integers.
+    ``r`` is the dictator floor of the measure.  Integer exponents are
+    compared exactly as scaled integers, the rest in floats with
+    MIXED_ERROR_BOUND of slack.  Summed over the coordinates, the bound
+    gives potential <= 2^-r * I[f], since irrelevant coordinates have no
+    influence.
     """
-    n, table = f.n, f.table
     r = _dictator_floor(kind)
     values = _kind_values(n, table, kind)
     diffs = _diffs(n, table)
     counts = _influence_counts(n, table)
-    scale = 1 << n
     for i0 in range(n):
         if not diffs[i0]:
             continue
         m = values[i0]
         if m.denominator == 1 and r.denominator == 1:
             # 2^-m <= 2^-r * cnt/2^n  <=>  2^(n + r) <= cnt * 2^m
-            if (1 << (n + r.numerator)) > counts[i0] * (1 << m.numerator):
-                return CheckResult(
-                    False, f"coordinate {i0 + 1}: 2^-{m} > 2^-{r} * {counts[i0]}/{scale}"
-                )
+            bad = (1 << (n + r.numerator)) > counts[i0] << m.numerator
         else:
             lhs = float(_term_weight(m))
-            rhs = float(_term_weight(r)) * counts[i0] / scale
-            if lhs > rhs + MIXED_ERROR_BOUND:
-                return CheckResult(False, f"coordinate {i0 + 1}: {lhs} > {rhs}")
-    pot = _potential_over(f, kind, range(1, n + 1))
-    total_inf = Fraction(sum(counts), scale)
-    if pot.exact and r.denominator == 1:
-        ok = pot.value <= Fraction(1, 2 ** r.numerator) * total_inf
-    else:
-        ok = float(pot.value) <= float(_term_weight(r)) * float(total_inf) + MIXED_ERROR_BOUND
-    if not ok:
-        return CheckResult(False, f"potential {pot.value} exceeds 2^-{r} * I[f]")
-    return CheckResult(True)
+            bad = lhs > float(_term_weight(r)) * counts[i0] / (1 << n) + MIXED_ERROR_BOUND
+        if bad:
+            return i0
+    return None
+
+
+def check_influence_bound(f: BooleanFunction, kind: CoordinateMeasureKind) -> CheckResult:
+    """Per-coordinate weight <= 2^-r * Inf_i, hence potential <= 2^-r * I[f].
+
+    ``r`` is the dictator floor of the measure; see ``_influence_violation``.
+    """
+    i0 = _influence_violation(f.n, f.table, kind)
+    if i0 is None:
+        return CheckResult(True)
+    m = _kind_values(f.n, f.table, kind)[i0]
+    cnt = _influence_counts(f.n, f.table)[i0]
+    r = _dictator_floor(kind)
+    return CheckResult(
+        False, f"coordinate {i0 + 1}: 2^-{m} > 2^-{r} * {cnt}/{1 << f.n}", (i0 + 1,)
+    )
+
+
+def _monomial_sens_violation(n: int, table: int, k: int) -> tuple[str, int, int] | None:
+    """First (basis, mask, count) of a monomial in which more than (k-1)^2
+    coordinates have sens_i <= k, or None.
+
+    The multilinear ("monomial") basis is scanned before the Fourier
+    ("spectral") one, masks in increasing order.
+    """
+    sens = _sens_i_all(n, table)
+    low = sum(1 << i for i in range(n) if sens[i] <= k)
+    limit = (k - 1) ** 2
+    for name, vec in (("monomial", _mobius(n, table)), ("spectral", _fourier(n, table))):
+        for mask, c in enumerate(vec):
+            if c:
+                cnt = (mask & low).bit_count()
+                if cnt > limit:
+                    return name, mask, cnt
+    return None
 
 
 def check_monomial_sensitivity(f: BooleanFunction, k: int) -> CheckResult:
     """In every monomial (either basis), at most (k-1)^2 coordinates have
     sens_i <= k."""
-    n, table = f.n, f.table
-    if n > MONOMIAL_CHECK_MAX_ARITY:
+    if f.n > MONOMIAL_CHECK_MAX_ARITY:
         raise ArityError(
             f"monomial sensitivity check supports arity <= {MONOMIAL_CHECK_MAX_ARITY}"
         )
-    sens = _sens_i_all(n, table)
-    limit = (k - 1) ** 2
-    mob = _mobius(n, table)
-    four = _fourier(n, table)
-    for name, vec in (("monomial", mob), ("spectral", four)):
-        for mask in range(1 << n):
-            if not vec[mask]:
-                continue
-            cnt = 0
-            mm = mask
-            while mm:
-                low = mm & -mm
-                if sens[low.bit_length() - 1] <= k:
-                    cnt += 1
-                mm ^= low
-            if cnt > limit:
-                return CheckResult(
-                    False,
-                    f"{name} mask {mask:#x}: {cnt} coordinates with sens_i <= {k} "
-                    f"exceeds {limit}",
-                    (name, mask),
-                )
-    return CheckResult(True)
+    hit = _monomial_sens_violation(f.n, f.table, k)
+    if hit is None:
+        return CheckResult(True)
+    name, mask, cnt = hit
+    return CheckResult(
+        False,
+        f"{name} mask {mask:#x}: {cnt} coordinates with sens_i <= {k} "
+        f"exceeds {(k - 1) ** 2}",
+        (name, mask),
+    )
 
 
 def check_junta_count(f: BooleanFunction, k: int) -> CheckResult:

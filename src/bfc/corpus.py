@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
 
-from .bf import BooleanFunction, family
+from .bf import BooleanFunction, family, half_mask
 
 # number of monotone functions per arity, used as a generation cross-check
 DEDEKIND = {0: 2, 1: 3, 2: 6, 3: 20, 4: 168, 5: 7581}
@@ -155,8 +155,6 @@ def random_monotone(n: int, count: int, seed: int) -> list[BooleanFunction]:
             changed = False
             for i in range(n):
                 shift = 1 << i
-                from .bf import half_mask
-
                 lo = half_mask(n, i)
                 up = (t & lo) << shift
                 if up & ~t:

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
+import bfc
 from bfc.bounds import (
     LP_CAP_TABLE,
     LP_CAPS,
@@ -257,3 +262,26 @@ def test_monotone_dt_ratio_approaches_quarter():
     t = monotone_dt_table(24)
     assert t.ratio == Fraction(2 ** 22 + 2, 2 ** 24)
     assert float(t.ratio) > 0.25
+
+
+# --- mpmath precision stays local ----------------------------------------------
+
+def test_import_leaves_mpmath_precision_alone():
+    src = str(Path(bfc.__file__).resolve().parents[1])
+    code = "import mpmath; before = mpmath.mp.dps; import bfc; print(before, mpmath.mp.dps)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["15", "15"]
+
+
+def test_mpmath_evaluations_restore_precision():
+    before = mpmath.mp.dps
+    dp_mixed_ds(Fraction(1, 2), 8, MARKOV_CAPS)
+    ds_influence_min(Fraction(1, 2), k_max=40)
+    maj3 = bfc.family("MAJ", 3)
+    kind = bfc.mix_cs(Fraction(1, 2))
+    bfc.potential(maj3, kind)
+    bfc.check_restriction_inequality(maj3, 1, kind, [2])
+    assert mpmath.mp.dps == before

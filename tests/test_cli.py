@@ -93,3 +93,22 @@ def test_verify_deterministic():
     _, out1 = run_cli("verify", "--corpus", "random:4:25:9")
     _, out2 = run_cli("verify", "--corpus", "random:4:25:9")
     assert out1 == out2
+
+
+def test_analyze_over_arity_cap_fails_cleanly(capsys):
+    # MAF at k = 5 has 15 inputs, past the exact certificate search
+    code = main(["analyze", "--family", "MAF", "--k", "5"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("bfc: error: ") and err.count("\n") == 1
+    assert "arity" in err
+
+
+def test_analyze_malformed_tt_fails_cleanly(tmp_path, capsys):
+    path = tmp_path / "bad.tt"
+    path.write_text("n=2\n01x1\n")
+    code = main(["analyze", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "bfc: error: table line may contain only 0 and 1\n"

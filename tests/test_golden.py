@@ -1,0 +1,38 @@
+"""Byte-for-byte pins of ``bfc`` output for fixed commands.
+
+Each file under ``tests/data/`` is the standard output of one command, kept
+as printed; a change to any TSV cell (tightest instance, witness, potential
+digits, table entry) shows up here.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from bfc.cli import main
+
+DATA = Path(__file__).parent / "data"
+
+GOLDEN = {
+    "verify_all3.tsv": ["verify", "--corpus", "all:3"],
+    "verify_monotone4.tsv": ["verify", "--corpus", "monotone:4"],
+    "verify_named.tsv": [
+        "verify", "--corpus", "named:KUSHILEVITZ,MAJ:3,MAF:3,ADDR:2,PARITY:4",
+    ],
+    "analyze_kushilevitz.tsv": ["analyze", "--family", "KUSHILEVITZ"],
+    "analyze_maj3.tsv": ["analyze", "--family", "MAJ", "--k", "3"],
+    "analyze_maf3.tsv": ["analyze", "--family", "MAF", "--k", "3"],
+    "table_degree.tsv": ["table", "degree", "--dmax", "30", "--caps", "markov"],
+    "table_monotone_degree.tsv": ["table", "monotone-degree", "--dmax", "30"],
+    "table_monotone_dt.tsv": ["table", "monotone-dt", "--dmax", "20"],
+    "table_ds.tsv": [
+        "table", "ds", "--beta", "1/2", "--dmax", "48", "--caps", "markov",
+    ],
+    "table_cs.tsv": ["table", "cs", "--dmax", "30"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_output(name, capsys):
+    assert main(GOLDEN[name]) == 0
+    assert capsys.readouterr().out == (DATA / name).read_text(encoding="ascii")

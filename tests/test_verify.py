@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bfc import coordinate
 from bfc.bf import ArityError, BooleanFunction, family
 from bfc.corpus import (
     DEDEKIND,
@@ -255,3 +256,65 @@ def test_theorem_check_row_format():
     row = checks[0].row()
     assert row.split("\t")[0] == "chain"
     assert row.split("\t")[1] == "pass"
+
+
+# --- failure paths of the shared check kernels ------------------------------------
+#
+# The theorems hold, so no real corpus reaches a FAIL branch.  Each test swaps
+# one coordinate-measure kernel for a wrong one on 2-input tables, runs the
+# suite on OR2 and the public check, and requires both to report the same
+# first violation.
+
+def _suite_row(check_id):
+    checks = run_theorem_suite(parse_corpus("named:OR:2"))
+    return {c.check_id: c for c in checks}[check_id]
+
+
+def _broken_on_arity_two(kernel, value):
+    return lambda n, table: (value,) * n if n == 2 else kernel(n, table)
+
+
+def test_rrcm_failure_path(monkeypatch):
+    # deg_i = 0 on OR2 while its restriction to x1 = 0, the dictator x2,
+    # keeps deg_i = 1: fixing x1 = 0 grows the measure of x2
+    monkeypatch.setattr(
+        coordinate, "_deg_i_all", _broken_on_arity_two(coordinate._deg_i_all, 0)
+    )
+    row = _suite_row("rrcm")
+    assert not row.passed
+    assert (row.left, row.right) == ("deg i=2 j=1 b=0", "axiom1")
+    res = coordinate.check_rrcm(family("OR", 2), 2, coordinate.DEG_I)
+    assert not res.passed
+    assert res.counterexample == (1, 0)
+    assert res.detail.startswith("axiom1")
+
+
+def test_influence_bound_failure_path(monkeypatch):
+    # with sens_i = 0 the weight 2^-0 = 1 exceeds 2^-2 * Inf_1 = 1/8
+    monkeypatch.setattr(
+        coordinate, "_sens_i_all", _broken_on_arity_two(coordinate._sens_i_all, 0)
+    )
+    row = _suite_row("influence_bound")
+    assert not row.passed
+    assert (row.left, row.right) == ("sens i=1", "per-coordinate")
+    res = coordinate.check_influence_bound(family("OR", 2), coordinate.SENS_I)
+    assert not res.passed
+    assert res.counterexample == (1,)
+    assert res.detail == "coordinate 1: 2^-0 > 2^-2 * 2/4"
+    # deg_i is untouched, so the deg kind, checked first, still passes
+    assert coordinate.check_influence_bound(family("OR", 2), coordinate.DEG_I).passed
+
+
+def test_monomial_sens_failure_path(monkeypatch):
+    # with sens_i = 1 the monomial x1 of OR2 holds one coordinate with
+    # sens_i <= 1, above the k = 1 limit (1 - 1)^2 = 0
+    monkeypatch.setattr(
+        coordinate, "_sens_i_all", _broken_on_arity_two(coordinate._sens_i_all, 1)
+    )
+    row = _suite_row("monomial_sens")
+    assert not row.passed
+    assert (row.left, row.right) == ("k=1 mask=0x1 count=1", "0")
+    res = coordinate.check_monomial_sensitivity(family("OR", 2), 1)
+    assert not res.passed
+    assert res.counterexample == ("monomial", 1)
+    assert res.detail == "monomial mask 0x1: 1 coordinates with sens_i <= 1 exceeds 0"
