@@ -61,12 +61,12 @@ class LinearProgram:
         """Each constraint scaled by a positive integer to clear denominators."""
         rows = []
         for coeffs, rel, rhs in self.constraints:
-            scale = lcm(rhs.denominator, *(c.denominator for c in coeffs)) if coeffs else rhs.denominator
+            scale = lcm(rhs.denominator, *(c.denominator for c in coeffs))
             rows.append(
                 (
-                    tuple(int(c * scale) for c in coeffs),
+                    tuple(c.numerator * (scale // c.denominator) for c in coeffs),
                     rel,
-                    int(rhs * scale),
+                    rhs.numerator * (scale // rhs.denominator),
                 )
             )
         return rows
@@ -76,9 +76,10 @@ class LinearProgram:
 
     def _violations(self, x: Sequence[Fraction], stop_early: bool = False):
         """Violated constraint indices, most violated first."""
-        den = lcm(*(Fraction(v).denominator for v in x)) if x else 1
-        nums = [int(Fraction(v) * den) for v in x]
-        found: list[tuple[Fraction, int]] = []
+        qs = [Fraction(v) for v in x]
+        den = lcm(*(q.denominator for q in qs))
+        nums = [q.numerator * (den // q.denominator) for q in qs]
+        found: list[tuple[int, int]] = []
         for idx, (coeffs, rel, rhs) in enumerate(self._int_rows()):
             lhs = sum(c * a for c, a in zip(coeffs, nums))
             bound = rhs * den
@@ -91,7 +92,7 @@ class LinearProgram:
             if gap > 0:
                 if stop_early:
                     return [idx]
-                found.append((Fraction(gap, den), idx))
+                found.append((gap, idx))
         found.sort(key=lambda t: (-t[0], t[1]))
         return [idx for _, idx in found]
 

@@ -2,9 +2,11 @@
 
 All search-heavy measures (block sensitivity, certificates, decision-tree
 depth) run in exact mode only, guarded by arity caps that raise instead of
-truncating.  Hot paths work on packed ``(n, table)`` pairs and are memoised,
-so corpus sweeps over all functions of a small arity stay fast; the public
-API wraps them for :class:`~bfc.bf.BooleanFunction` values.
+truncating.  Certificates and minimal sensitive blocks both read one table
+of the monochromatic subcubes of f.  Hot paths work on packed ``(n, table)``
+pairs and are memoised in bounded caches, so corpus sweeps over all
+functions of a small arity stay fast; the public API wraps them for
+:class:`~bfc.bf.BooleanFunction` values.
 
 Everything here is a pure function of the table; the memo tables are only
 ever written under the interpreter lock, so concurrent calls on distinct
@@ -23,6 +25,7 @@ from .bf import (
     BooleanFunction,
     degree_of_vector,
     diff_mask,
+    flip_table,
     fourier_vector,
     mobius_vector,
     popcount,
@@ -88,48 +91,38 @@ def _fourier(n: int, table: int) -> tuple[int, ...]:
     return tuple(fourier_vector(n, table))
 
 
-@lru_cache(maxsize=None)
-def _subcube_free_masks(n: int, smask: int) -> tuple[int, ...]:
-    """All index offsets reachable by varying coordinates outside ``smask``."""
-    free = [i for i in range(n) if not (smask >> i) & 1]
-    out = [0]
-    for i in free:
-        out += [m | (1 << i) for m in out]
-    return tuple(out)
+def _mono_subcubes(n: int, table: int) -> list[int]:
+    """``mono[S]``: bit x is set iff f is constant on ``{x ^ T : T <= S}``.
 
-
-@lru_cache(maxsize=None)
-def _masks_by_size(n: int) -> tuple[tuple[int, ...], ...]:
-    by_size: list[list[int]] = [[] for _ in range(n + 1)]
-    for m in range(1 << n):
-        by_size[popcount(m)].append(m)
-    return tuple(tuple(ms) for ms in by_size)
+    Built bottom-up over the masks: with ``i`` the lowest coordinate of S,
+    the subcube at x spanned by S is the one spanned by ``S - i`` at x and
+    at ``x ^ i``, and f must agree across coordinate i at x.
+    """
+    agree = [~diff_mask(table, n, i) for i in range(n)]
+    mono = [(1 << (1 << n)) - 1]
+    for smask in range(1, 1 << n):
+        i = (smask & -smask).bit_length() - 1
+        prev = mono[smask ^ (1 << i)]
+        mono.append(prev & flip_table(prev, n, i) & agree[i])
+    return mono
 
 
 @lru_cache(maxsize=1 << 16)
 def _point_certificates(n: int, table: int) -> tuple[int, ...]:
-    """C_x for every point: smallest set of coordinates pinning f around x."""
+    """C_x for every point: n minus the largest monochromatic subcube at x."""
     _check_cap(n, EXACT_SEARCH_MAX_ARITY, "certificate search")
-    size = 1 << n
-    cx = [n] * size
-    by_size = _masks_by_size(n)
-    for x in range(size):
-        found = False
-        for k in range(n + 1):
-            for smask in by_size[k]:
-                base = x & smask
-                first = (table >> (base | _subcube_free_masks(n, smask)[0])) & 1
-                ok = True
-                for off in _subcube_free_masks(n, smask):
-                    if ((table >> (base | off)) & 1) != first:
-                        ok = False
-                        break
-                if ok:
-                    cx[x] = k
-                    found = True
-                    break
-            if found:
-                break
+    by_dim = [0] * (n + 1)
+    for smask, m in enumerate(_mono_subcubes(n, table)):
+        by_dim[popcount(smask)] |= m
+    cx = [0] * (1 << n)
+    seen = 0
+    for k in range(n, -1, -1):
+        new = by_dim[k] & ~seen
+        seen |= new
+        while new:
+            low = new & -new
+            cx[low.bit_length() - 1] = n - k
+            new ^= low
     return tuple(cx)
 
 
@@ -157,25 +150,25 @@ def _certificates(n: int, table: int) -> CertificateReport:
     )
 
 
-@lru_cache(maxsize=None)
-def _proper_submasks(mask: int) -> tuple[int, ...]:
-    out = []
-    sub = (mask - 1) & mask
-    while sub:
-        out.append(sub)
-        sub = (sub - 1) & mask
-    return tuple(out)
+def _minimal_sensitive_blocks(n: int, table: int) -> list[list[int]]:
+    """Per point x, the minimal blocks B with f(x ^ B) != f(x), ascending.
 
-
-def _minimal_sensitive_blocks(n: int, table: int, x: int) -> list[int]:
-    fx = (table >> x) & 1
-    sensitive = [False] * (1 << n)
-    for mask in range(1, 1 << n):
-        sensitive[mask] = ((table >> (x ^ mask)) & 1) != fx
-    blocks = []
-    for mask in range(1, 1 << n):
-        if sensitive[mask] and not any(sensitive[s] for s in _proper_submasks(mask)):
-            blocks.append(mask)
+    B is one iff f is not constant on the subcube spanned by B at x but is
+    on every subcube spanned by ``B - i``.
+    """
+    mono = _mono_subcubes(n, table)
+    blocks: list[list[int]] = [[] for _ in range(1 << n)]
+    for bmask in range(1, 1 << n):
+        hit = ~mono[bmask]
+        rest = bmask
+        while rest:
+            low = rest & -rest
+            hit &= mono[bmask ^ low]
+            rest ^= low
+        while hit:
+            low = hit & -hit
+            blocks[low.bit_length() - 1].append(bmask)
+            hit ^= low
     return blocks
 
 
@@ -210,8 +203,7 @@ def _block_sensitivity(n: int, table: int) -> BlockSensitivityReport:
     _check_cap(n, EXACT_SEARCH_MAX_ARITY, "block sensitivity")
     full = (1 << n) - 1
     best, best_x, best_blocks = 0, 0, ()
-    for x in range(1 << n):
-        blocks = _minimal_sensitive_blocks(n, table, x)
+    for x, blocks in enumerate(_minimal_sensitive_blocks(n, table)):
         if len(blocks) <= best:
             continue
         cnt, chosen = _max_disjoint_packing(blocks, full)
@@ -224,17 +216,11 @@ def _block_sensitivity(n: int, table: int) -> BlockSensitivityReport:
     return BlockSensitivityReport(best, witness, blocks)
 
 
-_DT_MEMO: dict[tuple[int, int], int] = {}
-
-
+@lru_cache(maxsize=1 << 17)
 def _dt_depth(n: int, table: int) -> int:
     """Minimax query depth; memoised on the canonical restricted table."""
     if table == 0 or table == (1 << (1 << n)) - 1:
         return 0
-    key = (n, table)
-    got = _DT_MEMO.get(key)
-    if got is not None:
-        return got
     best = n
     for i in range(n):
         if not diff_mask(table, n, i):
@@ -244,7 +230,6 @@ def _dt_depth(n: int, table: int) -> int:
             continue
         d1 = _dt_depth(n - 1, restrict_bit(table, n, i, 1))
         best = min(best, 1 + max(d0, d1))
-    _DT_MEMO[key] = best
     return best
 
 

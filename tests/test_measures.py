@@ -15,6 +15,7 @@ from bfc.measures import (
     influence,
     measure_report,
     sensitivity,
+    _minimal_sensitive_blocks,
 )
 from bfc.verify import check_influence_restriction_average
 
@@ -56,6 +57,79 @@ def test_certificate_examples():
     assert rep.C1 == 4 and rep.C0 == 1 and rep.Cmin == 1
     assert certificate_complexity(family("DICT", 1)).C == 1
     assert certificate_complexity(family("MAJ", 3)).C == 2
+
+
+def _reference_point_certificates(n, table):
+    """C_x by definition: the fewest coordinates of x that pin f."""
+    cx = [n] * (1 << n)
+    for fixed in range(1 << n):
+        values = {}
+        for y in range(1 << n):
+            values.setdefault(y & fixed, set()).add((table >> y) & 1)
+        for x in range(1 << n):
+            if len(values[x & fixed]) == 1:
+                cx[x] = min(cx[x], bin(fixed).count("1"))
+    return tuple(cx)
+
+
+def _reference_minimal_blocks(n, table, x):
+    """Blocks B with f(x^B) != f(x) and no proper sub-block sensitive, ascending."""
+    fx = (table >> x) & 1
+
+    def sensitive(b):
+        return ((table >> (x ^ b)) & 1) != fx
+
+    def proper_submasks(b):
+        sub = (b - 1) & b
+        while sub:
+            yield sub
+            sub = (sub - 1) & b
+
+    return [
+        b for b in range(1, 1 << n)
+        if sensitive(b) and not any(sensitive(s) for s in proper_submasks(b))
+    ]
+
+
+_small_tables = st.integers(0, 5).flatmap(
+    lambda n: st.integers(0, (1 << (1 << n)) - 1).map(lambda t: (n, t))
+)
+
+
+@given(_small_tables)
+@settings(max_examples=150, deadline=None)
+def test_point_certificates_match_definition(args):
+    n, t = args
+    rep = certificate_complexity(BooleanFunction(n, t))
+    assert rep.per_point == _reference_point_certificates(n, t)
+
+
+@given(_small_tables)
+@settings(max_examples=150, deadline=None)
+def test_minimal_sensitive_blocks_match_definition(args):
+    n, t = args
+    blocks = _minimal_sensitive_blocks(n, t)
+    assert len(blocks) == 1 << n
+    for x in range(1 << n):
+        assert blocks[x] == _reference_minimal_blocks(n, t, x)
+
+
+def test_subcube_searches_match_definitions_seeded():
+    rng = random.Random(20261018)
+    for n in (6, 7, 8):
+        t = rng.getrandbits(1 << n)
+        f = BooleanFunction(n, t)
+        assert certificate_complexity(f).per_point == _reference_point_certificates(n, t)
+        blocks = _minimal_sensitive_blocks(n, t)
+        for x in rng.sample(range(1 << n), 16):
+            assert blocks[x] == _reference_minimal_blocks(n, t, x)
+
+
+def test_certificates_at_the_arity_cap():
+    # MAJ_13: any 7 agreeing votes pin the value, and 6 never do
+    rep = certificate_complexity(family("MAJ", 13))
+    assert (rep.C, rep.C0, rep.C1, rep.Cmin) == (7, 7, 7, 7)
+    assert set(rep.per_point) == {7}
 
 
 def test_dt_depth_examples():
