@@ -1,34 +1,55 @@
 """Exact rational linear-programming feasibility.
 
-The decision procedure is a phase-1 simplex with Bland's anti-cycling rule.
-Tableau rows are kept as integer vectors scaled by arbitrary positive
-rationals (signs and ratio comparisons are scale-invariant, so the pivoting
-decisions are exactly those of the textbook fraction tableau while the
-arithmetic stays in fast machine/big integers).  For systems with many rows
-the solver works incrementally: it runs phase-1 on a growing subset of the
-constraints and re-checks the returned point against the full system, which
-leaves verdicts exact while keeping tableaus small.  Every Feasible result
-is re-substituted into all constraints before being returned.
+The decision procedure is a phase-1 simplex with Bland's anti-cycling rule
+over an integer tableau: Edmonds' fraction-free form of Gaussian
+elimination (Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 1968).  Every row is
+stored at its own determinant scale: a row last updated when the basis
+determinant was ``d_r`` holds ``d_r`` times the textbook fraction row, so
+every entry is a minor of the input and stays an integer.  A pivot updates
+only the rows with a nonzero entry in the entering column, dividing exactly
+by their old scale; the other rows keep theirs until they are next touched.
+Signs and ratios within a row do not depend on the scale, so the pivoting
+decisions are exactly those of the fraction tableau.
+
+Both verdicts come with a certificate that is checked exactly before it is
+returned.  A Feasible witness is re-substituted into every constraint.  An
+Infeasible verdict carries Farkas multipliers y, read off the final
+objective row at its known scale: y^T A = 0 and y^T b < 0, with y >= 0 on
+``<=`` rows and y <= 0 on ``>=`` rows.
+
+For systems with many rows the solver works incrementally: it runs phase-1
+on a growing subset of the constraints and re-checks the returned point
+against the full system.  A Farkas certificate of a subset, padded with
+zeros, certifies the full system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
 from .bf import ArityError, BooleanFunction, popcount
 
 RELATIONS = ("<=", "=", ">=")
 
-# beyond this many rows simplex_feasible switches to constraint generation
+# beyond this many rows _solve switches to constraint generation
 _DENSE_ROW_LIMIT = 48
 
 LP_CAP_SCAN_MAX_DEGREE = 16
 
+_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
+
 
 Constraint = tuple[tuple[Fraction, ...], str, Fraction]
+IntRow = tuple[tuple[int, ...], str, int]
+
+
+def _row_scale(coeffs: Sequence[Fraction], rhs: Fraction) -> int:
+    """Least positive integer that clears the denominators of one row."""
+    return lcm(rhs.denominator, *(c.denominator for c in coeffs))
 
 
 @dataclass(frozen=True)
@@ -37,15 +58,29 @@ class LinearProgram:
 
     num_vars: int
     constraints: tuple[Constraint, ...]
+    # each constraint scaled by _row_scale to integers, built once
+    _int_rows: tuple[IntRow, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for coeffs, rel, _ in self.constraints:
+        if self.num_vars < 0:
+            raise ValueError(f"num_vars must be >= 0, got {self.num_vars}")
+        int_rows = []
+        for coeffs, rel, rhs in self.constraints:
             if len(coeffs) != self.num_vars:
                 raise ValueError(
                     f"constraint width {len(coeffs)} != num_vars {self.num_vars}"
                 )
             if rel not in RELATIONS:
                 raise ValueError(f"unknown relation {rel!r}")
+            scale = _row_scale(coeffs, rhs)
+            int_rows.append(
+                (
+                    tuple(c.numerator * (scale // c.denominator) for c in coeffs),
+                    rel,
+                    rhs.numerator * (scale // rhs.denominator),
+                )
+            )
+        object.__setattr__(self, "_int_rows", tuple(int_rows))
 
     @classmethod
     def build(cls, num_vars: int, rows: Sequence[tuple[Sequence, str, object]]):
@@ -57,44 +92,8 @@ class LinearProgram:
             ),
         )
 
-    def _int_rows(self) -> list[tuple[tuple[int, ...], str, int]]:
-        """Each constraint scaled by a positive integer to clear denominators."""
-        rows = []
-        for coeffs, rel, rhs in self.constraints:
-            scale = lcm(rhs.denominator, *(c.denominator for c in coeffs))
-            rows.append(
-                (
-                    tuple(c.numerator * (scale // c.denominator) for c in coeffs),
-                    rel,
-                    rhs.numerator * (scale // rhs.denominator),
-                )
-            )
-        return rows
-
     def satisfies(self, x: Sequence[Fraction]) -> bool:
-        return not self._violations(x, stop_early=True)
-
-    def _violations(self, x: Sequence[Fraction], stop_early: bool = False):
-        """Violated constraint indices, most violated first."""
-        qs = [Fraction(v) for v in x]
-        den = lcm(*(q.denominator for q in qs))
-        nums = [q.numerator * (den // q.denominator) for q in qs]
-        found: list[tuple[int, int]] = []
-        for idx, (coeffs, rel, rhs) in enumerate(self._int_rows()):
-            lhs = sum(c * a for c, a in zip(coeffs, nums))
-            bound = rhs * den
-            if rel == "<=":
-                gap = lhs - bound
-            elif rel == ">=":
-                gap = bound - lhs
-            else:
-                gap = abs(lhs - bound)
-            if gap > 0:
-                if stop_early:
-                    return [idx]
-                found.append((gap, idx))
-        found.sort(key=lambda t: (-t[0], t[1]))
-        return [idx for _, idx in found]
+        return not _violations(self._int_rows, x, stop_early=True)
 
     def to_text(self) -> str:
         lines = [f"vars={self.num_vars}"]
@@ -107,6 +106,7 @@ class LinearProgram:
 
     @classmethod
     def from_text(cls, text: str) -> "LinearProgram":
+        """Parse ``to_text`` output; malformed text raises ``ValueError``."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("vars="):
             raise ValueError("LP text must start with 'vars=<k>'")
@@ -116,124 +116,159 @@ class LinearProgram:
             toks = ln.split()
             if len(toks) != k + 2:
                 raise ValueError(f"expected {k + 2} tokens, got {len(toks)}: {ln!r}")
-            coeffs = tuple(Fraction(t) for t in toks[:k])
-            rel = toks[k]
-            rows.append((coeffs, rel, Fraction(toks[k + 1])))
+            try:
+                coeffs = tuple(Fraction(t) for t in toks[:k])
+                rhs = Fraction(toks[k + 1])
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {ln!r}") from None
+            rows.append((coeffs, toks[k], rhs))
         return cls.build(k, rows)
+
+
+def _scaled_point(x: Sequence[Fraction]) -> tuple[list[int], int]:
+    """A rational point as integer numerators over one common denominator."""
+    qs = [Fraction(v) for v in x]
+    den = lcm(*(q.denominator for q in qs))
+    return [q.numerator * (den // q.denominator) for q in qs], den
+
+
+def _gap(row: IntRow, nums: Sequence[int], den: int) -> int:
+    """Violation of one integer row at the point nums/den, scaled by den.
+
+    Positive iff the row is violated; zero iff it holds with equality.
+    """
+    coeffs, rel, rhs = row
+    excess = sum(c * a for c, a in zip(coeffs, nums)) - rhs * den
+    if rel == "<=":
+        return excess
+    if rel == ">=":
+        return -excess
+    return abs(excess)
+
+
+def _violations(
+    int_rows: Sequence[IntRow], x: Sequence[Fraction], stop_early: bool = False
+) -> list[int]:
+    """Violated row indices, most violated first."""
+    nums, den = _scaled_point(x)
+    found: list[tuple[int, int]] = []
+    for idx, row in enumerate(int_rows):
+        gap = _gap(row, nums, den)
+        if gap > 0:
+            if stop_early:
+                return [idx]
+            found.append((gap, idx))
+    found.sort(key=lambda t: (-t[0], t[1]))
+    return [idx for _, idx in found]
+
+
+def _is_farkas(num_vars: int, int_rows: Sequence[IntRow], y: Sequence[int]) -> bool:
+    """True iff y proves the rows infeasible (see the module docstring)."""
+    total = [0] * num_vars
+    bound = 0
+    for (coeffs, rel, rhs), v in zip(int_rows, y):
+        if (rel == "<=" and v < 0) or (rel == ">=" and v > 0):
+            return False
+        if v:
+            total = [t + v * c for t, c in zip(total, coeffs)]
+            bound += v * rhs
+    return bound < 0 and not any(total)
 
 
 @dataclass(frozen=True)
 class SimplexResult:
+    """A verdict and its certificate.
+
+    ``witness`` is a satisfying point when feasible.  ``farkas`` holds, when
+    infeasible, one integer multiplier per constraint with y^T A = 0,
+    y^T b < 0, y >= 0 on ``<=`` rows and y <= 0 on ``>=`` rows.
+    """
+
     feasible: bool
     witness: tuple[Fraction, ...] | None = None
+    farkas: tuple[int, ...] | None = None
 
 
-def _reduce_row(row: list[int]) -> list[int]:
-    g = 0
-    for v in row:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                return row
-    if g > 1:
-        return [v // g for v in row]
-    return row
-
-
-_REDUCE_BITS = 96
-
-
-def _maybe_reduce(row: list[int]) -> list[int]:
-    # gcd-normalising every update is costlier than the pivots themselves,
-    # so rows are only compacted once their entries grow genuinely large
-    for v in row:
-        if v and (v if v > 0 else -v).bit_length() > _REDUCE_BITS:
-            return _reduce_row(row)
-    return row
-
-
-def _phase1(num_vars: int, int_rows) -> tuple[Fraction, ...] | None:
-    """Phase-1 simplex over positively-scaled integer rows.
+def _phase1(num_vars: int, int_rows: Sequence[IntRow]) -> SimplexResult:
+    """Phase-1 simplex over integer rows, on a determinant-scaled tableau.
 
     Free variables are split as x = x+ - x-; the entering column is the
     lowest index with negative reduced cost and ratio ties leave by smallest
     basis variable (Bland's rule, so termination is guaranteed).  Returns a
-    satisfying point, or None when the artificial optimum is positive.
+    satisfying point, or Farkas multipliers for ``int_rows`` when the
+    artificial optimum is positive.
+
+    Columns are numbered x+ (0..n-1), x- (n..2n-1), then slacks and
+    artificials.  The x- columns are the negated x+ columns at every step,
+    so the tableau stores only x+, slacks, artificials and the rhs, and
+    column c >= 2n is stored at c - n.
     """
+    n = num_vars
     m = len(int_rows)
     if m == 0:
-        return tuple(Fraction(0) for _ in range(num_vars))
+        return SimplexResult(True, tuple(Fraction(0) for _ in range(n)))
 
-    rows = []
-    for coeffs, rel, rhs in int_rows:
-        if rhs < 0:
-            coeffs = tuple(-c for c in coeffs)
-            rhs = -rhs
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        if rel == ">=" and rhs == 0:
-            # slack-basic form needs no artificial variable
-            coeffs = tuple(-c for c in coeffs)
-            rel = "<="
-        rows.append((coeffs, rel, rhs))
+    # normalise to rhs >= 0; a ">=" row with rhs 0 is negated into a
+    # "<=" row, whose slack-basic form needs no artificial variable
+    flips: list[bool] = []
+    rels: list[str] = []
+    width = n + 1  # stored columns; the last one is the rhs
+    for _, rel, rhs in int_rows:
+        flip = rhs < 0 or (rel == ">=" and rhs == 0)
+        rel = _FLIPPED[rel] if flip else rel
+        flips.append(flip)
+        rels.append(rel)
+        width += (rel != "=") + (rel != "<=")
+    art_lo = width - 1 - sum(1 for rel in rels if rel != "<=")
 
-    nslack = sum(1 for _, rel, _ in rows if rel != "=")
-    nart = sum(1 for _, rel, _ in rows if rel != "<=")
-    width = 2 * num_vars + nslack + nart + 1  # final column is the rhs
-    art_lo = 2 * num_vars + nslack
     tab: list[list[int]] = []
-    basis: list[int] = []
-
-    si, ai = 2 * num_vars, art_lo
-    for coeffs, rel, rhs in rows:
+    basis: list[int] = []  # unstored column numbers, for Bland's rule
+    slack_col: list[int] = []
+    art_col: list[int] = []
+    z = [0] * width  # reduced costs of min(sum of artificials)
+    for j in range(art_lo, width - 1):
+        z[j] = 1
+    si, ai = n, art_lo
+    for (coeffs, _, rhs), rel, flip in zip(int_rows, rels, flips):
+        if flip:
+            coeffs, rhs = [-c for c in coeffs], -rhs
         row = [0] * width
-        for j, c in enumerate(coeffs):
-            row[j] = c
-            row[num_vars + j] = -c
+        row[:n] = coeffs
         row[-1] = rhs
+        slack_col.append(si if rel != "=" else -1)
+        art_col.append(ai if rel != "<=" else -1)
+        if rel != "=":
+            row[si] = 1 if rel == "<=" else -1
+            si += 1
         if rel == "<=":
-            row[si] = 1
-            basis.append(si)
-            si += 1
-        elif rel == ">=":
-            row[si] = -1
-            si += 1
-            row[ai] = 1
-            basis.append(ai)
-            ai += 1
+            basis.append(n + slack_col[-1])
         else:
             row[ai] = 1
-            basis.append(ai)
+            basis.append(n + ai)
             ai += 1
-        tab.append(_reduce_row(row))
+            z = [v - a for v, a in zip(z, row)]
+        tab.append(row)
 
-    # reduced costs for min(sum of artificials); rows enter with their own
-    # positive scale, so combine them normalised by their basic coefficient
-    z = [Fraction(0)] * width
-    for j in range(art_lo, width - 1):
-        z[j] = Fraction(1)
-    for r in range(m):
-        if basis[r] >= art_lo:
-            row = tab[r]
-            piv = row[basis[r]]
-            for j in range(width):
-                if row[j]:
-                    z[j] -= Fraction(row[j], piv)
-    zden = lcm(*(v.denominator for v in z)) if any(z) else 1
-    z = [int(v * zden) for v in z]
-
+    # the starting basis is the identity: determinant 1, every scale 1
+    det = 1
+    scale = [1] * m
+    z_scale = 1
     while True:
-        enter = -1
-        for j in range(width - 1):
-            if z[j] < 0:
-                enter = j
-                break
+        # Bland: the first negative reduced cost among x+, then x-, then the rest
+        enter = next((j for j in range(n) if z[j] < 0), -1)
+        if enter < 0:
+            enter = next((n + j for j in range(n) if z[j] > 0), -1)
+        if enter < 0:
+            enter = next((n + j for j in range(n, width - 1) if z[j] < 0), -1)
         if enter < 0:
             break
+        col = enter if enter < n else enter - n
+        sign = -1 if n <= enter < 2 * n else 1
         leave = -1
         best_rhs = best_a = 0
         best_basis = -1
         for r in range(m):
-            a = tab[r][enter]
+            a = sign * tab[r][col]
             if a > 0:
                 rhs = tab[r][-1]
                 if leave < 0:
@@ -246,44 +281,72 @@ def _phase1(num_vars: int, int_rows) -> tuple[Fraction, ...] | None:
                     leave, best_rhs, best_a, best_basis = r, rhs, a, basis[r]
         if leave < 0:
             raise AssertionError("phase-1 simplex detected an unbounded column")
+        # bring the pivot row to the current determinant; each updated row
+        # is then divided exactly by the scale it was stored at (entries
+        # that are zero in the pivot row need one product, zeros none)
         piv_row = tab[leave]
-        piv = piv_row[enter]
+        if scale[leave] != det:
+            s = scale[leave]
+            piv_row = [v * det // s for v in piv_row]
+        piv = sign * piv_row[col]
         for r in range(m):
             if r == leave:
                 continue
-            a = tab[r][enter]
+            row = tab[r]
+            a = sign * row[col]
             if a:
-                row = tab[r]
-                tab[r] = _maybe_reduce(
-                    [v * piv - p * a for v, p in zip(row, piv_row)]
-                )
-        a = z[enter]
-        if a:
-            z = _maybe_reduce([v * piv - p * a for v, p in zip(z, piv_row)])
+                s = scale[r]
+                tab[r] = [
+                    (v * piv - p * a) // s if p else v and v * piv // s
+                    for v, p in zip(row, piv_row)
+                ]
+                scale[r] = piv
+        a = sign * z[col]
+        z = [
+            (v * piv - p * a) // z_scale if p else v and v * piv // z_scale
+            for v, p in zip(z, piv_row)
+        ]
+        z_scale = piv
+        tab[leave] = piv_row
+        scale[leave] = det = piv
         basis[leave] = enter
 
-    if z[-1] != 0:  # scaled objective is -z[-1] > 0: artificials remain
-        return None
-    values = [Fraction(0)] * (2 * num_vars)
-    for r in range(m):
-        if basis[r] < 2 * num_vars:
-            values[basis[r]] = Fraction(tab[r][-1], tab[r][basis[r]])
-    return tuple(values[j] - values[num_vars + j] for j in range(num_vars))
+    if z[-1] == 0:
+        x = [Fraction(0)] * n
+        for r in range(m):
+            if basis[r] < n:
+                x[basis[r]] = Fraction(tab[r][-1], tab[r][basis[r]])
+            elif basis[r] < 2 * n:  # x_j = -x-_j = -rhs / (-tab[r][j])
+                j = basis[r] - n
+                x[j] = Fraction(tab[r][-1], tab[r][j])
+        return SimplexResult(True, tuple(x))
+    # z holds z_scale * (c - pi B^-1 A) for the duals pi, so each y_r below
+    # is -z_scale * pi_r, read from the slack or artificial column of row r
+    y = []
+    for rel, flip, sc, ac in zip(rels, flips, slack_col, art_col):
+        if rel == "<=":
+            v = z[sc]
+        elif rel == ">=":
+            v = -z[sc]
+        else:
+            v = z[ac] - z_scale
+        y.append(-v if flip else v)
+    return SimplexResult(False, farkas=tuple(y))
 
 
-def _solve(lp: LinearProgram, seed_rows: Sequence[int]):
-    """Feasibility plus the active row set (for warm-starting later scans)."""
-    int_rows = lp._int_rows()
+def _solve(num_vars: int, int_rows: Sequence[IntRow], seed_rows: Sequence[int] = ()):
+    """Checked verdict on integer rows, plus the active row set.
+
+    Systems of more than ``_DENSE_ROW_LIMIT`` rows start from the equality
+    rows and ``seed_rows`` and add up to eight of the most violated rows per
+    round; the active set warm-starts later scans.
+    """
     m = len(int_rows)
     if m <= _DENSE_ROW_LIMIT:
-        point = _phase1(lp.num_vars, int_rows)
-        if point is None:
-            return SimplexResult(False), list(range(m))
-        if not lp.satisfies(point):
-            raise AssertionError("simplex witness failed exact re-substitution")
-        return SimplexResult(True, point), list(range(m))
-
-    active: list[int] = [i for i, (_, rel, _) in enumerate(int_rows) if rel == "="]
+        active = list(range(m))
+        seed_rows = ()
+    else:
+        active = [i for i, (_, rel, _) in enumerate(int_rows) if rel == "="]
     active_set = set(active)
     for i in seed_rows:
         i = int(i)
@@ -291,14 +354,19 @@ def _solve(lp: LinearProgram, seed_rows: Sequence[int]):
             active.append(i)
             active_set.add(i)
     while True:
-        point = _phase1(lp.num_vars, [int_rows[i] for i in active])
-        if point is None:
-            return SimplexResult(False), active
-        violated = [i for i in lp._violations(point) if i not in active_set]
+        res = _phase1(num_vars, [int_rows[i] for i in active])
+        if not res.feasible:
+            y = [0] * m
+            for i, v in zip(active, res.farkas):
+                y[i] = v
+            if not _is_farkas(num_vars, int_rows, y):
+                raise AssertionError("simplex Farkas certificate failed exact check")
+            return SimplexResult(False, farkas=tuple(y)), active
+        violated = _violations(int_rows, res.witness)
         if not violated:
-            if not lp.satisfies(point):
-                raise AssertionError("simplex witness failed exact re-substitution")
-            return SimplexResult(True, point), active
+            return res, active
+        if any(i in active_set for i in violated):
+            raise AssertionError("simplex witness failed exact re-substitution")
         for i in violated[:8]:
             active.append(i)
             active_set.add(i)
@@ -307,14 +375,48 @@ def _solve(lp: LinearProgram, seed_rows: Sequence[int]):
 def simplex_feasible(
     lp: LinearProgram, seed_rows: Sequence[int] = ()
 ) -> SimplexResult:
-    """Exact feasibility verdict; Feasible witnesses are verified in full."""
-    result, _ = _solve(lp, seed_rows)
-    return result
+    """Exact feasibility verdict with a checked witness or Farkas certificate.
+
+    The Farkas multipliers refer to ``lp.constraints`` as given.
+    """
+    result, _ = _solve(lp.num_vars, lp._int_rows, seed_rows)
+    if result.farkas is None:
+        return result
+    return SimplexResult(
+        False,
+        farkas=tuple(
+            v * _row_scale(coeffs, rhs) if v else 0
+            for v, (coeffs, _, rhs) in zip(result.farkas, lp.constraints)
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
+
+def _powers(d: int, t_max: int) -> list[tuple[int, ...]]:
+    """``powers[t] = (t, t^2, ..., t^d)`` for t = 0..t_max."""
+    return [tuple(t**j for j in range(1, d + 1)) for t in range(t_max + 1)]
+
+
+def _moment_row_keys(b: int) -> list[tuple[int, str]]:
+    """(point, relation) of each moment LP row on points 1..b, in row order."""
+    keys = [(1, "=")]
+    for k in range(2, b):
+        keys.append((k, ">="))
+        keys.append((k, "<="))
+    keys.append((b, "="))
+    return keys
+
+
+def _moment_rows(
+    powers: list[tuple[int, ...]], keys: list[tuple[int, str]], tau: int
+) -> list[IntRow]:
+    """Integer rows of the moment LP (see ``moment_lp``) for its row keys."""
+    b = keys[-1][0]
+    return [(powers[k], rel, tau if k == b else int(rel != ">=")) for k, rel in keys]
+
 
 def moment_lp(d: int, b: int, tau: int) -> LinearProgram:
     """Feasibility system for a degree-d power polynomial on points 1..b.
@@ -325,27 +427,7 @@ def moment_lp(d: int, b: int, tau: int) -> LinearProgram:
     """
     if d < 1 or b < 2 or tau not in (0, 1):
         raise ValueError(f"invalid moment LP parameters d={d}, b={b}, tau={tau}")
-    rows: list[tuple[tuple[Fraction, ...], str, Fraction]] = []
-
-    def moments(t: int) -> tuple[Fraction, ...]:
-        return tuple(Fraction(t ** j) for j in range(1, d + 1))
-
-    rows.append((moments(1), "=", Fraction(1)))
-    for k in range(2, b):
-        mk = moments(k)
-        rows.append((mk, ">=", Fraction(0)))
-        rows.append((mk, "<=", Fraction(1)))
-    rows.append((moments(b), "=", Fraction(tau)))
-    return LinearProgram(d, tuple(rows))
-
-
-def _moment_row_keys(d: int, b: int) -> list[tuple[int, str]]:
-    keys = [(1, "=")]
-    for k in range(2, b):
-        keys.append((k, ">="))
-        keys.append((k, "<="))
-    keys.append((b, "="))
-    return keys
+    return LinearProgram.build(d, _moment_rows(_powers(d, b), _moment_row_keys(b), tau))
 
 
 @dataclass(frozen=True)
@@ -382,24 +464,24 @@ def lp_bs_cap(d: int) -> LpCapScan:
     cap = d
     seed_keys: dict[int, list[tuple[int, str]]] = {0: [], 1: []}
     b_hi = 2 * d * d
+    powers = _powers(d, b_hi)
     for b in range(max(2, d), b_hi + 1):
-        keys = _moment_row_keys(d, b)
+        keys = _moment_row_keys(b)
         index_of = {key: i for i, key in enumerate(keys)}
         feas = {}
         for tau in (0, 1):
-            lp = moment_lp(d, b, tau)
+            rows = _moment_rows(powers, keys, tau)
             seeds = [index_of[k] for k in seed_keys[tau] if k in index_of]
-            res, active = _solve(lp, seeds)
+            res, active = _solve(d, rows, seeds)
             feas[tau] = res.feasible
-            if res.feasible and res.witness is not None:
+            if res.feasible:
                 # seed the next size with the currently binding rows
-                tight = []
-                for i in active:
-                    coeffs, rel, rhs = lp.constraints[i]
-                    if rel != "=" and sum(
-                        c * v for c, v in zip(coeffs, res.witness)
-                    ) == rhs:
-                        tight.append(keys[i])
+                nums, den = _scaled_point(res.witness)
+                tight = [
+                    keys[i]
+                    for i in active
+                    if rows[i][1] != "=" and _gap(rows[i], nums, den) == 0
+                ]
                 seed_keys[tau] = tight[:32]
             else:
                 seed_keys[tau] = [keys[i] for i in active if keys[i][1] != "="][:40]

@@ -1,12 +1,17 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bfc.lp
 from bfc.bf import family
 from bfc.lp import (
+    RELATIONS,
     LinearProgram,
+    SimplexResult,
     adeg_lp,
     lp_bs_cap,
     moment_lp,
@@ -14,8 +19,27 @@ from bfc.lp import (
 )
 
 
+PIVOT_PATH = Path(__file__).parent / "data" / "lp_pivot_path.json"
+
+
 def lp(num_vars, rows):
     return LinearProgram.build(num_vars, rows)
+
+
+def assert_farkas(prog, y):
+    """Re-check a Farkas certificate against the constraints in Fractions."""
+    assert y is not None and len(y) == len(prog.constraints)
+    total = [Fraction(0)] * prog.num_vars
+    bound = Fraction(0)
+    for (coeffs, rel, rhs), v in zip(prog.constraints, y):
+        if rel == "<=":
+            assert v >= 0
+        elif rel == ">=":
+            assert v <= 0
+        total = [t + v * c for t, c in zip(total, coeffs)]
+        bound += v * rhs
+    assert all(t == 0 for t in total)
+    assert bound < 0
 
 
 def test_trivial_feasible():
@@ -25,9 +49,11 @@ def test_trivial_feasible():
 
 
 def test_trivial_infeasible():
-    res = simplex_feasible(lp(1, [([1], ">=", 1), ([1], "<=", 0)]))
+    prog = lp(1, [([1], ">=", 1), ([1], "<=", 0)])
+    res = simplex_feasible(prog)
     assert not res.feasible
     assert res.witness is None
+    assert_farkas(prog, res.farkas)
 
 
 def test_empty_lp_is_feasible_at_zero():
@@ -105,6 +131,31 @@ def test_text_format_rejects_garbage():
         LinearProgram.from_text("vars=2\n1/2 <= 1")
     with pytest.raises(ValueError):
         LinearProgram.from_text("rows=2\n")
+    with pytest.raises(ValueError):
+        LinearProgram.from_text("vars=1\n1/0 <= 1")
+    with pytest.raises(ValueError):
+        LinearProgram.from_text("vars=1\n1 <= 2/0")
+    with pytest.raises(ValueError):
+        LinearProgram.from_text("vars=-1\n")
+    with pytest.raises(ValueError):
+        LinearProgram(-1, ())
+
+
+_LP_TEXT_PIECES = st.sampled_from(
+    ["vars=", "vars=1", "vars=2", "vars=-1", "0", "1", "-3", "7/2", "1/0", "0/0",
+     "x", "1.5", "--1", "/", "<=", ">=", "=", "==", " ", "\n", "\t"]
+)
+
+
+@given(st.lists(_LP_TEXT_PIECES, max_size=12).map("".join))
+@settings(max_examples=300, deadline=None)
+def test_lp_text_parser_fails_only_with_value_error(text):
+    try:
+        prog = LinearProgram.from_text(text)
+    except ValueError:
+        return
+    assert prog.num_vars >= 0
+    assert LinearProgram.from_text(prog.to_text()) == prog
 
 
 @st.composite
@@ -143,6 +194,78 @@ def test_embedding_a_contradiction_makes_it_infeasible(prog):
     base.append((one, ">=", Fraction(10)))
     base.append((one, "<=", Fraction(9)))
     assert not simplex_feasible(LinearProgram(nv, tuple(base))).feasible
+
+
+@st.composite
+def _system_infeasible_by_construction(draw):
+    """Rows whose sign-compatible combination c.x <= r is then contradicted."""
+    nv = draw(st.integers(1, 3))
+    rows = []
+    combo = [Fraction(0)] * nv
+    combo_rhs = Fraction(0)
+    for _ in range(draw(st.integers(1, 5))):
+        coeffs = [
+            Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+            for _ in range(nv)
+        ]
+        rhs = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 3)))
+        rel = draw(st.sampled_from(RELATIONS))
+        lam = Fraction(draw(st.integers(0, 3)))
+        if rel == ">=" or (rel == "=" and draw(st.booleans())):
+            lam = -lam
+        rows.append((coeffs, rel, rhs))
+        combo = [t + lam * c for t, c in zip(combo, coeffs)]
+        combo_rhs += lam * rhs
+    excess = Fraction(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        rows.append((combo, ">=", combo_rhs + excess))
+    else:
+        rows.append(([-c for c in combo], "<=", -combo_rhs - excess))
+    order = draw(st.permutations(range(len(rows))))
+    return lp(nv, [rows[i] for i in order])
+
+
+@given(_system_infeasible_by_construction())
+@settings(max_examples=150, deadline=None)
+def test_infeasible_systems_carry_a_farkas_certificate(prog):
+    res = simplex_feasible(prog)
+    assert not res.feasible and res.witness is None
+    assert_farkas(prog, res.farkas)
+
+
+def test_constraint_generation_certifies_infeasible_adeg_lp():
+    # 64 rows exceed the dense limit, so the verdict comes from an active
+    # subset and the certificate is zero outside it
+    prog = adeg_lp(family("PARITY", 5), 4, Fraction(1, 3))
+    assert len(prog.constraints) > bfc.lp._DENSE_ROW_LIMIT
+    res = simplex_feasible(prog)
+    assert not res.feasible
+    assert_farkas(prog, res.farkas)
+    assert 0 in res.farkas
+
+
+def test_a_wrong_farkas_certificate_is_refused(monkeypatch):
+    def forged(num_vars, int_rows):
+        return SimplexResult(False, farkas=tuple(1 for _ in int_rows))
+
+    monkeypatch.setattr(bfc.lp, "_phase1", forged)
+    with pytest.raises(AssertionError):
+        simplex_feasible(lp(1, [([1], "<=", 2), ([1], ">=", 0)]))
+
+
+def test_lp_scan_reproduces_the_pinned_pivot_path():
+    # profiles and cap witnesses recorded from the earlier gcd-reduced
+    # tableau; the pivots, verdicts and witnesses must not change
+    pinned = json.loads(PIVOT_PATH.read_text())
+    assert sorted(map(int, pinned)) == list(range(1, 10))
+    for d, want in pinned.items():
+        scan = lp_bs_cap(int(d))
+        assert scan.cap == want["cap"]
+        assert [list(p) for p in scan.profile] == want["profile"]
+        for tau, witness in want["witness"].items():
+            res = simplex_feasible(moment_lp(int(d), scan.cap, int(tau)))
+            got = None if res.witness is None else [str(q) for q in res.witness]
+            assert got == witness, (d, tau)
 
 
 def test_adeg_lp_examples():
