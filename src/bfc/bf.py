@@ -553,7 +553,3 @@ def family(name: str, k: int | None = None) -> BooleanFunction:
                 break
     return BooleanFunction(n, table)
 
-
-def maf_target_subsets(k: int) -> list[tuple[int, ...]]:
-    """Selector subsets indexing the targets of MAF_k, in coordinate order."""
-    return list(itertools.combinations(range(1, k + 1), k // 2))

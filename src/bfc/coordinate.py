@@ -21,8 +21,8 @@ import mpmath
 from .bf import (
     ArityError,
     BooleanFunction,
-    degree_of_vector,
     half_mask,
+    popcount,
     restrict_bit,
 )
 from .measures import (
@@ -93,21 +93,24 @@ STANDARD_KINDS = ALL_BASE_KINDS + (mix_ds(Fraction(1, 2)), mix_cs(Fraction(1, 2)
 
 @lru_cache(maxsize=1 << 17)
 def _deg_i_all(n: int, table: int) -> tuple[int, ...]:
-    """Degree of f(x) - f(x^i) for each coordinate (0 when irrelevant)."""
-    out = []
-    diffs = _diffs(n, table)
-    for i in range(n):
-        if not diffs[i]:
-            out.append(0)
-            continue
-        bit = 1 << i
-        g = [((table >> x) & 1) - ((table >> (x ^ bit)) & 1) for x in range(1 << n)]
-        for j in range(n):
-            bj = 1 << j
-            for m in range(1 << n):
-                if m & bj:
-                    g[m] -= g[m ^ bj]
-        out.append(degree_of_vector(g))
+    """Degree of f(x) - f(x^i) for each coordinate (0 when irrelevant).
+
+    With f = sum c_S x^S, flipping x_i turns x^S into (1 - x_i) x^(S-i) for
+    S containing i, so f(x) - f(x^i) = sum_{S∋i} c_S (2 x^S - x^(S-i)).
+    The terms 2 c_S x^S cannot cancel, so deg_i is the largest |S| with
+    i in S and c_S != 0.
+    """
+    out = [0] * n
+    for mask, c in enumerate(_mobius(n, table)):
+        if c:
+            k = popcount(mask)
+            rest = mask
+            while rest:
+                low = rest & -rest
+                i = low.bit_length() - 1
+                if out[i] < k:
+                    out[i] = k
+                rest ^= low
     return tuple(out)
 
 

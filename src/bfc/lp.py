@@ -26,6 +26,7 @@ zeros, certifies the full system.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -41,6 +42,10 @@ _DENSE_ROW_LIMIT = 48
 LP_CAP_SCAN_MAX_DEGREE = 16
 
 _FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
+
+# the numbers of the text format: an integer or num/den, nothing Fraction()
+# would also expand (decimals, exponents); compiled on first use, by re's cache
+_RATIONAL_TOKEN = r"-?[0-9]+(/[0-9]+)?"
 
 
 Constraint = tuple[tuple[Fraction, ...], str, Fraction]
@@ -116,6 +121,10 @@ class LinearProgram:
             toks = ln.split()
             if len(toks) != k + 2:
                 raise ValueError(f"expected {k + 2} tokens, got {len(toks)}: {ln!r}")
+            nums = toks[:k] + toks[k + 1:]
+            bad = [t for t in nums if not re.fullmatch(_RATIONAL_TOKEN, t)]
+            if bad:
+                raise ValueError(f"expected an integer or num/den, got {bad[0]!r}")
             try:
                 coeffs = tuple(Fraction(t) for t in toks[:k])
                 rhs = Fraction(toks[k + 1])

@@ -2,8 +2,9 @@
 
 All search-heavy measures (block sensitivity, certificates, decision-tree
 depth) run in exact mode only, guarded by arity caps that raise instead of
-truncating.  Certificates and minimal sensitive blocks both read one table
-of the monochromatic subcubes of f.  Hot paths work on packed ``(n, table)``
+truncating.  Certificates read one table of the monochromatic subcubes of
+f, and block sensitivity packs minimal sensitive blocks only at the points
+whose certificate could raise it.  Hot paths work on packed ``(n, table)``
 pairs and are memoised in bounded caches, so corpus sweeps over all
 functions of a small arity stay fast; the public API wraps them for
 :class:`~bfc.bf.BooleanFunction` values.
@@ -27,6 +28,7 @@ from .bf import (
     diff_mask,
     flip_table,
     fourier_vector,
+    half_mask,
     mobius_vector,
     popcount,
     restrict_bit,
@@ -150,25 +152,32 @@ def _certificates(n: int, table: int) -> CertificateReport:
     )
 
 
-def _minimal_sensitive_blocks(n: int, table: int) -> list[list[int]]:
-    """Per point x, the minimal blocks B with f(x ^ B) != f(x), ascending.
+def _minimal_sensitive_blocks(n: int, table: int, x: int) -> list[int]:
+    """The minimal blocks B with f(x ^ B) != f(x), ascending.
 
-    B is one iff f is not constant on the subcube spanned by B at x but is
-    on every subcube spanned by ``B - i``.
+    ``sens`` has bit B set iff f(x ^ B) != f(x); its upward closure ``up``
+    has bit B set iff some sub-block of B is sensitive, and B is minimal
+    iff it is sensitive while no ``B - i`` lies in ``up``.
     """
-    mono = _mono_subcubes(n, table)
-    blocks: list[list[int]] = [[] for _ in range(1 << n)]
-    for bmask in range(1, 1 << n):
-        hit = ~mono[bmask]
-        rest = bmask
-        while rest:
-            low = rest & -rest
-            hit &= mono[bmask ^ low]
-            rest ^= low
-        while hit:
-            low = hit & -hit
-            blocks[low.bit_length() - 1].append(bmask)
-            hit ^= low
+    moved = table
+    rest = x
+    while rest:
+        low = rest & -rest
+        moved = flip_table(moved, n, low.bit_length() - 1)
+        rest ^= low
+    sens = moved ^ (((1 << (1 << n)) - 1) if (table >> x) & 1 else 0)
+    up = sens
+    for i in range(n):
+        up |= (up & half_mask(n, i)) << (1 << i)
+    below = 0
+    for i in range(n):
+        below |= (up & half_mask(n, i)) << (1 << i)
+    hit = sens & ~below
+    blocks = []
+    while hit:
+        low = hit & -hit
+        blocks.append(low.bit_length() - 1)
+        hit ^= low
     return blocks
 
 
@@ -200,10 +209,24 @@ class BlockSensitivityReport(NamedTuple):
 
 @lru_cache(maxsize=1 << 16)
 def _block_sensitivity(n: int, table: int) -> BlockSensitivityReport:
+    """bs and the first point, in index order, that attains it.
+
+    Since bs_x <= C_x (a certificate meets every sensitive block), a point
+    with C_x <= best cannot raise the count and is skipped, and the search
+    stops once best reaches max C_x; the points that could win are visited
+    as before, so the witness does not change.
+    """
     _check_cap(n, EXACT_SEARCH_MAX_ARITY, "block sensitivity")
+    cx = _point_certificates(n, table)
+    top = max(cx)
     full = (1 << n) - 1
     best, best_x, best_blocks = 0, 0, ()
-    for x, blocks in enumerate(_minimal_sensitive_blocks(n, table)):
+    for x, c in enumerate(cx):
+        if best == top:
+            break
+        if c <= best:
+            continue
+        blocks = _minimal_sensitive_blocks(n, table, x)
         if len(blocks) <= best:
             continue
         cnt, chosen = _max_disjoint_packing(blocks, full)

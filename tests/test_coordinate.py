@@ -1,11 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfc.bf import BooleanFunction, family
+from bfc.bf import BooleanFunction, degree_of_vector, diff_mask, family
+from bfc.corpus import parse_corpus
 from bfc.coordinate import (
+    _deg_i_all,
+    _rrcm_violation,
     ALL_BASE_KINDS,
     CERT_I,
     DEG_I,
@@ -20,6 +24,7 @@ from bfc.coordinate import (
     check_rrcm,
     check_split_bound,
     deg_i,
+    mix_cs,
     mix_ds,
     potential,
     restricted_potential,
@@ -171,3 +176,55 @@ def test_top_monomial_coordinates_have_full_deg_i():
             if len(subset) == d:
                 for i in subset:
                     assert deg_i(f, i) == d
+
+
+def _lemma_corpus():
+    """Every table of all:3 and monotone:4, as (n, table)."""
+    for spec in ("all:3", "monotone:4"):
+        for _, f in parse_corpus(spec):
+            yield f.n, f.table
+
+
+def test_rrcm_mixes_pass_where_base_kinds_pass():
+    # the theorem suite checks only DEG, SENS and CERT; this pins the lemma
+    # that lets it skip the mixes
+    mixes = [
+        mix(beta)
+        for mix in (mix_ds, mix_cs)
+        for beta in (Fraction(1, 2), Fraction(1, 3), Fraction(0), Fraction(1))
+    ]
+    checked = 0
+    for n, t in _lemma_corpus():
+        if any(_rrcm_violation(n, t, kind, range(n)) for kind in ALL_BASE_KINDS):
+            continue
+        checked += 1
+        for kind in mixes:
+            assert _rrcm_violation(n, t, kind, range(n)) is None, (n, t, kind)
+    assert checked == 256 + 168
+
+
+def _reference_deg_i_all(n, table):
+    """deg_i by definition: the Moebius transform of f(x) - f(x^i), per coordinate."""
+    out = []
+    for i in range(n):
+        if not diff_mask(table, n, i):
+            out.append(0)
+            continue
+        bit = 1 << i
+        g = [((table >> x) & 1) - ((table >> (x ^ bit)) & 1) for x in range(1 << n)]
+        for j in range(n):
+            bj = 1 << j
+            for m in range(1 << n):
+                if m & bj:
+                    g[m] -= g[m ^ bj]
+        out.append(degree_of_vector(g))
+    return tuple(out)
+
+
+def test_deg_i_matches_per_coordinate_transform():
+    tables = [(n, t) for n in range(4) for t in range(1 << (1 << n))]
+    tables += [(f.n, f.table) for _, f in parse_corpus("monotone:4")]
+    rng = random.Random(20261018)
+    tables += [(n, rng.getrandbits(1 << n)) for n in range(6, 11) for _ in range(4)]
+    for n, t in tables:
+        assert _deg_i_all(n, t) == _reference_deg_i_all(n, t), (n, t)

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -139,6 +140,18 @@ def test_text_format_rejects_garbage():
         LinearProgram.from_text("vars=-1\n")
     with pytest.raises(ValueError):
         LinearProgram(-1, ())
+    for token in ("1.5", "+1", "1e3", "0x10", "1_0", "1/-2"):
+        with pytest.raises(ValueError):
+            LinearProgram.from_text(f"vars=1\n{token} <= 1")
+
+
+def test_text_format_refuses_exponents_at_once():
+    # Fraction() would expand 10^999999999 in full before any check
+    start = time.perf_counter()
+    for text in ("vars=1\n1e999999999 <= 1", "vars=1\n1 <= 1E999999999"):
+        with pytest.raises(ValueError):
+            LinearProgram.from_text(text)
+    assert time.perf_counter() - start < 1.0
 
 
 _LP_TEXT_PIECES = st.sampled_from(

@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfc.bf import ArityError, BooleanFunction, family
+from bfc import measures
+from bfc.bf import ArityError, BooleanFunction, diff_mask, family, flip_table
+from bfc.corpus import parse_corpus
 from bfc.measures import (
+    BlockSensitivityReport,
+    _block_sensitivity,
+    _point_certificates,
     approx_degree,
     block_sensitivity,
     certificate_complexity,
@@ -108,10 +113,8 @@ def test_point_certificates_match_definition(args):
 @settings(max_examples=150, deadline=None)
 def test_minimal_sensitive_blocks_match_definition(args):
     n, t = args
-    blocks = _minimal_sensitive_blocks(n, t)
-    assert len(blocks) == 1 << n
     for x in range(1 << n):
-        assert blocks[x] == _reference_minimal_blocks(n, t, x)
+        assert _minimal_sensitive_blocks(n, t, x) == _reference_minimal_blocks(n, t, x)
 
 
 def test_subcube_searches_match_definitions_seeded():
@@ -120,9 +123,106 @@ def test_subcube_searches_match_definitions_seeded():
         t = rng.getrandbits(1 << n)
         f = BooleanFunction(n, t)
         assert certificate_complexity(f).per_point == _reference_point_certificates(n, t)
-        blocks = _minimal_sensitive_blocks(n, t)
         for x in rng.sample(range(1 << n), 16):
-            assert blocks[x] == _reference_minimal_blocks(n, t, x)
+            assert _minimal_sensitive_blocks(n, t, x) == _reference_minimal_blocks(n, t, x)
+
+
+def _reference_blocks_all(n, table):
+    """Every point's minimal sensitive blocks, ascending, read off the table
+    of monochromatic subcubes as the unpruned search built them."""
+    agree = [~diff_mask(table, n, i) for i in range(n)]
+    mono = [(1 << (1 << n)) - 1]
+    for smask in range(1, 1 << n):
+        i = (smask & -smask).bit_length() - 1
+        prev = mono[smask ^ (1 << i)]
+        mono.append(prev & flip_table(prev, n, i) & agree[i])
+    blocks = [[] for _ in range(1 << n)]
+    for bmask in range(1, 1 << n):
+        hit = ~mono[bmask]
+        for i in range(n):
+            if (bmask >> i) & 1:
+                hit &= mono[bmask ^ (1 << i)]
+        for x in range(1 << n):
+            if (hit >> x) & 1:
+                blocks[x].append(bmask)
+    return blocks
+
+
+def _reference_packing(blocks, avail):
+    """Maximum disjoint sub-family by memoised search, first best kept."""
+    memo = {}
+
+    def go(av):
+        if av not in memo:
+            best, chosen = 0, ()
+            for b in blocks:
+                if b & ~av == 0:
+                    cnt, picked = go(av & ~b)
+                    if cnt + 1 > best:
+                        best, chosen = cnt + 1, (b,) + picked
+            memo[av] = (best, chosen)
+        return memo[av]
+
+    return go(avail)
+
+
+def _reference_block_sensitivity(n, table):
+    """The search over every point in index order, with no certificate bound."""
+    full = (1 << n) - 1
+    best, best_x, best_blocks = 0, 0, ()
+    for x, blocks in enumerate(_reference_blocks_all(n, table)):
+        if len(blocks) <= best:
+            continue
+        cnt, chosen = _reference_packing(blocks, full)
+        if cnt > best:
+            best, best_x, best_blocks = cnt, x, chosen
+    return BlockSensitivityReport(
+        best,
+        tuple((best_x >> i) & 1 for i in range(n)),
+        tuple(
+            frozenset(i + 1 for i in range(n) if (b >> i) & 1) for b in best_blocks
+        ),
+    )
+
+
+def _bs_tables():
+    tables = [(n, t) for n in range(4) for t in range(1 << (1 << n))]
+    tables += [(f.n, f.table) for _, f in parse_corpus("monotone:4")]
+    rng = random.Random(20261019)
+    tables += [(n, rng.getrandbits(1 << n)) for n in (6, 6, 7, 7, 8, 8, 9, 10)]
+    return tables
+
+
+def test_block_sensitivity_matches_unpruned_search():
+    for n, t in _bs_tables():
+        assert _block_sensitivity(n, t) == _reference_block_sensitivity(n, t), (n, t)
+
+
+def test_certificate_bound_skips_points_and_visits_loose_ones(monkeypatch):
+    # the pruned search must both skip points (C_x <= best) and still pack
+    # at points whose certificate overstates their block sensitivity
+    visited = []
+    kernel = measures._minimal_sensitive_blocks
+
+    def spy(n, table, x):
+        visited.append((n, table, x))
+        return kernel(n, table, x)
+
+    monkeypatch.setattr(measures, "_minimal_sensitive_blocks", spy)
+    rng = random.Random(20261020)
+    skipped = loose = 0
+    for n in (6, 7, 8):
+        t = rng.getrandbits(1 << n)
+        _block_sensitivity.__wrapped__(n, t)
+        seen = [x for m, u, x in visited if (m, u) == (n, t)]
+        skipped += (1 << n) - len(seen)
+        cx = _point_certificates(n, t)
+        full = (1 << n) - 1
+        for x in seen:
+            bs_x = _reference_packing(_reference_minimal_blocks(n, t, x), full)[0]
+            assert bs_x <= cx[x]
+            loose += bs_x < cx[x]
+    assert skipped > 0 and loose > 0
 
 
 def test_certificates_at_the_arity_cap():

@@ -1,11 +1,12 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfc import coordinate
+from bfc import coordinate, verify
 from bfc.bf import ArityError, BooleanFunction, family
 from bfc.corpus import (
     DEDEKIND,
@@ -224,6 +225,19 @@ def test_doubling_recurrence_certificates():
     assert even == [(2, 2), (4, 6), (6, 14), (8, 30)]
 
 
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=7), st.integers(1, 8))
+@settings(max_examples=300, deadline=None)
+def test_grid_bound_matches_fraction_evaluation(coeffs, b):
+    def value(k):
+        total = Fraction(0)
+        for c in reversed(coeffs):
+            total = total * Fraction(k, b) + c
+        return total
+
+    expected = all(abs(value(k)) <= 1 for k in range(b + 1))
+    assert verify._grid_bounded(coeffs, b) == expected
+
+
 # --- the suite over small corpora ------------------------------------------------------
 
 def test_suite_all_two_variable():
@@ -318,3 +332,47 @@ def test_monomial_sens_failure_path(monkeypatch):
     assert not res.passed
     assert res.counterexample == ("monomial", 1)
     assert res.detail == "monomial mask 0x1: 1 coordinates with sens_i <= 1 exceeds 0"
+
+
+def _reference_monomial_potential(n, table, sens):
+    """S(M) = sum_{i in M} 2^-sens_i per nonzero monomial, in Fractions."""
+    mob = BooleanFunction(n, table).mobius_transform()
+    for mask in range(1, 1 << n):
+        subset = [i for i in range(n) if (mask >> i) & 1]
+        if not mob.coefficient([i + 1 for i in subset]):
+            continue
+        total = sum((Fraction(1, 1 << sens[i]) for i in subset), Fraction(0))
+        if total >= Fraction(3, 2):
+            return f"mask={mask:#x} S={total}", "3/2"
+        d = len(subset)
+        root = math.isqrt(d)
+        cap = sum(Fraction(2 * k - 3, 1 << k) for k in range(2, root + 2))
+        cap += Fraction(d - root * root, 1 << (root + 2))
+        if total > cap:
+            return f"mask={mask:#x} S={total}", f"profile cap {cap}"
+    return "-", "-"
+
+
+@pytest.mark.parametrize(
+    "name, sens",
+    [
+        ("AND:2", (0, 0)),  # S(x1 x2) = 2 reaches 3/2
+        ("OR:2", (1, 1)),  # S(x1) = 1/2 exceeds the size-1 cap 1/4
+        ("OR:2", (2, 0)),  # S(x2) = 1
+        ("OR:2", (2, 3)),  # S(x1 x2) = 3/8 meets the size-2 cap exactly
+        ("MAJ:3", (2, 1, 2)),  # S(x1 x2) = 3/4 exceeds the size-2 cap 3/8
+    ],
+)
+def test_monomial_potential_failure_path(monkeypatch, name, sens):
+    # the suite scales S(M) to integers; its cells must match the Fraction sums
+    f = dict(parse_corpus(f"named:{name}"))[name]
+    monkeypatch.setattr(
+        verify,
+        "_sens_i_all",
+        lambda n, table: sens if n == f.n else coordinate._sens_i_all(n, table),
+    )
+    checks = run_theorem_suite(parse_corpus(f"named:{name}"))
+    row = {c.check_id: c for c in checks}["monomial_potential"]
+    expected = _reference_monomial_potential(f.n, f.table, sens)
+    assert (row.left, row.right) == expected
+    assert row.passed == (expected == ("-", "-"))
