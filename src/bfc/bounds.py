@@ -15,10 +15,9 @@ from fractions import Fraction
 from math import comb, isqrt, log
 from typing import Callable
 
-import mpmath
-
 # digits of every mpmath evaluation here, set locally with mpmath.workdps so
-# that importing bfc leaves the caller's mpmath precision alone
+# that importing bfc leaves the caller's mpmath precision alone; mpmath is
+# imported by the functions that use it, so that importing bfc does not load it
 _DPS = 50
 
 # 10-digit Euler-Mascheroni constant used by the certificate/sensitivity bound
@@ -159,6 +158,8 @@ class BoundGrid:
 
 
 def _mpf(q: Fraction):
+    import mpmath
+
     return mpmath.mpf(q.numerator) / q.denominator
 
 
@@ -166,6 +167,8 @@ def _uniform_step(d: int, beta: Fraction | None) -> float:
     """One restriction round of a degree-d monomial, flat sens_i >= 2 bound."""
     if beta is None:
         return d * 2.0 ** (-d)
+    import mpmath
+
     e = beta * d + 2 * (1 - beta)
     return float(d * mpmath.power(2, -_mpf(e)))
 
@@ -180,6 +183,8 @@ def _profile_step(d: int, beta: Fraction | None) -> float:
     """
     if beta is None or beta == 1:
         return _uniform_step(d, None if beta is None else beta)
+    import mpmath
+
     rho = mpmath.power(2, -(1 - _mpf(beta)))
     root = isqrt(d)
     prof = sum((2 * k - 3) * rho ** k for k in range(2, root + 2))
@@ -213,6 +218,8 @@ def _tail_bounds(
         rem = 2 * power_tail(2, cutoff + 1, r) - power_tail(1, cutoff + 1, r)
         remainder = float(rem)
     else:
+        import mpmath
+
         r = mpmath.power(2, -_mpf(beta))
         amp = mpmath.power(2, -2 * (1 - _mpf(beta)))
         rem = amp * (2 * power_tail(2, cutoff + 1, r) - power_tail(1, cutoff + 1, r))
@@ -275,7 +282,6 @@ def dp_degree(d_max: int, caps: CapProfile) -> BoundGrid:
     )
 
 
-@mpmath.workdps(_DPS)
 def dp_mixed_ds(
     beta, d_max: int, caps: CapProfile, step: str = "profile"
 ) -> BoundGrid:
@@ -292,13 +298,16 @@ def dp_mixed_ds(
         raise ValueError(f"mixing weight must lie in (0, 1], got {beta}")
     if step not in ("profile", "uniform"):
         raise ValueError(f"unknown step rule {step!r}")
-    cap_amp = float(mpmath.power(2, -(2 - _mpf(beta))))
+    import mpmath
+
     weight = _profile_step if step == "profile" else _uniform_step
-    return _dp_grid(
-        d_max, caps, "mixed_ds", beta,
-        step_weight=lambda d: weight(d, beta),
-        cap_value=lambda d: d * cap_amp,
-    )
+    with mpmath.workdps(_DPS):
+        cap_amp = float(mpmath.power(2, -(2 - _mpf(beta))))
+        return _dp_grid(
+            d_max, caps, "mixed_ds", beta,
+            step_weight=lambda d: weight(d, beta),
+            cap_value=lambda d: d * cap_amp,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +367,6 @@ class InfluenceMinimum:
     profile: tuple[tuple[int, float], ...]  # (k, objective) for the scan
 
 
-@mpmath.workdps(_DPS)
 def ds_influence_min(beta, k_max: int = 200) -> InfluenceMinimum:
     """Minimise k/2^(2-beta) + sum_{i>k} i^3 / (2^(2-beta) * 2^(beta i)).
 
@@ -368,16 +376,19 @@ def ds_influence_min(beta, k_max: int = 200) -> InfluenceMinimum:
     beta = Fraction(beta)
     if not 0 < beta <= 1:
         raise ValueError(f"mixing weight must lie in (0, 1], got {beta}")
-    bmp = mpmath.mpf(beta.numerator) / beta.denominator
-    r = mpmath.power(2, -bmp)
-    amp = mpmath.power(2, -(2 - bmp))
+    import mpmath
+
     best_k, best_v = None, None
     profile = []
-    for k in range(1, k_max + 1):
-        v = amp * (k + power_tail(3, k + 1, r))
-        profile.append((k, float(v)))
-        if best_v is None or v < best_v:
-            best_k, best_v = k, v
+    with mpmath.workdps(_DPS):
+        bmp = mpmath.mpf(beta.numerator) / beta.denominator
+        r = mpmath.power(2, -bmp)
+        amp = mpmath.power(2, -(2 - bmp))
+        for k in range(1, k_max + 1):
+            v = amp * (k + power_tail(3, k + 1, r))
+            profile.append((k, float(v)))
+            if best_v is None or v < best_v:
+                best_k, best_v = k, v
     return InfluenceMinimum(best_k, float(best_v), tuple(profile))
 
 

@@ -11,12 +11,11 @@ error bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
-
-import mpmath
 
 from .bf import (
     ArityError,
@@ -39,12 +38,13 @@ MIXED_ERROR_BOUND = 1e-12
 MONOMIAL_CHECK_MAX_ARITY = 10
 
 # digits of every mpmath evaluation here, set locally with mpmath.workdps so
-# that importing bfc leaves the caller's mpmath precision alone
+# that importing bfc leaves the caller's mpmath precision alone; mpmath is
+# imported by the functions that use it, so that importing bfc does not load it
 _DPS = 50
 
-# zeta(2); junta-count constant sum_{j>=1} j/j**3
-with mpmath.workdps(_DPS):
-    _SUM_INV_SQUARES = float(mpmath.zeta(2))
+# zeta(2); junta-count constant sum_{j>=1} j/j**3 (the double nearest
+# pi^2/6, which is also float(mpmath.zeta(2)))
+_SUM_INV_SQUARES = math.pi ** 2 / 6
 
 
 @dataclass(frozen=True)
@@ -226,6 +226,8 @@ class PotentialValue:
 def _term_weight(m: int | Fraction):
     if m.denominator == 1:
         return Fraction(1, 2 ** m.numerator) if m >= 0 else Fraction(2 ** -m.numerator)
+    import mpmath
+
     with mpmath.workdps(_DPS):
         return mpmath.power(2, -mpmath.mpf(m.numerator) / m.denominator)
 
@@ -250,6 +252,8 @@ def _potential_over(
         top = max([0] + exps)
         total = Fraction(sum(1 << (top - e) for e in exps), 1 << top)
         return PotentialValue(kind, tuple(terms), total, True, 0.0)
+    import mpmath
+
     with mpmath.workdps(_DPS):
         total = mpmath.mpf(0)
         for _, _, t in terms:
@@ -332,7 +336,6 @@ def check_rrcm(f: BooleanFunction, i: int, kind: CoordinateMeasureKind) -> Check
     return CheckResult(False, f"{axiom} fails for x{i} fixing x{j0 + 1}={b}", (j0 + 1, b))
 
 
-@mpmath.workdps(_DPS)
 def check_restriction_inequality(
     f: BooleanFunction,
     i: int,
@@ -353,16 +356,19 @@ def check_restriction_inequality(
             return Fraction(0)
         return _term_weight(vals[coord - 1])
 
-    lhs = side_value(f, i)
-    total = None
-    exact = isinstance(lhs, Fraction)
-    for bits in range(1 << len(H)):
-        g = f.restrict([(j, (bits >> t) & 1) for t, j in enumerate(H)])
-        shift = sum(1 for j in H if j < i)
-        v = side_value(g, i - shift)
-        if not isinstance(v, Fraction):
-            exact = False
-        total = v if total is None else total + v
+    import mpmath
+
+    with mpmath.workdps(_DPS):
+        lhs = side_value(f, i)
+        total = None
+        exact = isinstance(lhs, Fraction)
+        for bits in range(1 << len(H)):
+            g = f.restrict([(j, (bits >> t) & 1) for t, j in enumerate(H)])
+            shift = sum(1 for j in H if j < i)
+            v = side_value(g, i - shift)
+            if not isinstance(v, Fraction):
+                exact = False
+            total = v if total is None else total + v
     count = 1 << len(H)
     if exact:
         ok = lhs * count <= total
@@ -450,23 +456,39 @@ def check_influence_bound(f: BooleanFunction, kind: CoordinateMeasureKind) -> Ch
     )
 
 
-def _monomial_sens_violation(n: int, table: int, k: int) -> tuple[str, int, int] | None:
-    """First (basis, mask, count) of a monomial in which more than (k-1)^2
-    coordinates have sens_i <= k, or None.
+def _monomial_sens_violation(
+    n: int, table: int, ks: Iterable[int]
+) -> tuple[int, str, int, int] | None:
+    """(k, basis, mask, count) for the smallest k in ``ks`` at which some
+    monomial has more than (k-1)^2 coordinates with sens_i <= k, at the
+    first such monomial; or None.
 
     The multilinear ("monomial") basis is scanned before the Fourier
-    ("spectral") one, masks in increasing order.
+    ("spectral") one, masks in increasing order, once for every k.  A k
+    whose set {i : sens_i <= k} equals that of a smaller k in ``ks`` is
+    skipped: with the same count and a larger limit it fails only where
+    the smaller k fails too.
     """
     sens = _sens_i_all(n, table)
-    low = sum(1 << i for i in range(n) if sens[i] <= k)
-    limit = (k - 1) ** 2
+    tests = []  # (k, low-sensitivity set, limit), k increasing
+    prev = 0
+    for k in sorted(ks):
+        low = sum(1 << i for i in range(n) if sens[i] <= k)
+        if low != prev:
+            tests.append((k, low, (k - 1) ** 2))
+        prev = low
+    hit = None
     for name, vec in (("monomial", _mobius(n, table)), ("spectral", _fourier(n, table))):
         for mask, c in enumerate(vec):
             if c:
-                cnt = (mask & low).bit_count()
-                if cnt > limit:
-                    return name, mask, cnt
-    return None
+                for j, (k, low, limit) in enumerate(tests):
+                    cnt = (mask & low).bit_count()
+                    if cnt > limit:
+                        # from here on only a smaller k can take its place
+                        hit = (k, name, mask, cnt)
+                        del tests[j:]
+                        break
+    return hit
 
 
 def check_monomial_sensitivity(f: BooleanFunction, k: int) -> CheckResult:
@@ -476,10 +498,10 @@ def check_monomial_sensitivity(f: BooleanFunction, k: int) -> CheckResult:
         raise ArityError(
             f"monomial sensitivity check supports arity <= {MONOMIAL_CHECK_MAX_ARITY}"
         )
-    hit = _monomial_sens_violation(f.n, f.table, k)
+    hit = _monomial_sens_violation(f.n, f.table, (k,))
     if hit is None:
         return CheckResult(True)
-    name, mask, cnt = hit
+    _, name, mask, cnt = hit
     return CheckResult(
         False,
         f"{name} mask {mask:#x}: {cnt} coordinates with sens_i <= {k} "

@@ -22,6 +22,13 @@ For systems with many rows the solver works incrementally: it runs phase-1
 on a growing subset of the constraints and re-checks the returned point
 against the full system.  A Farkas certificate of a subset, padded with
 zeros, certifies the full system.
+
+The cap scan ``lp_bs_cap`` has a solver of its own: a dual simplex on
+vertex bases of the moment LP written in the binomial basis C(t, j).  It
+keeps only the integer adjugate of the d tight rows and their determinant,
+updated by the same exact divisions, and carries its basis from b to b + 1.
+It stops at a vertex that satisfies every row, or at a Farkas certificate
+on d + 1 rows that is checked exactly like the ones above.
 """
 
 from __future__ import annotations
@@ -29,7 +36,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from itertools import accumulate
+from math import comb, lcm
+from operator import mul
 from typing import Sequence
 
 from .bf import ArityError, BooleanFunction, popcount
@@ -343,25 +352,18 @@ def _phase1(num_vars: int, int_rows: Sequence[IntRow]) -> SimplexResult:
     return SimplexResult(False, farkas=tuple(y))
 
 
-def _solve(num_vars: int, int_rows: Sequence[IntRow], seed_rows: Sequence[int] = ()):
-    """Checked verdict on integer rows, plus the active row set.
+def _solve(num_vars: int, int_rows: Sequence[IntRow]) -> SimplexResult:
+    """Checked verdict on integer rows.
 
     Systems of more than ``_DENSE_ROW_LIMIT`` rows start from the equality
-    rows and ``seed_rows`` and add up to eight of the most violated rows per
-    round; the active set warm-starts later scans.
+    rows and add up to eight of the most violated rows per round.
     """
     m = len(int_rows)
     if m <= _DENSE_ROW_LIMIT:
         active = list(range(m))
-        seed_rows = ()
     else:
         active = [i for i, (_, rel, _) in enumerate(int_rows) if rel == "="]
     active_set = set(active)
-    for i in seed_rows:
-        i = int(i)
-        if 0 <= i < m and i not in active_set:
-            active.append(i)
-            active_set.add(i)
     while True:
         res = _phase1(num_vars, [int_rows[i] for i in active])
         if not res.feasible:
@@ -370,10 +372,10 @@ def _solve(num_vars: int, int_rows: Sequence[IntRow], seed_rows: Sequence[int] =
                 y[i] = v
             if not _is_farkas(num_vars, int_rows, y):
                 raise AssertionError("simplex Farkas certificate failed exact check")
-            return SimplexResult(False, farkas=tuple(y)), active
+            return SimplexResult(False, farkas=tuple(y))
         violated = _violations(int_rows, res.witness)
         if not violated:
-            return res, active
+            return res
         if any(i in active_set for i in violated):
             raise AssertionError("simplex witness failed exact re-substitution")
         for i in violated[:8]:
@@ -381,14 +383,12 @@ def _solve(num_vars: int, int_rows: Sequence[IntRow], seed_rows: Sequence[int] =
             active_set.add(i)
 
 
-def simplex_feasible(
-    lp: LinearProgram, seed_rows: Sequence[int] = ()
-) -> SimplexResult:
+def simplex_feasible(lp: LinearProgram) -> SimplexResult:
     """Exact feasibility verdict with a checked witness or Farkas certificate.
 
     The Farkas multipliers refer to ``lp.constraints`` as given.
     """
-    result, _ = _solve(lp.num_vars, lp._int_rows, seed_rows)
+    result = _solve(lp.num_vars, lp._int_rows)
     if result.farkas is None:
         return result
     return SimplexResult(
@@ -404,29 +404,6 @@ def simplex_feasible(
 # builders
 # ---------------------------------------------------------------------------
 
-def _powers(d: int, t_max: int) -> list[tuple[int, ...]]:
-    """``powers[t] = (t, t^2, ..., t^d)`` for t = 0..t_max."""
-    return [tuple(t**j for j in range(1, d + 1)) for t in range(t_max + 1)]
-
-
-def _moment_row_keys(b: int) -> list[tuple[int, str]]:
-    """(point, relation) of each moment LP row on points 1..b, in row order."""
-    keys = [(1, "=")]
-    for k in range(2, b):
-        keys.append((k, ">="))
-        keys.append((k, "<="))
-    keys.append((b, "="))
-    return keys
-
-
-def _moment_rows(
-    powers: list[tuple[int, ...]], keys: list[tuple[int, str]], tau: int
-) -> list[IntRow]:
-    """Integer rows of the moment LP (see ``moment_lp``) for its row keys."""
-    b = keys[-1][0]
-    return [(powers[k], rel, tau if k == b else int(rel != ">=")) for k, rel in keys]
-
-
 def moment_lp(d: int, b: int, tau: int) -> LinearProgram:
     """Feasibility system for a degree-d power polynomial on points 1..b.
 
@@ -436,7 +413,16 @@ def moment_lp(d: int, b: int, tau: int) -> LinearProgram:
     """
     if d < 1 or b < 2 or tau not in (0, 1):
         raise ValueError(f"invalid moment LP parameters d={d}, b={b}, tau={tau}")
-    return LinearProgram.build(d, _moment_rows(_powers(d, b), _moment_row_keys(b), tau))
+
+    def row(k: int, rel: str, rhs: int):
+        return tuple(k**j for j in range(1, d + 1)), rel, rhs
+
+    rows = [row(1, "=", 1)]
+    for k in range(2, b):
+        rows.append(row(k, ">=", 0))
+        rows.append(row(k, "<=", 1))
+    rows.append(row(b, "=", tau))
+    return LinearProgram.build(d, rows)
 
 
 @dataclass(frozen=True)
@@ -459,44 +445,163 @@ class LpCapScan:
         return True
 
 
+# The cap scan works in the binomial basis: p(t) = sum_j c_j C(t, j) for
+# j = 1..d spans the same polynomials as the power basis (p(0) = 0), so every
+# verdict is that of ``moment_lp``.  Its rows are written a.c <= r and keyed
+# 2k for p(k) <= hi_k and 2k + 1 for -p(k) <= -lo_k.
+
+
+def _scan_row(key: int, d: int) -> tuple[int, ...]:
+    """Coefficients of scan row ``key`` in the binomial basis."""
+    k, lower = divmod(key, 2)
+    sign = -1 if lower else 1
+    return tuple(sign * comb(k, j) for j in range(1, d + 1))
+
+
+def _scan_bounds(k: int, b: int, tau: int) -> tuple[int, int]:
+    """(lo_k, hi_k) of the moment LP on points 1..b."""
+    if k == b:
+        return tau, tau
+    return int(k == 1), 1
+
+
+def _scan_rhs(key: int, b: int, tau: int) -> int:
+    lo, hi = _scan_bounds(key >> 1, b, tau)
+    return -lo if key & 1 else hi
+
+
+def _scan_values(coeffs: Sequence[int], b: int) -> list[int]:
+    """sum_j coeffs[j-1] C(t, j) for t = 0..b, by forward differences.
+
+    The d-th difference is the constant coeffs[-1], and each lower one
+    starts at its coefficient (0 for the value itself), so d prefix sums
+    give every value with additions alone.
+    """
+    seq = [coeffs[-1]] * (b + 1 - len(coeffs))
+    for c in reversed((0, *coeffs[:-1])):
+        seq = list(accumulate(seq, initial=c))
+    return seq
+
+
+def _most_violated(vals: list[int], det: int, b: int, tau: int) -> int:
+    """Key of the scan row most violated by the point vals/det, or -1.
+
+    A row's violation is a.(det c) - det r; ties go to the lowest key.
+    """
+    cand = [
+        (vals[1] - det, 2),
+        (det - vals[1], 3),
+        (vals[b] - tau * det, 2 * b),
+        (tau * det - vals[b], 2 * b + 1),
+    ]
+    inner = vals[2:b]  # points 2..b-1, all confined to [0, 1]
+    if inner:
+        top, low = max(inner), min(inner)
+        cand.append((top - det, 2 * (inner.index(top) + 2)))
+        cand.append((-low, 2 * (inner.index(low) + 2) + 1))
+    gap, key = max(cand, key=lambda t: (t[0], -t[1]))
+    return key if gap > 0 else -1
+
+
+def _first_violated(vals: list[int], det: int, b: int, tau: int) -> int:
+    """Lowest key of a scan row violated by the point vals/det, or -1."""
+    for k in range(1, b + 1):
+        lo, hi = _scan_bounds(k, b, tau)
+        if vals[k] > hi * det:
+            return 2 * k
+        if vals[k] < lo * det:
+            return 2 * k + 1
+    return -1
+
+
+class _ScanBasis:
+    """A vertex basis of one tau chain of the cap scan, for the dual simplex.
+
+    The d coefficients are basic; the nonbasic variables are the slacks of
+    the d tight rows ``keys``, whose matrix B is kept only as the integer
+    adjugate ``adj`` = det B^-1 with det = det B > 0.  The vertex is
+    c = adj r_B / det.  With no objective every basis is dual feasible, so
+    a basis carries over from b to b + 1, where only right-hand sides change
+    and two rows are added.  The start is p(k) <= hi_k for k = 1..d, a
+    unitriangular B whose inverse is (-1)^(i+j) C(i+1, j+1).
+    """
+
+    def __init__(self, d: int):
+        self.keys = [2 * k for k in range(1, d + 1)]
+        self.adj = [
+            [(-1) ** (i + j) * comb(i + 1, j + 1) for j in range(d)] for i in range(d)
+        ]
+        self.det = 1
+
+    def solve(self, b: int, tau: int) -> tuple[list[int], list[int]] | None:
+        """Pivot to a vertex that satisfies every row on points 1..b.
+
+        Returns None when one is reached, else a Farkas certificate as
+        (row keys, multipliers).  The leaving row is the most violated and
+        the entering column the lowest-keyed one that can relieve it; the
+        first time a basis repeats, the leaving row becomes the lowest-keyed
+        violated one for the rest of the solve (Bland's rule, so the solve
+        terminates).
+        """
+        keys, adj = self.keys, self.adj
+        d = len(keys)
+        rhs = [_scan_rhs(key, b, tau) for key in keys]
+        pick = _most_violated
+        seen = set()
+        while True:
+            basis = frozenset(keys)
+            if basis in seen:
+                pick = _first_violated
+            seen.add(basis)
+            det = self.det
+            point = [sum(map(mul, line, rhs)) for line in adj]
+            leave = pick(_scan_values(point, b), det, b, tau)
+            if leave < 0:
+                return None
+            row = _scan_row(leave, d)
+            w = [sum(map(mul, row, col)) for col in zip(*adj)]
+            enter = min((j for j in range(d) if w[j] > 0), key=keys.__getitem__, default=-1)
+            if enter < 0:
+                # row = (w/det) B, and B c <= r_B forces row.c >= row.vertex > r
+                return [leave, *keys], [det, *(-v for v in w)]
+            # Bareiss: column enter stays, the others divide exactly by det
+            piv = w[enter]
+            for line in adj:
+                a = line[enter]
+                line[:] = [(piv * v - u * a) // det for v, u in zip(line, w)]
+                line[enter] = a
+            self.det = piv
+            keys[enter] = leave
+            rhs[enter] = _scan_rhs(leave, b, tau)
+
+
 def lp_bs_cap(d: int) -> LpCapScan:
     """Largest b for which the moment LP is feasible for some endpoint value.
 
     Scans every b from d up to 2*d*d (no feasibility monotonicity assumed)
-    and records the whole profile.  Consecutive solves seed each other's
-    active constraint sets keyed by (point, sense), which only affects
-    speed, never the verdicts.
+    and records the whole profile.  Each endpoint value is one chain of
+    warm-started dual simplex solves (``_ScanBasis``); a feasible verdict
+    has checked every row exactly at the final vertex, and every Farkas
+    certificate is checked exactly before it counts.
     """
     if not 1 <= d <= LP_CAP_SCAN_MAX_DEGREE:
         raise ValueError(f"lp_bs_cap supports 1 <= d <= {LP_CAP_SCAN_MAX_DEGREE}")
     profile = []
     cap = d
-    seed_keys: dict[int, list[tuple[int, str]]] = {0: [], 1: []}
-    b_hi = 2 * d * d
-    powers = _powers(d, b_hi)
-    for b in range(max(2, d), b_hi + 1):
-        keys = _moment_row_keys(b)
-        index_of = {key: i for i, key in enumerate(keys)}
-        feas = {}
-        for tau in (0, 1):
-            rows = _moment_rows(powers, keys, tau)
-            seeds = [index_of[k] for k in seed_keys[tau] if k in index_of]
-            res, active = _solve(d, rows, seeds)
-            feas[tau] = res.feasible
-            if res.feasible:
-                # seed the next size with the currently binding rows
-                nums, den = _scaled_point(res.witness)
-                tight = [
-                    keys[i]
-                    for i in active
-                    if rows[i][1] != "=" and _gap(rows[i], nums, den) == 0
-                ]
-                seed_keys[tau] = tight[:32]
-            else:
-                seed_keys[tau] = [keys[i] for i in active if keys[i][1] != "="][:40]
-        profile.append((b, feas[0], feas[1]))
-        if feas[0] or feas[1]:
-            cap = max(cap, b)
+    chains = (_ScanBasis(d), _ScanBasis(d))
+    for b in range(max(2, d), 2 * d * d + 1):
+        feas = []
+        for tau, chain in enumerate(chains):
+            cert = chain.solve(b, tau)
+            if cert is not None:
+                keys, y = cert
+                rows = [(_scan_row(key, d), "<=", _scan_rhs(key, b, tau)) for key in keys]
+                if not _is_farkas(d, rows, y):
+                    raise AssertionError("cap scan Farkas certificate failed exact check")
+            feas.append(cert is None)
+        profile.append((b, *feas))
+        if any(feas):
+            cap = b
     return LpCapScan(d, cap, tuple(profile))
 
 

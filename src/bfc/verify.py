@@ -3,9 +3,10 @@
 Every relation the toolkit certifies is evaluated function by function over
 a corpus.  The comparisons are exact integer ones: rational quantities
 (potentials, the symmetrised polynomial on its grid) are scaled by a common
-denominator, and the constants 4.3935 and 1.325 are read as decimal
-fractions.  Only ``relvars_ds`` and ``relvars_cs``, whose bounds carry
-2^(deg/2) and ln s, compare floats, with 1e-6 of absolute slack.
+denominator, and the constants 4.3935, 1.325 and 8.277 are read as decimal
+fractions (``relvars_ds``, whose bound carries 2^(deg/2), is compared
+squared).  Only ``relvars_cs``, whose bound carries ln s, compares floats,
+with 1e-6 of absolute slack.
 Aggregation keeps the first counterexample and the tightest instance per
 check.
 """
@@ -22,13 +23,12 @@ from .bounds import EULER_GAMMA
 from .corpus import Corpus
 from .coordinate import (
     ALL_BASE_KINDS,
-    CERT_I,
+    _cert_i_all,
     _deg_i_all,
     _influence_violation,
     _monomial_sens_violation,
     _rrcm_violation,
     _sens_i_all,
-    potential,
 )
 from .measures import (
     _block_sensitivity,
@@ -42,12 +42,13 @@ from .measures import (
     EXACT_SEARCH_MAX_ARITY,
 )
 
+# absolute slack of the float comparison in relvars_cs
 REAL_SLACK = 1e-6
 
-# constants certified by the bound engine (see bounds.dp_degree and friends);
-# the two compared with an integer count are kept exact
+# constants certified by the bound engine (see bounds.dp_degree and friends),
+# kept exact so that each is compared with an integer count as integers
 RELVARS_PER_2DEG = Fraction("4.3935")
-RELVARS_MIXED_DS = 8.277
+RELVARS_MIXED_DS = Fraction("8.277")
 MONOTONE_PER_2DEG = Fraction("1.325")
 
 
@@ -533,9 +534,16 @@ def _check_relvars_inf_sens(st: _Stats):
     return _cmp(lhs <= rhs), st.nrel, f"I*4^{s - 1}"
 
 
+def _within_mixed_ds(nrel: int, deg: int, s: int) -> bool:
+    """nrel <= const * 2^(deg/2 + s), squared and times den^2 to stay in integers."""
+    const = RELVARS_MIXED_DS
+    return (nrel * const.denominator) ** 2 <= const.numerator ** 2 << (deg + 2 * s)
+
+
 def _check_relvars_mixed_ds(st: _Stats):
-    rhs = RELVARS_MIXED_DS * 2.0 ** (st.deg / 2.0 + st.sens[0])
-    return _cmp(st.nrel <= rhs + REAL_SLACK), st.nrel, f"{rhs:.4f}"
+    s = st.sens[0]
+    rhs = float(RELVARS_MIXED_DS) * 2.0 ** (st.deg / 2.0 + s)
+    return _cmp(_within_mixed_ds(st.nrel, st.deg, s)), st.nrel, f"{rhs:.4f}"
 
 
 def _check_relvars_mixed_cs(st: _Stats):
@@ -555,8 +563,12 @@ def _check_relvars_mixed_cs(st: _Stats):
 
 
 def _check_cert_potential(st: _Stats):
-    total = potential(st.f, CERT_I).value
-    return _cmp(total <= Fraction(1, 2)), f"{total.numerator}/{total.denominator}", "1/2"
+    # sum over relevant i of 2^-cert_i, as num / 2^top with top = max cert_i
+    exps = [c for c, d in zip(_cert_i_all(st.n, st.table), st.diffs) if d]
+    top = max(exps, default=0)
+    num = sum(1 << (top - e) for e in exps)
+    g = math.gcd(num, 1 << top)
+    return _cmp(2 * num <= 1 << top), f"{num // g}/{(1 << top) // g}", "1/2"
 
 
 def _check_rrcm(st: _Stats):
@@ -583,11 +595,10 @@ def _check_influence_bound(st: _Stats):
 
 
 def _check_monomial_sens(st: _Stats):
-    for k in range(1, 7):
-        hit = _monomial_sens_violation(st.n, st.table, k)
-        if hit:
-            _, mask, cnt = hit
-            return "FAIL", f"k={k} mask={mask:#x} count={cnt}", (k - 1) ** 2
+    hit = _monomial_sens_violation(st.n, st.table, range(1, 7))
+    if hit:
+        k, _, mask, cnt = hit
+        return "FAIL", f"k={k} mask={mask:#x} count={cnt}", (k - 1) ** 2
     return "PASS", "-", "-"
 
 

@@ -276,6 +276,20 @@ def test_import_leaves_mpmath_precision_alone():
     assert out.split() == ["15", "15"]
 
 
+def test_import_does_not_load_mpmath():
+    src = str(Path(bfc.__file__).resolve().parents[1])
+    code = "import sys, bfc, bfc.cli; print('mpmath' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["False"]
+
+
+def test_junta_count_constant_is_zeta_two():
+    assert bfc.coordinate._SUM_INV_SQUARES == float(mpmath.zeta(2))
+
+
 def test_mpmath_evaluations_restore_precision():
     before = mpmath.mp.dps
     dp_mixed_ds(Fraction(1, 2), 8, MARKOV_CAPS)

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bfc import coordinate
 from bfc.bf import BooleanFunction, degree_of_vector, diff_mask, family
 from bfc.corpus import parse_corpus
 from bfc.coordinate import (
     _deg_i_all,
+    _monomial_sens_violation,
     _rrcm_violation,
     ALL_BASE_KINDS,
     CERT_I,
@@ -130,6 +132,38 @@ def test_influence_bound_examples():
     assert check_influence_bound(OR2, DEG_I).passed
     assert check_influence_bound(DICT1, SENS_I).passed
     assert check_influence_bound(family("CONST0", 3), CERT_I).passed
+
+
+def _reference_monomial_sens(n, table, sens):
+    """The per-k scan: first (k, basis, mask, count) over k = 1..6."""
+    f = BooleanFunction(n, table)
+    spectra = (
+        ("monomial", sorted(f.mobius_transform().coeffs)),
+        ("spectral", sorted(f.fourier_transform().coeffs)),
+    )
+    for k in range(1, 7):
+        low = [i for i in range(n) if sens[i] <= k]
+        for name, masks in spectra:
+            for mask in masks:
+                cnt = sum(1 for i in low if (mask >> i) & 1)
+                if cnt > (k - 1) ** 2:
+                    return k, name, mask, cnt
+    return None
+
+
+def test_monomial_sens_one_pass_matches_the_per_k_scan(monkeypatch):
+    # true sens_i never fail, so random ones stand in to reach every k
+    rng = random.Random(11)
+    tables = [(n, t) for n in (2, 3) for _, f in parse_corpus(f"all:{n}") for t in [f.table]]
+    tables += [(n, rng.getrandbits(1 << n)) for n in (4, 5, 6) for _ in range(30)]
+    for n, table in tables:
+        true_sens = coordinate._sens_i_all(n, table)
+        for sens in [true_sens] + [tuple(rng.randint(0, 7) for _ in range(n)) for _ in range(4)]:
+            monkeypatch.setattr(coordinate, "_sens_i_all", lambda n, t, s=sens: s)
+            assert _monomial_sens_violation(n, table, range(1, 7)) == (
+                _reference_monomial_sens(n, table, sens)
+            ), (n, table, sens)
+            monkeypatch.undo()
 
 
 def test_monomial_sensitivity_examples():

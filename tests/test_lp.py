@@ -1,6 +1,7 @@
 import json
 import time
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -279,6 +280,88 @@ def test_lp_scan_reproduces_the_pinned_pivot_path():
             res = simplex_feasible(moment_lp(int(d), scan.cap, int(tau)))
             got = None if res.witness is None else [str(q) for q in res.witness]
             assert got == witness, (d, tau)
+
+
+def test_scan_start_basis_is_the_inverse_binomial_matrix():
+    for d in range(1, 9):
+        basis = bfc.lp._ScanBasis(d)
+        rows = [bfc.lp._scan_row(key, d) for key in basis.keys]
+        assert basis.det == 1
+        for i in range(d):
+            for j in range(d):
+                assert sum(rows[i][t] * basis.adj[t][j] for t in range(d)) == (i == j)
+
+
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8), st.integers(0, 20))
+@settings(max_examples=100, deadline=None)
+def test_scan_values_are_binomial_sums(coeffs, extra):
+    b = len(coeffs) + extra
+    want = [sum(c * comb(t, j) for j, c in enumerate(coeffs, 1)) for t in range(b + 1)]
+    assert bfc.lp._scan_values(coeffs, b) == want
+
+
+def _scan_profiles(dmax):
+    return {d: lp_bs_cap(d).profile for d in range(1, dmax + 1)}
+
+
+def test_scan_verdicts_match_the_power_basis_simplex():
+    for d, profile in _scan_profiles(6).items():
+        for b, *feas in profile:
+            for tau in (0, 1):
+                assert feas[tau] == simplex_feasible(moment_lp(d, b, tau)).feasible, (d, b, tau)
+
+
+def test_scan_with_blands_rule_throughout_gives_the_same_profiles(monkeypatch):
+    want = _scan_profiles(6)
+    monkeypatch.setattr(bfc.lp, "_most_violated", bfc.lp._first_violated)
+    assert _scan_profiles(6) == want
+
+
+def test_scan_switches_to_blands_rule_when_a_basis_repeats(monkeypatch):
+    # re-picking the row that has just entered is a pivot that changes
+    # nothing, so the basis repeats at once and the solve must fall back
+    want = _scan_profiles(6)
+    most_violated, first_violated = bfc.lp._most_violated, bfc.lp._first_violated
+    solve = bfc.lp._ScanBasis.solve
+    entered = []
+    fallbacks = []
+
+    def fresh_solve(self, b, tau):
+        entered.clear()
+        return solve(self, b, tau)
+
+    def stubborn(vals, det, b, tau):
+        key = most_violated(vals, det, b, tau)
+        if key >= 0 and entered:
+            return entered.pop()
+        entered.append(key)
+        return key
+
+    def spy(*args):
+        fallbacks.append(args[2])
+        return first_violated(*args)
+
+    monkeypatch.setattr(bfc.lp._ScanBasis, "solve", fresh_solve)
+    monkeypatch.setattr(bfc.lp, "_most_violated", stubborn)
+    monkeypatch.setattr(bfc.lp, "_first_violated", spy)
+    assert _scan_profiles(6) == want
+    assert fallbacks
+
+
+def test_scan_refuses_a_forged_farkas_sign(monkeypatch):
+    solve = bfc.lp._ScanBasis.solve
+
+    def forged(self, b, tau):
+        cert = solve(self, b, tau)
+        if cert is None:
+            return None
+        keys, y = cert
+        j = next(i for i, v in enumerate(y) if i and v)
+        return keys, [-v if i == j else v for i, v in enumerate(y)]
+
+    monkeypatch.setattr(bfc.lp._ScanBasis, "solve", forged)
+    with pytest.raises(AssertionError):
+        lp_bs_cap(3)
 
 
 def test_adeg_lp_examples():

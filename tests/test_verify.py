@@ -1,11 +1,13 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bfc.bf
 from bfc import coordinate, verify
 from bfc.bf import ArityError, BooleanFunction, family
 from bfc.corpus import (
@@ -332,6 +334,38 @@ def test_monomial_sens_failure_path(monkeypatch):
     assert not res.passed
     assert res.counterexample == ("monomial", 1)
     assert res.detail == "monomial mask 0x1: 1 coordinates with sens_i <= 1 exceeds 0"
+
+
+def _suite_tables():
+    rng = random.Random(5)
+    tables = [f for n in (1, 2, 3) for _, f in parse_corpus(f"all:{n}")]
+    tables += [f for _, f in parse_corpus("monotone:4")]
+    tables += [BooleanFunction(n, rng.getrandbits(1 << n)) for n in (6, 7, 8) for _ in range(5)]
+    return tables
+
+
+def test_cert_potential_matches_the_fraction_potential(monkeypatch):
+    # the true sums stay below 1/2, so low cert_i stand in for the FAIL side
+    for cert in (None, 1, 2, 3):
+        if cert is not None:
+            monkeypatch.setattr(verify, "_cert_i_all", lambda n, t, c=cert: (c,) * n)
+            monkeypatch.setattr(coordinate, "_cert_i_all", lambda n, t, c=cert: (c,) * n)
+        for f in _suite_tables():
+            total = coordinate.potential(f, coordinate.CERT_I).value
+            cell = f"{total.numerator}/{total.denominator}"
+            want = ("PASS" if total <= Fraction(1, 2) else "FAIL", cell, "1/2")
+            got = verify._check_cert_potential(verify._Stats("f", f))
+            assert got == want, (f, cert)
+
+
+def test_relvars_ds_exact_and_slack_verdicts_agree():
+    # every (nrel, deg, s) with all three at most the largest arity
+    top = bfc.bf.MAX_ARITY
+    for nrel in range(top + 1):
+        for deg in range(top + 1):
+            for s in range(top + 1):
+                slack = nrel <= 8.277 * 2.0 ** (deg / 2.0 + s) + 1e-6
+                assert verify._within_mixed_ds(nrel, deg, s) == slack, (nrel, deg, s)
 
 
 def _reference_monomial_potential(n, table, sens):
