@@ -415,9 +415,10 @@ def _dictator_floor(kind: CoordinateMeasureKind) -> int | Fraction:
 def _influence_violation(n: int, table: int, kind: CoordinateMeasureKind) -> int | None:
     """First relevant coordinate (0-based) with 2^-m_i > 2^-r * Inf_i, or None.
 
-    ``r`` is the dictator floor of the measure.  Integer exponents are
-    compared exactly as scaled integers, the rest in floats with
-    MIXED_ERROR_BOUND of slack.  Summed over the coordinates, the bound
+    ``r`` is the dictator floor of the measure.  With Inf_i = cnt/2^n the
+    test reads 2^e > cnt for e = n + r - m_i.  A relevant coordinate has
+    cnt >= 1, so it fails iff e > 0 and 2^(q e) > cnt^q, q the denominator
+    of e: exact for every kind.  Summed over the coordinates, the bound
     gives potential <= 2^-r * I[f], since irrelevant coordinates have no
     influence.
     """
@@ -428,14 +429,8 @@ def _influence_violation(n: int, table: int, kind: CoordinateMeasureKind) -> int
     for i0 in range(n):
         if not diffs[i0]:
             continue
-        m = values[i0]
-        if m.denominator == 1 and r.denominator == 1:
-            # 2^-m <= 2^-r * cnt/2^n  <=>  2^(n + r) <= cnt * 2^m
-            bad = (1 << (n + r.numerator)) > counts[i0] << m.numerator
-        else:
-            lhs = float(_term_weight(m))
-            bad = lhs > float(_term_weight(r)) * counts[i0] / (1 << n) + MIXED_ERROR_BOUND
-        if bad:
+        e = n + r - values[i0]
+        if e > 0 and 1 << e.numerator > counts[i0] ** e.denominator:
             return i0
     return None
 

@@ -1,34 +1,34 @@
 """Exact rational linear-programming feasibility.
 
-The decision procedure is a phase-1 simplex with Bland's anti-cycling rule
-over an integer tableau: Edmonds' fraction-free form of Gaussian
-elimination (Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", Math. Comp. 1968).  Every row is
-stored at its own determinant scale: a row last updated when the basis
-determinant was ``d_r`` holds ``d_r`` times the textbook fraction row, so
-every entry is a minor of the input and stays an integer.  A pivot updates
-only the rows with a nonzero entry in the entering column, dividing exactly
-by their old scale; the other rows keep theirs until they are next touched.
-Signs and ratios within a row do not depend on the scale, so the pivoting
-decisions are exactly those of the fraction tableau.
+One solver decides every system: a dual simplex on vertex bases.  Each
+constraint is written as one or two rows a.x <= r (an ``=`` row becomes two
+rows, a ``>=`` row is negated) and keyed in that order.  A basis is a set of
+rows, tight at its vertex, whose matrix B over a set J of independent columns
+is kept only as the integer adjugate adj = det B^-1, with det > 0.  Each
+pivot replaces one basis row and updates adj by Bareiss's exact division
+("Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 1968), so every entry is a minor of the input and
+stays an integer.
 
-Both verdicts come with a certificate that is checked exactly before it is
-returned.  A Feasible witness is re-substituted into every constraint.  An
-Infeasible verdict carries Farkas multipliers y, read off the final
-objective row at its known scale: y^T A = 0 and y^T b < 0, with y >= 0 on
-``<=`` rows and y <= 0 on ``>=`` rows.
+The start (phase 0) begins with an empty basis and takes the rows in key
+order.  A row that is independent of the basis rows so far adds to J the
+first column on which it is, as a unit row of B, and then enters in place of
+that unit row by the same pivot; a dependent row is skipped.  With no
+objective every basis is dual feasible.  The leaving row is the most
+violated one at the vertex and the entering slot the lowest-keyed one that
+relieves it; the first repeated basis switches the leaving row to the
+lowest-keyed violated one (Bland, Math. OR 1977), so every solve terminates.
+J spans every column of the system, so the columns outside J are 0 in the
+witness and lose no feasibility.
 
-For systems with many rows the solver works incrementally: it runs phase-1
-on a growing subset of the constraints and re-checks the returned point
-against the full system.  A Farkas certificate of a subset, padded with
-zeros, certifies the full system.
+Both verdicts are exact.  A Feasible vertex has had every row checked at it.
+An Infeasible verdict carries Farkas multipliers y, with y^T A = 0 and
+y^T b < 0, y >= 0 on ``<=`` rows and y <= 0 on ``>=`` rows, which are checked
+exactly before they are returned.
 
-The cap scan ``lp_bs_cap`` has a solver of its own: a dual simplex on
-vertex bases of the moment LP written in the binomial basis C(t, j).  It
-keeps only the integer adjugate of the d tight rows and their determinant,
-updated by the same exact divisions, and carries its basis from b to b + 1.
-It stops at a vertex that satisfies every row, or at a Farkas certificate
-on d + 1 rows that is checked exactly like the ones above.
+The cap scan ``lp_bs_cap`` runs the same solver on the moment LP written in
+the binomial basis C(t, j), with a row picker of its own, and carries each
+basis from b to b + 1.
 """
 
 from __future__ import annotations
@@ -39,18 +39,13 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb, lcm
 from operator import mul
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .bf import ArityError, BooleanFunction, popcount
 
 RELATIONS = ("<=", "=", ">=")
 
-# beyond this many rows _solve switches to constraint generation
-_DENSE_ROW_LIMIT = 48
-
 LP_CAP_SCAN_MAX_DEGREE = 16
-
-_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
 
 # the numbers of the text format: an integer or num/den, nothing Fraction()
 # would also expand (decimals, exponents); compiled on first use, by re's cache
@@ -107,7 +102,8 @@ class LinearProgram:
         )
 
     def satisfies(self, x: Sequence[Fraction]) -> bool:
-        return not _violations(self._int_rows, x, stop_early=True)
+        nums, den = _scaled_point(x)
+        return all(_gap(row, nums, den) <= 0 for row in self._int_rows)
 
     def to_text(self) -> str:
         lines = [f"vars={self.num_vars}"]
@@ -122,8 +118,8 @@ class LinearProgram:
     def from_text(cls, text: str) -> "LinearProgram":
         """Parse ``to_text`` output; malformed text raises ``ValueError``."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("vars="):
-            raise ValueError("LP text must start with 'vars=<k>'")
+        if not lines or not re.fullmatch(r"vars=[0-9]+", lines[0]):
+            raise ValueError("LP text must start with 'vars=<k>', k in decimal digits")
         k = int(lines[0][5:])
         rows = []
         for ln in lines[1:]:
@@ -164,22 +160,6 @@ def _gap(row: IntRow, nums: Sequence[int], den: int) -> int:
     return abs(excess)
 
 
-def _violations(
-    int_rows: Sequence[IntRow], x: Sequence[Fraction], stop_early: bool = False
-) -> list[int]:
-    """Violated row indices, most violated first."""
-    nums, den = _scaled_point(x)
-    found: list[tuple[int, int]] = []
-    for idx, row in enumerate(int_rows):
-        gap = _gap(row, nums, den)
-        if gap > 0:
-            if stop_early:
-                return [idx]
-            found.append((gap, idx))
-    found.sort(key=lambda t: (-t[0], t[1]))
-    return [idx for _, idx in found]
-
-
 def _is_farkas(num_vars: int, int_rows: Sequence[IntRow], y: Sequence[int]) -> bool:
     """True iff y proves the rows infeasible (see the module docstring)."""
     total = [0] * num_vars
@@ -207,180 +187,112 @@ class SimplexResult:
     farkas: tuple[int, ...] | None = None
 
 
-def _phase1(num_vars: int, int_rows: Sequence[IntRow]) -> SimplexResult:
-    """Phase-1 simplex over integer rows, on a determinant-scaled tableau.
+class _VertexBasis:
+    """A vertex basis of rows a.x <= r, for the dual simplex.
 
-    Free variables are split as x = x+ - x-; the entering column is the
-    lowest index with negative reduced cost and ratio ties leave by smallest
-    basis variable (Bland's rule, so termination is guaranteed).  Returns a
-    satisfying point, or Farkas multipliers for ``int_rows`` when the
-    artificial optimum is positive.
-
-    Columns are numbered x+ (0..n-1), x- (n..2n-1), then slacks and
-    artificials.  The x- columns are the negated x+ columns at every step,
-    so the tableau stores only x+, slacks, artificials and the rhs, and
-    column c >= 2n is stored at c - n.
+    ``keys`` are the basis rows, one per slot, and ``cols`` the columns J
+    they are independent on; ``adj`` = det B^-1 with det > 0 for their
+    square matrix B, indexed [column position][slot].  The vertex is
+    x_J = adj r_B / det, with every column outside J at 0.
     """
-    n = num_vars
-    m = len(int_rows)
-    if m == 0:
-        return SimplexResult(True, tuple(Fraction(0) for _ in range(n)))
 
-    # normalise to rhs >= 0; a ">=" row with rhs 0 is negated into a
-    # "<=" row, whose slack-basic form needs no artificial variable
-    flips: list[bool] = []
-    rels: list[str] = []
-    width = n + 1  # stored columns; the last one is the rhs
-    for _, rel, rhs in int_rows:
-        flip = rhs < 0 or (rel == ">=" and rhs == 0)
-        rel = _FLIPPED[rel] if flip else rel
-        flips.append(flip)
-        rels.append(rel)
-        width += (rel != "=") + (rel != "<=")
-    art_lo = width - 1 - sum(1 for rel in rels if rel != "<=")
-
-    tab: list[list[int]] = []
-    basis: list[int] = []  # unstored column numbers, for Bland's rule
-    slack_col: list[int] = []
-    art_col: list[int] = []
-    z = [0] * width  # reduced costs of min(sum of artificials)
-    for j in range(art_lo, width - 1):
-        z[j] = 1
-    si, ai = n, art_lo
-    for (coeffs, _, rhs), rel, flip in zip(int_rows, rels, flips):
-        if flip:
-            coeffs, rhs = [-c for c in coeffs], -rhs
-        row = [0] * width
-        row[:n] = coeffs
-        row[-1] = rhs
-        slack_col.append(si if rel != "=" else -1)
-        art_col.append(ai if rel != "<=" else -1)
-        if rel != "=":
-            row[si] = 1 if rel == "<=" else -1
-            si += 1
-        if rel == "<=":
-            basis.append(n + slack_col[-1])
-        else:
-            row[ai] = 1
-            basis.append(n + ai)
-            ai += 1
-            z = [v - a for v, a in zip(z, row)]
-        tab.append(row)
-
-    # the starting basis is the identity: determinant 1, every scale 1
-    det = 1
-    scale = [1] * m
-    z_scale = 1
-    while True:
-        # Bland: the first negative reduced cost among x+, then x-, then the rest
-        enter = next((j for j in range(n) if z[j] < 0), -1)
-        if enter < 0:
-            enter = next((n + j for j in range(n) if z[j] > 0), -1)
-        if enter < 0:
-            enter = next((n + j for j in range(n, width - 1) if z[j] < 0), -1)
-        if enter < 0:
-            break
-        col = enter if enter < n else enter - n
-        sign = -1 if n <= enter < 2 * n else 1
-        leave = -1
-        best_rhs = best_a = 0
-        best_basis = -1
-        for r in range(m):
-            a = sign * tab[r][col]
-            if a > 0:
-                rhs = tab[r][-1]
-                if leave < 0:
-                    better = True
-                else:
-                    left = rhs * best_a
-                    right = best_rhs * a
-                    better = left < right or (left == right and basis[r] < best_basis)
-                if better:
-                    leave, best_rhs, best_a, best_basis = r, rhs, a, basis[r]
-        if leave < 0:
-            raise AssertionError("phase-1 simplex detected an unbounded column")
-        # bring the pivot row to the current determinant; each updated row
-        # is then divided exactly by the scale it was stored at (entries
-        # that are zero in the pivot row need one product, zeros none)
-        piv_row = tab[leave]
-        if scale[leave] != det:
-            s = scale[leave]
-            piv_row = [v * det // s for v in piv_row]
-        piv = sign * piv_row[col]
-        for r in range(m):
-            if r == leave:
+    def __init__(self, num_cols: int, rows: Iterable[tuple[int, Sequence[int]]]):
+        """Phase 0: admit each (key, coefficients) row, in the order given,
+        that is independent of the rows admitted before it."""
+        self.keys: list[int] = []
+        self.cols: list[int] = []
+        self.adj: list[list[int]] = []
+        self.det = 1
+        admitted: list[Sequence[int]] = []
+        for key, a in rows:
+            if len(admitted) == num_cols:
+                break
+            det, adj = self.det, self.adj
+            w = [sum(a[c] * v for c, v in zip(self.cols, slot)) for slot in zip(*adj)]
+            # det times the part of a that the admitted rows miss, per column;
+            # zero on J, and everywhere iff a is their combination
+            miss = (
+                det * a[c] - sum(v * u[c] for v, u in zip(w, admitted))
+                for c in range(num_cols)
+            )
+            c, rho = next(((c, v) for c, v in enumerate(miss) if v), (-1, 0))
+            if c < 0:
                 continue
-            row = tab[r]
-            a = sign * row[col]
-            if a:
-                s = scale[r]
-                tab[r] = [
-                    (v * piv - p * a) // s if p else v and v * piv // s
-                    for v, p in zip(row, piv_row)
-                ]
-                scale[r] = piv
-        a = sign * z[col]
-        z = [
-            (v * piv - p * a) // z_scale if p else v and v * piv // z_scale
-            for v, p in zip(z, piv_row)
-        ]
-        z_scale = piv
-        tab[leave] = piv_row
-        scale[leave] = det = piv
-        basis[leave] = enter
+            # border B with the unit row of column c, then pivot a into its slot
+            for line in adj:
+                line.append(-sum(v * u[c] for v, u in zip(line, admitted)))
+            adj.append([0] * len(admitted) + [det])
+            self.cols.append(c)
+            self.keys.append(key)
+            admitted.append(a)
+            self._pivot(len(w), [*w, rho])
 
-    if z[-1] == 0:
-        x = [Fraction(0)] * n
-        for r in range(m):
-            if basis[r] < n:
-                x[basis[r]] = Fraction(tab[r][-1], tab[r][basis[r]])
-            elif basis[r] < 2 * n:  # x_j = -x-_j = -rhs / (-tab[r][j])
-                j = basis[r] - n
-                x[j] = Fraction(tab[r][-1], tab[r][j])
-        return SimplexResult(True, tuple(x))
-    # z holds z_scale * (c - pi B^-1 A) for the duals pi, so each y_r below
-    # is -z_scale * pi_r, read from the slack or artificial column of row r
-    y = []
-    for rel, flip, sc, ac in zip(rels, flips, slack_col, art_col):
-        if rel == "<=":
-            v = z[sc]
-        elif rel == ">=":
-            v = -z[sc]
-        else:
-            v = z[ac] - z_scale
-        y.append(-v if flip else v)
-    return SimplexResult(False, farkas=tuple(y))
+    def _pivot(self, j: int, w: Sequence[int]) -> None:
+        """Replace the row of slot j by the row with w = row.adj (w_j != 0).
+
+        Bareiss: the other columns divide exactly by det.  A negative pivot
+        flips the sign of B's determinant, so adj is negated to keep det > 0.
+        """
+        det, piv = self.det, abs(w[j])
+        sign = 1 if w[j] > 0 else -1
+        for line in self.adj:
+            a = sign * line[j]
+            line[:] = [(piv * v - u * a) // det for v, u in zip(line, w)]
+            line[j] = a
+        self.det = piv
+
+    def run(
+        self,
+        row: Callable[[int], Sequence[int]],
+        rhs: Callable[[int], int],
+        pick: Callable[[list[int], int, bool], int],
+    ) -> tuple[list[int], list[int]] | None:
+        """Pivot to a vertex that satisfies every row.
+
+        ``row`` and ``rhs`` give a row on the columns J by key, and
+        ``pick(point, det, bland)`` the key of a row violated at the vertex
+        point/det: the most violated one, or the lowest-keyed one once
+        ``bland`` is set; -1 when none is.  Returns None at a vertex that
+        satisfies every row, else a Farkas certificate as (row keys,
+        multipliers).
+        """
+        keys, adj = self.keys, self.adj
+        r_b = [rhs(key) for key in keys]
+        seen = set()
+        bland = False
+        while True:
+            basis = frozenset(keys)
+            bland = bland or basis in seen
+            seen.add(basis)
+            det = self.det
+            point = [sum(map(mul, line, r_b)) for line in adj]
+            leave = pick(point, det, bland)
+            if leave < 0:
+                return None
+            a = row(leave)
+            w = [sum(map(mul, a, slot)) for slot in zip(*adj)]
+            enter = min(
+                (j for j in range(len(keys)) if w[j] > 0), key=keys.__getitem__, default=-1
+            )
+            if enter < 0:
+                # a = (w/det) B, and B x <= r_B forces a.x >= a.vertex > r
+                return [leave, *keys], [det, *(-v for v in w)]
+            self._pivot(enter, w)
+            keys[enter] = leave
+            r_b[enter] = rhs(leave)
 
 
-def _solve(num_vars: int, int_rows: Sequence[IntRow]) -> SimplexResult:
-    """Checked verdict on integer rows.
-
-    Systems of more than ``_DENSE_ROW_LIMIT`` rows start from the equality
-    rows and add up to eight of the most violated rows per round.
-    """
-    m = len(int_rows)
-    if m <= _DENSE_ROW_LIMIT:
-        active = list(range(m))
-    else:
-        active = [i for i, (_, rel, _) in enumerate(int_rows) if rel == "="]
-    active_set = set(active)
-    while True:
-        res = _phase1(num_vars, [int_rows[i] for i in active])
-        if not res.feasible:
-            y = [0] * m
-            for i, v in zip(active, res.farkas):
-                y[i] = v
-            if not _is_farkas(num_vars, int_rows, y):
-                raise AssertionError("simplex Farkas certificate failed exact check")
-            return SimplexResult(False, farkas=tuple(y))
-        violated = _violations(int_rows, res.witness)
-        if not violated:
-            return res
-        if any(i in active_set for i in violated):
-            raise AssertionError("simplex witness failed exact re-substitution")
-        for i in violated[:8]:
-            active.append(i)
-            active_set.add(i)
+def _violated_row(rows: Sequence[tuple[Sequence[int], int]], point, det, bland) -> int:
+    """Key of the row a.x <= r most violated at point/det, lowest key on
+    ties, or with ``bland`` the lowest violated key; -1 if none is."""
+    worst, leave = 0, -1
+    for key, (a, r) in enumerate(rows):
+        gap = sum(map(mul, a, point)) - det * r
+        if gap > worst:
+            if bland:
+                return key
+            worst, leave = gap, key
+    return leave
 
 
 def simplex_feasible(lp: LinearProgram) -> SimplexResult:
@@ -388,14 +300,39 @@ def simplex_feasible(lp: LinearProgram) -> SimplexResult:
 
     The Farkas multipliers refer to ``lp.constraints`` as given.
     """
-    result = _solve(lp.num_vars, lp._int_rows)
-    if result.farkas is None:
-        return result
+    rows: list[tuple[Sequence[int], int]] = []
+    origin: list[tuple[int, int]] = []  # (constraint, sign) of each row
+    for i, (coeffs, rel, r) in enumerate(lp._int_rows):
+        if rel != ">=":
+            rows.append((coeffs, r))
+            origin.append((i, 1))
+        if rel != "<=":
+            rows.append((tuple(-c for c in coeffs), -r))
+            origin.append((i, -1))
+    basis = _VertexBasis(lp.num_vars, enumerate(a for a, _ in rows))
+    on_j = [([a[c] for c in basis.cols], r) for a, r in rows]
+    cert = basis.run(
+        lambda key: on_j[key][0],
+        lambda key: on_j[key][1],
+        lambda point, det, bland: _violated_row(on_j, point, det, bland),
+    )
+    if cert is None:
+        r_b = [on_j[key][1] for key in basis.keys]
+        x = [Fraction(0)] * lp.num_vars
+        for c, line in zip(basis.cols, basis.adj):
+            x[c] = Fraction(sum(map(mul, line, r_b)), basis.det)
+        return SimplexResult(True, tuple(x))
+    y = [0] * len(lp.constraints)
+    for key, v in zip(*cert):
+        i, sign = origin[key]
+        y[i] += sign * v
+    if not _is_farkas(lp.num_vars, lp._int_rows, y):
+        raise AssertionError("simplex Farkas certificate failed exact check")
     return SimplexResult(
         False,
         farkas=tuple(
             v * _row_scale(coeffs, rhs) if v else 0
-            for v, (coeffs, _, rhs) in zip(result.farkas, lp.constraints)
+            for v, (coeffs, _, rhs) in zip(y, lp.constraints)
         ),
     )
 
@@ -514,65 +451,29 @@ def _first_violated(vals: list[int], det: int, b: int, tau: int) -> int:
     return -1
 
 
-class _ScanBasis:
-    """A vertex basis of one tau chain of the cap scan, for the dual simplex.
+class _ScanBasis(_VertexBasis):
+    """A vertex basis of one tau chain of the cap scan.
 
-    The d coefficients are basic; the nonbasic variables are the slacks of
-    the d tight rows ``keys``, whose matrix B is kept only as the integer
-    adjugate ``adj`` = det B^-1 with det = det B > 0.  The vertex is
-    c = adj r_B / det.  With no objective every basis is dual feasible, so
-    a basis carries over from b to b + 1, where only right-hand sides change
-    and two rows are added.  The start is p(k) <= hi_k for k = 1..d, a
-    unitriangular B whose inverse is (-1)^(i+j) C(i+1, j+1).
+    Its columns are the d coefficients.  With no objective every basis is
+    dual feasible, so a basis carries over from b to b + 1, where only
+    right-hand sides change and two rows are added.  Phase 0 over the rows
+    of points 1..d admits p(k) <= hi_k for k = 1..d, a unitriangular B.
     """
 
     def __init__(self, d: int):
-        self.keys = [2 * k for k in range(1, d + 1)]
-        self.adj = [
-            [(-1) ** (i + j) * comb(i + 1, j + 1) for j in range(d)] for i in range(d)
-        ]
-        self.det = 1
+        super().__init__(d, ((key, _scan_row(key, d)) for key in range(2, 2 * d + 2)))
 
     def solve(self, b: int, tau: int) -> tuple[list[int], list[int]] | None:
-        """Pivot to a vertex that satisfies every row on points 1..b.
+        """``run`` on the rows of points 1..b, picked from their values."""
+        d = len(self.keys)
 
-        Returns None when one is reached, else a Farkas certificate as
-        (row keys, multipliers).  The leaving row is the most violated and
-        the entering column the lowest-keyed one that can relieve it; the
-        first time a basis repeats, the leaving row becomes the lowest-keyed
-        violated one for the rest of the solve (Bland's rule, so the solve
-        terminates).
-        """
-        keys, adj = self.keys, self.adj
-        d = len(keys)
-        rhs = [_scan_rhs(key, b, tau) for key in keys]
-        pick = _most_violated
-        seen = set()
-        while True:
-            basis = frozenset(keys)
-            if basis in seen:
-                pick = _first_violated
-            seen.add(basis)
-            det = self.det
-            point = [sum(map(mul, line, rhs)) for line in adj]
-            leave = pick(_scan_values(point, b), det, b, tau)
-            if leave < 0:
-                return None
-            row = _scan_row(leave, d)
-            w = [sum(map(mul, row, col)) for col in zip(*adj)]
-            enter = min((j for j in range(d) if w[j] > 0), key=keys.__getitem__, default=-1)
-            if enter < 0:
-                # row = (w/det) B, and B c <= r_B forces row.c >= row.vertex > r
-                return [leave, *keys], [det, *(-v for v in w)]
-            # Bareiss: column enter stays, the others divide exactly by det
-            piv = w[enter]
-            for line in adj:
-                a = line[enter]
-                line[:] = [(piv * v - u * a) // det for v, u in zip(line, w)]
-                line[enter] = a
-            self.det = piv
-            keys[enter] = leave
-            rhs[enter] = _scan_rhs(leave, b, tau)
+        def pick(point, det, bland):
+            vals = _scan_values(point, b)
+            return (_first_violated if bland else _most_violated)(vals, det, b, tau)
+
+        return self.run(
+            lambda key: _scan_row(key, d), lambda key: _scan_rhs(key, b, tau), pick
+        )
 
 
 def lp_bs_cap(d: int) -> LpCapScan:

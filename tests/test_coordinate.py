@@ -134,6 +134,46 @@ def test_influence_bound_examples():
     assert check_influence_bound(family("CONST0", 3), CERT_I).passed
 
 
+@pytest.mark.parametrize(
+    "beta, f",
+    [
+        (Fraction(1, 2), BooleanFunction(2, 0b0110)),
+        (Fraction(1, 3), BooleanFunction(3, 0b11000)),
+    ],
+)
+def test_influence_bound_is_exact_at_a_forced_tie(monkeypatch, beta, f):
+    # sens_1 is forced so that 2^-m_1 = 2^-r * Inf_1 exactly (a tie, which
+    # passes), then one lower (which fails) and one higher (which passes);
+    # the other coordinates pass
+    import mpmath
+
+    kind = mix_ds(beta)
+    r = coordinate._dictator_floor(kind)
+    deg1 = coordinate._deg_i_all(f.n, f.table)[0]
+    cnt = coordinate._influence_counts(f.n, f.table)[0]
+    log_cnt = cnt.bit_length() - 1
+    assert cnt == 1 << log_cnt
+    tie = (f.n + r - beta * deg1 - log_cnt) / (1 - beta)
+    assert tie.denominator == 1
+    tie = tie.numerator
+    for sens1 in (tie, tie - 1, tie + 1):
+        fails = sens1 < tie
+        monkeypatch.setattr(
+            coordinate, "_sens_i_all", lambda n, table: (sens1,) + (2 * n + 9,) * (n - 1)
+        )
+        m = beta * deg1 + (1 - beta) * sens1
+        with mpmath.workdps(60):
+            lhs = mpmath.power(2, -mpmath.mpf(m.numerator) / m.denominator)
+            rhs = (
+                mpmath.power(2, -mpmath.mpf(r.numerator) / r.denominator)
+                * cnt / mpmath.mpf(1 << f.n)
+            )
+            assert (lhs > rhs * (1 + mpmath.mpf(10) ** -50)) == fails
+            assert sens1 != tie or abs(lhs - rhs) < mpmath.mpf(10) ** -55
+        assert (coordinate._influence_violation(f.n, f.table, kind) == 0) == fails
+        assert check_influence_bound(f, kind).passed != fails
+
+
 def _reference_monomial_sens(n, table, sens):
     """The per-k scan: first (k, basis, mask, count) over k = 1..6."""
     f = BooleanFunction(n, table)

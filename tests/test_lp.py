@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 import bfc.lp
 from bfc.bf import family
 from bfc.lp import (
+    LP_CAP_SCAN_MAX_DEGREE,
     RELATIONS,
     LinearProgram,
-    SimplexResult,
     adeg_lp,
     lp_bs_cap,
     moment_lp,
@@ -144,6 +144,9 @@ def test_text_format_rejects_garbage():
     for token in ("1.5", "+1", "1e3", "0x10", "1_0", "1/-2"):
         with pytest.raises(ValueError):
             LinearProgram.from_text(f"vars=1\n{token} <= 1")
+    for head in ("vars=1_0", "vars=+1", "vars= 2"):
+        with pytest.raises(ValueError):
+            LinearProgram.from_text(f"{head}\n")
 
 
 def test_text_format_refuses_exponents_at_once():
@@ -247,29 +250,88 @@ def test_infeasible_systems_carry_a_farkas_certificate(prog):
     assert_farkas(prog, res.farkas)
 
 
-def test_constraint_generation_certifies_infeasible_adeg_lp():
-    # 64 rows exceed the dense limit, so the verdict comes from an active
-    # subset and the certificate is zero outside it
+@st.composite
+def _with_a_dependent_column(draw, systems):
+    """A drawn system with one more column: a rational combination of the
+    others, or zero.  It keeps the verdict of the system it extends."""
+    prog = draw(systems)
+    lam = [
+        Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        for _ in range(prog.num_vars)
+    ]
+    rows = [
+        ((*coeffs, sum(c * v for c, v in zip(coeffs, lam))), rel, rhs)
+        for coeffs, rel, rhs in prog.constraints
+    ]
+    return LinearProgram(prog.num_vars + 1, tuple(rows))
+
+
+@given(_with_a_dependent_column(_system_with_known_point()))
+@settings(max_examples=120, deadline=None)
+def test_a_dependent_column_keeps_a_system_feasible_and_witnessed(prog):
+    res = simplex_feasible(prog)
+    assert res.feasible
+    assert prog.satisfies(res.witness)
+
+
+@given(_with_a_dependent_column(_system_infeasible_by_construction()))
+@settings(max_examples=120, deadline=None)
+def test_a_dependent_column_keeps_a_system_infeasible_and_certified(prog):
+    res = simplex_feasible(prog)
+    assert not res.feasible and res.witness is None
+    assert_farkas(prog, res.farkas)
+
+
+def test_zero_rows_and_no_rows():
+    for rel in RELATIONS:
+        prog = lp(2, [([0, 0], rel, 1 if rel == ">=" else -1), ([1, 0], "<=", 5)])
+        res = simplex_feasible(prog)
+        assert not res.feasible
+        assert_farkas(prog, res.farkas)
+        assert simplex_feasible(lp(2, [([0, 0], rel, 0)])).feasible
+    res = simplex_feasible(LinearProgram.from_text("vars=3\n"))
+    assert res.feasible and res.witness == (0, 0, 0)
+
+
+def test_a_wide_lp_with_few_rows_is_cheap():
+    # three rows over 5000 columns: the basis is at most 3 x 3
+    n = 5000
+    prog = lp(
+        n,
+        [
+            ([(j % 7) - 3 for j in range(n)], "<=", -1),
+            ([(j * j % 5) - 2 for j in range(n)], ">=", 2),
+            ([1] * n, "=", 3),
+        ],
+    )
+    start = time.perf_counter()
+    res = simplex_feasible(prog)
+    assert time.perf_counter() - start < 1.0
+    assert res.feasible and prog.satisfies(res.witness)
+
+
+def test_infeasible_adeg_lp_certificate_has_at_most_num_vars_plus_one_rows():
+    # the certificate sits on the leaving row and the basis rows
     prog = adeg_lp(family("PARITY", 5), 4, Fraction(1, 3))
-    assert len(prog.constraints) > bfc.lp._DENSE_ROW_LIMIT
     res = simplex_feasible(prog)
     assert not res.feasible
     assert_farkas(prog, res.farkas)
-    assert 0 in res.farkas
+    assert sum(1 for v in res.farkas if v) <= prog.num_vars + 1
 
 
 def test_a_wrong_farkas_certificate_is_refused(monkeypatch):
-    def forged(num_vars, int_rows):
-        return SimplexResult(False, farkas=tuple(1 for _ in int_rows))
-
-    monkeypatch.setattr(bfc.lp, "_phase1", forged)
-    with pytest.raises(AssertionError):
-        simplex_feasible(lp(1, [([1], "<=", 2), ([1], ">=", 0)]))
+    # rows x <= -1 (key 0) and -x <= 5 (key 1); each forgery fails one
+    # condition: y.A = 0, the signs, y.b < 0
+    prog = lp(1, [([1], "<=", -1), ([1], ">=", -5)])
+    for cert in (([0], [1]), ([0, 1], [-1, -1]), ([0, 1], [1, 1])):
+        monkeypatch.setattr(bfc.lp._VertexBasis, "run", lambda *args: cert)
+        with pytest.raises(AssertionError):
+            simplex_feasible(prog)
 
 
 def test_lp_scan_reproduces_the_pinned_pivot_path():
-    # profiles and cap witnesses recorded from the earlier gcd-reduced
-    # tableau; the pivots, verdicts and witnesses must not change
+    # profiles recorded from the earlier gcd-reduced tableau, cap witnesses
+    # from the vertex-basis dual simplex; neither may change
     pinned = json.loads(PIVOT_PATH.read_text())
     assert sorted(map(int, pinned)) == list(range(1, 10))
     for d, want in pinned.items():
@@ -277,14 +339,19 @@ def test_lp_scan_reproduces_the_pinned_pivot_path():
         assert scan.cap == want["cap"]
         assert [list(p) for p in scan.profile] == want["profile"]
         for tau, witness in want["witness"].items():
-            res = simplex_feasible(moment_lp(int(d), scan.cap, int(tau)))
+            prog = moment_lp(int(d), scan.cap, int(tau))
+            res = simplex_feasible(prog)
             got = None if res.witness is None else [str(q) for q in res.witness]
             assert got == witness, (d, tau)
+            assert witness is None or prog.satisfies([Fraction(q) for q in witness])
 
 
 def test_scan_start_basis_is_the_inverse_binomial_matrix():
-    for d in range(1, 9):
+    # phase 0 over the scan rows admits p(k) <= hi_k for k = 1..d
+    for d in range(1, LP_CAP_SCAN_MAX_DEGREE + 1):
         basis = bfc.lp._ScanBasis(d)
+        assert basis.keys == [2 * k for k in range(1, d + 1)]
+        assert basis.cols == list(range(d))
         rows = [bfc.lp._scan_row(key, d) for key in basis.keys]
         assert basis.det == 1
         for i in range(d):
