@@ -1,8 +1,11 @@
 """Dynamic-programming bound tables and closed-form tail sums.
 
-Grids are computed in double precision (every per-step weight in the pure
-degree table is dyadic, so the accumulated rounding error stays far below
-1e-9); the monotone-degree recursion is evaluated in exact rationals.
+One crank builds every bound table: ``dp_mixed_ds`` for the potential
+sum 2^-(beta deg_i + (1-beta) sens_i), and the degree table is its
+beta = 1 case.  Grids are computed in double precision from per-step
+weights that are exact rationals when every exponent is an integer (so
+the degree table is dyadic and never loads mpmath) and 50-digit reals
+otherwise; the monotone-degree recursion is evaluated in exact rationals.
 Infinite tails are closed forms where the cap function is polynomial and
 partial sums plus a rigorous closed-form remainder otherwise, so every
 headline is an upper bound.
@@ -10,14 +13,14 @@ headline is an upper bound.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt, log
-from typing import Callable
 
-# digits of every mpmath evaluation here, set locally with mpmath.workdps so
-# that importing bfc leaves the caller's mpmath precision alone; mpmath is
-# imported by the functions that use it, so that importing bfc does not load it
+# digits of every mpmath evaluation, set locally with mpmath.workdps so that
+# importing bfc leaves the caller's mpmath precision alone; mpmath is imported
+# only where some exponent is not an integer, so importing bfc does not load it
 _DPS = 50
 
 # 10-digit Euler-Mascheroni constant used by the certificate/sensitivity bound
@@ -29,6 +32,30 @@ LP_CAP_TABLE = {
     1: 1, 2: 3, 3: 6, 4: 10, 5: 15, 6: 21, 7: 29,
     8: 38, 9: 47, 10: 58, 11: 71, 12: 84, 13: 99, 14: 114,
 }
+
+# the bound tables sum their tails explicitly up to this degree; d_max <= 64
+_TAIL_CUTOFF = 400
+
+
+def _precision(*exponents):
+    """50 mpmath digits while some exponent is not an integer; else nothing."""
+    if all(e.denominator == 1 for e in exponents):
+        return nullcontext()
+    import mpmath
+
+    return mpmath.workdps(_DPS)
+
+
+def _pow2(e):
+    """2^e for rational e: exact when e is an integer (an int for e >= 0, a
+    Fraction below), else an mpmath real at the working precision (see
+    ``_precision``)."""
+    if e.denominator == 1:
+        k = e.numerator
+        return 1 << k if k >= 0 else Fraction(1, 1 << -k)
+    import mpmath
+
+    return mpmath.power(2, mpmath.mpf(e.numerator) / e.denominator)
 
 
 def markov_cap(d: int) -> int:
@@ -42,31 +69,35 @@ def markov_cap(d: int) -> int:
     return max(1, b)
 
 
+# the cap each source knows at degree d (None where it knows none), and the
+# sources of each mode in order of preference
+_CAP_RULES = {"lp-table": LP_CAP_TABLE.get, "square": lambda d: d * d, "markov": markov_cap}
+_MODE_SOURCES = {
+    "square": ("square",), "lp": ("lp-table", "square"), "markov": ("lp-table", "markov"),
+}
+
+
 @dataclass(frozen=True)
 class CapProfile:
-    """Per-degree upper bound on block sensitivity, with provenance."""
+    """Per-degree upper bound on block sensitivity, with provenance.
+
+    The cap at d is the least cap among the mode's sources that know d, and
+    its source is the first of them that attains it.
+    """
 
     mode: str  # "square" | "lp" | "markov"
 
-    def bd(self, d: int) -> int:
+    def _cap(self, d: int) -> tuple[int, str]:
         if d < 1:
             raise ValueError(f"degree must be positive, got {d}")
-        if self.mode == "square":
-            return d * d
-        if self.mode == "lp":
-            return LP_CAP_TABLE[d] if d <= 14 else d * d
-        # markov mode keeps the tighter LP value where it exists
-        m = markov_cap(d)
-        return min(m, LP_CAP_TABLE[d]) if d <= 14 else m
+        known = [(_CAP_RULES[src](d), src) for src in _MODE_SOURCES[self.mode]]
+        return min((c for c in known if c[0] is not None), key=lambda c: c[0])
+
+    def bd(self, d: int) -> int:
+        return self._cap(d)[0]
 
     def source(self, d: int) -> str:
-        if self.mode == "square":
-            return "square"
-        if self.mode == "lp":
-            return "lp-table" if d <= 14 else "square"
-        if d <= 14:
-            return "lp-table" if LP_CAP_TABLE[d] <= markov_cap(d) else "markov"
-        return "markov"
+        return self._cap(d)[1]
 
 
 SQUARE_CAPS = CapProfile("square")
@@ -86,8 +117,7 @@ def cap_profile(name: str) -> CapProfile:
 # ---------------------------------------------------------------------------
 
 def _base_sums(r):
-    one = r / r if not isinstance(r, Fraction) else Fraction(1)
-    s0 = one / (1 - r)
+    s0 = 1 / (1 - r)
     s1 = r / (1 - r) ** 2
     s2 = r * (1 + r) / (1 - r) ** 3
     s3 = r * (1 + 4 * r + r * r) / (1 - r) ** 4
@@ -110,7 +140,7 @@ def power_tail(m: int, a: int, r):
 
 
 # ---------------------------------------------------------------------------
-# degree-potential table
+# the potential table
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -119,8 +149,6 @@ class BoundGrid:
 
     d_max: int
     caps: CapProfile
-    kind: str  # "degree" | "mixed_ds"
-    beta: Fraction | None
     bd: tuple[int, ...]  # cap per degree, index 1..d_max
     rows: tuple[tuple[float, ...], ...]  # rows[d][b], b = 0..bd[d]
     corner: float
@@ -157,157 +185,98 @@ class BoundGrid:
         return "\n".join(lines)
 
 
-def _mpf(q: Fraction):
-    import mpmath
-
-    return mpmath.mpf(q.numerator) / q.denominator
-
-
-def _uniform_step(d: int, beta: Fraction | None) -> float:
+def _uniform_step(d: int, beta: Fraction) -> float:
     """One restriction round of a degree-d monomial, flat sens_i >= 2 bound."""
-    if beta is None:
-        return d * 2.0 ** (-d)
-    import mpmath
-
-    e = beta * d + 2 * (1 - beta)
-    return float(d * mpmath.power(2, -_mpf(e)))
+    return float(d * _pow2(-(beta * d + 2 * (1 - beta))))
 
 
-def _profile_step(d: int, beta: Fraction | None) -> float:
+def _profile_step(d: int, beta: Fraction) -> float:
     """One restriction round, with the monomial sensitivity profile.
 
     Within a degree-d monomial at most (k-1)^2 coordinates can have
     sens_i <= k, so the per-round weight sum_{i in M} 2^-(beta d +
     (1-beta) sens_i) is maximised by the staircase profile a_k = 2k-3;
-    at beta = 1 this degenerates to the flat d * 2^-d round.
+    at beta = 1 (rho = 1) the staircase sums to d, the flat d * 2^-d round.
     """
-    if beta is None or beta == 1:
-        return _uniform_step(d, None if beta is None else beta)
-    import mpmath
-
-    rho = mpmath.power(2, -(1 - _mpf(beta)))
+    rho = _pow2(beta - 1)
     root = isqrt(d)
     prof = sum((2 * k - 3) * rho ** k for k in range(2, root + 2))
     prof += (d - root * root) * rho ** (root + 2)
     trivial = d * rho ** 2
-    return float(mpmath.power(2, -_mpf(beta) * d) * min(prof, trivial))
-
-
-def _tail_bounds(
-    d_max: int, caps: CapProfile, beta: Fraction | None,
-    step: Callable[[int], float],
-) -> tuple[float, float, float]:
-    """(first term, partial series, remainder bound) past the grid corner.
-
-    The first term relaxes the block-sensitivity cap from the corner to
-    B_{d+1} and the series continues upward one degree at a time, each
-    relaxation round costing one step at its degree.
-    """
-    first = caps.bd(d_max + 1) * step(d_max + 1)
-    cutoff = max(d_max + 2, 400)
-    series = 0.0
-    prev = caps.bd(d_max + 1)
-    for k in range(d_max + 2, cutoff + 1):
-        cur = caps.bd(k)
-        series += (cur - prev) * step(k)
-        prev = cur
-    # every cap mode is dominated by the square profile (differences 2k-1)
-    # and every step by the flat k * rho^2 * 2^(-beta k) round
-    if beta is None:
-        r = Fraction(1, 2)
-        rem = 2 * power_tail(2, cutoff + 1, r) - power_tail(1, cutoff + 1, r)
-        remainder = float(rem)
-    else:
-        import mpmath
-
-        r = mpmath.power(2, -_mpf(beta))
-        amp = mpmath.power(2, -2 * (1 - _mpf(beta)))
-        rem = amp * (2 * power_tail(2, cutoff + 1, r) - power_tail(1, cutoff + 1, r))
-        remainder = float(rem)
-    return first, series, remainder
-
-
-def _dp_grid(
-    d_max: int,
-    caps: CapProfile,
-    kind: str,
-    beta: Fraction | None,
-    step_weight: Callable[[int], float],
-    cap_value: Callable[[int], float],
-) -> BoundGrid:
-    if not 2 <= d_max <= 64:
-        raise ValueError(f"table supports 2 <= d_max <= 64, got {d_max}")
-    bd = [0] + [caps.bd(d) for d in range(1, d_max + 1)]
-    rows = [[0.0] * (bd[d] + 1) if d else [0.0] for d in range(d_max + 1)]
-    bmax = max(bd[1:])
-    steps = [0.0] + [step_weight(d) for d in range(1, d_max + 1)]
-    caps_v = [0.0] + [cap_value(d) for d in range(1, d_max + 1)]
-    for b in range(1, bmax + 1):
-        prefix = 0.0
-        for d in range(1, d_max + 1):
-            prev = rows[d][b - 1] if b - 1 <= bd[d] else 0.0
-            if prev > prefix:
-                prefix = prev
-            if b <= bd[d]:
-                rows[d][b] = min(caps_v[d], steps[d] + prefix)
-    corner = rows[d_max][bd[d_max]]
-    first, series, remainder = _tail_bounds(d_max, caps, beta, step_weight)
-    headline = corner + first + series + remainder
-    return BoundGrid(
-        d_max=d_max,
-        caps=caps,
-        kind=kind,
-        beta=beta,
-        bd=tuple(bd),
-        rows=tuple(tuple(r) for r in rows),
-        corner=corner,
-        tail_first=first,
-        tail_series=series,
-        tail_remainder=remainder,
-        headline=headline,
-    )
+    return float(_pow2(-beta * d) * min(prof, trivial))
 
 
 def dp_degree(d_max: int, caps: CapProfile) -> BoundGrid:
-    """Bound table for the degree potential.
+    """Bound table for the degree potential: the mixed table at beta = 1.
 
     Each cell is min(d/2, d*2^-d + max over lower-degree cells at one less
-    block sensitivity); cells beyond the cap are zero, and the headline adds
-    the closed-form tail for degrees past the grid.
+    block sensitivity); every weight is dyadic and evaluated exactly.
     """
-    return _dp_grid(
-        d_max, caps, "degree", None,
-        step_weight=lambda d: d * 2.0 ** (-d),
-        cap_value=lambda d: d / 2.0,
-    )
+    return dp_mixed_ds(1, d_max, caps)
 
 
 def dp_mixed_ds(
     beta, d_max: int, caps: CapProfile, step: str = "profile"
 ) -> BoundGrid:
-    """Same crank for the degree/sensitivity mix.
+    """Bound table for the degree/sensitivity potential, 0 < beta <= 1.
 
-    Coordinates of a top-degree monomial have deg_i = d and sens_i >= 2; the
-    influence cap becomes d / 2^(2-beta).  ``step`` selects the per-round
-    weight: "profile" (default) applies the monomial sensitivity staircase,
-    "uniform" uses the flat d * 2^-(beta d + 2(1-beta)) bound, which is
-    strictly weaker (it lands near 8.83 at beta=1/2 instead of 7.6).
+    Coordinates of a top-degree monomial have deg_i = d and sens_i >= 2, so
+    the influence cap of a degree-d cell is d / 2^(2-beta).  Each cell is
+    min(that cap, one restriction round at degree d + max over lower-degree
+    cells at one less block sensitivity); cells beyond the block-sensitivity
+    cap are zero.  ``step`` selects the per-round weight: "profile"
+    (default) applies the monomial sensitivity staircase, "uniform" uses the
+    flat d * 2^-(beta d + 2(1-beta)) bound, which is strictly weaker (it
+    lands near 8.83 at beta=1/2 instead of 7.6); both equal d * 2^-d at
+    beta = 1.  The headline adds to the corner the tail past the grid: the
+    first term relaxes the cap to B_{d_max+1}, the series goes on one degree
+    at a time (one step each) up to degree 400, and a closed form bounds the
+    remainder.
     """
     beta = Fraction(beta)
     if not 0 < beta <= 1:
         raise ValueError(f"mixing weight must lie in (0, 1], got {beta}")
     if step not in ("profile", "uniform"):
         raise ValueError(f"unknown step rule {step!r}")
-    import mpmath
-
+    if not 2 <= d_max <= 64:
+        raise ValueError(f"table supports 2 <= d_max <= 64, got {d_max}")
     weight = _profile_step if step == "profile" else _uniform_step
-    with mpmath.workdps(_DPS):
-        cap_amp = float(mpmath.power(2, -(2 - _mpf(beta))))
-        return _dp_grid(
-            d_max, caps, "mixed_ds", beta,
-            step_weight=lambda d: weight(d, beta),
-            cap_value=lambda d: d * cap_amp,
-        )
+    # the cap and one restriction round per degree, for the grid and its tail
+    bd = [0] + [caps.bd(d) for d in range(1, _TAIL_CUTOFF + 1)]
+    with _precision(beta):
+        steps = [0.0] + [weight(d, beta) for d in range(1, _TAIL_CUTOFF + 1)]
+        cap_amp = float(_pow2(beta - 2))
+        # every cap mode is dominated by the square profile (differences
+        # 2k-1) and every step by the flat k * rho^2 * 2^(-beta k) round
+        a = _TAIL_CUTOFF + 1
+        r = _pow2(-beta)
+        remainder = float(_pow2(2 * beta - 2) * (2 * power_tail(2, a, r) - power_tail(1, a, r)))
+    cap_v = [d * cap_amp for d in range(d_max + 1)]
+    rows = [[0.0] * (bd[d] + 1) for d in range(d_max + 1)]
+    for b in range(1, max(bd[:d_max + 1]) + 1):
+        prefix = 0.0
+        for d in range(1, d_max + 1):
+            prev = rows[d][b - 1] if b - 1 <= bd[d] else 0.0
+            if prev > prefix:
+                prefix = prev
+            if b <= bd[d]:
+                rows[d][b] = min(cap_v[d], steps[d] + prefix)
+    corner = rows[d_max][bd[d_max]]
+    first = bd[d_max + 1] * steps[d_max + 1]
+    series = 0.0
+    for k in range(d_max + 2, _TAIL_CUTOFF + 1):
+        series += (bd[k] - bd[k - 1]) * steps[k]
+    return BoundGrid(
+        d_max=d_max,
+        caps=caps,
+        bd=tuple(bd[:d_max + 1]),
+        rows=tuple(tuple(r) for r in rows),
+        corner=corner,
+        tail_first=first,
+        tail_series=series,
+        tail_remainder=remainder,
+        headline=corner + first + series + remainder,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -370,20 +339,18 @@ class InfluenceMinimum:
 def ds_influence_min(beta, k_max: int = 200) -> InfluenceMinimum:
     """Minimise k/2^(2-beta) + sum_{i>k} i^3 / (2^(2-beta) * 2^(beta i)).
 
-    Evaluated for k = 1..k_max with the cubic tail in closed form at 50
-    digits; the returned value is accurate to well below 1e-9.
+    Evaluated for k = 1..k_max with the cubic tail in closed form, at 50
+    digits (exactly at beta = 1); the returned value is accurate to well
+    below 1e-9.
     """
     beta = Fraction(beta)
     if not 0 < beta <= 1:
         raise ValueError(f"mixing weight must lie in (0, 1], got {beta}")
-    import mpmath
-
     best_k, best_v = None, None
     profile = []
-    with mpmath.workdps(_DPS):
-        bmp = mpmath.mpf(beta.numerator) / beta.denominator
-        r = mpmath.power(2, -bmp)
-        amp = mpmath.power(2, -(2 - bmp))
+    with _precision(beta):
+        r = _pow2(-beta)
+        amp = _pow2(beta - 2)
         for k in range(1, k_max + 1):
             v = amp * (k + power_tail(3, k + 1, r))
             profile.append((k, float(v)))

@@ -24,6 +24,7 @@ from .bf import (
     popcount,
     restrict_bit,
 )
+from .bounds import _pow2, _precision
 from .measures import (
     _diffs,
     _fourier,
@@ -36,11 +37,6 @@ from .measures import (
 
 MIXED_ERROR_BOUND = 1e-12
 MONOMIAL_CHECK_MAX_ARITY = 10
-
-# digits of every mpmath evaluation here, set locally with mpmath.workdps so
-# that importing bfc leaves the caller's mpmath precision alone; mpmath is
-# imported by the functions that use it, so that importing bfc does not load it
-_DPS = 50
 
 # zeta(2); junta-count constant sum_{j>=1} j/j**3 (the double nearest
 # pi^2/6, which is also float(mpmath.zeta(2)))
@@ -223,42 +219,19 @@ class PotentialValue:
         return lines
 
 
-def _term_weight(m: int | Fraction):
-    if m.denominator == 1:
-        return Fraction(1, 2 ** m.numerator) if m >= 0 else Fraction(2 ** -m.numerator)
-    import mpmath
-
-    with mpmath.workdps(_DPS):
-        return mpmath.power(2, -mpmath.mpf(m.numerator) / m.denominator)
-
-
 def _potential_over(
     f: BooleanFunction, kind: CoordinateMeasureKind, coords: Sequence[int]
 ) -> PotentialValue:
-    n, table = f.n, f.table
-    values = _kind_values(n, table, kind)
-    diffs = _diffs(n, table)
-    terms = []
-    all_int = True
-    for i in coords:
-        if not diffs[i - 1]:
-            continue  # irrelevant coordinates contribute nothing
-        m = values[i - 1]
-        if m.denominator != 1:
-            all_int = False
-        terms.append((i, m, _term_weight(m)))
-    if all_int:
-        exps = [m.numerator for _, m, _ in terms]
-        top = max([0] + exps)
-        total = Fraction(sum(1 << (top - e) for e in exps), 1 << top)
-        return PotentialValue(kind, tuple(terms), total, True, 0.0)
-    import mpmath
-
-    with mpmath.workdps(_DPS):
-        total = mpmath.mpf(0)
-        for _, _, t in terms:
-            total += t if not isinstance(t, Fraction) else mpmath.mpf(t.numerator) / t.denominator
-    return PotentialValue(kind, tuple(terms), float(total), False, MIXED_ERROR_BOUND)
+    values = _kind_values(f.n, f.table, kind)
+    diffs = _diffs(f.n, f.table)
+    # irrelevant coordinates contribute nothing
+    ms = [(i, values[i - 1]) for i in coords if diffs[i - 1]]
+    with _precision(*(m for _, m in ms)):
+        terms = tuple((i, m, _pow2(-m)) for i, m in ms)
+        total = sum(t for _, _, t in terms)
+    if all(m.denominator == 1 for _, m in ms):
+        return PotentialValue(kind, terms, Fraction(total), True, 0.0)
+    return PotentialValue(kind, terms, float(total), False, MIXED_ERROR_BOUND)
 
 
 def potential(f: BooleanFunction, kind: CoordinateMeasureKind) -> PotentialValue:
@@ -350,31 +323,27 @@ def check_restriction_inequality(
     for j in H:
         _check_coord(f, j)
 
-    def side_value(g: BooleanFunction, coord: int):
-        vals = _kind_values(g.n, g.table, kind)
-        if not _diffs(g.n, g.table)[coord - 1]:
-            return Fraction(0)
-        return _term_weight(vals[coord - 1])
-
-    import mpmath
-
-    with mpmath.workdps(_DPS):
-        lhs = side_value(f, i)
-        total = None
-        exact = isinstance(lhs, Fraction)
-        for bits in range(1 << len(H)):
-            g = f.restrict([(j, (bits >> t) & 1) for t, j in enumerate(H)])
-            shift = sum(1 for j in H if j < i)
-            v = side_value(g, i - shift)
-            if not isinstance(v, Fraction):
-                exact = False
-            total = v if total is None else total + v
+    shift = sum(1 for j in H if j < i)
     count = 1 << len(H)
+    branches = [(f, i)] + [
+        (f.restrict([(j, (bits >> t) & 1) for t, j in enumerate(H)]), i - shift)
+        for bits in range(count)
+    ]
+    # -m of coordinate c in g, or None where g ignores it (weight 0)
+    exps = [
+        -_kind_values(g.n, g.table, kind)[c - 1] if _diffs(g.n, g.table)[c - 1] else None
+        for g, c in branches
+    ]
+    known = [e for e in exps if e is not None]
+    exact = all(e.denominator == 1 for e in known)
+    with _precision(*known):
+        lhs, *restricted = [Fraction(0) if e is None else _pow2(e) for e in exps]
+        total = sum(restricted)
     if exact:
         ok = lhs * count <= total
         detail = f"{lhs} vs average {Fraction(total, count)}"
     else:
-        lhs_f = float(lhs) if isinstance(lhs, Fraction) else float(lhs)
+        lhs_f = float(lhs)
         rhs_f = float(total) / count
         ok = lhs_f <= rhs_f + MIXED_ERROR_BOUND
         detail = f"{lhs_f} vs average {rhs_f}"

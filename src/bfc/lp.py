@@ -41,7 +41,8 @@ from math import comb, lcm
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
-from .bf import ArityError, BooleanFunction, popcount
+from .bf import BooleanFunction, popcount
+from .measures import APPROX_DEGREE_MAX_ARITY, _check_cap
 
 RELATIONS = ("<=", "=", ">=")
 
@@ -512,8 +513,7 @@ def adeg_lp(f: BooleanFunction, d: int, eps: Fraction) -> LinearProgram:
     Variables are coefficients of every subset of size <= d (ordered by
     (size, mask)); each input point contributes a two-sided band constraint.
     """
-    if f.n > 10:
-        raise ArityError(f"approximation LP supports arity <= 10, got {f.n}")
+    _check_cap(f.n, APPROX_DEGREE_MAX_ARITY, "approximation LP")
     if d > f.n:
         raise ValueError(f"degree {d} exceeds arity {f.n}")
     eps = Fraction(eps)

@@ -35,7 +35,7 @@ from .bf import (
 )
 
 EXACT_SEARCH_MAX_ARITY = 14  # block sensitivity, certificates, DT depth
-APPROX_DEGREE_MAX_ARITY = 10
+APPROX_DEGREE_MAX_ARITY = 10  # approximate degree and its LP, lp.adeg_lp
 
 
 def _check_cap(n: int, cap: int, what: str) -> None:
@@ -44,7 +44,7 @@ def _check_cap(n: int, cap: int, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# cached kernels on (n, table)
+# kernels on (n, table), memoised where a result is read again
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=1 << 17)
@@ -63,7 +63,6 @@ def _point_sensitivity(n: int, table: int) -> tuple[int, ...]:
     return tuple(sx)
 
 
-@lru_cache(maxsize=1 << 17)
 def _sensitivity(n: int, table: int) -> tuple[int, int, int]:
     """(s, s0, s1)."""
     sx = _point_sensitivity(n, table)
@@ -87,7 +86,6 @@ def _degree(n: int, table: int) -> int:
     return degree_of_vector(_mobius(n, table))
 
 
-@lru_cache(maxsize=1 << 17)
 def _fourier(n: int, table: int) -> tuple[int, ...]:
     """Walsh-Hadamard spectrum scaled by 2**n (integers)."""
     return tuple(fourier_vector(n, table))

@@ -194,26 +194,32 @@ class DtIntersectResult:
     detail: str = ""
 
 
+def _dt_intersect(n: int, table: int, i0: int) -> tuple[int, int] | None:
+    """(Cmin0(f0) + Cmin1(f1), |shared| + 1) for the branches f0, f1 at the
+    0-based root ``i0`` of a monotone f, or None when a branch is constant;
+    shared are the coordinates relevant to both branches."""
+    t0 = restrict_bit(table, n, i0, 0)
+    t1 = restrict_bit(table, n, i0, 1)
+    full = (1 << (1 << (n - 1))) - 1
+    if t0 in (0, full) or t1 in (0, full):
+        return None
+    c0 = _certificates(n - 1, t0).Cmin0
+    c1 = _certificates(n - 1, t1).Cmin1
+    d0, d1 = _diffs(n - 1, t0), _diffs(n - 1, t1)
+    shared = sum(1 for x, y in zip(d0, d1) if x and y)
+    return c0 + c1, shared + 1
+
+
 def check_dt_intersect(f: BooleanFunction, root: int) -> DtIntersectResult:
     """Short certificates of the two root branches against shared variables."""
     if not 1 <= root <= f.n:
         raise ValueError(f"root coordinate {root} out of range")
     if not f.is_monotone():
         return DtIntersectResult("SKIP", detail="not monotone")
-    n, table = f.n, f.table
-    t0 = restrict_bit(table, n, root - 1, 0)
-    t1 = restrict_bit(table, n, root - 1, 1)
-    full = (1 << (1 << (n - 1))) - 1
-    if t0 in (0, full) or t1 in (0, full):
+    sides = _dt_intersect(f.n, f.table, root - 1)
+    if sides is None:
         return DtIntersectResult("SKIP", detail="constant branch")
-    c0 = _certificates(n - 1, t0).Cmin0
-    c1 = _certificates(n - 1, t1).Cmin1
-    shared = sum(
-        1
-        for i in range(n - 1)
-        if _diffs(n - 1, t0)[i] and _diffs(n - 1, t1)[i]
-    )
-    lhs, rhs = c0 + c1, shared + 1
+    lhs, rhs = sides
     return DtIntersectResult(
         "PASS" if lhs <= rhs else "FAIL", lhs, rhs,
         detail=f"Cmin0+Cmin1={lhs} vs |shared|+1={rhs}",
@@ -709,11 +715,11 @@ def _check_mono_dt_intersect(st: _Stats):
     if not st.monotone:
         return "SKIP", 0, 0
     saw = False
-    for root in range(1, st.n + 1):
-        res = check_dt_intersect(st.f, root)
-        if res.status == "FAIL":
-            return "FAIL", f"root={root} {res.lhs}", res.rhs
-        saw = saw or res.status == "PASS"
+    for i0 in range(st.n):
+        sides = _dt_intersect(st.n, st.table, i0)
+        if sides and sides[0] > sides[1]:
+            return "FAIL", f"root={i0 + 1} {sides[0]}", sides[1]
+        saw = saw or sides is not None
     if not saw:
         return "SKIP", 0, 0
     return "PASS", "-", "-"

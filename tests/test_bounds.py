@@ -26,6 +26,7 @@ from bfc.bounds import (
     power_tail,
     technical_recursion,
 )
+from bfc.bounds import _pow2, _precision, _profile_step, _uniform_step
 
 
 def test_markov_cap_values():
@@ -182,9 +183,75 @@ def test_ds_influence_min_settled_scan():
 
 
 def test_dp_mixed_ds_beta_one_degenerates_to_degree():
-    gm = dp_mixed_ds(1, 30, MARKOV_CAPS)
-    gd = dp_degree(30, MARKOV_CAPS)
-    assert abs(gm.headline - gd.headline) < 1e-3
+    for caps in (SQUARE_CAPS, LP_CAPS, MARKOV_CAPS):
+        for d_max in (2, 30, 64):
+            gd = dp_degree(d_max, caps)
+            for step in ("profile", "uniform"):
+                # dataclass equality: every BoundGrid field, rows included
+                assert dp_mixed_ds(1, d_max, caps, step) == gd, (caps.mode, d_max, step)
+
+
+def _flat_degree_grid(d_max, caps):
+    """The degree table from float weights d * 2^-d and caps d / 2, as
+    (rows, corner, tail_first, tail_series, tail_remainder)."""
+    bd = [0] + [caps.bd(d) for d in range(1, d_max + 1)]
+    rows = [[0.0] * (bd[d] + 1) for d in range(d_max + 1)]
+    for b in range(1, max(bd) + 1):
+        prefix = 0.0
+        for d in range(1, d_max + 1):
+            if b - 1 <= bd[d]:
+                prefix = max(prefix, rows[d][b - 1])
+            if b <= bd[d]:
+                rows[d][b] = min(d / 2.0, d * 2.0 ** -d + prefix)
+    first = caps.bd(d_max + 1) * (d_max + 1) * 2.0 ** -(d_max + 1)
+    series = 0.0
+    for k in range(d_max + 2, 401):
+        series += (caps.bd(k) - caps.bd(k - 1)) * k * 2.0 ** -k
+    half = Fraction(1, 2)
+    remainder = float(2 * power_tail(2, 401, half) - power_tail(1, 401, half))
+    return rows, rows[d_max][bd[d_max]], first, series, remainder
+
+
+def test_dp_degree_is_the_flat_dyadic_crank():
+    for caps in (SQUARE_CAPS, LP_CAPS, MARKOV_CAPS):
+        for d_max in (2, 14, 15, 30):
+            g = dp_degree(d_max, caps)
+            rows, corner, first, series, remainder = _flat_degree_grid(d_max, caps)
+            assert g.rows == tuple(map(tuple, rows))
+            assert (g.corner, g.tail_first, g.tail_series, g.tail_remainder) == (
+                corner, first, series, remainder,
+            )
+            assert g.headline == corner + first + series + remainder
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 15, 64, 400])
+def test_beta_one_steps_are_the_flat_dyadic_round(d):
+    # rho = 2^(beta-1) = 1, so the staircase sums to exactly d
+    assert _profile_step(d, Fraction(1)) == _uniform_step(d, Fraction(1)) == d * 2.0 ** -d
+
+
+def test_pow2_is_exact_for_integers_and_fifty_digits_otherwise():
+    assert _pow2(Fraction(-3)) == Fraction(1, 8) and _pow2(5) == 32 and _pow2(0) == 1
+    assert isinstance(_pow2(-64), Fraction)
+    with _precision(Fraction(1, 3)):
+        v = _pow2(Fraction(-1, 3))
+    with mpmath.workdps(60):
+        ref = mpmath.power(2, -mpmath.mpf(1) / 3)
+        assert abs(v - ref) < mpmath.mpf(10) ** -49
+
+
+def test_cap_rule_is_the_least_known_cap_from_the_first_source():
+    for d in range(1, 80):
+        lp = LP_CAP_TABLE.get(d)
+        assert SQUARE_CAPS.bd(d) == d * d and SQUARE_CAPS.source(d) == "square"
+        assert LP_CAPS.bd(d) == (d * d if lp is None else min(lp, d * d))
+        assert LP_CAPS.source(d) == ("square" if lp is None else "lp-table")
+        m = markov_cap(d)
+        assert MARKOV_CAPS.bd(d) == (m if lp is None else min(lp, m))
+        assert MARKOV_CAPS.source(d) == ("lp-table" if lp is not None and lp <= m else "markov")
+    for caps in (SQUARE_CAPS, LP_CAPS, MARKOV_CAPS):
+        with pytest.raises(ValueError):
+            caps.bd(0)
 
 
 def test_dp_mixed_ds_below_influence_minimum():
@@ -284,6 +351,23 @@ def test_import_does_not_load_mpmath():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.split() == ["False"]
+
+
+@pytest.mark.parametrize("args", [
+    ["table", "degree", "--dmax", "30", "--caps", "markov"],
+    ["table", "ds", "--beta", "1", "--dmax", "30"],
+])
+def test_integral_exponent_tables_do_not_load_mpmath(args):
+    src = str(Path(bfc.__file__).resolve().parents[1])
+    code = (
+        "import sys; from bfc.cli import main; rc = main(sys.argv[1:]); "
+        "print('mpmath' in sys.modules, rc, file=sys.stderr)"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    err = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    ).stderr
+    assert err.split() == ["False", "0"]
 
 
 def test_junta_count_constant_is_zeta_two():

@@ -89,6 +89,26 @@ def test_mixed_potential_carries_error_bound():
     assert abs(pv.value - 3 * 2 ** -3.5) < 1e-12
 
 
+def test_potential_is_exact_iff_every_exponent_is_integral():
+    import mpmath
+
+    kinds = ALL_BASE_KINDS + (
+        mix_ds(Fraction(1, 2)), mix_cs(Fraction(1, 2)), mix_ds(Fraction(1, 3)),
+    )
+    for _, f in parse_corpus("all:3"):
+        for kind in kinds:
+            pv = potential(f, kind)
+            rel = f.relevant_variables()
+            ms = [Fraction(coordinate.coordinate_measure(f, i, kind)) for i in rel]
+            assert pv.exact == all(m.denominator == 1 for m in ms)
+            if pv.exact:
+                assert pv.value == sum(Fraction(1, 2 ** m.numerator) for m in ms)
+                continue
+            with mpmath.workdps(60):
+                ref = sum(mpmath.power(2, -mpmath.mpf(m.numerator) / m.denominator) for m in ms)
+                assert abs(pv.value - ref) < 1e-15
+
+
 def test_potential_report_format():
     lines = potential(OR2, DEG_I).format_lines()
     assert lines == ["1\t2/1\t1/4", "2\t2/1\t1/4", "total\t1/2"]

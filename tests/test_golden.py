@@ -31,6 +31,19 @@ GOLDEN = {
         "table", "ds", "--beta", "1/2", "--dmax", "48", "--caps", "markov",
     ],
     "table_cs.tsv": ["table", "cs", "--dmax", "30"],
+    "table_ds_third_square40.tsv": [
+        "table", "ds", "--beta", "1/3", "--dmax", "40", "--caps", "square", "--bstep", "1",
+    ],
+    "table_ds_two_thirds_uniform.tsv": [
+        "table", "ds", "--beta", "2/3", "--dmax", "20", "--caps", "markov",
+        "--step", "uniform", "--bstep", "1",
+    ],
+    "table_ds_one_markov30.tsv": [
+        "table", "ds", "--beta", "1", "--dmax", "30", "--caps", "markov", "--bstep", "1",
+    ],
+    "table_degree_lp64.tsv": [
+        "table", "degree", "--dmax", "64", "--caps", "lp", "--bstep", "1",
+    ],
 }
 
 

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bfc.lp
-from bfc.bf import family
+import bfc.measures
+from bfc.bf import ArityError, family
 from bfc.lp import (
     LP_CAP_SCAN_MAX_DEGREE,
     RELATIONS,
@@ -436,6 +437,16 @@ def test_adeg_lp_examples():
     assert not simplex_feasible(adeg_lp(family("DICT", 2), 0, Fraction(1, 3))).feasible
     or2 = family("OR", 2)
     assert simplex_feasible(adeg_lp(or2, 2, Fraction(1, 3))).feasible
+
+
+def test_adeg_lp_and_approx_degree_share_one_arity_cap():
+    cap = bfc.measures.APPROX_DEGREE_MAX_ARITY
+    assert bfc.lp.APPROX_DEGREE_MAX_ARITY == cap
+    assert adeg_lp(family("CONST0", cap), 0, Fraction(1, 3)).num_vars == 1
+    with pytest.raises(ArityError, match=f"arity <= {cap}, got {cap + 1}"):
+        adeg_lp(family("CONST0", cap + 1), 0, Fraction(1, 3))
+    with pytest.raises(ArityError, match=f"arity <= {cap}, got {cap + 1}"):
+        bfc.measures.approx_degree(family("CONST0", cap + 1))
 
 
 def test_adeg_lp_shape():

@@ -192,6 +192,38 @@ def test_dt_intersect_all_monotone_four_variable():
             assert check_dt_intersect(f, root).status in ("PASS", "SKIP")
 
 
+def test_dt_intersect_counts_only_coordinates_relevant_to_both_branches():
+    # f = (x1 and x2) or x3: f0 = x3 and f1 = x2 or x3 share x3 alone
+    table = sum(1 << x for x in range(8) if (x & 1 and x & 2) or x & 4)
+    res = check_dt_intersect(BooleanFunction(3, table), 1)
+    assert (res.status, res.lhs, res.rhs) == ("PASS", 2, 2)
+
+
+def test_mono_dt_intersect_row_reports_the_first_failing_root(monkeypatch):
+    st = verify._Stats("maj3", family("MAJ", 3))
+    assert verify._check_mono_dt_intersect(st) == ("PASS", "-", "-")
+    sides = {0: None, 1: (3, 3), 2: (4, 3)}
+    monkeypatch.setattr(verify, "_dt_intersect", lambda n, table, i0: sides[i0])
+    assert verify._check_mono_dt_intersect(st) == ("FAIL", "root=3 4", 3)
+    sides[2] = None
+    assert verify._check_mono_dt_intersect(st) == ("PASS", "-", "-")
+    sides[1] = None
+    assert verify._check_mono_dt_intersect(st) == ("SKIP", 0, 0)
+
+
+def test_dt_intersect_kernel_is_the_public_check():
+    for _, f in list(enumerate_monotone(4)) + [("maf3", family("MAF", 3))]:
+        for root in range(1, f.n + 1):
+            res = check_dt_intersect(f, root)
+            sides = verify._dt_intersect(f.n, f.table, root - 1)
+            if sides is None:
+                assert res.status == "SKIP" and res.detail == "constant branch"
+            else:
+                assert (res.lhs, res.rhs) == sides
+                assert res.status == ("PASS" if sides[0] <= sides[1] else "FAIL")
+    assert check_dt_intersect(family("PARITY", 3), 1).detail == "not monotone"
+
+
 # --- doubling family -----------------------------------------------------------------
 
 def test_doubling_family_small_levels():
