@@ -3,8 +3,8 @@
 
 Usage: python scripts/corpus_sweep.py [corpus ...]
   Default corpora: all:3, monotone:4, named:KUSHILEVITZ,MAJ:3,MAF:3.
-  The exhaustive four-variable sweep (all:4) takes roughly two and a half
-  minutes (143 s on a 2-core x86-64 host).
+  The exhaustive four-variable sweep (all:4) takes about a minute (52 s on
+  a 2-core x86-64 host, the figure the README gives).
 """
 
 import sys

@@ -12,26 +12,21 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from math import comb
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 MAX_ARITY = 20
-
-FAMILY_NAMES = (
-    "CONST0",
-    "CONST1",
-    "DICT",
-    "AND",
-    "OR",
-    "PARITY",
-    "MAJ",
-    "ADDR",
-    "MAF",
-    "KUSHILEVITZ",
-)
 
 
 class ArityError(ValueError):
     """Raised when an operation is asked to exceed its exact-mode arity cap."""
+
+
+def check_arity(n: int, cap: int = MAX_ARITY, what: str = "truth table") -> None:
+    """The one arity guard: every cap in the package is checked here."""
+    if not 0 <= n <= cap:
+        bound = f"<= {cap}" if n > cap else ">= 0"
+        raise ArityError(f"{what} supports arity {bound}, got {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -52,29 +47,17 @@ def half_mask(n: int, i0: int) -> int:
     return m
 
 
-@lru_cache(maxsize=None)
-def _merge_mask(n: int, size: int) -> int:
-    # pattern: 2*size ones, 2*size zeros, repeated across 2**n bits
-    block = (1 << (2 * size)) - 1
-    width = 4 * size
-    total = 1 << n
-    m = block
-    while width < total:
-        m |= m << width
-        width <<= 1
-    return m
-
-
 def restrict_bit(table: int, n: int, i0: int, b: int) -> int:
-    """Table of f with 0-based coordinate ``i0`` fixed to ``b`` (arity n-1)."""
+    """Table of f with 0-based coordinate ``i0`` fixed to ``b`` (arity n-1).
+
+    Step i merges runs of 2**(i-1) kept bits into runs of 2**i, which the
+    mask of index bit i then keeps.
+    """
     s = 1 << i0
     t = (table >> s) if b else table
     t &= half_mask(n, i0)
-    size = s
-    top = 1 << (n - 1)
-    while size < top:
-        t = (t | (t >> size)) & _merge_mask(n, size)
-        size <<= 1
+    for i in range(i0 + 1, n):
+        t = (t | (t >> (1 << (i - 1)))) & half_mask(n, i)
     return t
 
 
@@ -133,8 +116,7 @@ class BooleanFunction:
     __slots__ = ("n", "table")
 
     def __init__(self, n: int, table: int):
-        if not 0 <= n <= MAX_ARITY:
-            raise ArityError(f"arity {n} outside supported range 0..{MAX_ARITY}")
+        check_arity(n)
         size = 1 << n
         if not 0 <= table < (1 << size):
             raise ValueError(f"table does not fit in {size} bits")
@@ -161,11 +143,14 @@ class BooleanFunction:
 
     @classmethod
     def from_callable(cls, n: int, fn: Callable[[tuple[int, ...]], int]) -> "BooleanFunction":
-        bits = []
-        for idx in range(1 << n):
-            x = tuple((idx >> i) & 1 for i in range(n))
-            bits.append(int(fn(x)))
-        return cls.from_bits(bits)
+        """Tabulate ``fn`` on every input tuple, after checking the arity."""
+        check_arity(n)
+        # product counts the reversed tuples down from the top index, so the
+        # string reads most-significant bit first, coordinate 1 lowest
+        bits = "".join(
+            "1" if fn(x[::-1]) else "0" for x in itertools.product((1, 0), repeat=n)
+        )
+        return cls(n, int(bits, 2))
 
     # -- basics ------------------------------------------------------------
 
@@ -239,8 +224,7 @@ class BooleanFunction:
     def compose(self, g: "BooleanFunction") -> "BooleanFunction":
         """Substitute an independent copy of ``g`` for each input of self."""
         k, m = self.n, g.n
-        if k * m > MAX_ARITY:
-            raise ArityError(f"composed arity {k * m} exceeds {MAX_ARITY}")
+        check_arity(k * m, what="composition")
         gm = (1 << m) - 1
         gt, ft = g.table, self.table
         table = 0
@@ -284,6 +268,7 @@ class BooleanFunction:
         if len(lines) < 2 or not lines[0].startswith("n="):
             raise ValueError("truth-table text must start with an 'n=<arity>' line")
         n = int(lines[0][2:])
+        check_arity(n)
         bits = lines[1].strip()
         if len(bits) != 1 << n:
             raise ValueError(f"expected {1 << n} table bits, got {len(bits)}")
@@ -444,6 +429,10 @@ def _kushilevitz_value(x: Sequence[int]) -> int:
         total -= x[i] * x[j]
     for a, b, c in _KUSHILEVITZ_CUBICS:
         total += x[a - 1] * x[b - 1] * x[c - 1]
+    if total not in (0, 1):
+        raise ValueError(
+            f"KUSHILEVITZ polynomial evaluated to {total} at {x}; not Boolean"
+        )
     return total
 
 
@@ -459,97 +448,57 @@ def kushilevitz_polynomial() -> MultilinearPolynomial:
     return MultilinearPolynomial(6, "01", coeffs)
 
 
+def _addr(k: int) -> Callable[[tuple[int, ...]], int]:
+    # the first k inputs address one of the 2**k data inputs after them
+    return lambda x: x[k + sum(b << i for i, b in enumerate(x[:k]))]
+
+
+def _maf(k: int) -> Callable[[tuple[int, ...]], int]:
+    # majority of the k selectors, or some half-size selector set fully on
+    # together with its own target input (one per set, in combinations order)
+    targets = list(enumerate(itertools.combinations(range(k), k // 2), start=k))
+    return lambda x: sum(x[:k]) > k // 2 or any(
+        x[t] and all(x[i] for i in sel) for t, sel in targets
+    )
+
+
+class _Family(NamedTuple):
+    least: int  # smallest k
+    odd: bool  # whether k must be odd
+    arity: Callable[[int], int]
+    rule: Callable[[int], Callable[[tuple[int, ...]], int]]  # k -> f(x)
+
+
+_FAMILIES = {
+    "CONST0": _Family(0, False, lambda k: k, lambda k: lambda x: 0),
+    "CONST1": _Family(0, False, lambda k: k, lambda k: lambda x: 1),
+    "DICT": _Family(1, False, lambda k: k, lambda k: lambda x: x[0]),
+    "AND": _Family(1, False, lambda k: k, lambda k: all),
+    "OR": _Family(1, False, lambda k: k, lambda k: any),
+    "PARITY": _Family(1, False, lambda k: k, lambda k: lambda x: sum(x) & 1),
+    "MAJ": _Family(1, True, lambda k: k, lambda k: lambda x: sum(x) > k // 2),
+    "ADDR": _Family(1, False, lambda k: k + (1 << k), _addr),
+    "MAF": _Family(1, True, lambda k: k + comb(k, k // 2), _maf),
+}
+
+FAMILY_NAMES = (*_FAMILIES, "KUSHILEVITZ")
+
+
 def family(name: str, k: int | None = None) -> BooleanFunction:
     """Construct a named family member; ``k`` is the single size parameter."""
     name = name.upper()
-    if name not in FAMILY_NAMES:
-        raise ValueError(f"unknown family {name!r}; choose from {FAMILY_NAMES}")
-
     if name == "KUSHILEVITZ":
         if k is not None:
             raise ValueError("KUSHILEVITZ takes no parameter")
-        bits = []
-        for idx in range(64):
-            x = tuple((idx >> i) & 1 for i in range(6))
-            v = _kushilevitz_value(x)
-            if v not in (0, 1):
-                raise ValueError(
-                    f"KUSHILEVITZ polynomial evaluated to {v} at {x}; not Boolean"
-                )
-            bits.append(v)
-        return BooleanFunction.from_bits(bits)
-
+        return BooleanFunction.from_callable(6, _kushilevitz_value)
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown family {name!r}; choose from {FAMILY_NAMES}")
     if k is None:
         raise ValueError(f"family {name} requires a size parameter")
-    if name in ("CONST0", "CONST1"):
-        if not 0 <= k <= MAX_ARITY:
-            raise ArityError(f"arity {k} out of range")
-        size = 1 << k
-        return BooleanFunction(k, 0 if name == "CONST0" else (1 << size) - 1)
-    if name == "DICT":
-        if not 1 <= k <= MAX_ARITY:
-            raise ArityError(f"arity {k} out of range")
-        table = 0
-        for idx in range(1 << k):
-            if idx & 1:
-                table |= 1 << idx
-        return BooleanFunction(k, table)
-    if name == "AND":
-        if not 1 <= k <= MAX_ARITY:
-            raise ArityError(f"arity {k} out of range")
-        return BooleanFunction(k, 1 << ((1 << k) - 1))
-    if name == "OR":
-        if not 1 <= k <= MAX_ARITY:
-            raise ArityError(f"arity {k} out of range")
-        size = 1 << k
-        return BooleanFunction(k, ((1 << size) - 1) & ~1)
-    if name == "PARITY":
-        if not 1 <= k <= MAX_ARITY:
-            raise ArityError(f"arity {k} out of range")
-        table = 0
-        for idx in range(1 << k):
-            if popcount(idx) & 1:
-                table |= 1 << idx
-        return BooleanFunction(k, table)
-    if name == "MAJ":
-        if k % 2 == 0 or not 1 <= k <= MAX_ARITY:
-            raise ValueError("MAJ requires odd arity within the cap")
-        table = 0
-        for idx in range(1 << k):
-            if popcount(idx) > k // 2:
-                table |= 1 << idx
-        return BooleanFunction(k, table)
-    if name == "ADDR":
-        n = k + (1 << k)
-        if k < 1 or n > MAX_ARITY:
-            raise ArityError(f"ADDR with k={k} needs arity {n}")
-        table = 0
-        amask = (1 << k) - 1
-        for idx in range(1 << n):
-            a = idx & amask
-            if (idx >> (k + a)) & 1:
-                table |= 1 << idx
-        return BooleanFunction(n, table)
-    # MAF: majority of k selectors, or some half-size selector set fully on
-    # together with its dedicated target bit
-    import math
-
-    if k % 2 == 0 or k < 1:
-        raise ValueError("MAF requires odd k >= 1")
-    subsets = list(itertools.combinations(range(1, k + 1), k // 2))
-    n = k + len(subsets)
-    if n > MAX_ARITY:
-        raise ArityError(f"MAF with k={k} needs arity {n} > {MAX_ARITY}")
-    assert len(subsets) == math.comb(k, k // 2)
-    table = 0
-    for idx in range(1 << n):
-        sel = idx & ((1 << k) - 1)
-        if popcount(sel) > k // 2:
-            table |= 1 << idx
-            continue
-        for j, subset in enumerate(subsets):
-            if all(sel >> (i - 1) & 1 for i in subset) and (idx >> (k + j)) & 1:
-                table |= 1 << idx
-                break
-    return BooleanFunction(n, table)
-
+    least, odd, arity, rule = _FAMILIES[name]
+    if k < least or (odd and k % 2 == 0):
+        parity = "odd " if odd else ""
+        raise ValueError(f"family {name} requires {parity}k >= {least}, got {k}")
+    n = arity(k)
+    check_arity(n, what=f"family {name}")
+    return BooleanFunction.from_callable(n, rule(k))

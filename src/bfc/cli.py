@@ -34,7 +34,7 @@ from .coordinate import (
 )
 from .corpus import parse_corpus
 from .lp import lp_bs_cap
-from .measures import measure_report
+from .measures import APPROX_DEGREE_MAX_ARITY, measure_report
 from .verify import run_theorem_suite, suite_failures
 
 
@@ -47,7 +47,7 @@ def _load_function(args) -> BooleanFunction:
 
 def _cmd_analyze(args) -> int:
     f = _load_function(args)
-    with_adeg = f.n <= 6
+    with_adeg = f.n <= APPROX_DEGREE_MAX_ARITY
     report = measure_report(f, with_adeg=with_adeg, eps=Fraction(1, 3))
     print(f"n\t{f.n}")
     print(f"relevant\t{f.num_relevant()}")

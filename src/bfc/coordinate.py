@@ -18,14 +18,15 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .bf import (
-    ArityError,
     BooleanFunction,
+    check_arity,
     half_mask,
     popcount,
     restrict_bit,
 )
 from .bounds import _pow2, _precision
 from .measures import (
+    EXACT_SEARCH_MAX_ARITY,
     _diffs,
     _fourier,
     _influence_counts,
@@ -36,7 +37,6 @@ from .measures import (
 )
 
 MIXED_ERROR_BOUND = 1e-12
-MONOMIAL_CHECK_MAX_ARITY = 10
 
 # zeta(2); junta-count constant sum_{j>=1} j/j**3 (the double nearest
 # pi^2/6, which is also float(mpmath.zeta(2)))
@@ -309,6 +309,19 @@ def check_rrcm(f: BooleanFunction, i: int, kind: CoordinateMeasureKind) -> Check
     return CheckResult(False, f"{axiom} fails for x{i} fixing x{j0 + 1}={b}", (j0 + 1, b))
 
 
+def _restrictions(
+    f: BooleanFunction, i: int, H: Sequence[int]
+) -> list[tuple[BooleanFunction, int]]:
+    """The 2^|H| restrictions of f that fix the sorted coordinates ``H``,
+    the bits of a counter giving their values, each with the index that
+    coordinate i (not in H) takes in it."""
+    ii = i - sum(1 for j in H if j < i)
+    return [
+        (f.restrict([(j, (bits >> t) & 1) for t, j in enumerate(H)]), ii)
+        for bits in range(1 << len(H))
+    ]
+
+
 def check_restriction_inequality(
     f: BooleanFunction,
     i: int,
@@ -323,12 +336,8 @@ def check_restriction_inequality(
     for j in H:
         _check_coord(f, j)
 
-    shift = sum(1 for j in H if j < i)
     count = 1 << len(H)
-    branches = [(f, i)] + [
-        (f.restrict([(j, (bits >> t) & 1) for t, j in enumerate(H)]), i - shift)
-        for bits in range(count)
-    ]
+    branches = [(f, i)] + _restrictions(f, i, H)
     # -m of coordinate c in g, or None where g ignores it (weight 0)
     exps = [
         -_kind_values(g.n, g.table, kind)[c - 1] if _diffs(g.n, g.table)[c - 1] else None
@@ -433,6 +442,7 @@ def _monomial_sens_violation(
     skipped: with the same count and a larger limit it fails only where
     the smaller k fails too.
     """
+    check_arity(n, EXACT_SEARCH_MAX_ARITY, "monomial sensitivity check")
     sens = _sens_i_all(n, table)
     tests = []  # (k, low-sensitivity set, limit), k increasing
     prev = 0
@@ -458,10 +468,6 @@ def _monomial_sens_violation(
 def check_monomial_sensitivity(f: BooleanFunction, k: int) -> CheckResult:
     """In every monomial (either basis), at most (k-1)^2 coordinates have
     sens_i <= k."""
-    if f.n > MONOMIAL_CHECK_MAX_ARITY:
-        raise ArityError(
-            f"monomial sensitivity check supports arity <= {MONOMIAL_CHECK_MAX_ARITY}"
-        )
     hit = _monomial_sens_violation(f.n, f.table, (k,))
     if hit is None:
         return CheckResult(True)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
 
-from .bf import BooleanFunction, family, half_mask
+from .bf import MAX_ARITY, BooleanFunction, check_arity, family, half_mask
 
 # number of monotone functions per arity, used as a generation cross-check
 DEDEKIND = {0: 2, 1: 3, 2: 6, 3: 20, 4: 168, 5: 7581}
@@ -22,10 +22,6 @@ def _monotone_tables(n: int) -> tuple[int, ...]:
     A function is monotone iff both halves along the top coordinate are
     monotone and the low half is pointwise below the high half.
     """
-    if n > MONOTONE_ENUM_MAX_ARITY:
-        raise ValueError(
-            f"monotone enumeration supports n <= {MONOTONE_ENUM_MAX_ARITY}, got {n}"
-        )
     if n == 0:
         return (0, 1)
     prev = _monotone_tables(n - 1)
@@ -72,10 +68,8 @@ class Corpus:
     def __post_init__(self):
         if self.kind not in ("all", "monotone", "random", "named"):
             raise ValueError(f"unknown corpus kind {self.kind!r}")
-        if self.kind == "monotone" and self.n > MONOTONE_ENUM_MAX_ARITY:
-            raise ValueError(
-                f"monotone corpus supports n <= {MONOTONE_ENUM_MAX_ARITY}"
-            )
+        cap = MONOTONE_ENUM_MAX_ARITY if self.kind == "monotone" else MAX_ARITY
+        check_arity(self.n, cap, f"{self.kind} corpus")
 
     def __len__(self) -> int:
         if self.kind == "all":

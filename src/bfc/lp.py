@@ -41,8 +41,8 @@ from math import comb, lcm
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
-from .bf import BooleanFunction, popcount
-from .measures import APPROX_DEGREE_MAX_ARITY, _check_cap
+from .bf import BooleanFunction, check_arity, popcount
+from .measures import APPROX_DEGREE_MAX_ARITY
 
 RELATIONS = ("<=", "=", ">=")
 
@@ -513,7 +513,7 @@ def adeg_lp(f: BooleanFunction, d: int, eps: Fraction) -> LinearProgram:
     Variables are coefficients of every subset of size <= d (ordered by
     (size, mask)); each input point contributes a two-sided band constraint.
     """
-    _check_cap(f.n, APPROX_DEGREE_MAX_ARITY, "approximation LP")
+    check_arity(f.n, APPROX_DEGREE_MAX_ARITY, "approximation LP")
     if d > f.n:
         raise ValueError(f"degree {d} exceeds arity {f.n}")
     eps = Fraction(eps)

@@ -2,12 +2,16 @@
 
 All search-heavy measures (block sensitivity, certificates, decision-tree
 depth) run in exact mode only, guarded by arity caps that raise instead of
-truncating.  Certificates read one table of the monochromatic subcubes of
-f, and block sensitivity packs minimal sensitive blocks only at the points
-whose certificate could raise it.  Hot paths work on packed ``(n, table)``
-pairs and are memoised in bounded caches, so corpus sweeps over all
-functions of a small arity stay fast; the public API wraps them for
-:class:`~bfc.bf.BooleanFunction` values.
+truncating.  Each cap is checked by ``bf.check_arity`` inside the kernel
+that every caller shares (``_point_certificates``, ``_block_sensitivity``,
+``_dt_depth``, and ``coordinate._monomial_sens_violation``), so the theorem
+suite meets the same caps as the public functions; ``approx_degree`` and
+``lp.adeg_lp`` check the approximate-degree cap.  Certificates read one
+table of the monochromatic subcubes of f, and block sensitivity packs
+minimal sensitive blocks only at the points whose certificate could raise
+it.  Hot paths work on packed ``(n, table)`` pairs and are memoised in
+bounded caches, so corpus sweeps over all functions of a small arity stay
+fast; the public API wraps them for :class:`~bfc.bf.BooleanFunction` values.
 
 Everything here is a pure function of the table; the memo tables are only
 ever written under the interpreter lock, so concurrent calls on distinct
@@ -22,8 +26,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .bf import (
-    ArityError,
     BooleanFunction,
+    check_arity,
     degree_of_vector,
     diff_mask,
     flip_table,
@@ -34,13 +38,11 @@ from .bf import (
     restrict_bit,
 )
 
-EXACT_SEARCH_MAX_ARITY = 14  # block sensitivity, certificates, DT depth
-APPROX_DEGREE_MAX_ARITY = 10  # approximate degree and its LP, lp.adeg_lp
-
-
-def _check_cap(n: int, cap: int, what: str) -> None:
-    if n > cap:
-        raise ArityError(f"{what} supports arity <= {cap}, got {n}")
+# block sensitivity, certificates, DT depth, the monomial sensitivity check
+EXACT_SEARCH_MAX_ARITY = 14
+# approximate degree and its LP (lp.adeg_lp): every 6-input table tried
+# takes at most about 1 s, while 7 inputs already take 7-15 s
+APPROX_DEGREE_MAX_ARITY = 6
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +112,7 @@ def _mono_subcubes(n: int, table: int) -> list[int]:
 @lru_cache(maxsize=1 << 16)
 def _point_certificates(n: int, table: int) -> tuple[int, ...]:
     """C_x for every point: n minus the largest monochromatic subcube at x."""
-    _check_cap(n, EXACT_SEARCH_MAX_ARITY, "certificate search")
+    check_arity(n, EXACT_SEARCH_MAX_ARITY, "certificate search")
     by_dim = [0] * (n + 1)
     for smask, m in enumerate(_mono_subcubes(n, table)):
         by_dim[popcount(smask)] |= m
@@ -214,7 +216,7 @@ def _block_sensitivity(n: int, table: int) -> BlockSensitivityReport:
     stops once best reaches max C_x; the points that could win are visited
     as before, so the witness does not change.
     """
-    _check_cap(n, EXACT_SEARCH_MAX_ARITY, "block sensitivity")
+    check_arity(n, EXACT_SEARCH_MAX_ARITY, "block sensitivity")
     cx = _point_certificates(n, table)
     top = max(cx)
     full = (1 << n) - 1
@@ -240,6 +242,7 @@ def _block_sensitivity(n: int, table: int) -> BlockSensitivityReport:
 @lru_cache(maxsize=1 << 17)
 def _dt_depth(n: int, table: int) -> int:
     """Minimax query depth; memoised on the canonical restricted table."""
+    check_arity(n, EXACT_SEARCH_MAX_ARITY, "decision-tree depth")
     if table == 0 or table == (1 << (1 << n)) - 1:
         return 0
     best = n
@@ -290,7 +293,6 @@ def certificate_complexity(f: BooleanFunction) -> CertificateReport:
 
 
 def dt_depth(f: BooleanFunction) -> int:
-    _check_cap(f.n, EXACT_SEARCH_MAX_ARITY, "decision-tree depth")
     return _dt_depth(f.n, f.table)
 
 
@@ -318,7 +320,7 @@ def influence(f: BooleanFunction) -> InfluenceReport:
 
 def approx_degree(f: BooleanFunction, eps: Fraction = Fraction(1, 3)) -> int:
     """Least degree admitting a uniform eps-approximation, by exact LP."""
-    _check_cap(f.n, APPROX_DEGREE_MAX_ARITY, "approximate degree")
+    check_arity(f.n, APPROX_DEGREE_MAX_ARITY, "approximate degree")
     eps = Fraction(eps)
     if not 0 < eps < Fraction(1, 2):
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")

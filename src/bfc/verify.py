@@ -27,6 +27,7 @@ from .coordinate import (
     _deg_i_all,
     _influence_violation,
     _monomial_sens_violation,
+    _restrictions,
     _rrcm_violation,
     _sens_i_all,
 )
@@ -39,7 +40,6 @@ from .measures import (
     _influence_counts,
     _mobius,
     _sensitivity,
-    EXACT_SEARCH_MAX_ARITY,
 )
 
 # absolute slack of the float comparison in relvars_cs
@@ -282,21 +282,18 @@ class DoublingFunction:
 
 
 def dt_doubling_family(d: int) -> BooleanFunction:
-    """Truth table of the doubling family member of depth budget d."""
+    """Truth table of the doubling family member of depth budget d.
+
+    The arities run 1, 2, 4, 6, 10, 14, 22, ..., so every level within the
+    truth-table cap is within the decision-tree cap too.
+    """
     ev = DoublingFunction(d)
-    if ev.arity > 20:
-        raise ArityError(f"doubling family at level {d} needs arity {ev.arity}")
-    n = ev.arity
-    table = 0
-    for idx in range(1 << n):
-        bits = tuple((idx >> i) & 1 for i in range(n))
-        table |= ev.evaluate(bits) << idx
-    f = BooleanFunction(n, table)
+    f = BooleanFunction.from_callable(ev.arity, ev.evaluate)
     if not f.is_monotone():
         raise AssertionError("doubling construction lost monotonicity")
-    if f.num_relevant() != n:
+    if f.num_relevant() != f.n:
         raise AssertionError("doubling construction has irrelevant inputs")
-    if n <= EXACT_SEARCH_MAX_ARITY and _dt_depth(n, table) > d:
+    if _dt_depth(f.n, f.table) > d:
         raise AssertionError("doubling construction exceeded its depth budget")
     return f
 
@@ -344,11 +341,9 @@ def check_influence_restriction_average(
     H = sorted(set(coords))
     if i in H or not 1 <= i <= f.n:
         raise ValueError("coordinate must lie outside the restricted set")
-    total = 0
-    shift = sum(1 for j in H if j < i)
-    for bits in range(1 << len(H)):
-        g = f.restrict([(j, (bits >> t) & 1) for t, j in enumerate(H)])
-        total += _influence_counts(g.n, g.table)[i - shift - 1]
+    total = sum(
+        _influence_counts(g.n, g.table)[ii - 1] for g, ii in _restrictions(f, i, H)
+    )
     return total == _influence_counts(f.n, f.table)[i - 1]
 
 

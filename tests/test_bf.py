@@ -1,10 +1,14 @@
+import ast
+import hashlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfc.bf import (
+    MAX_ARITY,
     ArityError,
     BooleanFunction,
     PartialAssignment,
@@ -12,6 +16,18 @@ from bfc.bf import (
     fourier_vector,
     kushilevitz_polynomial,
 )
+from bfc.coordinate import check_monomial_sensitivity
+from bfc.corpus import MONOTONE_ENUM_MAX_ARITY, parse_corpus
+from bfc.lp import adeg_lp
+from bfc.measures import (
+    APPROX_DEGREE_MAX_ARITY,
+    EXACT_SEARCH_MAX_ARITY,
+    approx_degree,
+    block_sensitivity,
+    certificate_complexity,
+    dt_depth,
+)
+from bfc.verify import dt_doubling_family
 
 
 def bf(bits):
@@ -312,3 +328,125 @@ def test_immutability():
     p = f.mobius_transform()
     with pytest.raises(AttributeError):
         p.coeffs = {}
+
+
+# --- pinned family tables ------------------------------------------------------
+
+# (n, table) of each family member from its least k up to 4 (ADDR up to 3);
+# MAF 5 has 15 inputs and is pinned by the SHA-256 of its hex table
+FAMILY_TABLES = {
+    ("CONST0", 0): (0, 0x0), ("CONST0", 1): (1, 0x0), ("CONST0", 2): (2, 0x0),
+    ("CONST0", 3): (3, 0x0), ("CONST0", 4): (4, 0x0),
+    ("CONST1", 0): (0, 0x1), ("CONST1", 1): (1, 0x3), ("CONST1", 2): (2, 0xF),
+    ("CONST1", 3): (3, 0xFF), ("CONST1", 4): (4, 0xFFFF),
+    ("DICT", 1): (1, 0x2), ("DICT", 2): (2, 0xA), ("DICT", 3): (3, 0xAA),
+    ("DICT", 4): (4, 0xAAAA),
+    ("AND", 1): (1, 0x2), ("AND", 2): (2, 0x8), ("AND", 3): (3, 0x80),
+    ("AND", 4): (4, 0x8000),
+    ("OR", 1): (1, 0x2), ("OR", 2): (2, 0xE), ("OR", 3): (3, 0xFE),
+    ("OR", 4): (4, 0xFFFE),
+    ("PARITY", 1): (1, 0x2), ("PARITY", 2): (2, 0x6), ("PARITY", 3): (3, 0x96),
+    ("PARITY", 4): (4, 0x6996),
+    ("MAJ", 1): (1, 0x2), ("MAJ", 3): (3, 0xE8),
+    ("ADDR", 1): (3, 0xE4), ("ADDR", 2): (6, 0xFEDCBA9876543210),
+    ("ADDR", 3): (11, int(
+        "fffefdfcfbfaf9f8f7f6f5f4f3f2f1f0efeeedecebeae9e8e7e6e5e4e3e2e1e0"
+        "dfdedddcdbdad9d8d7d6d5d4d3d2d1d0cfcecdcccbcac9c8c7c6c5c4c3c2c1c0"
+        "bfbebdbcbbbab9b8b7b6b5b4b3b2b1b0afaeadacabaaa9a8a7a6a5a4a3a2a1a0"
+        "9f9e9d9c9b9a999897969594939291908f8e8d8c8b8a89888786858483828180"
+        "7f7e7d7c7b7a797877767574737271706f6e6d6c6b6a69686766656463626160"
+        "5f5e5d5c5b5a595857565554535251504f4e4d4c4b4a49484746454443424140"
+        "3f3e3d3c3b3a393837363534333231302f2e2d2c2b2a29282726252423222120"
+        "1f1e1d1c1b1a191817161514131211100f0e0d0c0b0a09080706050403020100",
+        16,
+    )),
+    ("MAF", 1): (2, 0xE), ("MAF", 3): (6, 0xFEFCFAF8EEECEAE8),
+    ("KUSHILEVITZ", None): (6, 0x8111053F035F777E),
+}
+MAF5_SHA256 = "ee17de7dc20c693b6c25061eee8d68dfdf6642dceb30f89a5fb2637c65739b8b"
+
+
+@pytest.mark.parametrize("name, k", sorted(FAMILY_TABLES, key=str))
+def test_family_tables_are_pinned(name, k):
+    f = family(name, k)
+    assert (f.n, f.table) == FAMILY_TABLES[name, k]
+
+
+def test_maf5_table_is_pinned():
+    f = family("MAF", 5)
+    assert f.n == 15
+    assert hashlib.sha256(hex(f.table).encode()).hexdigest() == MAF5_SHA256
+
+
+# --- arity caps ------------------------------------------------------------------
+
+def _compose_to(n):
+    """A composition with n inputs, split at the least factor of n."""
+    k = next(d for d in range(2, n + 1) if n % d == 0)
+    return family("CONST0", k).compose(family("CONST0", n // k))
+
+
+# each entry point called on an arity (a level for the doubling family) with a
+# fast input; it must answer at its cap and raise ArityError one past it
+CAPPED = {
+    "BooleanFunction": (lambda n: BooleanFunction(n, 0), MAX_ARITY),
+    "from_tt": (lambda n: BooleanFunction.from_tt(f"n={n}\n{'0' * (1 << n)}\n"), MAX_ARITY),
+    "family": (lambda n: family("CONST0", n), MAX_ARITY),
+    "compose": (_compose_to, MAX_ARITY),
+    "parse_corpus_all": (lambda n: parse_corpus(f"all:{n}"), MAX_ARITY),
+    "parse_corpus_random": (lambda n: parse_corpus(f"random:{n}:1:0"), MAX_ARITY),
+    "parse_corpus_monotone": (lambda n: parse_corpus(f"monotone:{n}"), MONOTONE_ENUM_MAX_ARITY),
+    "block_sensitivity": (
+        lambda n: block_sensitivity(family("CONST0", n)), EXACT_SEARCH_MAX_ARITY,
+    ),
+    "certificate_complexity": (
+        lambda n: certificate_complexity(family("CONST0", n)), EXACT_SEARCH_MAX_ARITY,
+    ),
+    "dt_depth": (lambda n: dt_depth(family("CONST0", n)), EXACT_SEARCH_MAX_ARITY),
+    "approx_degree": (
+        lambda n: approx_degree(family("CONST0", n)), APPROX_DEGREE_MAX_ARITY,
+    ),
+    "adeg_lp": (
+        lambda n: adeg_lp(family("CONST0", n), 0, Fraction(1, 3)), APPROX_DEGREE_MAX_ARITY,
+    ),
+    "check_monomial_sensitivity": (
+        lambda n: check_monomial_sensitivity(family("CONST0", n), 1), EXACT_SEARCH_MAX_ARITY,
+    ),
+    # level 6 has 14 inputs, level 7 needs 22
+    "dt_doubling_family": (dt_doubling_family, 6),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CAPPED))
+def test_capped_entry_point_answers_at_cap_and_refuses_past_it(entry):
+    call, cap = CAPPED[entry]
+    call(cap)
+    with pytest.raises(ArityError):
+        call(cap + 1)
+
+
+def _arity_raises(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise):
+            target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(target, "id", getattr(target, "attr", None)) == "ArityError":
+                yield node
+
+
+def test_arity_error_is_raised_only_by_the_guard():
+    src = Path(__file__).resolve().parents[1] / "src" / "bfc"
+    in_guard, elsewhere = [], []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        guarded = {
+            id(r)
+            for fn in ast.walk(tree)
+            if path.name == "bf.py"
+            and isinstance(fn, ast.FunctionDef)
+            and fn.name == "check_arity"
+            for r in _arity_raises(fn)
+        }
+        for r in _arity_raises(tree):
+            (in_guard if id(r) in guarded else elsewhere).append(f"{path.name}:{r.lineno}")
+    assert elsewhere == []
+    assert len(in_guard) == 1

@@ -1,6 +1,8 @@
 import io
 import sys
 
+import pytest
+
 from bfc.bf import BooleanFunction
 from bfc.cli import main
 
@@ -112,3 +114,34 @@ def test_analyze_malformed_tt_fails_cleanly(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "bfc: error: table line may contain only 0 and 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["analyze", "{path}"], "n=1099511627776\n0\n"),
+        (["analyze", "{path}"], "n=-1\n0\n"),
+        (["verify", "--corpus", "random:40:1:0"], None),
+        (["verify", "--corpus", "all:40"], None),
+    ],
+    ids=["tt-huge", "tt-negative", "random-40", "all-40"],
+)
+def test_arity_past_the_cap_fails_cleanly(argv, text, tmp_path, capsys):
+    path = tmp_path / "big.tt"
+    if text is not None:
+        path.write_text(text)
+    code = main([a.format(path=path) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("bfc: error: ") and captured.err.count("\n") == 1
+    assert "arity" in captured.err
+
+
+def test_verify_skips_rows_past_the_exact_search_cap():
+    code, out = run_cli("verify", "--corpus", "named:CONST0:15")
+    assert code == 0
+    rows = {ln.split("\t")[0]: ln.split("\t")[1:4] for ln in out.splitlines()[2:-1]}
+    for check_id in ("deg_le_dt", "monomial_sens", "mono_triple"):
+        assert rows[check_id] == ["pass", "0", "1"], check_id
+    assert rows["deg_le_s2"] == ["pass", "1", "0"]
