@@ -499,6 +499,9 @@ def family(name: str, k: int | None = None) -> BooleanFunction:
     if k < least or (odd and k % 2 == 0):
         parity = "odd " if odd else ""
         raise ValueError(f"family {name} requires {parity}k >= {least}, got {k}")
+    # every arity is at least k, so a huge k is refused before arity(k)
+    # builds its 2^k or binomial
+    check_arity(k, what=f"family {name}")
     n = arity(k)
     check_arity(n, what=f"family {name}")
     return BooleanFunction.from_callable(n, rule(k))

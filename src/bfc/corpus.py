@@ -13,6 +13,8 @@ from .bf import MAX_ARITY, BooleanFunction, check_arity, family, half_mask
 DEDEKIND = {0: 2, 1: 3, 2: 6, 3: 20, 4: 168, 5: 7581}
 
 MONOTONE_ENUM_MAX_ARITY = 5
+# 2^16 tables at n = 4; the 2^32 at n = 5 would never finish
+ALL_ENUM_MAX_ARITY = 4
 
 
 @lru_cache(maxsize=None)
@@ -39,6 +41,15 @@ def _monotone_tables(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _adjacent_swaps(n: int) -> list[tuple[int, int]]:
+    """(mask, shift) of the delta-swap exchanging coordinates i and i+1,
+    for each 0-based i < n-1: mask marks the indices with bit i set and
+    bit i+1 clear, whose partner sits ``shift`` = 2^i above."""
+    return [
+        (half_mask(n, i + 1) & ~half_mask(n, i), 1 << i) for i in range(n - 1)
+    ]
+
+
 def enumerate_monotone(n: int) -> "Corpus":
     return Corpus(kind="monotone", n=n)
 
@@ -57,6 +68,8 @@ class Corpus:
 
     Kinds: ``all`` (every function of arity n), ``monotone`` (exactly the
     monotone ones), ``random`` (reproducible from the seed), ``named``.
+    Iteration yields every function; ``representatives`` yields one per
+    orbit under coordinate permutations, weighted by the orbit's size.
     """
 
     kind: str
@@ -68,8 +81,8 @@ class Corpus:
     def __post_init__(self):
         if self.kind not in ("all", "monotone", "random", "named"):
             raise ValueError(f"unknown corpus kind {self.kind!r}")
-        cap = MONOTONE_ENUM_MAX_ARITY if self.kind == "monotone" else MAX_ARITY
-        check_arity(self.n, cap, f"{self.kind} corpus")
+        cap = {"all": ALL_ENUM_MAX_ARITY, "monotone": MONOTONE_ENUM_MAX_ARITY}
+        check_arity(self.n, cap.get(self.kind, MAX_ARITY), f"{self.kind} corpus")
 
     def __len__(self) -> int:
         if self.kind == "all":
@@ -80,24 +93,63 @@ class Corpus:
             return self.count
         return len(self.names)
 
-    def __iter__(self) -> Iterator[tuple[str, BooleanFunction]]:
+    def _tables(self) -> Iterator[tuple[str, int]]:
+        """(label, table) of every function of an ``all``, ``monotone`` or
+        ``random`` corpus, in corpus order."""
+        n = self.n
         if self.kind == "all":
-            size = 1 << self.n
-            for t in range(1 << size):
-                yield f"all{self.n}:0x{t:x}", BooleanFunction(self.n, t)
+            for t in range(1 << (1 << n)):
+                yield f"all{n}:0x{t:x}", t
         elif self.kind == "monotone":
-            for t in _monotone_tables(self.n):
-                yield f"mono{self.n}:0x{t:x}", BooleanFunction(self.n, t)
-        elif self.kind == "random":
-            rng = random.Random(self.seed)
-            size = 1 << self.n
-            for i in range(self.count):
-                t = rng.getrandbits(size)
-                yield f"rand{self.n}:{i}:0x{t:x}", BooleanFunction(self.n, t)
+            for t in _monotone_tables(n):
+                yield f"mono{n}:0x{t:x}", t
         else:
+            rng = random.Random(self.seed)
+            for i in range(self.count):
+                t = rng.getrandbits(1 << n)
+                yield f"rand{n}:{i}:0x{t:x}", t
+
+    def __iter__(self) -> Iterator[tuple[str, BooleanFunction]]:
+        if self.kind == "named":
             for item in self.names:
-                label, f = _parse_named(item)
-                yield label, f
+                yield _parse_named(item)
+        else:
+            for label, t in self._tables():
+                yield label, BooleanFunction(self.n, t)
+
+    def representatives(self) -> Iterator[tuple[str, BooleanFunction, int]]:
+        """(label, f, weight): one f per orbit under coordinate permutations,
+        weight its orbit's size, for ``all`` and ``monotone``; every f with
+        weight 1 for ``random`` and ``named``.
+
+        Both enumerated kinds are closed under permutation and listed in
+        increasing table order, so the first member met is the orbit's
+        least.  Its orbit is closed by a depth-first search under adjacent
+        transpositions; ``pending`` holds the members not yet met, and each
+        is dropped when the walk reaches it.
+        """
+        if self.kind not in ("all", "monotone"):
+            for label, f in self:
+                yield label, f, 1
+            return
+        swaps = _adjacent_swaps(self.n)
+        pending: set[int] = set()
+        for label, t in self._tables():
+            if t in pending:
+                pending.remove(t)
+                continue
+            orbit, stack = {t}, [t]
+            while stack:
+                u = stack.pop()
+                for mask, shift in swaps:
+                    d = ((u >> shift) ^ u) & mask
+                    v = u ^ d ^ (d << shift)
+                    if v not in orbit:
+                        orbit.add(v)
+                        stack.append(v)
+            pending |= orbit
+            pending.remove(t)
+            yield label, BooleanFunction(self.n, t), len(orbit)
 
     def describe(self) -> str:
         if self.kind == "all":

@@ -9,6 +9,15 @@ squared).  Only ``relvars_cs``, whose bound carries ln s, compares floats,
 with 1e-6 of absolute slack.
 Aggregation keeps the first counterexample and the tightest instance per
 check.
+
+The suite runs once per orbit of the corpus under coordinate permutations
+(``Corpus.representatives``), each verdict counted with its orbit's size.
+So every row's status and margin must be invariant under permuting the
+coordinates; ``tests/test_verify.py`` checks each registered row against
+its images under adjacent transpositions.  Representatives come in
+increasing table order, each its orbit's least member, so the first FAIL,
+the first non-SKIP function and the first function of greatest margin, and
+with them the printed cells, are those of the plain per-function sweep.
 """
 
 from __future__ import annotations
@@ -428,6 +437,14 @@ class _Stats:
         return _deg_i_all(self.n, self.table)
 
 
+def _margin(left, right) -> float:
+    """left - right of a passing verdict, or -inf unless both are numbers."""
+    try:
+        return float(left) - float(right)
+    except (TypeError, ValueError):
+        return float("-inf")
+
+
 class _Accumulator:
     def __init__(self, check_id: str, inequality: str):
         self.check_id = check_id
@@ -438,20 +455,18 @@ class _Accumulator:
         self.first_cex = None  # (left, right, label)
         self.tightest = None  # (margin, left, right, label)
 
-    def record(self, status: str, left, right, label: str):
+    def record(self, status: str, left, right, label: str, weight: int):
+        """Count one verdict for ``weight`` functions, all sharing it."""
         if status == "SKIP":
-            self.skipped += 1
+            self.skipped += weight
             return
-        self.checked += 1
+        self.checked += weight
         if status == "FAIL":
             if not self.failed:
                 self.failed = True
                 self.first_cex = (left, right, label)
             return
-        try:
-            margin = float(left) - float(right)
-        except (TypeError, ValueError):
-            margin = float("-inf")
+        margin = _margin(left, right)
         if self.tightest is None or margin > self.tightest[0]:
             self.tightest = (margin, left, right, label)
 
@@ -746,20 +761,30 @@ _GENERAL_CHECKS = (
 )
 
 
+def _run_check(fn, st: _Stats):
+    """(status, left, right) of one suite row; past an arity cap it skips."""
+    try:
+        return fn(st)
+    except ArityError:
+        return "SKIP", 0, 0
+
+
 def run_theorem_suite(corpus: Corpus, progress=None) -> list[TheoremCheck]:
-    """Evaluate every registered inequality on every corpus function."""
+    """Evaluate every registered inequality on every corpus function.
+
+    Each check runs once per orbit representative; ``progress``, if given,
+    receives the number of functions covered so far each time it passes a
+    multiple of 4096.
+    """
     accs = [_Accumulator(cid, ineq) for cid, ineq, _ in _GENERAL_CHECKS]
-    for count, (label, f) in enumerate(corpus):
+    covered = 0
+    for label, f, weight in corpus.representatives():
         st = _Stats(label, f)
         for acc, (_, _, fn) in zip(accs, _GENERAL_CHECKS):
-            try:
-                status, left, right = fn(st)
-            except ArityError:
-                acc.record("SKIP", 0, 0, label)
-                continue
-            acc.record(status, left, right, label)
-        if progress and count % 4096 == 4095:
-            progress(count + 1)
+            acc.record(*_run_check(fn, st), label, weight)
+        if progress and (covered + weight) >> 12 > covered >> 12:
+            progress(covered + weight)
+        covered += weight
     return [acc.report() for acc in accs]
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bfc.bf
 from bfc.bf import (
     MAX_ARITY,
     ArityError,
@@ -17,7 +18,7 @@ from bfc.bf import (
     kushilevitz_polynomial,
 )
 from bfc.coordinate import check_monomial_sensitivity
-from bfc.corpus import MONOTONE_ENUM_MAX_ARITY, parse_corpus
+from bfc.corpus import ALL_ENUM_MAX_ARITY, MONOTONE_ENUM_MAX_ARITY, parse_corpus
 from bfc.lp import adeg_lp
 from bfc.measures import (
     APPROX_DEGREE_MAX_ARITY,
@@ -239,6 +240,17 @@ def test_family_parameter_validation():
         family("NOPE", 1)
 
 
+@pytest.mark.parametrize("name, k", [("ADDR", 100_000_000_000), ("MAF", 10_000_001)])
+def test_family_refuses_a_huge_k_before_computing_its_arity(name, k, monkeypatch):
+    # ADDR's arity k + 2^k and MAF's k + C(k, k/2) are never computed
+    def no_arity(_):
+        raise AssertionError("arity computed past the cap")
+
+    monkeypatch.setitem(bfc.bf._FAMILIES, name, bfc.bf._FAMILIES[name]._replace(arity=no_arity))
+    with pytest.raises(ArityError, match=f"family {name} supports arity <= {MAX_ARITY}, got {k}"):
+        family(name, k)
+
+
 def test_monotonicity_checks():
     assert family("AND", 3).is_monotone()
     assert not family("PARITY", 2).is_monotone()
@@ -393,7 +405,7 @@ CAPPED = {
     "from_tt": (lambda n: BooleanFunction.from_tt(f"n={n}\n{'0' * (1 << n)}\n"), MAX_ARITY),
     "family": (lambda n: family("CONST0", n), MAX_ARITY),
     "compose": (_compose_to, MAX_ARITY),
-    "parse_corpus_all": (lambda n: parse_corpus(f"all:{n}"), MAX_ARITY),
+    "parse_corpus_all": (lambda n: parse_corpus(f"all:{n}"), ALL_ENUM_MAX_ARITY),
     "parse_corpus_random": (lambda n: parse_corpus(f"random:{n}:1:0"), MAX_ARITY),
     "parse_corpus_monotone": (lambda n: parse_corpus(f"monotone:{n}"), MONOTONE_ENUM_MAX_ARITY),
     "block_sensitivity": (

@@ -123,8 +123,11 @@ def test_analyze_malformed_tt_fails_cleanly(tmp_path, capsys):
         (["analyze", "{path}"], "n=-1\n0\n"),
         (["verify", "--corpus", "random:40:1:0"], None),
         (["verify", "--corpus", "all:40"], None),
+        (["verify", "--corpus", "all:5"], None),
+        (["family", "ADDR", "--k", "100000000000"], None),
+        (["family", "MAF", "--k", "10000001"], None),
     ],
-    ids=["tt-huge", "tt-negative", "random-40", "all-40"],
+    ids=["tt-huge", "tt-negative", "random-40", "all-40", "all-5", "addr-huge", "maf-huge"],
 )
 def test_arity_past_the_cap_fails_cleanly(argv, text, tmp_path, capsys):
     path = tmp_path / "big.tt"

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -297,6 +298,108 @@ def test_suite_monotone_three():
 def test_suite_random_corpus():
     checks = run_theorem_suite(parse_corpus("random:5:40:3"))
     assert suite_failures(checks) == 0
+
+
+# --- the orbit sweep -------------------------------------------------------------
+
+def _transposed(f, i):
+    """f with 0-based coordinates i and i+1 exchanged, tabulated pointwise."""
+    def value(x):
+        y = list(x)
+        y[i], y[i + 1] = y[i + 1], y[i]
+        return f.evaluate(y)
+
+    return BooleanFunction.from_callable(f.n, value)
+
+
+def _invariance_tables():
+    rng = random.Random(11)
+    tables = [f for _, f in parse_corpus("all:3")]
+    tables += [f for _, f in parse_corpus("monotone:4")]
+    tables += [BooleanFunction(n, rng.getrandbits(1 << n)) for n in (5, 6) for _ in range(8)]
+    return tables
+
+
+def _row_verdict(fn, f):
+    status, left, right = verify._run_check(fn, verify._Stats("f", f))
+    return status, verify._margin(left, right)
+
+
+def test_every_suite_row_is_invariant_under_coordinate_permutations():
+    # the orbit sweep runs each row on one member per orbit, which is sound
+    # only while no row's status or margin depends on the coordinate order
+    for f in _invariance_tables():
+        for i in range(f.n - 1):
+            g = _transposed(f, i)
+            for check_id, _, fn in verify._GENERAL_CHECKS:
+                assert _row_verdict(fn, f) == _row_verdict(fn, g), (check_id, f, i)
+
+
+def _plain_suite(corpus):
+    """The suite as a plain loop over every function, each of weight 1."""
+    accs = [verify._Accumulator(cid, ineq) for cid, ineq, _ in verify._GENERAL_CHECKS]
+    for label, f in corpus:
+        st = verify._Stats(label, f)
+        for acc, (_, _, fn) in zip(accs, verify._GENERAL_CHECKS):
+            try:
+                status, left, right = fn(st)
+            except ArityError:
+                status, left, right = "SKIP", 0, 0
+            acc.record(status, left, right, label, 1)
+    return [acc.report() for acc in accs]
+
+
+@pytest.mark.parametrize("spec", ["all:3", "monotone:4", "random:5:40:3"])
+def test_orbit_sweep_equals_the_plain_loop(spec):
+    corpus = parse_corpus(spec)
+    assert run_theorem_suite(corpus) == _plain_suite(corpus)
+
+
+@functools.lru_cache(maxsize=None)
+def _index_moves(n):
+    """Per permutation of the n coordinates, where each input index goes."""
+    return [
+        [sum((x >> i & 1) << perm[i] for i in range(n)) for x in range(1 << n)]
+        for perm in itertools.permutations(range(n))
+    ]
+
+
+def _images(n, table):
+    """Every table obtained from ``table`` by permuting its n coordinates."""
+    ones = [x for x in range(1 << n) if table >> x & 1]
+    return {sum(1 << move[x] for x in ones) for move in _index_moves(n)}
+
+
+@pytest.mark.parametrize(
+    "spec, orbits",
+    [("all:3", 80), ("all:4", 3984), ("monotone:4", 30), ("monotone:5", 210)],
+)
+def test_orbit_representatives(spec, orbits):
+    corpus = parse_corpus(spec)
+    reps = list(corpus.representatives())
+    assert len(reps) == orbits
+    assert sum(w for _, _, w in reps) == len(corpus)
+    tables = [f.table for _, f, _ in reps]
+    assert tables == sorted(tables) and len(set(tables)) == orbits
+    labels = dict((f.table, label) for label, f in corpus)
+    for label, f, weight in reps:
+        assert label == labels[f.table]
+        images = _images(f.n, f.table)
+        assert min(images) == f.table and len(images) == weight
+
+
+def test_random_and_named_corpora_take_every_function_once():
+    for spec in ("random:4:25:9", "named:KUSHILEVITZ,MAJ:3,AND:3"):
+        corpus = parse_corpus(spec)
+        assert list(corpus.representatives()) == [(lab, f, 1) for lab, f in corpus]
+
+
+def test_progress_counts_the_functions_covered():
+    calls = []
+    run_theorem_suite(parse_corpus("all:4"), progress=calls.append)
+    assert calls == sorted(set(calls)) and calls[-1] <= 65536
+    # one call per multiple of 4096 passed, orbits being far smaller
+    assert [c // 4096 for c in calls] == list(range(1, 17))
 
 
 def test_theorem_check_row_format():
