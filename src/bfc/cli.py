@@ -33,8 +33,8 @@ from .coordinate import (
     potential,
 )
 from .corpus import parse_corpus
-from .lp import lp_bs_cap
-from .measures import APPROX_DEGREE_MAX_ARITY, measure_report
+from .lp import LP_CAP_SCAN_MAX_DEGREE, lp_bs_cap
+from .measures import APPROX_DEGREE_MAX_ARITY, measure_report, table_measures
 from .verify import run_theorem_suite, suite_failures
 
 
@@ -54,13 +54,9 @@ def _cmd_analyze(args) -> int:
     print(f"monotone\t{int(f.is_monotone())}")
     print(report.to_tsv())
     print("coordinate\tdeg_i\tsens_i\tcert_i")
-    from .coordinate import _cert_i_all, _deg_i_all, _sens_i_all
-
-    di = _deg_i_all(f.n, f.table)
-    si = _sens_i_all(f.n, f.table)
-    ci = _cert_i_all(f.n, f.table)
-    for i in range(f.n):
-        print(f"{i + 1}\t{di[i]}\t{si[i]}\t{ci[i]}")
+    rec = table_measures(f.n, f.table)
+    for i, (d, s, c) in enumerate(zip(rec.deg_i, rec.sens_i, rec.cert_i), start=1):
+        print(f"{i}\t{d}\t{s}\t{c}")
     for kind in (DEG_I, SENS_I, CERT_I, mix_ds(Fraction(1, 2)), mix_cs(Fraction(1, 2))):
         print(f"potential\t{kind.label()}")
         for line in potential(f, kind).format_lines():
@@ -69,6 +65,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_lp_caps(args) -> int:
+    if not 1 <= args.dmax <= LP_CAP_SCAN_MAX_DEGREE:
+        raise ValueError(f"--dmax must lie in 1..{LP_CAP_SCAN_MAX_DEGREE}, got {args.dmax}")
     caps = []
     for d in range(1, args.dmax + 1):
         scan = lp_bs_cap(d)
@@ -80,6 +78,8 @@ def _cmd_lp_caps(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    if args.bstep < 1:
+        raise ValueError(f"--bstep must be >= 1, got {args.bstep}")
     if args.which == "degree":
         grid = dp_degree(args.dmax, cap_profile(args.caps))
         print(f"caps\t{args.caps}")

@@ -17,23 +17,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .bf import (
-    BooleanFunction,
-    check_arity,
-    half_mask,
-    popcount,
-    restrict_bit,
-)
+from .bf import BooleanFunction, check_arity, restrict_bit
 from .bounds import _pow2, _precision
 from .measures import (
     EXACT_SEARCH_MAX_ARITY,
-    _diffs,
+    TableMeasures,
     _fourier,
-    _influence_counts,
-    _mobius,
-    _point_certificates,
-    _point_sensitivity,
-    _sensitivity,
+    table_measures,
 )
 
 MIXED_ERROR_BOUND = 1e-12
@@ -84,100 +74,48 @@ STANDARD_KINDS = ALL_BASE_KINDS + (mix_ds(Fraction(1, 2)), mix_cs(Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
-# coordinate measure kernels on (n, table)
+# coordinate measures
+#
+# deg_i, sens_i and cert_i of every coordinate are fields of the table's
+# ``measures.TableMeasures`` record, so restrictions met by the checks
+# below, by the theorem suite and by the public functions share one memo.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1 << 17)
-def _deg_i_all(n: int, table: int) -> tuple[int, ...]:
-    """Degree of f(x) - f(x^i) for each coordinate (0 when irrelevant).
-
-    With f = sum c_S x^S, flipping x_i turns x^S into (1 - x_i) x^(S-i) for
-    S containing i, so f(x) - f(x^i) = sum_{S∋i} c_S (2 x^S - x^(S-i)).
-    The terms 2 c_S x^S cannot cancel, so deg_i is the largest |S| with
-    i in S and c_S != 0.
-    """
-    out = [0] * n
-    for mask, c in enumerate(_mobius(n, table)):
-        if c:
-            k = popcount(mask)
-            rest = mask
-            while rest:
-                low = rest & -rest
-                i = low.bit_length() - 1
-                if out[i] < k:
-                    out[i] = k
-                rest ^= low
-    return tuple(out)
-
-
-def _edge_max(n: int, table: int, point: tuple[int, ...]) -> tuple[int, ...]:
-    """max over sensitive edges {x, x^i} of point[x] + point[x^i], per coordinate.
-
-    Each edge is visited once, from its endpoint with x_i = 0.
-    """
-    out = []
-    for i, d in enumerate(_diffs(n, table)):
-        bit = 1 << i
-        d &= half_mask(n, i)
-        best = 0
-        while d:
-            low = d & -d
-            x = low.bit_length() - 1
-            v = point[x] + point[x ^ bit]
-            if v > best:
-                best = v
-            d ^= low
-        out.append(best)
-    return tuple(out)
-
-
-@lru_cache(maxsize=1 << 17)
-def _sens_i_all(n: int, table: int) -> tuple[int, ...]:
-    """max over sensitive edges of s_x + s_{x^i}, per coordinate."""
-    return _edge_max(n, table, _point_sensitivity(n, table))
-
-
-@lru_cache(maxsize=1 << 16)
-def _cert_i_all(n: int, table: int) -> tuple[int, ...]:
-    """max over sensitive edges of C_x + C_{x^i}, per coordinate."""
-    return _edge_max(n, table, _point_certificates(n, table))
-
-
-def _kind_values(n: int, table: int, kind: CoordinateMeasureKind) -> tuple:
-    """The measure per coordinate: the cached ints for deg, sens and cert,
+def _kind_values(rec: TableMeasures, kind: CoordinateMeasureKind) -> tuple:
+    """The measure per coordinate: the record's ints for deg, sens and cert,
     Fractions for the two mixes."""
     if kind.tag == "deg":
-        return _deg_i_all(n, table)
+        return rec.deg_i
     if kind.tag == "sens":
-        return _sens_i_all(n, table)
+        return rec.sens_i
     if kind.tag == "cert":
-        return _cert_i_all(n, table)
+        return rec.cert_i
     beta = kind.beta
     if kind.tag == "mix_ds":
-        first, second = _deg_i_all(n, table), _sens_i_all(n, table)
+        first, second = rec.deg_i, rec.sens_i
     else:
-        first, second = _cert_i_all(n, table), _sens_i_all(n, table)
+        first, second = rec.cert_i, rec.sens_i
     return tuple(beta * a + (1 - beta) * b for a, b in zip(first, second))
 
 
 def deg_i(f: BooleanFunction, i: int) -> int:
     _check_coord(f, i)
-    return _deg_i_all(f.n, f.table)[i - 1]
+    return table_measures(f.n, f.table).deg_i[i - 1]
 
 
 def sens_i(f: BooleanFunction, i: int) -> int:
     _check_coord(f, i)
-    return _sens_i_all(f.n, f.table)[i - 1]
+    return table_measures(f.n, f.table).sens_i[i - 1]
 
 
 def cert_i(f: BooleanFunction, i: int) -> int:
     _check_coord(f, i)
-    return _cert_i_all(f.n, f.table)[i - 1]
+    return table_measures(f.n, f.table).cert_i[i - 1]
 
 
 def coordinate_measure(f: BooleanFunction, i: int, kind: CoordinateMeasureKind):
     _check_coord(f, i)
-    return _kind_values(f.n, f.table, kind)[i - 1]
+    return _kind_values(table_measures(f.n, f.table), kind)[i - 1]
 
 
 def _check_coord(f: BooleanFunction, i: int) -> None:
@@ -222,8 +160,9 @@ class PotentialValue:
 def _potential_over(
     f: BooleanFunction, kind: CoordinateMeasureKind, coords: Sequence[int]
 ) -> PotentialValue:
-    values = _kind_values(f.n, f.table, kind)
-    diffs = _diffs(f.n, f.table)
+    rec = table_measures(f.n, f.table)
+    values = _kind_values(rec, kind)
+    diffs = rec.diffs
     # irrelevant coordinates contribute nothing
     ms = [(i, values[i - 1]) for i in coords if diffs[i - 1]]
     with _precision(*(m for _, m in ms)):
@@ -250,9 +189,10 @@ def restricted_potential(
 # ---------------------------------------------------------------------------
 # axioms and structural checks
 #
-# Each inequality has one kernel on (n, table) that returns its first
-# violation; the public check_* validates its arguments and wraps the
-# kernel, and the theorem suite in verify.py calls the same kernel.
+# Each inequality has one kernel on a table's measure record that returns
+# its first violation; the public check_* validates its arguments and
+# wraps the kernel, and the theorem suite in verify.py calls the same
+# kernel.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -263,7 +203,7 @@ class CheckResult:
 
 
 def _rrcm_violation(
-    n: int, table: int, kind: CoordinateMeasureKind, coords: Iterable[int]
+    rec: TableMeasures, kind: CoordinateMeasureKind, coords: Iterable[int]
 ) -> tuple[int, int, int, str] | None:
     """First (i0, j0, b, axiom) at which a 0-based coordinate of ``coords``
     breaks a restriction-reducing axiom, or None.
@@ -275,15 +215,16 @@ def _rrcm_violation(
     ``coords``; the order is j0, then i0 in ``coords``, then b.
     """
     coords = tuple(coords)
-    vals = _kind_values(n, table, kind)
-    diffs = _diffs(n, table)
+    n, table = rec.n, rec.table
+    vals = _kind_values(rec, kind)
+    diffs = rec.diffs
     for j0 in range(n):
         others = [i0 for i0 in coords if i0 != j0]
         if not others:
             continue
-        subs = [restrict_bit(table, n, j0, b) for b in (0, 1)]
-        sub_vals = [_kind_values(n - 1, t, kind) for t in subs]
-        sub_diffs = [_diffs(n - 1, t) for t in subs]
+        subs = [table_measures(n - 1, restrict_bit(table, n, j0, b)) for b in (0, 1)]
+        sub_vals = [_kind_values(sub, kind) for sub in subs]
+        sub_diffs = [sub.diffs for sub in subs]
         for i0 in others:
             ii = i0 - 1 if i0 > j0 else i0  # index of i0 once j0 is removed
             m_f = vals[i0]
@@ -302,7 +243,7 @@ def check_rrcm(f: BooleanFunction, i: int, kind: CoordinateMeasureKind) -> Check
     axiom that fails.
     """
     _check_coord(f, i)
-    hit = _rrcm_violation(f.n, f.table, kind, (i - 1,))
+    hit = _rrcm_violation(table_measures(f.n, f.table), kind, (i - 1,))
     if hit is None:
         return CheckResult(True)
     _, j0, b, axiom = hit
@@ -339,10 +280,8 @@ def check_restriction_inequality(
     count = 1 << len(H)
     branches = [(f, i)] + _restrictions(f, i, H)
     # -m of coordinate c in g, or None where g ignores it (weight 0)
-    exps = [
-        -_kind_values(g.n, g.table, kind)[c - 1] if _diffs(g.n, g.table)[c - 1] else None
-        for g, c in branches
-    ]
+    recs = [(table_measures(g.n, g.table), c) for g, c in branches]
+    exps = [-_kind_values(r, kind)[c - 1] if r.diffs[c - 1] else None for r, c in recs]
     known = [e for e in exps if e is not None]
     exact = all(e.denominator == 1 for e in known)
     with _precision(*known):
@@ -371,8 +310,8 @@ def _dictator_floor(kind: CoordinateMeasureKind) -> int | Fraction:
     dict1 = family("DICT", 1)
     neg = BooleanFunction(1, dict1.table ^ 0b11)
     vals = [
-        _kind_values(1, dict1.table, kind)[0],
-        _kind_values(1, neg.table, kind)[0],
+        _kind_values(table_measures(1, dict1.table), kind)[0],
+        _kind_values(table_measures(1, neg.table), kind)[0],
     ]
     r = min(vals)
     if kind.tag == "deg":
@@ -390,7 +329,7 @@ def _dictator_floor(kind: CoordinateMeasureKind) -> int | Fraction:
     return r
 
 
-def _influence_violation(n: int, table: int, kind: CoordinateMeasureKind) -> int | None:
+def _influence_violation(rec: TableMeasures, kind: CoordinateMeasureKind) -> int | None:
     """First relevant coordinate (0-based) with 2^-m_i > 2^-r * Inf_i, or None.
 
     ``r`` is the dictator floor of the measure.  With Inf_i = cnt/2^n the
@@ -401,13 +340,12 @@ def _influence_violation(n: int, table: int, kind: CoordinateMeasureKind) -> int
     influence.
     """
     r = _dictator_floor(kind)
-    values = _kind_values(n, table, kind)
-    diffs = _diffs(n, table)
-    counts = _influence_counts(n, table)
-    for i0 in range(n):
-        if not diffs[i0]:
+    values = _kind_values(rec, kind)
+    counts = rec.inf_counts
+    for i0, d in enumerate(rec.diffs):
+        if not d:
             continue
-        e = n + r - values[i0]
+        e = rec.n + r - values[i0]
         if e > 0 and 1 << e.numerator > counts[i0] ** e.denominator:
             return i0
     return None
@@ -418,11 +356,12 @@ def check_influence_bound(f: BooleanFunction, kind: CoordinateMeasureKind) -> Ch
 
     ``r`` is the dictator floor of the measure; see ``_influence_violation``.
     """
-    i0 = _influence_violation(f.n, f.table, kind)
+    rec = table_measures(f.n, f.table)
+    i0 = _influence_violation(rec, kind)
     if i0 is None:
         return CheckResult(True)
-    m = _kind_values(f.n, f.table, kind)[i0]
-    cnt = _influence_counts(f.n, f.table)[i0]
+    m = _kind_values(rec, kind)[i0]
+    cnt = rec.inf_counts[i0]
     r = _dictator_floor(kind)
     return CheckResult(
         False, f"coordinate {i0 + 1}: 2^-{m} > 2^-{r} * {cnt}/{1 << f.n}", (i0 + 1,)
@@ -430,7 +369,7 @@ def check_influence_bound(f: BooleanFunction, kind: CoordinateMeasureKind) -> Ch
 
 
 def _monomial_sens_violation(
-    n: int, table: int, ks: Iterable[int]
+    rec: TableMeasures, ks: Iterable[int]
 ) -> tuple[int, str, int, int] | None:
     """(k, basis, mask, count) for the smallest k in ``ks`` at which some
     monomial has more than (k-1)^2 coordinates with sens_i <= k, at the
@@ -442,8 +381,9 @@ def _monomial_sens_violation(
     skipped: with the same count and a larger limit it fails only where
     the smaller k fails too.
     """
+    n = rec.n
     check_arity(n, EXACT_SEARCH_MAX_ARITY, "monomial sensitivity check")
-    sens = _sens_i_all(n, table)
+    sens = rec.sens_i
     tests = []  # (k, low-sensitivity set, limit), k increasing
     prev = 0
     for k in sorted(ks):
@@ -452,7 +392,7 @@ def _monomial_sens_violation(
             tests.append((k, low, (k - 1) ** 2))
         prev = low
     hit = None
-    for name, vec in (("monomial", _mobius(n, table)), ("spectral", _fourier(n, table))):
+    for name, vec in (("monomial", rec.mobius), ("spectral", _fourier(n, rec.table))):
         for mask, c in enumerate(vec):
             if c:
                 for j, (k, low, limit) in enumerate(tests):
@@ -468,7 +408,7 @@ def _monomial_sens_violation(
 def check_monomial_sensitivity(f: BooleanFunction, k: int) -> CheckResult:
     """In every monomial (either basis), at most (k-1)^2 coordinates have
     sens_i <= k."""
-    hit = _monomial_sens_violation(f.n, f.table, (k,))
+    hit = _monomial_sens_violation(table_measures(f.n, f.table), (k,))
     if hit is None:
         return CheckResult(True)
     _, name, mask, cnt = hit
@@ -482,12 +422,8 @@ def check_monomial_sensitivity(f: BooleanFunction, k: int) -> CheckResult:
 
 def check_junta_count(f: BooleanFunction, k: int) -> CheckResult:
     """Relevant coordinates with sens_i <= k number at most C_v * k^3 * 2^k."""
-    n, table = f.n, f.table
-    sens = _sens_i_all(n, table)
-    diffs = _diffs(n, table)
-    cnt = sum(
-        1 for i in range(n) if diffs[i] and sens[i] <= k
-    )
+    rec = table_measures(f.n, f.table)
+    cnt = sum(1 for d, m in zip(rec.diffs, rec.sens_i) if d and m <= k)
     bound = _SUM_INV_SQUARES * (k ** 3) * (2 ** k)
     return CheckResult(
         cnt <= bound, f"{cnt} low-sensitivity coordinates vs bound {bound:.6f}"
@@ -507,10 +443,9 @@ def check_split_bound(f: BooleanFunction, coords: Iterable[int]) -> SplitBoundRe
     rel = f.relevant_variables()
     if not set(Y) <= rel:
         raise ValueError(f"{set(Y) - rel} are not relevant coordinates")
-    n, table = f.n, f.table
-    diffs = _diffs(n, table)
-    masks = [diffs[i - 1] for i in Y]
-    for x in range(1 << n):
+    rec = table_measures(f.n, f.table)
+    masks = [rec.diffs[i - 1] for i in Y]
+    for x in range(1 << f.n):
         cnt = 0
         for d in masks:
             if (d >> x) & 1:
@@ -519,6 +454,6 @@ def check_split_bound(f: BooleanFunction, coords: Iterable[int]) -> SplitBoundRe
                     return SplitBoundResult(
                         False, None, f"input {x:#x} has two sensitive coordinates in Y"
                     )
-    s = _sensitivity(n, table)[0]
+    s = rec.sens[0]
     ok = len(Y) < 4 ** s
     return SplitBoundResult(True, ok, f"|Y|={len(Y)} vs 4^{s}")

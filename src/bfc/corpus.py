@@ -83,6 +83,8 @@ class Corpus:
             raise ValueError(f"unknown corpus kind {self.kind!r}")
         cap = {"all": ALL_ENUM_MAX_ARITY, "monotone": MONOTONE_ENUM_MAX_ARITY}
         check_arity(self.n, cap.get(self.kind, MAX_ARITY), f"{self.kind} corpus")
+        if self.count < 0:
+            raise ValueError(f"corpus {self.describe()} needs a count >= 0")
 
     def __len__(self) -> int:
         if self.kind == "all":

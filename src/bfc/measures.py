@@ -2,27 +2,34 @@
 
 All search-heavy measures (block sensitivity, certificates, decision-tree
 depth) run in exact mode only, guarded by arity caps that raise instead of
-truncating.  Each cap is checked by ``bf.check_arity`` inside the kernel
-that every caller shares (``_point_certificates``, ``_block_sensitivity``,
-``_dt_depth``, and ``coordinate._monomial_sens_violation``), so the theorem
-suite meets the same caps as the public functions; ``approx_degree`` and
-``lp.adeg_lp`` check the approximate-degree cap.  Certificates read one
-table of the monochromatic subcubes of f, and block sensitivity packs
-minimal sensitive blocks only at the points whose certificate could raise
-it.  Hot paths work on packed ``(n, table)`` pairs and are memoised in
-bounded caches, so corpus sweeps over all functions of a small arity stay
-fast; the public API wraps them for :class:`~bfc.bf.BooleanFunction` values.
+truncating.  Each cap is checked by ``bf.check_arity`` inside the code
+that every caller shares (``TableMeasures.point_certs``,
+``TableMeasures.bs``, ``_dt_depth``, and
+``coordinate._monomial_sens_violation``), so the theorem suite meets the
+same caps as the public functions; ``approx_degree`` and ``lp.adeg_lp``
+check the approximate-degree cap.  Certificates read one table of the
+monochromatic subcubes of f, and block sensitivity packs minimal sensitive
+blocks only at the points whose certificate could raise it.
 
-Everything here is a pure function of the table; the memo tables are only
-ever written under the interpreter lock, so concurrent calls on distinct
-functions are safe.
+Memoisation has one home per table.  A ``TableMeasures`` record carries
+every per-table measure of one packed ``(n, table)`` pair, the coordinate
+measures of ``coordinate.py`` among them, each computed on first read.
+``table_measures`` is the one bounded memo, of one shared record per
+table, so the theorem suite, the coordinate checks and the public API
+(which wraps records for :class:`~bfc.bf.BooleanFunction` values) compute
+each measure of a table once while its record stays in the memo.
+Decision-tree depth keeps the memo of its own search, which recurses on
+sub-tables that need no other measure.
+
+Every field is a pure function of the table, so concurrent readers of one
+record that race on a field compute the same value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .bf import (
@@ -49,47 +56,8 @@ APPROX_DEGREE_MAX_ARITY = 6
 
 
 # ---------------------------------------------------------------------------
-# kernels on (n, table), memoised where a result is read again
+# search kernels on (n, table)
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=1 << 17)
-def _diffs(n: int, table: int) -> tuple[int, ...]:
-    return tuple(diff_mask(table, n, i) for i in range(n))
-
-
-@lru_cache(maxsize=1 << 17)
-def _point_sensitivity(n: int, table: int) -> tuple[int, ...]:
-    sx = [0] * (1 << n)
-    for d in _diffs(n, table):
-        while d:
-            low = d & -d
-            sx[low.bit_length() - 1] += 1
-            d ^= low
-    return tuple(sx)
-
-
-def _sensitivity(n: int, table: int) -> tuple[int, int, int]:
-    """(s, s0, s1)."""
-    sx = _point_sensitivity(n, table)
-    s = s0 = s1 = 0
-    for x, v in enumerate(sx):
-        if (table >> x) & 1:
-            s1 = max(s1, v)
-        else:
-            s0 = max(s0, v)
-    s = max(s0, s1)
-    return s, s0, s1
-
-
-@lru_cache(maxsize=1 << 17)
-def _mobius(n: int, table: int) -> tuple[int, ...]:
-    return tuple(mobius_vector(n, table))
-
-
-@lru_cache(maxsize=1 << 17)
-def _degree(n: int, table: int) -> int:
-    return degree_of_vector(_mobius(n, table))
-
 
 def _fourier(n: int, table: int) -> tuple[int, ...]:
     """Walsh-Hadamard spectrum scaled by 2**n (integers)."""
@@ -112,25 +80,6 @@ def _mono_subcubes(n: int, table: int) -> list[int]:
     return mono
 
 
-@lru_cache(maxsize=1 << 16)
-def _point_certificates(n: int, table: int) -> tuple[int, ...]:
-    """C_x for every point: n minus the largest monochromatic subcube at x."""
-    check_arity(n, EXACT_SEARCH_MAX_ARITY, "certificate search")
-    by_dim = [0] * (n + 1)
-    for smask, m in enumerate(_mono_subcubes(n, table)):
-        by_dim[popcount(smask)] |= m
-    cx = [0] * (1 << n)
-    seen = 0
-    for k in range(n, -1, -1):
-        new = by_dim[k] & ~seen
-        seen |= new
-        while new:
-            low = new & -new
-            cx[low.bit_length() - 1] = n - k
-            new ^= low
-    return tuple(cx)
-
-
 class CertificateReport(NamedTuple):
     C: int
     C0: int
@@ -139,20 +88,6 @@ class CertificateReport(NamedTuple):
     Cmin0: int
     Cmin1: int
     per_point: tuple[int, ...]
-
-
-@lru_cache(maxsize=1 << 16)
-def _certificates(n: int, table: int) -> CertificateReport:
-    cx = _point_certificates(n, table)
-    c0s = [cx[x] for x in range(1 << n) if not (table >> x) & 1]
-    c1s = [cx[x] for x in range(1 << n) if (table >> x) & 1]
-    C0 = max(c0s, default=0)
-    C1 = max(c1s, default=0)
-    Cmin0 = min(c0s, default=0)
-    Cmin1 = min(c1s, default=0)
-    return CertificateReport(
-        max(C0, C1), C0, C1, min(cx), Cmin0, Cmin1, cx
-    )
 
 
 def _minimal_sensitive_blocks(n: int, table: int, x: int) -> list[int]:
@@ -210,38 +145,6 @@ class BlockSensitivityReport(NamedTuple):
     witness_blocks: tuple[frozenset[int], ...]
 
 
-@lru_cache(maxsize=1 << 16)
-def _block_sensitivity(n: int, table: int) -> BlockSensitivityReport:
-    """bs and the first point, in index order, that attains it.
-
-    Since bs_x <= C_x (a certificate meets every sensitive block), a point
-    with C_x <= best cannot raise the count and is skipped, and the search
-    stops once best reaches max C_x; the points that could win are visited
-    as before, so the witness does not change.
-    """
-    check_arity(n, EXACT_SEARCH_MAX_ARITY, "block sensitivity")
-    cx = _point_certificates(n, table)
-    top = max(cx)
-    full = (1 << n) - 1
-    best, best_x, best_blocks = 0, 0, ()
-    for x, c in enumerate(cx):
-        if best == top:
-            break
-        if c <= best:
-            continue
-        blocks = _minimal_sensitive_blocks(n, table, x)
-        if len(blocks) <= best:
-            continue
-        cnt, chosen = _max_disjoint_packing(blocks, full)
-        if cnt > best:
-            best, best_x, best_blocks = cnt, x, chosen
-    witness = tuple((best_x >> i) & 1 for i in range(n))
-    blocks = tuple(
-        frozenset(i + 1 for i in range(n) if (b >> i) & 1) for b in best_blocks
-    )
-    return BlockSensitivityReport(best, witness, blocks)
-
-
 @lru_cache(maxsize=1 << 17)
 def _dt_depth(n: int, table: int) -> int:
     """Minimax query depth; memoised on the canonical restricted table."""
@@ -260,10 +163,202 @@ def _dt_depth(n: int, table: int) -> int:
     return best
 
 
+# ---------------------------------------------------------------------------
+# the measure record of one table
+# ---------------------------------------------------------------------------
+
+class TableMeasures:
+    """The measures of one truth table, each computed on first read and
+    kept on the record.
+
+    ``table_measures`` hands out the shared record of each table; a record
+    built directly starts empty.  Decision-tree depth is read through
+    ``_dt_depth``, whose memo also serves the sub-tables of its search.
+    """
+
+    def __init__(self, n: int, table: int):
+        self.n = n
+        self.table = table
+
+    @cached_property
+    def f(self) -> BooleanFunction:
+        return BooleanFunction(self.n, self.table)
+
+    @cached_property
+    def monotone(self) -> bool:
+        return self.f.is_monotone()
+
+    @cached_property
+    def diffs(self) -> tuple[int, ...]:
+        return tuple(diff_mask(self.table, self.n, i) for i in range(self.n))
+
+    @cached_property
+    def nrel(self) -> int:
+        """Number of relevant coordinates."""
+        return sum(1 for d in self.diffs if d)
+
+    @cached_property
+    def point_sens(self) -> tuple[int, ...]:
+        sx = [0] * (1 << self.n)
+        for d in self.diffs:
+            while d:
+                low = d & -d
+                sx[low.bit_length() - 1] += 1
+                d ^= low
+        return tuple(sx)
+
+    @cached_property
+    def sens(self) -> tuple[int, int, int]:
+        """(s, s0, s1)."""
+        s0 = s1 = 0
+        for x, v in enumerate(self.point_sens):
+            if (self.table >> x) & 1:
+                s1 = max(s1, v)
+            else:
+                s0 = max(s0, v)
+        return max(s0, s1), s0, s1
+
+    @cached_property
+    def mobius(self) -> tuple[int, ...]:
+        return tuple(mobius_vector(self.n, self.table))
+
+    @cached_property
+    def deg(self) -> int:
+        return degree_of_vector(self.mobius)
+
+    @cached_property
+    def point_certs(self) -> tuple[int, ...]:
+        """C_x for every point: n minus the largest monochromatic subcube at x."""
+        n = self.n
+        check_arity(n, EXACT_SEARCH_MAX_ARITY, "certificate search")
+        by_dim = [0] * (n + 1)
+        for smask, m in enumerate(_mono_subcubes(n, self.table)):
+            by_dim[popcount(smask)] |= m
+        cx = [0] * (1 << n)
+        seen = 0
+        for k in range(n, -1, -1):
+            new = by_dim[k] & ~seen
+            seen |= new
+            while new:
+                low = new & -new
+                cx[low.bit_length() - 1] = n - k
+                new ^= low
+        return tuple(cx)
+
+    @cached_property
+    def certs(self) -> CertificateReport:
+        n, table = self.n, self.table
+        cx = self.point_certs
+        c0s = [cx[x] for x in range(1 << n) if not (table >> x) & 1]
+        c1s = [cx[x] for x in range(1 << n) if (table >> x) & 1]
+        C0 = max(c0s, default=0)
+        C1 = max(c1s, default=0)
+        Cmin0 = min(c0s, default=0)
+        Cmin1 = min(c1s, default=0)
+        return CertificateReport(
+            max(C0, C1), C0, C1, min(cx), Cmin0, Cmin1, cx
+        )
+
+    @cached_property
+    def bs(self) -> BlockSensitivityReport:
+        """bs and the first point, in index order, that attains it.
+
+        Since bs_x <= C_x (a certificate meets every sensitive block), a point
+        with C_x <= best cannot raise the count and is skipped, and the search
+        stops once best reaches max C_x; the points that could win are visited
+        as before, so the witness does not change.
+        """
+        n, table = self.n, self.table
+        check_arity(n, EXACT_SEARCH_MAX_ARITY, "block sensitivity")
+        cx = self.point_certs
+        top = max(cx)
+        full = (1 << n) - 1
+        best, best_x, best_blocks = 0, 0, ()
+        for x, c in enumerate(cx):
+            if best == top:
+                break
+            if c <= best:
+                continue
+            blocks = _minimal_sensitive_blocks(n, table, x)
+            if len(blocks) <= best:
+                continue
+            cnt, chosen = _max_disjoint_packing(blocks, full)
+            if cnt > best:
+                best, best_x, best_blocks = cnt, x, chosen
+        witness = tuple((best_x >> i) & 1 for i in range(n))
+        blocks = tuple(
+            frozenset(i + 1 for i in range(n) if (b >> i) & 1) for b in best_blocks
+        )
+        return BlockSensitivityReport(best, witness, blocks)
+
+    @property
+    def dt(self) -> int:
+        return _dt_depth(self.n, self.table)
+
+    @cached_property
+    def inf_counts(self) -> tuple[int, ...]:
+        """#{x : f(x) != f(x^i)} for each coordinate."""
+        return tuple(popcount(d) for d in self.diffs)
+
+    # -- coordinate measures (see coordinate.py) ----------------------------
+
+    @cached_property
+    def deg_i(self) -> tuple[int, ...]:
+        """Degree of f(x) - f(x^i) for each coordinate (0 when irrelevant).
+
+        With f = sum c_S x^S, flipping x_i turns x^S into (1 - x_i) x^(S-i) for
+        S containing i, so f(x) - f(x^i) = sum_{S∋i} c_S (2 x^S - x^(S-i)).
+        The terms 2 c_S x^S cannot cancel, so deg_i is the largest |S| with
+        i in S and c_S != 0.
+        """
+        out = [0] * self.n
+        for mask, c in enumerate(self.mobius):
+            if c:
+                k = popcount(mask)
+                rest = mask
+                while rest:
+                    low = rest & -rest
+                    i = low.bit_length() - 1
+                    if out[i] < k:
+                        out[i] = k
+                    rest ^= low
+        return tuple(out)
+
+    def _edge_max(self, point: tuple[int, ...]) -> tuple[int, ...]:
+        """max over sensitive edges {x, x^i} of point[x] + point[x^i], per coordinate.
+
+        Each edge is visited once, from its endpoint with x_i = 0.
+        """
+        out = []
+        for i, d in enumerate(self.diffs):
+            bit = 1 << i
+            d &= half_mask(self.n, i)
+            best = 0
+            while d:
+                low = d & -d
+                x = low.bit_length() - 1
+                v = point[x] + point[x ^ bit]
+                if v > best:
+                    best = v
+                d ^= low
+            out.append(best)
+        return tuple(out)
+
+    @cached_property
+    def sens_i(self) -> tuple[int, ...]:
+        """max over sensitive edges of s_x + s_{x^i}, per coordinate."""
+        return self._edge_max(self.point_sens)
+
+    @cached_property
+    def cert_i(self) -> tuple[int, ...]:
+        """max over sensitive edges of C_x + C_{x^i}, per coordinate."""
+        return self._edge_max(self.point_certs)
+
+
 @lru_cache(maxsize=1 << 17)
-def _influence_counts(n: int, table: int) -> tuple[int, ...]:
-    """#{x : f(x) != f(x^i)} for each coordinate."""
-    return tuple(popcount(d) for d in _diffs(n, table))
+def table_measures(n: int, table: int) -> TableMeasures:
+    """The shared record of ``(n, table)``: the one memo of per-table measures."""
+    return TableMeasures(n, table)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +367,7 @@ def _influence_counts(n: int, table: int) -> tuple[int, ...]:
 
 def degree(f: BooleanFunction) -> int:
     """Degree of the multilinear expansion; 0 for constants."""
-    return _degree(f.n, f.table)
+    return table_measures(f.n, f.table).deg
 
 
 class SensitivityReport(NamedTuple):
@@ -283,16 +378,16 @@ class SensitivityReport(NamedTuple):
 
 
 def sensitivity(f: BooleanFunction) -> SensitivityReport:
-    s, s0, s1 = _sensitivity(f.n, f.table)
-    return SensitivityReport(s, s0, s1, _point_sensitivity(f.n, f.table))
+    rec = table_measures(f.n, f.table)
+    return SensitivityReport(*rec.sens, rec.point_sens)
 
 
 def block_sensitivity(f: BooleanFunction) -> BlockSensitivityReport:
-    return _block_sensitivity(f.n, f.table)
+    return table_measures(f.n, f.table).bs
 
 
 def certificate_complexity(f: BooleanFunction) -> CertificateReport:
-    return _certificates(f.n, f.table)
+    return table_measures(f.n, f.table).certs
 
 
 def dt_depth(f: BooleanFunction) -> int:
@@ -307,7 +402,7 @@ class InfluenceReport(NamedTuple):
 def influence(f: BooleanFunction) -> InfluenceReport:
     """Counting influences, cross-checked exactly against the spectrum."""
     n, table = f.n, f.table
-    counts = _influence_counts(n, table)
+    counts = table_measures(n, table).inf_counts
     w = _fourier(n, table)
     scale = 1 << n
     for i in range(n):
@@ -329,7 +424,7 @@ def approx_degree(f: BooleanFunction, eps: Fraction = Fraction(1, 3)) -> int:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
     from .lp import adeg_lp, simplex_feasible
 
-    top = _degree(f.n, f.table)
+    top = table_measures(f.n, f.table).deg
     for d in range(top + 1):
         if simplex_feasible(adeg_lp(f, d, eps)).feasible:
             return d

@@ -1,12 +1,15 @@
 """Inequality roster, structural lemma checks, and corpus verification.
 
 Every relation the toolkit certifies is evaluated function by function over
-a corpus.  The comparisons are exact integer ones: rational quantities
-(potentials, the symmetrised polynomial on its grid) are scaled by a common
-denominator, and the constants 4.3935, 1.325 and 8.277 are read as decimal
-fractions (``relvars_ds``, whose bound carries 2^(deg/2), is compared
-squared).  Only ``relvars_cs``, whose bound carries ln s, compares floats,
-with 1e-6 of absolute slack.
+a corpus.  Each row reads the function's measures from its shared
+``measures.TableMeasures`` record, so the rows of one function, and the
+restrictions the rows build, share every measure.  The comparisons are
+exact integer ones: rational quantities (potentials, the symmetrised
+polynomial on its grid) are scaled by a common denominator, and the
+constants 4.3935, 1.325 and 8.277 are read as decimal fractions
+(``relvars_ds``, whose bound carries 2^(deg/2), is compared squared).  Only
+``relvars_cs``, whose bound carries ln s, compares floats, with 1e-6 of
+absolute slack.
 Aggregation keeps the first counterexample and the tightest instance per
 check.
 
@@ -25,31 +28,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .bf import ArityError, BooleanFunction, popcount, restrict_bit
 from .bounds import EULER_GAMMA
 from .corpus import Corpus
 from .coordinate import (
     ALL_BASE_KINDS,
-    _cert_i_all,
-    _deg_i_all,
     _influence_violation,
     _monomial_sens_violation,
     _restrictions,
     _rrcm_violation,
-    _sens_i_all,
 )
-from .measures import (
-    _block_sensitivity,
-    _certificates,
-    _degree,
-    _diffs,
-    _dt_depth,
-    _influence_counts,
-    _mobius,
-    _sensitivity,
-)
+from .measures import TableMeasures, _dt_depth, table_measures
 
 # absolute slack of the float comparison in relvars_cs
 REAL_SLACK = 1e-6
@@ -73,7 +63,7 @@ def standard_form(f: BooleanFunction) -> BooleanFunction:
     """
     if f.is_constant():
         raise ValueError("standard form needs a non-constant function")
-    rep = _block_sensitivity(f.n, f.table)
+    rep = table_measures(f.n, f.table).bs
     b = rep.bs
     zidx = sum(bit << i for i, bit in enumerate(rep.witness_input))
     block_masks = [
@@ -102,7 +92,7 @@ def standard_form(f: BooleanFunction) -> BooleanFunction:
 def _symmetrized(n: int, table: int) -> list[int]:
     """Integer coefficients of ``symmetrize``, trailing zeros dropped."""
     out = [0] * (n + 1)
-    for mask, c in enumerate(_mobius(n, table)):
+    for mask, c in enumerate(table_measures(n, table).mobius):
         if c:
             out[popcount(mask)] += c
     while len(out) > 1 and out[-1] == 0:
@@ -152,7 +142,8 @@ def check_standard_form_lemmas(g: BooleanFunction) -> StandardFormReport:
     b = g.n
     if g.bit(0) != 0 or any(g.bit(1 << j) != 1 for j in range(b)):
         raise ValueError("function is not in standard form")
-    mob = _mobius(b, g.table)
+    rec = table_measures(b, g.table)
+    mob = rec.mobius
     quad_ok = True
     quad_sum = 0
     for i in range(b):
@@ -165,7 +156,7 @@ def check_standard_form_lemmas(g: BooleanFunction) -> StandardFormReport:
     pairs = b * (b - 1) // 2
     second = 2 * quad_sum
     second_ok = -4 * pairs <= second <= -2 * pairs if pairs else True
-    degree_ok = len(p) - 1 <= _degree(b, g.table)
+    degree_ok = len(p) - 1 <= rec.deg
     grid_ok = b < 1 or _grid_bounded(p, b)
     passed = quad_ok and second_ok and degree_ok and grid_ok
     return StandardFormReport(
@@ -186,8 +177,8 @@ def _markov_quadratic(bs: int, d: int) -> bool:
 
 def check_markov_consequence(f: BooleanFunction) -> bool:
     """bs^2 - bs <= (2/3)(deg^4 - deg^2) and bs <= sqrt(2/3) deg^2 + 1."""
-    bs = _block_sensitivity(f.n, f.table).bs
-    d = _degree(f.n, f.table)
+    rec = table_measures(f.n, f.table)
+    bs, d = rec.bs.bs, rec.deg
     return _markov_quartic(bs, d) and _markov_quadratic(bs, d)
 
 
@@ -212,11 +203,9 @@ def _dt_intersect(n: int, table: int, i0: int) -> tuple[int, int] | None:
     full = (1 << (1 << (n - 1))) - 1
     if t0 in (0, full) or t1 in (0, full):
         return None
-    c0 = _certificates(n - 1, t0).Cmin0
-    c1 = _certificates(n - 1, t1).Cmin1
-    d0, d1 = _diffs(n - 1, t0), _diffs(n - 1, t1)
-    shared = sum(1 for x, y in zip(d0, d1) if x and y)
-    return c0 + c1, shared + 1
+    r0, r1 = table_measures(n - 1, t0), table_measures(n - 1, t1)
+    shared = sum(1 for x, y in zip(r0.diffs, r1.diffs) if x and y)
+    return r0.certs.Cmin0 + r1.certs.Cmin1, shared + 1
 
 
 def check_dt_intersect(f: BooleanFunction, root: int) -> DtIntersectResult:
@@ -351,9 +340,10 @@ def check_influence_restriction_average(
     if i in H or not 1 <= i <= f.n:
         raise ValueError("coordinate must lie outside the restricted set")
     total = sum(
-        _influence_counts(g.n, g.table)[ii - 1] for g, ii in _restrictions(f, i, H)
+        table_measures(g.n, g.table).inf_counts[ii - 1]
+        for g, ii in _restrictions(f, i, H)
     )
-    return total == _influence_counts(f.n, f.table)[i - 1]
+    return total == table_measures(f.n, f.table).inf_counts[i - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -377,64 +367,6 @@ class TheoremCheck:
             f"{self.check_id}\t{status}\t{self.checked}\t{self.skipped}"
             f"\t{self.left}\t{self.right}\t{self.witness}"
         )
-
-
-class _Stats:
-    """Lazily computed measures of one corpus function."""
-
-    def __init__(self, label: str, f: BooleanFunction):
-        self.label = label
-        self.f = f
-        self.n = f.n
-        self.table = f.table
-
-    @cached_property
-    def diffs(self):
-        return _diffs(self.n, self.table)
-
-    @cached_property
-    def nrel(self) -> int:
-        return sum(1 for d in self.diffs if d)
-
-    @cached_property
-    def deg(self) -> int:
-        return _degree(self.n, self.table)
-
-    @cached_property
-    def sens(self):
-        return _sensitivity(self.n, self.table)
-
-    @cached_property
-    def bs(self) -> int:
-        return _block_sensitivity(self.n, self.table).bs
-
-    @cached_property
-    def certs(self):
-        return _certificates(self.n, self.table)
-
-    @cached_property
-    def dt(self) -> int:
-        return _dt_depth(self.n, self.table)
-
-    @cached_property
-    def inf_counts(self):
-        return _influence_counts(self.n, self.table)
-
-    @cached_property
-    def monotone(self) -> bool:
-        return self.f.is_monotone()
-
-    @cached_property
-    def mobius(self):
-        return _mobius(self.n, self.table)
-
-    @cached_property
-    def sens_i(self):
-        return _sens_i_all(self.n, self.table)
-
-    @cached_property
-    def deg_i(self):
-        return _deg_i_all(self.n, self.table)
 
 
 def _margin(left, right) -> float:
@@ -493,32 +425,33 @@ def _cmp(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
 
 
-def _check_chain(st: _Stats):
-    s = st.sens[0]
-    ok = s <= st.bs <= st.certs.C <= st.dt
-    return _cmp(ok), f"s={s},bs={st.bs},C={st.certs.C}", f"DT={st.dt}"
+def _check_chain(rec: TableMeasures):
+    s, bs = rec.sens[0], rec.bs.bs
+    ok = s <= bs <= rec.certs.C <= rec.dt
+    return _cmp(ok), f"s={s},bs={bs},C={rec.certs.C}", f"DT={rec.dt}"
 
 
-def _check_deg_le_dt(st: _Stats):
-    return _cmp(st.deg <= st.dt), st.deg, st.dt
+def _check_deg_le_dt(rec: TableMeasures):
+    return _cmp(rec.deg <= rec.dt), rec.deg, rec.dt
 
 
-def _check_deg_le_s2(st: _Stats):
-    s = st.sens[0]
-    return _cmp(st.deg <= s * s), st.deg, s * s
+def _check_deg_le_s2(rec: TableMeasures):
+    s = rec.sens[0]
+    return _cmp(rec.deg <= s * s), rec.deg, s * s
 
 
-def _check_markov_bs2(st: _Stats):
-    d = st.deg
+def _check_markov_bs2(rec: TableMeasures):
+    bs, d = rec.bs.bs, rec.deg
     rhs = f"{2 * (d ** 4 - d * d) / 3:.4f}"
-    return _cmp(_markov_quartic(st.bs, d)), st.bs * st.bs - st.bs, rhs
+    return _cmp(_markov_quartic(bs, d)), bs * bs - bs, rhs
 
 
-def _check_markov_bs1(st: _Stats):
-    if st.bs < 1:
+def _check_markov_bs1(rec: TableMeasures):
+    bs = rec.bs.bs
+    if bs < 1:
         return "PASS", 0, 0
-    rhs = f"{math.sqrt(2.0 / 3.0) * st.deg ** 2 + 1:.4f}"
-    return _cmp(_markov_quadratic(st.bs, st.deg)), st.bs, rhs
+    rhs = f"{math.sqrt(2.0 / 3.0) * rec.deg ** 2 + 1:.4f}"
+    return _cmp(_markov_quadratic(bs, rec.deg)), bs, rhs
 
 
 def _within_per_2deg(nrel: int, const: Fraction, deg: int) -> bool:
@@ -526,28 +459,28 @@ def _within_per_2deg(nrel: int, const: Fraction, deg: int) -> bool:
     return nrel * const.denominator <= const.numerator << deg
 
 
-def _check_relvars_deg(st: _Stats):
-    ok = _within_per_2deg(st.nrel, RELVARS_PER_2DEG, st.deg)
-    return _cmp(ok), st.nrel, f"{float(RELVARS_PER_2DEG) * 2.0 ** st.deg:.4f}"
+def _check_relvars_deg(rec: TableMeasures):
+    ok = _within_per_2deg(rec.nrel, RELVARS_PER_2DEG, rec.deg)
+    return _cmp(ok), rec.nrel, f"{float(RELVARS_PER_2DEG) * 2.0 ** rec.deg:.4f}"
 
 
-def _check_relvars_cert(st: _Stats):
-    ok = 2 * st.nrel <= 4 ** st.certs.C
-    return _cmp(ok), st.nrel, f"4^{st.certs.C}/2"
+def _check_relvars_cert(rec: TableMeasures):
+    ok = 2 * rec.nrel <= 4 ** rec.certs.C
+    return _cmp(ok), rec.nrel, f"4^{rec.certs.C}/2"
 
 
-def _check_relvars_inf_deg(st: _Stats):
+def _check_relvars_inf_deg(rec: TableMeasures):
     # n <= I * 2^(deg-1), scaled by 2^(n+1) to stay in integers
-    lhs = st.nrel << (st.n + 1)
-    rhs = sum(st.inf_counts) << st.deg
-    return _cmp(lhs <= rhs), st.nrel, f"I*2^{st.deg - 1}"
+    lhs = rec.nrel << (rec.n + 1)
+    rhs = sum(rec.inf_counts) << rec.deg
+    return _cmp(lhs <= rhs), rec.nrel, f"I*2^{rec.deg - 1}"
 
 
-def _check_relvars_inf_sens(st: _Stats):
-    s = st.sens[0]
-    lhs = st.nrel << (st.n + 2)
-    rhs = sum(st.inf_counts) * 4 ** s
-    return _cmp(lhs <= rhs), st.nrel, f"I*4^{s - 1}"
+def _check_relvars_inf_sens(rec: TableMeasures):
+    s = rec.sens[0]
+    lhs = rec.nrel << (rec.n + 2)
+    rhs = sum(rec.inf_counts) * 4 ** s
+    return _cmp(lhs <= rhs), rec.nrel, f"I*4^{s - 1}"
 
 
 def _within_mixed_ds(nrel: int, deg: int, s: int) -> bool:
@@ -556,38 +489,38 @@ def _within_mixed_ds(nrel: int, deg: int, s: int) -> bool:
     return (nrel * const.denominator) ** 2 <= const.numerator ** 2 << (deg + 2 * s)
 
 
-def _check_relvars_mixed_ds(st: _Stats):
-    s = st.sens[0]
-    rhs = float(RELVARS_MIXED_DS) * 2.0 ** (st.deg / 2.0 + s)
-    return _cmp(_within_mixed_ds(st.nrel, st.deg, s)), st.nrel, f"{rhs:.4f}"
+def _check_relvars_mixed_ds(rec: TableMeasures):
+    s = rec.sens[0]
+    rhs = float(RELVARS_MIXED_DS) * 2.0 ** (rec.deg / 2.0 + s)
+    return _cmp(_within_mixed_ds(rec.nrel, rec.deg, s)), rec.nrel, f"{rhs:.4f}"
 
 
-def _check_relvars_mixed_cs(st: _Stats):
+def _check_relvars_mixed_cs(rec: TableMeasures):
     # checked with gamma/2 = 0.2886..., the tighter of the two published
     # constants; the 0.29 form is implied and reported alongside
-    s = st.sens[0]
+    s = rec.sens[0]
     if s == 0:
         return "SKIP", 0, 0
-    amp = 4.0 ** ((st.certs.C + s) / 2.0)
+    amp = 4.0 ** ((rec.certs.C + s) / 2.0)
     rhs = (math.log(s) + EULER_GAMMA / 2) * amp
     loose = (math.log(s) + 0.29) * amp
     return (
-        _cmp(st.nrel <= rhs + REAL_SLACK),
-        st.nrel,
+        _cmp(rec.nrel <= rhs + REAL_SLACK),
+        rec.nrel,
         f"{rhs:.4f} (0.29 form: {loose:.4f})",
     )
 
 
-def _check_cert_potential(st: _Stats):
+def _check_cert_potential(rec: TableMeasures):
     # sum over relevant i of 2^-cert_i, as num / 2^top with top = max cert_i
-    exps = [c for c, d in zip(_cert_i_all(st.n, st.table), st.diffs) if d]
+    exps = [c for c, d in zip(rec.cert_i, rec.diffs) if d]
     top = max(exps, default=0)
     num = sum(1 << (top - e) for e in exps)
     g = math.gcd(num, 1 << top)
     return _cmp(2 * num <= 1 << top), f"{num // g}/{(1 << top) // g}", "1/2"
 
 
-def _check_rrcm(st: _Stats):
+def _check_rrcm(rec: TableMeasures):
     # The mixes beta*a + (1-beta)*b (beta in [0, 1]) of two base measures
     # need no check of their own.  If neither a nor b grows under a
     # restriction, their mix does not grow (axiom 1); if both drop by at
@@ -595,23 +528,23 @@ def _check_rrcm(st: _Stats):
     # on the measure.  So the mixes pass wherever DEG, SENS and CERT do,
     # and a failing base kind is reported before any mix could be.
     for kind in ALL_BASE_KINDS:
-        hit = _rrcm_violation(st.n, st.table, kind, range(st.n))
+        hit = _rrcm_violation(rec, kind, range(rec.n))
         if hit:
             i0, j0, b, axiom = hit
             return "FAIL", f"{kind.label()} i={i0+1} j={j0+1} b={b}", axiom
     return "PASS", "-", "-"
 
 
-def _check_influence_bound(st: _Stats):
+def _check_influence_bound(rec: TableMeasures):
     for kind in ALL_BASE_KINDS:
-        i0 = _influence_violation(st.n, st.table, kind)
+        i0 = _influence_violation(rec, kind)
         if i0 is not None:
             return "FAIL", f"{kind.tag} i={i0+1}", "per-coordinate"
     return "PASS", "-", "-"
 
 
-def _check_monomial_sens(st: _Stats):
-    hit = _monomial_sens_violation(st.n, st.table, range(1, 7))
+def _check_monomial_sens(rec: TableMeasures):
+    hit = _monomial_sens_violation(rec, range(1, 7))
     if hit:
         k, _, mask, cnt = hit
         return "FAIL", f"k={k} mask={mask:#x} count={cnt}", (k - 1) ** 2
@@ -627,17 +560,17 @@ def _monomial_sens_cap(d: int) -> tuple[int, int]:
     return num + d - root * root, e
 
 
-def _check_monomial_potential(st: _Stats):
+def _check_monomial_potential(rec: TableMeasures):
     # S(M) = sum_{i in M} 2^-sens_i, kept as w[M] = 2^K S(M) with
     # K = max sens_i, so every comparison is between integers
-    sens = st.sens_i
+    sens = rec.sens_i
     top = max((0,) + sens)
-    caps = [_monomial_sens_cap(d) for d in range(st.n + 1)]
-    w = [0] * (1 << st.n)
-    for mask in range(1, 1 << st.n):
+    caps = [_monomial_sens_cap(d) for d in range(rec.n + 1)]
+    w = [0] * (1 << rec.n)
+    for mask in range(1, 1 << rec.n):
         low = mask & -mask
         w[mask] = w[mask ^ low] + (1 << (top - sens[low.bit_length() - 1]))
-        if not st.mobius[mask]:
+        if not rec.mobius[mask]:
             continue
         total = w[mask]
         if 2 * total >= 3 << top:
@@ -652,16 +585,16 @@ def _check_monomial_potential(st: _Stats):
     return "PASS", "-", "-"
 
 
-def _check_top_monomial_deg_i(st: _Stats):
-    d = st.deg
+def _check_top_monomial_deg_i(rec: TableMeasures):
+    d = rec.deg
     if d == 0:
         return "PASS", 0, 0
-    for mask in range(1 << st.n):
-        if st.mobius[mask] and popcount(mask) == d:
+    for mask in range(1 << rec.n):
+        if rec.mobius[mask] and popcount(mask) == d:
             mm = mask
             while mm:
                 low = mm & -mm
-                if st.deg_i[low.bit_length() - 1] != d:
+                if rec.deg_i[low.bit_length() - 1] != d:
                     return (
                         "FAIL",
                         f"mask={mask:#x} i={low.bit_length()}",
@@ -671,62 +604,64 @@ def _check_top_monomial_deg_i(st: _Stats):
     return "PASS", "-", "-"
 
 
-def _check_standard_form(st: _Stats):
-    if st.f.is_constant():
+def _check_standard_form(rec: TableMeasures):
+    if rec.f.is_constant():
         return "SKIP", 0, 0
-    g = standard_form(st.f)
-    if g.n != st.bs:
-        return "FAIL", f"arity {g.n}", f"bs {st.bs}"
+    g = standard_form(rec.f)
+    bs = rec.bs.bs
+    if g.n != bs:
+        return "FAIL", f"arity {g.n}", f"bs {bs}"
     p = _symmetrized(g.n, g.table)
     linear = p[1] if len(p) > 1 else 0
-    if linear != st.bs:
-        return "FAIL", f"linear coeff {linear}", f"bs {st.bs}"
+    if linear != bs:
+        return "FAIL", f"linear coeff {linear}", f"bs {bs}"
     rep = check_standard_form_lemmas(g)
     if not rep.passed:
         return "FAIL", rep.detail, "standard-form lemmas"
-    return "PASS", f"b={st.bs}", "-"
+    return "PASS", f"b={bs}", "-"
 
 
-def _check_adeg(st: _Stats):
-    if st.n > 3:
+def _check_adeg(rec: TableMeasures):
+    if rec.n > 3:
         return "SKIP", 0, 0
     from .measures import approx_degree
 
-    ad = approx_degree(st.f, Fraction(1, 3))
-    if ad > st.deg:
-        return "FAIL", f"adeg {ad}", f"deg {st.deg}"
-    if st.bs > 5 * ad * ad and st.bs > 0:
-        return "FAIL", f"bs {st.bs}", f"5*adeg^2 {5 * ad * ad}"
-    return "PASS", f"adeg={ad}", f"deg={st.deg}"
+    ad = approx_degree(rec.f, Fraction(1, 3))
+    if ad > rec.deg:
+        return "FAIL", f"adeg {ad}", f"deg {rec.deg}"
+    bs = rec.bs.bs
+    if bs > 5 * ad * ad and bs > 0:
+        return "FAIL", f"bs {bs}", f"5*adeg^2 {5 * ad * ad}"
+    return "PASS", f"adeg={ad}", f"deg={rec.deg}"
 
 
-def _check_mono_s_bs_c(st: _Stats):
-    if not st.monotone:
+def _check_mono_s_bs_c(rec: TableMeasures):
+    if not rec.monotone:
         return "SKIP", 0, 0
-    s = st.sens[0]
-    ok = s == st.bs == st.certs.C
-    return _cmp(ok), f"s={s},bs={st.bs}", f"C={st.certs.C}"
+    s, bs = rec.sens[0], rec.bs.bs
+    ok = s == bs == rec.certs.C
+    return _cmp(ok), f"s={s},bs={bs}", f"C={rec.certs.C}"
 
 
-def _check_mono_triple(st: _Stats):
-    if not st.monotone:
+def _check_mono_triple(rec: TableMeasures):
+    if not rec.monotone:
         return "SKIP", 0, 0
-    s = st.sens[0]
-    if 2 * st.nrel > 4 ** s:
-        return "FAIL", st.nrel, f"4^{s}/2"
-    if 4 * (st.nrel - 2) > 1 << st.dt:
-        return "FAIL", st.nrel, f"2^{st.dt}/4+2"
-    if not _within_per_2deg(st.nrel, MONOTONE_PER_2DEG, st.deg):
-        return "FAIL", st.nrel, f"{float(MONOTONE_PER_2DEG) * 2.0 ** st.deg:.4f}"
-    return "PASS", st.nrel, f"min bound at deg={st.deg},s={s},DT={st.dt}"
+    s = rec.sens[0]
+    if 2 * rec.nrel > 4 ** s:
+        return "FAIL", rec.nrel, f"4^{s}/2"
+    if 4 * (rec.nrel - 2) > 1 << rec.dt:
+        return "FAIL", rec.nrel, f"2^{rec.dt}/4+2"
+    if not _within_per_2deg(rec.nrel, MONOTONE_PER_2DEG, rec.deg):
+        return "FAIL", rec.nrel, f"{float(MONOTONE_PER_2DEG) * 2.0 ** rec.deg:.4f}"
+    return "PASS", rec.nrel, f"min bound at deg={rec.deg},s={s},DT={rec.dt}"
 
 
-def _check_mono_dt_intersect(st: _Stats):
-    if not st.monotone:
+def _check_mono_dt_intersect(rec: TableMeasures):
+    if not rec.monotone:
         return "SKIP", 0, 0
     saw = False
-    for i0 in range(st.n):
-        sides = _dt_intersect(st.n, st.table, i0)
+    for i0 in range(rec.n):
+        sides = _dt_intersect(rec.n, rec.table, i0)
         if sides and sides[0] > sides[1]:
             return "FAIL", f"root={i0 + 1} {sides[0]}", sides[1]
         saw = saw or sides is not None
@@ -761,10 +696,10 @@ _GENERAL_CHECKS = (
 )
 
 
-def _run_check(fn, st: _Stats):
+def _run_check(fn, rec: TableMeasures):
     """(status, left, right) of one suite row; past an arity cap it skips."""
     try:
-        return fn(st)
+        return fn(rec)
     except ArityError:
         return "SKIP", 0, 0
 
@@ -779,9 +714,9 @@ def run_theorem_suite(corpus: Corpus, progress=None) -> list[TheoremCheck]:
     accs = [_Accumulator(cid, ineq) for cid, ineq, _ in _GENERAL_CHECKS]
     covered = 0
     for label, f, weight in corpus.representatives():
-        st = _Stats(label, f)
+        rec = table_measures(f.n, f.table)
         for acc, (_, _, fn) in zip(accs, _GENERAL_CHECKS):
-            acc.record(*_run_check(fn, st), label, weight)
+            acc.record(*_run_check(fn, rec), label, weight)
         if progress and (covered + weight) >> 12 > covered >> 12:
             progress(covered + weight)
         covered += weight

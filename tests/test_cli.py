@@ -5,6 +5,7 @@ import pytest
 
 from bfc.bf import BooleanFunction
 from bfc.cli import main
+from bfc.lp import LP_CAP_SCAN_MAX_DEGREE
 
 
 def run_cli(*argv):
@@ -139,6 +140,28 @@ def test_arity_past_the_cap_fails_cleanly(argv, text, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("bfc: error: ") and captured.err.count("\n") == 1
     assert "arity" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["lp-caps", "--dmax", str(LP_CAP_SCAN_MAX_DEGREE + 1)],
+            f"--dmax must lie in 1..{LP_CAP_SCAN_MAX_DEGREE}, got {LP_CAP_SCAN_MAX_DEGREE + 1}",
+        ),
+        (["lp-caps", "--dmax", "0"], f"--dmax must lie in 1..{LP_CAP_SCAN_MAX_DEGREE}, got 0"),
+        (["table", "degree", "--bstep", "0"], "--bstep must be >= 1, got 0"),
+        (["table", "ds", "--bstep", "-3"], "--bstep must be >= 1, got -3"),
+        (["verify", "--corpus", "random:3:-5:1"], "corpus random:3:-5:1 needs a count >= 0"),
+    ],
+    ids=["dmax-past-cap", "dmax-zero", "bstep-zero", "bstep-negative", "count-negative"],
+)
+def test_out_of_range_argument_fails_before_any_output(argv, message, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"bfc: error: {message}\n"
 
 
 def test_verify_skips_rows_past_the_exact_search_cap():

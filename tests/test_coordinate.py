@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from bfc import coordinate
 from bfc.bf import BooleanFunction, degree_of_vector, diff_mask, family
 from bfc.corpus import parse_corpus
+from bfc.measures import TableMeasures, table_measures
 from bfc.coordinate import (
-    _deg_i_all,
     _monomial_sens_violation,
     _rrcm_violation,
     ALL_BASE_KINDS,
@@ -169,8 +169,9 @@ def test_influence_bound_is_exact_at_a_forced_tie(monkeypatch, beta, f):
 
     kind = mix_ds(beta)
     r = coordinate._dictator_floor(kind)
-    deg1 = coordinate._deg_i_all(f.n, f.table)[0]
-    cnt = coordinate._influence_counts(f.n, f.table)[0]
+    rec = table_measures(f.n, f.table)
+    deg1 = rec.deg_i[0]
+    cnt = rec.inf_counts[0]
     log_cnt = cnt.bit_length() - 1
     assert cnt == 1 << log_cnt
     tie = (f.n + r - beta * deg1 - log_cnt) / (1 - beta)
@@ -179,7 +180,7 @@ def test_influence_bound_is_exact_at_a_forced_tie(monkeypatch, beta, f):
     for sens1 in (tie, tie - 1, tie + 1):
         fails = sens1 < tie
         monkeypatch.setattr(
-            coordinate, "_sens_i_all", lambda n, table: (sens1,) + (2 * n + 9,) * (n - 1)
+            TableMeasures, "sens_i", property(lambda r: (sens1,) + (2 * r.n + 9,) * (r.n - 1))
         )
         m = beta * deg1 + (1 - beta) * sens1
         with mpmath.workdps(60):
@@ -190,7 +191,7 @@ def test_influence_bound_is_exact_at_a_forced_tie(monkeypatch, beta, f):
             )
             assert (lhs > rhs * (1 + mpmath.mpf(10) ** -50)) == fails
             assert sens1 != tie or abs(lhs - rhs) < mpmath.mpf(10) ** -55
-        assert (coordinate._influence_violation(f.n, f.table, kind) == 0) == fails
+        assert (coordinate._influence_violation(rec, kind) == 0) == fails
         assert check_influence_bound(f, kind).passed != fails
 
 
@@ -217,10 +218,10 @@ def test_monomial_sens_one_pass_matches_the_per_k_scan(monkeypatch):
     tables = [(n, t) for n in (2, 3) for _, f in parse_corpus(f"all:{n}") for t in [f.table]]
     tables += [(n, rng.getrandbits(1 << n)) for n in (4, 5, 6) for _ in range(30)]
     for n, table in tables:
-        true_sens = coordinate._sens_i_all(n, table)
-        for sens in [true_sens] + [tuple(rng.randint(0, 7) for _ in range(n)) for _ in range(4)]:
-            monkeypatch.setattr(coordinate, "_sens_i_all", lambda n, t, s=sens: s)
-            assert _monomial_sens_violation(n, table, range(1, 7)) == (
+        rec = table_measures(n, table)
+        for sens in [rec.sens_i] + [tuple(rng.randint(0, 7) for _ in range(n)) for _ in range(4)]:
+            monkeypatch.setattr(TableMeasures, "sens_i", property(lambda r, s=sens: s))
+            assert _monomial_sens_violation(rec, range(1, 7)) == (
                 _reference_monomial_sens(n, table, sens)
             ), (n, table, sens)
             monkeypatch.undo()
@@ -289,11 +290,12 @@ def test_rrcm_mixes_pass_where_base_kinds_pass():
     ]
     checked = 0
     for n, t in _lemma_corpus():
-        if any(_rrcm_violation(n, t, kind, range(n)) for kind in ALL_BASE_KINDS):
+        rec = table_measures(n, t)
+        if any(_rrcm_violation(rec, kind, range(n)) for kind in ALL_BASE_KINDS):
             continue
         checked += 1
         for kind in mixes:
-            assert _rrcm_violation(n, t, kind, range(n)) is None, (n, t, kind)
+            assert _rrcm_violation(rec, kind, range(n)) is None, (n, t, kind)
     assert checked == 256 + 168
 
 
@@ -321,4 +323,4 @@ def test_deg_i_matches_per_coordinate_transform():
     rng = random.Random(20261018)
     tables += [(n, rng.getrandbits(1 << n)) for n in range(6, 11) for _ in range(4)]
     for n, t in tables:
-        assert _deg_i_all(n, t) == _reference_deg_i_all(n, t), (n, t)
+        assert table_measures(n, t).deg_i == _reference_deg_i_all(n, t), (n, t)

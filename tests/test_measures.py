@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,7 @@ from bfc.bf import ArityError, BooleanFunction, diff_mask, family, flip_table
 from bfc.corpus import parse_corpus
 from bfc.measures import (
     BlockSensitivityReport,
-    _block_sensitivity,
-    _point_certificates,
+    TableMeasures,
     approx_degree,
     block_sensitivity,
     certificate_complexity,
@@ -20,6 +21,7 @@ from bfc.measures import (
     influence,
     measure_report,
     sensitivity,
+    table_measures,
     _minimal_sensitive_blocks,
 )
 from bfc.verify import check_influence_restriction_average
@@ -195,7 +197,7 @@ def _bs_tables():
 
 def test_block_sensitivity_matches_unpruned_search():
     for n, t in _bs_tables():
-        assert _block_sensitivity(n, t) == _reference_block_sensitivity(n, t), (n, t)
+        assert table_measures(n, t).bs == _reference_block_sensitivity(n, t), (n, t)
 
 
 def test_certificate_bound_skips_points_and_visits_loose_ones(monkeypatch):
@@ -213,10 +215,10 @@ def test_certificate_bound_skips_points_and_visits_loose_ones(monkeypatch):
     skipped = loose = 0
     for n in (6, 7, 8):
         t = rng.getrandbits(1 << n)
-        _block_sensitivity.__wrapped__(n, t)
+        TableMeasures(n, t).bs  # a fresh record, so the search runs
         seen = [x for m, u, x in visited if (m, u) == (n, t)]
         skipped += (1 << n) - len(seen)
-        cx = _point_certificates(n, t)
+        cx = table_measures(n, t).point_certs
         full = (1 << n) - 1
         for x in seen:
             bs_x = _reference_packing(_reference_minimal_blocks(n, t, x), full)[0]
@@ -322,3 +324,27 @@ def test_chain_and_square_sensitivity_on_all_three_variable_functions():
         assert s <= bs <= C <= DT
         assert d <= DT
         assert d <= s * s
+
+
+def _memoised_functions(tree):
+    """(name, leading parameter names) of each function decorated with
+    ``lru_cache`` or ``cache``, called or bare."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in fn.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(target, "id", getattr(target, "attr", None)) in ("lru_cache", "cache"):
+                    yield fn.name, [a.arg for a in fn.args.args[:2]]
+
+
+def test_one_memo_per_table():
+    # every per-table measure is a field of the shared TableMeasures record;
+    # decision-tree depth alone keeps its own memo, over its sub-tables
+    src = Path(__file__).resolve().parents[1] / "src" / "bfc"
+    keyed = sorted(
+        f"{path.stem}.{name}"
+        for path in sorted(src.glob("*.py"))
+        for name, params in _memoised_functions(ast.parse(path.read_text(encoding="utf-8")))
+        if params == ["n", "table"]
+    )
+    assert keyed == ["measures._dt_depth", "measures.table_measures"]

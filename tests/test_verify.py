@@ -17,7 +17,7 @@ from bfc.corpus import (
     parse_corpus,
     random_monotone,
 )
-from bfc.measures import block_sensitivity, degree
+from bfc.measures import TableMeasures, block_sensitivity, degree, table_measures
 from bfc.verify import (
     DoublingFunction,
     certify_doubling_recurrence,
@@ -201,15 +201,15 @@ def test_dt_intersect_counts_only_coordinates_relevant_to_both_branches():
 
 
 def test_mono_dt_intersect_row_reports_the_first_failing_root(monkeypatch):
-    st = verify._Stats("maj3", family("MAJ", 3))
-    assert verify._check_mono_dt_intersect(st) == ("PASS", "-", "-")
+    rec = table_measures(3, family("MAJ", 3).table)
+    assert verify._check_mono_dt_intersect(rec) == ("PASS", "-", "-")
     sides = {0: None, 1: (3, 3), 2: (4, 3)}
     monkeypatch.setattr(verify, "_dt_intersect", lambda n, table, i0: sides[i0])
-    assert verify._check_mono_dt_intersect(st) == ("FAIL", "root=3 4", 3)
+    assert verify._check_mono_dt_intersect(rec) == ("FAIL", "root=3 4", 3)
     sides[2] = None
-    assert verify._check_mono_dt_intersect(st) == ("PASS", "-", "-")
+    assert verify._check_mono_dt_intersect(rec) == ("PASS", "-", "-")
     sides[1] = None
-    assert verify._check_mono_dt_intersect(st) == ("SKIP", 0, 0)
+    assert verify._check_mono_dt_intersect(rec) == ("SKIP", 0, 0)
 
 
 def test_dt_intersect_kernel_is_the_public_check():
@@ -321,7 +321,7 @@ def _invariance_tables():
 
 
 def _row_verdict(fn, f):
-    status, left, right = verify._run_check(fn, verify._Stats("f", f))
+    status, left, right = verify._run_check(fn, table_measures(f.n, f.table))
     return status, verify._margin(left, right)
 
 
@@ -339,10 +339,10 @@ def _plain_suite(corpus):
     """The suite as a plain loop over every function, each of weight 1."""
     accs = [verify._Accumulator(cid, ineq) for cid, ineq, _ in verify._GENERAL_CHECKS]
     for label, f in corpus:
-        st = verify._Stats(label, f)
+        rec = table_measures(f.n, f.table)
         for acc, (_, _, fn) in zip(accs, verify._GENERAL_CHECKS):
             try:
-                status, left, right = fn(st)
+                status, left, right = fn(rec)
             except ArityError:
                 status, left, right = "SKIP", 0, 0
             acc.record(status, left, right, label, 1)
@@ -353,6 +353,17 @@ def _plain_suite(corpus):
 def test_orbit_sweep_equals_the_plain_loop(spec):
     corpus = parse_corpus(spec)
     assert run_theorem_suite(corpus) == _plain_suite(corpus)
+
+
+@pytest.mark.parametrize("spec", ["monotone:4", "random:5:40:3"])
+def test_suite_is_the_same_from_a_cold_and_a_warm_memo(spec):
+    corpus = parse_corpus(spec)
+    table_measures.cache_clear()
+    cold = run_theorem_suite(corpus)
+    hits = table_measures.cache_info().hits
+    warm = run_theorem_suite(corpus)
+    assert table_measures.cache_info().hits > hits
+    assert cold == warm
 
 
 @functools.lru_cache(maxsize=None)
@@ -411,26 +422,31 @@ def test_theorem_check_row_format():
 
 # --- failure paths of the shared check kernels ------------------------------------
 #
-# The theorems hold, so no real corpus reaches a FAIL branch.  Each test swaps
-# one coordinate-measure kernel for a wrong one on 2-input tables, runs the
-# suite on OR2 and the public check, and requires both to report the same
-# first violation.
+# The theorems hold, so no real corpus reaches a FAIL branch.  Each test makes
+# one coordinate-measure field of the measure record wrong on 2-input tables,
+# runs the suite on OR2 and the public check, and requires both to report the
+# same first violation.
 
 def _suite_row(check_id):
     checks = run_theorem_suite(parse_corpus("named:OR:2"))
     return {c.check_id: c for c in checks}[check_id]
 
 
-def _broken_on_arity_two(kernel, value):
-    return lambda n, table: (value,) * n if n == 2 else kernel(n, table)
+def _break_on_arity_two(monkeypatch, field, value):
+    """Make the record's ``field`` read ``value`` at every coordinate of
+    every 2-input table; other arities compute it as before."""
+    kernel = getattr(TableMeasures, field).func
+    monkeypatch.setattr(
+        TableMeasures,
+        field,
+        property(lambda rec: (value,) * rec.n if rec.n == 2 else kernel(rec)),
+    )
 
 
 def test_rrcm_failure_path(monkeypatch):
     # deg_i = 0 on OR2 while its restriction to x1 = 0, the dictator x2,
     # keeps deg_i = 1: fixing x1 = 0 grows the measure of x2
-    monkeypatch.setattr(
-        coordinate, "_deg_i_all", _broken_on_arity_two(coordinate._deg_i_all, 0)
-    )
+    _break_on_arity_two(monkeypatch, "deg_i", 0)
     row = _suite_row("rrcm")
     assert not row.passed
     assert (row.left, row.right) == ("deg i=2 j=1 b=0", "axiom1")
@@ -442,9 +458,7 @@ def test_rrcm_failure_path(monkeypatch):
 
 def test_influence_bound_failure_path(monkeypatch):
     # with sens_i = 0 the weight 2^-0 = 1 exceeds 2^-2 * Inf_1 = 1/8
-    monkeypatch.setattr(
-        coordinate, "_sens_i_all", _broken_on_arity_two(coordinate._sens_i_all, 0)
-    )
+    _break_on_arity_two(monkeypatch, "sens_i", 0)
     row = _suite_row("influence_bound")
     assert not row.passed
     assert (row.left, row.right) == ("sens i=1", "per-coordinate")
@@ -459,9 +473,7 @@ def test_influence_bound_failure_path(monkeypatch):
 def test_monomial_sens_failure_path(monkeypatch):
     # with sens_i = 1 the monomial x1 of OR2 holds one coordinate with
     # sens_i <= 1, above the k = 1 limit (1 - 1)^2 = 0
-    monkeypatch.setattr(
-        coordinate, "_sens_i_all", _broken_on_arity_two(coordinate._sens_i_all, 1)
-    )
+    _break_on_arity_two(monkeypatch, "sens_i", 1)
     row = _suite_row("monomial_sens")
     assert not row.passed
     assert (row.left, row.right) == ("k=1 mask=0x1 count=1", "0")
@@ -483,13 +495,12 @@ def test_cert_potential_matches_the_fraction_potential(monkeypatch):
     # the true sums stay below 1/2, so low cert_i stand in for the FAIL side
     for cert in (None, 1, 2, 3):
         if cert is not None:
-            monkeypatch.setattr(verify, "_cert_i_all", lambda n, t, c=cert: (c,) * n)
-            monkeypatch.setattr(coordinate, "_cert_i_all", lambda n, t, c=cert: (c,) * n)
+            monkeypatch.setattr(TableMeasures, "cert_i", property(lambda r, c=cert: (c,) * r.n))
         for f in _suite_tables():
             total = coordinate.potential(f, coordinate.CERT_I).value
             cell = f"{total.numerator}/{total.denominator}"
             want = ("PASS" if total <= Fraction(1, 2) else "FAIL", cell, "1/2")
-            got = verify._check_cert_potential(verify._Stats("f", f))
+            got = verify._check_cert_potential(table_measures(f.n, f.table))
             assert got == want, (f, cert)
 
 
@@ -535,10 +546,9 @@ def _reference_monomial_potential(n, table, sens):
 def test_monomial_potential_failure_path(monkeypatch, name, sens):
     # the suite scales S(M) to integers; its cells must match the Fraction sums
     f = dict(parse_corpus(f"named:{name}"))[name]
+    kernel = TableMeasures.sens_i.func
     monkeypatch.setattr(
-        verify,
-        "_sens_i_all",
-        lambda n, table: sens if n == f.n else coordinate._sens_i_all(n, table),
+        TableMeasures, "sens_i", property(lambda rec: sens if rec.n == f.n else kernel(rec))
     )
     checks = run_theorem_suite(parse_corpus(f"named:{name}"))
     row = {c.check_id: c for c in checks}["monomial_potential"]
