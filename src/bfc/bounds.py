@@ -4,24 +4,27 @@ One crank builds every bound table: ``dp_mixed_ds`` for the potential
 sum 2^-(beta deg_i + (1-beta) sens_i), and the degree table is its
 beta = 1 case.  Grids are computed in double precision from per-step
 weights that are exact rationals when every exponent is an integer (so
-the degree table is dyadic and never loads mpmath) and 50-digit reals
-otherwise; the monotone-degree recursion is evaluated in exact rationals.
-Infinite tails are closed forms where the cap function is polynomial and
-partial sums plus a rigorous closed-form remainder otherwise, so every
-headline is an upper bound.
+the degree table is dyadic) and otherwise rest on ``_pow2_bounds``, an
+integer enclosure of 2^(p/q) to POW2_BITS bits; the monotone-degree
+recursion is evaluated in exact rationals.  Infinite tails are closed forms
+where the cap function is polynomial and partial sums plus a rigorous
+closed-form remainder otherwise, so every headline is an upper bound.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt, log
+from functools import lru_cache
+from math import comb, isqrt, lcm, log
 
-# digits of every mpmath evaluation, set locally with mpmath.workdps so that
-# importing bfc leaves the caller's mpmath precision alone; mpmath is imported
-# only where some exponent is not an integer, so importing bfc does not load it
-_DPS = 50
+# 2^(p/q) is enclosed to POW2_BITS bits below the binary point; each printed
+# float is the correctly rounded value of an enclosure this tight
+POW2_BITS = 192
+
+# guard bits: the ends of a chain of w + 1 products, each rounded one way
+# throughout, lie at most 4(3w + 4) < 2^12 units of 2^-w apart at POW2_BITS
+_GUARD = 12
 
 # 10-digit Euler-Mascheroni constant used by the certificate/sensitivity bound
 EULER_GAMMA = 0.5772156649
@@ -37,25 +40,68 @@ LP_CAP_TABLE = {
 _TAIL_CUTOFF = 400
 
 
-def _precision(*exponents):
-    """50 mpmath digits while some exponent is not an integer; else nothing."""
-    if all(e.denominator == 1 for e in exponents):
-        return nullcontext()
-    import mpmath
+@lru_cache(maxsize=None)
+def _root_chain(w: int, up: int) -> tuple[int, ...]:
+    """2^(2^-i) * 2^w for i = 0..w, each the integer square root of the one
+    before, rounded down (up = 0) or up (up = 1)."""
+    roots = [2 << w]
+    for _ in range(w):
+        roots.append(isqrt((roots[-1] << w) - up) + up)
+    return tuple(roots)
 
-    return mpmath.workdps(_DPS)
+
+@lru_cache(maxsize=4096)
+def _pow2_bounds(p: int, q: int, bits: int = POW2_BITS) -> tuple[int, int]:
+    """Integers lo <= 2^(p/q) * 2^bits <= hi for q >= 1, of O(bits) bits.
+
+    For p/q = k + r/q, 0 <= r < q, 2^(r/q) is the product of 2^(2^-i) over
+    the binary digits of r/q to w = bits + _GUARD places, each rounded down
+    for lo and up for hi, then shifted by k: lo == hi when r == 0 and
+    k >= -bits, and hi - lo <= 2 when k == 0 and bits == POW2_BITS.
+    """
+    w, (k, r) = bits + _GUARD, divmod(p, q)
+    ends = []
+    for up in (0, 1):
+        digits, acc = -(-(r << w) // q) if up else (r << w) // q, 1 << w
+        for digit, root in zip(f"{digits:0{w + 1}b}", _root_chain(w, up)):
+            if digit == "1":
+                acc = -(-acc * root >> w) if up else acc * root >> w
+        s = k - _GUARD
+        ends.append(acc << s if s >= 0 else -(-acc >> -s) if up else acc >> -s)
+    return ends[0], ends[1]
 
 
 def _pow2(e):
     """2^e for rational e: exact when e is an integer (an int for e >= 0, a
-    Fraction below), else an mpmath real at the working precision (see
-    ``_precision``)."""
-    if e.denominator == 1:
-        k = e.numerator
-        return 1 << k if k >= 0 else Fraction(1, 1 << -k)
-    import mpmath
+    Fraction below), else the dyadic lower end of ``_pow2_bounds``, at most
+    2^(floor(e) + 1 - POW2_BITS) below 2^e."""
+    k, r = divmod(e.numerator, e.denominator)
+    m, s = (1, k) if r == 0 else (_pow2_bounds(r, e.denominator)[0], k - POW2_BITS)
+    return m << s if s >= 0 else Fraction(m, 1 << -s)
 
-    return mpmath.power(2, mpmath.mpf(e.numerator) / e.denominator)
+
+def _pow2_sum_sign(terms) -> int:
+    """Sign (-1, 0 or 1) of sum c * 2^e over a list of rational pairs (c, e).
+
+    Over the common denominator q of the exponents the sum is sum_r c_r
+    2^(r/q), 0 <= r < q, with rational c_r.  x^q - 2 is irreducible
+    (Eisenstein at 2), so the sum is 0 iff every c_r is; otherwise
+    enclosures at doubling precision separate it from 0.
+    """
+    q = lcm(*(e.denominator for _, e in terms))
+    coeff = {}
+    for c, e in terms:
+        k, r = divmod(e.numerator * (q // e.denominator), q)
+        coeff[r] = coeff.get(r, 0) + c * _pow2(k)
+    bits = POW2_BITS
+    while any(coeff.values()):
+        ends = [(c, _pow2_bounds(r, q, bits)) for r, c in coeff.items()]
+        lo = sum(c * b[c < 0] for c, b in ends)
+        hi = sum(c * b[c > 0] for c, b in ends)
+        if lo > 0 or hi < 0:
+            return 1 if lo > 0 else -1
+        bits *= 2
+    return 0
 
 
 def markov_cap(d: int) -> int:
@@ -116,27 +162,22 @@ def cap_profile(name: str) -> CapProfile:
 # geometric tail sums
 # ---------------------------------------------------------------------------
 
-def _base_sums(r):
-    s0 = 1 / (1 - r)
-    s1 = r / (1 - r) ** 2
-    s2 = r * (1 + r) / (1 - r) ** 3
-    s3 = r * (1 + 4 * r + r * r) / (1 - r) ** 4
-    return (s0, s1, s2, s3)
-
-
-def power_tail(m: int, a: int, r):
+def power_tail(m: int, a: int, r, shift=None):
     """Closed form of sum_{k>=a} k^m r^k for m <= 3 and 0 < r < 1.
 
     Exact for Fraction r; returns the same numeric type as ``r`` otherwise.
+    ``shift`` stands in for r^a, for a caller that encloses r^a directly
+    rather than as a power of an enclosure of r.
     """
     if m not in (0, 1, 2, 3):
         raise ValueError(f"power_tail supports exponents 0..3, got {m}")
-    base = _base_sums(r)
-    shift = r ** a
-    total = 0
-    for t in range(m + 1):
-        total += comb(m, t) * (a ** (m - t)) * base[t]
-    return shift * total
+    # sum_{k>=0} k^t r^k for t = 0..3
+    base = (
+        1 / (1 - r), r / (1 - r) ** 2, r * (1 + r) / (1 - r) ** 3,
+        r * (1 + 4 * r + r * r) / (1 - r) ** 4,
+    )
+    shift = r ** a if shift is None else shift
+    return shift * sum(comb(m, t) * (a ** (m - t)) * base[t] for t in range(m + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +240,15 @@ def _profile_step(d: int, beta: Fraction) -> float:
     at beta = 1 (rho = 1) the staircase sums to d, the flat d * 2^-d round.
     """
     rho = _pow2(beta - 1)
+    n, m = rho.numerator, rho.denominator
     root = isqrt(d)
-    prof = sum((2 * k - 3) * rho ** k for k in range(2, root + 2))
-    prof += (d - root * root) * rho ** (root + 2)
-    trivial = d * rho ** 2
-    return float(_pow2(-beta * d) * min(prof, trivial))
+    # with rho = n/m, the staircase is n^2 prof / m^(root+2), prof by Horner
+    prof = d - root * root
+    for k in range(root + 1, 1, -1):
+        prof = prof * n + (2 * k - 3) * m ** (root + 2 - k)
+    trivial = d * m ** root  # d rho^2 on the same scale
+    w = _pow2(-beta * d)
+    return n * n * min(prof, trivial) * w.numerator / (m ** (root + 2) * w.denominator)
 
 
 def dp_degree(d_max: int, caps: CapProfile) -> BoundGrid:
@@ -243,14 +288,13 @@ def dp_mixed_ds(
     weight = _profile_step if step == "profile" else _uniform_step
     # the cap and one restriction round per degree, for the grid and its tail
     bd = [0] + [caps.bd(d) for d in range(1, _TAIL_CUTOFF + 1)]
-    with _precision(beta):
-        steps = [0.0] + [weight(d, beta) for d in range(1, _TAIL_CUTOFF + 1)]
-        cap_amp = float(_pow2(beta - 2))
-        # every cap mode is dominated by the square profile (differences
-        # 2k-1) and every step by the flat k * rho^2 * 2^(-beta k) round
-        a = _TAIL_CUTOFF + 1
-        r = _pow2(-beta)
-        remainder = float(_pow2(2 * beta - 2) * (2 * power_tail(2, a, r) - power_tail(1, a, r)))
+    steps = [0.0] + [weight(d, beta) for d in range(1, _TAIL_CUTOFF + 1)]
+    cap_amp = float(_pow2(beta - 2))
+    # every cap mode is dominated by the square profile (differences
+    # 2k-1) and every step by the flat k * rho^2 * 2^(-beta k) round
+    a = _TAIL_CUTOFF + 1
+    r, ra = _pow2(-beta), _pow2(-beta * a)
+    remainder = float(_pow2(2 * beta - 2) * (2 * power_tail(2, a, r, ra) - power_tail(1, a, r, ra)))
     cap_v = [d * cap_amp for d in range(d_max + 1)]
     rows = [[0.0] * (bd[d] + 1) for d in range(d_max + 1)]
     for b in range(1, max(bd[:d_max + 1]) + 1):
@@ -313,14 +357,10 @@ def dp_monotone_degree(d_max: int) -> MonotoneDegreeTable:
     vals: list[Fraction] = [Fraction(0), Fraction(1, 2), Fraction(1, 2)]
     for d in range(3, d_max + 1):
         prev = vals[d - 1]
-        best = Fraction(0)
-        for k in range(1, d + 1):
-            wk = Fraction(1, 1 << k)
-            wd = Fraction(1, 1 << d)
-            cand = min(k * wk + (1 - wk) * prev, k * wd + prev)
-            if cand > best:
-                best = cand
-        vals.append(best)
+        vals.append(max(
+            min(k * _pow2(-k) + (1 - _pow2(-k)) * prev, k * _pow2(-d) + prev)
+            for k in range(1, d + 1)
+        ))
     tail = power_tail(1, d_max + 1, Fraction(1, 2))
     return MonotoneDegreeTable(tuple(vals), vals[d_max] + tail)
 
@@ -339,23 +379,22 @@ class InfluenceMinimum:
 def ds_influence_min(beta, k_max: int = 200) -> InfluenceMinimum:
     """Minimise k/2^(2-beta) + sum_{i>k} i^3 / (2^(2-beta) * 2^(beta i)).
 
-    Evaluated for k = 1..k_max with the cubic tail in closed form, at 50
-    digits (exactly at beta = 1); the returned value is accurate to well
-    below 1e-9.
+    Evaluated for k = 1..k_max with the cubic tail in closed form, in exact
+    rationals from the lower ends of the powers of two (exactly at beta = 1);
+    the returned value is accurate to well below 1e-9.
     """
     beta = Fraction(beta)
     if not 0 < beta <= 1:
         raise ValueError(f"mixing weight must lie in (0, 1], got {beta}")
     best_k, best_v = None, None
     profile = []
-    with _precision(beta):
-        r = _pow2(-beta)
-        amp = _pow2(beta - 2)
-        for k in range(1, k_max + 1):
-            v = amp * (k + power_tail(3, k + 1, r))
-            profile.append((k, float(v)))
-            if best_v is None or v < best_v:
-                best_k, best_v = k, v
+    r = _pow2(-beta)
+    amp = _pow2(beta - 2)
+    for k in range(1, k_max + 1):
+        v = amp * (k + power_tail(3, k + 1, r, _pow2(-beta * (k + 1))))
+        profile.append((k, float(v)))
+        if best_v is None or v < best_v:
+            best_k, best_v = k, v
     return InfluenceMinimum(best_k, float(best_v), tuple(profile))
 
 
@@ -385,6 +424,16 @@ class RecursionVerdict:
     constant_bound: bool | None  # A_d <= C checked when alpha < 1/2
 
 
+def _drives(B: float, x: float):
+    """(h, B h x^h) for h = 1, 2, ..., up to the first h > 4 whose drive is
+    below 1e-15, or up to h = 4000."""
+    for h in range(1, 4001):
+        t = B * h * x ** h
+        yield h, t
+        if t < 1e-15 and h > 4:
+            return
+
+
 def technical_recursion(B, alpha, d_max: int) -> RecursionVerdict:
     """Iterate A_{d+1} = max_h (B h alpha^h + (1 - 2^-h) A_d) with equality.
 
@@ -403,20 +452,8 @@ def technical_recursion(B, alpha, d_max: int) -> RecursionVerdict:
         raise ValueError("need B > 0 and 0 < alpha < 1")
     vals = [B]  # A_1 = B, matching the mixed-certificate base value of 1/2
     for _ in range(1, d_max):
-        a_prev = vals[-1]
-        best = a_prev
-        h = 1
-        while True:
-            drive = B * h * alpha ** h
-            cand = drive + (1 - 2.0 ** (-h)) * a_prev
-            if cand > best:
-                best = cand
-            if drive < 1e-15 and h > 4:
-                break
-            h += 1
-            if h > 4000:
-                break
-        vals.append(best)
+        a = vals[-1]
+        vals.append(max([a] + [t + (1 - 2.0 ** (-h)) * a for h, t in _drives(B, alpha)]))
     if alpha_q == Fraction(1, 2):
         C = max(vals[0], B / log(2))
         harm = 0.0
@@ -428,19 +465,7 @@ def technical_recursion(B, alpha, d_max: int) -> RecursionVerdict:
                 break
         return RecursionVerdict(tuple(vals), C, ok, None)
     if alpha_q < Fraction(1, 2):
-        gamma = 2 * alpha
-        m = 0.0
-        h = 1
-        while True:
-            t = B * h * gamma ** h
-            if t > m:
-                m = t
-            if t < 1e-15 and h > 4:
-                break
-            h += 1
-            if h > 4000:
-                break
-        C = max(vals[0], m)
+        C = max(vals[0], max(t for _, t in _drives(B, 2 * alpha)))
         ok = all(a <= C + 1e-9 for a in vals)
         return RecursionVerdict(tuple(vals), C, None, ok)
     return RecursionVerdict(tuple(vals), max(vals), None, None)

@@ -90,7 +90,10 @@ def _cmd_table(args) -> int:
     elif args.which == "monotone-dt":
         print(monotone_dt_table(args.dmax).to_text())
     elif args.which == "ds":
-        beta = Fraction(args.beta)
+        try:
+            beta = Fraction(args.beta)
+        except ZeroDivisionError:
+            raise ValueError(f"--beta needs a nonzero denominator, got {args.beta}") from None
         grid = dp_mixed_ds(beta, args.dmax, cap_profile(args.caps), step=args.step)
         mn = ds_influence_min(beta)
         print(f"caps\t{args.caps}")
@@ -99,6 +102,8 @@ def _cmd_table(args) -> int:
         print(f"influence_min_k\t{mn.k}")
         print(f"influence_min_value\t{mn.value:.9f}")
     else:  # cs
+        if args.dmax < 1:
+            raise ValueError(f"--dmax must be >= 1, got {args.dmax}")
         for d in range(1, args.dmax + 1):
             h = cs_harmonic_bound(d)
             print(f"{d}\t{h.numerator}/{h.denominator}\t{float(h):.9f}")

@@ -5,8 +5,9 @@ grows under restriction of another coordinate, and drops by at least one on
 the surviving branch whenever the other branch kills the coordinate.  The
 potential of a function sums 2**(-m_i) over its relevant coordinates; with
 integer exponents these sums are exact rationals, while mixed measures with
-fractional exponents are evaluated as 50-digit reals carrying a stated
-error bound.
+fractional exponents are rounded to floats from integer enclosures and carry
+a stated error bound.  The restriction inequality is decided exactly for
+every measure.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .bf import BooleanFunction, check_arity, restrict_bit
-from .bounds import _pow2, _precision
+from .bounds import _pow2, _pow2_sum_sign
 from .measures import (
     EXACT_SEARCH_MAX_ARITY,
     TableMeasures,
@@ -26,10 +27,8 @@ from .measures import (
     table_measures,
 )
 
-MIXED_ERROR_BOUND = 1e-12
-
 # zeta(2); junta-count constant sum_{j>=1} j/j**3 (the double nearest
-# pi^2/6, which is also float(mpmath.zeta(2)))
+# pi^2/6)
 _SUM_INV_SQUARES = math.pi ** 2 / 6
 
 
@@ -137,24 +136,12 @@ class PotentialValue:
     exact: bool
     error_bound: float  # 0.0 for exact values
 
-    def value_as_float(self) -> float:
-        return float(self.value)
-
     def format_lines(self) -> list[str]:
-        lines = []
-        for coord, m, term in self.terms:
-            m_txt = f"{m.numerator}/{m.denominator}"
-            if isinstance(term, Fraction):
-                t_txt = f"{term.numerator}/{term.denominator}"
-            else:
-                t_txt = f"{float(term):.15g}"
-            lines.append(f"{coord}\t{m_txt}\t{t_txt}")
-        if isinstance(self.value, Fraction):
-            v_txt = f"{self.value.numerator}/{self.value.denominator}"
-        else:
-            v_txt = f"{float(self.value):.15g}"
-        lines.append(f"total\t{v_txt}")
-        return lines
+        def txt(x):  # a Fraction as num/den, a float to 15 digits
+            return f"{x.numerator}/{x.denominator}" if isinstance(x, Fraction) else f"{x:.15g}"
+
+        lines = [f"{coord}\t{m.numerator}/{m.denominator}\t{txt(w)}" for coord, m, w in self.terms]
+        return lines + [f"total\t{txt(self.value)}"]
 
 
 def _potential_over(
@@ -165,12 +152,14 @@ def _potential_over(
     diffs = rec.diffs
     # irrelevant coordinates contribute nothing
     ms = [(i, values[i - 1]) for i in coords if diffs[i - 1]]
-    with _precision(*(m for _, m in ms)):
-        terms = tuple((i, m, _pow2(-m)) for i, m in ms)
-        total = sum(t for _, _, t in terms)
+    weights = [_pow2(-m) for _, m in ms]
+    terms = tuple((i, m, w if m.denominator == 1 else float(w)) for (i, m), w in zip(ms, weights))
     if all(m.denominator == 1 for _, m in ms):
-        return PotentialValue(kind, terms, Fraction(total), True, 0.0)
-    return PotentialValue(kind, terms, float(total), False, MIXED_ERROR_BOUND)
+        return PotentialValue(kind, terms, Fraction(sum(weights)), True, 0.0)
+    # each weight is at most a relative 2^(1 - POW2_BITS) below its 2^-m, and
+    # rounding the sum to a float adds half an ulp: under one ulp in all
+    value = float(sum(weights))
+    return PotentialValue(kind, terms, value, False, math.ulp(value))
 
 
 def potential(f: BooleanFunction, kind: CoordinateMeasureKind) -> PotentialValue:
@@ -269,7 +258,9 @@ def check_restriction_inequality(
     kind: CoordinateMeasureKind,
     coords: Iterable[int],
 ) -> CheckResult:
-    """delta_i * 2^-m_i never beats its average over restrictions of ``coords``."""
+    """delta_i * 2^-m_i never beats its average over restrictions of ``coords``;
+    decided exactly for every kind, by the sign of the restricted sum minus
+    2^|coords| times the left side."""
     H = sorted(set(coords))
     _check_coord(f, i)
     if i in H:
@@ -282,20 +273,12 @@ def check_restriction_inequality(
     # -m of coordinate c in g, or None where g ignores it (weight 0)
     recs = [(table_measures(g.n, g.table), c) for g, c in branches]
     exps = [-_kind_values(r, kind)[c - 1] if r.diffs[c - 1] else None for r, c in recs]
-    known = [e for e in exps if e is not None]
-    exact = all(e.denominator == 1 for e in known)
-    with _precision(*known):
-        lhs, *restricted = [Fraction(0) if e is None else _pow2(e) for e in exps]
-        total = sum(restricted)
-    if exact:
-        ok = lhs * count <= total
-        detail = f"{lhs} vs average {Fraction(total, count)}"
-    else:
-        lhs_f = float(lhs)
-        rhs_f = float(total) / count
-        ok = lhs_f <= rhs_f + MIXED_ERROR_BOUND
-        detail = f"{lhs_f} vs average {rhs_f}"
-    return CheckResult(ok, detail)
+    gap = [(1 if k else -count, e) for k, e in enumerate(exps) if e is not None]
+    lhs, *restricted = [0 if e is None else _pow2(e) for e in exps]
+    avg = Fraction(sum(restricted), count)
+    if any(e.denominator > 1 for _, e in gap):
+        lhs, avg = float(lhs), float(avg)
+    return CheckResult(_pow2_sum_sign(gap) >= 0, f"{lhs} vs average {avg}")
 
 
 @lru_cache(maxsize=None)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bfc
 from bfc.bounds import (
@@ -26,7 +28,9 @@ from bfc.bounds import (
     power_tail,
     technical_recursion,
 )
-from bfc.bounds import _pow2, _precision, _profile_step, _uniform_step
+from bfc.bounds import (
+    POW2_BITS, _pow2, _pow2_bounds, _pow2_sum_sign, _profile_step, _uniform_step,
+)
 
 
 def test_markov_cap_values():
@@ -233,11 +237,48 @@ def test_beta_one_steps_are_the_flat_dyadic_round(d):
 def test_pow2_is_exact_for_integers_and_fifty_digits_otherwise():
     assert _pow2(Fraction(-3)) == Fraction(1, 8) and _pow2(5) == 32 and _pow2(0) == 1
     assert isinstance(_pow2(-64), Fraction)
-    with _precision(Fraction(1, 3)):
-        v = _pow2(Fraction(-1, 3))
+    for p in (-POW2_BITS, -3, 0, 7):
+        assert _pow2_bounds(p, 1) == _pow2_bounds(2 * p, 2) == (1 << POW2_BITS + p,) * 2
+    v = _pow2(Fraction(-1, 3))
     with mpmath.workdps(60):
         ref = mpmath.power(2, -mpmath.mpf(1) / 3)
-        assert abs(v - ref) < mpmath.mpf(10) ** -49
+        assert 0 <= ref - v < mpmath.mpf(10) ** -57
+
+
+@given(st.integers(1, 10 ** 6), st.integers(-4 * 10 ** 6, 10 ** 6 - 1))
+@settings(max_examples=200, deadline=None)
+def test_pow2_bounds_enclose_the_sixty_digit_value(q, t):
+    p = t * q // 10 ** 6  # exponent p/q in [-4, 1)
+    lo, hi = _pow2_bounds(p, q)
+    assert 0 <= hi - lo <= (0 if p % q == 0 else 2)
+    with mpmath.workdps(60):
+        ref = mpmath.power(2, mpmath.mpf(p) / q) * mpmath.power(2, POW2_BITS)
+        slack = ref * mpmath.mpf(10) ** -59  # the reference's own rounding
+        assert lo - slack <= ref <= hi + slack
+    if q <= 100:  # small enough to check the q-th powers in integers
+        assert lo ** q <= 2 ** (p + q * POW2_BITS) <= hi ** q
+
+
+@pytest.mark.parametrize("w", [20, POW2_BITS + 12])
+def test_root_chains_enclose_the_roots_of_two(w):
+    # the i-th roots, raised back to the 2^i-th power, bracket 2 exactly
+    down, up = bfc.bounds._root_chain(w, 0), bfc.bounds._root_chain(w, 1)
+    for i in range(8):
+        one = 1 << (w << i)
+        assert down[i] ** (1 << i) <= 2 * one <= up[i] ** (1 << i)
+        assert up[i] - down[i] <= 2
+
+
+def test_pow2_sum_sign_refines_inside_the_enclosure():
+    # x runs over a grid 16 times finer than the 192-bit enclosure of
+    # sqrt(2), where only a finer one decides the sign of sqrt(2) - x; x^2
+    # against 2 is the exact verdict
+    lo, hi = _pow2_bounds(1, 2)
+    for num in range(lo << 4, (hi << 4) + 1):
+        x = Fraction(num, 1 << POW2_BITS + 4)
+        sign = (x * x < 2) - (x * x > 2)
+        assert _pow2_sum_sign([(1, Fraction(1, 2)), (-x, 0)]) == sign
+        assert _pow2_sum_sign([(-1, Fraction(1, 2)), (x, 0)]) == -sign
 
 
 def test_cap_rule_is_the_least_known_cap_from_the_first_source():

@@ -1,7 +1,11 @@
 import io
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bfc.bf import BooleanFunction
 from bfc.cli import main
@@ -153,8 +157,13 @@ def test_arity_past_the_cap_fails_cleanly(argv, text, tmp_path, capsys):
         (["table", "degree", "--bstep", "0"], "--bstep must be >= 1, got 0"),
         (["table", "ds", "--bstep", "-3"], "--bstep must be >= 1, got -3"),
         (["verify", "--corpus", "random:3:-5:1"], "corpus random:3:-5:1 needs a count >= 0"),
+        (["table", "ds", "--beta", "1/0"], "--beta needs a nonzero denominator, got 1/0"),
+        (["table", "cs", "--dmax", "0"], "--dmax must be >= 1, got 0"),
     ],
-    ids=["dmax-past-cap", "dmax-zero", "bstep-zero", "bstep-negative", "count-negative"],
+    ids=[
+        "dmax-past-cap", "dmax-zero", "bstep-zero", "bstep-negative", "count-negative",
+        "beta-zero-denominator", "cs-dmax-zero",
+    ],
 )
 def test_out_of_range_argument_fails_before_any_output(argv, message, capsys):
     code = main(argv)
@@ -171,3 +180,38 @@ def test_verify_skips_rows_past_the_exact_search_cap():
     for check_id in ("deg_le_dt", "monomial_sens", "mono_triple"):
         assert rows[check_id] == ["pass", "0", "1"], check_id
     assert rows["deg_le_s2"] == ["pass", "1", "0"]
+
+
+# arbitrary text, and near misses of the format: a head, an arity n (or
+# another), 2^n table bits (or a line from a small alphabet), and a tail
+TT_TEXT = st.one_of(
+    st.text(),
+    st.integers(0, 4).flatmap(lambda n: st.builds(
+        "{}{}\n{}{}".format,
+        st.sampled_from(["n=", "n= ", "n=+", "n=0", "m=", ""]),
+        st.just(n) | st.integers(-2, 5),
+        st.text("01", min_size=1 << n, max_size=1 << n) | st.text("01 x\t", max_size=20),
+        st.sampled_from(["", "\n", "\r\n", " \n", "\nextra"]) | st.text(max_size=6),
+    )),
+)
+
+
+@given(TT_TEXT)
+@settings(max_examples=300, deadline=None)
+def test_tt_parser_rejects_or_round_trips(text):
+    try:
+        f = BooleanFunction.from_tt(text)
+    except ValueError:  # ArityError included
+        return
+    assert BooleanFunction.from_tt(f.to_tt()) == f
+
+
+@given(TT_TEXT)
+@settings(max_examples=60, deadline=None)
+def test_analyze_any_tt_text_exits_cleanly(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.tt"
+        path.write_text(text, encoding="utf-8")
+        code, out = run_cli("analyze", str(path))
+    assert code in (0, 2)
+    assert (code == 0) == out.startswith("n\t")

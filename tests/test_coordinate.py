@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfc import coordinate
+from bfc.bounds import _pow2_sum_sign
 from bfc.bf import BooleanFunction, degree_of_vector, diff_mask, family
 from bfc.corpus import parse_corpus
 from bfc.measures import TableMeasures, table_measures
@@ -146,6 +148,65 @@ def test_restriction_inequality_random(table, i):
     H = [j for j in range(1, 4) if j != i]
     for kind in ALL_BASE_KINDS:
         assert check_restriction_inequality(f, i, kind, H).passed
+
+
+def _mp_restriction_verdict(f, i, kind, H):
+    """The restriction inequality compared in 60-digit mpmath: the restricted
+    sum minus 2^|H| times the left side, and whether it is >= 0 (a gap below
+    1e-50 counts as a tie)."""
+    import mpmath
+
+    branches = [(f, i)]
+    for bits in range(1 << len(H)):
+        g = f.restrict([(j, (bits >> t) & 1) for t, j in enumerate(H)])
+        branches.append((g, i - sum(1 for j in H if j < i)))
+    with mpmath.workdps(60):
+        w = []
+        for g, c in branches:
+            m = Fraction(coordinate.coordinate_measure(g, c, kind))
+            relevant = c in g.relevant_variables()
+            w.append(mpmath.power(2, -mpmath.mpf(m.numerator) / m.denominator) if relevant else 0)
+        gap = sum(w[1:]) - (len(w) - 1) * w[0]
+        return gap, gap > -mpmath.mpf(10) ** -50
+
+
+def _restriction_cases():
+    """all:3 and seeded random 4-input tables, every coordinate, every
+    restricted set of at most two other coordinates."""
+    rng = random.Random(2024)
+    fs = [f for _, f in parse_corpus("all:3")]
+    fs += [BooleanFunction(4, rng.getrandbits(16)) for _ in range(12)]
+    for f in fs:
+        for i in range(1, f.n + 1):
+            others = [j for j in range(1, f.n + 1) if j != i]
+            for size in (0, 1, 2):
+                for H in itertools.combinations(others, size):
+                    yield f, i, list(H)
+
+
+@pytest.mark.parametrize("beta", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)])
+@pytest.mark.parametrize("mix", [mix_ds, mix_cs])
+def test_restriction_inequality_is_the_sixty_digit_verdict(mix, beta):
+    kind = mix(beta)
+    for f, i, H in _restriction_cases():
+        _, ok = _mp_restriction_verdict(f, i, kind, H)
+        assert check_restriction_inequality(f, i, kind, H).passed == ok, (f.n, f.table, i, H)
+
+
+def test_restriction_inequality_exact_tie_passes():
+    # AND2 at x1 with x2 restricted, mix_ds(1/2): m = 5/2 on f, x2 = 0 kills
+    # x1 and x2 = 1 leaves a dictator with m = 3/2, so the gap is
+    # 2^(-3/2) - 2 * 2^(-5/2): its 2^(1/2) coefficients 1/4 - 1/4 cancel
+    and2 = family("AND", 2)
+    kind = mix_ds(Fraction(1, 2))
+    assert coordinate.coordinate_measure(and2, 1, kind) == Fraction(5, 2)
+    gap, _ = _mp_restriction_verdict(and2, 1, kind, [2])
+    assert abs(gap) < 1e-55
+    terms = [(-2, Fraction(-5, 2)), (1, Fraction(-3, 2))]
+    assert _pow2_sum_sign(terms) == 0
+    assert _pow2_sum_sign(terms + [(Fraction(1, 10 ** 30), -200)]) == 1
+    assert _pow2_sum_sign(terms + [(-1, Fraction(-901, 3))]) == -1
+    assert check_restriction_inequality(and2, 1, kind, [2]).passed
 
 
 def test_influence_bound_examples():

@@ -5,10 +5,14 @@ as printed; a change to any TSV cell (tightest instance, witness, potential
 digits, table entry) shows up here.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import bfc
 from bfc.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -44,10 +48,35 @@ GOLDEN = {
     "table_degree_lp64.tsv": [
         "table", "degree", "--dmax", "64", "--caps", "lp", "--bstep", "1",
     ],
+    "family_maf3.tt": ["family", "MAF", "--k", "3"],
+    "verify_named_readme.tsv": ["verify", "--corpus", "named:KUSHILEVITZ,MAJ:3,MAF:3"],
 }
+
+# the README's one-shot commands, as benchmarked by perfbench's cli-oneshot
+ONE_SHOT = (
+    "table_degree.tsv", "table_monotone_degree.tsv", "table_monotone_dt.tsv",
+    "table_ds.tsv", "table_cs.tsv", "analyze_kushilevitz.tsv", "analyze_maj3.tsv",
+    "analyze_maf3.tsv", "family_maf3.tt", "verify_named_readme.tsv",
+)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_output(name, capsys):
     assert main(GOLDEN[name]) == 0
     assert capsys.readouterr().out == (DATA / name).read_text(encoding="ascii")
+
+
+@pytest.mark.parametrize("name", ONE_SHOT)
+def test_one_shot_commands_run_without_mpmath(name):
+    # mpmath is a test dependency only: with it unimportable, each command
+    # still prints its golden bytes
+    src = str(Path(bfc.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.modules['mpmath'] = None; "
+        "from bfc.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code, *GOLDEN[name]], env=env, capture_output=True, check=True
+    ).stdout
+    assert out == (DATA / name).read_bytes()
