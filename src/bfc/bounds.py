@@ -4,11 +4,14 @@ One crank builds every bound table: ``dp_mixed_ds`` for the potential
 sum 2^-(beta deg_i + (1-beta) sens_i), and the degree table is its
 beta = 1 case.  Grids are computed in double precision from per-step
 weights that are exact rationals when every exponent is an integer (so
-the degree table is dyadic) and otherwise rest on ``_pow2_bounds``, an
-integer enclosure of 2^(p/q) to POW2_BITS bits; the monotone-degree
-recursion is evaluated in exact rationals.  Infinite tails are closed forms
-where the cap function is polynomial and partial sums plus a rigorous
-closed-form remainder otherwise, so every headline is an upper bound.
+the degree table is dyadic) and otherwise the lower ends of
+``_pow2_bounds``, an integer enclosure of 2^(p/q) to POW2_BITS bits; the
+monotone-degree recursion is evaluated in exact rationals.  Infinite tails
+are closed forms where the cap function is polynomial and partial sums plus
+a closed-form remainder otherwise.  The remainder is taken from the upper
+ends of the enclosures, so it bounds the true remainder up to its final
+rounding to a double; the cells and partial sums are doubles and carry no
+such guarantee.
 """
 
 from __future__ import annotations
@@ -71,12 +74,12 @@ def _pow2_bounds(p: int, q: int, bits: int = POW2_BITS) -> tuple[int, int]:
     return ends[0], ends[1]
 
 
-def _pow2(e):
+def _pow2(e, up=0):
     """2^e for rational e: exact when e is an integer (an int for e >= 0, a
-    Fraction below), else the dyadic lower end of ``_pow2_bounds``, at most
-    2^(floor(e) + 1 - POW2_BITS) below 2^e."""
+    Fraction below), else the dyadic lower (up = 0) or upper (up = 1) end of
+    ``_pow2_bounds``, within 2^(floor(e) + 1 - POW2_BITS) of 2^e."""
     k, r = divmod(e.numerator, e.denominator)
-    m, s = (1, k) if r == 0 else (_pow2_bounds(r, e.denominator)[0], k - POW2_BITS)
+    m, s = (1, k) if r == 0 else (_pow2_bounds(r, e.denominator)[up], k - POW2_BITS)
     return m << s if s >= 0 else Fraction(m, 1 << -s)
 
 
@@ -162,6 +165,14 @@ def cap_profile(name: str) -> CapProfile:
 # geometric tail sums
 # ---------------------------------------------------------------------------
 
+def _base_sums(r):
+    s0 = 1 / (1 - r)
+    s1 = r / (1 - r) ** 2
+    s2 = r * (1 + r) / (1 - r) ** 3
+    s3 = r * (1 + 4 * r + r * r) / (1 - r) ** 4
+    return (s0, s1, s2, s3)
+
+
 def power_tail(m: int, a: int, r, shift=None):
     """Closed form of sum_{k>=a} k^m r^k for m <= 3 and 0 < r < 1.
 
@@ -171,13 +182,12 @@ def power_tail(m: int, a: int, r, shift=None):
     """
     if m not in (0, 1, 2, 3):
         raise ValueError(f"power_tail supports exponents 0..3, got {m}")
-    # sum_{k>=0} k^t r^k for t = 0..3
-    base = (
-        1 / (1 - r), r / (1 - r) ** 2, r * (1 + r) / (1 - r) ** 3,
-        r * (1 + 4 * r + r * r) / (1 - r) ** 4,
-    )
+    base = _base_sums(r)
     shift = r ** a if shift is None else shift
-    return shift * sum(comb(m, t) * (a ** (m - t)) * base[t] for t in range(m + 1))
+    total = 0
+    for t in range(m + 1):
+        total += comb(m, t) * (a ** (m - t)) * base[t]
+    return shift * total
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +303,10 @@ def dp_mixed_ds(
     # every cap mode is dominated by the square profile (differences
     # 2k-1) and every step by the flat k * rho^2 * 2^(-beta k) round
     a = _TAIL_CUTOFF + 1
-    r, ra = _pow2(-beta), _pow2(-beta * a)
-    remainder = float(_pow2(2 * beta - 2) * (2 * power_tail(2, a, r, ra) - power_tail(1, a, r, ra)))
+    # a sum of positive terms increasing in r, r^a and the amplitude, so the
+    # upper ends of their enclosures keep it above the true remainder
+    r, ra, amp = _pow2(-beta, 1), _pow2(-beta * a, 1), _pow2(2 * beta - 2, 1)
+    remainder = float(amp * (2 * power_tail(2, a, r, ra) - power_tail(1, a, r, ra)))
     cap_v = [d * cap_amp for d in range(d_max + 1)]
     rows = [[0.0] * (bd[d] + 1) for d in range(d_max + 1)]
     for b in range(1, max(bd[:d_max + 1]) + 1):
@@ -357,10 +369,14 @@ def dp_monotone_degree(d_max: int) -> MonotoneDegreeTable:
     vals: list[Fraction] = [Fraction(0), Fraction(1, 2), Fraction(1, 2)]
     for d in range(3, d_max + 1):
         prev = vals[d - 1]
-        vals.append(max(
-            min(k * _pow2(-k) + (1 - _pow2(-k)) * prev, k * _pow2(-d) + prev)
-            for k in range(1, d + 1)
-        ))
+        best = Fraction(0)
+        for k in range(1, d + 1):
+            wk = Fraction(1, 1 << k)
+            wd = Fraction(1, 1 << d)
+            cand = min(k * wk + (1 - wk) * prev, k * wd + prev)
+            if cand > best:
+                best = cand
+        vals.append(best)
     tail = power_tail(1, d_max + 1, Fraction(1, 2))
     return MonotoneDegreeTable(tuple(vals), vals[d_max] + tail)
 
@@ -424,16 +440,6 @@ class RecursionVerdict:
     constant_bound: bool | None  # A_d <= C checked when alpha < 1/2
 
 
-def _drives(B: float, x: float):
-    """(h, B h x^h) for h = 1, 2, ..., up to the first h > 4 whose drive is
-    below 1e-15, or up to h = 4000."""
-    for h in range(1, 4001):
-        t = B * h * x ** h
-        yield h, t
-        if t < 1e-15 and h > 4:
-            return
-
-
 def technical_recursion(B, alpha, d_max: int) -> RecursionVerdict:
     """Iterate A_{d+1} = max_h (B h alpha^h + (1 - 2^-h) A_d) with equality.
 
@@ -452,8 +458,20 @@ def technical_recursion(B, alpha, d_max: int) -> RecursionVerdict:
         raise ValueError("need B > 0 and 0 < alpha < 1")
     vals = [B]  # A_1 = B, matching the mixed-certificate base value of 1/2
     for _ in range(1, d_max):
-        a = vals[-1]
-        vals.append(max([a] + [t + (1 - 2.0 ** (-h)) * a for h, t in _drives(B, alpha)]))
+        a_prev = vals[-1]
+        best = a_prev
+        h = 1
+        while True:
+            drive = B * h * alpha ** h
+            cand = drive + (1 - 2.0 ** (-h)) * a_prev
+            if cand > best:
+                best = cand
+            if drive < 1e-15 and h > 4:
+                break
+            h += 1
+            if h > 4000:
+                break
+        vals.append(best)
     if alpha_q == Fraction(1, 2):
         C = max(vals[0], B / log(2))
         harm = 0.0
@@ -465,7 +483,19 @@ def technical_recursion(B, alpha, d_max: int) -> RecursionVerdict:
                 break
         return RecursionVerdict(tuple(vals), C, ok, None)
     if alpha_q < Fraction(1, 2):
-        C = max(vals[0], max(t for _, t in _drives(B, 2 * alpha)))
+        gamma = 2 * alpha
+        m = 0.0
+        h = 1
+        while True:
+            t = B * h * gamma ** h
+            if t > m:
+                m = t
+            if t < 1e-15 and h > 4:
+                break
+            h += 1
+            if h > 4000:
+                break
+        C = max(vals[0], m)
         ok = all(a <= C + 1e-9 for a in vals)
         return RecursionVerdict(tuple(vals), C, None, ok)
     return RecursionVerdict(tuple(vals), max(vals), None, None)

@@ -137,11 +137,20 @@ class PotentialValue:
     error_bound: float  # 0.0 for exact values
 
     def format_lines(self) -> list[str]:
-        def txt(x):  # a Fraction as num/den, a float to 15 digits
-            return f"{x.numerator}/{x.denominator}" if isinstance(x, Fraction) else f"{x:.15g}"
-
-        lines = [f"{coord}\t{m.numerator}/{m.denominator}\t{txt(w)}" for coord, m, w in self.terms]
-        return lines + [f"total\t{txt(self.value)}"]
+        lines = []
+        for coord, m, term in self.terms:
+            m_txt = f"{m.numerator}/{m.denominator}"
+            if isinstance(term, Fraction):
+                t_txt = f"{term.numerator}/{term.denominator}"
+            else:
+                t_txt = f"{float(term):.15g}"
+            lines.append(f"{coord}\t{m_txt}\t{t_txt}")
+        if isinstance(self.value, Fraction):
+            v_txt = f"{self.value.numerator}/{self.value.denominator}"
+        else:
+            v_txt = f"{float(self.value):.15g}"
+        lines.append(f"total\t{v_txt}")
+        return lines
 
 
 def _potential_over(
