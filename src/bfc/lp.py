@@ -28,7 +28,9 @@ exactly before they are returned.
 
 The cap scan ``lp_bs_cap`` runs the same solver on the moment LP written in
 the binomial basis C(t, j), with a row picker of its own, and carries each
-basis from b to b + 1.
+basis from b to b + 1.  Once a certificate uses no row of the endpoint b,
+every later LP of the scan has all of its rows, so the scan stops solving and
+checks that certificate against each remaining LP instead.
 """
 
 from __future__ import annotations
@@ -373,7 +375,8 @@ class LpCapScan:
 
     @property
     def monotone(self) -> bool:
-        """True iff feasibility never reappears after first vanishing."""
+        """True iff feasibility never reappears after first vanishing, which
+        can only fail before the b of ``lp_bs_cap``'s closing certificate."""
         seen_gap = False
         for _, f0, f1 in self.profile:
             if not (f0 or f1):
@@ -459,47 +462,57 @@ class _ScanBasis(_VertexBasis):
     dual feasible, so a basis carries over from b to b + 1, where only
     right-hand sides change and two rows are added.  Phase 0 over the rows
     of points 1..d admits p(k) <= hi_k for k = 1..d, a unitriangular B.
+    ``rows`` holds each row by key, built once and shared by a scan's chains.
     """
 
-    def __init__(self, d: int):
-        super().__init__(d, ((key, _scan_row(key, d)) for key in range(2, 2 * d + 2)))
+    def __init__(self, d: int, rows: list[tuple[int, ...]]):
+        self.rows = rows
+        rows.extend(_scan_row(key, d) for key in range(len(rows), 2 * d + 2))
+        super().__init__(d, enumerate(rows[2 : 2 * d + 2], 2))
 
     def solve(self, b: int, tau: int) -> tuple[list[int], list[int]] | None:
         """``run`` on the rows of points 1..b, picked from their values."""
-        d = len(self.keys)
+        rows, d = self.rows, len(self.keys)
+        rows.extend(_scan_row(key, d) for key in range(len(rows), 2 * b + 2))
 
         def pick(point, det, bland):
             vals = _scan_values(point, b)
             return (_first_violated if bland else _most_violated)(vals, det, b, tau)
 
-        return self.run(
-            lambda key: _scan_row(key, d), lambda key: _scan_rhs(key, b, tau), pick
-        )
+        return self.run(rows.__getitem__, lambda key: _scan_rhs(key, b, tau), pick)
 
 
 def lp_bs_cap(d: int) -> LpCapScan:
     """Largest b for which the moment LP is feasible for some endpoint value.
 
-    Scans every b from d up to 2*d*d (no feasibility monotonicity assumed)
-    and records the whole profile.  Each endpoint value is one chain of
-    warm-started dual simplex solves (``_ScanBasis``); a feasible verdict
+    Scans every b from max(2, d) up to 2*d*d (no feasibility monotonicity
+    assumed) and records the whole profile.  Each endpoint value is one chain
+    of warm-started dual simplex solves (``_ScanBasis``); a feasible verdict
     has checked every row exactly at the final vertex, and every Farkas
-    certificate is checked exactly before it counts.
+    certificate is checked exactly against the rows of its (b, tau).  A
+    certificate with every key below 2b uses only the rows p(1) = 1 and
+    0 <= p(k) <= 1 for 1 < k < b, which every later (b', tau) has unchanged,
+    so it proves them all infeasible: the scan stops solving and checks it
+    against the rows of each of them instead.
     """
     if not 1 <= d <= LP_CAP_SCAN_MAX_DEGREE:
         raise ValueError(f"lp_bs_cap supports 1 <= d <= {LP_CAP_SCAN_MAX_DEGREE}")
     profile = []
     cap = d
-    chains = (_ScanBasis(d), _ScanBasis(d))
+    rows: list[tuple[int, ...]] = []
+    chains = (_ScanBasis(d, rows), _ScanBasis(d, rows))
+    closing = None  # a checked certificate on rows below the endpoint
     for b in range(max(2, d), 2 * d * d + 1):
         feas = []
         for tau, chain in enumerate(chains):
-            cert = chain.solve(b, tau)
+            cert = closing or chain.solve(b, tau)
             if cert is not None:
                 keys, y = cert
-                rows = [(_scan_row(key, d), "<=", _scan_rhs(key, b, tau)) for key in keys]
-                if not _is_farkas(d, rows, y):
+                checked = [(rows[key], "<=", _scan_rhs(key, b, tau)) for key in keys]
+                if not _is_farkas(d, checked, y):
                     raise AssertionError("cap scan Farkas certificate failed exact check")
+                if max(keys) < 2 * b:
+                    closing = cert
             feas.append(cert is None)
         profile.append((b, *feas))
         if any(feas):

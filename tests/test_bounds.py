@@ -411,6 +411,22 @@ def test_integral_exponent_tables_do_not_load_mpmath(args):
     assert err.split() == ["False", "0"]
 
 
+def test_reproduce_bounds_quick_prints_the_pinned_summary():
+    # the script's summary, the stored cap row included, as printed; only
+    # the closing "done in" time varies
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "reproduce_bounds.py"), "--quick"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert "stored: [1, 3, 6, 10, 15, 21, 29, 38, 47, 58, 71, 84, 99, 114]" in out
+    lines = out.splitlines(keepends=True)
+    assert lines[-1].startswith("done in ")
+    want = (Path(__file__).parent / "data" / "reproduce_bounds_quick.txt").read_text()
+    assert "".join(lines[:-1]) == want
+
+
 def test_junta_count_constant_is_zeta_two():
     assert bfc.coordinate._SUM_INV_SQUARES == float(mpmath.zeta(2))
 

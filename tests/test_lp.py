@@ -350,7 +350,7 @@ def test_lp_scan_reproduces_the_pinned_pivot_path():
 def test_scan_start_basis_is_the_inverse_binomial_matrix():
     # phase 0 over the scan rows admits p(k) <= hi_k for k = 1..d
     for d in range(1, LP_CAP_SCAN_MAX_DEGREE + 1):
-        basis = bfc.lp._ScanBasis(d)
+        basis = bfc.lp._ScanBasis(d, [])
         assert basis.keys == [2 * k for k in range(1, d + 1)]
         assert basis.cols == list(range(d))
         rows = [bfc.lp._scan_row(key, d) for key in basis.keys]
@@ -430,6 +430,70 @@ def test_scan_refuses_a_forged_farkas_sign(monkeypatch):
     monkeypatch.setattr(bfc.lp._ScanBasis, "solve", forged)
     with pytest.raises(AssertionError):
         lp_bs_cap(3)
+
+
+# the scan's LP solves per degree d = 1..11, 681 in all (the scan that solves
+# every (b, tau) up to 2d^2 makes 1912); the pivot rule is deterministic
+SCAN_SOLVES = (2, 14, 22, 29, 40, 51, 67, 83, 103, 123, 147)
+
+
+def _plain_scan(d):
+    """The profile of two chains that solve every (b, tau) up to 2d^2."""
+    chains = (bfc.lp._ScanBasis(d, []), bfc.lp._ScanBasis(d, []))
+    return tuple(
+        (b, *(chain.solve(b, tau) is None for tau, chain in enumerate(chains)))
+        for b in range(max(2, d), 2 * d * d + 1)
+    )
+
+
+def _scan_rows(d, b, tau, keys):
+    return [(bfc.lp._scan_row(k, d), "<=", bfc.lp._scan_rhs(k, b, tau)) for k in keys]
+
+
+def test_closed_scan_equals_the_plain_scan(monkeypatch):
+    plain = {d: _plain_scan(d) for d in range(1, 12)}
+    solve, is_farkas = bfc.lp._ScanBasis.solve, bfc.lp._is_farkas
+    solved, checked = {}, []
+
+    def spy_solve(self, b, tau):
+        solved[b, tau] = cert = solve(self, b, tau)
+        return cert
+
+    def spy_farkas(num_vars, rows, y):
+        checked.append((rows, y))
+        return is_farkas(num_vars, rows, y)
+
+    monkeypatch.setattr(bfc.lp._ScanBasis, "solve", spy_solve)
+    monkeypatch.setattr(bfc.lp, "_is_farkas", spy_farkas)
+    for d in range(1, 12):
+        solved.clear()
+        checked.clear()
+        assert lp_bs_cap(d).profile == plain[d], d
+        # after the last solve only its certificate can have closed the scan
+        last = solved[max(solved)]
+        infeasible = [(b, tau) for b, *feas in plain[d] for tau in (0, 1) if not feas[tau]]
+        assert len(checked) == len(infeasible), d
+        for (b, tau), (rows, y) in zip(infeasible, checked):
+            keys, want_y = solved.get((b, tau), last)
+            want = _scan_rows(d, b, tau, keys)
+            assert (rows, y) == (want, want_y) and is_farkas(d, want, y), (d, b, tau)
+
+
+def test_scan_solve_counts_are_pinned(monkeypatch):
+    run = bfc.lp._VertexBasis.run
+    calls = []
+
+    def counted(self, *args):
+        calls.append(1)
+        return run(self, *args)
+
+    monkeypatch.setattr(bfc.lp._VertexBasis, "run", counted)
+    counts = []
+    for d in range(1, 12):
+        calls.clear()
+        lp_bs_cap(d)
+        counts.append(len(calls))
+    assert tuple(counts) == SCAN_SOLVES
 
 
 def test_adeg_lp_examples():
