@@ -11,7 +11,9 @@ are closed forms where the cap function is polynomial and partial sums plus
 a closed-form remainder otherwise.  The remainder is taken from the upper
 ends of the enclosures, so it bounds the true remainder up to its final
 rounding to a double; the cells and partial sums are doubles and carry no
-such guarantee.
+such guarantee.  ``_mixing_weight`` is the one guard on beta for the table
+and for the crude influence minimum, which is found from its exact
+optimality condition, with no scan.
 """
 
 from __future__ import annotations
@@ -105,6 +107,20 @@ def _pow2_sum_sign(terms) -> int:
             return 1 if lo > 0 else -1
         bits *= 2
     return 0
+
+
+def _mixing_weight(beta) -> Fraction:
+    """beta as a Fraction, refused unless 0 < beta <= 1 and the upper end of
+    2^-beta lies below 1, so that the geometric tails in r = 2^-beta have
+    a finite, positive enclosure."""
+    beta = Fraction(beta)
+    if not 0 < beta <= 1:
+        raise ValueError(f"mixing weight must lie in (0, 1], got {beta}")
+    if _pow2(-beta, 1) >= 1:
+        raise ValueError(
+            f"mixing weight {beta} is too small: 2^-beta rounds to 1 at {POW2_BITS} bits"
+        )
+    return beta
 
 
 def markov_cap(d: int) -> int:
@@ -288,9 +304,7 @@ def dp_mixed_ds(
     at a time (one step each) up to degree 400, and a closed form bounds the
     remainder.
     """
-    beta = Fraction(beta)
-    if not 0 < beta <= 1:
-        raise ValueError(f"mixing weight must lie in (0, 1], got {beta}")
+    beta = _mixing_weight(beta)
     if step not in ("profile", "uniform"):
         raise ValueError(f"unknown step rule {step!r}")
     if not 2 <= d_max <= 64:
@@ -389,29 +403,33 @@ def dp_monotone_degree(d_max: int) -> MonotoneDegreeTable:
 class InfluenceMinimum:
     k: int
     value: float
-    profile: tuple[tuple[int, float], ...]  # (k, objective) for the scan
 
 
-def ds_influence_min(beta, k_max: int = 200) -> InfluenceMinimum:
-    """Minimise k/2^(2-beta) + sum_{i>k} i^3 / (2^(2-beta) * 2^(beta i)).
+def ds_influence_min(beta) -> InfluenceMinimum:
+    """Minimise F(k) = 2^(beta-2) (k + sum_{i>k} i^3 2^(-beta i)) over k >= 1.
 
-    Evaluated for k = 1..k_max with the cubic tail in closed form, in exact
-    rationals from the lower ends of the powers of two (exactly at beta = 1);
-    the returned value is accurate to well below 1e-9.
+    F(k+1) - F(k) = 2^(beta-2) (1 - x^3 2^(-beta x)) with x = k + 1, and
+    x^3 2^(-beta x) is log-concave and at least 2 at x = 2, so F falls up to
+    the least x >= 2 with x^3 <= 2^(beta x) and never falls after it: the
+    least minimiser is k = x - 1, ties included.  The condition is decided
+    exactly by ``_pow2_sum_sign``, the least such x found by doubling and
+    bisection, and F(k) evaluated once with the cubic tail in closed form, in
+    exact rationals from the lower ends of the powers of two (exactly at
+    beta = 1), then rounded to a double.
     """
-    beta = Fraction(beta)
-    if not 0 < beta <= 1:
-        raise ValueError(f"mixing weight must lie in (0, 1], got {beta}")
-    best_k, best_v = None, None
-    profile = []
-    r = _pow2(-beta)
-    amp = _pow2(beta - 2)
-    for k in range(1, k_max + 1):
-        v = amp * (k + power_tail(3, k + 1, r, _pow2(-beta * (k + 1))))
-        profile.append((k, float(v)))
-        if best_v is None or v < best_v:
-            best_k, best_v = k, v
-    return InfluenceMinimum(best_k, float(best_v), tuple(profile))
+    beta = _mixing_weight(beta)
+
+    def rises(x: int) -> bool:  # F(x) >= F(x - 1)
+        return _pow2_sum_sign([(1, beta * x), (-x ** 3, 0)]) >= 0
+
+    lo, hi = 2, 4  # F falls at lo and rises at hi
+    while not rises(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if rises(mid) else (mid, hi)
+    tail = power_tail(3, hi, _pow2(-beta), _pow2(-beta * hi))
+    return InfluenceMinimum(hi - 1, float(_pow2(beta - 2) * (hi - 1 + tail)))
 
 
 def cs_harmonic_bound(d: int) -> Fraction:
@@ -449,7 +467,8 @@ def technical_recursion(B, alpha, d_max: int) -> RecursionVerdict:
     B h 2^-h into (B / ln 2) x e^-x, and the harmonic induction runs with
     that rescaled constant (with plain max(A_1, B) the worst-case equality
     iteration provably escapes the bound).  For alpha < 1/2 it checks the
-    constant bound C = max(A_1, max_h B h (2 alpha)^h).
+    constant bound C = max(A_1, max_h B h (2 alpha)^h), the inner maximum
+    taken at the two h where h (2 alpha)^h can peak.
     """
     B = float(B)
     alpha_q = Fraction(alpha)
@@ -483,18 +502,11 @@ def technical_recursion(B, alpha, d_max: int) -> RecursionVerdict:
                 break
         return RecursionVerdict(tuple(vals), C, ok, None)
     if alpha_q < Fraction(1, 2):
+        # h gamma^h rises while h <= gamma / (1 - gamma), so its maximum over
+        # h >= 1 is at h* = floor(gamma / (1 - gamma)) + 1, or at h* - 1 on a tie
         gamma = 2 * alpha
-        m = 0.0
-        h = 1
-        while True:
-            t = B * h * gamma ** h
-            if t > m:
-                m = t
-            if t < 1e-15 and h > 4:
-                break
-            h += 1
-            if h > 4000:
-                break
+        top = (2 * alpha_q) // (1 - 2 * alpha_q) + 1
+        m = max(B * h * gamma ** h for h in (top - 1, top) if h >= 1)
         C = max(vals[0], m)
         ok = all(a <= C + 1e-9 for a in vals)
         return RecursionVerdict(tuple(vals), C, None, ok)

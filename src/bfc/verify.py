@@ -8,8 +8,9 @@ exact integer ones: rational quantities (potentials, the symmetrised
 polynomial on its grid) are scaled by a common denominator, and the
 constants 4.3935, 1.325 and 8.277 are read as decimal fractions
 (``relvars_ds``, whose bound carries 2^(deg/2), is compared squared).  Only
-``relvars_cs``, whose bound carries ln s, compares floats, with 1e-6 of
-absolute slack.
+``relvars_cs``, whose bound carries ln s, compares floats, against
+``bounds.cs_sens_bound`` with no slack (``tests/test_verify.py`` checks the
+float verdict against a 60-digit one over s <= C <= 20 and nrel <= 20).
 Aggregation keeps the first counterexample and the tightest instance per
 check.
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bf import ArityError, BooleanFunction, popcount, restrict_bit
-from .bounds import EULER_GAMMA
+from .bounds import cs_sens_bound
 from .corpus import Corpus
 from .coordinate import (
     ALL_BASE_KINDS,
@@ -40,9 +41,6 @@ from .coordinate import (
     _rrcm_violation,
 )
 from .measures import TableMeasures, _dt_depth, table_measures
-
-# absolute slack of the float comparison in relvars_cs
-REAL_SLACK = 1e-6
 
 # constants certified by the bound engine (see bounds.dp_degree and friends),
 # kept exact so that each is compared with an integer count as integers
@@ -502,10 +500,10 @@ def _check_relvars_mixed_cs(rec: TableMeasures):
     if s == 0:
         return "SKIP", 0, 0
     amp = 4.0 ** ((rec.certs.C + s) / 2.0)
-    rhs = (math.log(s) + EULER_GAMMA / 2) * amp
+    rhs = cs_sens_bound(s) * amp
     loose = (math.log(s) + 0.29) * amp
     return (
-        _cmp(rec.nrel <= rhs + REAL_SLACK),
+        _cmp(rec.nrel <= rhs),
         rec.nrel,
         f"{rhs:.4f} (0.29 form: {loose:.4f})",
     )

@@ -139,7 +139,7 @@ def test_criterion_04_mixed_measures():
     k* = 32 is not a point of the expression (see the README).
     """
     k_max = 200
-    mn = ds_influence_min(Fraction(1, 2), k_max)
+    mn = ds_influence_min(Fraction(1, 2))
     k_star, v_star = min(_half_mix_influence_scan(k_max), key=lambda kv: kv[1])
     grid = dp_mixed_ds(Fraction(1, 2), 48, MARKOV_CAPS)
     dp_ok = grid.headline <= 8.28

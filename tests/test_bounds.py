@@ -29,7 +29,8 @@ from bfc.bounds import (
     technical_recursion,
 )
 from bfc.bounds import (
-    POW2_BITS, _pow2, _pow2_bounds, _pow2_sum_sign, _profile_step, _uniform_step,
+    POW2_BITS, _base_sums, _pow2, _pow2_bounds, _pow2_sum_sign, _profile_step,
+    _uniform_step,
 )
 
 
@@ -179,11 +180,73 @@ def test_ds_influence_min_monotone_in_beta():
     assert values == sorted(values, reverse=True)
 
 
+def _plain_influence_scan(beta, k_max=200):
+    """[(k, G(k))] for k = 1..k_max, where 2^(beta-2) G(k) is the objective of
+    ``ds_influence_min`` evaluated as it does, from ``power_tail``'s closed
+    form at the lower ends of the powers of two, with its base sums put over
+    one denominator once."""
+    base = _base_sums(_pow2(-beta))
+    den = math.lcm(*(t.denominator for t in base))
+    n0, n1, n2, n3 = (t.numerator * (den // t.denominator) for t in base)
+    scan = []
+    for k in range(1, k_max + 1):
+        a = k + 1
+        cubic = Fraction(((a * n0 + 3 * n1) * a + 3 * n2) * a + n3, den)
+        scan.append((k, k + _pow2(-beta * a) * cubic))
+    return scan
+
+
 def test_ds_influence_min_settled_scan():
-    res = ds_influence_min(Fraction(1, 2))
-    profile = dict(res.profile)
-    assert profile[res.k] == res.value
-    assert all(res.value <= v + 1e-12 for v in profile.values())
+    # the minimiser at beta = 1/2 lies inside the plain scan, strictly below
+    # its left neighbour and not above anything else
+    beta = Fraction(1, 2)
+    res = ds_influence_min(beta)
+    scan = dict(_plain_influence_scan(beta))
+    assert scan[res.k - 1] > scan[res.k]
+    assert all(scan[res.k] <= v for v in scan.values())
+    assert res.value == float(_pow2(beta - 2) * scan[res.k])
+
+
+def test_ds_influence_min_matches_the_plain_scan():
+    # every beta = p/q, q <= 40: where the plain scan's least argmin lies
+    # below 200, the same k and value; where it is 200, F still falls there
+    moved = 0
+    for beta in sorted({Fraction(p, q) for q in range(1, 41) for p in range(1, q + 1)}):
+        k, g = min(_plain_influence_scan(beta), key=lambda kv: kv[1])
+        res = ds_influence_min(beta)
+        if k < 200:
+            assert (res.k, res.value) == (k, float(_pow2(beta - 2) * g)), beta
+        else:
+            assert res.k >= 200, beta
+            moved += 1
+    assert moved == 55
+
+
+@pytest.mark.parametrize(
+    "beta, k",
+    [("7/64", 211), ("1/9", 207), ("3/4", 15), ("15/32", 31), ("1/1000003", 78_689_224)],
+)
+def test_ds_influence_min_pinned_argmins(beta, k):
+    # 16^3 = 2^12 at 3/4 and 32^3 = 2^15 at 15/32: F(k) = F(k + 1), and the
+    # least minimiser is reported
+    assert ds_influence_min(Fraction(beta)).k == k
+
+
+def _cube_within_power(x, beta) -> bool:
+    """x^3 <= 2^(beta x): exactly when beta x is an integer, else at 60 digits."""
+    e = beta * x
+    if e.denominator == 1:
+        return x ** 3 <= 2 ** e.numerator
+    with mpmath.workdps(60):
+        return x ** 3 <= mpmath.power(2, mpmath.mpf(e.numerator) / e.denominator)
+
+
+@given(st.integers(1, 10 ** 6).flatmap(lambda q: st.tuples(st.integers(1, q), st.just(q))))
+@settings(max_examples=60, deadline=None)
+def test_ds_influence_min_meets_its_optimality_condition(pq):
+    beta = Fraction(*pq)
+    k = ds_influence_min(beta).k
+    assert _cube_within_power(k + 1, beta) and not _cube_within_power(k, beta)
 
 
 def test_dp_mixed_ds_beta_one_degenerates_to_degree():
@@ -307,8 +370,16 @@ def test_dp_mixed_ds_profile_step_beats_uniform():
 
 
 def test_dp_mixed_validation():
-    with pytest.raises(ValueError):
-        dp_mixed_ds(0, 20, MARKOV_CAPS)
+    # one guard on beta serves the table and the influence minimum: beta in
+    # (0, 1] with the upper end of 2^-beta below 1, true at 1e-57, not 1e-60
+    for beta in (0, -1, Fraction(3, 2), Fraction(1, 10 ** 60)):
+        with pytest.raises(ValueError, match="mixing weight"):
+            dp_mixed_ds(beta, 20, MARKOV_CAPS)
+        with pytest.raises(ValueError, match="mixing weight"):
+            ds_influence_min(beta)
+    tiny = Fraction(1, 10 ** 57)
+    assert dp_mixed_ds(tiny, 2, MARKOV_CAPS).headline > 0
+    assert ds_influence_min(tiny).value > 0
     with pytest.raises(ValueError):
         dp_mixed_ds(Fraction(1, 2), 20, MARKOV_CAPS, step="other")
 
@@ -434,7 +505,7 @@ def test_junta_count_constant_is_zeta_two():
 def test_mpmath_evaluations_restore_precision():
     before = mpmath.mp.dps
     dp_mixed_ds(Fraction(1, 2), 8, MARKOV_CAPS)
-    ds_influence_min(Fraction(1, 2), k_max=40)
+    ds_influence_min(Fraction(1, 2))
     maj3 = bfc.family("MAJ", 3)
     kind = bfc.mix_cs(Fraction(1, 2))
     bfc.potential(maj3, kind)

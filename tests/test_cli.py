@@ -88,6 +88,23 @@ def test_table_ds_and_cs():
     assert out.splitlines()[3].startswith("4\t25/24")
 
 
+def test_table_ds_influence_minimum_past_two_hundred():
+    code, out = run_cli("table", "ds", "--beta", "7/64", "--dmax", "8")
+    assert code == 0
+    assert "influence_min_k\t211\n" in out
+
+
+@given(st.integers(1, 10 ** 70).flatmap(lambda q: st.tuples(
+    st.integers(-1, 3) | st.integers(-1, q + 1), st.just(q),
+)))
+@settings(max_examples=30, deadline=None)
+def test_table_ds_any_beta_exits_cleanly(pq):
+    # a table, or exit 2 before any output; main raises nothing
+    code, out = run_cli("table", "ds", "--beta={}/{}".format(*pq), "--dmax", "2")
+    assert code in (0, 2)
+    assert (code == 0) == out.startswith("caps\t")
+
+
 def test_verify_exit_codes():
     code, out = run_cli("verify", "--corpus", "all:2")
     assert code == 0
@@ -159,10 +176,19 @@ def test_arity_past_the_cap_fails_cleanly(argv, text, tmp_path, capsys):
         (["verify", "--corpus", "random:3:-5:1"], "corpus random:3:-5:1 needs a count >= 0"),
         (["table", "ds", "--beta", "1/0"], "--beta needs a nonzero denominator, got 1/0"),
         (["table", "cs", "--dmax", "0"], "--dmax must be >= 1, got 0"),
+        (
+            ["table", "ds", "--beta", f"1/{10 ** 60}"],
+            f"mixing weight 1/{10 ** 60} is too small: 2^-beta rounds to 1 at 192 bits",
+        ),
+        (
+            ["table", "ds", "--beta", f"1/{10 ** 62}"],
+            f"mixing weight 1/{10 ** 62} is too small: 2^-beta rounds to 1 at 192 bits",
+        ),
     ],
     ids=[
         "dmax-past-cap", "dmax-zero", "bstep-zero", "bstep-negative", "count-negative",
-        "beta-zero-denominator", "cs-dmax-zero",
+        "beta-zero-denominator", "cs-dmax-zero", "beta-below-resolution-60",
+        "beta-below-resolution-62",
     ],
 )
 def test_out_of_range_argument_fails_before_any_output(argv, message, capsys):

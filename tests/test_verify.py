@@ -3,7 +3,9 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -512,6 +514,23 @@ def test_relvars_ds_exact_and_slack_verdicts_agree():
             for s in range(top + 1):
                 slack = nrel <= 8.277 * 2.0 ** (deg / 2.0 + s) + 1e-6
                 assert verify._within_mixed_ds(nrel, deg, s) == slack, (nrel, deg, s)
+
+
+def test_relvars_cs_float_verdict_matches_60_digits():
+    # the float bound (ln s + gamma/2) 4^((C + s)/2) is compared with no
+    # slack; over every 1 <= s <= C <= 20 and nrel <= 20 its verdict is the
+    # one at 60 digits, and no nrel comes within 0.15 of the bound
+    gap = math.inf
+    with mpmath.workdps(60):
+        for C in range(1, 21):
+            for s in range(1, C + 1):
+                rhs = (mpmath.log(s) + mpmath.euler / 2) * 2 ** (C + s)
+                for nrel in range(21):
+                    rec = SimpleNamespace(sens=(s,), certs=SimpleNamespace(C=C), nrel=nrel)
+                    want = "PASS" if nrel <= rhs else "FAIL"
+                    assert verify._check_relvars_mixed_cs(rec)[0] == want, (s, C, nrel)
+                    gap = min(gap, abs(rhs - nrel))
+    assert gap > 0.15
 
 
 def _reference_monomial_potential(n, table, sens):
