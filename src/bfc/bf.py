@@ -9,7 +9,6 @@ instances are immutable, so they can be shared freely across threads.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -82,13 +81,16 @@ def popcount(x: int) -> int:
 # domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PartialAssignment:
-    """A set of (coordinate, bit) fixings with distinct coordinates."""
-
+class _Pairs(NamedTuple):
     pairs: tuple[tuple[int, int], ...]
 
-    def __init__(self, pairs: Iterable[tuple[int, int]]):
+
+class PartialAssignment(_Pairs):
+    """A set of (coordinate, bit) fixings with distinct coordinates."""
+
+    __slots__ = ()
+
+    def __new__(cls, pairs: Iterable[tuple[int, int]]):
         pairs = tuple((int(i), int(b)) for i, b in pairs)
         coords = [i for i, _ in pairs]
         if len(set(coords)) != len(coords):
@@ -98,7 +100,7 @@ class PartialAssignment:
                 raise ValueError(f"coordinate {i} out of range")
             if b not in (0, 1):
                 raise ValueError(f"bit must be 0 or 1, got {b}")
-        object.__setattr__(self, "pairs", pairs)
+        return super().__new__(cls, pairs)
 
     def coordinates(self) -> frozenset[int]:
         return frozenset(i for i, _ in self.pairs)

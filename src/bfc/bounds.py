@@ -18,10 +18,10 @@ optimality condition, with no scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt, lcm, log
+from typing import NamedTuple
 
 # 2^(p/q) is enclosed to POW2_BITS bits below the binary point; each printed
 # float is the correctly rounded value of an enclosure this tight
@@ -142,8 +142,7 @@ _MODE_SOURCES = {
 }
 
 
-@dataclass(frozen=True)
-class CapProfile:
+class CapProfile(NamedTuple):
     """Per-degree upper bound on block sensitivity, with provenance.
 
     The cap at d is the least cap among the mode's sources that know d, and
@@ -210,8 +209,7 @@ def power_tail(m: int, a: int, r, shift=None):
 # the potential table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundGrid:
+class BoundGrid(NamedTuple):
     """Table of potential bounds indexed by (block sensitivity, degree)."""
 
     d_max: int
@@ -353,8 +351,7 @@ def dp_mixed_ds(
 # monotone degree recursion (exact rationals)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MonotoneDegreeTable:
+class MonotoneDegreeTable(NamedTuple):
     values: tuple[Fraction, ...]  # index 1..d_max
     headline: Fraction
 
@@ -399,8 +396,7 @@ def dp_monotone_degree(d_max: int) -> MonotoneDegreeTable:
 # mixed-measure closed forms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InfluenceMinimum:
+class InfluenceMinimum(NamedTuple):
     k: int
     value: float
 
@@ -450,8 +446,7 @@ def cs_sens_bound(s: int) -> float:
 # the auxiliary scalar recursion behind the mixed certificate bound
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RecursionVerdict:
+class RecursionVerdict(NamedTuple):
     values: tuple[float, ...]  # A_1..A_dmax
     bound_constant: float
     harmonic_bound: bool | None  # A_d <= C*H_d checked when alpha == 1/2
@@ -517,8 +512,7 @@ def technical_recursion(B, alpha, d_max: int) -> RecursionVerdict:
 # monotone decision-tree relevant-variable table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MonotoneDtTable:
+class MonotoneDtTable(NamedTuple):
     values: tuple[int, ...]  # R_0..R_dmax
     ratio: Fraction  # R_dmax / 2^dmax
 

@@ -183,7 +183,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command; bad input (arity caps, malformed or missing files,
     invalid parameters) ends in one ``bfc: error:`` line and exit code 2."""
-    args = build_parser().parse_args(argv)
+    # argparse reads a word like -1/2 as an option, not as the value of
+    # --beta, so it is passed on as --beta=-1/2
+    words = []
+    for word in sys.argv[1:] if argv is None else argv:
+        if words and words[-1] == "--beta" and word[:1] == "-" and word[1:2].isdigit():
+            words[-1] += "=" + word
+        else:
+            words.append(word)
+    args = build_parser().parse_args(words)
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:  # ArityError is a ValueError

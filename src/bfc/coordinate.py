@@ -13,10 +13,9 @@ every measure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .bf import BooleanFunction, check_arity, restrict_bit
 from .bounds import _pow2, _pow2_sum_sign
@@ -32,22 +31,26 @@ from .measures import (
 _SUM_INV_SQUARES = math.pi ** 2 / 6
 
 
-@dataclass(frozen=True)
-class CoordinateMeasureKind:
-    """One of the coordinate measures: deg_i, sens_i, cert_i, or a convex mix."""
-
+class _Kind(NamedTuple):
     tag: str  # "deg" | "sens" | "cert" | "mix_ds" | "mix_cs"
     beta: Fraction | None = None
 
-    def __post_init__(self):
-        if self.tag in ("deg", "sens", "cert"):
-            if self.beta is not None:
-                raise ValueError(f"{self.tag} takes no mixing weight")
-        elif self.tag in ("mix_ds", "mix_cs"):
-            if self.beta is None or not 0 <= self.beta <= 1:
+
+class CoordinateMeasureKind(_Kind):
+    """One of the coordinate measures: deg_i, sens_i, cert_i, or a convex mix."""
+
+    __slots__ = ()
+
+    def __new__(cls, tag: str, beta: Fraction | None = None):
+        if tag in ("deg", "sens", "cert"):
+            if beta is not None:
+                raise ValueError(f"{tag} takes no mixing weight")
+        elif tag in ("mix_ds", "mix_cs"):
+            if beta is None or not 0 <= beta <= 1:
                 raise ValueError("mixing weight must lie in [0, 1]")
         else:
-            raise ValueError(f"unknown coordinate measure {self.tag!r}")
+            raise ValueError(f"unknown coordinate measure {tag!r}")
+        return super().__new__(cls, tag, beta)
 
     def label(self) -> str:
         if self.beta is None:
@@ -126,8 +129,7 @@ def _check_coord(f: BooleanFunction, i: int) -> None:
 # potentials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PotentialValue:
+class PotentialValue(NamedTuple):
     """Sum of 2**(-m_i) over relevant coordinates, with per-term breakdown."""
 
     kind: CoordinateMeasureKind
@@ -193,8 +195,7 @@ def restricted_potential(
 # kernel.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     passed: bool
     detail: str = ""
     counterexample: tuple | None = None
@@ -422,8 +423,7 @@ def check_junta_count(f: BooleanFunction, k: int) -> CheckResult:
     )
 
 
-@dataclass(frozen=True)
-class SplitBoundResult:
+class SplitBoundResult(NamedTuple):
     hypothesis_holds: bool
     bound_holds: bool | None
     detail: str = ""

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
 
@@ -62,7 +61,6 @@ def _parse_named(item: str) -> tuple[str, BooleanFunction]:
     return item.upper(), family(item)
 
 
-@dataclass(frozen=True)
 class Corpus:
     """A deterministic iterable of labelled functions.
 
@@ -72,19 +70,32 @@ class Corpus:
     orbit under coordinate permutations, weighted by the orbit's size.
     """
 
-    kind: str
-    n: int = 0
-    count: int = 0
-    seed: int = 0
-    names: tuple[str, ...] = field(default=())
+    __slots__ = ("kind", "n", "count", "seed", "names")
 
-    def __post_init__(self):
-        if self.kind not in ("all", "monotone", "random", "named"):
-            raise ValueError(f"unknown corpus kind {self.kind!r}")
+    def __init__(
+        self, kind: str, n: int = 0, count: int = 0, seed: int = 0,
+        names: tuple[str, ...] = (),
+    ):
+        for name, value in zip(self.__slots__, (kind, n, count, seed, names)):
+            object.__setattr__(self, name, value)
+        if kind not in ("all", "monotone", "random", "named"):
+            raise ValueError(f"unknown corpus kind {kind!r}")
         cap = {"all": ALL_ENUM_MAX_ARITY, "monotone": MONOTONE_ENUM_MAX_ARITY}
-        check_arity(self.n, cap.get(self.kind, MAX_ARITY), f"{self.kind} corpus")
-        if self.count < 0:
+        check_arity(n, cap.get(kind, MAX_ARITY), f"{kind} corpus")
+        if count < 0:
             raise ValueError(f"corpus {self.describe()} needs a count >= 0")
+
+    def __setattr__(self, *_):
+        raise AttributeError("Corpus is immutable")
+
+    def _key(self) -> tuple:
+        return (self.kind, self.n, self.count, self.seed, self.names)
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is Corpus else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __len__(self) -> int:
         if self.kind == "all":

@@ -36,12 +36,11 @@ checks that certificate against each remaining LP instead.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, lcm
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bf import BooleanFunction, check_arity, popcount
 from .measures import APPROX_DEGREE_MAX_ARITY
@@ -64,23 +63,20 @@ def _row_scale(coeffs: Sequence[Fraction], rhs: Fraction) -> int:
     return lcm(rhs.denominator, *(c.denominator for c in coeffs))
 
 
-@dataclass(frozen=True)
 class LinearProgram:
     """A rational constraint system queried for feasibility (no objective)."""
 
-    num_vars: int
-    constraints: tuple[Constraint, ...]
-    # each constraint scaled by _row_scale to integers, built once
-    _int_rows: tuple[IntRow, ...] = field(init=False, repr=False, compare=False)
+    # _int_rows: each constraint scaled by _row_scale to integers, built once
+    __slots__ = ("num_vars", "constraints", "_int_rows")
 
-    def __post_init__(self):
-        if self.num_vars < 0:
-            raise ValueError(f"num_vars must be >= 0, got {self.num_vars}")
+    def __init__(self, num_vars: int, constraints: tuple[Constraint, ...]):
+        if num_vars < 0:
+            raise ValueError(f"num_vars must be >= 0, got {num_vars}")
         int_rows = []
-        for coeffs, rel, rhs in self.constraints:
-            if len(coeffs) != self.num_vars:
+        for coeffs, rel, rhs in constraints:
+            if len(coeffs) != num_vars:
                 raise ValueError(
-                    f"constraint width {len(coeffs)} != num_vars {self.num_vars}"
+                    f"constraint width {len(coeffs)} != num_vars {num_vars}"
                 )
             if rel not in RELATIONS:
                 raise ValueError(f"unknown relation {rel!r}")
@@ -92,7 +88,20 @@ class LinearProgram:
                     rhs.numerator * (scale // rhs.denominator),
                 )
             )
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "_int_rows", tuple(int_rows))
+
+    def __setattr__(self, *_):
+        raise AttributeError("LinearProgram is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not LinearProgram:
+            return NotImplemented
+        return (self.num_vars, self.constraints) == (other.num_vars, other.constraints)
+
+    def __hash__(self) -> int:
+        return hash((self.num_vars, self.constraints))
 
     @classmethod
     def build(cls, num_vars: int, rows: Sequence[tuple[Sequence, str, object]]):
@@ -176,8 +185,7 @@ def _is_farkas(num_vars: int, int_rows: Sequence[IntRow], y: Sequence[int]) -> b
     return bound < 0 and not any(total)
 
 
-@dataclass(frozen=True)
-class SimplexResult:
+class SimplexResult(NamedTuple):
     """A verdict and its certificate.
 
     ``witness`` is a satisfying point when feasible.  ``farkas`` holds, when
@@ -365,8 +373,7 @@ def moment_lp(d: int, b: int, tau: int) -> LinearProgram:
     return LinearProgram.build(d, rows)
 
 
-@dataclass(frozen=True)
-class LpCapScan:
+class LpCapScan(NamedTuple):
     """Full feasibility profile of the moment LP over b = lo..hi."""
 
     d: int

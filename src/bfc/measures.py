@@ -27,7 +27,6 @@ record that race on a field compute the same value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -431,8 +430,7 @@ def approx_degree(f: BooleanFunction, eps: Fraction = Fraction(1, 3)) -> int:
     return top
 
 
-@dataclass(frozen=True)
-class MeasureReport:
+class MeasureReport(NamedTuple):
     """Every global measure of one function, with fixed serialisation order."""
 
     deg: int

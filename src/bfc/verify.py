@@ -27,8 +27,8 @@ with them the printed cells, are those of the plain per-function sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bf import ArityError, BooleanFunction, popcount, restrict_bit
 from .bounds import cs_sens_bound
@@ -124,8 +124,7 @@ def _grid_bounded(p: list[int], b: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class StandardFormReport:
+class StandardFormReport(NamedTuple):
     passed: bool
     quadratic_ok: bool
     second_derivative_ok: bool
@@ -184,8 +183,7 @@ def check_markov_consequence(f: BooleanFunction) -> bool:
 # monotone decision-tree structure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DtIntersectResult:
+class DtIntersectResult(NamedTuple):
     status: str  # "PASS" | "FAIL" | "SKIP"
     lhs: int = 0
     rhs: int = 0
@@ -348,8 +346,7 @@ def check_influence_restriction_average(
 # the theorem suite
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TheoremCheck:
+class TheoremCheck(NamedTuple):
     check_id: str
     inequality: str
     left: str

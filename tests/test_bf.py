@@ -17,9 +17,10 @@ from bfc.bf import (
     fourier_vector,
     kushilevitz_polynomial,
 )
-from bfc.coordinate import check_monomial_sensitivity
-from bfc.corpus import ALL_ENUM_MAX_ARITY, MONOTONE_ENUM_MAX_ARITY, parse_corpus
-from bfc.lp import adeg_lp
+from bfc.bounds import CapProfile, cap_profile
+from bfc.coordinate import CoordinateMeasureKind, check_monomial_sensitivity, mix_ds
+from bfc.corpus import ALL_ENUM_MAX_ARITY, MONOTONE_ENUM_MAX_ARITY, Corpus, parse_corpus
+from bfc.lp import LinearProgram, adeg_lp
 from bfc.measures import (
     APPROX_DEGREE_MAX_ARITY,
     EXACT_SEARCH_MAX_ARITY,
@@ -94,6 +95,53 @@ def test_partial_assignment_validation():
         PartialAssignment([(0, 1)])
     with pytest.raises(ValueError):
         PartialAssignment([(1, 2)])
+
+
+# the package's immutable value types: one field of each, and two equal
+# values built by different routes
+@pytest.mark.parametrize(
+    "field, a, b",
+    [
+        ("tag", mix_ds(Fraction(1, 2)), mix_ds("1/2")),
+        ("pairs", PartialAssignment([(2, 1), (1, 0)]), PartialAssignment(((2, True), (1, 0)))),
+        ("count", parse_corpus("random:3:5:1"), Corpus("random", 3, 5, 1)),
+        (
+            "num_vars",
+            LinearProgram.build(1, [((1,), "<=", 2)]),
+            LinearProgram.from_text("vars=1\n1/1 <= 2/1\n"),
+        ),
+        ("mode", cap_profile("lp"), CapProfile("lp")),
+    ],
+    ids=["CoordinateMeasureKind", "PartialAssignment", "Corpus", "LinearProgram", "CapProfile"],
+)
+def test_value_types_are_immutable_and_hash_by_value(field, a, b):
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: "found"}[b] == "found"
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        a.extra = 1
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: CoordinateMeasureKind("bogus"), "unknown coordinate measure 'bogus'"),
+        (lambda: CoordinateMeasureKind("deg", Fraction(1, 2)), "deg takes no mixing weight"),
+        (lambda: Corpus("bogus"), "unknown corpus kind 'bogus'"),
+        (lambda: Corpus("random", 3, -1), "corpus random:3:-1:0 needs a count >= 0"),
+        (lambda: LinearProgram(-1, ()), "num_vars must be >= 0, got -1"),
+        (
+            lambda: PartialAssignment([(1, 0), (1, 1)]),
+            "duplicate coordinates in assignment: [1, 1]",
+        ),
+    ],
+    ids=["unknown-tag", "beta-on-deg", "corpus-kind", "negative-count", "lp-vars", "duplicates"],
+)
+def test_value_types_keep_their_validation(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 @given(

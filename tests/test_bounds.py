@@ -254,7 +254,7 @@ def test_dp_mixed_ds_beta_one_degenerates_to_degree():
         for d_max in (2, 30, 64):
             gd = dp_degree(d_max, caps)
             for step in ("profile", "uniform"):
-                # dataclass equality: every BoundGrid field, rows included
+                # field-by-field (NamedTuple) equality: every BoundGrid field, rows included
                 assert dp_mixed_ds(1, d_max, caps, step) == gd, (caps.mode, d_max, step)
 
 

@@ -199,6 +199,16 @@ def test_out_of_range_argument_fails_before_any_output(argv, message, capsys):
     assert captured.err == f"bfc: error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [["--beta", "-1/2"], ["--beta=-1/2"]], ids=["spaced", "joined"])
+def test_negative_beta_fails_with_one_error_line(argv, capsys):
+    # a value that starts with "-" is still the value of --beta
+    code = main(["table", "ds", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "bfc: error: mixing weight must lie in (0, 1], got -1/2\n"
+
+
 def test_verify_skips_rows_past_the_exact_search_cap():
     code, out = run_cli("verify", "--corpus", "named:CONST0:15")
     assert code == 0
