@@ -3,10 +3,8 @@
 from .bf import (
     ArityError,
     BooleanFunction,
-    MultilinearPolynomial,
     PartialAssignment,
     family,
-    kushilevitz_polynomial,
 )
 from .bounds import (
     BoundGrid,
@@ -21,7 +19,6 @@ from .bounds import (
     markov_cap,
     monotone_dt_table,
     power_tail,
-    technical_recursion,
 )
 from .coordinate import (
     CERT_I,
@@ -31,19 +28,16 @@ from .coordinate import (
     PotentialValue,
     cert_i,
     check_influence_bound,
-    check_junta_count,
     check_monomial_sensitivity,
     check_restriction_inequality,
     check_rrcm,
-    check_split_bound,
     deg_i,
     mix_cs,
     mix_ds,
     potential,
-    restricted_potential,
     sens_i,
 )
-from .corpus import Corpus, enumerate_monotone, parse_corpus, random_monotone
+from .corpus import Corpus, enumerate_monotone, parse_corpus
 from .lp import (
     LinearProgram,
     SimplexResult,
@@ -74,7 +68,6 @@ from .verify import (
     run_theorem_suite,
     standard_form,
     suite_failures,
-    symmetrize,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

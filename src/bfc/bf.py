@@ -9,7 +9,6 @@ instances are immutable, so they can be shared freely across threads.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -223,41 +222,6 @@ class BooleanFunction:
                 return False
         return True
 
-    def compose(self, g: "BooleanFunction") -> "BooleanFunction":
-        """Substitute an independent copy of ``g`` for each input of self."""
-        k, m = self.n, g.n
-        check_arity(k * m, what="composition")
-        gm = (1 << m) - 1
-        gt, ft = g.table, self.table
-        table = 0
-        for z in range(1 << (k * m)):
-            idx = 0
-            for i in range(k):
-                idx |= ((gt >> ((z >> (i * m)) & gm)) & 1) << i
-            table |= ((ft >> idx) & 1) << z
-        return BooleanFunction(k * m, table)
-
-    # -- transforms ----------------------------------------------------------
-
-    def mobius_transform(self) -> "MultilinearPolynomial":
-        """Multilinear expansion over the {0,1} cube (integer coefficients)."""
-        coeffs = mobius_vector(self.n, self.table)
-        return MultilinearPolynomial(
-            self.n,
-            "01",
-            {m: Fraction(c) for m, c in enumerate(coeffs) if c},
-        )
-
-    def fourier_transform(self) -> "MultilinearPolynomial":
-        """Expansion in the ±1 convention (input/output 0 -> +1, 1 -> -1)."""
-        w = fourier_vector(self.n, self.table)
-        scale = Fraction(1, 1 << self.n)
-        return MultilinearPolynomial(
-            self.n,
-            "pm",
-            {m: c * scale for m, c in enumerate(w) if c},
-        )
-
     # -- file format ---------------------------------------------------------
 
     def to_tt(self) -> str:
@@ -310,109 +274,6 @@ def degree_of_vector(coeffs: Sequence[int]) -> int:
     return deg
 
 
-class MultilinearPolynomial:
-    """Map from coordinate subsets to exact rational coefficients.
-
-    ``basis`` is "01" for the monomial expansion over {0,1} inputs and "pm"
-    for the Fourier expansion in the ±1 convention.
-    """
-
-    __slots__ = ("n", "basis", "coeffs")
-
-    def __init__(self, n: int, basis: str, coeffs: dict[int, Fraction]):
-        if basis not in ("01", "pm"):
-            raise ValueError(f"unknown basis {basis!r}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(
-            self, "coeffs", {m: Fraction(c) for m, c in coeffs.items() if c}
-        )
-
-    def __setattr__(self, *_):
-        raise AttributeError("MultilinearPolynomial is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultilinearPolynomial)
-            and self.n == other.n
-            and self.basis == other.basis
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.basis, tuple(sorted(self.coeffs.items()))))
-
-    def degree(self) -> int:
-        return max((popcount(m) for m in self.coeffs), default=0)
-
-    def coefficient(self, subset: Iterable[int]) -> Fraction:
-        mask = 0
-        for i in subset:
-            mask |= 1 << (i - 1)
-        return self.coeffs.get(mask, Fraction(0))
-
-    def support(self) -> list[frozenset[int]]:
-        return [
-            frozenset(i + 1 for i in range(self.n) if m >> i & 1)
-            for m in self.coeffs
-        ]
-
-    def evaluate(self, x: Sequence[int]) -> Fraction:
-        """Value at a {0,1} point (01 basis) or ±1 point (pm basis)."""
-        if len(x) != self.n:
-            raise ValueError(f"expected {self.n} inputs")
-        total = Fraction(0)
-        if self.basis == "01":
-            supp = 0
-            for i, bit in enumerate(x):
-                if bit:
-                    supp |= 1 << i
-            for m, c in self.coeffs.items():
-                if m & ~supp == 0:
-                    total += c
-        else:
-            for m, c in self.coeffs.items():
-                sign = 1
-                for i in range(self.n):
-                    if m >> i & 1 and x[i] < 0:
-                        sign = -sign
-                total += c * sign
-        return total
-
-    def restrict(self, assignment) -> "MultilinearPolynomial":
-        """Symbolic substitution of fixed {0,1} values (01 basis only)."""
-        if self.basis != "01":
-            raise ValueError("restrict is defined on the 01 basis")
-        pairs = _as_pairs(assignment)
-        coeffs = dict(self.coeffs)
-        for i, b in sorted(pairs, reverse=True):
-            bit = 1 << (i - 1)
-            above = ~((bit << 1) - 1)
-            new: dict[int, Fraction] = {}
-            for m, c in coeffs.items():
-                if m & bit:
-                    if not b:
-                        continue
-                    m = m ^ bit
-                nm = (m & (bit - 1)) | ((m & above) >> 1)
-                new[nm] = new.get(nm, Fraction(0)) + c
-            coeffs = {m: c for m, c in new.items() if c}
-        return MultilinearPolynomial(self.n - len(pairs), self.basis, coeffs)
-
-    def format_lines(self) -> list[str]:
-        """One line per monomial: ``S=<indices|empty>  c=<num>/<den>``."""
-        entries = []
-        for m, c in self.coeffs.items():
-            coords = tuple(i + 1 for i in range(self.n) if m >> i & 1)
-            entries.append((len(coords), coords, c))
-        entries.sort(key=lambda e: (e[0], e[1]))
-        lines = []
-        for _, coords, c in entries:
-            name = ",".join(str(i) for i in coords) if coords else "empty"
-            lines.append(f"S={name}  c={c.numerator}/{c.denominator}")
-        return lines
-
-
 # ---------------------------------------------------------------------------
 # named families
 # ---------------------------------------------------------------------------
@@ -436,18 +297,6 @@ def _kushilevitz_value(x: Sequence[int]) -> int:
             f"KUSHILEVITZ polynomial evaluated to {total} at {x}; not Boolean"
         )
     return total
-
-
-def kushilevitz_polynomial() -> MultilinearPolynomial:
-    """The defining degree-3 expansion, independent of the truth table."""
-    coeffs: dict[int, Fraction] = {}
-    for i in range(6):
-        coeffs[1 << i] = Fraction(1)
-    for i, j in itertools.combinations(range(6), 2):
-        coeffs[(1 << i) | (1 << j)] = Fraction(-1)
-    for a, b, c in _KUSHILEVITZ_CUBICS:
-        coeffs[(1 << (a - 1)) | (1 << (b - 1)) | (1 << (c - 1))] = Fraction(1)
-    return MultilinearPolynomial(6, "01", coeffs)
 
 
 def _addr(k: int) -> Callable[[tuple[int, ...]], int]:

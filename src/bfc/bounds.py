@@ -443,72 +443,6 @@ def cs_sens_bound(s: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the auxiliary scalar recursion behind the mixed certificate bound
-# ---------------------------------------------------------------------------
-
-class RecursionVerdict(NamedTuple):
-    values: tuple[float, ...]  # A_1..A_dmax
-    bound_constant: float
-    harmonic_bound: bool | None  # A_d <= C*H_d checked when alpha == 1/2
-    constant_bound: bool | None  # A_d <= C checked when alpha < 1/2
-
-
-def technical_recursion(B, alpha, d_max: int) -> RecursionVerdict:
-    """Iterate A_{d+1} = max_h (B h alpha^h + (1 - 2^-h) A_d) with equality.
-
-    The maximum over positive integers h is scanned up to the point where
-    the drive term drops below 1e-15.  For alpha = 1/2 the verdict checks
-    A_d <= C * H_d with C = max(A_1, B / ln 2): relaxing h to reals turns
-    B h 2^-h into (B / ln 2) x e^-x, and the harmonic induction runs with
-    that rescaled constant (with plain max(A_1, B) the worst-case equality
-    iteration provably escapes the bound).  For alpha < 1/2 it checks the
-    constant bound C = max(A_1, max_h B h (2 alpha)^h), the inner maximum
-    taken at the two h where h (2 alpha)^h can peak.
-    """
-    B = float(B)
-    alpha_q = Fraction(alpha)
-    alpha = float(alpha_q)
-    if not (B > 0 and 0 < alpha < 1):
-        raise ValueError("need B > 0 and 0 < alpha < 1")
-    vals = [B]  # A_1 = B, matching the mixed-certificate base value of 1/2
-    for _ in range(1, d_max):
-        a_prev = vals[-1]
-        best = a_prev
-        h = 1
-        while True:
-            drive = B * h * alpha ** h
-            cand = drive + (1 - 2.0 ** (-h)) * a_prev
-            if cand > best:
-                best = cand
-            if drive < 1e-15 and h > 4:
-                break
-            h += 1
-            if h > 4000:
-                break
-        vals.append(best)
-    if alpha_q == Fraction(1, 2):
-        C = max(vals[0], B / log(2))
-        harm = 0.0
-        ok = True
-        for d, a in enumerate(vals, start=1):
-            harm += 1.0 / d
-            if a > C * harm + 1e-9:
-                ok = False
-                break
-        return RecursionVerdict(tuple(vals), C, ok, None)
-    if alpha_q < Fraction(1, 2):
-        # h gamma^h rises while h <= gamma / (1 - gamma), so its maximum over
-        # h >= 1 is at h* = floor(gamma / (1 - gamma)) + 1, or at h* - 1 on a tie
-        gamma = 2 * alpha
-        top = (2 * alpha_q) // (1 - 2 * alpha_q) + 1
-        m = max(B * h * gamma ** h for h in (top - 1, top) if h >= 1)
-        C = max(vals[0], m)
-        ok = all(a <= C + 1e-9 for a in vals)
-        return RecursionVerdict(tuple(vals), C, None, ok)
-    return RecursionVerdict(tuple(vals), max(vals), None, None)
-
-
-# ---------------------------------------------------------------------------
 # monotone decision-tree relevant-variable table
 # ---------------------------------------------------------------------------
 

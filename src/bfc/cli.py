@@ -10,6 +10,7 @@ byte-deterministic for fixed flags and seeds.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -182,7 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command; bad input (arity caps, malformed or missing files,
-    invalid parameters) ends in one ``bfc: error:`` line and exit code 2."""
+    invalid parameters) ends in one ``bfc: error:`` line and exit code 2.
+    A reader that closes stdout early (``| head``) ends it quietly with
+    the shell's SIGPIPE status, 141."""
     # argparse reads a word like -1/2 as an option, not as the value of
     # --beta, so it is passed on as --beta=-1/2
     words = []
@@ -193,7 +196,13 @@ def main(argv=None) -> int:
             words.append(word)
     args = build_parser().parse_args(words)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so that the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:  # ArityError is a ValueError
         print(f"bfc: error: {exc}", file=sys.stderr)
         return 2

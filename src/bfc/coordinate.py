@@ -26,10 +26,6 @@ from .measures import (
     table_measures,
 )
 
-# zeta(2); junta-count constant sum_{j>=1} j/j**3 (the double nearest
-# pi^2/6)
-_SUM_INV_SQUARES = math.pi ** 2 / 6
-
 
 class _Kind(NamedTuple):
     tag: str  # "deg" | "sens" | "cert" | "mix_ds" | "mix_cs"
@@ -115,11 +111,6 @@ def cert_i(f: BooleanFunction, i: int) -> int:
     return table_measures(f.n, f.table).cert_i[i - 1]
 
 
-def coordinate_measure(f: BooleanFunction, i: int, kind: CoordinateMeasureKind):
-    _check_coord(f, i)
-    return _kind_values(table_measures(f.n, f.table), kind)[i - 1]
-
-
 def _check_coord(f: BooleanFunction, i: int) -> None:
     if not 1 <= i <= f.n:
         raise ValueError(f"coordinate {i} out of range for arity {f.n}")
@@ -175,15 +166,6 @@ def _potential_over(
 
 def potential(f: BooleanFunction, kind: CoordinateMeasureKind) -> PotentialValue:
     return _potential_over(f, kind, range(1, f.n + 1))
-
-
-def restricted_potential(
-    f: BooleanFunction, kind: CoordinateMeasureKind, coords: Iterable[int]
-) -> PotentialValue:
-    coords = sorted(set(coords))
-    for i in coords:
-        _check_coord(f, i)
-    return _potential_over(f, kind, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -412,40 +394,3 @@ def check_monomial_sensitivity(f: BooleanFunction, k: int) -> CheckResult:
         (name, mask),
     )
 
-
-def check_junta_count(f: BooleanFunction, k: int) -> CheckResult:
-    """Relevant coordinates with sens_i <= k number at most C_v * k^3 * 2^k."""
-    rec = table_measures(f.n, f.table)
-    cnt = sum(1 for d, m in zip(rec.diffs, rec.sens_i) if d and m <= k)
-    bound = _SUM_INV_SQUARES * (k ** 3) * (2 ** k)
-    return CheckResult(
-        cnt <= bound, f"{cnt} low-sensitivity coordinates vs bound {bound:.6f}"
-    )
-
-
-class SplitBoundResult(NamedTuple):
-    hypothesis_holds: bool
-    bound_holds: bool | None
-    detail: str = ""
-
-
-def check_split_bound(f: BooleanFunction, coords: Iterable[int]) -> SplitBoundResult:
-    """If no input sees two sensitive coordinates from Y, then |Y| < 4^s."""
-    Y = sorted(set(coords))
-    rel = f.relevant_variables()
-    if not set(Y) <= rel:
-        raise ValueError(f"{set(Y) - rel} are not relevant coordinates")
-    rec = table_measures(f.n, f.table)
-    masks = [rec.diffs[i - 1] for i in Y]
-    for x in range(1 << f.n):
-        cnt = 0
-        for d in masks:
-            if (d >> x) & 1:
-                cnt += 1
-                if cnt > 1:
-                    return SplitBoundResult(
-                        False, None, f"input {x:#x} has two sensitive coordinates in Y"
-                    )
-    s = rec.sens[0]
-    ok = len(Y) < 4 ** s
-    return SplitBoundResult(True, ok, f"|Y|={len(Y)} vs 4^{s}")

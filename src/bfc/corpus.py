@@ -196,28 +196,3 @@ def parse_corpus(spec: str) -> Corpus:
         return Corpus(kind="named", names=names)
     raise ValueError(f"unknown corpus spec {spec!r}")
 
-
-def random_monotone(n: int, count: int, seed: int) -> list[BooleanFunction]:
-    """Biased monotone sampler: random table, then upward closure.
-
-    Each sampled table is ORed upward along every coordinate until stable,
-    which overweights functions with small upper shadows; fine for property
-    testing, not a uniform sampler.
-    """
-    rng = random.Random(seed)
-    out = []
-    size = 1 << n
-    for _ in range(count):
-        t = rng.getrandbits(size)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                shift = 1 << i
-                lo = half_mask(n, i)
-                up = (t & lo) << shift
-                if up & ~t:
-                    t |= up
-                    changed = True
-        out.append(BooleanFunction(n, t))
-    return out

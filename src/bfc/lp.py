@@ -35,7 +35,6 @@ checks that certificate against each remaining LP instead.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, lcm
@@ -48,10 +47,6 @@ from .measures import APPROX_DEGREE_MAX_ARITY
 RELATIONS = ("<=", "=", ">=")
 
 LP_CAP_SCAN_MAX_DEGREE = 16
-
-# the numbers of the text format: an integer or num/den, nothing Fraction()
-# would also expand (decimals, exponents); compiled on first use, by re's cache
-_RATIONAL_TOKEN = r"-?[0-9]+(/[0-9]+)?"
 
 
 Constraint = tuple[tuple[Fraction, ...], str, Fraction]
@@ -116,39 +111,6 @@ class LinearProgram:
     def satisfies(self, x: Sequence[Fraction]) -> bool:
         nums, den = _scaled_point(x)
         return all(_gap(row, nums, den) <= 0 for row in self._int_rows)
-
-    def to_text(self) -> str:
-        lines = [f"vars={self.num_vars}"]
-        for coeffs, rel, rhs in self.constraints:
-            parts = [f"{c.numerator}/{c.denominator}" for c in coeffs]
-            parts.append(rel)
-            parts.append(f"{rhs.numerator}/{rhs.denominator}")
-            lines.append(" ".join(parts))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "LinearProgram":
-        """Parse ``to_text`` output; malformed text raises ``ValueError``."""
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not re.fullmatch(r"vars=[0-9]+", lines[0]):
-            raise ValueError("LP text must start with 'vars=<k>', k in decimal digits")
-        k = int(lines[0][5:])
-        rows = []
-        for ln in lines[1:]:
-            toks = ln.split()
-            if len(toks) != k + 2:
-                raise ValueError(f"expected {k + 2} tokens, got {len(toks)}: {ln!r}")
-            nums = toks[:k] + toks[k + 1:]
-            bad = [t for t in nums if not re.fullmatch(_RATIONAL_TOKEN, t)]
-            if bad:
-                raise ValueError(f"expected an integer or num/den, got {bad[0]!r}")
-            try:
-                coeffs = tuple(Fraction(t) for t in toks[:k])
-                rhs = Fraction(toks[k + 1])
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in {ln!r}") from None
-            rows.append((coeffs, toks[k], rhs))
-        return cls.build(k, rows)
 
 
 def _scaled_point(x: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -88,7 +88,12 @@ def standard_form(f: BooleanFunction) -> BooleanFunction:
 
 
 def _symmetrized(n: int, table: int) -> list[int]:
-    """Integer coefficients of ``symmetrize``, trailing zeros dropped."""
+    """Univariate coefficients after substituting one value for all inputs.
+
+    Index j holds the sum of the multilinear coefficients of all size-j
+    subsets, trailing zeros dropped; evaluating at mu recovers the expected
+    value of the function under i.i.d. Bernoulli(mu) inputs.
+    """
     out = [0] * (n + 1)
     for mask, c in enumerate(table_measures(n, table).mobius):
         if c:
@@ -96,16 +101,6 @@ def _symmetrized(n: int, table: int) -> list[int]:
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return out
-
-
-def symmetrize(g: BooleanFunction) -> tuple[Fraction, ...]:
-    """Univariate coefficients after substituting one value for all inputs.
-
-    Index j holds the sum of the multilinear coefficients of all size-j
-    subsets; evaluating at mu recovers the expected value of g under
-    i.i.d. Bernoulli(mu) inputs.
-    """
-    return tuple(Fraction(c) for c in _symmetrized(g.n, g.table))
 
 
 def _grid_bounded(p: list[int], b: int) -> bool:

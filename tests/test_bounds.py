@@ -26,7 +26,6 @@ from bfc.bounds import (
     markov_cap,
     monotone_dt_table,
     power_tail,
-    technical_recursion,
 )
 from bfc.bounds import (
     POW2_BITS, _base_sums, _pow2, _pow2_bounds, _pow2_sum_sign, _profile_step,
@@ -406,26 +405,6 @@ def test_cs_sens_bound():
         cs_sens_bound(0)
 
 
-# --- the auxiliary recursion -------------------------------------------------------
-
-def test_technical_recursion_subcritical_is_bounded():
-    res = technical_recursion(0.5, Fraction(1, 4), 100)
-    assert res.constant_bound
-    assert res.values[-1] <= res.bound_constant + 1e-9
-
-
-def test_technical_recursion_critical_is_harmonic():
-    res = technical_recursion(0.5, Fraction(1, 2), 100)
-    assert res.harmonic_bound
-    # logarithmic growth: doubling d gains roughly a constant
-    assert res.values[99] - res.values[49] < 0.6
-
-
-def test_technical_recursion_base_case():
-    res = technical_recursion(0.5, Fraction(1, 2), 1)
-    assert res.values == (0.5,)
-
-
 # --- monotone decision-tree table ----------------------------------------------------
 
 def test_monotone_dt_values():
@@ -496,10 +475,6 @@ def test_reproduce_bounds_quick_prints_the_pinned_summary():
     assert lines[-1].startswith("done in ")
     want = (Path(__file__).parent / "data" / "reproduce_bounds_quick.txt").read_text()
     assert "".join(lines[:-1]) == want
-
-
-def test_junta_count_constant_is_zeta_two():
-    assert bfc.coordinate._SUM_INV_SQUARES == float(mpmath.zeta(2))
 
 
 def test_mpmath_evaluations_restore_precision():

@@ -1,4 +1,6 @@
 import io
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bfc
 from bfc.bf import BooleanFunction
 from bfc.cli import main
 from bfc.lp import LP_CAP_SCAN_MAX_DEGREE
@@ -207,6 +210,23 @@ def test_negative_beta_fails_with_one_error_line(argv, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "bfc: error: mixing weight must lie in (0, 1], got -1/2\n"
+
+
+def test_closed_stdout_pipe_ends_quietly_with_sigpipe_status():
+    # 1.4 MB of output, far past a pipe buffer: the reader takes one line
+    # and closes the pipe while bfc is still printing
+    src = str(Path(bfc.__file__).resolve().parents[1])
+    code = "import sys; from bfc.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, "table", "degree", "--dmax", "64", "--bstep", "1"],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"caps\tlp\n"
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait(timeout=60) == 141
 
 
 def test_verify_skips_rows_past_the_exact_search_cap():

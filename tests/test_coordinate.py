@@ -8,10 +8,18 @@ from hypothesis import strategies as st
 
 from bfc import coordinate
 from bfc.bounds import _pow2_sum_sign
-from bfc.bf import BooleanFunction, degree_of_vector, diff_mask, family
+from bfc.bf import (
+    BooleanFunction,
+    degree_of_vector,
+    diff_mask,
+    family,
+    fourier_vector,
+    mobius_vector,
+)
 from bfc.corpus import parse_corpus
 from bfc.measures import TableMeasures, table_measures
 from bfc.coordinate import (
+    _kind_values,
     _monomial_sens_violation,
     _rrcm_violation,
     ALL_BASE_KINDS,
@@ -22,16 +30,13 @@ from bfc.coordinate import (
     CoordinateMeasureKind,
     cert_i,
     check_influence_bound,
-    check_junta_count,
     check_monomial_sensitivity,
     check_restriction_inequality,
     check_rrcm,
-    check_split_bound,
     deg_i,
     mix_cs,
     mix_ds,
     potential,
-    restricted_potential,
     sens_i,
 )
 
@@ -76,13 +81,6 @@ def test_potential_examples():
     assert potential(OR2, DEG_I).value == Fraction(1, 2)
 
 
-def test_restricted_potential_examples():
-    assert restricted_potential(OR2, DEG_I, [1]).value == Fraction(1, 4)
-    assert restricted_potential(OR2, DEG_I, []).value == 0
-    top = restricted_potential(MAJ3, SENS_I, [1, 2, 3])
-    assert top.value < Fraction(3, 2)
-
-
 def test_mixed_potential_carries_error_bound():
     pv = potential(MAJ3, mix_ds(Fraction(1, 2)))
     assert not pv.exact
@@ -101,7 +99,8 @@ def test_potential_is_exact_iff_every_exponent_is_integral():
         for kind in kinds:
             pv = potential(f, kind)
             rel = f.relevant_variables()
-            ms = [Fraction(coordinate.coordinate_measure(f, i, kind)) for i in rel]
+            values = _kind_values(table_measures(f.n, f.table), kind)
+            ms = [Fraction(values[i - 1]) for i in rel]
             assert pv.exact == all(m.denominator == 1 for m in ms)
             if pv.exact:
                 assert pv.value == sum(Fraction(1, 2 ** m.numerator) for m in ms)
@@ -163,7 +162,7 @@ def _mp_restriction_verdict(f, i, kind, H):
     with mpmath.workdps(60):
         w = []
         for g, c in branches:
-            m = Fraction(coordinate.coordinate_measure(g, c, kind))
+            m = Fraction(_kind_values(table_measures(g.n, g.table), kind)[c - 1])
             relevant = c in g.relevant_variables()
             w.append(mpmath.power(2, -mpmath.mpf(m.numerator) / m.denominator) if relevant else 0)
         gap = sum(w[1:]) - (len(w) - 1) * w[0]
@@ -199,7 +198,7 @@ def test_restriction_inequality_exact_tie_passes():
     # 2^(-3/2) - 2 * 2^(-5/2): its 2^(1/2) coefficients 1/4 - 1/4 cancel
     and2 = family("AND", 2)
     kind = mix_ds(Fraction(1, 2))
-    assert coordinate.coordinate_measure(and2, 1, kind) == Fraction(5, 2)
+    assert _kind_values(table_measures(2, and2.table), kind)[0] == Fraction(5, 2)
     gap, _ = _mp_restriction_verdict(and2, 1, kind, [2])
     assert abs(gap) < 1e-55
     terms = [(-2, Fraction(-5, 2)), (1, Fraction(-3, 2))]
@@ -258,11 +257,10 @@ def test_influence_bound_is_exact_at_a_forced_tie(monkeypatch, beta, f):
 
 def _reference_monomial_sens(n, table, sens):
     """The per-k scan: first (k, basis, mask, count) over k = 1..6."""
-    f = BooleanFunction(n, table)
-    spectra = (
-        ("monomial", sorted(f.mobius_transform().coeffs)),
-        ("spectral", sorted(f.fourier_transform().coeffs)),
-    )
+    spectra = [
+        (name, [mask for mask, c in enumerate(vector(n, table)) if c])
+        for name, vector in (("monomial", mobius_vector), ("spectral", fourier_vector))
+    ]
     for k in range(1, 7):
         low = [i for i in range(n) if sens[i] <= k]
         for name, masks in spectra:
@@ -295,24 +293,6 @@ def test_monomial_sensitivity_examples():
     assert check_monomial_sensitivity(family("KUSHILEVITZ"), 6).passed
 
 
-def test_junta_count_examples():
-    assert check_junta_count(family("DICT", 2), 2).passed
-    assert check_junta_count(family("PARITY", 4), 8).passed
-    assert check_junta_count(family("CONST0", 4), 3).passed
-
-
-def test_split_bound_examples():
-    addr = family("ADDR", 2)
-    res = check_split_bound(addr, [3, 4, 5, 6])
-    assert res.hypothesis_holds and res.bound_holds
-    res = check_split_bound(MAJ3, [1])
-    assert res.hypothesis_holds and res.bound_holds
-    res = check_split_bound(family("PARITY", 3), [1, 2])
-    assert not res.hypothesis_holds
-    with pytest.raises(ValueError):
-        check_split_bound(family("CONST0", 2), [1])
-
-
 def test_c_potential_below_half_on_three_variables():
     for t in range(1 << 8):
         f = BooleanFunction(3, t)
@@ -327,11 +307,11 @@ def test_top_monomial_coordinates_have_full_deg_i():
         d = degree(f)
         if d == 0:
             continue
-        mob = f.mobius_transform()
-        for subset in mob.support():
-            if len(subset) == d:
-                for i in subset:
-                    assert deg_i(f, i) == d
+        for mask, c in enumerate(mobius_vector(3, t)):
+            if c and mask.bit_count() == d:
+                for i in range(3):
+                    if mask >> i & 1:
+                        assert deg_i(f, i + 1) == d
 
 
 def _lemma_corpus():

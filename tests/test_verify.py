@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 
 import bfc.bf
 from bfc import coordinate, verify
-from bfc.bf import ArityError, BooleanFunction, family
+from bfc.bf import ArityError, BooleanFunction, family, mobius_vector
 from bfc.corpus import (
     DEDEKIND,
     enumerate_monotone,
     parse_corpus,
-    random_monotone,
 )
 from bfc.measures import TableMeasures, block_sensitivity, degree, table_measures
 from bfc.verify import (
@@ -30,7 +29,6 @@ from bfc.verify import (
     run_theorem_suite,
     standard_form,
     suite_failures,
-    symmetrize,
 )
 
 
@@ -76,11 +74,6 @@ def test_parse_corpus_rejects_garbage():
         parse_corpus("named:")
 
 
-def test_random_monotone_closure():
-    for f in random_monotone(4, 20, 11):
-        assert f.is_monotone()
-
-
 # --- standard form --------------------------------------------------------------
 
 def test_standard_form_or2_fixed_point():
@@ -124,22 +117,23 @@ def test_standard_form_arity_and_linear_coefficient(table):
     bs = block_sensitivity(f).bs
     g = standard_form(f)
     assert g.n == bs
-    p = symmetrize(g)
+    p = verify._symmetrized(g.n, g.table)
     assert (p[1] if len(p) > 1 else 0) == bs
 
 
 # --- symmetrisation ---------------------------------------------------------------
 
 def test_symmetrize_examples():
-    assert symmetrize(family("OR", 2)) == (0, 2, -1)
-    assert symmetrize(family("PARITY", 2)) == (0, 2, -2)
-    p = symmetrize(standard_form(family("MAJ", 3)))
+    assert verify._symmetrized(2, family("OR", 2).table) == [0, 2, -1]
+    assert verify._symmetrized(2, family("PARITY", 2).table) == [0, 2, -2]
+    g = standard_form(family("MAJ", 3))
+    p = verify._symmetrized(g.n, g.table)
     assert p[1] == block_sensitivity(family("MAJ", 3)).bs == 2
 
 
 def test_symmetrize_endpoints():
     f = family("MAJ", 3)
-    p = symmetrize(f)
+    p = verify._symmetrized(f.n, f.table)
     assert sum(p) == f.evaluate((1, 1, 1))
     assert p[0] == f.evaluate((0, 0, 0))
 
@@ -149,16 +143,16 @@ def test_standard_form_lemmas():
     rep = check_standard_form_lemmas(or2)
     assert rep.passed
     # single pair coefficient -1, so p''(0) = -2 = -b(b-1)
-    assert or2.mobius_transform().coefficient((1, 2)) == -1
-    p = symmetrize(or2)
+    assert mobius_vector(2, or2.table)[0b11] == -1
+    p = verify._symmetrized(2, or2.table)
     assert 2 * p[2] == -2
     g = standard_form(family("AND", 3))
     assert check_standard_form_lemmas(g).passed
-    mob = g.mobius_transform()
+    mob = mobius_vector(g.n, g.table)
     assert all(
-        mob.coefficient((i, j)) in (-1, -2)
-        for i in range(1, 4)
-        for j in range(i + 1, 4)
+        mob[(1 << i) | (1 << j)] in (-1, -2)
+        for i in range(3)
+        for j in range(i + 1, 3)
     )
     assert check_standard_form_lemmas(family("DICT", 1)).passed  # vacuous pairs
     with pytest.raises(ValueError):
@@ -535,11 +529,11 @@ def test_relvars_cs_float_verdict_matches_60_digits():
 
 def _reference_monomial_potential(n, table, sens):
     """S(M) = sum_{i in M} 2^-sens_i per nonzero monomial, in Fractions."""
-    mob = BooleanFunction(n, table).mobius_transform()
+    mob = mobius_vector(n, table)
     for mask in range(1, 1 << n):
-        subset = [i for i in range(n) if (mask >> i) & 1]
-        if not mob.coefficient([i + 1 for i in subset]):
+        if not mob[mask]:
             continue
+        subset = [i for i in range(n) if (mask >> i) & 1]
         total = sum((Fraction(1, 1 << sens[i]) for i in subset), Fraction(0))
         if total >= Fraction(3, 2):
             return f"mask={mask:#x} S={total}", "3/2"
