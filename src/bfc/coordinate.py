@@ -77,6 +77,8 @@ STANDARD_KINDS = ALL_BASE_KINDS + (mix_ds(Fraction(1, 2)), mix_cs(Fraction(1, 2)
 # deg_i, sens_i and cert_i of every coordinate are fields of the table's
 # ``measures.TableMeasures`` record, so restrictions met by the checks
 # below, by the theorem suite and by the public functions share one memo.
+# The record reads them off its one-byte-per-point integers of s_x, C_x
+# and the Moebius coefficients, with no loop over the points.
 # ---------------------------------------------------------------------------
 
 def _kind_values(rec: TableMeasures, kind: CoordinateMeasureKind) -> tuple:

@@ -3,7 +3,7 @@
 All search-heavy measures (block sensitivity, certificates, decision-tree
 depth) run in exact mode only, guarded by arity caps that raise instead of
 truncating.  Each cap is checked by ``bf.check_arity`` inside the code
-that every caller shares (``TableMeasures.point_certs``,
+that every caller shares (``TableMeasures.cert_lanes``,
 ``TableMeasures.bs``, ``_dt_depth``, and
 ``coordinate._monomial_sens_violation``), so the theorem suite meets the
 same caps as the public functions; ``approx_degree`` and ``lp.adeg_lp``
@@ -21,6 +21,16 @@ each measure of a table once while its record stays in the memo.
 Decision-tree depth keeps the memo of its own search, which recurses on
 sub-tables that need no other measure.
 
+Per-point values live in one integer per table with one byte per point:
+byte x (bits 8x..8x+7) holds the value at point x.  Every such value is at
+most 2n <= 40 under ``bf.MAX_ARITY``, so lane-wise sums never carry out of
+a byte.  ``_lanes`` spreads a bit mask over the bytes, coordinate i flips
+as the bit trick of ``bf.flip_table`` at eight times the stride, and a
+maximum or minimum over a set of points is one pass in C over the integer's
+bytes after the other bytes are masked away.  s_x, C_x, sens_i, cert_i and
+deg_i are built this way, with no loop over the points in Python; only the
+public ``per_point`` tuples and block sensitivity decode the bytes.
+
 Every field is a pure function of the table, so concurrent readers of one
 record that race on a field compute the same value.
 """
@@ -28,7 +38,7 @@ record that race on a field compute the same value.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 from .bf import (
@@ -52,6 +62,41 @@ EXACT_SEARCH_MAX_ARITY = 14
 # approximate degree and its LP (lp.adeg_lp): every 6-input table tried
 # takes at most about 1 s, while 7 inputs already take 7-15 s
 APPROX_DEGREE_MAX_ARITY = 6
+
+
+# ---------------------------------------------------------------------------
+# one byte per point
+# ---------------------------------------------------------------------------
+
+_BITS_TO_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _lanes(mask: int) -> int:
+    """The packed int whose byte x is bit x of ``mask`` (mask >= 0)."""
+    return int.from_bytes(f"{mask:b}".encode().translate(_BITS_TO_BYTES), "big")
+
+
+@lru_cache(maxsize=None)
+def _lane_halves(n: int) -> tuple[tuple[int, int], ...]:
+    """(lo, s) per coordinate i: the bytes of the points with x_i = 0, and
+    the shift in bits from point x to point x ^ 2**i."""
+    return tuple((half_mask(n + 3, i + 3), 8 << i) for i in range(n))
+
+
+def _flip_lanes(v: int, lo: int, s: int) -> int:
+    """Byte x of the result is byte x ^ 2**i of ``v``, for (lo, s) of coordinate i."""
+    return (v >> s) & lo | (v & lo) << s
+
+
+def _lane_max(v: int, n: int) -> int:
+    """The largest byte of the packed ``v``."""
+    return max(v.to_bytes(1 << n, "little"))
+
+
+@lru_cache(maxsize=None)
+def _popcount_lanes(n: int) -> int:
+    """Byte m holds the number of coordinates in the mask m."""
+    return int.from_bytes(bytes(map(int.bit_count, range(1 << n))), "little")
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +211,28 @@ def _dt_depth(n: int, table: int) -> int:
 # the measure record of one table
 # ---------------------------------------------------------------------------
 
+class _lazy:
+    """A field computed by ``func`` on first read and stored in the
+    instance ``__dict__``, which then shadows this non-data descriptor.
+
+    Unlike ``functools.cached_property`` it takes no lock: a field is a pure
+    function of the table, so two readers that race compute the same value.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, rec, owner=None):
+        if rec is None:
+            return self
+        value = rec.__dict__[self.name] = self.func(rec)
+        return value
+
+
 class TableMeasures:
     """The measures of one truth table, each computed on first read and
     kept on the record.
@@ -173,92 +240,114 @@ class TableMeasures:
     ``table_measures`` hands out the shared record of each table; a record
     built directly starts empty.  Decision-tree depth is read through
     ``_dt_depth``, whose memo also serves the sub-tables of its search.
+    Of the packed per-point values (one byte per point, see the module
+    docstring) only f, s_x and C_x are kept; the byte masks of f's values
+    and of the sensitive points are rebuilt where they are read.
     """
 
     def __init__(self, n: int, table: int):
         self.n = n
         self.table = table
 
-    @cached_property
+    @_lazy
     def f(self) -> BooleanFunction:
         return BooleanFunction(self.n, self.table)
 
-    @cached_property
+    @_lazy
     def monotone(self) -> bool:
         return self.f.is_monotone()
 
-    @cached_property
+    @_lazy
     def diffs(self) -> tuple[int, ...]:
         return tuple(diff_mask(self.table, self.n, i) for i in range(self.n))
 
-    @cached_property
+    @_lazy
     def nrel(self) -> int:
         """Number of relevant coordinates."""
         return sum(1 for d in self.diffs if d)
 
-    @cached_property
-    def point_sens(self) -> tuple[int, ...]:
-        sx = [0] * (1 << self.n)
-        for d in self.diffs:
-            while d:
-                low = d & -d
-                sx[low.bit_length() - 1] += 1
-                d ^= low
-        return tuple(sx)
+    @_lazy
+    def table_lanes(self) -> int:
+        """f packed one byte per point."""
+        return _lanes(self.table)
 
-    @cached_property
+    def _value_masks(self) -> tuple[int, int]:
+        """Byte masks (0xff per point) of the points where f = 0 and f = 1."""
+        ones = self.table_lanes * 255
+        return ones ^ ((1 << (8 << self.n)) - 1), ones
+
+    @_lazy
+    def sens_lanes(self) -> int:
+        """s_x packed: the sum over coordinates i of f ^ (f flipped along
+        i), whose byte x is 1 iff x is sensitive to i."""
+        t = self.table_lanes
+        sx = 0
+        for lo, s in _lane_halves(self.n):
+            sx += t ^ _flip_lanes(t, lo, s)
+        return sx
+
+    @_lazy
+    def point_sens(self) -> tuple[int, ...]:
+        return tuple(self.sens_lanes.to_bytes(1 << self.n, "little"))
+
+    @_lazy
     def sens(self) -> tuple[int, int, int]:
         """(s, s0, s1)."""
-        s0 = s1 = 0
-        for x, v in enumerate(self.point_sens):
-            if (self.table >> x) & 1:
-                s1 = max(s1, v)
-            else:
-                s0 = max(s0, v)
+        n, sx = self.n, self.sens_lanes
+        zeros, ones = self._value_masks()
+        s0, s1 = _lane_max(sx & zeros, n), _lane_max(sx & ones, n)
         return max(s0, s1), s0, s1
 
-    @cached_property
+    @_lazy
     def mobius(self) -> tuple[int, ...]:
         return tuple(mobius_vector(self.n, self.table))
 
-    @cached_property
+    @_lazy
     def deg(self) -> int:
         return degree_of_vector(self.mobius)
 
-    @cached_property
-    def point_certs(self) -> tuple[int, ...]:
-        """C_x for every point: n minus the largest monochromatic subcube at x."""
+    @_lazy
+    def cert_lanes(self) -> int:
+        """C_x packed: n minus the dimension of the largest monochromatic
+        subcube at x.
+
+        A subcube of a monochromatic subcube is monochromatic, so the
+        dimensions of those at x are 0..K_x, and K_x counts the k >= 1 for
+        which x lies in a monochromatic subcube of dimension k or more.
+        """
         n = self.n
         check_arity(n, EXACT_SEARCH_MAX_ARITY, "certificate search")
         by_dim = [0] * (n + 1)
         for smask, m in enumerate(_mono_subcubes(n, self.table)):
             by_dim[popcount(smask)] |= m
-        cx = [0] * (1 << n)
-        seen = 0
-        for k in range(n, -1, -1):
-            new = by_dim[k] & ~seen
-            seen |= new
-            while new:
-                low = new & -new
-                cx[low.bit_length() - 1] = n - k
-                new ^= low
-        return tuple(cx)
+        cx = n * _lanes((1 << (1 << n)) - 1)
+        up = 0
+        for k in range(n, 0, -1):
+            up |= by_dim[k]
+            cx -= _lanes(up)
+        return cx
 
-    @cached_property
+    @_lazy
+    def point_certs(self) -> tuple[int, ...]:
+        """C_x for every point: n minus the largest monochromatic subcube at x."""
+        return tuple(self.cert_lanes.to_bytes(1 << self.n, "little"))
+
+    @_lazy
     def certs(self) -> CertificateReport:
-        n, table = self.n, self.table
-        cx = self.point_certs
-        c0s = [cx[x] for x in range(1 << n) if not (table >> x) & 1]
-        c1s = [cx[x] for x in range(1 << n) if (table >> x) & 1]
-        C0 = max(c0s, default=0)
-        C1 = max(c1s, default=0)
-        Cmin0 = min(c0s, default=0)
-        Cmin1 = min(c1s, default=0)
+        """Maxima and minima of C_x; a minimum over the points of a value f
+        never takes is 0, as is a maximum.  Minima read the bytes after the
+        other points are set to 0xff."""
+        n, cx = self.n, self.cert_lanes
+        zeros, ones = self._value_masks()
+        C0, C1 = _lane_max(cx & zeros, n), _lane_max(cx & ones, n)
+        Cmin0 = min((cx | ones).to_bytes(1 << n, "little")) if zeros else 0
+        Cmin1 = min((cx | zeros).to_bytes(1 << n, "little")) if ones else 0
+        per_point = self.point_certs
         return CertificateReport(
-            max(C0, C1), C0, C1, min(cx), Cmin0, Cmin1, cx
+            max(C0, C1), C0, C1, min(per_point), Cmin0, Cmin1, per_point
         )
 
-    @cached_property
+    @_lazy
     def bs(self) -> BlockSensitivityReport:
         """bs and the first point, in index order, that attains it.
 
@@ -294,64 +383,54 @@ class TableMeasures:
     def dt(self) -> int:
         return _dt_depth(self.n, self.table)
 
-    @cached_property
+    @_lazy
     def inf_counts(self) -> tuple[int, ...]:
         """#{x : f(x) != f(x^i)} for each coordinate."""
         return tuple(popcount(d) for d in self.diffs)
 
     # -- coordinate measures (see coordinate.py) ----------------------------
 
-    @cached_property
+    @_lazy
     def deg_i(self) -> tuple[int, ...]:
         """Degree of f(x) - f(x^i) for each coordinate (0 when irrelevant).
 
         With f = sum c_S x^S, flipping x_i turns x^S into (1 - x_i) x^(S-i) for
         S containing i, so f(x) - f(x^i) = sum_{S∋i} c_S (2 x^S - x^(S-i)).
         The terms 2 c_S x^S cannot cancel, so deg_i is the largest |S| with
-        i in S and c_S != 0.
+        i in S and c_S != 0: the largest byte of ``sizes`` (byte S is |S|
+        where c_S != 0) over the masks S that contain i, shifted onto the
+        masks without i.
         """
-        out = [0] * self.n
-        for mask, c in enumerate(self.mobius):
-            if c:
-                k = popcount(mask)
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    i = low.bit_length() - 1
-                    if out[i] < k:
-                        out[i] = k
-                    rest ^= low
-        return tuple(out)
+        n = self.n
+        nonzero = int.from_bytes(bytes(map(bool, self.mobius)), "little")
+        sizes = nonzero * 255 & _popcount_lanes(n)
+        return tuple(_lane_max(sizes >> s & lo, n) for lo, s in _lane_halves(n))
 
-    def _edge_max(self, point: tuple[int, ...]) -> tuple[int, ...]:
-        """max over sensitive edges {x, x^i} of point[x] + point[x^i], per coordinate.
+    def _edge_max(self, point: int) -> tuple[int, ...]:
+        """max over sensitive edges {x, x^i} of point[x] + point[x^i], per
+        coordinate, for a packed ``point``.
 
-        Each edge is visited once, from its endpoint with x_i = 0.
+        The sum of ``point`` and its flip along i takes that value at both
+        ends of every edge along i, so its largest byte over the sensitive
+        points (d_i, the bytes where f differs from its flip) is the
+        maximum over edges.
         """
+        n, t = self.n, self.table_lanes
         out = []
-        for i, d in enumerate(self.diffs):
-            bit = 1 << i
-            d &= half_mask(self.n, i)
-            best = 0
-            while d:
-                low = d & -d
-                x = low.bit_length() - 1
-                v = point[x] + point[x ^ bit]
-                if v > best:
-                    best = v
-                d ^= low
-            out.append(best)
+        for lo, s in _lane_halves(n):
+            sensitive = (t ^ _flip_lanes(t, lo, s)) * 255
+            out.append(_lane_max((point + _flip_lanes(point, lo, s)) & sensitive, n))
         return tuple(out)
 
-    @cached_property
+    @_lazy
     def sens_i(self) -> tuple[int, ...]:
         """max over sensitive edges of s_x + s_{x^i}, per coordinate."""
-        return self._edge_max(self.point_sens)
+        return self._edge_max(self.sens_lanes)
 
-    @cached_property
+    @_lazy
     def cert_i(self) -> tuple[int, ...]:
         """max over sensitive edges of C_x + C_{x^i}, per coordinate."""
-        return self._edge_max(self.point_certs)
+        return self._edge_max(self.cert_lanes)
 
 
 @lru_cache(maxsize=1 << 17)
@@ -423,8 +502,10 @@ def approx_degree(f: BooleanFunction, eps: Fraction = Fraction(1, 3)) -> int:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
     from .lp import adeg_lp, simplex_feasible
 
+    # f's own multilinear polynomial meets the LP at d = deg f with error
+    # 0, so that LP is feasible and is never solved
     top = table_measures(f.n, f.table).deg
-    for d in range(top + 1):
+    for d in range(top):
         if simplex_feasible(adeg_lp(f, d, eps)).feasible:
             return d
     return top

@@ -8,10 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfc import measures
-from bfc.bf import ArityError, BooleanFunction, diff_mask, family, flip_table
+from bfc.bf import (
+    ArityError,
+    BooleanFunction,
+    diff_mask,
+    family,
+    flip_table,
+    half_mask,
+    mobius_vector,
+)
 from bfc.corpus import parse_corpus
+from bfc.lp import adeg_lp, simplex_feasible
 from bfc.measures import (
     BlockSensitivityReport,
+    CertificateReport,
     TableMeasures,
     approx_degree,
     block_sensitivity,
@@ -234,6 +244,214 @@ def test_certificates_at_the_arity_cap():
     assert set(rep.per_point) == {7}
 
 
+# ---------------------------------------------------------------------------
+# the packed per-point fields (one byte per point) against per-point loops
+# ---------------------------------------------------------------------------
+
+PACKED_FIELDS = ("point_sens", "sens", "point_certs", "certs", "sens_i", "cert_i", "deg_i")
+
+
+def _per_point_reports(n, table, sx, cx):
+    """The sensitivity and certificate fields from the tuples s_x and C_x."""
+    s0 = [sx[x] for x in range(1 << n) if not (table >> x) & 1]
+    s1 = [sx[x] for x in range(1 << n) if (table >> x) & 1]
+    c0 = [cx[x] for x in range(1 << n) if not (table >> x) & 1]
+    c1 = [cx[x] for x in range(1 << n) if (table >> x) & 1]
+    return {
+        "point_sens": sx,
+        "sens": (max(sx), max(s0, default=0), max(s1, default=0)),
+        "point_certs": cx,
+        "certs": CertificateReport(
+            max(cx), max(c0, default=0), max(c1, default=0),
+            min(cx), min(c0, default=0), min(c1, default=0), cx,
+        ),
+    }
+
+
+def _reference_deg_i(n, table):
+    """deg_i by definition: the degree of f(x) - f(x^i), from Moebius sums
+    over the submasks of each mask."""
+    out = []
+    for i in range(n):
+        g = [((table >> x) & 1) - ((table >> (x ^ (1 << i))) & 1) for x in range(1 << n)]
+        top = 0
+        for mask in range(1 << n):
+            c, sub = 0, mask
+            while True:
+                c += (-1) ** (mask ^ sub).bit_count() * g[sub]
+                if not sub:
+                    break
+                sub = (sub - 1) & mask
+            if c:
+                top = max(top, mask.bit_count())
+        out.append(top)
+    return tuple(out)
+
+
+def _brute_fields(n, table):
+    """Every packed field by its per-point definition."""
+    f = [(table >> x) & 1 for x in range(1 << n)]
+    sx = tuple(sum(f[x] != f[x ^ (1 << i)] for i in range(n)) for x in range(1 << n))
+    cx = _reference_point_certificates(n, table)
+
+    def edge_max(point):
+        return tuple(
+            max(
+                (point[x] + point[x ^ (1 << i)] for x in range(1 << n) if f[x] != f[x ^ (1 << i)]),
+                default=0,
+            )
+            for i in range(n)
+        )
+
+    return _per_point_reports(n, table, sx, cx) | {
+        "sens_i": edge_max(sx),
+        "cert_i": edge_max(cx),
+        "deg_i": _reference_deg_i(n, table),
+    }
+
+
+def _tuple_kernels(n, table):
+    """The per-point loops over tuples that the packed fields replaced."""
+    diffs = [diff_mask(table, n, i) for i in range(n)]
+    sx = [0] * (1 << n)
+    for d in diffs:
+        while d:
+            low = d & -d
+            sx[low.bit_length() - 1] += 1
+            d ^= low
+    by_dim = [0] * (n + 1)
+    for smask, m in enumerate(measures._mono_subcubes(n, table)):
+        by_dim[smask.bit_count()] |= m
+    cx = [0] * (1 << n)
+    seen = 0
+    for k in range(n, -1, -1):
+        new = by_dim[k] & ~seen
+        seen |= new
+        while new:
+            low = new & -new
+            cx[low.bit_length() - 1] = n - k
+            new ^= low
+    sx, cx = tuple(sx), tuple(cx)
+
+    def edge_max(point):
+        out = []
+        for i, d in enumerate(diffs):
+            bit = 1 << i
+            d &= half_mask(n, i)
+            best = 0
+            while d:
+                low = d & -d
+                x = low.bit_length() - 1
+                best = max(best, point[x] + point[x ^ bit])
+                d ^= low
+            out.append(best)
+        return tuple(out)
+
+    deg_i = [0] * n
+    for mask, c in enumerate(mobius_vector(n, table)):
+        if c:
+            for i in range(n):
+                if (mask >> i) & 1:
+                    deg_i[i] = max(deg_i[i], mask.bit_count())
+    return _per_point_reports(n, table, sx, cx) | {
+        "sens_i": edge_max(sx),
+        "cert_i": edge_max(cx),
+        "deg_i": tuple(deg_i),
+    }
+
+
+def _fields(n, table):
+    rec = TableMeasures(n, table)  # a fresh record, so every field runs
+    return {name: getattr(rec, name) for name in PACKED_FIELDS}
+
+
+@given(st.integers(0, 6).flatmap(
+    lambda n: st.integers(0, (1 << (1 << n)) - 1).map(lambda t: (n, t))
+))
+@settings(max_examples=120, deadline=None)
+def test_packed_fields_match_per_point_definitions(args):
+    n, t = args
+    assert _fields(n, t) == _brute_fields(n, t)
+
+
+def test_packed_fields_match_tuple_kernels_seeded():
+    rng = random.Random(20261019)
+    for n in range(8, 15):
+        t = rng.getrandbits(1 << n)
+        assert _fields(n, t) == _tuple_kernels(n, t), n
+
+
+def _brute_point_cert(n, table, x):
+    """C_x by definition: n minus the most coordinates that can move
+    together from x without changing f."""
+    fx = (table >> x) & 1
+    best = 0
+    for free in range(1 << n):
+        if free.bit_count() <= best:
+            continue
+        sub = free
+        while sub and (table >> (x ^ sub)) & 1 == fx:
+            sub = (sub - 1) & free
+        if not sub:
+            best = free.bit_count()
+    return n - best
+
+
+def _parity_table(n):
+    """PARITY_n, built a coordinate at a time (family() tabulates point by point)."""
+    t = 0
+    for k in range(n):
+        t |= (t ^ ((1 << (1 << k)) - 1)) << (1 << k)
+    return t
+
+
+def test_packed_bytes_hold_the_largest_values():
+    # the largest values the arity caps allow: s_x = 20 at every point of
+    # PARITY 20, so sens_i = 40, and C_x = 14 at every point of PARITY 14
+    assert _parity_table(5) == family("PARITY", 5).table
+    rec = TableMeasures(20, _parity_table(20))
+    assert rec.sens == (20, 20, 20)
+    assert rec.sens_i == (40,) * 20
+    rec = TableMeasures(14, _parity_table(14))
+    assert rec.certs[:6] == (14,) * 6 and rec.cert_i == (28,) * 14
+    # a random 14-input table: C_x by brute force at sampled points and at
+    # both ends of an edge where each cert_i is attained
+    n = 14
+    t = random.Random(20261020).getrandbits(1 << n)
+    rec = TableMeasures(n, t)
+    cx = rec.point_certs
+    points = set(random.Random(20261021).sample(range(1 << n), 8))
+    for i, c in enumerate(rec.cert_i):
+        x = next(
+            x for x in range(1 << n)
+            if (t >> x) & 1 != (t >> (x ^ (1 << i))) & 1 and cx[x] + cx[x ^ (1 << i)] == c
+        )
+        points |= {x, x ^ (1 << i)}
+    for x in sorted(points):
+        assert cx[x] == _brute_point_cert(n, t, x), x
+
+
+def test_record_fields_run_once_and_stay_on_the_record(monkeypatch):
+    fields = [name for name, attr in vars(TableMeasures).items() if hasattr(attr, "func")]
+    assert set(PACKED_FIELDS) <= set(fields)
+    calls = dict.fromkeys(fields, 0)
+    for name in fields:
+        kernel = getattr(TableMeasures, name).func
+
+        def counted(rec, kernel=kernel, name=name):
+            calls[name] += 1
+            return kernel(rec)
+
+        monkeypatch.setattr(getattr(TableMeasures, name), "func", counted)
+    recs = [TableMeasures(4, 0x6996), TableMeasures(5, 0xFEEDBEEF)]
+    for rec in recs:
+        for _ in range(2):
+            for name in fields:
+                getattr(rec, name)
+        assert all(name in vars(rec) for name in fields)
+    assert calls == dict.fromkeys(fields, len(recs))
+
+
 def test_dt_depth_examples():
     assert dt_depth(family("CONST0", 3)) == 0
     assert dt_depth(family("DICT", 3)) == 1
@@ -289,6 +507,16 @@ def test_approx_degree_examples():
     # adeg(AND_2) = 1 (e.g. -1/6 + x1/2 + x2/2 stays within 1/3 everywhere)
     assert approx_degree(family("AND", 2)) == 1
     assert approx_degree(family("OR", 2), Fraction(1, 3)) == 1
+
+
+def test_adeg_lp_is_feasible_at_the_degree():
+    # approx_degree returns deg f without solving this LP: f's own
+    # multilinear polynomial meets it with error 0
+    rng = random.Random(20261022)
+    for n in range(5):
+        for _ in range(3):
+            f = BooleanFunction(n, rng.getrandbits(1 << n))
+            assert simplex_feasible(adeg_lp(f, degree(f), Fraction(1, 3))).feasible, f.table
 
 
 def test_approx_degree_eps_validation():
