@@ -2,7 +2,7 @@
 """Recompute every headline constant and print a compact summary.
 
 Usage: python scripts/reproduce_bounds.py [--quick]
-  --quick skips the LP cap scan (about 3 s for d = 1..14 on a 2-core
+  --quick skips the LP cap scan (about 1.5 s for d = 1..14 on a 2-core
   x86-64 host) and reuses the stored cap table, which the full run
   re-derives and cross-checks.
 """

@@ -45,6 +45,19 @@ def half_mask(n: int, i0: int) -> int:
     return m
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bit_string(n: int, table: int) -> str:
+    """The 2**n bits of ``table`` as '0'/'1', character x holding bit x."""
+    return format(table, f"0{1 << n}b")[::-1]
+
+
+def _table_bytes(n: int, table: int) -> bytes:
+    """The 2**n bits of ``table`` as bytes 0/1, byte x holding bit x."""
+    return _bit_string(n, table).encode().translate(_BIT_BYTES)
+
+
 def restrict_bit(table: int, n: int, i0: int, b: int) -> int:
     """Table of f with 0-based coordinate ``i0`` fixed to ``b`` (arity n-1).
 
@@ -169,8 +182,7 @@ class BooleanFunction:
         return f"BooleanFunction(n={self.n}, table=0x{self.table:x})"
 
     def bits(self) -> tuple[int, ...]:
-        t = self.table
-        return tuple((t >> i) & 1 for i in range(1 << self.n))
+        return tuple(_table_bytes(self.n, self.table))
 
     def bit(self, index: int) -> int:
         return (self.table >> index) & 1
@@ -225,8 +237,7 @@ class BooleanFunction:
     # -- file format ---------------------------------------------------------
 
     def to_tt(self) -> str:
-        bits = "".join(str(b) for b in self.bits())
-        return f"n={self.n}\n{bits}\n"
+        return f"n={self.n}\n{_bit_string(self.n, self.table)}\n"
 
     @classmethod
     def from_tt(cls, text: str) -> "BooleanFunction":
@@ -245,7 +256,7 @@ class BooleanFunction:
 
 def mobius_vector(n: int, table: int) -> list[int]:
     """Integer monomial coefficients of f over {0,1}, indexed by subset mask."""
-    v = [(table >> x) & 1 for x in range(1 << n)]
+    v = list(_table_bytes(n, table))
     for i in range(n):
         bit = 1 << i
         for m in range(1 << n):
@@ -256,7 +267,7 @@ def mobius_vector(n: int, table: int) -> list[int]:
 
 def fourier_vector(n: int, table: int) -> list[int]:
     """2**n times the Fourier coefficients, via the Walsh-Hadamard transform."""
-    v = [1 - 2 * ((table >> x) & 1) for x in range(1 << n)]
+    v = [1 - 2 * b for b in _table_bytes(n, table)]
     for i in range(n):
         bit = 1 << i
         for m in range(1 << n):

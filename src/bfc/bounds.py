@@ -34,6 +34,15 @@ _GUARD = 12
 # 10-digit Euler-Mascheroni constant used by the certificate/sensitivity bound
 EULER_GAMMA = 0.5772156649
 
+# Largest d_max of the tables whose cost grows faster than d_max, each about
+# 0.9 s for the whole command at its bound (raw, one 2-core x86-64 host): the
+# monotone-degree recursion is quadratic in exact rationals; the monotone DT
+# values have at most 3,010 digits there, below Python's 4,300-digit limit
+# on int-to-str conversion; the cs table sums each (1/2) H_d afresh
+MONOTONE_DEGREE_MAX_DMAX = 250
+MONOTONE_DT_MAX_DMAX = 10000
+CS_TABLE_MAX_DMAX = 600
+
 # Caps on block sensitivity per degree certified by the moment-curve LP scan
 # (reproduced and re-verified by lp.lp_bs_cap; see tests).
 LP_CAP_TABLE = {
@@ -375,8 +384,10 @@ def dp_monotone_degree(d_max: int) -> MonotoneDegreeTable:
     min(k*2^-k + (1-2^-k)*prev, k*2^-d + prev); the headline adds the exact
     dyadic tail sum_{d>d_max} d/2^d.
     """
-    if d_max < 2:
-        raise ValueError(f"d_max must be >= 2, got {d_max}")
+    if not 2 <= d_max <= MONOTONE_DEGREE_MAX_DMAX:
+        raise ValueError(
+            f"table supports 2 <= d_max <= {MONOTONE_DEGREE_MAX_DMAX}, got {d_max}"
+        )
     vals: list[Fraction] = [Fraction(0), Fraction(1, 2), Fraction(1, 2)]
     for d in range(3, d_max + 1):
         prev = vals[d - 1]
@@ -465,8 +476,8 @@ def monotone_dt_table(d_max: int) -> MonotoneDtTable:
     Starting from 0, 1 the exact integer sequence obeys 2^(d-2) + 2 from
     depth 4 on (asserted), and the headline ratio R_d / 2^d approaches 1/4.
     """
-    if d_max < 1:
-        raise ValueError(f"d_max must be >= 1, got {d_max}")
+    if not 1 <= d_max <= MONOTONE_DT_MAX_DMAX:
+        raise ValueError(f"table supports 1 <= d_max <= {MONOTONE_DT_MAX_DMAX}, got {d_max}")
     R = [0, 1]
     for d in range(2, d_max + 1):
         R.append(max(2 * R[d - 1] - 2, 2 + 2 * R[d - 2], 1 + R[d - 1]))

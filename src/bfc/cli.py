@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .bf import BooleanFunction, FAMILY_NAMES, family
 from .bounds import (
+    CS_TABLE_MAX_DMAX,
     cap_profile,
     cs_harmonic_bound,
     cs_sens_bound,
@@ -105,6 +106,8 @@ def _cmd_table(args) -> int:
     else:  # cs
         if args.dmax < 1:
             raise ValueError(f"--dmax must be >= 1, got {args.dmax}")
+        if args.dmax > CS_TABLE_MAX_DMAX:
+            raise ValueError(f"--dmax must be <= {CS_TABLE_MAX_DMAX}, got {args.dmax}")
         for d in range(1, args.dmax + 1):
             h = cs_harmonic_bound(d)
             print(f"{d}\t{h.numerator}/{h.denominator}\t{float(h):.9f}")

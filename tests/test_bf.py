@@ -389,6 +389,45 @@ def test_tt_roundtrip():
     assert f.to_tt() == "n=3\n00010111\n"
 
 
+def test_tt_roundtrip_at_the_arity_cap():
+    # PARITY 20, built a coordinate at a time
+    t = 0
+    for k in range(MAX_ARITY):
+        t |= (t ^ ((1 << (1 << k)) - 1)) << (1 << k)
+    f = BooleanFunction(MAX_ARITY, t)
+    text = f.to_tt()
+    assert text[:13] == "n=20\n01101001" and len(text) == len("n=20\n\n") + (1 << MAX_ARITY)
+    assert BooleanFunction.from_tt(text) == f
+
+
+@given(st.integers(0, 8).flatmap(
+    lambda n: st.integers(0, (1 << (1 << n)) - 1).map(lambda t: (n, t))
+))
+@settings(max_examples=100, deadline=None)
+def test_one_pass_bit_reads_match_the_per_bit_definition(args):
+    n, t = args
+    per_bit = [(t >> x) & 1 for x in range(1 << n)]
+    f = BooleanFunction(n, t)
+    assert f.bits() == tuple(per_bit)
+    assert f.to_tt() == f"n={n}\n{''.join(map(str, per_bit))}\n"
+    # each Moebius coefficient by inclusion-exclusion over the subsets of m
+    mobius = mobius_vector(n, t)
+    for m in range(1 << n):
+        s, total = m, 0
+        while True:
+            total += (-1) ** bin(m ^ s).count("1") * per_bit[s]
+            if s == 0:
+                break
+            s = (s - 1) & m
+        assert mobius[m] == total
+    # the empty and the single-coordinate Fourier coefficients, by their sums
+    fourier = fourier_vector(n, t)
+    for m in (0, *(1 << i for i in range(n))):
+        assert fourier[m] == sum(
+            (1 - 2 * v) * (-1) ** bin(m & x).count("1") for x, v in enumerate(per_bit)
+        )
+
+
 def test_tt_rejects_bad_input():
     with pytest.raises(ValueError):
         BooleanFunction.from_tt("n=2\n011\n")

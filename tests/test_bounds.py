@@ -15,6 +15,7 @@ from bfc.bounds import (
     LP_CAP_TABLE,
     LP_CAPS,
     MARKOV_CAPS,
+    MONOTONE_DT_MAX_DMAX,
     SQUARE_CAPS,
     cap_profile,
     cs_harmonic_bound,
@@ -414,6 +415,11 @@ def test_monotone_dt_values():
     for d in range(4, 21):
         assert t.values[d] == 2 ** (d - 2) + 2
     assert float(t.ratio) <= 0.2500020
+
+
+def test_monotone_dt_cap_prints_below_the_int_digit_limit():
+    # the largest value, 2^(d-2) + 2, must still convert to a decimal string
+    assert len(str(2 ** (MONOTONE_DT_MAX_DMAX - 2) + 2)) <= sys.get_int_max_str_digits()
 
 
 def test_monotone_dt_ratio_approaches_quarter():

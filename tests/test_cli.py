@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import bfc
 from bfc.bf import BooleanFunction
+from bfc.bounds import CS_TABLE_MAX_DMAX, MONOTONE_DEGREE_MAX_DMAX, MONOTONE_DT_MAX_DMAX
 from bfc.cli import main
 from bfc.lp import LP_CAP_SCAN_MAX_DEGREE
 
@@ -180,6 +181,22 @@ def test_arity_past_the_cap_fails_cleanly(argv, text, tmp_path, capsys):
         (["table", "ds", "--beta", "1/0"], "--beta needs a nonzero denominator, got 1/0"),
         (["table", "cs", "--dmax", "0"], "--dmax must be >= 1, got 0"),
         (
+            ["table", "cs", "--dmax", str(CS_TABLE_MAX_DMAX + 1)],
+            f"--dmax must be <= {CS_TABLE_MAX_DMAX}, got {CS_TABLE_MAX_DMAX + 1}",
+        ),
+        (
+            ["table", "monotone-degree", "--dmax", "100000"],
+            f"table supports 2 <= d_max <= {MONOTONE_DEGREE_MAX_DMAX}, got 100000",
+        ),
+        (
+            ["table", "monotone-degree", "--dmax", "1"],
+            f"table supports 2 <= d_max <= {MONOTONE_DEGREE_MAX_DMAX}, got 1",
+        ),
+        (
+            ["table", "monotone-dt", "--dmax", "100000"],
+            f"table supports 1 <= d_max <= {MONOTONE_DT_MAX_DMAX}, got 100000",
+        ),
+        (
             ["table", "ds", "--beta", f"1/{10 ** 60}"],
             f"mixing weight 1/{10 ** 60} is too small: 2^-beta rounds to 1 at 192 bits",
         ),
@@ -190,7 +207,9 @@ def test_arity_past_the_cap_fails_cleanly(argv, text, tmp_path, capsys):
     ],
     ids=[
         "dmax-past-cap", "dmax-zero", "bstep-zero", "bstep-negative", "count-negative",
-        "beta-zero-denominator", "cs-dmax-zero", "beta-below-resolution-60",
+        "beta-zero-denominator", "cs-dmax-zero", "cs-dmax-past-cap",
+        "monotone-degree-dmax-past-cap", "monotone-degree-dmax-one",
+        "monotone-dt-dmax-past-cap", "beta-below-resolution-60",
         "beta-below-resolution-62",
     ],
 )

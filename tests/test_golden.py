@@ -49,6 +49,7 @@ GOLDEN = {
         "table", "degree", "--dmax", "64", "--caps", "lp", "--bstep", "1",
     ],
     "family_maf3.tt": ["family", "MAF", "--k", "3"],
+    "lp_caps_dmax14.tsv": ["lp-caps", "--dmax", "14"],
     "verify_named_readme.tsv": ["verify", "--corpus", "named:KUSHILEVITZ,MAJ:3,MAF:3"],
 }
 

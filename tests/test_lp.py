@@ -374,9 +374,11 @@ def test_scan_refuses_a_forged_farkas_sign(monkeypatch):
         lp_bs_cap(3)
 
 
-# the scan's LP solves per degree d = 1..11, 681 in all (the scan that solves
+# the scan's LP solves per degree d = 1..11, 503 in all (the scan that solves
 # every (b, tau) up to 2d^2 makes 1912); the pivot rule is deterministic
-SCAN_SOLVES = (2, 14, 22, 29, 40, 51, 67, 83, 103, 123, 147)
+SCAN_SOLVES = (2, 5, 10, 15, 24, 33, 48, 63, 80, 99, 124)
+# every pivot of those scans, phase 0 included
+SCAN_PIVOTS = 1532
 
 
 def _plain_scan(d):
@@ -436,6 +438,34 @@ def test_scan_solve_counts_are_pinned(monkeypatch):
         lp_bs_cap(d)
         counts.append(len(calls))
     assert tuple(counts) == SCAN_SOLVES
+
+
+def test_scan_pivot_total_is_pinned(monkeypatch):
+    pivot = bfc.lp._VertexBasis._pivot
+    calls = []
+
+    def counted(self, *args):
+        calls.append(1)
+        return pivot(self, *args)
+
+    monkeypatch.setattr(bfc.lp._VertexBasis, "_pivot", counted)
+    for d in range(1, 12):
+        lp_bs_cap(d)
+    assert len(calls) == SCAN_PIVOTS
+
+
+def test_closing_on_a_raised_endpoint_bound_is_refused(monkeypatch):
+    # at tau = 0 the row p(b) <= 0 becomes p(b) <= 1 at tau = 1, so a
+    # certificate that uses it proves nothing there; the check must catch it
+    def closes_too_often(keys, b, tau):
+        return all(key <= 2 * b + 1 - tau for key in keys)
+
+    assert bfc.lp._closes([2, 5], 2, 0) and bfc.lp._closes([4, 6], 3, 1)
+    assert not bfc.lp._closes([6], 3, 0) and not bfc.lp._closes([7], 3, 1)
+    monkeypatch.setattr(bfc.lp, "_closes", closes_too_often)
+    with pytest.raises(AssertionError, match="cap scan Farkas certificate"):
+        for d in range(1, 12):
+            lp_bs_cap(d)
 
 
 def test_adeg_lp_examples():
