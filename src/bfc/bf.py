@@ -85,10 +85,6 @@ def diff_mask(table: int, n: int, i0: int) -> int:
     return table ^ flip_table(table, n, i0)
 
 
-def popcount(x: int) -> int:
-    return x.bit_count()
-
-
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -281,7 +277,7 @@ def degree_of_vector(coeffs: Sequence[int]) -> int:
     deg = 0
     for m, c in enumerate(coeffs):
         if c:
-            deg = max(deg, popcount(m))
+            deg = max(deg, m.bit_count())
     return deg
 
 

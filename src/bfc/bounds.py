@@ -34,11 +34,11 @@ _GUARD = 12
 # 10-digit Euler-Mascheroni constant used by the certificate/sensitivity bound
 EULER_GAMMA = 0.5772156649
 
-# Largest d_max of the tables whose cost grows faster than d_max, each about
-# 0.9 s for the whole command at its bound (raw, one 2-core x86-64 host): the
-# monotone-degree recursion is quadratic in exact rationals; the monotone DT
-# values have at most 3,010 digits there, below Python's 4,300-digit limit
-# on int-to-str conversion; the cs table sums each (1/2) H_d afresh
+# Largest d_max of the bound tables (raw, one 2-core x86-64 host, whole
+# command at the bound): the monotone-degree recursion is quadratic in exact
+# rationals, about 0.9 s; the monotone DT values have at most 3,010 digits
+# there, below Python's 4,300-digit limit on int-to-str conversion, about
+# 0.9 s; the cs table keeps a running sum of (1/2) H_d, about 0.12 s
 MONOTONE_DEGREE_MAX_DMAX = 250
 MONOTONE_DT_MAX_DMAX = 10000
 CS_TABLE_MAX_DMAX = 600

@@ -18,7 +18,6 @@ from .bf import BooleanFunction, FAMILY_NAMES, family
 from .bounds import (
     CS_TABLE_MAX_DMAX,
     cap_profile,
-    cs_harmonic_bound,
     cs_sens_bound,
     dp_degree,
     dp_mixed_ds,
@@ -108,8 +107,9 @@ def _cmd_table(args) -> int:
             raise ValueError(f"--dmax must be >= 1, got {args.dmax}")
         if args.dmax > CS_TABLE_MAX_DMAX:
             raise ValueError(f"--dmax must be <= {CS_TABLE_MAX_DMAX}, got {args.dmax}")
+        h = Fraction(0)
         for d in range(1, args.dmax + 1):
-            h = cs_harmonic_bound(d)
+            h += Fraction(1, 2 * d)  # (1/2) H_d, as bounds.cs_harmonic_bound(d)
             print(f"{d}\t{h.numerator}/{h.denominator}\t{float(h):.9f}")
         print(f"sens_form_at_4\t{cs_sens_bound(4):.9f}")
     return 0

@@ -47,7 +47,7 @@ from math import comb, lcm
 from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .bf import BooleanFunction, check_arity, popcount
+from .bf import BooleanFunction, check_arity
 from .measures import APPROX_DEGREE_MAX_ARITY
 
 RELATIONS = ("<=", "=", ">=")
@@ -538,8 +538,8 @@ def adeg_lp(f: BooleanFunction, d: int, eps: Fraction) -> LinearProgram:
         raise ValueError(f"degree {d} exceeds arity {f.n}")
     eps = Fraction(eps)
     monomials = sorted(
-        (m for m in range(1 << f.n) if popcount(m) <= d),
-        key=lambda m: (popcount(m), m),
+        (m for m in range(1 << f.n) if m.bit_count() <= d),
+        key=lambda m: (m.bit_count(), m),
     )
     col = {m: j for j, m in enumerate(monomials)}
     rows = []

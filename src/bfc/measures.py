@@ -19,7 +19,10 @@ table, so the theorem suite, the coordinate checks and the public API
 (which wraps records for :class:`~bfc.bf.BooleanFunction` values) compute
 each measure of a table once while its record stays in the memo.
 Decision-tree depth keeps the memo of its own search, which recurses on
-sub-tables that need no other measure.
+sub-tables that need no other measure.  The search returns n at once on a
+table with unequal numbers of 1s on the odd- and even-weight points: its
+top Möbius coefficient sum_x (-1)^(n-|x|) f(x) is then nonzero, so
+deg = n, and deg <= DT <= n.
 
 Per-point values live in one integer per table with one byte per point:
 byte x (bits 8x..8x+7) holds the value at point x.  Every such value is at
@@ -50,7 +53,6 @@ from .bf import (
     fourier_vector,
     half_mask,
     mobius_vector,
-    popcount,
     restrict_bit,
 )
 
@@ -189,12 +191,29 @@ class BlockSensitivityReport(NamedTuple):
     witness_blocks: tuple[frozenset[int], ...]
 
 
+@lru_cache(maxsize=None)
+def _odd_points(n: int) -> int:
+    """Mask of the 2**n points of odd weight, doubled a coordinate at a time."""
+    m = 0
+    for k in range(n):
+        m |= (m ^ ((1 << (1 << k)) - 1)) << (1 << k)
+    return m
+
+
 @lru_cache(maxsize=1 << 17)
 def _dt_depth(n: int, table: int) -> int:
-    """Minimax query depth; memoised on the canonical restricted table."""
+    """Minimax query depth; memoised on the canonical restricted table.
+
+    A table whose top Möbius coefficient sum_x (-1)^(n-|x|) f(x) is nonzero,
+    that is, with unequal numbers of 1s on the odd- and even-weight points,
+    has degree n, and deg <= DT <= n, so its depth is n with no search.  The
+    rule is tried at every node, so sub-tables of full degree end at once.
+    """
     check_arity(n, EXACT_SEARCH_MAX_ARITY, "decision-tree depth")
     if table == 0 or table == (1 << (1 << n)) - 1:
         return 0
+    if 2 * (table & _odd_points(n)).bit_count() != table.bit_count():
+        return n
     best = n
     for i in range(n):
         if not diff_mask(table, n, i):
@@ -319,7 +338,7 @@ class TableMeasures:
         check_arity(n, EXACT_SEARCH_MAX_ARITY, "certificate search")
         by_dim = [0] * (n + 1)
         for smask, m in enumerate(_mono_subcubes(n, self.table)):
-            by_dim[popcount(smask)] |= m
+            by_dim[smask.bit_count()] |= m
         cx = n * _lanes((1 << (1 << n)) - 1)
         up = 0
         for k in range(n, 0, -1):
@@ -386,7 +405,7 @@ class TableMeasures:
     @_lazy
     def inf_counts(self) -> tuple[int, ...]:
         """#{x : f(x) != f(x^i)} for each coordinate."""
-        return tuple(popcount(d) for d in self.diffs)
+        return tuple(d.bit_count() for d in self.diffs)
 
     # -- coordinate measures (see coordinate.py) ----------------------------
 

@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .bf import ArityError, BooleanFunction, popcount, restrict_bit
+from .bf import ArityError, BooleanFunction, restrict_bit
 from .bounds import cs_sens_bound
 from .corpus import Corpus
 from .coordinate import (
@@ -97,7 +97,7 @@ def _symmetrized(n: int, table: int) -> list[int]:
     out = [0] * (n + 1)
     for mask, c in enumerate(table_measures(n, table).mobius):
         if c:
-            out[popcount(mask)] += c
+            out[mask.bit_count()] += c
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return out
@@ -565,7 +565,7 @@ def _check_monomial_potential(rec: TableMeasures):
         total = w[mask]
         if 2 * total >= 3 << top:
             return "FAIL", f"mask={mask:#x} S={Fraction(total, 1 << top)}", "3/2"
-        num, e = caps[popcount(mask)]
+        num, e = caps[mask.bit_count()]
         if total << e > num << top:
             return (
                 "FAIL",
@@ -580,7 +580,7 @@ def _check_top_monomial_deg_i(rec: TableMeasures):
     if d == 0:
         return "PASS", 0, 0
     for mask in range(1 << rec.n):
-        if rec.mobius[mask] and popcount(mask) == d:
+        if rec.mobius[mask] and mask.bit_count() == d:
             mm = mask
             while mm:
                 low = mm & -mm

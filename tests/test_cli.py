@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 
 import bfc
 from bfc.bf import BooleanFunction
-from bfc.bounds import CS_TABLE_MAX_DMAX, MONOTONE_DEGREE_MAX_DMAX, MONOTONE_DT_MAX_DMAX
+from bfc.bounds import (
+    CS_TABLE_MAX_DMAX,
+    MONOTONE_DEGREE_MAX_DMAX,
+    MONOTONE_DT_MAX_DMAX,
+    cs_harmonic_bound,
+)
 from bfc.cli import main
 from bfc.lp import LP_CAP_SCAN_MAX_DEGREE
 
@@ -90,6 +95,18 @@ def test_table_ds_and_cs():
     code, out = run_cli("table", "cs", "--dmax", "4")
     assert code == 0
     assert out.splitlines()[3].startswith("4\t25/24")
+
+
+def test_table_cs_running_sum_equals_the_fresh_sum_up_to_the_cap():
+    # the table keeps a running sum; each row must print what the fresh
+    # sum cs_harmonic_bound(d) gives, at every d up to the --dmax cap
+    code, out = run_cli("table", "cs", "--dmax", str(CS_TABLE_MAX_DMAX))
+    assert code == 0
+    rows = out.splitlines()
+    assert len(rows) == CS_TABLE_MAX_DMAX + 1
+    for d, row in enumerate(rows[:-1], start=1):
+        want = cs_harmonic_bound(d)
+        assert row == f"{d}\t{want.numerator}/{want.denominator}\t{float(want):.9f}"
 
 
 def test_table_ds_influence_minimum_past_two_hundred():

@@ -458,6 +458,110 @@ def test_dt_depth_examples():
     assert dt_depth(family("MAJ", 3)) == 3
 
 
+# decision-tree depth oracles: the minimax definition, with no memo, no
+# pruning and no degree rule, sharing no code with measures._dt_depth
+
+def _plain_dt(table, points, free):
+    """Minimax depth of f on the subcube ``points``, querying coordinates in ``free``."""
+    if len({(table >> x) & 1 for x in points}) == 1:
+        return 0
+    return 1 + min(
+        max(_plain_dt(table, [x for x in points if (x >> i) & 1 == b], free - {i}) for b in (0, 1))
+        for i in free
+    )
+
+
+def _subcube_dt(n, table):
+    """The same recurrence evaluated once on each of the 3**n subcubes; past
+    n = 5 the plain recursion is too slow, visiting up to 2**n * n! nodes.
+
+    Base-3 digit i of a subcube's code is x_i, or 2 when coordinate i is
+    free; fixing a free digit gives a smaller code, so one ascending pass
+    sees every subcube after its children.
+    """
+    pow3 = [3 ** i for i in range(n)]
+    value = [None] * 3 ** n  # f's value on a constant subcube, else None
+    depth = [0] * 3 ** n
+    for c in range(3 ** n):
+        digits = [c // p % 3 for p in pow3]
+        free = [i for i in range(n) if digits[i] == 2]
+        if not free:
+            x = sum(1 << i for i in range(n) if digits[i])
+            value[c] = (table >> x) & 1
+            continue
+        p = pow3[free[0]]
+        v = value[c - 2 * p]
+        if v is not None and v == value[c - p]:
+            value[c] = v
+            continue
+        depth[c] = 1 + min(max(depth[c - 2 * pow3[i]], depth[c - pow3[i]]) for i in free)
+    return depth[-1]
+
+
+def _balanced_table(n, rng):
+    """A random nonconstant table with as many 1s on odd- as on even-weight
+    points: its top Möbius coefficient is 0, so deg < n."""
+    odd = [x for x in range(1 << n) if x.bit_count() & 1]
+    even = [x for x in range(1 << n) if not x.bit_count() & 1]
+    k = rng.randrange(1, 1 << (n - 1))
+    return sum(1 << x for x in rng.sample(odd, k) + rng.sample(even, k))
+
+
+def _counts_differ(n, table):
+    odd = sum((table >> x) & 1 for x in range(1 << n) if x.bit_count() & 1)
+    return 2 * odd != table.bit_count()
+
+
+@given(st.integers(0, 5).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))
+))
+@settings(max_examples=150, deadline=None)
+def test_dt_depth_equals_plain_minimax_up_to_five_inputs(nt):
+    n, t = nt
+    want = _plain_dt(t, range(1 << n), frozenset(range(n)))
+    assert _subcube_dt(n, t) == want
+    assert dt_depth(BooleanFunction(n, t)) == want
+
+
+def test_dt_depth_equals_minimax_on_seeded_tables():
+    rng = random.Random(20261019)
+    for n in (6, 7, 8):
+        tables = [rng.getrandbits(1 << n) for _ in range(4)]
+        tables += [_balanced_table(n, rng) for _ in range(4)]
+        assert [_counts_differ(n, t) for t in tables] == [True] * 4 + [False] * 4
+        for t in tables:
+            assert dt_depth(BooleanFunction(n, t)) == _subcube_dt(n, t), (n, hex(t))
+
+
+@pytest.mark.parametrize(
+    "name, k, depth",
+    [("PARITY", k, k) for k in range(1, 9)]
+    + [("AND", k, k) for k in range(1, 9)]
+    + [("OR", k, k) for k in range(1, 9)]
+    + [("MAJ", 3, 3), ("ADDR", 1, 2), ("ADDR", 2, 3)],
+)
+def test_dt_depth_of_named_families(name, k, depth):
+    f = family(name, k)
+    assert _subcube_dt(f.n, f.table) == depth
+    assert dt_depth(f) == depth
+
+
+def test_full_degree_tables_end_the_dt_search_at_once():
+    # unequal counts of 1s on odd- and even-weight points: DT = n with no
+    # restriction searched; equal counts still recurse
+    n = 14
+    rng = random.Random(20261019)
+    unequal = rng.getrandbits(1 << n)
+    assert _counts_differ(n, unequal)
+    for t in (_parity_table(n), unequal):
+        measures._dt_depth.cache_clear()
+        assert dt_depth(BooleanFunction(n, t)) == n
+        assert measures._dt_depth.cache_info().misses == 1
+    measures._dt_depth.cache_clear()
+    dt_depth(BooleanFunction(n, _balanced_table(n, rng)))
+    assert measures._dt_depth.cache_info().misses > 1
+
+
 def test_arity_caps_fail_loudly():
     big = family("CONST0", 15)
     with pytest.raises(ArityError):
