@@ -9,6 +9,7 @@ instances are immutable, so they can be shared freely across threads.
 from __future__ import annotations
 
 import itertools
+import struct
 from functools import lru_cache
 from math import comb
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -42,6 +43,17 @@ def half_mask(n: int, i0: int) -> int:
     while width < total:
         m |= m << width
         width <<= 1
+    return m
+
+
+@lru_cache(maxsize=None)
+def odd_points(n: int) -> int:
+    """Mask of the 2**n points of odd weight (the table of PARITY_n), built a
+    coordinate at a time: the points with x_k = 1 are the points below them
+    with their values negated."""
+    m = 0
+    for k in range(n):
+        m |= (m ^ ((1 << (1 << k)) - 1)) << (1 << k)
     return m
 
 
@@ -155,12 +167,7 @@ class BooleanFunction:
     def from_callable(cls, n: int, fn: Callable[[tuple[int, ...]], int]) -> "BooleanFunction":
         """Tabulate ``fn`` on every input tuple, after checking the arity."""
         check_arity(n)
-        # product counts the reversed tuples down from the top index, so the
-        # string reads most-significant bit first, coordinate 1 lowest
-        bits = "".join(
-            "1" if fn(x[::-1]) else "0" for x in itertools.product((1, 0), repeat=n)
-        )
-        return cls(n, int(bits, 2))
+        return cls(n, _tabulate(n, fn))
 
     # -- basics ------------------------------------------------------------
 
@@ -250,15 +257,44 @@ class BooleanFunction:
         return cls(n, int(bits[::-1], 2) if bits else 0)
 
 
+def _tabulate(n: int, fn: Callable[[tuple[int, ...]], int]) -> int:
+    """The table of ``fn``, called once per input tuple."""
+    # product counts the reversed tuples down from the top index, so the
+    # string reads most-significant bit first, coordinate 1 lowest
+    bits = "".join(
+        "1" if fn(x[::-1]) else "0" for x in itertools.product((1, 0), repeat=n)
+    )
+    return int(bits, 2)
+
+
 def mobius_vector(n: int, table: int) -> list[int]:
-    """Integer monomial coefficients of f over {0,1}, indexed by subset mask."""
-    v = list(_table_bytes(n, table))
-    for i in range(n):
-        bit = 1 << i
-        for m in range(1 << n):
-            if m & bit:
-                v[m] -= v[m ^ bit]
-    return v
+    """Integer monomial coefficients of f over {0,1}, indexed by subset mask.
+
+    The butterflies run on one integer with a w-bit lane per mask (w = 16
+    for n <= 15, else 32), lane m holding 2**(w-1) plus its value.  The step
+    for coordinate i subtracts lane m - i from each lane m that contains i
+    and adds the bias back; steps go from the top coordinate down, so the
+    mask of the lanes without i is derived from the one before.  Every value
+    a lane ever holds is a coefficient c_S of some restriction of f, and
+    |c_S| <= 2**(|S|-1) (a signed sum of 2**|S| bits, half of them negated),
+    so with |S| <= n < w it stays within [-2**(w-1), 2**(w-1)): no lane
+    borrows from or carries into the next, and the integer arithmetic is
+    lane-wise.  Clearing the bias bits leaves each value in two's complement,
+    read back as signed w-bit integers.
+    """
+    w = 16 if n <= 15 else 32
+    biased = (bytes(w // 8 - 1) + b"\x80") * (1 << n)  # 2**(w-1) per lane
+    bias = int.from_bytes(biased, "little")
+    lanes = bytearray(biased)
+    lanes[:: w // 8] = _table_bytes(n, table)
+    v = int.from_bytes(lanes, "little")
+    lo = (1 << (w << n >> 1)) - 1  # the lanes of the masks without coordinate n - 1
+    for i in reversed(range(n)):
+        s = w << i
+        v += (bias & ~lo) - ((v & lo) << s)
+        lo ^= lo << (s >> 1)
+    signed = f"<{1 << n}{'h' if w == 16 else 'i'}"
+    return list(struct.unpack(signed, (v ^ bias).to_bytes(w << n >> 3, "little")))
 
 
 def fourier_vector(n: int, table: int) -> list[int]:
@@ -324,19 +360,25 @@ class _Family(NamedTuple):
     least: int  # smallest k
     odd: bool  # whether k must be odd
     arity: Callable[[int], int]
-    rule: Callable[[int], Callable[[tuple[int, ...]], int]]  # k -> f(x)
+    table: Callable[[int, int], int]  # (n, k) -> the table of f on n inputs
 
 
+def _ones(n: int) -> int:
+    return (1 << (1 << n)) - 1
+
+
+# CONST0/1, DICT, AND, OR and PARITY are written down whole, PARITY a
+# coordinate at a time; the others call their rule once per point
 _FAMILIES = {
-    "CONST0": _Family(0, False, lambda k: k, lambda k: lambda x: 0),
-    "CONST1": _Family(0, False, lambda k: k, lambda k: lambda x: 1),
-    "DICT": _Family(1, False, lambda k: k, lambda k: lambda x: x[0]),
-    "AND": _Family(1, False, lambda k: k, lambda k: all),
-    "OR": _Family(1, False, lambda k: k, lambda k: any),
-    "PARITY": _Family(1, False, lambda k: k, lambda k: lambda x: sum(x) & 1),
-    "MAJ": _Family(1, True, lambda k: k, lambda k: lambda x: sum(x) > k // 2),
-    "ADDR": _Family(1, False, lambda k: k + (1 << k), _addr),
-    "MAF": _Family(1, True, lambda k: k + comb(k, k // 2), _maf),
+    "CONST0": _Family(0, False, lambda k: k, lambda n, k: 0),
+    "CONST1": _Family(0, False, lambda k: k, lambda n, k: _ones(n)),
+    "DICT": _Family(1, False, lambda k: k, lambda n, k: _ones(n) ^ half_mask(n, 0)),
+    "AND": _Family(1, False, lambda k: k, lambda n, k: 1 << ((1 << n) - 1)),
+    "OR": _Family(1, False, lambda k: k, lambda n, k: _ones(n) - 1),
+    "PARITY": _Family(1, False, lambda k: k, lambda n, k: odd_points(n)),
+    "MAJ": _Family(1, True, lambda k: k, lambda n, k: _tabulate(n, lambda x: sum(x) > k // 2)),
+    "ADDR": _Family(1, False, lambda k: k + (1 << k), lambda n, k: _tabulate(n, _addr(k))),
+    "MAF": _Family(1, True, lambda k: k + comb(k, k // 2), lambda n, k: _tabulate(n, _maf(k))),
 }
 
 FAMILY_NAMES = (*_FAMILIES, "KUSHILEVITZ")
@@ -353,7 +395,7 @@ def family(name: str, k: int | None = None) -> BooleanFunction:
         raise ValueError(f"unknown family {name!r}; choose from {FAMILY_NAMES}")
     if k is None:
         raise ValueError(f"family {name} requires a size parameter")
-    least, odd, arity, rule = _FAMILIES[name]
+    least, odd, arity, table = _FAMILIES[name]
     if k < least or (odd and k % 2 == 0):
         parity = "odd " if odd else ""
         raise ValueError(f"family {name} requires {parity}k >= {least}, got {k}")
@@ -362,4 +404,4 @@ def family(name: str, k: int | None = None) -> BooleanFunction:
     check_arity(k, what=f"family {name}")
     n = arity(k)
     check_arity(n, what=f"family {name}")
-    return BooleanFunction.from_callable(n, rule(k))
+    return BooleanFunction(n, table(n, k))

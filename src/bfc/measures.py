@@ -7,9 +7,10 @@ that every caller shares (``TableMeasures.cert_lanes``,
 ``TableMeasures.bs``, ``_dt_depth``, and
 ``coordinate._monomial_sens_violation``), so the theorem suite meets the
 same caps as the public functions; ``approx_degree`` and ``lp.adeg_lp``
-check the approximate-degree cap.  Certificates read one table of the
-monochromatic subcubes of f, and block sensitivity packs minimal sensitive
-blocks only at the points whose certificate could raise it.
+check the approximate-degree cap.  Certificates grow the monochromatic
+subcubes of f one dimension at a time, keeping only the nonempty ones, and
+block sensitivity packs minimal sensitive blocks, by branching on
+coordinates, only at the points whose certificate could raise it.
 
 Memoisation has one home per table.  A ``TableMeasures`` record carries
 every per-table measure of one packed ``(n, table)`` pair, the coordinate
@@ -53,13 +54,15 @@ from .bf import (
     fourier_vector,
     half_mask,
     mobius_vector,
+    odd_points,
     restrict_bit,
 )
 
 # block sensitivity, certificates, DT depth, the monomial sensitivity check:
-# at n = 13-14 (PARITY 14, MAJ 13, OR 14, a random and a sparse table) C, bs
-# and DT each took at most about 0.63 s, and the certificate search peaked
-# at 48 MB (raw seconds, one 2-core x86-64 host)
+# at n = 13-14 (PARITY 14, MAJ 13, OR 14, AND 14, a random table) C took at
+# most 0.06 s and DT 0.001 s, bs with its C at most 0.31 s (MAJ 13), and a
+# process peaked at 29 MB (OR and AND 14, whose subcube levels are widest);
+# raw seconds, one fresh process each, one 2-core x86-64 host
 EXACT_SEARCH_MAX_ARITY = 14
 # approximate degree and its LP (lp.adeg_lp): every 6-input table tried
 # takes at most about 1 s, while 7 inputs already take 7-15 s
@@ -110,22 +113,6 @@ def _fourier(n: int, table: int) -> tuple[int, ...]:
     return tuple(fourier_vector(n, table))
 
 
-def _mono_subcubes(n: int, table: int) -> list[int]:
-    """``mono[S]``: bit x is set iff f is constant on ``{x ^ T : T <= S}``.
-
-    Built bottom-up over the masks: with ``i`` the lowest coordinate of S,
-    the subcube at x spanned by S is the one spanned by ``S - i`` at x and
-    at ``x ^ i``, and f must agree across coordinate i at x.
-    """
-    agree = [~diff_mask(table, n, i) for i in range(n)]
-    mono = [(1 << (1 << n)) - 1]
-    for smask in range(1, 1 << n):
-        i = (smask & -smask).bit_length() - 1
-        prev = mono[smask ^ (1 << i)]
-        mono.append(prev & flip_table(prev, n, i) & agree[i])
-    return mono
-
-
 class CertificateReport(NamedTuple):
     C: int
     C0: int
@@ -165,39 +152,68 @@ def _minimal_sensitive_blocks(n: int, table: int, x: int) -> list[int]:
     return blocks
 
 
-def _max_disjoint_packing(blocks: list[int], avail: int) -> tuple[int, tuple[int, ...]]:
-    """Exact maximum disjoint sub-family, by memoised search over free masks."""
-    memo: dict[int, tuple[int, tuple[int, ...]]] = {}
+class _Packing:
+    """The largest families of pairwise disjoint blocks, out of ``blocks``
+    (coordinate masks), inside a mask of free coordinates.
 
-    def go(av: int) -> tuple[int, tuple[int, ...]]:
+    ``count`` branches on the lowest coordinate that a fitting block uses:
+    either that coordinate stays free, or one block holding it is taken.  A
+    free mask first shrinks to the union of the blocks that fit in it, and
+    ``memo`` keeps the count of every mask met, except the masks with fewer
+    coordinates than the smallest block, which hold none.
+    """
+
+    def __init__(self, blocks: list[int]):
+        self.blocks = blocks
+        self.least = min(map(int.bit_count, blocks), default=1)
+        self.memo: dict[int, int] = {}
+
+    def count(self, av: int) -> int:
+        if av.bit_count() < self.least:
+            return 0
+        memo = self.memo
         got = memo.get(av)
-        if got is not None:
-            return got
-        best, chosen = 0, ()
-        for b in blocks:
-            if b & ~av == 0:
-                cnt, picked = go(av & ~b)
-                if cnt + 1 > best:
-                    best, chosen = cnt + 1, (b,) + picked
-        memo[av] = (best, chosen)
-        return best, chosen
+        if got is None:
+            fit = []
+            used = 0
+            for b in self.blocks:
+                if not b & ~av:
+                    fit.append(b)
+                    used |= b
+            if not used:
+                got = 0
+            elif used != av:
+                got = self.count(used)
+            else:
+                low = used & -used
+                got = self.count(av ^ low)
+                for b in fit:
+                    if b & low:
+                        taken = self.count(av & ~b) + 1
+                        if taken > got:
+                            got = taken
+            memo[av] = got
+        return got
 
-    return go(avail)
+    def witness(self, av: int) -> tuple[int, ...]:
+        """A largest family inside ``av``: at each step the first block, in
+        list order, whose remainder holds one block fewer.  That is the first
+        maximum of the plain search that tries every fitting block in order
+        and keeps a strictly larger count."""
+        chosen = []
+        for left in range(self.count(av) - 1, -1, -1):
+            for b in self.blocks:
+                if not b & ~av and self.count(av & ~b) == left:
+                    break
+            chosen.append(b)
+            av &= ~b
+        return tuple(chosen)
 
 
 class BlockSensitivityReport(NamedTuple):
     bs: int
     witness_input: tuple[int, ...]
     witness_blocks: tuple[frozenset[int], ...]
-
-
-@lru_cache(maxsize=None)
-def _odd_points(n: int) -> int:
-    """Mask of the 2**n points of odd weight, doubled a coordinate at a time."""
-    m = 0
-    for k in range(n):
-        m |= (m ^ ((1 << (1 << k)) - 1)) << (1 << k)
-    return m
 
 
 @lru_cache(maxsize=1 << 17)
@@ -212,7 +228,7 @@ def _dt_depth(n: int, table: int) -> int:
     check_arity(n, EXACT_SEARCH_MAX_ARITY, "decision-tree depth")
     if table == 0 or table == (1 << (1 << n)) - 1:
         return 0
-    if 2 * (table & _odd_points(n)).bit_count() != table.bit_count():
+    if 2 * (table & odd_points(n)).bit_count() != table.bit_count():
         return n
     best = n
     for i in range(n):
@@ -332,18 +348,33 @@ class TableMeasures:
 
         A subcube of a monochromatic subcube is monochromatic, so the
         dimensions of those at x are 0..K_x, and K_x counts the k >= 1 for
-        which x lies in a monochromatic subcube of dimension k or more.
+        which x lies in a monochromatic subcube of dimension k.  Level k
+        holds, for each k-set S whose mask ``mono[S]`` (bit x set iff f is
+        constant on {x ^ T : T <= S}) is nonzero, the pair (top, mono[S])
+        with top one above the highest coordinate of S.  S + i, for i >= top,
+        has mask mono[S] & (mono[S] flipped along i) & (f agrees across i):
+        f is constant on the subcubes spanned by S at x and at x ^ i, and
+        takes one value at both.  Every superset of a zero mask is zero, so
+        a level lists only the nonzero masks, and each set is reached once,
+        from its prefix.
         """
         n = self.n
         check_arity(n, EXACT_SEARCH_MAX_ARITY, "certificate search")
-        by_dim = [0] * (n + 1)
-        for smask, m in enumerate(_mono_subcubes(n, self.table)):
-            by_dim[smask.bit_count()] |= m
-        cx = n * _lanes((1 << (1 << n)) - 1)
-        up = 0
-        for k in range(n, 0, -1):
-            up |= by_dim[k]
+        full = (1 << (1 << n)) - 1
+        agree = [full ^ d for d in self.diffs]
+        cx = n * _lanes(full)
+        level = [(i + 1, a) for i, a in enumerate(agree) if a]
+        while level:
+            up = 0
+            wider = []
+            for top, m in level:
+                up |= m
+                for i in range(top, n):
+                    c = m & flip_table(m, n, i) & agree[i]
+                    if c:
+                        wider.append((i + 1, c))
             cx -= _lanes(up)
+            level = wider
         return cx
 
     @_lazy
@@ -373,14 +404,17 @@ class TableMeasures:
         Since bs_x <= C_x (a certificate meets every sensitive block), a point
         with C_x <= best cannot raise the count and is skipped, and the search
         stops once best reaches max C_x; the points that could win are visited
-        as before, so the witness does not change.
+        as before, so the witness does not change.  At each point visited
+        ``_Packing`` counts the most disjoint minimal sensitive blocks; the
+        witness blocks are rebuilt once, from the packing of the point that
+        wins.
         """
         n, table = self.n, self.table
         check_arity(n, EXACT_SEARCH_MAX_ARITY, "block sensitivity")
         cx = self.point_certs
         top = max(cx)
         full = (1 << n) - 1
-        best, best_x, best_blocks = 0, 0, ()
+        best, best_x, best_packing = 0, 0, _Packing([])  # a constant packs none
         for x, c in enumerate(cx):
             if best == top:
                 break
@@ -389,12 +423,14 @@ class TableMeasures:
             blocks = _minimal_sensitive_blocks(n, table, x)
             if len(blocks) <= best:
                 continue
-            cnt, chosen = _max_disjoint_packing(blocks, full)
+            packing = _Packing(blocks)
+            cnt = packing.count(full)
             if cnt > best:
-                best, best_x, best_blocks = cnt, x, chosen
+                best, best_x, best_packing = cnt, x, packing
         witness = tuple((best_x >> i) & 1 for i in range(n))
         blocks = tuple(
-            frozenset(i + 1 for i in range(n) if (b >> i) & 1) for b in best_blocks
+            frozenset(i + 1 for i in range(n) if (b >> i) & 1)
+            for b in best_packing.witness(full)
         )
         return BlockSensitivityReport(best, witness, blocks)
 

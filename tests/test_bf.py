@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -267,6 +268,43 @@ def test_restriction_commutes_with_mobius(args):
     assert direct == _substitute(mobius_vector(n, t), n, j, b)
 
 
+def _list_mobius(n, table):
+    """The in-place butterfly over a list of the 2**n values that the lane
+    transform replaced, one Python step per mask and coordinate."""
+    v = [(table >> x) & 1 for x in range(1 << n)]
+    for i in range(n):
+        bit = 1 << i
+        for m in range(1 << n):
+            if m & bit:
+                v[m] -= v[m ^ bit]
+    return v
+
+
+@given(st.integers(0, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))
+))
+@settings(max_examples=100, deadline=None)
+def test_lane_mobius_matches_the_list_butterfly(args):
+    n, t = args
+    assert mobius_vector(n, t) == _list_mobius(n, t)
+
+
+def test_lane_mobius_matches_the_list_butterfly_seeded():
+    # 16-bit lanes up to n = 15 and 32-bit lanes above; PARITY and its
+    # negation reach the largest coefficients, |c_S| = 2**(|S|-1), with both
+    # signs at S = [n]
+    rng = random.Random(20261019)
+    for n in range(10, 17):
+        t = rng.getrandbits(1 << n)
+        assert mobius_vector(n, t) == _list_mobius(n, t), n
+    for n in (14, 15, 16):
+        parity = family("PARITY", n).table
+        for t in (parity, parity ^ ((1 << (1 << n)) - 1)):
+            v = mobius_vector(n, t)
+            assert v == _list_mobius(n, t), n
+            assert max(map(abs, v)) == abs(v[-1]) == 1 << (n - 1)
+
+
 # --- families --------------------------------------------------------------
 
 def test_kushilevitz_boolean_valued():
@@ -289,6 +327,17 @@ def test_addr_relevant_count():
     f = family("ADDR", 2)
     assert f.n == 6
     assert len(f.relevant_variables()) == 6
+
+
+def test_whole_family_tables_equal_the_tabulated_rules():
+    # the tables family() writes down whole, against the rule run per point
+    rules = {
+        "CONST0": lambda x: 0, "CONST1": lambda x: 1, "DICT": lambda x: x[0],
+        "AND": all, "OR": any, "PARITY": lambda x: sum(x) & 1,
+    }
+    for name, rule in rules.items():
+        for n in range(0 if name.startswith("CONST") else 1, 13):
+            assert family(name, n) == BooleanFunction.from_callable(n, rule), (name, n)
 
 
 def test_family_parameter_validation():

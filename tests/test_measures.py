@@ -34,7 +34,7 @@ from bfc.measures import (
     table_measures,
     _minimal_sensitive_blocks,
 )
-from bfc.verify import check_influence_restriction_average
+from bfc.verify import check_influence_restriction_average, run_theorem_suite
 
 
 def test_degree_examples():
@@ -139,15 +139,27 @@ def test_subcube_searches_match_definitions_seeded():
             assert _minimal_sensitive_blocks(n, t, x) == _reference_minimal_blocks(n, t, x)
 
 
-def _reference_blocks_all(n, table):
-    """Every point's minimal sensitive blocks, ascending, read off the table
-    of monochromatic subcubes as the unpruned search built them."""
+def _mono_subcubes(n, table):
+    """``mono[S]`` for every mask S, the dense table the certificate search
+    once built: bit x is set iff f is constant on ``{x ^ T : T <= S}``.
+
+    With ``i`` the lowest coordinate of S, the subcube at x spanned by S is
+    the one spanned by ``S - i`` at x and at ``x ^ i``, and f must agree
+    across coordinate i at x.
+    """
     agree = [~diff_mask(table, n, i) for i in range(n)]
     mono = [(1 << (1 << n)) - 1]
     for smask in range(1, 1 << n):
         i = (smask & -smask).bit_length() - 1
         prev = mono[smask ^ (1 << i)]
         mono.append(prev & flip_table(prev, n, i) & agree[i])
+    return mono
+
+
+def _reference_blocks_all(n, table):
+    """Every point's minimal sensitive blocks, ascending, read off the table
+    of monochromatic subcubes as the unpruned search built them."""
+    mono = _mono_subcubes(n, table)
     blocks = [[] for _ in range(1 << n)]
     for bmask in range(1, 1 << n):
         hit = ~mono[bmask]
@@ -210,6 +222,43 @@ def test_block_sensitivity_matches_unpruned_search():
         assert table_measures(n, t).bs == _reference_block_sensitivity(n, t), (n, t)
 
 
+def test_packing_matches_the_plain_search_on_seeded_points():
+    # count and witness of the coordinate-branching packing, against the
+    # search that tries every fitting block at every free mask
+    rng = random.Random(20261023)
+    for n in range(6, 11):
+        full = (1 << n) - 1
+        t = rng.getrandbits(1 << n)
+        for x in rng.sample(range(1 << n), 12):
+            blocks = _minimal_sensitive_blocks(n, t, x)
+            packing = measures._Packing(blocks)
+            got = packing.count(full), packing.witness(full)
+            assert got == _reference_packing(blocks, full), (n, hex(t), x)
+
+
+def _dense_cert_lanes(n, table):
+    """cert_lanes as read off the dense table: n at every point, less one
+    for each dimension k >= 1 of a monochromatic subcube holding the point."""
+    by_dim = [0] * (n + 1)
+    for smask, m in enumerate(_mono_subcubes(n, table)):
+        by_dim[smask.bit_count()] |= m
+    cx = n * measures._lanes((1 << (1 << n)) - 1)
+    up = 0
+    for k in range(n, 0, -1):
+        up |= by_dim[k]
+        cx -= measures._lanes(up)
+    return cx
+
+
+def test_sparse_certificate_levels_match_the_dense_table():
+    rng = random.Random(20261024)
+    tables = [(n, rng.getrandbits(1 << n)) for n in range(1, 13)]
+    tables += [(n, t) for n in (0, 5, 14) for t in (0, (1 << (1 << n)) - 1)]
+    tables += [(14, family(name, 14).table) for name in ("AND", "OR", "PARITY")]
+    for n, t in tables:
+        assert TableMeasures(n, t).cert_lanes == _dense_cert_lanes(n, t), (n, hex(t))
+
+
 def test_certificate_bound_skips_points_and_visits_loose_ones(monkeypatch):
     # the pruned search must both skip points (C_x <= best) and still pack
     # at points whose certificate overstates their block sensitivity
@@ -235,6 +284,43 @@ def test_certificate_bound_skips_points_and_visits_loose_ones(monkeypatch):
             assert bs_x <= cx[x]
             loose += bs_x < cx[x]
     assert skipped > 0 and loose > 0
+
+
+# flip_table calls inside cert_lanes, and packing memo entries, over the
+# suite on random:8:12:1 from an empty memo.  The dense subcube table, one
+# flip per nonempty mask, made 27,446 flips there, and the packing search
+# that tried every fitting block at every free mask kept 4,792 entries.
+SUITE_CERT_FLIPS, SUITE_PACKING_ENTRIES = 12594, 529
+
+
+def test_certificate_and_packing_work_on_the_suite_is_pinned(monkeypatch):
+    flips, inside, packings = [], [], []
+    flip, cert = measures.flip_table, TableMeasures.cert_lanes.func
+
+    def counted_flip(*args):
+        if inside:
+            flips.append(1)
+        return flip(*args)
+
+    def counted_cert(rec):
+        inside.append(1)
+        try:
+            return cert(rec)
+        finally:
+            inside.pop()
+
+    class Recorded(measures._Packing):
+        def __init__(self, blocks):
+            super().__init__(blocks)
+            packings.append(self)
+
+    monkeypatch.setattr(measures, "flip_table", counted_flip)
+    monkeypatch.setattr(TableMeasures.cert_lanes, "func", counted_cert)
+    monkeypatch.setattr(measures, "_Packing", Recorded)
+    table_measures.cache_clear()
+    run_theorem_suite(parse_corpus("random:8:12:1"))
+    entries = sum(len(p.memo) for p in packings)
+    assert (len(flips), entries) == (SUITE_CERT_FLIPS, SUITE_PACKING_ENTRIES)
 
 
 def test_certificates_at_the_arity_cap():
@@ -320,7 +406,7 @@ def _tuple_kernels(n, table):
             sx[low.bit_length() - 1] += 1
             d ^= low
     by_dim = [0] * (n + 1)
-    for smask, m in enumerate(measures._mono_subcubes(n, table)):
+    for smask, m in enumerate(_mono_subcubes(n, table)):
         by_dim[smask.bit_count()] |= m
     cx = [0] * (1 << n)
     seen = 0
@@ -397,22 +483,13 @@ def _brute_point_cert(n, table, x):
     return n - best
 
 
-def _parity_table(n):
-    """PARITY_n, built a coordinate at a time (family() tabulates point by point)."""
-    t = 0
-    for k in range(n):
-        t |= (t ^ ((1 << (1 << k)) - 1)) << (1 << k)
-    return t
-
-
 def test_packed_bytes_hold_the_largest_values():
     # the largest values the arity caps allow: s_x = 20 at every point of
     # PARITY 20, so sens_i = 40, and C_x = 14 at every point of PARITY 14
-    assert _parity_table(5) == family("PARITY", 5).table
-    rec = TableMeasures(20, _parity_table(20))
+    rec = TableMeasures(20, family("PARITY", 20).table)
     assert rec.sens == (20, 20, 20)
     assert rec.sens_i == (40,) * 20
-    rec = TableMeasures(14, _parity_table(14))
+    rec = TableMeasures(14, family("PARITY", 14).table)
     assert rec.certs[:6] == (14,) * 6 and rec.cert_i == (28,) * 14
     # a random 14-input table: C_x by brute force at sampled points and at
     # both ends of an edge where each cert_i is attained
@@ -553,7 +630,7 @@ def test_full_degree_tables_end_the_dt_search_at_once():
     rng = random.Random(20261019)
     unequal = rng.getrandbits(1 << n)
     assert _counts_differ(n, unequal)
-    for t in (_parity_table(n), unequal):
+    for t in (family("PARITY", n).table, unequal):
         measures._dt_depth.cache_clear()
         assert dt_depth(BooleanFunction(n, t)) == n
         assert measures._dt_depth.cache_info().misses == 1
