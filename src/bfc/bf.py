@@ -97,6 +97,32 @@ def diff_mask(table: int, n: int, i0: int) -> int:
     return table ^ flip_table(table, n, i0)
 
 
+def _adjacent_swaps(n: int) -> list[tuple[int, int]]:
+    """(mask, shift) of the delta-swap exchanging coordinates i and i+1,
+    for each 0-based i < n-1: mask marks the indices with bit i set and
+    bit i+1 clear, whose partner sits ``shift`` = 2^i above."""
+    return [
+        (half_mask(n, i + 1) & ~half_mask(n, i), 1 << i) for i in range(n - 1)
+    ]
+
+
+@lru_cache(maxsize=None)
+def _sjt_steps(n: int) -> tuple[int, ...]:
+    """The n! - 1 steps of the Steinhaus-Johnson-Trotter walk through every
+    permutation of n items; step i exchanges the items at positions i and
+    i + 1.  The largest item sweeps across the others, down and up in turn,
+    and between two sweeps the others take one step of their own walk."""
+    if n <= 1:
+        return ()
+    down, up = range(n - 2, -1, -1), range(n - 1)
+    steps = list(down)
+    for k, i in enumerate(_sjt_steps(n - 1)):
+        # after a down sweep the largest item sits at position 0
+        steps.append(i + 1 if k % 2 == 0 else i)
+        steps.extend(up if k % 2 == 0 else down)
+    return tuple(steps)
+
+
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------

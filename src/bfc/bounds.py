@@ -273,15 +273,16 @@ def _profile_step(d: int, beta: Fraction) -> float:
     at beta = 1 (rho = 1) the staircase sums to d, the flat d * 2^-d round.
     """
     rho = _pow2(beta - 1)
-    n, m = rho.numerator, rho.denominator
+    # rho = n / 2^e: a dyadic end of _pow2, or 1 at beta = 1
+    n, e = rho.numerator, rho.denominator.bit_length() - 1
     root = isqrt(d)
-    # with rho = n/m, the staircase is n^2 prof / m^(root+2), prof by Horner
+    # the staircase is n^2 prof / 2^(e (root+2)), prof by Horner
     prof = d - root * root
     for k in range(root + 1, 1, -1):
-        prof = prof * n + (2 * k - 3) * m ** (root + 2 - k)
-    trivial = d * m ** root  # d rho^2 on the same scale
+        prof = prof * n + ((2 * k - 3) << e * (root + 2 - k))
+    trivial = d << e * root  # d rho^2 on the same scale
     w = _pow2(-beta * d)
-    return n * n * min(prof, trivial) * w.numerator / (m ** (root + 2) * w.denominator)
+    return n * n * min(prof, trivial) * w.numerator / (w.denominator << e * (root + 2))
 
 
 def dp_degree(d_max: int, caps: CapProfile) -> BoundGrid:
@@ -328,12 +329,17 @@ def dp_mixed_ds(
     # upper ends of their enclosures keep it above the true remainder
     r, ra, amp = _pow2(-beta, 1), _pow2(-beta * a, 1), _pow2(2 * beta - 2, 1)
     remainder = float(amp * (2 * power_tail(2, a, r, ra) - power_tail(1, a, r, ra)))
+    if any(lo > hi for lo, hi in zip(bd[1:], bd[2:])):
+        raise AssertionError(f"{caps.mode} caps fall with the degree")
     cap_v = [d * cap_amp for d in range(d_max + 1)]
     rows = [[0.0] * (bd[d] + 1) for d in range(d_max + 1)]
-    for b in range(1, max(bd[:d_max + 1]) + 1):
+    live = 1  # the first column with a cell at b - 1; the caps never fall
+    for b in range(1, bd[d_max] + 1):
+        while bd[live] < b - 1:
+            live += 1
         prefix = 0.0
-        for d in range(1, d_max + 1):
-            prev = rows[d][b - 1] if b - 1 <= bd[d] else 0.0
+        for d in range(live, d_max + 1):
+            prev = rows[d][b - 1]
             if prev > prefix:
                 prefix = prev
             if b <= bd[d]:

@@ -6,7 +6,7 @@ import random
 from functools import lru_cache
 from typing import Iterator
 
-from .bf import MAX_ARITY, BooleanFunction, check_arity, family, half_mask
+from .bf import MAX_ARITY, BooleanFunction, _adjacent_swaps, check_arity, family
 
 # number of monotone functions per arity, used as a generation cross-check
 DEDEKIND = {0: 2, 1: 3, 2: 6, 3: 20, 4: 168, 5: 7581}
@@ -38,15 +38,6 @@ def _monotone_tables(n: int) -> tuple[int, ...]:
             f"monotone count mismatch at n={n}: {len(out)} != {DEDEKIND[n]}"
         )
     return tuple(out)
-
-
-def _adjacent_swaps(n: int) -> list[tuple[int, int]]:
-    """(mask, shift) of the delta-swap exchanging coordinates i and i+1,
-    for each 0-based i < n-1: mask marks the indices with bit i set and
-    bit i+1 clear, whose partner sits ``shift`` = 2^i above."""
-    return [
-        (half_mask(n, i + 1) & ~half_mask(n, i), 1 << i) for i in range(n - 1)
-    ]
 
 
 def enumerate_monotone(n: int) -> "Corpus":

@@ -27,6 +27,14 @@ An Infeasible verdict carries Farkas multipliers y, with y^T A = 0 and
 y^T b < 0, y >= 0 on ``<=`` rows and y <= 0 on ``>=`` rows, which are checked
 exactly before they are returned.
 
+The approximate degree solves ``adeg_lp`` over the polynomials that f's
+coordinate symmetries fix (``_AdegOrbits``).  Averaging an approximation
+over the permutations that fix f keeps its degree and its error, so the
+reduced LP, one variable per monomial orbit and one band per point orbit,
+is feasible exactly when the full one is.  Its verdict is still checked on
+the full LP: a witness spread over the members of each orbit must satisfy
+``adeg_lp``, and a Farkas vector lifted to every point must refute it.
+
 The cap scan ``lp_bs_cap`` runs the same solver on the moment LP written in
 the binomial basis C(t, j), with a row picker of its own, and carries each
 basis from b to b + 1.  It enters the relieving slot j with the largest
@@ -47,7 +55,7 @@ from math import comb, lcm
 from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .bf import BooleanFunction, check_arity
+from .bf import BooleanFunction, _adjacent_swaps, _sjt_steps, check_arity
 from .measures import APPROX_DEGREE_MAX_ARITY
 
 RELATIONS = ("<=", "=", ">=")
@@ -559,3 +567,132 @@ def adeg_lp(f: BooleanFunction, d: int, eps: Fraction) -> LinearProgram:
         rows.append((coeffs, "<=", fx + eps))
         rows.append((coeffs, ">=", fx - eps))
     return LinearProgram(len(monomials), tuple(rows))
+
+
+def _automorphisms(f: BooleanFunction) -> list[tuple[int, ...]]:
+    """Every coordinate permutation p with f(p(x)) = f(x) for all x, the
+    identity first; p moves bit j of a point to bit p[j].
+
+    The Steinhaus-Johnson-Trotter walk reaches every permutation by one
+    adjacent transposition at a time, and each is one delta-swap of the
+    table, which after the steps so far holds f composed with their product.
+    """
+    swaps = _adjacent_swaps(f.n)
+    t, p = f.table, list(range(f.n))
+    found = [tuple(p)]
+    for i in _sjt_steps(f.n):
+        mask, shift = swaps[i]
+        d = ((t >> shift) ^ t) & mask
+        t ^= d ^ (d << shift)
+        p[i], p[i + 1] = p[i + 1], p[i]
+        if t == f.table:
+            found.append(tuple(p))
+    return found
+
+
+def _point_map(p: Sequence[int]) -> bytes:
+    """Byte x holds the point p(x), one coordinate doubling the list at a
+    time."""
+    image = [0]
+    for bit in p:
+        image += [v | 1 << bit for v in image]
+    return bytes(image)
+
+
+def _lift_farkas(y: Sequence[int], orbits: Sequence[Sequence[int]]) -> list[int]:
+    """Multipliers on the rows of every point from those on the two rows of
+    each orbit P: y_x = y_P L / |P|, L the lcm of the orbit sizes.
+
+    Each member m of a monomial orbit O lies below the same number of P's
+    members, |P| c / |O| with c P's coefficient on O.  So y_P / |P| on each
+    member of P gives column m the total of column O over |O|, which is 0,
+    and the right-hand sides the same negative total as y_P; L clears the
+    denominators.
+    """
+    top = lcm(*map(len, orbits))
+    lifted = [0] * (2 * sum(map(len, orbits)))
+    for k, members in enumerate(orbits):
+        scale = top // len(members)
+        for x in members:
+            lifted[2 * x] = y[2 * k] * scale
+            lifted[2 * x + 1] = y[2 * k + 1] * scale
+    return lifted
+
+
+class _AdegOrbits:
+    """The approximation LPs of f over the polynomials that a group of
+    coordinate permutations fixes, one variable per monomial orbit.
+
+    If p meets f within eps, so does p composed with any permutation that
+    fixes f, and so does their average over the group, which has the same
+    degree and one coefficient per orbit of monomials.  Such a p takes one
+    value on each orbit of points, as f does, so one band per point orbit
+    P, at its least member x_P, holds exactly when every point's band does;
+    its coefficient on a monomial orbit O is #{m in O : m <= x_P}.  Each
+    verdict is still checked against the full ``adeg_lp``: a witness spread
+    over the members of each orbit, or a Farkas vector lifted by
+    ``_lift_farkas``, must pass it, or AssertionError is raised.
+    """
+
+    def __init__(self, f: BooleanFunction, perms: Iterable[Sequence[int]]):
+        self.f = f
+        least = map(min, range(1 << f.n), *map(_point_map, perms))
+        classes: dict[int, list[int]] = {}
+        for x, label in enumerate(least):
+            classes.setdefault(label, []).append(x)
+        # in the order of their least members, which come first in each
+        self.orbits = list(classes.values())
+        self.index = [0] * (1 << f.n)
+        for k, members in enumerate(self.orbits):
+            for x in members:
+                self.index[x] = k
+
+    def lp(self, d: int, eps: Fraction) -> tuple[LinearProgram, list[int]]:
+        """The reduced LP at degree d and its monomial orbits by column."""
+        orbits, index = self.orbits, self.index
+        cols = sorted(
+            (k for k, members in enumerate(orbits) if members[0].bit_count() <= d),
+            key=lambda k: (orbits[k][0].bit_count(), orbits[k][0]),
+        )
+        col = {k: j for j, k in enumerate(cols)}
+        rows = []
+        for members in orbits:
+            x = members[0]
+            counts = [0] * len(cols)
+            sub = x
+            while True:
+                j = col.get(index[sub])
+                if j is not None:
+                    counts[j] += 1
+                if sub == 0:
+                    break
+                sub = (sub - 1) & x
+            fx = Fraction((self.f.table >> x) & 1)
+            coeffs = tuple(map(Fraction, counts))
+            rows.append((coeffs, "<=", fx + eps))
+            rows.append((coeffs, ">=", fx - eps))
+        return LinearProgram(len(cols), tuple(rows)), cols
+
+    def feasible(self, d: int, eps: Fraction) -> bool:
+        """The verdict of ``adeg_lp(f, d, eps)``, from the reduced LP."""
+        reduced, cols = self.lp(d, eps)
+        result = simplex_feasible(reduced)
+        full = adeg_lp(self.f, d, eps)
+        if result.feasible:
+            value = dict(zip(cols, result.witness))
+            monomials = sorted(
+                (m for k in cols for m in self.orbits[k]),
+                key=lambda m: (m.bit_count(), m),
+            )
+            ok = full.satisfies([value[self.index[m]] for m in monomials])
+        else:
+            # a reduced row and a point's row share their scale to integers,
+            # the denominator of their right-hand side
+            y = [
+                v // _row_scale(coeffs, rhs)
+                for v, (coeffs, _, rhs) in zip(result.farkas, reduced.constraints)
+            ]
+            ok = _is_farkas(full.num_vars, full._int_rows, _lift_farkas(y, self.orbits))
+        if not ok:
+            raise AssertionError(f"orbit LP verdict at degree {d} failed the full LP")
+        return result.feasible

@@ -64,8 +64,10 @@ from .bf import (
 # process peaked at 29 MB (OR and AND 14, whose subcube levels are widest);
 # raw seconds, one fresh process each, one 2-core x86-64 host
 EXACT_SEARCH_MAX_ARITY = 14
-# approximate degree and its LP (lp.adeg_lp): every 6-input table tried
-# takes at most about 1 s, while 7 inputs already take 7-15 s
+# approximate degree and its LP (lp.adeg_lp): a 6-input table with no
+# coordinate symmetry solves the full LP, 0.4-0.7 s, and PARITY 6 its orbit
+# LP, 0.02-0.03 s against 0.5-0.8 s for the full one; a 7-input table with
+# no symmetry took 7-15 s; raw, in-process, one 2-core x86-64 host
 APPROX_DEGREE_MAX_ARITY = 6
 
 
@@ -550,18 +552,27 @@ def influence(f: BooleanFunction) -> InfluenceReport:
 
 
 def approx_degree(f: BooleanFunction, eps: Fraction = Fraction(1, 3)) -> int:
-    """Least degree admitting a uniform eps-approximation, by exact LP."""
+    """Least degree admitting a uniform eps-approximation, by exact LP.
+
+    Averaging an approximation over the coordinate permutations that fix f
+    keeps its degree and its error (Minsky-Papert symmetrization), so each
+    degree's LP is solved over the polynomials those permutations fix: one
+    variable per monomial orbit and one band per point orbit
+    (``lp._AdegOrbits``).  Every verdict is checked against the full LP
+    ``lp.adeg_lp``, through a spread witness or a lifted Farkas vector.
+    """
     check_arity(f.n, APPROX_DEGREE_MAX_ARITY, "approximate degree")
     eps = Fraction(eps)
     if not 0 < eps < Fraction(1, 2):
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
-    from .lp import adeg_lp, simplex_feasible
+    from .lp import _AdegOrbits, _automorphisms
 
     # f's own multilinear polynomial meets the LP at d = deg f with error
     # 0, so that LP is feasible and is never solved
     top = table_measures(f.n, f.table).deg
+    orbits = _AdegOrbits(f, _automorphisms(f))
     for d in range(top):
-        if simplex_feasible(adeg_lp(f, d, eps)).feasible:
+        if orbits.feasible(d, eps):
             return d
     return top
 

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import random
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -661,3 +662,13 @@ def test_every_module_level_import_is_used():
                 if name not in read:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_the_sjt_walk_visits_every_permutation_once(n):
+    p = list(range(n))
+    seen = {tuple(p)}
+    for i in bfc.bf._sjt_steps(n):
+        p[i], p[i + 1] = p[i + 1], p[i]
+        seen.add(tuple(p))
+    assert len(seen) == len(bfc.bf._sjt_steps(n)) + 1 == factorial(n)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bfc
+import bfc.bounds
 from bfc.bounds import (
     LP_CAP_TABLE,
     LP_CAPS,
@@ -295,6 +296,30 @@ def test_dp_degree_is_the_flat_dyadic_crank():
 def test_beta_one_steps_are_the_flat_dyadic_round(d):
     # rho = 2^(beta-1) = 1, so the staircase sums to exactly d
     assert _profile_step(d, Fraction(1)) == _uniform_step(d, Fraction(1)) == d * 2.0 ** -d
+
+
+def _profile_step_by_powers(d, beta):
+    """The staircase round with rho = n/m and the powers of m written out."""
+    rho = _pow2(beta - 1)
+    n, m = rho.numerator, rho.denominator
+    root = math.isqrt(d)
+    prof = d - root * root
+    for k in range(root + 1, 1, -1):
+        prof = prof * n + (2 * k - 3) * m ** (root + 2 - k)
+    w = _pow2(-beta * d)
+    return n * n * min(prof, d * m ** root) * w.numerator / (m ** (root + 2) * w.denominator)
+
+
+@pytest.mark.parametrize("beta", [Fraction(1, 2), Fraction(1, 3), Fraction(7, 64), Fraction(1)])
+def test_profile_steps_by_shifts_equal_the_steps_by_powers(beta):
+    for d in range(1, 401):
+        assert _profile_step(d, beta) == _profile_step_by_powers(d, beta), d
+
+
+def test_a_cap_profile_that_falls_is_refused(monkeypatch):
+    monkeypatch.setitem(bfc.bounds._CAP_RULES, "square", lambda d: max(1, 50 - d))
+    with pytest.raises(AssertionError, match="caps fall with the degree"):
+        dp_mixed_ds(Fraction(1, 2), 10, SQUARE_CAPS)
 
 
 def test_pow2_is_exact_for_integers_and_fifty_digits_otherwise():

@@ -1,6 +1,8 @@
 import json
+import random
 import time
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 from pathlib import Path
 
@@ -10,16 +12,20 @@ from hypothesis import strategies as st
 
 import bfc.lp
 import bfc.measures
-from bfc.bf import ArityError, family
+from bfc.bf import ArityError, BooleanFunction, family
 from bfc.lp import (
     LP_CAP_SCAN_MAX_DEGREE,
     RELATIONS,
     LinearProgram,
+    _AdegOrbits,
+    _automorphisms,
+    _point_map,
     adeg_lp,
     lp_bs_cap,
     moment_lp,
     simplex_feasible,
 )
+from bfc.measures import degree
 
 
 PIVOT_PATH = Path(__file__).parent / "data" / "lp_pivot_path.json"
@@ -489,3 +495,148 @@ def test_adeg_lp_shape():
     prog = adeg_lp(family("OR", 2), 1, Fraction(1, 3))
     assert prog.num_vars == 3  # {}, {1}, {2}
     assert len(prog.constraints) == 8  # two sides per input point
+
+
+# ---------------------------------------------------------------------------
+# the approximation LP on the orbits of f's coordinate symmetries
+# ---------------------------------------------------------------------------
+
+def _full_lp_adeg(f, eps):
+    """Least d whose full ``adeg_lp`` is feasible; deg f is (see
+    test_adeg_lp_is_feasible_at_the_degree)."""
+    top = degree(f)
+    return next((d for d in range(top) if simplex_feasible(adeg_lp(f, d, eps)).feasible), top)
+
+
+def _permuted(f, p):
+    """The table of x -> f(p(x))."""
+    image = _point_map(p)
+    return sum(((f.table >> image[x]) & 1) << x for x in range(1 << f.n))
+
+
+def _symmetrised(n, table, coords):
+    """A table that every permutation of ``coords`` fixes: each point takes
+    the value of ``table`` at the least point of its orbit under them."""
+    maps = []
+    for q in permutations(coords):
+        p = list(range(n))
+        for i, j in zip(coords, q):
+            p[i] = j
+        maps.append(_point_map(p))
+    return sum(((table >> min(m[x] for m in maps)) & 1) << x for x in range(1 << n))
+
+
+def _seeded_tables(n, count, seed):
+    """``count`` random n-input tables, then ``count`` made symmetric in a
+    random set of two to four coordinates."""
+    rng = random.Random(seed)
+    plain = [BooleanFunction(n, rng.getrandbits(1 << n)) for _ in range(count)]
+    sym = []
+    for _ in range(count):
+        coords = rng.sample(range(n), rng.randint(2, min(4, n)))
+        sym.append(BooleanFunction(n, _symmetrised(n, rng.getrandbits(1 << n), coords)))
+    return plain + sym
+
+
+_EPSILONS = (Fraction(1, 3), Fraction(1, 10))
+
+
+def test_automorphisms_are_exactly_the_permutations_that_fix_f():
+    rng = random.Random(20261019)
+    fs = [BooleanFunction(n, rng.getrandbits(1 << n)) for n in range(6) for _ in range(3)]
+    fs += _seeded_tables(5, 3, 7) + [family("MAJ", 5), family("ADDR", 1), family("CONST1", 3)]
+    for f in fs:
+        found = _automorphisms(f)
+        assert found[0] == tuple(range(f.n)) and len(set(found)) == len(found)
+        fixing = {p for p in permutations(range(f.n)) if _permuted(f, p) == f.table}
+        assert set(found) == fixing, f
+
+
+@pytest.mark.parametrize("name, k, order", [
+    ("KUSHILEVITZ", None, 60), ("MAF", 3, 6), ("MAJ", 5, 120), ("ADDR", 2, 2),
+    ("PARITY", 6, 720), ("DICT", 3, 2),
+])
+def test_group_orders_are_pinned(name, k, order):
+    assert len(_automorphisms(family(name, k))) == order
+
+
+def test_the_orbit_lp_of_a_trivial_group_is_adeg_lp_row_for_row():
+    rng = random.Random(11)
+    fs = [BooleanFunction(3, t) for t in range(256)]
+    fs += [BooleanFunction(5, rng.getrandbits(32)) for _ in range(3)]
+    for f in fs:
+        trivial = _AdegOrbits(f, [tuple(range(f.n))])
+        assert [len(o) for o in trivial.orbits] == [1] * (1 << f.n)
+        group = _automorphisms(f)
+        own = _AdegOrbits(f, group) if len(group) == 1 else None
+        for d in range(f.n + 1):
+            full = adeg_lp(f, d, Fraction(1, 3))
+            assert trivial.lp(d, Fraction(1, 3))[0] == full, (f, d)
+            if own is not None:
+                assert own.lp(d, Fraction(1, 3))[0] == full, (f, d)
+
+
+@pytest.mark.parametrize("eps", _EPSILONS)
+def test_orbit_lp_matches_the_full_lp_on_all_three_input_tables(eps):
+    for t in range(256):
+        f = BooleanFunction(3, t)
+        assert bfc.measures.approx_degree(f, eps) == _full_lp_adeg(f, eps), t
+
+
+@pytest.mark.parametrize("n, count", [(4, 8), (5, 3), (6, 1)])
+def test_orbit_lp_matches_the_full_lp_on_seeded_tables(n, count):
+    for f in _seeded_tables(n, count, 100 + n):
+        eps = _EPSILONS[n % 2]
+        assert bfc.measures.approx_degree(f, eps) == _full_lp_adeg(f, eps), f
+
+
+@pytest.mark.parametrize("eps", _EPSILONS)
+@pytest.mark.parametrize("name, k", [
+    ("MAJ", 5), ("AND", 6), ("OR", 6), ("PARITY", 6),
+    ("KUSHILEVITZ", None), ("MAF", 3), ("ADDR", 2),
+])
+def test_orbit_lp_matches_the_full_lp_on_named_functions(name, k, eps):
+    f = family(name, k)
+    assert bfc.measures.approx_degree(f, eps) == _full_lp_adeg(f, eps)
+
+
+def test_a_permutation_that_does_not_fix_f_is_caught():
+    f = family("MAF", 3)
+    group = _automorphisms(f)
+    bad = next(p for p in permutations(range(f.n)) if p not in group)
+    orbits = _AdegOrbits(f, [*group, bad])
+    with pytest.raises(AssertionError, match="failed the full LP"):
+        for d in range(degree(f)):
+            orbits.feasible(d, Fraction(1, 3))
+
+
+def test_a_farkas_lift_without_its_orbit_factor_is_caught(monkeypatch):
+    def lift_unscaled(y, orbits):
+        lifted = [0] * (2 * sum(map(len, orbits)))
+        for k, members in enumerate(orbits):
+            for x in members:
+                lifted[2 * x], lifted[2 * x + 1] = y[2 * k], y[2 * k + 1]
+        return lifted
+
+    monkeypatch.setattr(bfc.lp, "_lift_farkas", lift_unscaled)
+    with pytest.raises(AssertionError, match="failed the full LP"):
+        bfc.measures.approx_degree(family("MAJ", 3))
+
+
+def test_orbit_lp_rows_are_pinned(monkeypatch):
+    # the full LPs of the same solves have 384, 384 and 32 rows
+    built = []
+    reduce = _AdegOrbits.lp
+
+    def counted(self, d, eps):
+        prog, cols = reduce(self, d, eps)
+        built.append(len(prog.constraints))
+        return prog, cols
+
+    monkeypatch.setattr(_AdegOrbits, "lp", counted)
+    rows = {}
+    for name, k in (("KUSHILEVITZ", None), ("MAF", 3), ("MAJ", 3)):
+        built.clear()
+        bfc.measures.approx_degree(family(name, k))
+        rows[name] = sum(built)
+    assert rows == {"KUSHILEVITZ": 48, "MAF": 120, "MAJ": 16}
