@@ -293,8 +293,9 @@ def _tabulate(n: int, fn: Callable[[tuple[int, ...]], int]) -> int:
     return int(bits, 2)
 
 
-def mobius_vector(n: int, table: int) -> list[int]:
-    """Integer monomial coefficients of f over {0,1}, indexed by subset mask.
+def _mobius_lanes(n: int, table: int) -> tuple[int, int]:
+    """(v, w): lane m of ``v``, w bits wide, holds the coefficient c_m of f
+    over {0,1} in two's complement.
 
     The butterflies run on one integer with a w-bit lane per mask (w = 16
     for n <= 15, else 32), lane m holding 2**(w-1) plus its value.  The step
@@ -305,8 +306,7 @@ def mobius_vector(n: int, table: int) -> list[int]:
     |c_S| <= 2**(|S|-1) (a signed sum of 2**|S| bits, half of them negated),
     so with |S| <= n < w it stays within [-2**(w-1), 2**(w-1)): no lane
     borrows from or carries into the next, and the integer arithmetic is
-    lane-wise.  Clearing the bias bits leaves each value in two's complement,
-    read back as signed w-bit integers.
+    lane-wise.  Clearing the bias bits leaves each value in two's complement.
     """
     w = 16 if n <= 15 else 32
     biased = (bytes(w // 8 - 1) + b"\x80") * (1 << n)  # 2**(w-1) per lane
@@ -319,8 +319,34 @@ def mobius_vector(n: int, table: int) -> list[int]:
         s = w << i
         v += (bias & ~lo) - ((v & lo) << s)
         lo ^= lo << (s >> 1)
+    return v ^ bias, w
+
+
+def mobius_vector(n: int, table: int) -> list[int]:
+    """Integer monomial coefficients of f over {0,1}, indexed by subset mask:
+    the lanes of ``_mobius_lanes`` read back as signed w-bit integers."""
+    v, w = _mobius_lanes(n, table)
     signed = f"<{1 << n}{'h' if w == 16 else 'i'}"
-    return list(struct.unpack(signed, (v ^ bias).to_bytes(w << n >> 3, "little")))
+    return list(struct.unpack(signed, v.to_bytes(w << n >> 3, "little")))
+
+
+_NONZERO_TO_BIT = bytes.maketrans(bytes(range(256)), b"0" + b"1" * 255)
+
+
+def mobius_support(n: int, table: int) -> int:
+    """The mask with bit m set iff the coefficient c_m of ``mobius_vector``
+    is nonzero.
+
+    ORing each lane of ``_mobius_lanes`` down into its lowest byte leaves
+    that byte nonzero iff the lane is; those bytes, one per mask, become
+    the bits of the result with no Python step per mask.
+    """
+    v, w = _mobius_lanes(n, table)
+    v |= v >> 8
+    if w == 32:
+        v |= v >> 16
+    low = v.to_bytes(w << n >> 3, "little")[:: w // 8]
+    return int(low[::-1].translate(_NONZERO_TO_BIT), 2)
 
 
 def fourier_vector(n: int, table: int) -> list[int]:
@@ -333,14 +359,6 @@ def fourier_vector(n: int, table: int) -> list[int]:
                 a, b = v[m ^ bit], v[m]
                 v[m ^ bit], v[m] = a + b, a - b
     return v
-
-
-def degree_of_vector(coeffs: Sequence[int]) -> int:
-    deg = 0
-    for m, c in enumerate(coeffs):
-        if c:
-            deg = max(deg, m.bit_count())
-    return deg
 
 
 # ---------------------------------------------------------------------------

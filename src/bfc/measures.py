@@ -28,12 +28,16 @@ deg = n, and deg <= DT <= n.
 Per-point values live in one integer per table with one byte per point:
 byte x (bits 8x..8x+7) holds the value at point x.  Every such value is at
 most 2n <= 40 under ``bf.MAX_ARITY``, so lane-wise sums never carry out of
-a byte.  ``_lanes`` spreads a bit mask over the bytes, coordinate i flips
-as the bit trick of ``bf.flip_table`` at eight times the stride, and a
-maximum or minimum over a set of points is one pass in C over the integer's
-bytes after the other bytes are masked away.  s_x, C_x, sens_i, cert_i and
-deg_i are built this way, with no loop over the points in Python; only the
-public ``per_point`` tuples and block sensitivity decode the bytes.
+a byte.  ``_lanes`` spreads a bit mask over the bytes, and coordinate i
+flips as the bit trick of ``bf.flip_table`` at eight times the stride.  A
+maximum or minimum over a set of points masks the other bytes away and
+searches the bytes for each candidate value t = 2n, ..., 1 (or 0, ..., 2n),
+each test ``t in bytes`` one memchr in C, so it costs at most 2n passes
+and no Python step per byte.  s_x, C_x, sens_i and cert_i are built this
+way, with no loop over the points in Python; only the public ``per_point``
+tuples and block sensitivity decode the bytes.  deg_i takes the Möbius
+nonzeros one bit per mask S (``bf.mobius_support``) and tests them against
+the masks of each size (``_size_levels``), from n down.
 
 Every field is a pure function of the table, so concurrent readers of one
 record that race on a field compute the same value.
@@ -48,11 +52,11 @@ from typing import NamedTuple
 from .bf import (
     BooleanFunction,
     check_arity,
-    degree_of_vector,
     diff_mask,
     flip_table,
     fourier_vector,
     half_mask,
+    mobius_support,
     mobius_vector,
     odd_points,
     restrict_bit,
@@ -60,9 +64,10 @@ from .bf import (
 
 # block sensitivity, certificates, DT depth, the monomial sensitivity check:
 # at n = 13-14 (PARITY 14, MAJ 13, OR 14, AND 14, a random table) C took at
-# most 0.06 s and DT 0.001 s, bs with its C at most 0.31 s (MAJ 13), and a
-# process peaked at 29 MB (OR and AND 14, whose subcube levels are widest);
-# raw seconds, one fresh process each, one 2-core x86-64 host
+# most 0.11 s and DT under 0.001 s, bs with its C at most 0.48 s (MAJ 13),
+# deg_i, sens_i and cert_i with C at most 0.18 s, and a process peaked at
+# 29 MB (OR and AND 14, whose subcube levels are widest); raw seconds, the
+# largest of three fresh processes each, one 2-core x86-64 host
 EXACT_SEARCH_MAX_ARITY = 14
 # approximate degree and its LP (lp.adeg_lp): a 6-input table with no
 # coordinate symmetry solves the full LP, 0.4-0.7 s, and PARITY 6 its orbit
@@ -96,14 +101,45 @@ def _flip_lanes(v: int, lo: int, s: int) -> int:
 
 
 def _lane_max(v: int, n: int) -> int:
-    """The largest byte of the packed ``v``."""
-    return max(v.to_bytes(1 << n, "little"))
+    """The largest byte of the packed ``v``, whose every byte is at most 2n.
+
+    The bytes are searched for t = 2n, 2n - 1, ..., 1 in turn (each test one
+    memchr in C), so a byte above 2n is never found: callers keep every lane
+    at most 2n, as the module docstring states.  0 when no byte is nonzero.
+    """
+    lanes = v.to_bytes(1 << n, "little")
+    for t in range(2 * n, 0, -1):
+        if t in lanes:
+            return t
+    return 0
+
+
+def _lane_min(v: int, n: int) -> int:
+    """The smallest byte of the packed ``v``, whose every byte is at most 2n
+    or 0xff (a point masked away); 0xff when every byte is.
+
+    The search of ``_lane_max`` in ascending order, t = 0, 1, ..., 2n.
+    """
+    lanes = v.to_bytes(1 << n, "little")
+    for t in range(2 * n + 1):
+        if t in lanes:
+            return t
+    return 0xFF
 
 
 @lru_cache(maxsize=None)
-def _popcount_lanes(n: int) -> int:
-    """Byte m holds the number of coordinates in the mask m."""
-    return int.from_bytes(bytes(map(int.bit_count, range(1 << n))), "little")
+def _size_levels(n: int) -> tuple[int, ...]:
+    """Entry k has bit S set for every mask S of n coordinates with |S| = k.
+
+    Built a coordinate at a time: the masks of n coordinates of size k are
+    those of n - 1 coordinates of size k, and those of size k - 1 with the
+    top coordinate added (shifted up by 2**(n-1)).
+    """
+    if n == 0:
+        return (1,)
+    below = _size_levels(n - 1)
+    s = 1 << (n - 1)
+    return tuple(a | b << s for a, b in zip(below + (0,), (0,) + below))
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +377,9 @@ class TableMeasures:
 
     @_lazy
     def deg(self) -> int:
-        return degree_of_vector(self.mobius)
+        """The largest |S| with c_S != 0, which is the largest deg_i (every
+        such S holds some coordinate i, and deg_i finds it); 0 for constants."""
+        return max(self.deg_i, default=0)
 
     @_lazy
     def cert_lanes(self) -> int:
@@ -387,16 +425,15 @@ class TableMeasures:
     @_lazy
     def certs(self) -> CertificateReport:
         """Maxima and minima of C_x; a minimum over the points of a value f
-        never takes is 0, as is a maximum.  Minima read the bytes after the
+        never takes is 0, as is a maximum.  Minima search the bytes after the
         other points are set to 0xff."""
         n, cx = self.n, self.cert_lanes
         zeros, ones = self._value_masks()
         C0, C1 = _lane_max(cx & zeros, n), _lane_max(cx & ones, n)
-        Cmin0 = min((cx | ones).to_bytes(1 << n, "little")) if zeros else 0
-        Cmin1 = min((cx | zeros).to_bytes(1 << n, "little")) if ones else 0
-        per_point = self.point_certs
+        Cmin0 = _lane_min(cx | ones, n) if zeros else 0
+        Cmin1 = _lane_min(cx | zeros, n) if ones else 0
         return CertificateReport(
-            max(C0, C1), C0, C1, min(per_point), Cmin0, Cmin1, per_point
+            max(C0, C1), C0, C1, _lane_min(cx, n), Cmin0, Cmin1, self.point_certs
         )
 
     @_lazy
@@ -454,14 +491,21 @@ class TableMeasures:
         With f = sum c_S x^S, flipping x_i turns x^S into (1 - x_i) x^(S-i) for
         S containing i, so f(x) - f(x^i) = sum_{S∋i} c_S (2 x^S - x^(S-i)).
         The terms 2 c_S x^S cannot cancel, so deg_i is the largest |S| with
-        i in S and c_S != 0: the largest byte of ``sizes`` (byte S is |S|
-        where c_S != 0) over the masks S that contain i, shifted onto the
-        masks without i.
+        i in S and c_S != 0: with bit S of ``nonzero`` set where c_S != 0,
+        the largest k whose level of ``_size_levels`` meets ``nonzero`` on
+        the masks that contain i.
         """
         n = self.n
-        nonzero = int.from_bytes(bytes(map(bool, self.mobius)), "little")
-        sizes = nonzero * 255 & _popcount_lanes(n)
-        return tuple(_lane_max(sizes >> s & lo, n) for lo, s in _lane_halves(n))
+        nonzero = mobius_support(n, self.table)
+        levels = _size_levels(n)
+        out = []
+        for i in range(n):
+            with_i = nonzero & ~half_mask(n, i)
+            k = n
+            while k and not with_i & levels[k]:
+                k -= 1
+            out.append(k)
+        return tuple(out)
 
     def _edge_max(self, point: int) -> tuple[int, ...]:
         """max over sensitive edges {x, x^i} of point[x] + point[x^i], per

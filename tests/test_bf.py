@@ -17,6 +17,7 @@ from bfc.bf import (
     PartialAssignment,
     family,
     fourier_vector,
+    mobius_support,
     mobius_vector,
 )
 from bfc.bounds import CapProfile, cap_profile
@@ -281,29 +282,46 @@ def _list_mobius(n, table):
     return v
 
 
+def _check_lane_mobius(n, t):
+    """The lane transform and its support against the list butterfly."""
+    v = _list_mobius(n, t)
+    assert mobius_vector(n, t) == v, (n, t)
+    assert mobius_support(n, t) == sum(1 << m for m, c in enumerate(v) if c), (n, t)
+    return v
+
+
 @given(st.integers(0, 8).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))
 ))
 @settings(max_examples=100, deadline=None)
 def test_lane_mobius_matches_the_list_butterfly(args):
-    n, t = args
-    assert mobius_vector(n, t) == _list_mobius(n, t)
+    _check_lane_mobius(*args)
 
 
 def test_lane_mobius_matches_the_list_butterfly_seeded():
     # 16-bit lanes up to n = 15 and 32-bit lanes above; PARITY and its
     # negation reach the largest coefficients, |c_S| = 2**(|S|-1), with both
-    # signs at S = [n]
+    # signs at S = [n], and c_[n] = +-2**(n-1) has a zero low byte
     rng = random.Random(20261019)
     for n in range(10, 17):
-        t = rng.getrandbits(1 << n)
-        assert mobius_vector(n, t) == _list_mobius(n, t), n
+        _check_lane_mobius(n, rng.getrandbits(1 << n))
     for n in (14, 15, 16):
         parity = family("PARITY", n).table
         for t in (parity, parity ^ ((1 << (1 << n)) - 1)):
-            v = mobius_vector(n, t)
-            assert v == _list_mobius(n, t), n
+            v = _check_lane_mobius(n, t)
             assert max(map(abs, v)) == abs(v[-1]) == 1 << (n - 1)
+    # supports known in closed form: PARITY has c_S = (-2)**(|S|-1) for
+    # every S != {} (at n = 17 c_[17] = 2**16 lies in the third byte of its
+    # lane), its negation adds c_{} = 1, AND has only c_[n] = 1, OR has
+    # c_S = +-1 for every S != {}, and MAJ 3 padded to n inputs is
+    # x1x2 + x1x3 + x2x3 - 2x1x2x3, the masks 3, 5, 6 and 7
+    for n in (14, 15, 16, 17):
+        full = (1 << (1 << n)) - 1
+        parity = family("PARITY", n).table
+        assert mobius_support(n, parity) == mobius_support(n, family("OR", n).table) == full - 1
+        assert mobius_support(n, parity ^ full) == full
+        assert mobius_support(n, family("AND", n).table) == 1 << ((1 << n) - 1)
+        assert mobius_support(n, 0xE8 * (full // 0xFF)) == 0xE8
 
 
 # --- families --------------------------------------------------------------

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfc import coordinate
+from bfc import coordinate, measures
 from bfc.bounds import _pow2_sum_sign
 from bfc.bf import (
     BooleanFunction,
-    degree_of_vector,
     diff_mask,
     family,
     fourier_vector,
@@ -340,6 +339,15 @@ def test_rrcm_mixes_pass_where_base_kinds_pass():
     assert checked == 256 + 168
 
 
+def _degree_of_vector(coeffs):
+    """The largest |S| with coeffs[S] != 0, by a walk over every mask."""
+    deg = 0
+    for m, c in enumerate(coeffs):
+        if c:
+            deg = max(deg, m.bit_count())
+    return deg
+
+
 def _reference_deg_i_all(n, table):
     """deg_i by definition: the Moebius transform of f(x) - f(x^i), per coordinate."""
     out = []
@@ -354,14 +362,55 @@ def _reference_deg_i_all(n, table):
             for m in range(1 << n):
                 if m & bj:
                     g[m] -= g[m ^ bj]
-        out.append(degree_of_vector(g))
+        out.append(_degree_of_vector(g))
     return tuple(out)
+
+
+def _select(a, g, b, h):
+    """The table of g(x_2..x_a+1) where x_1 = 0 and h(x_a+2..x_a+b+1) where
+    x_1 = 1; its deg_i is deg_i(g) + 1 or deg_i(h) + 1 off the selector."""
+    return sum(
+        ((h >> (x >> (a + 1)) if x & 1 else g >> ((x >> 1) & ((1 << a) - 1))) & 1) << x
+        for x in range(1 << (1 + a + b))
+    )
 
 
 def test_deg_i_matches_per_coordinate_transform():
     tables = [(n, t) for n in range(4) for t in range(1 << (1 << n))]
     tables += [(f.n, f.table) for _, f in parse_corpus("monotone:4")]
     rng = random.Random(20261018)
-    tables += [(n, rng.getrandbits(1 << n)) for n in range(6, 11) for _ in range(4)]
+    tables += [(n, rng.getrandbits(1 << n)) for n in range(6, 13) for _ in range(4 if n < 11 else 1)]
+    # below full degree at n = 11 and 12: ADDR 3 (degree 4), a random 5-input
+    # table padded to 12 inputs, and a selector between random tables of
+    # 4 and 6 inputs (n = 11) and of 5 and 6 inputs (n = 12)
+    addr = family("ADDR", 3)
+    tables.append((addr.n, addr.table))
+    tables.append((12, rng.getrandbits(32) * (((1 << 4096) - 1) // ((1 << 32) - 1))))
+    tables.append((11, _select(4, rng.getrandbits(16), 6, rng.getrandbits(64))))
+    tables.append((12, _select(5, rng.getrandbits(32), 6, rng.getrandbits(64))))
     for n, t in tables:
         assert table_measures(n, t).deg_i == _reference_deg_i_all(n, t), (n, t)
+
+
+def test_size_levels_mark_the_masks_of_each_size():
+    for n in range(11):
+        levels = measures._size_levels(n)
+        assert len(levels) == n + 1
+        for k, level in enumerate(levels):
+            assert level == sum(1 << m for m in range(1 << n) if m.bit_count() == k), (n, k)
+
+
+def test_deg_is_the_largest_deg_i():
+    for n in range(13):
+        for name in ("CONST0", "CONST1"):
+            rec = TableMeasures(n, family(name, n).table)
+            assert (rec.deg, rec.deg_i) == (0, (0,) * n), (name, n)
+    for n in range(1, 13):
+        for name in ("AND", "PARITY"):
+            rec = TableMeasures(n, family(name, n).table)
+            assert rec.deg_i == (n,) * n and rec.deg == max(rec.deg_i) == n, (name, n)
+    # ADDR 3 has degree 4 on all 11 inputs; a padded junta keeps its degree
+    rec = TableMeasures(11, family("ADDR", 3).table)
+    assert rec.deg_i == (4,) * 11 and rec.deg == 4
+    rec = TableMeasures(6, OR2.table * 0x1111_1111_1111_1111)
+    assert rec.deg_i == (2, 2, 0, 0, 0, 0) and rec.deg == 2

@@ -484,6 +484,14 @@ def _brute_point_cert(n, table, x):
 
 
 def test_packed_bytes_hold_the_largest_values():
+    # s_x = C_x = n at every point of PARITY and its negation, so every
+    # edge sum is 2n, the largest byte a packed field holds at n inputs
+    for n in range(1, 15):
+        parity = family("PARITY", n).table
+        for t in (parity, parity ^ ((1 << (1 << n)) - 1)):
+            rec = TableMeasures(n, t)
+            assert rec.sens_i == rec.cert_i == (2 * n,) * n, n
+            assert rec.sens == (n, n, n) and rec.certs[:6] == (n,) * 6, n
     # the largest values the arity caps allow: s_x = 20 at every point of
     # PARITY 20, so sens_i = 40, and C_x = 14 at every point of PARITY 14
     rec = TableMeasures(20, family("PARITY", 20).table)
@@ -506,6 +514,60 @@ def test_packed_bytes_hold_the_largest_values():
         points |= {x, x ^ (1 << i)}
     for x in sorted(points):
         assert cx[x] == _brute_point_cert(n, t, x), x
+
+
+@st.composite
+def _lane_bytes(draw):
+    """n <= 10 and 2**n bytes in 0..2n: a seeded fill below a drawn ceiling,
+    with a few drawn values planted at drawn points."""
+    n = draw(st.integers(0, 10))
+    ceiling = draw(st.integers(0, 2 * n))
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    lanes = bytearray(rng.randint(0, ceiling) for _ in range(1 << n))
+    for _ in range(draw(st.integers(0, 4))):
+        lanes[draw(st.integers(0, (1 << n) - 1))] = draw(st.integers(0, 2 * n))
+    return n, bytes(lanes), draw(st.integers(0, (1 << (1 << n)) - 1))
+
+
+def _check_lane_search(n, lanes, hidden):
+    """_lane_max and _lane_min against max and min over the bytes, and
+    _lane_min again with the points of ``hidden`` set to 0xff."""
+    v = int.from_bytes(lanes, "little")
+    assert measures._lane_max(v, n) == max(lanes)
+    assert measures._lane_min(v, n) == min(lanes)
+    masked = v | measures._lanes(hidden) * 255
+    assert measures._lane_min(masked, n) == min(masked.to_bytes(1 << n, "little"))
+
+
+@given(_lane_bytes())
+@settings(max_examples=200, deadline=None)
+def test_lane_search_matches_max_and_min_over_the_bytes(args):
+    _check_lane_search(*args)
+
+
+def test_lane_search_matches_max_and_min_seeded():
+    rng = random.Random(20261023)
+    for n in (12, 14):
+        for ceiling in (0, 1, n, 2 * n - 1, 2 * n):
+            lanes = bytearray(rng.randint(0, ceiling) for _ in range(1 << n))
+            _check_lane_search(n, bytes(lanes), rng.getrandbits(1 << n))
+            # one planted value above the fill, at a random point
+            lanes[rng.randrange(1 << n)] = min(ceiling + 1, 2 * n)
+            _check_lane_search(n, bytes(lanes), rng.getrandbits(1 << n))
+
+
+def test_lane_search_at_the_ends_of_the_byte_range():
+    for n in range(1, 15):
+        size = 1 << n
+        assert measures._lane_max(0, n) == measures._lane_min(0, n) == 0
+        hide_all = measures._lanes((1 << size) - 1) * 255
+        assert measures._lane_min(hide_all, n) == 0xFF
+        for x in {0, size // 2, size - 1}:
+            top = 2 * n << 8 * x  # one lane at 2n, every other byte 0
+            assert measures._lane_max(top, n) == 2 * n, (n, x)
+            assert measures._lane_min(top, n) == 0, (n, x)
+            # the lane at 2n alone among masked points
+            assert measures._lane_min(top | hide_all ^ 255 << 8 * x, n) == 2 * n, (n, x)
 
 
 def test_record_fields_run_once_and_stay_on_the_record(monkeypatch):
