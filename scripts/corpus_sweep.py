@@ -8,6 +8,7 @@ Usage: python scripts/corpus_sweep.py [corpus ...]
   coordinate permutations, 3984 times (see the README).
 """
 
+import os
 import sys
 import time
 
@@ -15,8 +16,7 @@ from bfc.corpus import parse_corpus
 from bfc.verify import run_theorem_suite, suite_failures
 
 
-def main() -> int:
-    specs = sys.argv[1:] or ["all:3", "monotone:4", "named:KUSHILEVITZ,MAJ:3,MAF:3"]
+def sweep(specs: list[str]) -> int:
     worst = 0
     for spec in specs:
         corpus = parse_corpus(spec)
@@ -30,6 +30,20 @@ def main() -> int:
         for c in checks:
             print("  " + c.row())
     return 1 if worst else 0
+
+
+def main() -> int:
+    """A reader that closes stdout early (``| head``) ends the sweep quietly
+    with the shell's SIGPIPE status, 141, as the bfc command does."""
+    specs = sys.argv[1:] or ["all:3", "monotone:4", "named:KUSHILEVITZ,MAJ:3,MAF:3"]
+    try:
+        code = sweep(specs)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so that the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

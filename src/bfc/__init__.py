@@ -27,9 +27,6 @@ from .coordinate import (
     CoordinateMeasureKind,
     PotentialValue,
     cert_i,
-    check_influence_bound,
-    check_monomial_sensitivity,
-    check_restriction_inequality,
     check_rrcm,
     deg_i,
     mix_cs,
@@ -37,7 +34,7 @@ from .coordinate import (
     potential,
     sens_i,
 )
-from .corpus import Corpus, enumerate_monotone, parse_corpus
+from .corpus import Corpus, parse_corpus
 from .lp import (
     LinearProgram,
     SimplexResult,
@@ -60,9 +57,7 @@ from .measures import (
 from .verify import (
     TheoremCheck,
     certify_doubling_recurrence,
-    check_dt_intersect,
     check_influence_restriction_average,
-    check_markov_consequence,
     check_standard_form_lemmas,
     dt_doubling_family,
     run_theorem_suite,

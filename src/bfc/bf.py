@@ -177,19 +177,6 @@ class BooleanFunction:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "BooleanFunction":
-        size = len(bits)
-        n = size.bit_length() - 1
-        if size != 1 << n:
-            raise ValueError(f"table length {size} is not a power of two")
-        table = 0
-        for idx, bit in enumerate(bits):
-            if bit not in (0, 1):
-                raise ValueError(f"table entries must be bits, got {bit!r}")
-            table |= bit << idx
-        return cls(n, table)
-
-    @classmethod
     def from_callable(cls, n: int, fn: Callable[[tuple[int, ...]], int]) -> "BooleanFunction":
         """Tabulate ``fn`` on every input tuple, after checking the arity."""
         check_arity(n)

@@ -6,8 +6,9 @@ the surviving branch whenever the other branch kills the coordinate.  The
 potential of a function sums 2**(-m_i) over its relevant coordinates; with
 integer exponents these sums are exact rationals, while mixed measures with
 fractional exponents are rounded to floats from integer enclosures and carry
-a stated error bound.  The restriction inequality is decided exactly for
-every measure.
+a stated error bound.  The axioms, the influence bound and the monomial
+sensitivity bound are each one kernel on a table's measure record, which
+the theorem suite in verify.py runs.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .bf import BooleanFunction, check_arity, restrict_bit
-from .bounds import _pow2, _pow2_sum_sign
+from .bounds import _pow2
 from .measures import (
     EXACT_SEARCH_MAX_ARITY,
     TableMeasures,
@@ -148,14 +149,11 @@ class PotentialValue(NamedTuple):
         return lines
 
 
-def _potential_over(
-    f: BooleanFunction, kind: CoordinateMeasureKind, coords: Sequence[int]
-) -> PotentialValue:
+def potential(f: BooleanFunction, kind: CoordinateMeasureKind) -> PotentialValue:
     rec = table_measures(f.n, f.table)
     values = _kind_values(rec, kind)
-    diffs = rec.diffs
     # irrelevant coordinates contribute nothing
-    ms = [(i, values[i - 1]) for i in coords if diffs[i - 1]]
+    ms = [(i0 + 1, values[i0]) for i0, d in enumerate(rec.diffs) if d]
     weights = [_pow2(-m) for _, m in ms]
     terms = tuple((i, m, w if m.denominator == 1 else float(w)) for (i, m), w in zip(ms, weights))
     if all(m.denominator == 1 for _, m in ms):
@@ -166,17 +164,12 @@ def _potential_over(
     return PotentialValue(kind, terms, value, False, math.ulp(value))
 
 
-def potential(f: BooleanFunction, kind: CoordinateMeasureKind) -> PotentialValue:
-    return _potential_over(f, kind, range(1, f.n + 1))
-
-
 # ---------------------------------------------------------------------------
 # axioms and structural checks
 #
 # Each inequality has one kernel on a table's measure record that returns
-# its first violation; the public check_* validates its arguments and
-# wraps the kernel, and the theorem suite in verify.py calls the same
-# kernel.
+# its first violation, and the theorem suite in verify.py calls it;
+# check_rrcm wraps the axioms' kernel for one coordinate of a function.
 # ---------------------------------------------------------------------------
 
 class CheckResult(NamedTuple):
@@ -233,48 +226,6 @@ def check_rrcm(f: BooleanFunction, i: int, kind: CoordinateMeasureKind) -> Check
     return CheckResult(False, f"{axiom} fails for x{i} fixing x{j0 + 1}={b}", (j0 + 1, b))
 
 
-def _restrictions(
-    f: BooleanFunction, i: int, H: Sequence[int]
-) -> list[tuple[BooleanFunction, int]]:
-    """The 2^|H| restrictions of f that fix the sorted coordinates ``H``,
-    the bits of a counter giving their values, each with the index that
-    coordinate i (not in H) takes in it."""
-    ii = i - sum(1 for j in H if j < i)
-    return [
-        (f.restrict([(j, (bits >> t) & 1) for t, j in enumerate(H)]), ii)
-        for bits in range(1 << len(H))
-    ]
-
-
-def check_restriction_inequality(
-    f: BooleanFunction,
-    i: int,
-    kind: CoordinateMeasureKind,
-    coords: Iterable[int],
-) -> CheckResult:
-    """delta_i * 2^-m_i never beats its average over restrictions of ``coords``;
-    decided exactly for every kind, by the sign of the restricted sum minus
-    2^|coords| times the left side."""
-    H = sorted(set(coords))
-    _check_coord(f, i)
-    if i in H:
-        raise ValueError(f"coordinate {i} must not belong to the restricted set")
-    for j in H:
-        _check_coord(f, j)
-
-    count = 1 << len(H)
-    branches = [(f, i)] + _restrictions(f, i, H)
-    # -m of coordinate c in g, or None where g ignores it (weight 0)
-    recs = [(table_measures(g.n, g.table), c) for g, c in branches]
-    exps = [-_kind_values(r, kind)[c - 1] if r.diffs[c - 1] else None for r, c in recs]
-    gap = [(1 if k else -count, e) for k, e in enumerate(exps) if e is not None]
-    lhs, *restricted = [0 if e is None else _pow2(e) for e in exps]
-    avg = Fraction(sum(restricted), count)
-    if any(e.denominator > 1 for _, e in gap):
-        lhs, avg = float(lhs), float(avg)
-    return CheckResult(_pow2_sum_sign(gap) >= 0, f"{lhs} vs average {avg}")
-
-
 @lru_cache(maxsize=None)
 def _dictator_floor(kind: CoordinateMeasureKind) -> int | Fraction:
     """min of the measure over the two one-variable non-constants.
@@ -328,23 +279,6 @@ def _influence_violation(rec: TableMeasures, kind: CoordinateMeasureKind) -> int
     return None
 
 
-def check_influence_bound(f: BooleanFunction, kind: CoordinateMeasureKind) -> CheckResult:
-    """Per-coordinate weight <= 2^-r * Inf_i, hence potential <= 2^-r * I[f].
-
-    ``r`` is the dictator floor of the measure; see ``_influence_violation``.
-    """
-    rec = table_measures(f.n, f.table)
-    i0 = _influence_violation(rec, kind)
-    if i0 is None:
-        return CheckResult(True)
-    m = _kind_values(rec, kind)[i0]
-    cnt = rec.inf_counts[i0]
-    r = _dictator_floor(kind)
-    return CheckResult(
-        False, f"coordinate {i0 + 1}: 2^-{m} > 2^-{r} * {cnt}/{1 << f.n}", (i0 + 1,)
-    )
-
-
 def _monomial_sens_violation(
     rec: TableMeasures, ks: Iterable[int]
 ) -> tuple[int, str, int, int] | None:
@@ -380,19 +314,3 @@ def _monomial_sens_violation(
                         del tests[j:]
                         break
     return hit
-
-
-def check_monomial_sensitivity(f: BooleanFunction, k: int) -> CheckResult:
-    """In every monomial (either basis), at most (k-1)^2 coordinates have
-    sens_i <= k."""
-    hit = _monomial_sens_violation(table_measures(f.n, f.table), (k,))
-    if hit is None:
-        return CheckResult(True)
-    _, name, mask, cnt = hit
-    return CheckResult(
-        False,
-        f"{name} mask {mask:#x}: {cnt} coordinates with sens_i <= {k} "
-        f"exceeds {(k - 1) ** 2}",
-        (name, mask),
-    )
-

@@ -40,10 +40,6 @@ def _monotone_tables(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def enumerate_monotone(n: int) -> "Corpus":
-    return Corpus(kind="monotone", n=n)
-
-
 def _parse_named(item: str) -> tuple[str, BooleanFunction]:
     if ":" in item:
         name, k = item.split(":", 1)

@@ -50,6 +50,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .bf import (
+    _BIT_BYTES,
     BooleanFunction,
     check_arity,
     diff_mask,
@@ -80,12 +81,9 @@ APPROX_DEGREE_MAX_ARITY = 6
 # one byte per point
 # ---------------------------------------------------------------------------
 
-_BITS_TO_BYTES = bytes.maketrans(b"01", b"\0\1")
-
-
 def _lanes(mask: int) -> int:
     """The packed int whose byte x is bit x of ``mask`` (mask >= 0)."""
-    return int.from_bytes(f"{mask:b}".encode().translate(_BITS_TO_BYTES), "big")
+    return int.from_bytes(f"{mask:b}".encode().translate(_BIT_BYTES), "big")
 
 
 @lru_cache(maxsize=None)

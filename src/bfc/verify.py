@@ -37,7 +37,6 @@ from .coordinate import (
     ALL_BASE_KINDS,
     _influence_violation,
     _monomial_sens_violation,
-    _restrictions,
     _rrcm_violation,
 )
 from .measures import TableMeasures, _dt_depth, table_measures
@@ -167,23 +166,9 @@ def _markov_quadratic(bs: int, d: int) -> bool:
     return bs < 1 or 3 * (bs - 1) ** 2 <= 2 * d ** 4
 
 
-def check_markov_consequence(f: BooleanFunction) -> bool:
-    """bs^2 - bs <= (2/3)(deg^4 - deg^2) and bs <= sqrt(2/3) deg^2 + 1."""
-    rec = table_measures(f.n, f.table)
-    bs, d = rec.bs.bs, rec.deg
-    return _markov_quartic(bs, d) and _markov_quadratic(bs, d)
-
-
 # ---------------------------------------------------------------------------
 # monotone decision-tree structure
 # ---------------------------------------------------------------------------
-
-class DtIntersectResult(NamedTuple):
-    status: str  # "PASS" | "FAIL" | "SKIP"
-    lhs: int = 0
-    rhs: int = 0
-    detail: str = ""
-
 
 def _dt_intersect(n: int, table: int, i0: int) -> tuple[int, int] | None:
     """(Cmin0(f0) + Cmin1(f1), |shared| + 1) for the branches f0, f1 at the
@@ -197,22 +182,6 @@ def _dt_intersect(n: int, table: int, i0: int) -> tuple[int, int] | None:
     r0, r1 = table_measures(n - 1, t0), table_measures(n - 1, t1)
     shared = sum(1 for x, y in zip(r0.diffs, r1.diffs) if x and y)
     return r0.certs.Cmin0 + r1.certs.Cmin1, shared + 1
-
-
-def check_dt_intersect(f: BooleanFunction, root: int) -> DtIntersectResult:
-    """Short certificates of the two root branches against shared variables."""
-    if not 1 <= root <= f.n:
-        raise ValueError(f"root coordinate {root} out of range")
-    if not f.is_monotone():
-        return DtIntersectResult("SKIP", detail="not monotone")
-    sides = _dt_intersect(f.n, f.table, root - 1)
-    if sides is None:
-        return DtIntersectResult("SKIP", detail="constant branch")
-    lhs, rhs = sides
-    return DtIntersectResult(
-        "PASS" if lhs <= rhs else "FAIL", lhs, rhs,
-        detail=f"Cmin0+Cmin1={lhs} vs |shared|+1={rhs}",
-    )
 
 
 class DoublingFunction:
@@ -330,10 +299,11 @@ def check_influence_restriction_average(
     H = sorted(set(coords))
     if i in H or not 1 <= i <= f.n:
         raise ValueError("coordinate must lie outside the restricted set")
-    total = sum(
-        table_measures(g.n, g.table).inf_counts[ii - 1]
-        for g, ii in _restrictions(f, i, H)
-    )
+    ii = i - sum(1 for j in H if j < i)  # the index of x_i once H is fixed
+    total = 0
+    for bits in range(1 << len(H)):
+        g = f.restrict([(j, (bits >> t) & 1) for t, j in enumerate(H)])
+        total += table_measures(g.n, g.table).inf_counts[ii - 1]
     return total == table_measures(f.n, f.table).inf_counts[i - 1]
 
 

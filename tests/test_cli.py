@@ -265,6 +265,21 @@ def test_closed_stdout_pipe_ends_quietly_with_sigpipe_status():
     assert proc.wait(timeout=60) == 141
 
 
+def test_corpus_sweep_closed_stdout_pipe_ends_quietly_with_sigpipe_status():
+    # 200 sweeps of all:1 print about 190 kB, far past a pipe buffer
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, str(root / "scripts" / "corpus_sweep.py"), *["all:1"] * 200],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"== all")
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait(timeout=60) == 141
+
+
 def test_verify_skips_rows_past_the_exact_search_cap():
     code, out = run_cli("verify", "--corpus", "named:CONST0:15")
     assert code == 0

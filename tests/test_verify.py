@@ -13,17 +13,11 @@ from hypothesis import strategies as st
 import bfc.bf
 from bfc import coordinate, verify
 from bfc.bf import ArityError, BooleanFunction, family, mobius_vector
-from bfc.corpus import (
-    DEDEKIND,
-    enumerate_monotone,
-    parse_corpus,
-)
+from bfc.corpus import DEDEKIND, parse_corpus
 from bfc.measures import TableMeasures, block_sensitivity, degree, table_measures
 from bfc.verify import (
     DoublingFunction,
     certify_doubling_recurrence,
-    check_dt_intersect,
-    check_markov_consequence,
     check_standard_form_lemmas,
     dt_doubling_family,
     run_theorem_suite,
@@ -42,13 +36,13 @@ def test_all_corpus_counts():
 
 def test_monotone_corpus_counts():
     for n in range(0, 6):
-        corpus = enumerate_monotone(n)
+        corpus = parse_corpus(f"monotone:{n}")
         fs = list(corpus)
         assert len(fs) == DEDEKIND[n] == len(corpus)
         if n <= 3:
             assert all(f.is_monotone() for _, f in fs)
     with pytest.raises(ValueError):
-        enumerate_monotone(6)
+        parse_corpus("monotone:6")
 
 
 def test_random_corpus_reproducible():
@@ -163,37 +157,36 @@ def test_standard_form_lemmas():
 
 def test_markov_consequence_examples():
     ku = family("KUSHILEVITZ")
-    assert check_markov_consequence(ku)
     bs = block_sensitivity(ku).bs
     d = degree(ku)
+    assert verify._markov_quartic(bs, d) and verify._markov_quadratic(bs, d)
     assert bs * bs - bs == 30
     assert Fraction(2, 3) * (d ** 4 - d * d) == 48
-    assert check_markov_consequence(family("PARITY", 4))  # 12 <= 160
+    # PARITY 4: bs = deg = 4, so 12 <= 160 and 3 * 3^2 <= 2 * 4^4
+    assert verify._markov_quartic(4, 4) and verify._markov_quadratic(4, 4)
 
 
 # --- monotone decision-tree structure ------------------------------------------------
 
 def test_dt_intersect_maj3():
-    res = check_dt_intersect(family("MAJ", 3), 1)
-    assert res.status == "PASS"
-    assert res.lhs == 2 and res.rhs == 3
+    assert verify._dt_intersect(3, family("MAJ", 3).table, 0) == (2, 3)
 
 
 def test_dt_intersect_skips_constant_branch():
-    assert check_dt_intersect(family("AND", 2), 1).status == "SKIP"
+    assert verify._dt_intersect(2, family("AND", 2).table, 0) is None
 
 
 def test_dt_intersect_all_monotone_four_variable():
-    for _, f in enumerate_monotone(4):
-        for root in range(1, 5):
-            assert check_dt_intersect(f, root).status in ("PASS", "SKIP")
+    for _, f in parse_corpus("monotone:4"):
+        for i0 in range(4):
+            sides = verify._dt_intersect(4, f.table, i0)
+            assert sides is None or sides[0] <= sides[1]
 
 
 def test_dt_intersect_counts_only_coordinates_relevant_to_both_branches():
     # f = (x1 and x2) or x3: f0 = x3 and f1 = x2 or x3 share x3 alone
     table = sum(1 << x for x in range(8) if (x & 1 and x & 2) or x & 4)
-    res = check_dt_intersect(BooleanFunction(3, table), 1)
-    assert (res.status, res.lhs, res.rhs) == ("PASS", 2, 2)
+    assert verify._dt_intersect(3, table, 0) == (2, 2)
 
 
 def test_mono_dt_intersect_row_reports_the_first_failing_root(monkeypatch):
@@ -206,19 +199,6 @@ def test_mono_dt_intersect_row_reports_the_first_failing_root(monkeypatch):
     assert verify._check_mono_dt_intersect(rec) == ("PASS", "-", "-")
     sides[1] = None
     assert verify._check_mono_dt_intersect(rec) == ("SKIP", 0, 0)
-
-
-def test_dt_intersect_kernel_is_the_public_check():
-    for _, f in list(enumerate_monotone(4)) + [("maf3", family("MAF", 3))]:
-        for root in range(1, f.n + 1):
-            res = check_dt_intersect(f, root)
-            sides = verify._dt_intersect(f.n, f.table, root - 1)
-            if sides is None:
-                assert res.status == "SKIP" and res.detail == "constant branch"
-            else:
-                assert (res.lhs, res.rhs) == sides
-                assert res.status == ("PASS" if sides[0] <= sides[1] else "FAIL")
-    assert check_dt_intersect(family("PARITY", 3), 1).detail == "not monotone"
 
 
 # --- doubling family -----------------------------------------------------------------
@@ -420,8 +400,8 @@ def test_theorem_check_row_format():
 #
 # The theorems hold, so no real corpus reaches a FAIL branch.  Each test makes
 # one coordinate-measure field of the measure record wrong on 2-input tables,
-# runs the suite on OR2 and the public check, and requires both to report the
-# same first violation.
+# runs the suite on OR2 and the row's kernel (or check_rrcm), and requires
+# both to report the same first violation.
 
 def _suite_row(check_id):
     checks = run_theorem_suite(parse_corpus("named:OR:2"))
@@ -458,12 +438,10 @@ def test_influence_bound_failure_path(monkeypatch):
     row = _suite_row("influence_bound")
     assert not row.passed
     assert (row.left, row.right) == ("sens i=1", "per-coordinate")
-    res = coordinate.check_influence_bound(family("OR", 2), coordinate.SENS_I)
-    assert not res.passed
-    assert res.counterexample == (1,)
-    assert res.detail == "coordinate 1: 2^-0 > 2^-2 * 2/4"
+    rec = table_measures(2, family("OR", 2).table)
+    assert coordinate._influence_violation(rec, coordinate.SENS_I) == 0
     # deg_i is untouched, so the deg kind, checked first, still passes
-    assert coordinate.check_influence_bound(family("OR", 2), coordinate.DEG_I).passed
+    assert coordinate._influence_violation(rec, coordinate.DEG_I) is None
 
 
 def test_monomial_sens_failure_path(monkeypatch):
@@ -473,10 +451,8 @@ def test_monomial_sens_failure_path(monkeypatch):
     row = _suite_row("monomial_sens")
     assert not row.passed
     assert (row.left, row.right) == ("k=1 mask=0x1 count=1", "0")
-    res = coordinate.check_monomial_sensitivity(family("OR", 2), 1)
-    assert not res.passed
-    assert res.counterexample == ("monomial", 1)
-    assert res.detail == "monomial mask 0x1: 1 coordinates with sens_i <= 1 exceeds 0"
+    rec = table_measures(2, family("OR", 2).table)
+    assert coordinate._monomial_sens_violation(rec, (1,)) == (1, "monomial", 1, 1)
 
 
 def _suite_tables():
