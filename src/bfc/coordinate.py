@@ -18,14 +18,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .bf import BooleanFunction, check_arity, restrict_bit
+from .bf import BooleanFunction, check_arity, fourier_vector, restrict_bit
 from .bounds import _pow2
-from .measures import (
-    EXACT_SEARCH_MAX_ARITY,
-    TableMeasures,
-    _fourier,
-    table_measures,
-)
+from .measures import EXACT_SEARCH_MAX_ARITY, TableMeasures, table_measures
 
 
 class _Kind(NamedTuple):
@@ -303,7 +298,7 @@ def _monomial_sens_violation(
             tests.append((k, low, (k - 1) ** 2))
         prev = low
     hit = None
-    for name, vec in (("monomial", rec.mobius), ("spectral", _fourier(n, rec.table))):
+    for name, vec in (("monomial", rec.mobius), ("spectral", fourier_vector(n, rec.table))):
         for mask, c in enumerate(vec):
             if c:
                 for j, (k, low, limit) in enumerate(tests):

@@ -1,14 +1,16 @@
 """Exact rational linear-programming feasibility.
 
-One solver decides every system: a dual simplex on vertex bases.  Each
-constraint is written as one or two rows a.x <= r (an ``=`` row becomes two
-rows, a ``>=`` row is negated) and keyed in that order.  A basis is a set of
-rows, tight at its vertex, whose matrix B over a set J of independent columns
-is kept only as the integer adjugate adj = det B^-1, with det > 0.  Each
-pivot replaces one basis row and updates adj by Bareiss's exact division
-("Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 1968), so every entry is a minor of the input and
-stays an integer.
+A system is a ``LinearProgram``: integer rows a.x <= r, keyed in order.
+Rational constraints (coeffs, rel, rhs), rel one of ``<=``, ``=`` and
+``>=``, enter through ``LinearProgram.build``, which scales each by the lcm
+of its denominators and writes its ``<=`` side, then its ``>=`` side
+negated.  One solver decides every system: a dual simplex on vertex bases.
+A basis is a set of rows, tight at its vertex, whose matrix B over a set J
+of independent columns is kept only as the integer adjugate adj = det B^-1,
+with det > 0.  Each pivot replaces one basis row and updates adj by
+Bareiss's exact division ("Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 1968), so every entry
+is a minor of the input and stays an integer.
 
 The start (phase 0) begins with an empty basis and takes the rows in key
 order.  A row that is independent of the basis rows so far adds to J the
@@ -23,9 +25,8 @@ J spans every column of the system, so the columns outside J are 0 in the
 witness and lose no feasibility.
 
 Both verdicts are exact.  A Feasible vertex has had every row checked at it.
-An Infeasible verdict carries Farkas multipliers y, with y^T A = 0 and
-y^T b < 0, y >= 0 on ``<=`` rows and y <= 0 on ``>=`` rows, which are checked
-exactly before they are returned.
+An Infeasible verdict carries Farkas multipliers y >= 0, one per row, with
+y A = 0 and y.r < 0, which are checked exactly before they are returned.
 
 The approximate degree solves ``adeg_lp`` over the polynomials that f's
 coordinate symmetries fix (``_AdegOrbits``).  Averaging an approximation
@@ -58,73 +59,57 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .bf import BooleanFunction, _adjacent_swaps, _sjt_steps, check_arity
 from .measures import APPROX_DEGREE_MAX_ARITY
 
-RELATIONS = ("<=", "=", ">=")
-
 LP_CAP_SCAN_MAX_DEGREE = 16
 
 
-Constraint = tuple[tuple[Fraction, ...], str, Fraction]
-IntRow = tuple[tuple[int, ...], str, int]
+Row = tuple[tuple[int, ...], int]  # (a, r): a.x <= r
 
 
-def _row_scale(coeffs: Sequence[Fraction], rhs: Fraction) -> int:
-    """Least positive integer that clears the denominators of one row."""
-    return lcm(rhs.denominator, *(c.denominator for c in coeffs))
+class _Rows(NamedTuple):
+    num_vars: int
+    rows: tuple[Row, ...]
 
 
-class LinearProgram:
-    """A rational constraint system queried for feasibility (no objective)."""
+class LinearProgram(_Rows):
+    """Integer rows a.x <= r queried for feasibility (no objective)."""
 
-    # _int_rows: each constraint scaled by _row_scale to integers, built once
-    __slots__ = ("num_vars", "constraints", "_int_rows")
+    __slots__ = ()
 
-    def __init__(self, num_vars: int, constraints: tuple[Constraint, ...]):
+    def __new__(cls, num_vars: int, rows: Iterable[tuple[Sequence[int], int]]):
         if num_vars < 0:
             raise ValueError(f"num_vars must be >= 0, got {num_vars}")
-        int_rows = []
-        for coeffs, rel, rhs in constraints:
-            if len(coeffs) != num_vars:
+        rows = tuple((tuple(a), r) for a, r in rows)
+        for a, r in rows:
+            if len(a) != num_vars:
+                raise ValueError(f"row width {len(a)} != num_vars {num_vars}")
+            if not {type(r), *map(type, a)} <= {int}:
                 raise ValueError(
-                    f"constraint width {len(coeffs)} != num_vars {num_vars}"
+                    "LinearProgram rows take int entries; "
+                    "rational constraints go through LinearProgram.build"
                 )
-            if rel not in RELATIONS:
-                raise ValueError(f"unknown relation {rel!r}")
-            scale = _row_scale(coeffs, rhs)
-            int_rows.append(
-                (
-                    tuple(c.numerator * (scale // c.denominator) for c in coeffs),
-                    rel,
-                    rhs.numerator * (scale // rhs.denominator),
-                )
-            )
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "constraints", constraints)
-        object.__setattr__(self, "_int_rows", tuple(int_rows))
-
-    def __setattr__(self, *_):
-        raise AttributeError("LinearProgram is immutable")
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not LinearProgram:
-            return NotImplemented
-        return (self.num_vars, self.constraints) == (other.num_vars, other.constraints)
-
-    def __hash__(self) -> int:
-        return hash((self.num_vars, self.constraints))
+        return super().__new__(cls, num_vars, rows)
 
     @classmethod
-    def build(cls, num_vars: int, rows: Sequence[tuple[Sequence, str, object]]):
-        return cls(
-            num_vars,
-            tuple(
-                (tuple(Fraction(c) for c in coeffs), rel, Fraction(rhs))
-                for coeffs, rel, rhs in rows
-            ),
-        )
+    def build(cls, num_vars: int, constraints: Iterable[tuple[Sequence, str, object]]):
+        """The rows of rational constraints (coeffs, rel, rhs): each scaled
+        by the lcm of its denominators, its ``<=`` side first and its ``>=``
+        side negated."""
+        rows = []
+        for coeffs, rel, rhs in constraints:
+            if rel not in ("<=", "=", ">="):
+                raise ValueError(f"unknown relation {rel!r}")
+            qs = [Fraction(v) for v in (*coeffs, rhs)]
+            scale = lcm(*(q.denominator for q in qs))
+            *a, r = (q.numerator * (scale // q.denominator) for q in qs)
+            if rel != ">=":
+                rows.append((a, r))
+            if rel != "<=":
+                rows.append(([-v for v in a], -r))
+        return cls(num_vars, rows)
 
     def satisfies(self, x: Sequence[Fraction]) -> bool:
         nums, den = _scaled_point(x)
-        return all(_gap(row, nums, den) <= 0 for row in self._int_rows)
+        return all(sum(map(mul, a, nums)) <= r * den for a, r in self.rows)
 
 
 def _scaled_point(x: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -134,30 +119,17 @@ def _scaled_point(x: Sequence[Fraction]) -> tuple[list[int], int]:
     return [q.numerator * (den // q.denominator) for q in qs], den
 
 
-def _gap(row: IntRow, nums: Sequence[int], den: int) -> int:
-    """Violation of one integer row at the point nums/den, scaled by den.
-
-    Positive iff the row is violated; zero iff it holds with equality.
-    """
-    coeffs, rel, rhs = row
-    excess = sum(c * a for c, a in zip(coeffs, nums)) - rhs * den
-    if rel == "<=":
-        return excess
-    if rel == ">=":
-        return -excess
-    return abs(excess)
-
-
-def _is_farkas(num_vars: int, int_rows: Sequence[IntRow], y: Sequence[int]) -> bool:
-    """True iff y proves the rows infeasible (see the module docstring)."""
+def _is_farkas(num_vars: int, rows: Sequence[Row], y: Sequence[int]) -> bool:
+    """True iff y >= 0 proves the rows a.x <= r infeasible: y A = 0 and
+    y.r < 0."""
     total = [0] * num_vars
     bound = 0
-    for (coeffs, rel, rhs), v in zip(int_rows, y):
-        if (rel == "<=" and v < 0) or (rel == ">=" and v > 0):
+    for (a, r), v in zip(rows, y):
+        if v < 0:
             return False
         if v:
-            total = [t + v * c for t, c in zip(total, coeffs)]
-            bound += v * rhs
+            total = [t + v * c for t, c in zip(total, a)]
+            bound += v * r
     return bound < 0 and not any(total)
 
 
@@ -165,8 +137,8 @@ class SimplexResult(NamedTuple):
     """A verdict and its certificate.
 
     ``witness`` is a satisfying point when feasible.  ``farkas`` holds, when
-    infeasible, one integer multiplier per constraint with y^T A = 0,
-    y^T b < 0, y >= 0 on ``<=`` rows and y <= 0 on ``>=`` rows.
+    infeasible, one integer multiplier y >= 0 per row with y A = 0 and
+    y.r < 0.
     """
 
     feasible: bool
@@ -287,21 +259,9 @@ def _violated_row(rows: Sequence[tuple[Sequence[int], int]], point, det, bland) 
 
 
 def simplex_feasible(lp: LinearProgram) -> SimplexResult:
-    """Exact feasibility verdict with a checked witness or Farkas certificate.
-
-    The Farkas multipliers refer to ``lp.constraints`` as given.
-    """
-    rows: list[tuple[Sequence[int], int]] = []
-    origin: list[tuple[int, int]] = []  # (constraint, sign) of each row
-    for i, (coeffs, rel, r) in enumerate(lp._int_rows):
-        if rel != ">=":
-            rows.append((coeffs, r))
-            origin.append((i, 1))
-        if rel != "<=":
-            rows.append((tuple(-c for c in coeffs), -r))
-            origin.append((i, -1))
-    basis = _VertexBasis(lp.num_vars, enumerate(a for a, _ in rows))
-    on_j = [([a[c] for c in basis.cols], r) for a, r in rows]
+    """Exact feasibility verdict with a checked witness or Farkas certificate."""
+    basis = _VertexBasis(lp.num_vars, enumerate(a for a, _ in lp.rows))
+    on_j = [([a[c] for c in basis.cols], r) for a, r in lp.rows]
     cert = basis.run(
         lambda key: on_j[key][0],
         lambda key: on_j[key][1],
@@ -313,19 +273,12 @@ def simplex_feasible(lp: LinearProgram) -> SimplexResult:
         for c, line in zip(basis.cols, basis.adj):
             x[c] = Fraction(sum(map(mul, line, r_b)), basis.det)
         return SimplexResult(True, tuple(x))
-    y = [0] * len(lp.constraints)
+    y = [0] * len(lp.rows)
     for key, v in zip(*cert):
-        i, sign = origin[key]
-        y[i] += sign * v
-    if not _is_farkas(lp.num_vars, lp._int_rows, y):
+        y[key] += v
+    if not _is_farkas(lp.num_vars, lp.rows, y):
         raise AssertionError("simplex Farkas certificate failed exact check")
-    return SimplexResult(
-        False,
-        farkas=tuple(
-            v * _row_scale(coeffs, rhs) if v else 0
-            for v, (coeffs, _, rhs) in zip(y, lp.constraints)
-        ),
-    )
+    return SimplexResult(False, farkas=tuple(y))
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +476,7 @@ def lp_bs_cap(d: int) -> LpCapScan:
             cert = closing or chain.solve(b, tau)
             if cert is not None:
                 keys, y = cert
-                checked = [(rows[key], "<=", _scan_rhs(key, b, tau)) for key in keys]
+                checked = [(rows[key], _scan_rhs(key, b, tau)) for key in keys]
                 if not _is_farkas(d, checked, y):
                     raise AssertionError("cap scan Farkas certificate failed exact check")
                 if _closes(keys, b, tau):
@@ -539,34 +492,35 @@ def adeg_lp(f: BooleanFunction, d: int, eps: Fraction) -> LinearProgram:
     """Uniform eps-approximation by a degree <= d multilinear polynomial.
 
     Variables are coefficients of every subset of size <= d (ordered by
-    (size, mask)); each input point contributes a two-sided band constraint.
+    (size, mask)); each input point x contributes a two-sided band
+    |P(x) - f(x)| <= eps, written for eps = p/q as the rows
+    q P(x) <= q f(x) + p and -q P(x) <= p - q f(x).
     """
     check_arity(f.n, APPROX_DEGREE_MAX_ARITY, "approximation LP")
     if d > f.n:
         raise ValueError(f"degree {d} exceeds arity {f.n}")
     eps = Fraction(eps)
+    p, q = eps.numerator, eps.denominator
     monomials = sorted(
         (m for m in range(1 << f.n) if m.bit_count() <= d),
         key=lambda m: (m.bit_count(), m),
     )
     col = {m: j for j, m in enumerate(monomials)}
     rows = []
-    one = Fraction(1)
     for x in range(1 << f.n):
-        coeffs = [Fraction(0)] * len(monomials)
+        coeffs = [0] * len(monomials)
         sub = x
         while True:
             j = col.get(sub)
             if j is not None:
-                coeffs[j] = one
+                coeffs[j] = q
             if sub == 0:
                 break
             sub = (sub - 1) & x
-        fx = Fraction((f.table >> x) & 1)
-        coeffs = tuple(coeffs)
-        rows.append((coeffs, "<=", fx + eps))
-        rows.append((coeffs, ">=", fx - eps))
-    return LinearProgram(len(monomials), tuple(rows))
+        qfx = q * ((f.table >> x) & 1)
+        rows.append((coeffs, qfx + p))
+        rows.append(([-c for c in coeffs], p - qfx))
+    return LinearProgram(len(monomials), rows)
 
 
 def _automorphisms(f: BooleanFunction) -> list[tuple[int, ...]]:
@@ -648,8 +602,10 @@ class _AdegOrbits:
                 self.index[x] = k
 
     def lp(self, d: int, eps: Fraction) -> tuple[LinearProgram, list[int]]:
-        """The reduced LP at degree d and its monomial orbits by column."""
+        """The reduced LP at degree d and its monomial orbits by column, its
+        bands scaled by q for eps = p/q as in ``adeg_lp``."""
         orbits, index = self.orbits, self.index
+        p, q = eps.numerator, eps.denominator
         cols = sorted(
             (k for k, members in enumerate(orbits) if members[0].bit_count() <= d),
             key=lambda k: (orbits[k][0].bit_count(), orbits[k][0]),
@@ -663,15 +619,14 @@ class _AdegOrbits:
             while True:
                 j = col.get(index[sub])
                 if j is not None:
-                    counts[j] += 1
+                    counts[j] += q
                 if sub == 0:
                     break
                 sub = (sub - 1) & x
-            fx = Fraction((self.f.table >> x) & 1)
-            coeffs = tuple(map(Fraction, counts))
-            rows.append((coeffs, "<=", fx + eps))
-            rows.append((coeffs, ">=", fx - eps))
-        return LinearProgram(len(cols), tuple(rows)), cols
+            qfx = q * ((self.f.table >> x) & 1)
+            rows.append((counts, qfx + p))
+            rows.append(([-c for c in counts], p - qfx))
+        return LinearProgram(len(cols), rows), cols
 
     def feasible(self, d: int, eps: Fraction) -> bool:
         """The verdict of ``adeg_lp(f, d, eps)``, from the reduced LP."""
@@ -686,13 +641,8 @@ class _AdegOrbits:
             )
             ok = full.satisfies([value[self.index[m]] for m in monomials])
         else:
-            # a reduced row and a point's row share their scale to integers,
-            # the denominator of their right-hand side
-            y = [
-                v // _row_scale(coeffs, rhs)
-                for v, (coeffs, _, rhs) in zip(result.farkas, reduced.constraints)
-            ]
-            ok = _is_farkas(full.num_vars, full._int_rows, _lift_farkas(y, self.orbits))
+            # the reduced and the full bands carry the same factor q
+            ok = _is_farkas(full.num_vars, full.rows, _lift_farkas(result.farkas, self.orbits))
         if not ok:
             raise AssertionError(f"orbit LP verdict at degree {d} failed the full LP")
         return result.feasible

@@ -144,11 +144,6 @@ def _size_levels(n: int) -> tuple[int, ...]:
 # search kernels on (n, table)
 # ---------------------------------------------------------------------------
 
-def _fourier(n: int, table: int) -> tuple[int, ...]:
-    """Walsh-Hadamard spectrum scaled by 2**n (integers)."""
-    return tuple(fourier_vector(n, table))
-
-
 class CertificateReport(NamedTuple):
     C: int
     C0: int
@@ -580,7 +575,7 @@ def influence(f: BooleanFunction) -> InfluenceReport:
     """Counting influences, cross-checked exactly against the spectrum."""
     n, table = f.n, f.table
     counts = table_measures(n, table).inf_counts
-    w = _fourier(n, table)
+    w = fourier_vector(n, table)
     scale = 1 << n
     for i in range(n):
         spectral = sum(w[m] * w[m] for m in range(1 << n) if (m >> i) & 1)

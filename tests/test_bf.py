@@ -136,11 +136,20 @@ def test_value_types_are_immutable_and_hash_by_value(field, a, b):
         (lambda: Corpus("random", 3, -1), "corpus random:3:-1:0 needs a count >= 0"),
         (lambda: LinearProgram(-1, ()), "num_vars must be >= 0, got -1"),
         (
+            # Bareiss's exact // would floor a Fraction entry silently
+            lambda: LinearProgram(1, [((Fraction(1, 2),), 1)]),
+            "LinearProgram rows take int entries; "
+            "rational constraints go through LinearProgram.build",
+        ),
+        (
             lambda: PartialAssignment([(1, 0), (1, 1)]),
             "duplicate coordinates in assignment: [1, 1]",
         ),
     ],
-    ids=["unknown-tag", "beta-on-deg", "corpus-kind", "negative-count", "lp-vars", "duplicates"],
+    ids=[
+        "unknown-tag", "beta-on-deg", "corpus-kind", "negative-count", "lp-vars", "lp-entries",
+        "duplicates",
+    ],
 )
 def test_value_types_keep_their_validation(build, message):
     with pytest.raises(ValueError) as exc:
@@ -698,6 +707,20 @@ def test_every_module_level_import_is_used():
                 if name not in read:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_the_lp_layer_names_only_integer_rows():
+    # an LP is integer rows a.x <= r; the rational constraint layer that
+    # turned relations into rows on every solve must not come back
+    src = Path(__file__).resolve().parents[1] / "src" / "bfc"
+    gone = re.compile(r"\bRELATIONS\b|\b_row_scale\b|\b_int_rows\b|\.constraints\b")
+    named = [
+        f"{path.name}:{i}"
+        for path in sorted(src.glob("*.py"))
+        for i, ln in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if gone.search(ln)
+    ]
+    assert named == []
 
 
 @pytest.mark.parametrize("n", range(8))

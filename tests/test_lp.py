@@ -3,7 +3,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import permutations
-from math import comb
+from math import comb, lcm
 from pathlib import Path
 
 import pytest
@@ -15,7 +15,6 @@ import bfc.measures
 from bfc.bf import ArityError, BooleanFunction, family
 from bfc.lp import (
     LP_CAP_SCAN_MAX_DEGREE,
-    RELATIONS,
     LinearProgram,
     _AdegOrbits,
     _automorphisms,
@@ -30,23 +29,40 @@ from bfc.measures import degree
 
 PIVOT_PATH = Path(__file__).parent / "data" / "lp_pivot_path.json"
 
-
-def lp(num_vars, rows):
-    return LinearProgram.build(num_vars, rows)
+RELATIONS = ("<=", "=", ">=")
 
 
-def assert_farkas(prog, y):
-    """Re-check a Farkas certificate against the constraints in Fractions."""
-    assert y is not None and len(y) == len(prog.constraints)
-    total = [Fraction(0)] * prog.num_vars
+def lp(num_vars, constraints):
+    return LinearProgram.build(num_vars, constraints)
+
+
+def _fraction_rows(constraints):
+    """The rows a.x <= r of rational constraints, in Fractions: each scaled
+    by the lcm of its denominators, its <= side and then its >= side
+    negated."""
+    rows = []
+    for coeffs, rel, rhs in constraints:
+        qs = [Fraction(c) for c in coeffs] + [Fraction(rhs)]
+        scale = lcm(*(q.denominator for q in qs))
+        *a, r = (q * scale for q in qs)
+        if rel in ("<=", "="):
+            rows.append((a, r))
+        if rel in (">=", "="):
+            rows.append(([-c for c in a], -r))
+    return rows
+
+
+def assert_farkas(num_vars, constraints, y):
+    """Re-check a Farkas certificate in Fractions against the rows of the
+    constraints, derived here and not read from the program."""
+    rows = _fraction_rows(constraints)
+    assert y is not None and len(y) == len(rows)
+    assert all(v >= 0 for v in y)
+    total = [Fraction(0)] * num_vars
     bound = Fraction(0)
-    for (coeffs, rel, rhs), v in zip(prog.constraints, y):
-        if rel == "<=":
-            assert v >= 0
-        elif rel == ">=":
-            assert v <= 0
-        total = [t + v * c for t, c in zip(total, coeffs)]
-        bound += v * rhs
+    for (a, r), v in zip(rows, y):
+        total = [t + v * c for t, c in zip(total, a)]
+        bound += v * r
     assert all(t == 0 for t in total)
     assert bound < 0
 
@@ -58,11 +74,21 @@ def test_trivial_feasible():
 
 
 def test_trivial_infeasible():
-    prog = lp(1, [([1], ">=", 1), ([1], "<=", 0)])
-    res = simplex_feasible(prog)
+    constraints = [([1], ">=", 1), ([1], "<=", 0)]
+    res = simplex_feasible(lp(1, constraints))
     assert not res.feasible
     assert res.witness is None
-    assert_farkas(prog, res.farkas)
+    assert_farkas(1, constraints, res.farkas)
+
+
+def test_build_scales_by_the_lcm_of_denominators_le_side_first():
+    half = Fraction(1, 2)
+    assert lp(2, [([half, 2], "=", Fraction(3, 4))]).rows == (((2, 8), 3), ((-2, -8), -3))
+    # no gcd reduction: 2x <= 4 stays as written
+    assert lp(1, [([2], "<=", 4)]).rows == (((2,), 4),)
+    assert lp(1, [([half], ">=", 1)]).rows == (((-1,), -2),)
+    with pytest.raises(ValueError, match="unknown relation '<'"):
+        lp(1, [([1], "<", 1)])
 
 
 def test_empty_lp_is_feasible_at_zero():
@@ -140,12 +166,13 @@ def _system_with_known_point(draw):
             rows.append((coeffs, rel, lhs - margin))
         else:
             rows.append((coeffs, rel, lhs))
-    return lp(nv, rows)
+    return nv, rows
 
 
 @given(_system_with_known_point())
 @settings(max_examples=120, deadline=None)
-def test_systems_with_a_known_point_are_feasible_and_witnessed(prog):
+def test_systems_with_a_known_point_are_feasible_and_witnessed(system):
+    prog = lp(*system)
     res = simplex_feasible(prog)
     assert res.feasible
     assert prog.satisfies(res.witness)
@@ -153,13 +180,11 @@ def test_systems_with_a_known_point_are_feasible_and_witnessed(prog):
 
 @given(_system_with_known_point())
 @settings(max_examples=60, deadline=None)
-def test_embedding_a_contradiction_makes_it_infeasible(prog):
-    base = list(prog.constraints)
-    nv = prog.num_vars
+def test_embedding_a_contradiction_makes_it_infeasible(system):
+    nv, base = system
     one = tuple([Fraction(1)] + [Fraction(0)] * (nv - 1))
-    base.append((one, ">=", Fraction(10)))
-    base.append((one, "<=", Fraction(9)))
-    assert not simplex_feasible(LinearProgram(nv, tuple(base))).feasible
+    base = [*base, (one, ">=", Fraction(10)), (one, "<=", Fraction(9))]
+    assert not simplex_feasible(lp(nv, base)).feasible
 
 
 @st.composite
@@ -188,36 +213,37 @@ def _system_infeasible_by_construction(draw):
     else:
         rows.append(([-c for c in combo], "<=", -combo_rhs - excess))
     order = draw(st.permutations(range(len(rows))))
-    return lp(nv, [rows[i] for i in order])
+    return nv, [rows[i] for i in order]
 
 
 @given(_system_infeasible_by_construction())
 @settings(max_examples=150, deadline=None)
-def test_infeasible_systems_carry_a_farkas_certificate(prog):
-    res = simplex_feasible(prog)
+def test_infeasible_systems_carry_a_farkas_certificate(system):
+    res = simplex_feasible(lp(*system))
     assert not res.feasible and res.witness is None
-    assert_farkas(prog, res.farkas)
+    assert_farkas(*system, res.farkas)
 
 
 @st.composite
 def _with_a_dependent_column(draw, systems):
     """A drawn system with one more column: a rational combination of the
     others, or zero.  It keeps the verdict of the system it extends."""
-    prog = draw(systems)
+    nv, constraints = draw(systems)
     lam = [
         Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
-        for _ in range(prog.num_vars)
+        for _ in range(nv)
     ]
     rows = [
         ((*coeffs, sum(c * v for c, v in zip(coeffs, lam))), rel, rhs)
-        for coeffs, rel, rhs in prog.constraints
+        for coeffs, rel, rhs in constraints
     ]
-    return LinearProgram(prog.num_vars + 1, tuple(rows))
+    return nv + 1, rows
 
 
 @given(_with_a_dependent_column(_system_with_known_point()))
 @settings(max_examples=120, deadline=None)
-def test_a_dependent_column_keeps_a_system_feasible_and_witnessed(prog):
+def test_a_dependent_column_keeps_a_system_feasible_and_witnessed(system):
+    prog = lp(*system)
     res = simplex_feasible(prog)
     assert res.feasible
     assert prog.satisfies(res.witness)
@@ -225,18 +251,18 @@ def test_a_dependent_column_keeps_a_system_feasible_and_witnessed(prog):
 
 @given(_with_a_dependent_column(_system_infeasible_by_construction()))
 @settings(max_examples=120, deadline=None)
-def test_a_dependent_column_keeps_a_system_infeasible_and_certified(prog):
-    res = simplex_feasible(prog)
+def test_a_dependent_column_keeps_a_system_infeasible_and_certified(system):
+    res = simplex_feasible(lp(*system))
     assert not res.feasible and res.witness is None
-    assert_farkas(prog, res.farkas)
+    assert_farkas(*system, res.farkas)
 
 
 def test_zero_rows_and_no_rows():
     for rel in RELATIONS:
-        prog = lp(2, [([0, 0], rel, 1 if rel == ">=" else -1), ([1, 0], "<=", 5)])
-        res = simplex_feasible(prog)
+        constraints = [([0, 0], rel, 1 if rel == ">=" else -1), ([1, 0], "<=", 5)]
+        res = simplex_feasible(lp(2, constraints))
         assert not res.feasible
-        assert_farkas(prog, res.farkas)
+        assert_farkas(2, constraints, res.farkas)
         assert simplex_feasible(lp(2, [([0, 0], rel, 0)])).feasible
     res = simplex_feasible(LinearProgram.build(3, []))
     assert res.feasible and res.witness == (0, 0, 0)
@@ -261,10 +287,11 @@ def test_a_wide_lp_with_few_rows_is_cheap():
 
 def test_infeasible_adeg_lp_certificate_has_at_most_num_vars_plus_one_rows():
     # the certificate sits on the leaving row and the basis rows
-    prog = adeg_lp(family("PARITY", 5), 4, Fraction(1, 3))
+    f, eps = family("PARITY", 5), Fraction(1, 3)
+    prog = adeg_lp(f, 4, eps)
     res = simplex_feasible(prog)
     assert not res.feasible
-    assert_farkas(prog, res.farkas)
+    assert_farkas(prog.num_vars, _band_constraints(f, 4, eps), res.farkas)
     assert sum(1 for v in res.farkas if v) <= prog.num_vars + 1
 
 
@@ -397,7 +424,7 @@ def _plain_scan(d):
 
 
 def _scan_rows(d, b, tau, keys):
-    return [(bfc.lp._scan_row(k, d), "<=", bfc.lp._scan_rhs(k, b, tau)) for k in keys]
+    return [(bfc.lp._scan_row(k, d), bfc.lp._scan_rhs(k, b, tau)) for k in keys]
 
 
 def test_closed_scan_equals_the_plain_scan(monkeypatch):
@@ -494,7 +521,82 @@ def test_adeg_lp_and_approx_degree_share_one_arity_cap():
 def test_adeg_lp_shape():
     prog = adeg_lp(family("OR", 2), 1, Fraction(1, 3))
     assert prog.num_vars == 3  # {}, {1}, {2}
-    assert len(prog.constraints) == 8  # two sides per input point
+    assert len(prog.rows) == 8  # two sides per input point
+
+
+def _band(fx, coeffs, eps):
+    return [(coeffs, "<=", fx + eps), (coeffs, ">=", fx - eps)]
+
+
+def _band_constraints(f, d, eps):
+    """The rational bands of ``adeg_lp``: f(x) - eps <= sum of c_m over the
+    monomials m <= x with |m| <= d, ordered by (size, mask), <= f(x) + eps."""
+    monomials = sorted(
+        (m for m in range(1 << f.n) if m.bit_count() <= d), key=lambda m: (m.bit_count(), m)
+    )
+    constraints = []
+    for x in range(1 << f.n):
+        coeffs = [Fraction(m & x == m) for m in monomials]
+        constraints += _band(Fraction((f.table >> x) & 1), coeffs, eps)
+    return constraints
+
+
+def _orbit_band_constraints(orbits, d, eps):
+    """The rational bands of ``_AdegOrbits.lp``: one per point orbit, at its
+    least member x, with #{m in O : m <= x} on each monomial orbit O of
+    size <= d, the orbits ordered by the (size, mask) of their least
+    members."""
+    least = [min(o) for o in orbits.orbits]
+    cols = sorted(
+        (o for o, m in zip(orbits.orbits, least) if m.bit_count() <= d),
+        key=lambda o: (min(o).bit_count(), min(o)),
+    )
+    constraints = []
+    for x in least:
+        coeffs = [Fraction(sum(m & x == m for m in o)) for o in cols]
+        constraints += _band(Fraction((orbits.f.table >> x) & 1), coeffs, eps)
+    return constraints
+
+
+_PINNED_EPSILONS = (Fraction(1, 3), Fraction(1, 4), Fraction(2, 5))
+
+
+@pytest.mark.parametrize(
+    "name, k", [("ALL", 3), ("PARITY", 5), ("MAF", 3), ("KUSHILEVITZ", None)]
+)
+def test_adeg_rows_are_the_built_band_constraints(name, k):
+    # q = eps's denominator on every coefficient, q f(x) + p and p - q f(x)
+    # on the right, the <= side of each point first
+    fs = [BooleanFunction(3, t) for t in range(256)] if name == "ALL" else [family(name, k)]
+    for f in fs:
+        orbits = _AdegOrbits(f, _automorphisms(f))
+        for eps in _PINNED_EPSILONS:
+            for d in range(f.n + 1):
+                full = adeg_lp(f, d, eps)
+                assert full == lp(full.num_vars, _band_constraints(f, d, eps)), (f, d, eps)
+                reduced, _ = orbits.lp(d, eps)
+                want = lp(reduced.num_vars, _orbit_band_constraints(orbits, d, eps))
+                assert reduced == want, (f, d, eps)
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["upper", "lower"])
+def test_a_band_side_without_q_fails(monkeypatch, side):
+    # a copy of adeg_lp whose rows of one side (keys 2x or 2x + 1) lack q
+    real = bfc.lp.adeg_lp
+    f, d, eps = family("MAF", 3), 2, Fraction(2, 5)
+
+    def without_q(f, d, eps):
+        prog, q = real(f, d, eps), eps.denominator
+        rows = [
+            ([c // q for c in a], r) if key % 2 == side else (a, r)
+            for key, (a, r) in enumerate(prog.rows)
+        ]
+        return LinearProgram(prog.num_vars, rows)
+
+    assert without_q(f, d, eps) != lp(real(f, d, eps).num_vars, _band_constraints(f, d, eps))
+    monkeypatch.setattr(bfc.lp, "adeg_lp", without_q)
+    with pytest.raises(AssertionError, match="failed the full LP"):
+        bfc.measures.approx_degree(f, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +732,7 @@ def test_orbit_lp_rows_are_pinned(monkeypatch):
 
     def counted(self, d, eps):
         prog, cols = reduce(self, d, eps)
-        built.append(len(prog.constraints))
+        built.append(len(prog.rows))
         return prog, cols
 
     monkeypatch.setattr(_AdegOrbits, "lp", counted)
