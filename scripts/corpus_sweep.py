@@ -3,8 +3,8 @@
 
 Usage: python scripts/corpus_sweep.py [corpus ...]
   Default corpora: all:3, monotone:4, named:KUSHILEVITZ,MAJ:3,MAF:3.
-  The exhaustive four-variable sweep (all:4) takes 1.7-1.9 s of suite time
-  (three runs) on a 2-core x86-64 host: the suite runs once per orbit under
+  The exhaustive four-variable sweep (all:4) takes 1.3-2.0 s of suite time
+  (six runs) on a 2-core x86-64 host: the suite runs once per orbit under
   coordinate permutations, 3984 times (see the README).
 """
 

@@ -12,7 +12,7 @@ import itertools
 import struct
 from functools import lru_cache
 from math import comb
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 MAX_ARITY = 20
 
@@ -97,15 +97,6 @@ def diff_mask(table: int, n: int, i0: int) -> int:
     return table ^ flip_table(table, n, i0)
 
 
-def _adjacent_swaps(n: int) -> list[tuple[int, int]]:
-    """(mask, shift) of the delta-swap exchanging coordinates i and i+1,
-    for each 0-based i < n-1: mask marks the indices with bit i set and
-    bit i+1 clear, whose partner sits ``shift`` = 2^i above."""
-    return [
-        (half_mask(n, i + 1) & ~half_mask(n, i), 1 << i) for i in range(n - 1)
-    ]
-
-
 @lru_cache(maxsize=None)
 def _sjt_steps(n: int) -> tuple[int, ...]:
     """The n! - 1 steps of the Steinhaus-Johnson-Trotter walk through every
@@ -121,6 +112,20 @@ def _sjt_steps(n: int) -> tuple[int, ...]:
         steps.append(i + 1 if k % 2 == 0 else i)
         steps.extend(up if k % 2 == 0 else down)
     return tuple(steps)
+
+
+def _sjt_walk(n: int, table: int) -> Iterator[tuple[int, int]]:
+    """(i, table) after each of the n! - 1 steps of ``_sjt_steps``: step i
+    exchanges coordinates i and i + 1 (0-based) by one delta-swap, whose
+    mask marks the indices with bit i set and bit i + 1 clear.  With the
+    table it starts from, they are its images under every permutation.
+    """
+    masks = [half_mask(n, i + 1) & ~half_mask(n, i) for i in range(n - 1)]
+    for i in _sjt_steps(n):
+        shift = 1 << i
+        d = ((table >> shift) ^ table) & masks[i]
+        table ^= d ^ (d << shift)
+        yield i, table
 
 
 # ---------------------------------------------------------------------------

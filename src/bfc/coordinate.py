@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .bf import BooleanFunction, check_arity, fourier_vector, restrict_bit
+from .bf import BooleanFunction, check_arity, restrict_bit
 from .bounds import _pow2
 from .measures import EXACT_SEARCH_MAX_ARITY, TableMeasures, table_measures
 
@@ -276,16 +276,20 @@ def _influence_violation(rec: TableMeasures, kind: CoordinateMeasureKind) -> int
 
 def _monomial_sens_violation(
     rec: TableMeasures, ks: Iterable[int]
-) -> tuple[int, str, int, int] | None:
-    """(k, basis, mask, count) for the smallest k in ``ks`` at which some
-    monomial has more than (k-1)^2 coordinates with sens_i <= k, at the
-    first such monomial; or None.
+) -> tuple[int, int, int] | None:
+    """(k, mask, count) for the smallest k in ``ks`` at which some monomial
+    has more than (k-1)^2 coordinates with sens_i <= k, at the first such
+    monomial; or None.
 
-    The multilinear ("monomial") basis is scanned before the Fourier
-    ("spectral") one, masks in increasing order, once for every k.  A k
-    whose set {i : sens_i <= k} equals that of a smaller k in ``ks`` is
-    skipped: with the same count and a larger limit it fails only where
-    the smaller k fails too.
+    Only the multilinear (Moebius) basis is scanned, masks in increasing
+    order, once for every k.  The Fourier basis can never decide the check:
+    substituting x_i = (1 - y_i)/2 into f = sum c_T x^T puts every nonempty
+    Fourier support set S of 1 - 2f inside some T with c_T != 0.  So
+    |S & low| <= |T & low|, a spectral hit at k is a monomial hit at the
+    same k, and as the least k is kept, a Fourier pass never changes the
+    result.  A k whose set {i : sens_i <= k} equals that of a smaller k in
+    ``ks`` is skipped: with the same count and a larger limit it fails only
+    where the smaller k fails too.
     """
     n = rec.n
     check_arity(n, EXACT_SEARCH_MAX_ARITY, "monomial sensitivity check")
@@ -298,14 +302,13 @@ def _monomial_sens_violation(
             tests.append((k, low, (k - 1) ** 2))
         prev = low
     hit = None
-    for name, vec in (("monomial", rec.mobius), ("spectral", fourier_vector(n, rec.table))):
-        for mask, c in enumerate(vec):
-            if c:
-                for j, (k, low, limit) in enumerate(tests):
-                    cnt = (mask & low).bit_count()
-                    if cnt > limit:
-                        # from here on only a smaller k can take its place
-                        hit = (k, name, mask, cnt)
-                        del tests[j:]
-                        break
+    for mask, c in enumerate(rec.mobius):
+        if c:
+            for j, (k, low, limit) in enumerate(tests):
+                cnt = (mask & low).bit_count()
+                if cnt > limit:
+                    # from here on only a smaller k can take its place
+                    hit = (k, mask, cnt)
+                    del tests[j:]
+                    break
     return hit

@@ -6,7 +6,7 @@ import random
 from functools import lru_cache
 from typing import Iterator
 
-from .bf import MAX_ARITY, BooleanFunction, _adjacent_swaps, check_arity, family
+from .bf import MAX_ARITY, BooleanFunction, _sjt_walk, check_arity, family
 
 # number of monotone functions per arity, used as a generation cross-check
 DEDEKIND = {0: 2, 1: 3, 2: 6, 3: 20, 4: 168, 5: 7581}
@@ -124,29 +124,20 @@ class Corpus:
 
         Both enumerated kinds are closed under permutation and listed in
         increasing table order, so the first member met is the orbit's
-        least.  Its orbit is closed by a depth-first search under adjacent
-        transpositions; ``pending`` holds the members not yet met, and each
-        is dropped when the walk reaches it.
+        least.  Its orbit is the table with its images along the
+        Steinhaus-Johnson-Trotter walk; ``pending`` holds the members not yet
+        met, and each is dropped when the corpus reaches it.
         """
         if self.kind not in ("all", "monotone"):
             for label, f in self:
                 yield label, f, 1
             return
-        swaps = _adjacent_swaps(self.n)
         pending: set[int] = set()
         for label, t in self._tables():
             if t in pending:
                 pending.remove(t)
                 continue
-            orbit, stack = {t}, [t]
-            while stack:
-                u = stack.pop()
-                for mask, shift in swaps:
-                    d = ((u >> shift) ^ u) & mask
-                    v = u ^ d ^ (d << shift)
-                    if v not in orbit:
-                        orbit.add(v)
-                        stack.append(v)
+            orbit = {t, *(u for _, u in _sjt_walk(self.n, t))}
             pending |= orbit
             pending.remove(t)
             yield label, BooleanFunction(self.n, t), len(orbit)

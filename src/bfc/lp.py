@@ -56,7 +56,7 @@ from math import comb, lcm
 from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .bf import BooleanFunction, _adjacent_swaps, _sjt_steps, check_arity
+from .bf import BooleanFunction, _sjt_walk, check_arity
 from .measures import APPROX_DEGREE_MAX_ARITY
 
 LP_CAP_SCAN_MAX_DEGREE = 16
@@ -528,16 +528,12 @@ def _automorphisms(f: BooleanFunction) -> list[tuple[int, ...]]:
     identity first; p moves bit j of a point to bit p[j].
 
     The Steinhaus-Johnson-Trotter walk reaches every permutation by one
-    adjacent transposition at a time, and each is one delta-swap of the
-    table, which after the steps so far holds f composed with their product.
+    adjacent transposition at a time; p follows it, and the walk's table
+    after the steps so far holds f composed with their product.
     """
-    swaps = _adjacent_swaps(f.n)
-    t, p = f.table, list(range(f.n))
+    p = list(range(f.n))
     found = [tuple(p)]
-    for i in _sjt_steps(f.n):
-        mask, shift = swaps[i]
-        d = ((t >> shift) ^ t) & mask
-        t ^= d ^ (d << shift)
+    for i, t in _sjt_walk(f.n, f.table):
         p[i], p[i + 1] = p[i + 1], p[i]
         if t == f.table:
             found.append(tuple(p))

@@ -507,7 +507,10 @@ class TableMeasures:
         The sum of ``point`` and its flip along i takes that value at both
         ends of every edge along i, so its largest byte over the sensitive
         points (d_i, the bytes where f differs from its flip) is the
-        maximum over edges.
+        maximum over edges.  sens_i and cert_i build d_i apart: sens_i
+        serves arities up to MAX_ARITY and cert_lanes stops at
+        EXACT_SEARCH_MAX_ARITY, so one pass for both would put sens_i
+        behind the certificate cap.
         """
         n, t = self.n, self.table_lanes
         out = []

@@ -506,7 +506,7 @@ def _check_influence_bound(rec: TableMeasures):
 def _check_monomial_sens(rec: TableMeasures):
     hit = _monomial_sens_violation(rec, range(1, 7))
     if hit:
-        k, _, mask, cnt = hit
+        k, mask, cnt = hit
         return "FAIL", f"k={k} mask={mask:#x} count={cnt}", (k - 1) ** 2
     return "PASS", "-", "-"
 

@@ -3,6 +3,7 @@ import hashlib
 import random
 import re
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 from pathlib import Path
 from types import ModuleType
@@ -709,6 +710,34 @@ def test_every_module_level_import_is_used():
     assert unused == []
 
 
+def test_every_private_top_level_name_is_read():
+    # a private function or class at the top of a module must be read
+    # somewhere in the package outside its own body, so a helper orphaned
+    # by a deletion fails here
+    src = Path(__file__).resolve().parents[1] / "src" / "bfc"
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(src.glob("*.py"))
+    }
+    refs = [
+        (getattr(ref, "id", None) or ref.attr, id(ref))
+        for tree in trees.values()
+        for ref in ast.walk(tree)
+        if isinstance(ref, (ast.Name, ast.Attribute))
+    ]
+    unread = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            own = set(map(id, ast.walk(node)))
+            if not any(word == node.name and key not in own for word, key in refs):
+                unread.append(f"{name}:{node.lineno} {node.name}")
+    assert unread == []
+
+
 def test_the_lp_layer_names_only_integer_rows():
     # an LP is integer rows a.x <= r; the rational constraint layer that
     # turned relations into rows on every solve must not come back
@@ -731,3 +760,18 @@ def test_the_sjt_walk_visits_every_permutation_once(n):
         p[i], p[i + 1] = p[i + 1], p[i]
         seen.add(tuple(p))
     assert len(seen) == len(bfc.bf._sjt_steps(n)) + 1 == factorial(n)
+    # on tables: t and the walk's tables are t's images under every
+    # coordinate permutation, found point by point
+    rng = random.Random(n)
+    for t in [rng.getrandbits(1 << n) for _ in range(3)] if n <= 5 else []:
+        images = {
+            sum(
+                ((t >> x) & 1) << sum(((x >> j) & 1) << q[j] for j in range(n))
+                for x in range(1 << n)
+            )
+            for q in permutations(range(n))
+        }
+        walk = list(bfc.bf._sjt_walk(n, t))
+        assert [i for i, _ in walk] == list(bfc.bf._sjt_steps(n))
+        assert len(walk) == factorial(n) - 1
+        assert {t} | {u for _, u in walk} == images, (n, t)

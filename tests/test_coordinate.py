@@ -221,10 +221,37 @@ def test_monomial_sens_one_pass_matches_the_per_k_scan(monkeypatch):
         rec = table_measures(n, table)
         for sens in [rec.sens_i] + [tuple(rng.randint(0, 7) for _ in range(n)) for _ in range(4)]:
             monkeypatch.setattr(TableMeasures, "sens_i", property(lambda r, s=sens: s))
-            assert _monomial_sens_violation(rec, range(1, 7)) == (
-                _reference_monomial_sens(n, table, sens)
-            ), (n, table, sens)
+            ref = _reference_monomial_sens(n, table, sens)
+            # the reference scans both bases; the monomial one always decides
+            if ref is not None:
+                k, basis, mask, cnt = ref
+                assert basis == "monomial", (n, table, sens)
+                ref = k, mask, cnt
+            assert _monomial_sens_violation(rec, range(1, 7)) == ref, (n, table, sens)
             monkeypatch.undo()
+
+
+def _fourier_sets_covered(n, table, monomials):
+    """Whether every nonempty Fourier support set of 1 - 2f lies inside
+    some mask of ``monomials``."""
+    return all(
+        any(s & ~m == 0 for m in monomials)
+        for s, w in enumerate(fourier_vector(n, table)) if s and w
+    )
+
+
+def test_every_fourier_support_set_lies_inside_a_monomial():
+    # the lemma that lets _monomial_sens_violation scan the Moebius basis alone
+    rng = random.Random(26)
+    tables = list(_lemma_corpus())
+    tables += [(n, rng.getrandbits(1 << n)) for n in (5, 6, 7, 8) for _ in range(10)]
+    for n, table in tables:
+        support = [m for m, c in enumerate(mobius_vector(n, table)) if c]
+        assert _fourier_sets_covered(n, table, support), (n, table)
+        # the largest monomial lies in no other, so it is a Fourier set too:
+        # without it the check fails on every nonconstant table
+        if support and support[-1]:
+            assert not _fourier_sets_covered(n, table, support[:-1]), (n, table)
 
 
 def test_monomial_sensitivity_examples():

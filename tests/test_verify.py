@@ -452,7 +452,7 @@ def test_monomial_sens_failure_path(monkeypatch):
     assert not row.passed
     assert (row.left, row.right) == ("k=1 mask=0x1 count=1", "0")
     rec = table_measures(2, family("OR", 2).table)
-    assert coordinate._monomial_sens_violation(rec, (1,)) == (1, "monomial", 1, 1)
+    assert coordinate._monomial_sens_violation(rec, (1,)) == (1, 1, 1)
 
 
 def _suite_tables():
