@@ -16,11 +16,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
-from .bf import BooleanFunction, check_arity, restrict_bit
+from .bf import ArityError, BooleanFunction, check_arity, restrict_bit
 from .bounds import _pow2
-from .measures import EXACT_SEARCH_MAX_ARITY, TableMeasures, table_measures
+from .measures import (
+    EXACT_SEARCH_MAX_ARITY,
+    TableMeasures,
+    _fill_cert_lanes,
+    table_measures,
+)
 
 
 class _Kind(NamedTuple):
@@ -174,36 +179,77 @@ class CheckResult(NamedTuple):
 
 
 def _rrcm_violation(
-    rec: TableMeasures, kind: CoordinateMeasureKind, coords: Iterable[int]
-) -> tuple[int, int, int, str] | None:
-    """First (i0, j0, b, axiom) at which a 0-based coordinate of ``coords``
-    breaks a restriction-reducing axiom, or None.
+    rec: TableMeasures,
+    kinds: Sequence[CoordinateMeasureKind],
+    coords: Iterable[int],
+) -> tuple[CoordinateMeasureKind, int, int, int, str] | None:
+    """First (kind, i0, j0, b, axiom) at which a 0-based coordinate of
+    ``coords`` breaks a restriction-reducing axiom of a measure in
+    ``kinds``, or None.
 
     For every other coordinate j0 and branch bit b: (axiom1) the measure
     never grows when j0 is fixed; (axiom2) if the j0 = b branch makes i0
     irrelevant while i0 matters for f, the other branch's measure drops by
-    at least one.  Both restrictions of each j0 are built once for all of
-    ``coords``; the order is j0, then i0 in ``coords``, then b.
+    at least one.  The order is ``kinds``, then j0, then i0 in ``coords``,
+    then b.  One pass serves every kind: both restrictions of each j0 are
+    built once, and when a kind reads cert_i, the C_x of the restrictions
+    come from stacked certificate walks (``measures._fill_cert_lanes``).  A
+    kind kept from f by an arity cap raises its ArityError once no kind
+    before it fails; no later kind is read.
     """
     coords = tuple(coords)
     n, table = rec.n, rec.table
-    vals = _kind_values(rec, kind)
-    diffs = rec.diffs
-    for j0 in range(n):
-        others = [i0 for i0 in coords if i0 != j0]
-        if not others:
+    vals = []
+    capped = None
+    for kind in kinds:
+        try:
+            vals.append(_kind_values(rec, kind))
+        except ArityError as err:
+            capped = err
+            break
+    if not vals and capped is not None:
+        raise capped
+    js = [j0 for j0 in range(n) if any(i0 != j0 for i0 in coords)]
+    subs = [[table_measures(n - 1, restrict_bit(table, n, j0, b)) for b in (0, 1)] for j0 in js]
+    if subs and any(kind.tag in ("cert", "mix_cs") for kind in kinds[: len(vals)]):
+        _fill_cert_lanes(n - 1, [sub for pair in subs for sub in pair])
+    hit = None
+    live = len(vals)  # the kinds before the first one found failing
+    for j0, pair in zip(js, subs):
+        for k in range(live):
+            found = _axiom_hit(rec.diffs, vals[k], pair, kinds[k], j0, coords)
+            if found:
+                hit = (kinds[k], *found)
+                live = k
+                break
+        if not live:
+            break
+    if hit is None and capped is not None:
+        raise capped
+    return hit
+
+
+def _axiom_hit(
+    diffs: tuple[int, ...],
+    vals: tuple,
+    pair: list[TableMeasures],
+    kind: CoordinateMeasureKind,
+    j0: int,
+    coords: tuple[int, ...],
+) -> tuple[int, int, int, str] | None:
+    """First (i0, j0, b, axiom) of ``_rrcm_violation`` at one j0, whose two
+    restriction records are ``pair``; ``vals`` are f's values of ``kind``."""
+    sub_vals = [_kind_values(sub, kind) for sub in pair]
+    for i0 in coords:
+        if i0 == j0:
             continue
-        subs = [table_measures(n - 1, restrict_bit(table, n, j0, b)) for b in (0, 1)]
-        sub_vals = [_kind_values(sub, kind) for sub in subs]
-        sub_diffs = [sub.diffs for sub in subs]
-        for i0 in others:
-            ii = i0 - 1 if i0 > j0 else i0  # index of i0 once j0 is removed
-            m_f = vals[i0]
-            for b in (0, 1):
-                if sub_vals[b][ii] > m_f:
-                    return i0, j0, b, "axiom1"
-                if diffs[i0] and not sub_diffs[b][ii] and sub_vals[1 - b][ii] > m_f - 1:
-                    return i0, j0, b, "axiom2"
+        ii = i0 - 1 if i0 > j0 else i0  # index of i0 once j0 is removed
+        m_f = vals[i0]
+        for b in (0, 1):
+            if sub_vals[b][ii] > m_f:
+                return i0, j0, b, "axiom1"
+            if diffs[i0] and not pair[b].diffs[ii] and sub_vals[1 - b][ii] > m_f - 1:
+                return i0, j0, b, "axiom2"
     return None
 
 
@@ -214,10 +260,10 @@ def check_rrcm(f: BooleanFunction, i: int, kind: CoordinateMeasureKind) -> Check
     axiom that fails.
     """
     _check_coord(f, i)
-    hit = _rrcm_violation(table_measures(f.n, f.table), kind, (i - 1,))
+    hit = _rrcm_violation(table_measures(f.n, f.table), (kind,), (i - 1,))
     if hit is None:
         return CheckResult(True)
-    _, j0, b, axiom = hit
+    _, _, j0, b, axiom = hit
     return CheckResult(False, f"{axiom} fails for x{i} fixing x{j0 + 1}={b}", (j0 + 1, b))
 
 

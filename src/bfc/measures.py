@@ -3,14 +3,14 @@
 All search-heavy measures (block sensitivity, certificates, decision-tree
 depth) run in exact mode only, guarded by arity caps that raise instead of
 truncating.  Each cap is checked by ``bf.check_arity`` inside the code
-that every caller shares (``TableMeasures.cert_lanes``,
-``TableMeasures.bs``, ``_dt_depth``, and
-``coordinate._monomial_sens_violation``), so the theorem suite meets the
-same caps as the public functions; ``approx_degree`` and ``lp.adeg_lp``
-check the approximate-degree cap.  Certificates grow the monochromatic
-subcubes of f one dimension at a time, keeping only the nonempty ones, and
-block sensitivity packs minimal sensitive blocks, by branching on
-coordinates, only at the points whose certificate could raise it.
+that every caller shares (``_cert_lanes_stack``, ``TableMeasures.bs``,
+``_dt_depth``, and ``coordinate._monomial_sens_violation``), so the
+theorem suite meets the same caps as the public functions;
+``approx_degree`` and ``lp.adeg_lp`` check the approximate-degree cap.
+Certificates grow the monochromatic subcubes of f one dimension at a time,
+keeping only the nonempty ones, and block sensitivity packs minimal
+sensitive blocks, by branching on coordinates, only at the points whose
+certificate could raise it.
 
 Memoisation has one home per table.  A ``TableMeasures`` record carries
 every per-table measure of one packed ``(n, table)`` pair, the coordinate
@@ -39,6 +39,16 @@ tuples and block sensitivity decode the bytes.  deg_i takes the Möbius
 nonzeros one bit per mask S (``bf.mobius_support``) and tests them against
 the masks of each size (``_size_levels``), from n down.
 
+Certificate walks run on stacks.  ``_cert_lanes_stack`` places tables of
+one arity side by side, each a block of 2**n points of one integer, and
+grows the subcubes of all of them in one walk over their n coordinates,
+whose flips never leave a block; a set S is then extended once for the
+stack, not once per table.  A record's own ``cert_lanes`` is the stack of
+one, and ``_fill_cert_lanes`` fills the records of a batch, as the 2n
+restrictions of one function in the theorem suite's ``rrcm`` row, in
+stacks of at most 2**EXACT_SEARCH_MAX_ARITY points, so no walk holds more
+points than the walk of one table at the arity cap.
+
 Every field is a pure function of the table, so concurrent readers of one
 record that race on a field compute the same value.
 """
@@ -47,7 +57,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .bf import (
     _BIT_BYTES,
@@ -152,6 +162,54 @@ class CertificateReport(NamedTuple):
     Cmin0: int
     Cmin1: int
     per_point: tuple[int, ...]
+
+
+def _cert_lanes_stack(n: int, tables: Sequence[int]) -> list[int]:
+    """C_x packed, n minus the dimension of the largest monochromatic subcube
+    at x, for each of ``tables`` (all of arity n), from one walk.
+
+    A subcube of a monochromatic subcube is monochromatic, so the
+    dimensions of those at x are 0..K_x, and K_x counts the k >= 1 for
+    which x lies in a monochromatic subcube of dimension k.  Level k
+    holds, for each k-set S whose mask ``mono[S]`` (bit x set iff f is
+    constant on {x ^ T : T <= S}) is nonzero, the pair (top, mono[S])
+    with top one above the highest coordinate of S.  S + i, for i >= top,
+    has mask mono[S] & (mono[S] flipped along i) & (f agrees across i):
+    f is constant on the subcubes spanned by S at x and at x ^ i, and
+    takes one value at both.  Every superset of a zero mask is zero, so
+    a level lists only the nonzero masks, and each set is reached once,
+    from its prefix.
+
+    Table k is block k, points k 2**n .. (k+1) 2**n - 1, of one stacked
+    table of arity ``width``.  Flips along coordinates 0..n-1 never leave
+    a block, so each mask holds the masks of S for every table, and S is
+    extended once for the stack; ``full`` covers the blocks of the tables
+    alone, so the padding of the stack to 2**width points never joins a
+    mask.  The packed C_x of the stack is cut back into one per table.
+    """
+    check_arity(n, EXACT_SEARCH_MAX_ARITY, "certificate search")
+    size = 1 << n
+    width = n + (len(tables) - 1).bit_length()
+    stack = 0
+    for t in reversed(tables):
+        stack = stack << size | t
+    full = (1 << (len(tables) << n)) - 1
+    agree = [full ^ diff_mask(stack, width, i) for i in range(n)]
+    cx = n * _lanes(full)
+    level = [(i + 1, a) for i, a in enumerate(agree) if a]
+    while level:
+        up = 0
+        wider = []
+        for top, m in level:
+            up |= m
+            for i in range(top, n):
+                c = m & flip_table(m, width, i) & agree[i]
+                if c:
+                    wider.append((i + 1, c))
+        cx -= _lanes(up)
+        level = wider
+    lanes = cx.to_bytes(len(tables) << n, "little")
+    return [int.from_bytes(lanes[k:k + size], "little") for k in range(0, len(lanes), size)]
 
 
 def _minimal_sensitive_blocks(n: int, table: int, x: int) -> list[int]:
@@ -377,38 +435,8 @@ class TableMeasures:
     @_lazy
     def cert_lanes(self) -> int:
         """C_x packed: n minus the dimension of the largest monochromatic
-        subcube at x.
-
-        A subcube of a monochromatic subcube is monochromatic, so the
-        dimensions of those at x are 0..K_x, and K_x counts the k >= 1 for
-        which x lies in a monochromatic subcube of dimension k.  Level k
-        holds, for each k-set S whose mask ``mono[S]`` (bit x set iff f is
-        constant on {x ^ T : T <= S}) is nonzero, the pair (top, mono[S])
-        with top one above the highest coordinate of S.  S + i, for i >= top,
-        has mask mono[S] & (mono[S] flipped along i) & (f agrees across i):
-        f is constant on the subcubes spanned by S at x and at x ^ i, and
-        takes one value at both.  Every superset of a zero mask is zero, so
-        a level lists only the nonzero masks, and each set is reached once,
-        from its prefix.
-        """
-        n = self.n
-        check_arity(n, EXACT_SEARCH_MAX_ARITY, "certificate search")
-        full = (1 << (1 << n)) - 1
-        agree = [full ^ d for d in self.diffs]
-        cx = n * _lanes(full)
-        level = [(i + 1, a) for i, a in enumerate(agree) if a]
-        while level:
-            up = 0
-            wider = []
-            for top, m in level:
-                up |= m
-                for i in range(top, n):
-                    c = m & flip_table(m, n, i) & agree[i]
-                    if c:
-                        wider.append((i + 1, c))
-            cx -= _lanes(up)
-            level = wider
-        return cx
+        subcube at x; the walk of ``_cert_lanes_stack`` on this table alone."""
+        return _cert_lanes_stack(self.n, (self.table,))[0]
 
     @_lazy
     def point_certs(self) -> tuple[int, ...]:
@@ -510,7 +538,13 @@ class TableMeasures:
         maximum over edges.  sens_i and cert_i build d_i apart: sens_i
         serves arities up to MAX_ARITY and cert_lanes stops at
         EXACT_SEARCH_MAX_ARITY, so one pass for both would put sens_i
-        behind the certificate cap.
+        behind the certificate cap.  Stacking this pass over the records
+        of a batch, as ``_cert_lanes_stack`` stacks certificate walks, was
+        measured and is not done: the byte search of each block still runs
+        once per table, so on the 192 restriction records of the suite on
+        random:8:12:1 sens_i and cert_i together took 4.0-5.2 ms stacked
+        against 5.4-6.8 ms, where their certificate walks took 1.4-2.2 ms
+        stacked against 9.1-13.7 ms (in-process, one 2-core x86-64 host).
         """
         n, t = self.n, self.table_lanes
         out = []
@@ -534,6 +568,28 @@ class TableMeasures:
 def table_measures(n: int, table: int) -> TableMeasures:
     """The shared record of ``(n, table)``: the one memo of per-table measures."""
     return TableMeasures(n, table)
+
+
+# a stacked certificate walk holds at most the points of one table at the
+# arity cap, so it never holds more than the largest single-table walk
+_STACK_POINTS = 1 << EXACT_SEARCH_MAX_ARITY
+
+
+def _fill_cert_lanes(n: int, recs: Iterable[TableMeasures]) -> None:
+    """Set ``cert_lanes`` on every record of ``recs`` (all of arity n) that
+    lacks it, by stacked walks of at most ``_STACK_POINTS`` points; records
+    of one table share a block."""
+    todo: dict[int, list[TableMeasures]] = {}
+    for rec in recs:
+        if "cert_lanes" not in vars(rec):
+            todo.setdefault(rec.table, []).append(rec)
+    tables = list(todo)
+    per = max(1, _STACK_POINTS >> n)
+    for at in range(0, len(tables), per):
+        chunk = tables[at:at + per]
+        for t, cx in zip(chunk, _cert_lanes_stack(n, chunk)):
+            for rec in todo[t]:
+                vars(rec)["cert_lanes"] = cx
 
 
 # ---------------------------------------------------------------------------

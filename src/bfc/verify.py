@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
 from typing import NamedTuple
 
-from .bf import ArityError, BooleanFunction, restrict_bit
+from .bf import ArityError, BooleanFunction, _bit_string, restrict_bit
 from .bounds import cs_sens_bound
 from .corpus import Corpus
 from .coordinate import (
@@ -66,17 +67,15 @@ def standard_form(f: BooleanFunction) -> BooleanFunction:
     block_masks = [
         sum(1 << (i - 1) for i in blk) for blk in rep.witness_blocks
     ]
-    flipped = f.bit(zidx) == 1
-    table = 0
-    for y in range(1 << b):
-        idx = zidx
-        for j in range(b):
-            if (y >> j) & 1:
-                idx ^= block_masks[j]
-        v = f.bit(idx)
-        if flipped:
-            v ^= 1
-        table |= v << y
+    # index y of g is zidx with the blocks of y's bits flipped, built a
+    # block at a time; g takes f's values there, negated if f(zidx) = 1
+    idx = [zidx]
+    for m in block_masks:
+        idx += [x ^ m for x in idx]
+    bits = _bit_string(f.n, f.table)
+    table = int("".join(map(bits.__getitem__, reversed(idx))), 2)
+    if f.bit(zidx):
+        table ^= (1 << (1 << b)) - 1
     g = BooleanFunction(b, table)
     if g.bit(0) != 0:
         raise AssertionError("standard form lost g(0) = 0")
@@ -487,11 +486,10 @@ def _check_rrcm(rec: TableMeasures):
     # least one, so does the mix (axiom 2), whose premise does not depend
     # on the measure.  So the mixes pass wherever DEG, SENS and CERT do,
     # and a failing base kind is reported before any mix could be.
-    for kind in ALL_BASE_KINDS:
-        hit = _rrcm_violation(rec, kind, range(rec.n))
-        if hit:
-            i0, j0, b, axiom = hit
-            return "FAIL", f"{kind.label()} i={i0+1} j={j0+1} b={b}", axiom
+    hit = _rrcm_violation(rec, ALL_BASE_KINDS, range(rec.n))
+    if hit:
+        kind, i0, j0, b, axiom = hit
+        return "FAIL", f"{kind.label()} i={i0+1} j={j0+1} b={b}", axiom
     return "PASS", "-", "-"
 
 
@@ -522,16 +520,15 @@ def _monomial_sens_cap(d: int) -> tuple[int, int]:
 
 def _check_monomial_potential(rec: TableMeasures):
     # S(M) = sum_{i in M} 2^-sens_i, kept as w[M] = 2^K S(M) with
-    # K = max sens_i, so every comparison is between integers
+    # K = max sens_i, so every comparison is between integers; w is built
+    # a coordinate at a time, the masks with i being those below plus i
     sens = rec.sens_i
     top = max((0,) + sens)
     caps = [_monomial_sens_cap(d) for d in range(rec.n + 1)]
-    w = [0] * (1 << rec.n)
-    for mask in range(1, 1 << rec.n):
-        low = mask & -mask
-        w[mask] = w[mask ^ low] + (1 << (top - sens[low.bit_length() - 1]))
-        if not rec.mobius[mask]:
-            continue
+    w = [0]
+    for s in sens:
+        w += [x + (1 << (top - s)) for x in w]
+    for mask in compress(range(1, 1 << rec.n), rec.mobius[1:]):
         total = w[mask]
         if 2 * total >= 3 << top:
             return "FAIL", f"mask={mask:#x} S={Fraction(total, 1 << top)}", "3/2"

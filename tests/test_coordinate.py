@@ -137,7 +137,7 @@ def test_restriction_inequality_random(table):
     # of w_0 + w_1 - 2 w (a branch that kills x_i weighs 0)
     rec = table_measures(4, table)
     for kind in STANDARD_KINDS + (mix_ds(Fraction(1, 3)), mix_cs(Fraction(2, 3))):
-        assert _rrcm_violation(rec, kind, range(4)) is None
+        assert _rrcm_violation(rec, (kind,), range(4)) is None
         vals = _kind_values(rec, kind)
         for j0 in range(4):
             subs = [table_measures(3, restrict_bit(table, 4, j0, b)) for b in (0, 1)]
@@ -299,11 +299,11 @@ def test_rrcm_mixes_pass_where_base_kinds_pass():
     checked = 0
     for n, t in _lemma_corpus():
         rec = table_measures(n, t)
-        if any(_rrcm_violation(rec, kind, range(n)) for kind in ALL_BASE_KINDS):
+        if _rrcm_violation(rec, ALL_BASE_KINDS, range(n)):
             continue
         checked += 1
         for kind in mixes:
-            assert _rrcm_violation(rec, kind, range(n)) is None, (n, t, kind)
+            assert _rrcm_violation(rec, (kind,), range(n)) is None, (n, t, kind)
     assert checked == 256 + 168
 
 

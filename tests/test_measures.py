@@ -286,26 +286,27 @@ def test_certificate_bound_skips_points_and_visits_loose_ones(monkeypatch):
     assert skipped > 0 and loose > 0
 
 
-# flip_table calls inside cert_lanes, and packing memo entries, over the
-# suite on random:8:12:1 from an empty memo.  The dense subcube table, one
-# flip per nonempty mask, made 27,446 flips there, and the packing search
-# that tried every fitting block at every free mask kept 4,792 entries.
-SUITE_CERT_FLIPS, SUITE_PACKING_ENTRIES = 12594, 529
+# flip_table calls inside the certificate walks (_cert_lanes_stack), and
+# packing memo entries, over the suite on random:8:12:1 from an empty memo.
+# The dense subcube table, one flip per nonempty mask, made 27,446 flips
+# there, one sparse walk per record 12,594, and the packing search that
+# tried every fitting block at every free mask kept 4,792 entries.
+SUITE_CERT_FLIPS, SUITE_PACKING_ENTRIES = 2106, 529
 
 
 def test_certificate_and_packing_work_on_the_suite_is_pinned(monkeypatch):
     flips, inside, packings = [], [], []
-    flip, cert = measures.flip_table, TableMeasures.cert_lanes.func
+    flip, walk = measures.flip_table, measures._cert_lanes_stack
 
     def counted_flip(*args):
         if inside:
             flips.append(1)
         return flip(*args)
 
-    def counted_cert(rec):
+    def counted_walk(n, tables):
         inside.append(1)
         try:
-            return cert(rec)
+            return walk(n, tables)
         finally:
             inside.pop()
 
@@ -315,12 +316,78 @@ def test_certificate_and_packing_work_on_the_suite_is_pinned(monkeypatch):
             packings.append(self)
 
     monkeypatch.setattr(measures, "flip_table", counted_flip)
-    monkeypatch.setattr(TableMeasures.cert_lanes, "func", counted_cert)
+    monkeypatch.setattr(measures, "_cert_lanes_stack", counted_walk)
     monkeypatch.setattr(measures, "_Packing", Recorded)
     table_measures.cache_clear()
     run_theorem_suite(parse_corpus("random:8:12:1"))
     entries = sum(len(p.memo) for p in packings)
     assert (len(flips), entries) == (SUITE_CERT_FLIPS, SUITE_PACKING_ENTRIES)
+
+
+def test_stacked_certificate_walk_is_one_walk_per_table():
+    # K tables side by side, K not always a power of two, with repeats: the
+    # stack's padding and its neighbours must not change any table's C_x
+    rng = random.Random(20261019)
+    for n in range(1, 9):
+        for k in (1, 2, 3, 5, 16):
+            tables = [rng.getrandbits(1 << n) for _ in range(k)]
+            tables[-1] = tables[0]
+            tables[k // 2] = rng.choice((0, (1 << (1 << n)) - 1, tables[0]))
+            single = [measures._cert_lanes_stack(n, (t,))[0] for t in tables]
+            assert measures._cert_lanes_stack(n, tables) == single, (n, k)
+            assert single[0] == _dense_cert_lanes(n, tables[0]), (n, k)
+            # records that already hold cert_lanes keep them; the rest,
+            # one table's records sharing a block, get the single walk's
+            recs = [TableMeasures(n, t) for t in tables]
+            for rec in recs[::3]:
+                vars(rec)["cert_lanes"] = -1
+            measures._fill_cert_lanes(n, recs)
+            want = [-1 if r % 3 == 0 else c for r, c in enumerate(single)]
+            assert [vars(rec)["cert_lanes"] for rec in recs] == want, (n, k)
+
+
+def test_stack_padding_adds_no_subcube_sets(monkeypatch):
+    # copies of one table have the same nonzero sets, so a stack of 3 or 5
+    # of them (padded to 4 or 8 blocks) flips as often as the table alone
+    flips = []
+    flip = measures.flip_table
+
+    def counted(*args):
+        flips.append(1)
+        return flip(*args)
+
+    monkeypatch.setattr(measures, "flip_table", counted)
+    rng = random.Random(5)
+    for n in (4, 6, 8):
+        t = rng.getrandbits(1 << n)
+        counts = []
+        for k in (1, 3, 5):
+            flips.clear()
+            measures._cert_lanes_stack(n, (t,) * k)
+            counts.append(len(flips))
+        assert counts[0] > 0 and counts == counts[:1] * 3, (n, counts)
+
+
+def test_stacks_hold_no_more_points_than_the_capped_walk(monkeypatch):
+    seen = []
+    walk = measures._cert_lanes_stack
+
+    def spy(n, tables):
+        seen.append(len(tables) << n)
+        return walk(n, tables)
+
+    monkeypatch.setattr(measures, "_cert_lanes_stack", spy)
+    rng = random.Random(13)
+    tables = [rng.getrandbits(1 << 13) for _ in range(3)]
+    recs = [TableMeasures(13, t) for t in tables]
+    measures._fill_cert_lanes(13, recs)
+    assert seen == [1 << 14, 1 << 13]
+    assert [rec.cert_lanes for rec in recs] == [walk(13, (t,))[0] for t in tables]
+    # past the cap the certificate search itself refuses, stacked or not
+    with pytest.raises(ArityError, match="certificate search supports arity <= 14, got 15"):
+        measures._fill_cert_lanes(15, [TableMeasures(15, 0)])
+    with pytest.raises(ArityError, match="certificate search"):
+        TableMeasures(15, 0).cert_lanes
 
 
 def test_certificates_at_the_arity_cap():

@@ -544,3 +544,122 @@ def test_monomial_potential_failure_path(monkeypatch, name, sens):
     expected = _reference_monomial_potential(f.n, f.table, sens)
     assert (row.left, row.right) == expected
     assert row.passed == (expected == ("-", "-"))
+
+
+# ---------------------------------------------------------------------------
+# the rrcm row: one pass for every base kind, in the order of kinds
+# ---------------------------------------------------------------------------
+
+def _raise_on_restriction(monkeypatch, field, n, j0, b, table, ii=0):
+    """Make ``field`` read 10 more at coordinate ``ii`` of the record of the
+    restriction x_(j0+1) = b of the n-input ``table``: an axiom1 hit there."""
+    sub = bfc.bf.restrict_bit(table, n, j0, b)
+    kernel = getattr(TableMeasures, field).func
+
+    def raised(rec):
+        vals = kernel(rec)
+        if (rec.n, rec.table) == (n - 1, sub):
+            return vals[:ii] + (vals[ii] + 10,) + vals[ii + 1:]
+        return vals
+
+    monkeypatch.setattr(TableMeasures, field, property(raised))
+
+
+def test_rrcm_row_reports_the_first_kind_before_the_first_restriction(monkeypatch):
+    # a CERT hit at j = 1 and a SENS hit at j = 4: the row names SENS, at
+    # the (i, j, b, axiom) of the SENS scan alone
+    n, t = 5, random.Random(27).getrandbits(32)
+    _raise_on_restriction(monkeypatch, "sens_i", n, 3, 1, t)
+    _raise_on_restriction(monkeypatch, "cert_i", n, 0, 0, t)
+    table_measures.cache_clear()
+    rec = table_measures(n, t)
+    sens = coordinate._rrcm_violation(rec, (coordinate.SENS_I,), range(n))
+    cert = coordinate._rrcm_violation(rec, (coordinate.CERT_I,), range(n))
+    assert coordinate._rrcm_violation(rec, (coordinate.DEG_I,), range(n)) is None
+    assert sens[2] == 3 and cert[2] == 0  # CERT fails at an earlier j
+    assert coordinate._rrcm_violation(rec, coordinate.ALL_BASE_KINDS, range(n)) == sens
+    _, i0, j0, b, axiom = sens
+    assert verify._check_rrcm(rec) == ("FAIL", f"sens i={i0+1} j={j0+1} b={b}", axiom)
+
+
+def test_rrcm_row_fails_on_a_deg_hit_where_cert_is_capped(monkeypatch):
+    # cert_i of a 15-input table is past the certificate cap, which skips
+    # the row; a DEG hit, scanned first, still makes it fail
+    n, t = 15, random.Random(15).getrandbits(1 << 15)
+    rec = TableMeasures(n, t)
+    with pytest.raises(ArityError):
+        rec.cert_i
+    assert verify._run_check(verify._check_rrcm, rec) == ("SKIP", 0, 0)
+    _raise_on_restriction(monkeypatch, "deg_i", n, 2, 0, t)
+    table_measures.cache_clear()
+    rec = TableMeasures(n, t)
+    hit = coordinate._rrcm_violation(rec, (coordinate.DEG_I,), range(n))
+    assert hit[2:] == (2, 0, "axiom1")
+    _, i0, j0, b, axiom = hit
+    want = ("FAIL", f"deg i={i0+1} j={j0+1} b={b}", axiom)
+    assert verify._run_check(verify._check_rrcm, rec) == want
+
+
+# ---------------------------------------------------------------------------
+# the per-point loops built by doubling, against the loops they replaced
+# ---------------------------------------------------------------------------
+
+def _old_monomial_potential(rec):
+    """The row's former loop: w[mask] built one mask at a time over all 2^n."""
+    sens = rec.sens_i
+    top = max((0,) + sens)
+    caps = [verify._monomial_sens_cap(d) for d in range(rec.n + 1)]
+    w = [0] * (1 << rec.n)
+    for mask in range(1, 1 << rec.n):
+        low = mask & -mask
+        w[mask] = w[mask ^ low] + (1 << (top - sens[low.bit_length() - 1]))
+        if not rec.mobius[mask]:
+            continue
+        total = w[mask]
+        if 2 * total >= 3 << top:
+            return "FAIL", f"mask={mask:#x} S={Fraction(total, 1 << top)}", "3/2"
+        num, e = caps[mask.bit_count()]
+        if total << e > num << top:
+            return (
+                "FAIL",
+                f"mask={mask:#x} S={Fraction(total, 1 << top)}",
+                f"profile cap {Fraction(num, 1 << e)}",
+            )
+    return "PASS", "-", "-"
+
+
+def _old_standard_form_table(f):
+    """The former loop of ``standard_form``: each of the 2^b points read
+    through an inner loop over the b blocks."""
+    rep = table_measures(f.n, f.table).bs
+    zidx = sum(bit << i for i, bit in enumerate(rep.witness_input))
+    block_masks = [sum(1 << (i - 1) for i in blk) for blk in rep.witness_blocks]
+    flipped = f.bit(zidx) == 1
+    table = 0
+    for y in range(1 << rep.bs):
+        idx = zidx
+        for j in range(rep.bs):
+            if (y >> j) & 1:
+                idx ^= block_masks[j]
+        table |= (f.bit(idx) ^ flipped) << y
+    return table
+
+
+def test_doubled_loops_match_the_former_per_point_loops():
+    rng = random.Random(20261026)
+    verdicts, witness_values = set(), set()
+    for n in range(4, 11):
+        for _ in range(3):
+            f = BooleanFunction(n, rng.getrandbits(1 << n))
+            rec = table_measures(n, f.table)
+            for sens in (rec.sens_i, tuple(rng.randint(0, 4) for _ in range(n))):
+                probe = SimpleNamespace(n=n, sens_i=sens, mobius=rec.mobius)
+                got = verify._check_monomial_potential(probe)
+                assert got == _old_monomial_potential(probe), (n, hex(f.table), sens)
+                verdicts.add(got[2])
+            g = standard_form(f)
+            assert g.table == _old_standard_form_table(f), (n, hex(f.table))
+            witness_values.add(f.evaluate(rec.bs.witness_input))
+    # both failure details and the pass are met, and witnesses of both values
+    assert {"3/2", "-"} <= verdicts and any(v.startswith("profile cap") for v in verdicts)
+    assert witness_values == {0, 1}
