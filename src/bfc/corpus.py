@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .bf import MAX_ARITY, BooleanFunction, _sjt_walk, check_arity, family
 
@@ -93,29 +93,30 @@ class Corpus:
             return self.count
         return len(self.names)
 
-    def _tables(self) -> Iterator[tuple[str, int]]:
-        """(label, table) of every function of an ``all``, ``monotone`` or
-        ``random`` corpus, in corpus order."""
+    def _tables(self) -> Iterable[int]:
+        """Every table of an ``all``, ``monotone`` or ``random`` corpus, in
+        corpus order."""
         n = self.n
         if self.kind == "all":
-            for t in range(1 << (1 << n)):
-                yield f"all{n}:0x{t:x}", t
-        elif self.kind == "monotone":
-            for t in _monotone_tables(n):
-                yield f"mono{n}:0x{t:x}", t
-        else:
-            rng = random.Random(self.seed)
-            for i in range(self.count):
-                t = rng.getrandbits(1 << n)
-                yield f"rand{n}:{i}:0x{t:x}", t
+            return range(1 << (1 << n))
+        if self.kind == "monotone":
+            return _monotone_tables(n)
+        rng = random.Random(self.seed)
+        return (rng.getrandbits(1 << n) for _ in range(self.count))
+
+    def _label(self, i: int, t: int) -> str:
+        """The label of table t, the i-th of the corpus."""
+        if self.kind == "random":
+            return f"rand{self.n}:{i}:0x{t:x}"
+        return f"{'all' if self.kind == 'all' else 'mono'}{self.n}:0x{t:x}"
 
     def __iter__(self) -> Iterator[tuple[str, BooleanFunction]]:
         if self.kind == "named":
             for item in self.names:
                 yield _parse_named(item)
         else:
-            for label, t in self._tables():
-                yield label, BooleanFunction(self.n, t)
+            for i, t in enumerate(self._tables()):
+                yield self._label(i, t), BooleanFunction(self.n, t)
 
     def representatives(self) -> Iterator[tuple[str, BooleanFunction, int]]:
         """(label, f, weight): one f per orbit under coordinate permutations,
@@ -126,21 +127,22 @@ class Corpus:
         increasing table order, so the first member met is the orbit's
         least.  Its orbit is the table with its images along the
         Steinhaus-Johnson-Trotter walk; ``pending`` holds the members not yet
-        met, and each is dropped when the corpus reaches it.
+        met, and each is dropped when the corpus reaches it.  Only the
+        tables yielded are labelled.
         """
         if self.kind not in ("all", "monotone"):
             for label, f in self:
                 yield label, f, 1
             return
         pending: set[int] = set()
-        for label, t in self._tables():
+        for i, t in enumerate(self._tables()):
             if t in pending:
                 pending.remove(t)
                 continue
             orbit = {t, *(u for _, u in _sjt_walk(self.n, t))}
             pending |= orbit
             pending.remove(t)
-            yield label, BooleanFunction(self.n, t), len(orbit)
+            yield self._label(i, t), BooleanFunction(self.n, t), len(orbit)
 
     def describe(self) -> str:
         if self.kind == "all":
@@ -152,25 +154,34 @@ class Corpus:
         return "named:" + ",".join(self.names)
 
 
+def _spec_int(spec: str, what: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"corpus {spec} needs an integer {what}, got {text!r}") from None
+
+
 def parse_corpus(spec: str) -> Corpus:
     """Parse ``all:N``, ``monotone:N``, ``random:N:COUNT:SEED``, ``named:L``."""
     kind, _, rest = spec.partition(":")
     kind = kind.lower()
-    if kind == "all":
-        return Corpus(kind="all", n=int(rest))
-    if kind == "monotone":
-        return Corpus(kind="monotone", n=int(rest))
+    if kind in ("all", "monotone"):
+        return Corpus(kind=kind, n=_spec_int(spec, "arity", rest))
     if kind == "random":
         parts = rest.split(":")
         if len(parts) != 3:
             raise ValueError("random corpus needs N:COUNT:SEED")
-        return Corpus(
-            kind="random", n=int(parts[0]), count=int(parts[1]), seed=int(parts[2])
+        n, count, seed = (
+            _spec_int(spec, what, text) for what, text in zip(("arity", "count", "seed"), parts)
         )
+        return Corpus(kind="random", n=n, count=count, seed=seed)
     if kind == "named":
         names = tuple(s.strip() for s in rest.split(",") if s.strip())
         if not names:
             raise ValueError("named corpus needs at least one family")
+        for item in names:
+            name, sized, k = item.partition(":")
+            if sized:
+                _spec_int(spec, f"size for {name.upper()}", k)
         return Corpus(kind="named", names=names)
     raise ValueError(f"unknown corpus spec {spec!r}")
-

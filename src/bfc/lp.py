@@ -44,14 +44,15 @@ that gives the next basis the largest determinant.  Under Bland's rule it
 enters the lowest-keyed slot again.  Once a certificate uses only rows whose
 right-hand side no later LP of the scan raises (the rows of the points
 below b, and the endpoint row that keeps its bound), it proves every later
-LP infeasible, so the scan stops solving and checks that certificate
-against each remaining LP instead.
+LP infeasible, so the scan stops solving.  That certificate is checked
+once, like every other, and each remaining LP only confirms that none of
+its rows has a larger right-hand side there than where it was checked.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb, lcm
 from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -358,29 +359,38 @@ def _scan_values(coeffs: Sequence[int], b: int) -> list[int]:
     starts at its coefficient (0 for the value itself), so d prefix sums
     give every value with additions alone.
     """
-    seq = [coeffs[-1]] * (b + 1 - len(coeffs))
+    seq = repeat(coeffs[-1], b + 1 - len(coeffs))
     for c in reversed((0, *coeffs[:-1])):
-        seq = list(accumulate(seq, initial=c))
-    return seq
+        seq = accumulate(seq, initial=c)
+    return list(seq)
 
 
 def _most_violated(vals: list[int], det: int, b: int, tau: int) -> int:
     """Key of the scan row most violated by the point vals/det, or -1.
 
-    A row's violation is a.(det c) - det r; ties go to the lowest key.
+    A row's violation is a.(det c) - det r; ties go to the lowest key.  The
+    candidates are the two rows of point 1, the upper row of the largest
+    and the lower row of the smallest value at points 2..b-1, and the two
+    rows of point b; each beats the best so far only by a strictly larger
+    gap, so the candidates are met in key order.
     """
-    cand = [
-        (vals[1] - det, 2),
-        (det - vals[1], 3),
-        (vals[b] - tau * det, 2 * b),
-        (tau * det - vals[b], 2 * b + 1),
-    ]
+    gap, key = vals[1] - det, 2
+    if det - vals[1] > gap:
+        gap, key = det - vals[1], 3
     inner = vals[2:b]  # points 2..b-1, all confined to [0, 1]
     if inner:
         top, low = max(inner), min(inner)
-        cand.append((top - det, 2 * (inner.index(top) + 2)))
-        cand.append((-low, 2 * (inner.index(low) + 2) + 1))
-    gap, key = max(cand, key=lambda t: (t[0], -t[1]))
+        up, up_key = top - det, 2 * inner.index(top) + 4
+        down, down_key = -low, 2 * inner.index(low) + 5
+        if down > up or (down == up and down_key < up_key):
+            up, up_key = down, down_key
+        if up > gap:
+            gap, key = up, up_key
+    end = vals[b] - tau * det
+    if end > gap:
+        gap, key = end, 2 * b
+    if -end > gap:
+        gap, key = -end, 2 * b + 1
     return key if gap > 0 else -1
 
 
@@ -455,13 +465,14 @@ def lp_bs_cap(d: int) -> LpCapScan:
     assumed) and records the whole profile.  Each endpoint value is one chain
     of warm-started dual simplex solves (``_ScanBasis``, largest-pivot
     entering); a feasible verdict has checked every row exactly at the final
-    vertex, and every Farkas certificate is checked exactly against the rows
-    of its (b, tau).  A certificate that ``_closes`` uses only rows that
-    every later (b', tau') has with the same or a lower right-hand side:
-    p(1) = 1, 0 <= p(k) <= 1 for 1 < k < b, and p(b) <= 1 at tau = 1 or
-    -p(b) <= 0 at tau = 0.  So y >= 0 keeps y.r' < 0 and it proves them all
-    infeasible: the scan stops solving and checks it against the rows of
-    each of them instead.
+    vertex, and every Farkas certificate a solve returns is checked exactly
+    against the rows of its (b, tau).  A certificate that ``_closes`` uses
+    only rows that every later (b', tau') has with the same or a lower
+    right-hand side: p(1) = 1, 0 <= p(k) <= 1 for 1 < k < b, and p(b) <= 1
+    at tau = 1 or -p(b) <= 0 at tau = 0.  So y >= 0 keeps y.r' <= y.r < 0
+    and it proves them all infeasible: the scan stops solving, keeps the
+    right-hand sides it checked, and for each later (b', tau') confirms
+    that none of its rows has a larger one there.
     """
     if not 1 <= d <= LP_CAP_SCAN_MAX_DEGREE:
         raise ValueError(f"lp_bs_cap supports 1 <= d <= {LP_CAP_SCAN_MAX_DEGREE}")
@@ -469,18 +480,26 @@ def lp_bs_cap(d: int) -> LpCapScan:
     cap = d
     rows: list[tuple[int, ...]] = []
     chains = (_ScanBasis(d, rows), _ScanBasis(d, rows))
-    closing = None  # a checked certificate on rows below the endpoint
+    closing = None  # (key, r) of each row of a checked certificate that closes
     for b in range(max(2, d), 2 * d * d + 1):
         feas = []
         for tau, chain in enumerate(chains):
-            cert = closing or chain.solve(b, tau)
+            if closing:
+                if any(_scan_rhs(key, b, tau) > r for key, r in closing):
+                    raise AssertionError(
+                        f"cap scan Farkas certificate does not cover b={b}, tau={tau}: "
+                        "a bound rose"
+                    )
+                feas.append(False)
+                continue
+            cert = chain.solve(b, tau)
             if cert is not None:
                 keys, y = cert
-                checked = [(rows[key], _scan_rhs(key, b, tau)) for key in keys]
-                if not _is_farkas(d, checked, y):
+                checked = [(key, _scan_rhs(key, b, tau)) for key in keys]
+                if not _is_farkas(d, [(rows[key], r) for key, r in checked], y):
                     raise AssertionError("cap scan Farkas certificate failed exact check")
                 if _closes(keys, b, tau):
-                    closing = cert
+                    closing = checked
             feas.append(cert is None)
         profile.append((b, *feas))
         if any(feas):

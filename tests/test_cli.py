@@ -195,6 +195,19 @@ def test_arity_past_the_cap_fails_cleanly(argv, text, tmp_path, capsys):
         (["table", "degree", "--bstep", "0"], "--bstep must be >= 1, got 0"),
         (["table", "ds", "--bstep", "-3"], "--bstep must be >= 1, got -3"),
         (["verify", "--corpus", "random:3:-5:1"], "corpus random:3:-5:1 needs a count >= 0"),
+        (
+            ["verify", "--corpus", "random:x:3:1"],
+            "corpus random:x:3:1 needs an integer arity, got 'x'",
+        ),
+        (
+            ["verify", "--corpus", "random:3:1:x"],
+            "corpus random:3:1:x needs an integer seed, got 'x'",
+        ),
+        (["verify", "--corpus", "all:x"], "corpus all:x needs an integer arity, got 'x'"),
+        (
+            ["verify", "--corpus", "named:MAJ:x"],
+            "corpus named:MAJ:x needs an integer size for MAJ, got 'x'",
+        ),
         (["table", "ds", "--beta", "1/0"], "--beta needs a nonzero denominator, got 1/0"),
         (["table", "cs", "--dmax", "0"], "--dmax must be >= 1, got 0"),
         (
@@ -224,6 +237,8 @@ def test_arity_past_the_cap_fails_cleanly(argv, text, tmp_path, capsys):
     ],
     ids=[
         "dmax-past-cap", "dmax-zero", "bstep-zero", "bstep-negative", "count-negative",
+        "random-arity-not-integer", "random-seed-not-integer", "all-arity-not-integer",
+        "named-size-not-integer",
         "beta-zero-denominator", "cs-dmax-zero", "cs-dmax-past-cap",
         "monotone-degree-dmax-past-cap", "monotone-degree-dmax-one",
         "monotone-dt-dmax-past-cap", "beta-below-resolution-60",

@@ -343,6 +343,65 @@ def test_scan_values_are_binomial_sums(coeffs, extra):
     assert bfc.lp._scan_values(coeffs, b) == want
 
 
+def _candidate_list_most_violated(vals, det, b, tau):
+    """The scan's row picker as a list of (gap, key) candidates, the largest
+    gap and then the lowest key winning: the oracle of ``_most_violated``."""
+    cand = [
+        (vals[1] - det, 2),
+        (det - vals[1], 3),
+        (vals[b] - tau * det, 2 * b),
+        (tau * det - vals[b], 2 * b + 1),
+    ]
+    inner = vals[2:b]
+    if inner:
+        top, low = max(inner), min(inner)
+        cand.append((top - det, 2 * (inner.index(top) + 2)))
+        cand.append((-low, 2 * (inner.index(low) + 2) + 1))
+    gap, key = max(cand, key=lambda t: (t[0], -t[1]))
+    return key if gap > 0 else -1
+
+
+@pytest.mark.parametrize(
+    "vals, det, b, tau, want",
+    [
+        # inner top gap 2 at point 3 equals inner low gap 2 at point 2
+        ([0, 2, -2, 4, 1, 0], 2, 5, 0, 5),
+        ([0, 2, 4, -2, 1, 2], 2, 5, 1, 4),
+        # the first of two equal largest inner values
+        ([0, 2, 3, 3, 0], 2, 4, 0, 4),
+        # the endpoint, point 1 and an inner point tie at gap 3
+        ([0, 5, 5, 1, 3], 2, 4, 0, 2),
+        ([0, -1, 1, -3, -1], 2, 4, 1, 3),
+        ([0, 2, 5, 1, 5], 2, 4, 1, 4),
+        ([0, 2, 1, -3, -3], 2, 4, 0, 7),
+        # b = 2: no inner points
+        ([0, 3, 3], 2, 2, 0, 4),
+        ([0, 3, 3], 2, 2, 1, 2),
+        ([0, 2, -1], 2, 2, 1, 5),
+        # every gap <= 0
+        ([0, 3, 0, 3, 1, 0], 3, 5, 0, -1),
+        ([0, 3, 3], 3, 2, 1, -1),
+    ],
+)
+def test_one_pass_pick_on_forced_ties(vals, det, b, tau, want):
+    assert _candidate_list_most_violated(vals, det, b, tau) == want
+    assert bfc.lp._most_violated(vals, det, b, tau) == want
+
+
+@st.composite
+def _scan_points(draw):
+    b = draw(st.integers(2, 9))
+    det = draw(st.integers(1, 3))
+    vals = draw(st.lists(st.integers(-2 * det, 3 * det), min_size=b + 1, max_size=b + 1))
+    return vals, det, b, draw(st.sampled_from((0, 1)))
+
+
+@given(_scan_points())
+@settings(max_examples=400, deadline=None)
+def test_one_pass_pick_matches_the_candidate_list(point):
+    assert bfc.lp._most_violated(*point) == _candidate_list_most_violated(*point)
+
+
 def _scan_profiles(dmax):
     return {d: lp_bs_cap(d).profile for d in range(1, dmax + 1)}
 
@@ -427,10 +486,16 @@ def _scan_rows(d, b, tau, keys):
     return [(bfc.lp._scan_row(k, d), bfc.lp._scan_rhs(k, b, tau)) for k in keys]
 
 
+# the solves over d = 1..11 that return a Farkas certificate, the closing
+# ones among them; only these get a full exact check
+SCAN_REFUTED = 27
+
+
 def test_closed_scan_equals_the_plain_scan(monkeypatch):
     plain = {d: _plain_scan(d) for d in range(1, 12)}
     solve, is_farkas = bfc.lp._ScanBasis.solve, bfc.lp._is_farkas
     solved, checked = {}, []
+    total = 0
 
     def spy_solve(self, b, tau):
         solved[b, tau] = cert = solve(self, b, tau)
@@ -446,14 +511,60 @@ def test_closed_scan_equals_the_plain_scan(monkeypatch):
         solved.clear()
         checked.clear()
         assert lp_bs_cap(d).profile == plain[d], d
-        # after the last solve only its certificate can have closed the scan
+        # one exact check per solve that returns a certificate, on its rows
+        refuted = [(b, tau) for (b, tau), cert in solved.items() if cert is not None]
+        assert len(checked) == len(refuted), d
+        for (b, tau), (rows, y) in zip(refuted, checked):
+            keys, want_y = solved[b, tau]
+            assert (rows, y) == (_scan_rows(d, b, tau, keys), want_y), (d, b, tau)
+        total += len(checked)
+        # after the last solve only its certificate can have closed the scan,
+        # and it must refute every later LP of the plain scan on that LP's rows
         last = solved[max(solved)]
-        infeasible = [(b, tau) for b, *feas in plain[d] for tau in (0, 1) if not feas[tau]]
-        assert len(checked) == len(infeasible), d
-        for (b, tau), (rows, y) in zip(infeasible, checked):
-            keys, want_y = solved.get((b, tau), last)
-            want = _scan_rows(d, b, tau, keys)
-            assert (rows, y) == (want, want_y) and is_farkas(d, want, y), (d, b, tau)
+        for b, *feas in plain[d]:
+            for tau in (0, 1):
+                if not feas[tau]:
+                    keys, y = solved.get((b, tau), last)
+                    assert is_farkas(d, _scan_rows(d, b, tau, keys), y), (d, b, tau)
+    assert total == SCAN_REFUTED
+
+
+@pytest.mark.parametrize("step", [1, -1], ids=["raised", "lowered"])
+def test_a_bound_past_closing_may_fall_but_not_rise(monkeypatch, step):
+    # the closing certificate covers a later LP only while no row it uses
+    # has a larger right-hand side there: move the bound of one interior row
+    # with a nonzero multiplier at the b after closing
+    solve, bounds = bfc.lp._ScanBasis.solve, bfc.lp._scan_bounds
+    solved = {}
+    moved = {}
+
+    def spy_solve(self, b, tau):
+        solved[b, tau] = cert = solve(self, b, tau)
+        return cert
+
+    def moved_bounds(k, b, tau):
+        lo, hi = bounds(k, b, tau)
+        lower = moved.get((k, b))
+        if lower is None:
+            return lo, hi
+        # the row's right-hand side is hi, or -lo for the lower row
+        return (lo - step, hi) if lower else (lo, hi + step)
+
+    monkeypatch.setattr(bfc.lp._ScanBasis, "solve", spy_solve)
+    monkeypatch.setattr(bfc.lp, "_scan_bounds", moved_bounds)
+    for d in range(3, 12):
+        solved.clear()
+        moved.clear()
+        want = lp_bs_cap(d)
+        b, tau = max(solved)
+        keys, y = solved[b, tau]
+        key = next(key for key, v in zip(keys, y) if v and 2 <= key >> 1 < b)
+        moved[key >> 1, b + 1] = key & 1
+        if step > 0:
+            with pytest.raises(AssertionError, match="cap scan Farkas certificate"):
+                lp_bs_cap(d)
+        else:
+            assert lp_bs_cap(d) == want, d
 
 
 def test_scan_solve_counts_are_pinned(monkeypatch):

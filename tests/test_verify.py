@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import bfc.bf
 from bfc import coordinate, verify
 from bfc.bf import ArityError, BooleanFunction, family, mobius_vector
-from bfc.corpus import DEDEKIND, parse_corpus
+from bfc.corpus import DEDEKIND, Corpus, parse_corpus
 from bfc.measures import TableMeasures, block_sensitivity, degree, table_measures
 from bfc.verify import (
     DoublingFunction,
@@ -373,6 +373,18 @@ def test_orbit_representatives(spec, orbits):
         assert label == labels[f.table]
         images = _images(f.n, f.table)
         assert min(images) == f.table and len(images) == weight
+
+
+def test_representatives_label_only_the_tables_they_yield(monkeypatch):
+    label, calls = Corpus._label, []
+
+    def spy(self, i, t):
+        calls.append(t)
+        return label(self, i, t)
+
+    monkeypatch.setattr(Corpus, "_label", spy)
+    reps = list(parse_corpus("monotone:5").representatives())
+    assert calls == [f.table for _, f, _ in reps] and len(calls) == 210
 
 
 def test_random_and_named_corpora_take_every_function_once():
