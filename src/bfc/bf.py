@@ -153,9 +153,6 @@ class PartialAssignment(_Pairs):
                 raise ValueError(f"bit must be 0 or 1, got {b}")
         return super().__new__(cls, pairs)
 
-    def coordinates(self) -> frozenset[int]:
-        return frozenset(i for i, _ in self.pairs)
-
 
 def _as_pairs(a) -> tuple[tuple[int, int], ...]:
     if isinstance(a, PartialAssignment):
@@ -265,7 +262,12 @@ class BooleanFunction:
         lines = text.splitlines()
         if len(lines) < 2 or not lines[0].startswith("n="):
             raise ValueError("truth-table text must start with an 'n=<arity>' line")
-        n = int(lines[0][2:])
+        try:
+            n = int(lines[0][2:])
+        except ValueError:
+            raise ValueError(
+                f"truth-table header {lines[0]!r} needs an integer arity"
+            ) from None
         check_arity(n)
         bits = lines[1].strip()
         if len(bits) != 1 << n:

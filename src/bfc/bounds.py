@@ -370,9 +370,6 @@ class MonotoneDegreeTable(NamedTuple):
     values: tuple[Fraction, ...]  # index 1..d_max
     headline: Fraction
 
-    def value(self, d: int) -> Fraction:
-        return self.values[d]
-
     def to_text(self) -> str:
         lines = []
         for d in range(1, len(self.values)):

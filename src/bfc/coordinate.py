@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
-from .bf import ArityError, BooleanFunction, check_arity, restrict_bit
+from .bf import ArityError, BooleanFunction, check_arity, family, restrict_bit
 from .bounds import _pow2
 from .measures import (
     EXACT_SEARCH_MAX_ARITY,
@@ -274,8 +274,6 @@ def _dictator_floor(kind: CoordinateMeasureKind) -> int | Fraction:
     Recomputed from the DICT family as a guard against convention drift; the
     expected hard values are deg: 1, sens: 2, cert: 2 and their mixes.
     """
-    from .bf import family
-
     dict1 = family("DICT", 1)
     neg = BooleanFunction(1, dict1.table ^ 0b11)
     vals = [

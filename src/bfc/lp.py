@@ -18,9 +18,11 @@ first column on which it is, as a unit row of B, and then enters in place of
 that unit row by the same pivot; a dependent row is skipped.  With no
 objective every basis is dual feasible, so any slot that relieves the
 leaving row may enter.  The leaving row is the most violated one at the
-vertex and the entering slot the lowest-keyed one that relieves it; the
-first repeated basis switches the leaving row to the lowest-keyed violated
-one (Bland, Math. OR 1977), so every solve terminates.
+vertex and the entering slot the one that relieves it with the largest
+pivot, which becomes the new det, so each exchange gives the next basis
+the largest determinant it can; ties go to the lowest key.  The first
+repeated basis switches both picks to the lowest-keyed candidate (Bland,
+Math. OR 1977), so every solve terminates.
 J spans every column of the system, so the columns outside J are 0 in the
 witness and lose no feasibility.
 
@@ -38,15 +40,13 @@ the full LP: a witness spread over the members of each orbit must satisfy
 
 The cap scan ``lp_bs_cap`` runs the same solver on the moment LP written in
 the binomial basis C(t, j), with a row picker of its own, and carries each
-basis from b to b + 1.  It enters the relieving slot j with the largest
-w_j, which a pivot makes the new det: the exchange of interpolation nodes
-that gives the next basis the largest determinant.  Under Bland's rule it
-enters the lowest-keyed slot again.  Once a certificate uses only rows whose
-right-hand side no later LP of the scan raises (the rows of the points
-below b, and the endpoint row that keeps its bound), it proves every later
-LP infeasible, so the scan stops solving.  That certificate is checked
-once, like every other, and each remaining LP only confirms that none of
-its rows has a larger right-hand side there than where it was checked.
+basis from b to b + 1, where each pivot exchanges interpolation nodes.
+Once a certificate uses only rows whose right-hand side no later LP of the
+scan raises (the rows of the points below b, and the endpoint row that
+keeps its bound), it proves every later LP infeasible, so the scan stops
+solving.  That certificate is checked once, like every other, and each
+remaining LP only confirms that none of its rows has a larger right-hand
+side there than where it was checked.
 """
 
 from __future__ import annotations
@@ -201,11 +201,6 @@ class _VertexBasis:
             line[j] = a
         self.det = piv
 
-    def _enter(self, w: Sequence[int], bland: bool) -> int:
-        """The lowest-keyed slot j with w_j > 0, or -1 if there is none."""
-        keys = self.keys
-        return min((j for j, v in enumerate(w) if v > 0), key=keys.__getitem__, default=-1)
-
     def run(
         self,
         row: Callable[[int], Sequence[int]],
@@ -217,10 +212,13 @@ class _VertexBasis:
         ``row`` and ``rhs`` give a row on the columns J by key, and
         ``pick(point, det, bland)`` the key of a row violated at the vertex
         point/det: the most violated one, or the lowest-keyed one once
-        ``bland`` is set; -1 when none is.  That row a replaces the basis row
-        of the slot ``_enter`` picks among those with w_j > 0, w = a adj.
-        Returns None at a vertex that satisfies every row, else a Farkas
-        certificate as (row keys, multipliers).
+        ``bland`` is set; -1 when none is.  That row a, with w = a adj,
+        enters the slot j with the largest w_j > 0, lowest key on ties, or
+        with ``bland`` the lowest-keyed slot with w_j > 0.  The pivot makes
+        w_j the new det, so the first rule gives the next basis the largest
+        determinant of all the valid ones.  Returns None at a vertex that
+        satisfies every row, else a Farkas certificate as (row keys,
+        multipliers).
         """
         keys, adj = self.keys, self.adj
         r_b = [rhs(key) for key in keys]
@@ -237,10 +235,14 @@ class _VertexBasis:
                 return None
             a = row(leave)
             w = [sum(map(mul, a, slot)) for slot in zip(*adj)]
-            enter = self._enter(w, bland)
-            if enter < 0:
+            slots = [j for j, v in enumerate(w) if v > 0]
+            if not slots:
                 # a = (w/det) B, and B x <= r_B forces a.x >= a.vertex > r
                 return [leave, *keys], [det, *(-v for v in w)]
+            if not bland:
+                top = max(w)
+                slots = [j for j in slots if w[j] == top]
+            enter = min(slots, key=keys.__getitem__)
             self._pivot(enter, w)
             keys[enter] = leave
             r_b[enter] = rhs(leave)
@@ -431,19 +433,6 @@ class _ScanBasis(_VertexBasis):
 
         return self.run(rows.__getitem__, lambda key: _scan_rhs(key, b, tau), pick)
 
-    def _enter(self, w: Sequence[int], bland: bool) -> int:
-        """The slot with the largest w_j > 0, lowest key on ties, or the
-        lowest-keyed one once ``bland`` is set; -1 if there is none.
-
-        The pivot makes w_j the new det, so this swap gives the next basis
-        the largest determinant of all the valid ones.
-        """
-        top = max(w)
-        if bland or top <= 0:
-            return super()._enter(w, bland)
-        keys = self.keys
-        return min((j for j, v in enumerate(w) if v == top), key=keys.__getitem__)
-
 
 def _closes(keys: Sequence[int], b: int, tau: int) -> bool:
     """True iff no row of these keys has a larger right-hand side in any LP
@@ -463,16 +452,16 @@ def lp_bs_cap(d: int) -> LpCapScan:
 
     Scans every b from max(2, d) up to 2*d*d (no feasibility monotonicity
     assumed) and records the whole profile.  Each endpoint value is one chain
-    of warm-started dual simplex solves (``_ScanBasis``, largest-pivot
-    entering); a feasible verdict has checked every row exactly at the final
-    vertex, and every Farkas certificate a solve returns is checked exactly
-    against the rows of its (b, tau).  A certificate that ``_closes`` uses
-    only rows that every later (b', tau') has with the same or a lower
-    right-hand side: p(1) = 1, 0 <= p(k) <= 1 for 1 < k < b, and p(b) <= 1
-    at tau = 1 or -p(b) <= 0 at tau = 0.  So y >= 0 keeps y.r' <= y.r < 0
-    and it proves them all infeasible: the scan stops solving, keeps the
-    right-hand sides it checked, and for each later (b', tau') confirms
-    that none of its rows has a larger one there.
+    of warm-started dual simplex solves (``_ScanBasis``); a feasible verdict
+    has checked every row exactly at the final vertex, and every Farkas
+    certificate a solve returns is checked exactly against the rows of its
+    (b, tau).  A certificate that ``_closes`` uses only rows that every
+    later (b', tau') has with the same or a lower right-hand side:
+    p(1) = 1, 0 <= p(k) <= 1 for 1 < k < b, and p(b) <= 1 at tau = 1 or
+    -p(b) <= 0 at tau = 0.  So y >= 0 keeps y.r' <= y.r < 0 and it proves
+    them all infeasible: the scan stops solving, keeps the right-hand sides
+    it checked, and for each later (b', tau') confirms that none of its
+    rows has a larger one there.
     """
     if not 1 <= d <= LP_CAP_SCAN_MAX_DEGREE:
         raise ValueError(f"lp_bs_cap supports 1 <= d <= {LP_CAP_SCAN_MAX_DEGREE}")

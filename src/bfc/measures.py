@@ -4,7 +4,7 @@ All search-heavy measures (block sensitivity, certificates, decision-tree
 depth) run in exact mode only, guarded by arity caps that raise instead of
 truncating.  Each cap is checked by ``bf.check_arity`` inside the code
 that every caller shares (``_cert_lanes_stack``, ``TableMeasures.bs``,
-``_dt_depth``, and ``coordinate._monomial_sens_violation``), so the
+``TableMeasures.dt``, and ``coordinate._monomial_sens_violation``), so the
 theorem suite meets the same caps as the public functions;
 ``approx_degree`` and ``lp.adeg_lp`` check the approximate-degree cap.
 Certificates grow the monochromatic subcubes of f one dimension at a time,
@@ -19,11 +19,11 @@ measures of ``coordinate.py`` among them, each computed on first read.
 table, so the theorem suite, the coordinate checks and the public API
 (which wraps records for :class:`~bfc.bf.BooleanFunction` values) compute
 each measure of a table once while its record stays in the memo.
-Decision-tree depth keeps the memo of its own search, which recurses on
-sub-tables that need no other measure.  The search returns n at once on a
-table with unequal numbers of 1s on the odd- and even-weight points: its
-top Möbius coefficient sum_x (-1)^(n-|x|) f(x) is then nonzero, so
-deg = n, and deg <= DT <= n.
+Decision-tree depth recurses through the records of the restrictions, the
+same records the theorem suite's ``rrcm`` row reads.  The search returns n
+at once on a table with unequal numbers of 1s on the odd- and even-weight
+points: its top Möbius coefficient sum_x (-1)^(n-|x|) f(x) is then nonzero,
+so deg = n, and deg <= DT <= n.
 
 Per-point values live in one integer per table with one byte per point:
 byte x (bits 8x..8x+7) holds the value at point x.  Every such value is at
@@ -80,10 +80,11 @@ from .bf import (
 # 29 MB (OR and AND 14, whose subcube levels are widest); raw seconds, the
 # largest of three fresh processes each, one 2-core x86-64 host
 EXACT_SEARCH_MAX_ARITY = 14
-# approximate degree and its LP (lp.adeg_lp): a 6-input table with no
-# coordinate symmetry solves the full LP, 0.4-0.7 s, and PARITY 6 its orbit
-# LP, 0.02-0.03 s against 0.5-0.8 s for the full one; a 7-input table with
-# no symmetry took 7-15 s; raw, in-process, one 2-core x86-64 host
+# approximate degree and its LP (lp.adeg_lp): three seeded 6-input tables
+# with no coordinate symmetry solve the full LP in 197-215 pivots,
+# 0.15-0.22 s, and PARITY 6 its orbit LP in 0.01 s against 0.25-0.37 s for
+# the full one; a 7-input table with no symmetry took 520 pivots, 1.6 s;
+# raw, in-process, one 2-core x86-64 host
 APPROX_DEGREE_MAX_ARITY = 6
 
 
@@ -305,32 +306,6 @@ class BlockSensitivityReport(NamedTuple):
     witness_blocks: tuple[frozenset[int], ...]
 
 
-@lru_cache(maxsize=1 << 17)
-def _dt_depth(n: int, table: int) -> int:
-    """Minimax query depth; memoised on the canonical restricted table.
-
-    A table whose top Möbius coefficient sum_x (-1)^(n-|x|) f(x) is nonzero,
-    that is, with unequal numbers of 1s on the odd- and even-weight points,
-    has degree n, and deg <= DT <= n, so its depth is n with no search.  The
-    rule is tried at every node, so sub-tables of full degree end at once.
-    """
-    check_arity(n, EXACT_SEARCH_MAX_ARITY, "decision-tree depth")
-    if table == 0 or table == (1 << (1 << n)) - 1:
-        return 0
-    if 2 * (table & odd_points(n)).bit_count() != table.bit_count():
-        return n
-    best = n
-    for i in range(n):
-        if not diff_mask(table, n, i):
-            continue
-        d0 = _dt_depth(n - 1, restrict_bit(table, n, i, 0))
-        if d0 + 1 >= best:
-            continue
-        d1 = _dt_depth(n - 1, restrict_bit(table, n, i, 1))
-        best = min(best, 1 + max(d0, d1))
-    return best
-
-
 # ---------------------------------------------------------------------------
 # the measure record of one table
 # ---------------------------------------------------------------------------
@@ -362,11 +337,11 @@ class TableMeasures:
     kept on the record.
 
     ``table_measures`` hands out the shared record of each table; a record
-    built directly starts empty.  Decision-tree depth is read through
-    ``_dt_depth``, whose memo also serves the sub-tables of its search.
-    Of the packed per-point values (one byte per point, see the module
-    docstring) only f, s_x and C_x are kept; the byte masks of f's values
-    and of the sensitive points are rebuilt where they are read.
+    built directly starts empty.  Decision-tree depth recurses through the
+    shared records of the restrictions.  Of the packed per-point values
+    (one byte per point, see the module docstring) only f, s_x and C_x are
+    kept; the byte masks of f's values and of the sensitive points are
+    rebuilt where they are read.
     """
 
     def __init__(self, n: int, table: int):
@@ -494,9 +469,34 @@ class TableMeasures:
         )
         return BlockSensitivityReport(best, witness, blocks)
 
-    @property
+    @_lazy
     def dt(self) -> int:
-        return _dt_depth(self.n, self.table)
+        """Minimax query depth, searched through the shared records of the
+        restrictions, so each sub-table is searched once while its record
+        stays in the memo.
+
+        A table whose top Möbius coefficient sum_x (-1)^(n-|x|) f(x) is
+        nonzero, that is, with unequal numbers of 1s on the odd- and
+        even-weight points, has degree n, and deg <= DT <= n, so its depth
+        is n with no search.  The rule is tried at every node, so sub-tables
+        of full degree end at once.
+        """
+        n, table = self.n, self.table
+        check_arity(n, EXACT_SEARCH_MAX_ARITY, "decision-tree depth")
+        if table == 0 or table == (1 << (1 << n)) - 1:
+            return 0
+        if 2 * (table & odd_points(n)).bit_count() != table.bit_count():
+            return n
+        best = n
+        for i in range(n):
+            if not diff_mask(table, n, i):
+                continue
+            d0 = table_measures(n - 1, restrict_bit(table, n, i, 0)).dt
+            if d0 + 1 >= best:
+                continue
+            d1 = table_measures(n - 1, restrict_bit(table, n, i, 1)).dt
+            best = min(best, 1 + max(d0, d1))
+        return best
 
     @_lazy
     def inf_counts(self) -> tuple[int, ...]:
@@ -622,7 +622,7 @@ def certificate_complexity(f: BooleanFunction) -> CertificateReport:
 
 
 def dt_depth(f: BooleanFunction) -> int:
-    return _dt_depth(f.n, f.table)
+    return table_measures(f.n, f.table).dt
 
 
 class InfluenceReport(NamedTuple):

@@ -40,7 +40,7 @@ from .coordinate import (
     _monomial_sens_violation,
     _rrcm_violation,
 )
-from .measures import TableMeasures, _dt_depth, table_measures
+from .measures import TableMeasures, approx_degree, table_measures
 
 # constants certified by the bound engine (see bounds.dp_degree and friends),
 # kept exact so that each is compared with an integer count as integers
@@ -250,7 +250,7 @@ def dt_doubling_family(d: int) -> BooleanFunction:
         raise AssertionError("doubling construction lost monotonicity")
     if f.num_relevant() != f.n:
         raise AssertionError("doubling construction has irrelevant inputs")
-    if _dt_depth(f.n, f.table) > d:
+    if table_measures(f.n, f.table).dt > d:
         raise AssertionError("doubling construction exceeded its depth budget")
     return f
 
@@ -581,8 +581,6 @@ def _check_standard_form(rec: TableMeasures):
 def _check_adeg(rec: TableMeasures):
     if rec.n > 3:
         return "SKIP", 0, 0
-    from .measures import approx_degree
-
     ad = approx_degree(rec.f, Fraction(1, 3))
     if ad > rec.deg:
         return "FAIL", f"adeg {ad}", f"deg {rec.deg}"

@@ -710,6 +710,31 @@ def test_every_module_level_import_is_used():
     assert unused == []
 
 
+def _function_level_imports(node, where=None):
+    """(enclosing function, imported module) of each import in a function."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _function_level_imports(child, child.name)
+        elif isinstance(child, ast.ImportFrom) and where:
+            yield where, "." * child.level + (child.module or "")
+        elif isinstance(child, ast.Import) and where:
+            yield from ((where, alias.name) for alias in child.names)
+        else:
+            yield from _function_level_imports(child, where)
+
+
+def test_the_one_function_level_import_breaks_a_cycle():
+    # lp imports APPROX_DEGREE_MAX_ARITY from measures, so measures reaches
+    # lp only inside approx_degree; every other import sits at the top
+    src = Path(__file__).resolve().parents[1] / "src" / "bfc"
+    found = [
+        (f"{path.stem}.{where}", module)
+        for path in sorted(src.glob("*.py"))
+        for where, module in _function_level_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == [("measures.approx_degree", ".lp")]
+
+
 def test_every_private_top_level_name_is_read():
     # a private function or class at the top of a module must be read
     # somewhere in the package outside its own body, so a helper orphaned

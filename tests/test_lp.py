@@ -24,7 +24,7 @@ from bfc.lp import (
     moment_lp,
     simplex_feasible,
 )
-from bfc.measures import degree
+from bfc.measures import approx_degree, degree
 
 
 PIVOT_PATH = Path(__file__).parent / "data" / "lp_pivot_path.json"
@@ -266,6 +266,10 @@ def test_zero_rows_and_no_rows():
         assert simplex_feasible(lp(2, [([0, 0], rel, 0)])).feasible
     res = simplex_feasible(LinearProgram.build(3, []))
     assert res.feasible and res.witness == (0, 0, 0)
+    # no columns: w is empty, so a violated row is its own certificate
+    assert simplex_feasible(LinearProgram(0, [((), 0)])).feasible
+    res = simplex_feasible(LinearProgram(0, [((), 1), ((), -2)]))
+    assert not res.feasible and res.farkas == (0, 1)
 
 
 def test_a_wide_lp_with_few_rows_is_cheap():
@@ -303,6 +307,69 @@ def test_a_wrong_farkas_certificate_is_refused(monkeypatch):
         monkeypatch.setattr(bfc.lp._VertexBasis, "run", lambda *args: cert)
         with pytest.raises(AssertionError):
             simplex_feasible(prog)
+
+
+def test_simplex_switches_to_blands_rule_when_a_basis_repeats(monkeypatch):
+    # as in the scan: re-picking the row that has just entered is a pivot
+    # that changes nothing, so the basis repeats and the solve falls back to
+    # the lowest-keyed leaving row and entering slot
+    progs = [moment_lp(d, b, tau) for d in range(2, 6) for b in (d, 3 * d) for tau in (0, 1)]
+    rng = random.Random(20261019)
+    progs += [adeg_lp(BooleanFunction(3, rng.getrandbits(8)), d, Fraction(1, 3)) for d in (1, 2)]
+    want = [simplex_feasible(prog).feasible for prog in progs]
+    assert any(want) and not all(want)
+    violated_row, pivot = bfc.lp._violated_row, bfc.lp._VertexBasis._pivot
+    entered = []
+    modes = []  # the bland flag of each pick; phase 0 pivots come before any
+
+    def stubborn(rows, point, det, bland):
+        modes.append(bland)
+        key = violated_row(rows, point, det, bland)
+        if bland or key < 0:
+            return key
+        if entered:
+            return entered.pop()
+        entered.append(key)
+        return key
+
+    def blands_pivot(self, j, w):
+        if modes and modes[-1]:
+            assert j == min((i for i, v in enumerate(w) if v > 0), key=self.keys.__getitem__)
+        pivot(self, j, w)
+
+    monkeypatch.setattr(bfc.lp, "_violated_row", stubborn)
+    monkeypatch.setattr(bfc.lp._VertexBasis, "_pivot", blands_pivot)
+    fell_back = 0
+    for prog, feasible in zip(progs, want):
+        entered.clear()
+        modes.clear()
+        res = simplex_feasible(prog)
+        assert res.feasible == feasible
+        if feasible:
+            assert prog.satisfies(res.witness)
+        else:
+            assert bfc.lp._is_farkas(prog.num_vars, prog.rows, res.farkas)
+        fell_back += True in modes
+    assert fell_back
+
+
+# approx_degree's pivots, phase 0 included, over ten seeded 5-input tables
+ADEG_PIVOTS = 938
+
+
+def test_approx_degree_pivot_total_is_pinned(monkeypatch):
+    pivot = bfc.lp._VertexBasis._pivot
+    calls = []
+
+    def counted(self, *args):
+        calls.append(1)
+        return pivot(self, *args)
+
+    monkeypatch.setattr(bfc.lp._VertexBasis, "_pivot", counted)
+    rng = random.Random(1005)
+    values = [approx_degree(BooleanFunction(5, rng.getrandbits(32))) for _ in range(10)]
+    assert values == [3, 4, 3, 3, 4, 3, 4, 3, 4, 3]
+    assert len(calls) == ADEG_PIVOTS
 
 
 def test_lp_scan_reproduces_the_pinned_pivot_path():

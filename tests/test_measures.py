@@ -1,5 +1,6 @@
 import ast
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -640,12 +641,13 @@ def test_lane_search_at_the_ends_of_the_byte_range():
 def test_record_fields_run_once_and_stay_on_the_record(monkeypatch):
     fields = [name for name, attr in vars(TableMeasures).items() if hasattr(attr, "func")]
     assert set(PACKED_FIELDS) <= set(fields)
-    calls = dict.fromkeys(fields, 0)
+    # per record: reading dt also fills dt on the records of the restrictions
+    calls = Counter()
     for name in fields:
         kernel = getattr(TableMeasures, name).func
 
         def counted(rec, kernel=kernel, name=name):
-            calls[name] += 1
+            calls[id(rec), name] += 1
             return kernel(rec)
 
         monkeypatch.setattr(getattr(TableMeasures, name), "func", counted)
@@ -655,7 +657,8 @@ def test_record_fields_run_once_and_stay_on_the_record(monkeypatch):
             for name in fields:
                 getattr(rec, name)
         assert all(name in vars(rec) for name in fields)
-    assert calls == dict.fromkeys(fields, len(recs))
+        assert all(calls[id(rec), name] == 1 for name in fields)
+    assert set(calls.values()) == {1}
 
 
 def test_dt_depth_examples():
@@ -665,7 +668,7 @@ def test_dt_depth_examples():
 
 
 # decision-tree depth oracles: the minimax definition, with no memo, no
-# pruning and no degree rule, sharing no code with measures._dt_depth
+# pruning and no degree rule, sharing no code with TableMeasures.dt
 
 def _plain_dt(table, points, free):
     """Minimax depth of f on the subcube ``points``, querying coordinates in ``free``."""
@@ -760,12 +763,12 @@ def test_full_degree_tables_end_the_dt_search_at_once():
     unequal = rng.getrandbits(1 << n)
     assert _counts_differ(n, unequal)
     for t in (family("PARITY", n).table, unequal):
-        measures._dt_depth.cache_clear()
+        table_measures.cache_clear()
         assert dt_depth(BooleanFunction(n, t)) == n
-        assert measures._dt_depth.cache_info().misses == 1
-    measures._dt_depth.cache_clear()
+        assert table_measures.cache_info().misses == 1
+    table_measures.cache_clear()
     dt_depth(BooleanFunction(n, _balanced_table(n, rng)))
-    assert measures._dt_depth.cache_info().misses > 1
+    assert table_measures.cache_info().misses > 1
 
 
 def test_arity_caps_fail_loudly():
@@ -876,8 +879,8 @@ def _memoised_functions(tree):
 
 
 def test_one_memo_per_table():
-    # every per-table measure is a field of the shared TableMeasures record;
-    # decision-tree depth alone keeps its own memo, over its sub-tables
+    # every per-table measure is a field of the shared TableMeasures record,
+    # decision-tree depth too, whose search recurses through those records
     src = Path(__file__).resolve().parents[1] / "src" / "bfc"
     keyed = sorted(
         f"{path.stem}.{name}"
@@ -885,4 +888,4 @@ def test_one_memo_per_table():
         for name, params in _memoised_functions(ast.parse(path.read_text(encoding="utf-8")))
         if params == ["n", "table"]
     )
-    assert keyed == ["measures._dt_depth", "measures.table_measures"]
+    assert keyed == ["measures.table_measures"]
