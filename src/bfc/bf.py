@@ -88,8 +88,7 @@ def flip_table(table: int, n: int, i0: int) -> int:
     """Table of x -> f(x with coordinate i0 flipped)."""
     s = 1 << i0
     lo = half_mask(n, i0)
-    hi = lo << s
-    return ((table & hi) >> s) | ((table & lo) << s)
+    return (table >> s) & lo | (table & lo) << s
 
 
 def diff_mask(table: int, n: int, i0: int) -> int:
@@ -287,6 +286,11 @@ def _tabulate(n: int, fn: Callable[[tuple[int, ...]], int]) -> int:
     return int(bits, 2)
 
 
+def _biased_lanes(n: int, w: int) -> bytes:
+    """2**n lanes of w bits, each holding 2**(w-1), as little-endian bytes."""
+    return (bytes(w // 8 - 1) + b"\x80") * (1 << n)
+
+
 def _mobius_lanes(n: int, table: int) -> tuple[int, int]:
     """(v, w): lane m of ``v``, w bits wide, holds the coefficient c_m of f
     over {0,1} in two's complement.
@@ -303,7 +307,7 @@ def _mobius_lanes(n: int, table: int) -> tuple[int, int]:
     lane-wise.  Clearing the bias bits leaves each value in two's complement.
     """
     w = 16 if n <= 15 else 32
-    biased = (bytes(w // 8 - 1) + b"\x80") * (1 << n)  # 2**(w-1) per lane
+    biased = _biased_lanes(n, w)
     bias = int.from_bytes(biased, "little")
     lanes = bytearray(biased)
     lanes[:: w // 8] = _table_bytes(n, table)
@@ -327,20 +331,45 @@ def mobius_vector(n: int, table: int) -> list[int]:
 _NONZERO_TO_BIT = bytes.maketrans(bytes(range(256)), b"0" + b"1" * 255)
 
 
-def mobius_support(n: int, table: int) -> int:
-    """The mask with bit m set iff the coefficient c_m of ``mobius_vector``
+def _lane_support(n: int, v: int, w: int) -> int:
+    """The mask with bit m set iff lane m of ``v`` (2**n lanes of w bits)
     is nonzero.
 
-    ORing each lane of ``_mobius_lanes`` down into its lowest byte leaves
-    that byte nonzero iff the lane is; those bytes, one per mask, become
-    the bits of the result with no Python step per mask.
+    ORing each lane down into its lowest byte leaves that byte nonzero iff
+    the lane is; those bytes, one per mask, become the bits of the result
+    with no Python step per mask.
     """
-    v, w = _mobius_lanes(n, table)
     v |= v >> 8
     if w == 32:
         v |= v >> 16
     low = v.to_bytes(w << n >> 3, "little")[:: w // 8]
     return int(low[::-1].translate(_NONZERO_TO_BIT), 2)
+
+
+def mobius_support(n: int, table: int) -> int:
+    """The mask with bit m set iff the coefficient c_m of ``mobius_vector``
+    is nonzero."""
+    return _lane_support(n, *_mobius_lanes(n, table))
+
+
+def _support_at_one(n: int, lanes: tuple[int, int], j: int) -> int:
+    """The Möbius support of f|x_j=1, as masks of f's n coordinates (none
+    holding j), from f's ``_mobius_lanes``.
+
+    Fixing x_j = 1 turns c_S x^S + c_(S+j) x^(S+j) into (c_S + c_(S+j)) x^S
+    for every S without j.  Lanes S and S + j are added with their biases,
+    one bias taken off, all in one integer sum: each lane ends at 2**(w-1)
+    plus a coefficient of the restriction, which lies in the lane's range
+    as every value of ``_mobius_lanes`` does, so the sum is lane-wise.
+    """
+    v, w = lanes
+    lw = w.bit_length() - 1
+    keep = half_mask(n + lw, j + lw)  # the lanes of the masks without j
+    full = int.from_bytes(_biased_lanes(n, w), "little")
+    v ^= full
+    bias = full & keep
+    summed = (v & keep) + (v >> (w << j) & keep) - bias
+    return _lane_support(n, summed ^ bias, w)
 
 
 def fourier_vector(n: int, table: int) -> list[int]:

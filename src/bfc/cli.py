@@ -38,6 +38,11 @@ from .lp import LP_CAP_SCAN_MAX_DEGREE, lp_bs_cap
 from .measures import APPROX_DEGREE_MAX_ARITY, measure_report, table_measures
 from .verify import run_theorem_suite, suite_failures
 
+# functions `verify` runs unless --no-budget is given: the suite takes about
+# 0.2-0.8 ms per function of 1..6 inputs (raw, one 2-core x86-64 host), so
+# the budget is a minute or two there, and all:4 (65,536) fits within it
+VERIFY_BUDGET = 1 << 17
+
 
 def _load_function(args) -> BooleanFunction:
     if args.family:
@@ -117,6 +122,11 @@ def _cmd_table(args) -> int:
 
 def _cmd_verify(args) -> int:
     corpus = parse_corpus(args.corpus)
+    if len(corpus) > VERIFY_BUDGET and not args.no_budget:
+        raise ValueError(
+            f"corpus {corpus.describe()} holds {len(corpus)} functions, more than "
+            f"the budget of {VERIFY_BUDGET}; --no-budget lifts it"
+        )
     checks = run_theorem_suite(corpus)
     print(f"corpus\t{corpus.describe()}\t{len(corpus)}")
     print("check\tstatus\tchecked\tskipped\tleft\tright\twitness")
@@ -173,6 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--corpus",
         required=True,
         help="all:N | monotone:N | random:N:COUNT:SEED | named:LIST",
+    )
+    pv.add_argument(
+        "--no-budget",
+        action="store_true",
+        help=f"run a corpus of more than {VERIFY_BUDGET} functions",
     )
     pv.set_defaults(fn=_cmd_verify)
 

@@ -18,12 +18,24 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
-from .bf import ArityError, BooleanFunction, check_arity, family, restrict_bit
+from .bf import (
+    ArityError,
+    BooleanFunction,
+    _mobius_lanes,
+    _support_at_one,
+    check_arity,
+    family,
+    half_mask,
+)
 from .bounds import _pow2
 from .measures import (
+    _STACK_POINTS,
     EXACT_SEARCH_MAX_ARITY,
     TableMeasures,
-    _fill_cert_lanes,
+    _RestrictionStack,
+    _branch_pairs,
+    _size_levels,
+    _top_size,
     table_measures,
 )
 
@@ -76,11 +88,25 @@ STANDARD_KINDS = ALL_BASE_KINDS + (mix_ds(Fraction(1, 2)), mix_cs(Fraction(1, 2)
 # coordinate measures
 #
 # deg_i, sens_i and cert_i of every coordinate are fields of the table's
-# ``measures.TableMeasures`` record, so restrictions met by the checks
-# below, by the theorem suite and by the public functions share one memo.
-# The record reads them off its one-byte-per-point integers of s_x, C_x
-# and the Moebius coefficients, with no loop over the points.
+# ``measures.TableMeasures`` record, so the checks below, the theorem suite
+# and the public functions share one memo.  The record reads them off its
+# one-byte-per-point integers of s_x, C_x and the Moebius coefficients,
+# with no loop over the points.
 # ---------------------------------------------------------------------------
+
+# the base measures each kind reads, the mixes weighting the first by beta
+_BASES = {
+    "deg": ("deg",),
+    "sens": ("sens",),
+    "cert": ("cert",),
+    "mix_ds": ("deg", "sens"),
+    "mix_cs": ("cert", "sens"),
+}
+
+
+def _mix(kind: CoordinateMeasureKind, first, second) -> Fraction:
+    return kind.beta * first + (1 - kind.beta) * second
+
 
 def _kind_values(rec: TableMeasures, kind: CoordinateMeasureKind) -> tuple:
     """The measure per coordinate: the record's ints for deg, sens and cert,
@@ -91,12 +117,8 @@ def _kind_values(rec: TableMeasures, kind: CoordinateMeasureKind) -> tuple:
         return rec.sens_i
     if kind.tag == "cert":
         return rec.cert_i
-    beta = kind.beta
-    if kind.tag == "mix_ds":
-        first, second = rec.deg_i, rec.sens_i
-    else:
-        first, second = rec.cert_i, rec.sens_i
-    return tuple(beta * a + (1 - beta) * b for a, b in zip(first, second))
+    first, second = (getattr(rec, f"{tag}_i") for tag in _BASES[kind.tag])
+    return tuple(_mix(kind, a, b) for a, b in zip(first, second))
 
 
 def deg_i(f: BooleanFunction, i: int) -> int:
@@ -191,14 +213,16 @@ def _rrcm_violation(
     never grows when j0 is fixed; (axiom2) if the j0 = b branch makes i0
     irrelevant while i0 matters for f, the other branch's measure drops by
     at least one.  The order is ``kinds``, then j0, then i0 in ``coords``,
-    then b.  One pass serves every kind: both restrictions of each j0 are
-    built once, and when a kind reads cert_i, the C_x of the restrictions
-    come from stacked certificate walks (``measures._fill_cert_lanes``).  A
-    kind kept from f by an arity cap raises its ArityError once no kind
-    before it fails; no later kind is read.
+    then b.  No record of a restriction is built or read: ``_Axioms``
+    decides every (i0, j0) by lane-wise threshold tests on f's own record
+    and on stacks of the restrictions' tables, in stacks of at most
+    ``measures._STACK_POINTS`` points or one branch pair, and reads exact
+    per-branch values only where a test fails.  A kind kept from f by an
+    arity cap raises its ArityError once no kind before it fails; no later
+    kind is read.
     """
     coords = tuple(coords)
-    n, table = rec.n, rec.table
+    n = rec.n
     vals = []
     capped = None
     for kind in kinds:
@@ -209,15 +233,16 @@ def _rrcm_violation(
             break
     if not vals and capped is not None:
         raise capped
-    js = [j0 for j0 in range(n) if any(i0 != j0 for i0 in coords)]
-    subs = [[table_measures(n - 1, restrict_bit(table, n, j0, b)) for b in (0, 1)] for j0 in js]
-    if subs and any(kind.tag in ("cert", "mix_cs") for kind in kinds[: len(vals)]):
-        _fill_cert_lanes(n - 1, [sub for pair in subs for sub in pair])
+    axioms = _Axioms(rec, coords)
+    wanted = axioms.wanted
+    js = [j0 for j0 in range(n) if len(wanted) > 1 or wanted - {j0}]
+    per = max(1, _STACK_POINTS >> n)  # branch pairs, 2**n points each, per stack
     hit = None
     live = len(vals)  # the kinds before the first one found failing
-    for j0, pair in zip(js, subs):
+    for at in range(0, len(js), per):
+        axioms.stack(js[at:at + per])
         for k in range(live):
-            found = _axiom_hit(rec.diffs, vals[k], pair, kinds[k], j0, coords)
+            found = axioms.first_hit(kinds[k], vals[k])
             if found:
                 hit = (kinds[k], *found)
                 live = k
@@ -229,28 +254,186 @@ def _rrcm_violation(
     return hit
 
 
-def _axiom_hit(
-    diffs: tuple[int, ...],
-    vals: tuple,
-    pair: list[TableMeasures],
-    kind: CoordinateMeasureKind,
-    j0: int,
-    coords: tuple[int, ...],
-) -> tuple[int, int, int, str] | None:
-    """First (i0, j0, b, axiom) of ``_rrcm_violation`` at one j0, whose two
-    restriction records are ``pair``; ``vals`` are f's values of ``kind``."""
-    sub_vals = [_kind_values(sub, kind) for sub in pair]
-    for i0 in coords:
-        if i0 == j0:
-            continue
-        ii = i0 - 1 if i0 > j0 else i0  # index of i0 once j0 is removed
-        m_f = vals[i0]
-        for b in (0, 1):
-            if sub_vals[b][ii] > m_f:
-                return i0, j0, b, "axiom1"
-            if diffs[i0] and not pair[b].diffs[ii] and sub_vals[1 - b][ii] > m_f - 1:
-                return i0, j0, b, "axiom2"
-    return None
+class _Axioms:
+    """Both axioms at every (i, j) of one function's ``coords``, one stack
+    of restrictions at a time, for ``_rrcm_violation``.
+
+    Write m_i for f's measure at i, and drop_ij = 1 iff i is relevant in f
+    and irrelevant on one branch of x_j, whose measure at i is then 0.
+    Both axioms hold at (i, j) iff the measure at i of both branches is at
+    most m_i - drop_ij.  So a pair that passes that test holds, and
+    ``first_hit`` scans only the pairs that fail it, in the kernel's order,
+    with exact per-branch values.  A mix passes wherever its two base
+    kinds pass (its per-branch values and m_i are the same mix of theirs),
+    so it is scanned only at their failing pairs.
+
+    deg needs no stack: the largest deg_i over the branches of x_j is the
+    largest |S| with i in S, j not in S and c_S or c_(S+j) nonzero, so the
+    pairs of one i are tested at once against the union of those supports
+    over every j, and its drop pairs at once against their union.  sens
+    and cert read E, the sums over each block's sensitive edges of s_x or
+    C_x along its coordinate k (``measures._RestrictionStack.edge_sums``):
+    f's coordinate k in the blocks of j > k, and k + 1 in those of j <= k.
+    Adding 127 - m_i + drop_ij to the bytes of pair j sets a byte's 0x80
+    bit iff it exceeds m_i - drop_ij.  With m_i clamped to -1..127 a byte
+    gains at most 129, and E is at most 2(n - 1) <= 38, so no byte carries.
+    """
+
+    def __init__(self, rec: TableMeasures, coords: tuple[int, ...]):
+        n = rec.n
+        self.rec, self.n, self.coords = rec, n, coords
+        self.wanted = set(coords)
+        # bit j of dead[b][i]: i matters for f but not on its branch x_j = b
+        self.dead = dead = ([0] * n, [0] * n)
+        halves = [half_mask(n, j) for j in range(n)]
+        for i, d in enumerate(rec.diffs):
+            for j, lo in enumerate(halves if d else ()):
+                if not d & lo:
+                    dead[0][i] |= 1 << j
+                elif not d >> (1 << j) & lo:
+                    dead[1][i] |= 1 << j
+        self.drop = [a | b for a, b in zip(*dead)]
+        self.deg_pairs = None
+        self.pairs = None  # f's branch pairs, for the stacks
+
+    def stack(self, js: list[int]) -> None:
+        """Move on to the restrictions of ``js``."""
+        self.js = js
+        self.restrictions = None
+        self.lane_pairs = {}
+
+    def first_hit(self, kind: CoordinateMeasureKind, m: tuple) -> tuple[int, int, int, str] | None:
+        """First (i0, j0, b, axiom) of ``kind`` over the current stack, whose
+        f values are ``m``."""
+        first, *rest = map(self._failing, _BASES[kind.tag])
+        failing = first.union(*rest) if rest else first
+        if not failing:
+            return None
+        for j in self.js:
+            for i in self.coords:
+                if (i, j) not in failing:
+                    continue
+                v = [self._value(kind, i, j, b) for b in (0, 1)]
+                for b in (0, 1):
+                    if v[b] > m[i]:
+                        return i, j, b, "axiom1"
+                    if self.dead[b][i] >> j & 1 and v[1 - b] > m[i] - 1:
+                        return i, j, b, "axiom2"
+        return None
+
+    def _failing(self, tag: str) -> set[tuple[int, int]]:
+        """The (i, j) at which base ``tag`` fails the threshold test."""
+        if tag == "deg":
+            if self.deg_pairs is None:
+                self.deg_pairs = self._deg_failing()
+            return self.deg_pairs
+        got = self.lane_pairs.get(tag)
+        if got is None:
+            got = self.lane_pairs[tag] = self._lane_failing(tag)
+        return got
+
+    def _deg_failing(self) -> set[tuple[int, int]]:
+        n, u, m = self.n, self.rec.support, self.rec.deg_i
+        levels = _size_levels(n)
+        either = [(u | u >> (1 << j)) & half_mask(n, j) for j in range(n)]
+        wide = 0
+        for e in either:
+            wide |= e
+        out = set()
+        for i in self.coords:
+            with_i, t = ~half_mask(n, i), m[i]
+            larger = 0  # the masks of more than t coordinates
+            for level in levels[t + 1:] if t >= 0 else ():
+                larger |= level
+            # a branch with no S holding i has deg 0, which exceeds any t < 0
+            if t < 0 or wide & with_i & larger:
+                out.update((i, j) for j in range(n) if j != i)
+            elif self.drop[i]:
+                # the drop pairs of i, tested at once against t - 1
+                drop_js = [j for j in range(n) if self.drop[i] >> j & 1]
+                dropped = 0
+                for j in drop_js:
+                    dropped |= either[j]
+                larger |= levels[t] if t <= n else 0
+                if t == 0 or dropped & with_i & larger:
+                    out.update((i, j) for j in drop_js)
+        return out
+
+    def _stack(self) -> _RestrictionStack:
+        """The stack of the restrictions of the current ``js``, and per
+        coordinate k of its blocks the lanes the threshold tests add to:
+        ``rows[k]`` is (low, high, dropped, q), where the q pairs of j <= k
+        lead the stack and hold f's coordinate k + 1, ``low`` has 1 in
+        their bytes and ``high`` in the others (coordinate k), and
+        ``dropped`` has 1 in the bytes of the drop pairs."""
+        if self.restrictions is None:
+            n, js = self.n, self.js
+            if self.pairs is None:
+                self.pairs = _branch_pairs(n, self.rec.table)
+            self.restrictions = _RestrictionStack(n, [self.pairs[j] for j in js])
+            pair = 8 << n  # bits per branch pair
+            ones = int.from_bytes(b"\x01" * (len(js) << n), "little")
+            one = ones & (1 << pair) - 1
+            at = {j: p for p, j in enumerate(js)}
+            self.rows = []
+            q = 0
+            for k in range(n - 1):
+                while q < len(js) and js[q] <= k:
+                    q += 1
+                low = ones & (1 << pair * q) - 1
+                # bit j: drop_ij for the i whose coordinate k pair j holds
+                upto = (2 << k) - 1
+                pick = self.drop[k + 1] & upto | self.drop[k] & ~upto
+                dropped = 0
+                while pick:
+                    j = (pick & -pick).bit_length() - 1
+                    dropped += one << pair * at[j] if j in at else 0
+                    pick &= pick - 1
+                self.rows.append((low, ones - low, dropped, q))
+            self.top_bits = ones << 7
+        return self.restrictions
+
+    def _lane_failing(self, tag: str) -> set[tuple[int, int]]:
+        st, js = self._stack(), self.js
+        points = getattr(st, tag)
+        # 127 - m_i with m_i clamped to -1..127, or 0 (no byte of E reaches
+        # 0x80) for an i outside coords; a drop pair gets one more
+        lift = [
+            (128 if v < 0 else 127 - v if v < 127 else 0) if i in self.wanted else 0
+            for i, v in enumerate(getattr(self.rec, f"{tag}_i"))
+        ]
+        pair = 8 << self.n
+        out = set()
+        for k, (low, high, dropped, q) in enumerate(self.rows):
+            if lift[k] or lift[k + 1]:
+                lifted = lift[k + 1] * low + lift[k] * high + dropped
+                over = (st.edge_sums(points, k) + lifted) & self.top_bits
+                if over:
+                    out.update(
+                        (k + 1 if p < q else k, j)
+                        for p, j in enumerate(js) if over >> pair * p & (1 << pair) - 1
+                    )
+        return out
+
+    def _value(self, kind: CoordinateMeasureKind, i: int, j: int, b: int):
+        """The measure of ``kind`` at i on the branch x_j = b."""
+        vals = [self._base(tag, i, j, b) for tag in _BASES[kind.tag]]
+        return vals[0] if len(vals) == 1 else _mix(kind, *vals)
+
+    def _base(self, tag: str, i: int, j: int, b: int) -> int:
+        """deg_i, sens_i or cert_i of f|x_j=b at f's coordinate i."""
+        if tag == "deg":
+            return _top_size(self.n, self._support(j, b), i)
+        st = self._stack()
+        k = i if j > i else i - 1
+        return st.block_max(st.edge_sums(getattr(st, tag), k), 2 * self.js.index(j) + b)
+
+    def _support(self, j: int, b: int) -> int:
+        """The Moebius support of f|x_j=b, as masks of f's coordinates."""
+        n, rec = self.n, self.rec
+        if b == 0:
+            return rec.support & half_mask(n, j)
+        return _support_at_one(n, _mobius_lanes(n, rec.table), j)
 
 
 def check_rrcm(f: BooleanFunction, i: int, kind: CoordinateMeasureKind) -> CheckResult:

@@ -19,9 +19,8 @@ measures of ``coordinate.py`` among them, each computed on first read.
 table, so the theorem suite, the coordinate checks and the public API
 (which wraps records for :class:`~bfc.bf.BooleanFunction` values) compute
 each measure of a table once while its record stays in the memo.
-Decision-tree depth recurses through the records of the restrictions, the
-same records the theorem suite's ``rrcm`` row reads.  The search returns n
-at once on a table with unequal numbers of 1s on the odd- and even-weight
+Decision-tree depth recurses through the records of the restrictions.
+The search returns n at once on a table with unequal numbers of 1s on the odd- and even-weight
 points: its top Möbius coefficient sum_x (-1)^(n-|x|) f(x) is then nonzero,
 so deg = n, and deg <= DT <= n.
 
@@ -36,18 +35,20 @@ each test ``t in bytes`` one memchr in C, so it costs at most 2n passes
 and no Python step per byte.  s_x, C_x, sens_i and cert_i are built this
 way, with no loop over the points in Python; only the public ``per_point``
 tuples and block sensitivity decode the bytes.  deg_i takes the Möbius
-nonzeros one bit per mask S (``bf.mobius_support``) and tests them against
-the masks of each size (``_size_levels``), from n down.
+nonzeros one bit per mask S (the record's ``support``) and tests them
+against the masks of each size (``_size_levels``), from n down.
 
 Certificate walks run on stacks.  ``_cert_lanes_stack`` places tables of
 one arity side by side, each a block of 2**n points of one integer, and
 grows the subcubes of all of them in one walk over their n coordinates,
 whose flips never leave a block; a set S is then extended once for the
 stack, not once per table.  A record's own ``cert_lanes`` is the stack of
-one, and ``_fill_cert_lanes`` fills the records of a batch, as the 2n
-restrictions of one function in the theorem suite's ``rrcm`` row, in
-stacks of at most 2**EXACT_SEARCH_MAX_ARITY points, so no walk holds more
-points than the walk of one table at the arity cap.
+one.  ``_RestrictionStack`` stacks the 2n restrictions f|x_j=b of one
+function the same way, for the theorem suite's ``rrcm`` row, which reads
+their s_x, their C_x and the sums of either over their sensitive edges
+for all of them at once, and builds no record for any of them.  The row
+stacks at most 2**EXACT_SEARCH_MAX_ARITY points or one branch pair at a
+time (``_STACK_POINTS``), so no stacked integer outgrows f's own lanes.
 
 Every field is a pure function of the table, so concurrent readers of one
 record that race on a field compute the same value.
@@ -57,7 +58,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .bf import (
     _BIT_BYTES,
@@ -151,6 +152,23 @@ def _size_levels(n: int) -> tuple[int, ...]:
     return tuple(a | b << s for a, b in zip(below + (0,), (0,) + below))
 
 
+def _top_size(n: int, support: int, i: int) -> int:
+    """The largest |S| with coordinate i in S and bit S of ``support`` set,
+    tested against the masks of each size from n down; 0 when there is none."""
+    with_i = support & ~half_mask(n, i)
+    levels = _size_levels(n)
+    k = n
+    while k and not with_i & levels[k]:
+        k -= 1
+    return k
+
+
+def _edge_sums(point: int, edge: int, lo: int, s: int) -> int:
+    """point[x] + point[x ^ 2**i] at the points x where ``edge`` is 1 (the
+    sensitive edges along i), else 0, for (lo, s) of coordinate i."""
+    return (point + _flip_lanes(point, lo, s)) & edge * 255
+
+
 # ---------------------------------------------------------------------------
 # search kernels on (n, table)
 # ---------------------------------------------------------------------------
@@ -165,9 +183,19 @@ class CertificateReport(NamedTuple):
     per_point: tuple[int, ...]
 
 
-def _cert_lanes_stack(n: int, tables: Sequence[int]) -> list[int]:
+def _stacked(n: int, tables: Sequence[int]) -> int:
+    """The tables of arity n side by side: table k is block k, bits
+    k 2**n .. (k+1) 2**n - 1."""
+    stack = 0
+    for t in reversed(tables):
+        stack = stack << (1 << n) | t
+    return stack
+
+
+def _cert_lanes_stack(n: int, tables: Sequence[int]) -> int:
     """C_x packed, n minus the dimension of the largest monochromatic subcube
-    at x, for each of ``tables`` (all of arity n), from one walk.
+    at x, for each of ``tables`` (all of arity n) side by side, from one
+    walk: block k, bytes k 2**n .. (k+1) 2**n - 1, is table k's.
 
     A subcube of a monochromatic subcube is monochromatic, so the
     dimensions of those at x are 0..K_x, and K_x counts the k >= 1 for
@@ -186,14 +214,11 @@ def _cert_lanes_stack(n: int, tables: Sequence[int]) -> list[int]:
     a block, so each mask holds the masks of S for every table, and S is
     extended once for the stack; ``full`` covers the blocks of the tables
     alone, so the padding of the stack to 2**width points never joins a
-    mask.  The packed C_x of the stack is cut back into one per table.
+    mask, and its bytes stay 0.
     """
     check_arity(n, EXACT_SEARCH_MAX_ARITY, "certificate search")
-    size = 1 << n
     width = n + (len(tables) - 1).bit_length()
-    stack = 0
-    for t in reversed(tables):
-        stack = stack << size | t
+    stack = _stacked(n, tables)
     full = (1 << (len(tables) << n)) - 1
     agree = [full ^ diff_mask(stack, width, i) for i in range(n)]
     cx = n * _lanes(full)
@@ -209,8 +234,7 @@ def _cert_lanes_stack(n: int, tables: Sequence[int]) -> list[int]:
                     wider.append((i + 1, c))
         cx -= _lanes(up)
         level = wider
-    lanes = cx.to_bytes(len(tables) << n, "little")
-    return [int.from_bytes(lanes[k:k + size], "little") for k in range(0, len(lanes), size)]
+    return cx
 
 
 def _minimal_sensitive_blocks(n: int, table: int, x: int) -> list[int]:
@@ -402,6 +426,11 @@ class TableMeasures:
         return tuple(mobius_vector(self.n, self.table))
 
     @_lazy
+    def support(self) -> int:
+        """The Möbius support: bit S set iff c_S != 0 (``bf.mobius_support``)."""
+        return mobius_support(self.n, self.table)
+
+    @_lazy
     def deg(self) -> int:
         """The largest |S| with c_S != 0, which is the largest deg_i (every
         such S holds some coordinate i, and deg_i finds it); 0 for constants."""
@@ -411,7 +440,7 @@ class TableMeasures:
     def cert_lanes(self) -> int:
         """C_x packed: n minus the dimension of the largest monochromatic
         subcube at x; the walk of ``_cert_lanes_stack`` on this table alone."""
-        return _cert_lanes_stack(self.n, (self.table,))[0]
+        return _cert_lanes_stack(self.n, (self.table,))
 
     @_lazy
     def point_certs(self) -> tuple[int, ...]:
@@ -438,9 +467,11 @@ class TableMeasures:
 
         Since bs_x <= C_x (a certificate meets every sensitive block), a point
         with C_x <= best cannot raise the count and is skipped, and the search
-        stops once best reaches max C_x; the points that could win are visited
-        as before, so the witness does not change.  At each point visited
-        ``_Packing`` counts the most disjoint minimal sensitive blocks; the
+        stops once best reaches max C_x.  The search starts from the floor
+        bs >= s: a point with C_x < s has bs_x <= C_x < s <= bs and can never
+        attain bs, so it is skipped too.  The points that could win are
+        visited as before, so the witness does not change.  At each point
+        visited ``_Packing`` counts the most disjoint minimal sensitive blocks; the
         witness blocks are rebuilt once, from the packing of the point that
         wins.
         """
@@ -448,12 +479,13 @@ class TableMeasures:
         check_arity(n, EXACT_SEARCH_MAX_ARITY, "block sensitivity")
         cx = self.point_certs
         top = max(cx)
+        floor = self.sens[0]
         full = (1 << n) - 1
         best, best_x, best_packing = 0, 0, _Packing([])  # a constant packs none
         for x, c in enumerate(cx):
             if best == top:
                 break
-            if c <= best:
+            if c <= best or c < floor:
                 continue
             blocks = _minimal_sensitive_blocks(n, table, x)
             if len(blocks) <= best:
@@ -512,21 +544,10 @@ class TableMeasures:
         With f = sum c_S x^S, flipping x_i turns x^S into (1 - x_i) x^(S-i) for
         S containing i, so f(x) - f(x^i) = sum_{S∋i} c_S (2 x^S - x^(S-i)).
         The terms 2 c_S x^S cannot cancel, so deg_i is the largest |S| with
-        i in S and c_S != 0: with bit S of ``nonzero`` set where c_S != 0,
-        the largest k whose level of ``_size_levels`` meets ``nonzero`` on
-        the masks that contain i.
+        i in S and c_S != 0: the largest k whose level of ``_size_levels``
+        meets ``support`` on the masks that contain i (``_top_size``).
         """
-        n = self.n
-        nonzero = mobius_support(n, self.table)
-        levels = _size_levels(n)
-        out = []
-        for i in range(n):
-            with_i = nonzero & ~half_mask(n, i)
-            k = n
-            while k and not with_i & levels[k]:
-                k -= 1
-            out.append(k)
-        return tuple(out)
+        return tuple(_top_size(self.n, self.support, i) for i in range(self.n))
 
     def _edge_max(self, point: int) -> tuple[int, ...]:
         """max over sensitive edges {x, x^i} of point[x] + point[x^i], per
@@ -538,20 +559,17 @@ class TableMeasures:
         maximum over edges.  sens_i and cert_i build d_i apart: sens_i
         serves arities up to MAX_ARITY and cert_lanes stops at
         EXACT_SEARCH_MAX_ARITY, so one pass for both would put sens_i
-        behind the certificate cap.  Stacking this pass over the records
-        of a batch, as ``_cert_lanes_stack`` stacks certificate walks, was
-        measured and is not done: the byte search of each block still runs
-        once per table, so on the 192 restriction records of the suite on
-        random:8:12:1 sens_i and cert_i together took 4.0-5.2 ms stacked
-        against 5.4-6.8 ms, where their certificate walks took 1.4-2.2 ms
-        stacked against 9.1-13.7 ms (in-process, one 2-core x86-64 host).
+        behind the certificate cap.  The rrcm row needs no maximum over
+        the restrictions' edges, only whether each stays below f's value:
+        it adds a threshold to the stacked sums (``_RestrictionStack``)
+        and tests one bit per byte, and runs this byte search on one block
+        only where that test fails (``coordinate._rrcm_violation``).
         """
         n, t = self.n, self.table_lanes
-        out = []
-        for lo, s in _lane_halves(n):
-            sensitive = (t ^ _flip_lanes(t, lo, s)) * 255
-            out.append(_lane_max((point + _flip_lanes(point, lo, s)) & sensitive, n))
-        return tuple(out)
+        return tuple(
+            _lane_max(_edge_sums(point, t ^ _flip_lanes(t, lo, s), lo, s), n)
+            for lo, s in _lane_halves(n)
+        )
 
     @_lazy
     def sens_i(self) -> tuple[int, ...]:
@@ -570,26 +588,73 @@ def table_measures(n: int, table: int) -> TableMeasures:
     return TableMeasures(n, table)
 
 
-# a stacked certificate walk holds at most the points of one table at the
-# arity cap, so it never holds more than the largest single-table walk
+# a stack of restrictions holds at most the points of one table at the arity
+# cap, or one branch pair (as many points as f), so no stacked integer
+# outgrows f's own lanes
 _STACK_POINTS = 1 << EXACT_SEARCH_MAX_ARITY
 
 
-def _fill_cert_lanes(n: int, recs: Iterable[TableMeasures]) -> None:
-    """Set ``cert_lanes`` on every record of ``recs`` (all of arity n) that
-    lacks it, by stacked walks of at most ``_STACK_POINTS`` points; records
-    of one table share a block."""
-    todo: dict[int, list[TableMeasures]] = {}
-    for rec in recs:
-        if "cert_lanes" not in vars(rec):
-            todo.setdefault(rec.table, []).append(rec)
-    tables = list(todo)
-    per = max(1, _STACK_POINTS >> n)
-    for at in range(0, len(tables), per):
-        chunk = tables[at:at + per]
-        for t, cx in zip(chunk, _cert_lanes_stack(n, chunk)):
-            for rec in todo[t]:
-                vars(rec)["cert_lanes"] = cx
+def _branch_pairs(n: int, table: int) -> list[int]:
+    """Entry j: f with x_j moved to the top coordinate and the others kept in
+    order, whose low half is f|x_j=0 and whose high half is f|x_j=1.
+
+    Entry n - 1 is f, and entry j is entry j + 1 with coordinates j and
+    n - 1 exchanged, one delta swap.
+    """
+    pairs = [table]
+    low_top = half_mask(n, n - 1)
+    for j in range(n - 2, -1, -1):
+        shift = (1 << (n - 1)) - (1 << j)
+        d = (table >> shift ^ table) & low_top & ~half_mask(n, j)
+        table ^= d ^ d << shift
+        pairs.append(table)
+    return pairs[::-1]
+
+
+class _RestrictionStack:
+    """The restrictions f|x_j=b of an n-input table, side by side as
+    ``_cert_lanes_stack`` stacks tables: block 2p + b, of 2**(n-1) byte
+    lanes, holds f|x_j=b for the p-th of ``pairs``, each a branch pair
+    f|x_j=0, f|x_j=1 of ``_branch_pairs``.
+
+    Every field covers all blocks at once: ``edges[k]`` has byte x set iff
+    point x is sensitive to its block's coordinate k, ``sens`` is s_x, the
+    sum of the n - 1 edges, and ``cert`` is C_x, from one certificate walk.
+    Flips along coordinates 0..n-2 never leave a block.  No record of a
+    restriction is built.
+    """
+
+    def __init__(self, n: int, pairs: Sequence[int]):
+        self.n = n - 1  # the arity of each block
+        self.pairs = pairs
+        width = n + (len(pairs) - 1).bit_length()
+        self.halves = _lane_halves(width)[: self.n]
+
+    @_lazy
+    def edges(self) -> list[int]:
+        t = _lanes(_stacked(self.n + 1, self.pairs))
+        return [t ^ _flip_lanes(t, lo, s) for lo, s in self.halves]
+
+    @_lazy
+    def sens(self) -> int:
+        return sum(self.edges)
+
+    @_lazy
+    def cert(self) -> int:
+        size = 1 << self.n
+        tables = [t for p in self.pairs for t in (p & (1 << size) - 1, p >> size)]
+        return _cert_lanes_stack(self.n, tables)
+
+    def edge_sums(self, point: int, k: int) -> int:
+        """``_edge_sums`` of the packed ``point`` along each block's
+        coordinate k: at most 2(n - 1) per byte."""
+        lo, s = self.halves[k]
+        return _edge_sums(point, self.edges[k], lo, s)
+
+    def block_max(self, v: int, block: int) -> int:
+        """The largest byte of block ``block`` of the packed ``v``."""
+        bits = 8 << self.n
+        return _lane_max(v >> (bits * block) & ((1 << bits) - 1), self.n)
 
 
 # ---------------------------------------------------------------------------

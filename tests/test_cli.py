@@ -17,7 +17,7 @@ from bfc.bounds import (
     MONOTONE_DT_MAX_DMAX,
     cs_harmonic_bound,
 )
-from bfc.cli import main
+from bfc.cli import VERIFY_BUDGET, main
 from bfc.lp import LP_CAP_SCAN_MAX_DEGREE
 
 
@@ -140,6 +140,18 @@ def test_verify_deterministic():
     assert out1 == out2
 
 
+def test_verify_budget_is_lifted_by_its_flag(monkeypatch, capsys):
+    # at the budget the corpus runs; past it only --no-budget runs it, with
+    # the output the corpus has at any budget
+    _, want = run_cli("verify", "--corpus", "random:4:25:9")
+    monkeypatch.setattr(bfc.cli, "VERIFY_BUDGET", 25)
+    assert run_cli("verify", "--corpus", "random:4:25:9") == (0, want)
+    monkeypatch.setattr(bfc.cli, "VERIFY_BUDGET", 24)
+    assert run_cli("verify", "--corpus", "random:4:25:9") == (2, "")
+    assert "more than the budget of 24" in capsys.readouterr().err
+    assert run_cli("verify", "--corpus", "random:4:25:9", "--no-budget") == (0, want)
+
+
 def test_analyze_over_arity_cap_fails_cleanly(capsys):
     # MAF at k = 5 has 15 inputs, past the exact certificate search
     code = main(["analyze", "--family", "MAF", "--k", "5"])
@@ -206,6 +218,11 @@ def test_arity_past_the_cap_fails_cleanly(argv, text, tmp_path, capsys):
         (["table", "ds", "--bstep", "-3"], "--bstep must be >= 1, got -3"),
         (["verify", "--corpus", "random:3:-5:1"], "corpus random:3:-5:1 needs a count >= 0"),
         (
+            ["verify", "--corpus", "random:6:100000000:1"],
+            f"corpus random:6:100000000:1 holds 100000000 functions, more than the budget "
+            f"of {VERIFY_BUDGET}; --no-budget lifts it",
+        ),
+        (
             ["verify", "--corpus", "random:x:3:1"],
             "corpus random:x:3:1 needs an integer arity, got 'x'",
         ),
@@ -247,6 +264,7 @@ def test_arity_past_the_cap_fails_cleanly(argv, text, tmp_path, capsys):
     ],
     ids=[
         "dmax-past-cap", "dmax-zero", "bstep-zero", "bstep-negative", "count-negative",
+        "count-past-budget",
         "random-arity-not-integer", "random-seed-not-integer", "all-arity-not-integer",
         "named-size-not-integer",
         "beta-zero-denominator", "cs-dmax-zero", "cs-dmax-past-cap",

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bfc import coordinate, measures
 from bfc.bf import (
+    ArityError,
     BooleanFunction,
     diff_mask,
     family,
@@ -305,6 +306,128 @@ def test_rrcm_mixes_pass_where_base_kinds_pass():
         for kind in mixes:
             assert _rrcm_violation(rec, (kind,), range(n)) is None, (n, t, kind)
     assert checked == 256 + 168
+
+
+def _reference_rrcm(rec, kinds, coords):
+    """The record-reading rrcm kernel: both restrictions of each j0 built as
+    records, and each kind's values read off them; first (kind, i0, j0, b,
+    axiom) in the order of kinds, then j0, then i0 in coords, then b."""
+    coords = tuple(coords)
+    n, table = rec.n, rec.table
+    vals = []
+    capped = None
+    for kind in kinds:
+        try:
+            vals.append(_kind_values(rec, kind))
+        except ArityError as err:
+            capped = err
+            break
+    if not vals and capped is not None:
+        raise capped
+    js = [j0 for j0 in range(n) if any(i0 != j0 for i0 in coords)]
+    subs = [[table_measures(n - 1, restrict_bit(table, n, j0, b)) for b in (0, 1)] for j0 in js]
+    hit = None
+    live = len(vals)  # the kinds before the first one found failing
+    for j0, pair in zip(js, subs):
+        for k in range(live):
+            found = _reference_axiom_hit(rec.diffs, vals[k], pair, kinds[k], j0, coords)
+            if found:
+                hit = (kinds[k], *found)
+                live = k
+                break
+        if not live:
+            break
+    if hit is None and capped is not None:
+        raise capped
+    return hit
+
+
+def _reference_axiom_hit(diffs, vals, pair, kind, j0, coords):
+    """First (i0, j0, b, axiom) of ``_reference_rrcm`` at one j0, whose two
+    restriction records are ``pair``; ``vals`` are f's values of ``kind``."""
+    sub_vals = [_kind_values(sub, kind) for sub in pair]
+    for i0 in coords:
+        if i0 == j0:
+            continue
+        ii = i0 - 1 if i0 > j0 else i0  # index of i0 once j0 is removed
+        m_f = vals[i0]
+        for b in (0, 1):
+            if sub_vals[b][ii] > m_f:
+                return i0, j0, b, "axiom1"
+            if diffs[i0] and not pair[b].diffs[ii] and sub_vals[1 - b][ii] > m_f - 1:
+                return i0, j0, b, "axiom2"
+    return None
+
+
+_RRCM_KIND_LISTS = [ALL_BASE_KINDS] + [
+    (mix(beta),) for mix in (mix_ds, mix_cs)
+    for beta in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3))
+]
+
+
+def test_rrcm_kernel_matches_the_record_reading_kernel():
+    # true measures never fail, so the lane tests must pass exactly where
+    # the reference passes: every kind list on all:3 and on the orbit
+    # representatives of monotone:5, the base kinds on those of all:4 and
+    # on seeded random tables of 6..10 inputs
+    tables = [(f.n, f.table, True) for _, f in parse_corpus("all:3")]
+    for spec, mixes in (("monotone:5", True), ("all:4", False)):
+        tables += [(f.n, f.table, mixes) for _, f, _ in parse_corpus(spec).representatives()]
+    rng = random.Random(30)
+    tables += [(n, rng.getrandbits(1 << n), False) for n in range(6, 11) for _ in range(4)]
+    for n, t, mixes in tables:
+        rec = table_measures(n, t)
+        for kinds in _RRCM_KIND_LISTS if mixes else _RRCM_KIND_LISTS[:1]:
+            assert _rrcm_violation(rec, kinds, range(n)) is None, (n, t, kinds)
+            assert _reference_rrcm(rec, kinds, range(n)) is None, (n, t, kinds)
+
+
+def test_rrcm_kernel_matches_the_reference_on_lowered_records():
+    # 3,000 records, each with its own deg_i, sens_i or cert_i lowered at
+    # one coordinate by 1..3 (to -1 at most): the first hit, its kind, i,
+    # j, b and axiom, must be the reference's for the base kinds, over every
+    # coordinate and over one coordinate alone, and for one mix
+    rng = random.Random(3000)
+    tables = list(_lemma_corpus())
+    while len(tables) < 3000:
+        n = rng.randrange(2, 6)
+        t = rng.getrandbits(1 << n)
+        if rng.randrange(2):  # a sparse table, where coordinates drop out
+            t &= rng.getrandbits(1 << n) & rng.getrandbits(1 << n)
+        tables.append((n, t))
+    hits = 0
+    for r, (n, t) in enumerate(tables):
+        field = ("deg_i", "sens_i", "cert_i")[r % 3]
+        rec = TableMeasures(n, t)
+        vals = getattr(rec, field)
+        i0 = rng.randrange(n)
+        vars(rec)[field] = vals[:i0] + (max(vals[i0] - rng.randint(1, 3), -1),) + vals[i0 + 1:]
+        mix = rng.choice(_RRCM_KIND_LISTS[1:])
+        for kinds, coords in (
+            (ALL_BASE_KINDS, range(n)), (ALL_BASE_KINDS, (rng.randrange(n),)), (mix, range(n)),
+        ):
+            want = _reference_rrcm(rec, kinds, coords)
+            assert _rrcm_violation(rec, kinds, coords) == want, (n, t, field, kinds, coords)
+            hits += want is not None
+    assert hits > 2500, hits
+
+
+def test_rrcm_branch_values_are_the_restriction_records():
+    # the per-branch deg_i, sens_i and cert_i the kernel reads, at every
+    # (i, j, b), against the records of the restrictions themselves
+    rng = random.Random(2026)
+    tables = list(_lemma_corpus())
+    tables += [(n, rng.getrandbits(1 << n)) for n in range(6, 11) for _ in range(3)]
+    tables += [(n, rng.getrandbits(1 << n) & rng.getrandbits(1 << n)) for n in range(6, 11)]
+    for n, t in tables:
+        axioms = coordinate._Axioms(TableMeasures(n, t), tuple(range(n)))
+        axioms.stack(list(range(n)))
+        for j in range(n):
+            for b in (0, 1):
+                sub = table_measures(n - 1, restrict_bit(t, n, j, b))
+                for tag in ("deg", "sens", "cert"):
+                    got = [axioms._base(tag, i, j, b) for i in range(n) if i != j]
+                    assert tuple(got) == getattr(sub, f"{tag}_i"), (n, t, j, b, tag)
 
 
 def _degree_of_vector(coeffs):

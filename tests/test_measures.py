@@ -291,8 +291,9 @@ def test_certificate_bound_skips_points_and_visits_loose_ones(monkeypatch):
 # packing memo entries, over the suite on random:8:12:1 from an empty memo.
 # The dense subcube table, one flip per nonempty mask, made 27,446 flips
 # there, one sparse walk per record 12,594, and the packing search that
-# tried every fitting block at every free mask kept 4,792 entries.
-SUITE_CERT_FLIPS, SUITE_PACKING_ENTRIES = 2106, 529
+# tried every fitting block at every free mask kept 4,792 entries; packing
+# every point with C_x > best, before bs started from its floor s, kept 529.
+SUITE_CERT_FLIPS, SUITE_PACKING_ENTRIES = 2106, 147
 
 
 def test_certificate_and_packing_work_on_the_suite_is_pinned(monkeypatch):
@@ -334,17 +335,10 @@ def test_stacked_certificate_walk_is_one_walk_per_table():
             tables = [rng.getrandbits(1 << n) for _ in range(k)]
             tables[-1] = tables[0]
             tables[k // 2] = rng.choice((0, (1 << (1 << n)) - 1, tables[0]))
-            single = [measures._cert_lanes_stack(n, (t,))[0] for t in tables]
-            assert measures._cert_lanes_stack(n, tables) == single, (n, k)
+            single = [measures._cert_lanes_stack(n, (t,)) for t in tables]
+            stacked = sum(cx << (8 << n) * b for b, cx in enumerate(single))
+            assert measures._cert_lanes_stack(n, tables) == stacked, (n, k)
             assert single[0] == _dense_cert_lanes(n, tables[0]), (n, k)
-            # records that already hold cert_lanes keep them; the rest,
-            # one table's records sharing a block, get the single walk's
-            recs = [TableMeasures(n, t) for t in tables]
-            for rec in recs[::3]:
-                vars(rec)["cert_lanes"] = -1
-            measures._fill_cert_lanes(n, recs)
-            want = [-1 if r % 3 == 0 else c for r, c in enumerate(single)]
-            assert [vars(rec)["cert_lanes"] for rec in recs] == want, (n, k)
 
 
 def test_stack_padding_adds_no_subcube_sets(monkeypatch):
@@ -370,23 +364,41 @@ def test_stack_padding_adds_no_subcube_sets(monkeypatch):
 
 
 def test_stacks_hold_no_more_points_than_the_capped_walk(monkeypatch):
-    seen = []
-    walk = measures._cert_lanes_stack
+    # the rrcm kernel stacks f's restrictions at most 2^14 points or one
+    # branch pair (2^n points, as many as f) at a time, so no stacked
+    # integer outgrows f's own lanes
+    from bfc.coordinate import ALL_BASE_KINDS, _rrcm_violation
 
-    def spy(n, tables):
-        seen.append(len(tables) << n)
+    stacks, walks = [], []
+    stack_init, walk = measures._RestrictionStack.__init__, measures._cert_lanes_stack
+
+    def spy_stack(self, n, pairs):
+        stacks.append((n, len(pairs) << n))
+        stack_init(self, n, pairs)
+
+    def spy_walk(n, tables):
+        walks.append(len(tables) << n)
         return walk(n, tables)
 
-    monkeypatch.setattr(measures, "_cert_lanes_stack", spy)
+    monkeypatch.setattr(measures._RestrictionStack, "__init__", spy_stack)
+    monkeypatch.setattr(measures, "_cert_lanes_stack", spy_walk)
     rng = random.Random(13)
-    tables = [rng.getrandbits(1 << 13) for _ in range(3)]
-    recs = [TableMeasures(13, t) for t in tables]
-    measures._fill_cert_lanes(13, recs)
-    assert seen == [1 << 14, 1 << 13]
-    assert [rec.cert_lanes for rec in recs] == [walk(13, (t,))[0] for t in tables]
-    # past the cap the certificate search itself refuses, stacked or not
+    rec = TableMeasures(13, rng.getrandbits(1 << 13))
+    rec.cert_i  # f's own walk, before the kernel's
+    walks.clear()
+    assert _rrcm_violation(rec, ALL_BASE_KINDS, range(13)) is None
+    # 13 branch pairs of 2^13 points, two pairs to a stack
+    assert stacks == [(13, 1 << 14)] * 6 + [(13, 1 << 13)]
+    assert walks == [1 << 14] * 6 + [1 << 13]
+    # past the certificate cap, deg and sens still run, a pair at a time
+    for n in (15, 16):
+        stacks.clear()
+        rec = TableMeasures(n, rng.getrandbits(1 << n))
+        with pytest.raises(ArityError, match=f"certificate search supports arity <= 14, got {n}"):
+            _rrcm_violation(rec, ALL_BASE_KINDS, range(n))
+        assert stacks == [(n, 1 << n)] * n
     with pytest.raises(ArityError, match="certificate search supports arity <= 14, got 15"):
-        measures._fill_cert_lanes(15, [TableMeasures(15, 0)])
+        measures._cert_lanes_stack(15, [0])
     with pytest.raises(ArityError, match="certificate search"):
         TableMeasures(15, 0).cert_lanes
 

@@ -562,39 +562,30 @@ def test_monomial_potential_failure_path(monkeypatch, name, sens):
 # the rrcm row: one pass for every base kind, in the order of kinds
 # ---------------------------------------------------------------------------
 
-def _raise_on_restriction(monkeypatch, field, n, j0, b, table, ii=0):
-    """Make ``field`` read 10 more at coordinate ``ii`` of the record of the
-    restriction x_(j0+1) = b of the n-input ``table``: an axiom1 hit there."""
-    sub = bfc.bf.restrict_bit(table, n, j0, b)
-    kernel = getattr(TableMeasures, field).func
-
-    def raised(rec):
-        vals = kernel(rec)
-        if (rec.n, rec.table) == (n - 1, sub):
-            return vals[:ii] + (vals[ii] + 10,) + vals[ii + 1:]
-        return vals
-
-    monkeypatch.setattr(TableMeasures, field, property(raised))
+def _lower_on_record(rec, field, i0):
+    """Make ``field`` of f's own record read 0 at coordinate ``i0``: each
+    branch on which i0 matters then exceeds it, an axiom1 hit."""
+    vals = getattr(rec, field)
+    vars(rec)[field] = vals[:i0] + (0,) + vals[i0 + 1:]
 
 
-def test_rrcm_row_reports_the_first_kind_before_the_first_restriction(monkeypatch):
-    # a CERT hit at j = 1 and a SENS hit at j = 4: the row names SENS, at
+def test_rrcm_row_reports_the_first_kind_before_the_first_restriction():
+    # a CERT hit at j = 1 and a SENS hit at j = 2: the row names SENS, at
     # the (i, j, b, axiom) of the SENS scan alone
     n, t = 5, random.Random(27).getrandbits(32)
-    _raise_on_restriction(monkeypatch, "sens_i", n, 3, 1, t)
-    _raise_on_restriction(monkeypatch, "cert_i", n, 0, 0, t)
-    table_measures.cache_clear()
-    rec = table_measures(n, t)
+    rec = TableMeasures(n, t)
+    assert all(rec.diffs)
+    _lower_on_record(rec, "sens_i", 0)
+    _lower_on_record(rec, "cert_i", 4)
     sens = coordinate._rrcm_violation(rec, (coordinate.SENS_I,), range(n))
     cert = coordinate._rrcm_violation(rec, (coordinate.CERT_I,), range(n))
     assert coordinate._rrcm_violation(rec, (coordinate.DEG_I,), range(n)) is None
-    assert sens[2] == 3 and cert[2] == 0  # CERT fails at an earlier j
+    assert sens[1:] == (0, 1, 0, "axiom1") and cert[1:] == (4, 0, 0, "axiom1")
     assert coordinate._rrcm_violation(rec, coordinate.ALL_BASE_KINDS, range(n)) == sens
-    _, i0, j0, b, axiom = sens
-    assert verify._check_rrcm(rec) == ("FAIL", f"sens i={i0+1} j={j0+1} b={b}", axiom)
+    assert verify._check_rrcm(rec) == ("FAIL", "sens i=1 j=2 b=0", "axiom1")
 
 
-def test_rrcm_row_fails_on_a_deg_hit_where_cert_is_capped(monkeypatch):
+def test_rrcm_row_fails_on_a_deg_hit_where_cert_is_capped():
     # cert_i of a 15-input table is past the certificate cap, which skips
     # the row; a DEG hit, scanned first, still makes it fail
     n, t = 15, random.Random(15).getrandbits(1 << 15)
@@ -602,14 +593,22 @@ def test_rrcm_row_fails_on_a_deg_hit_where_cert_is_capped(monkeypatch):
     with pytest.raises(ArityError):
         rec.cert_i
     assert verify._run_check(verify._check_rrcm, rec) == ("SKIP", 0, 0)
-    _raise_on_restriction(monkeypatch, "deg_i", n, 2, 0, t)
-    table_measures.cache_clear()
     rec = TableMeasures(n, t)
+    _lower_on_record(rec, "deg_i", 2)
     hit = coordinate._rrcm_violation(rec, (coordinate.DEG_I,), range(n))
-    assert hit[2:] == (2, 0, "axiom1")
-    _, i0, j0, b, axiom = hit
-    want = ("FAIL", f"deg i={i0+1} j={j0+1} b={b}", axiom)
+    assert hit[1:] == (2, 0, 0, "axiom1")
+    want = ("FAIL", "deg i=3 j=1 b=0", "axiom1")
     assert verify._run_check(verify._check_rrcm, rec) == want
+
+
+def test_rrcm_row_builds_no_restriction_record():
+    # the row reads f's own record and stacks of the restrictions' tables
+    table_measures.cache_clear()
+    for _, f in parse_corpus("random:8:12:1"):
+        rec = table_measures(f.n, f.table)
+        size = table_measures.cache_info().currsize
+        assert verify._check_rrcm(rec) == ("PASS", "-", "-")
+        assert table_measures.cache_info().currsize == size
 
 
 # ---------------------------------------------------------------------------
