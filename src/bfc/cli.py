@@ -38,10 +38,13 @@ from .lp import LP_CAP_SCAN_MAX_DEGREE, lp_bs_cap
 from .measures import APPROX_DEGREE_MAX_ARITY, measure_report, table_measures
 from .verify import run_theorem_suite, suite_failures
 
-# functions `verify` runs unless --no-budget is given: the suite takes about
-# 0.2-0.8 ms per function of 1..6 inputs (raw, one 2-core x86-64 host), so
-# the budget is a minute or two there, and all:4 (65,536) fits within it
-VERIFY_BUDGET = 1 << 17
+# points (2^n per function) `verify` runs unless --no-budget is given: the
+# suite took 0.45-8.6 us per point on all:4, monotone:5 and random corpora
+# of 6-16 inputs (raw, in-process, one 2-core x86-64 host), so the budget is
+# at most about 40 s of suite there, and all:4 (2^20 points) fits within it;
+# below 6 inputs a function's fixed cost of about 0.3 ms dominates (random
+# 4-input tables took 20 us per point, 2-input ones 76 us)
+VERIFY_BUDGET = 1 << 22
 
 
 def _load_function(args) -> BooleanFunction:
@@ -122,10 +125,11 @@ def _cmd_table(args) -> int:
 
 def _cmd_verify(args) -> int:
     corpus = parse_corpus(args.corpus)
-    if len(corpus) > VERIFY_BUDGET and not args.no_budget:
+    points = corpus.points()
+    if points > VERIFY_BUDGET and not args.no_budget:
         raise ValueError(
-            f"corpus {corpus.describe()} holds {len(corpus)} functions, more than "
-            f"the budget of {VERIFY_BUDGET}; --no-budget lifts it"
+            f"corpus {corpus.describe()} holds {points} points (2^n per function), "
+            f"more than the budget of {VERIFY_BUDGET}; --no-budget lifts it"
         )
     checks = run_theorem_suite(corpus)
     print(f"corpus\t{corpus.describe()}\t{len(corpus)}")
@@ -187,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument(
         "--no-budget",
         action="store_true",
-        help=f"run a corpus of more than {VERIFY_BUDGET} functions",
+        help=f"run a corpus of more than {VERIFY_BUDGET} points (2^n per function)",
     )
     pv.set_defaults(fn=_cmd_verify)
 

@@ -29,11 +29,13 @@ from .bf import (
 )
 from .bounds import _pow2
 from .measures import (
-    _STACK_POINTS,
     EXACT_SEARCH_MAX_ARITY,
     TableMeasures,
-    _RestrictionStack,
-    _branch_pairs,
+    _edge_sums,
+    _flip_lanes,
+    _lane_halves,
+    _lane_max,
+    _lanes,
     _size_levels,
     _top_size,
     table_measures,
@@ -214,15 +216,13 @@ def _rrcm_violation(
     irrelevant while i0 matters for f, the other branch's measure drops by
     at least one.  The order is ``kinds``, then j0, then i0 in ``coords``,
     then b.  No record of a restriction is built or read: ``_Axioms``
-    decides every (i0, j0) by lane-wise threshold tests on f's own record
-    and on stacks of the restrictions' tables, in stacks of at most
-    ``measures._STACK_POINTS`` points or one branch pair, and reads exact
+    decides every (i0, j0) by lane-wise threshold tests on f's own record,
+    whose points carry the restrictions' s_x and C_x, and reads exact
     per-branch values only where a test fails.  A kind kept from f by an
     arity cap raises its ArityError once no kind before it fails; no later
     kind is read.
     """
     coords = tuple(coords)
-    n = rec.n
     vals = []
     capped = None
     for kind in kinds:
@@ -231,32 +231,19 @@ def _rrcm_violation(
         except ArityError as err:
             capped = err
             break
-    if not vals and capped is not None:
-        raise capped
     axioms = _Axioms(rec, coords)
-    wanted = axioms.wanted
-    js = [j0 for j0 in range(n) if len(wanted) > 1 or wanted - {j0}]
-    per = max(1, _STACK_POINTS >> n)  # branch pairs, 2**n points each, per stack
-    hit = None
-    live = len(vals)  # the kinds before the first one found failing
-    for at in range(0, len(js), per):
-        axioms.stack(js[at:at + per])
-        for k in range(live):
-            found = axioms.first_hit(kinds[k], vals[k])
-            if found:
-                hit = (kinds[k], *found)
-                live = k
-                break
-        if not live:
-            break
-    if hit is None and capped is not None:
+    for kind, m in zip(kinds, vals):
+        found = axioms.first_hit(kind, m)
+        if found:
+            return (kind, *found)
+    if capped is not None:
         raise capped
-    return hit
+    return None
 
 
 class _Axioms:
-    """Both axioms at every (i, j) of one function's ``coords``, one stack
-    of restrictions at a time, for ``_rrcm_violation``.
+    """Both axioms at every (i, j) of one function's ``coords``, for
+    ``_rrcm_violation``.
 
     Write m_i for f's measure at i, and drop_ij = 1 iff i is relevant in f
     and irrelevant on one branch of x_j, whose measure at i is then 0.
@@ -267,22 +254,33 @@ class _Axioms:
     kinds pass (its per-branch values and m_i are the same mix of theirs),
     so it is scanned only at their failing pairs.
 
-    deg needs no stack: the largest deg_i over the branches of x_j is the
+    deg needs no lanes: the largest deg_i over the branches of x_j is the
     largest |S| with i in S, j not in S and c_S or c_(S+j) nonzero, so the
     pairs of one i are tested at once against the union of those supports
-    over every j, and its drop pairs at once against their union.  sens
-    and cert read E, the sums over each block's sensitive edges of s_x or
-    C_x along its coordinate k (``measures._RestrictionStack.edge_sums``):
-    f's coordinate k in the blocks of j > k, and k + 1 in those of j <= k.
-    Adding 127 - m_i + drop_ij to the bytes of pair j sets a byte's 0x80
-    bit iff it exceeds m_i - drop_ij.  With m_i clamped to -1..127 a byte
-    gains at most 129, and E is at most 2(n - 1) <= 38, so no byte carries.
+    over every j, and its drop pairs at once against their union.
+
+    sens and cert read f's own 2**n points.  Block j of
+    ``rec.branch_sens_lanes`` or ``rec.branch_cert_lanes`` holds, at each
+    point x, the restriction f|x_j=x_j's s_x or C_x there, and an edge
+    along i != j never leaves its branch of x_j, so both branches of x_j
+    sit in block j under f's own coordinate numbering.  E_ij, the sum of
+    block j and its flip along i masked to f's sensitive i-edges, is then
+    the restriction's edge sum along i, whose largest byte over x_j = b
+    is the branch's measure at i.  Adding 127 - m_i + drop_ij sets a
+    byte's 0x80 bit iff it exceeds m_i - drop_ij.
+
+    Every block is at most f's own lanes, byte by byte: s_x falls by
+    [x is sensitive to j], and C_x - 1 <= C^j_x <= C_x
+    (``measures._cert_walk``).  So E_ij is at most E_i, the same sum over
+    f's own lanes, and where E_i stays at most m_i only the drop pairs of
+    i can fail; the other pairs of i are tested only where E_i does not.
+    One block of 2**n points is built at a time, whatever the arity, and
+    f's edge lanes are kept for the coordinates under test alone.
     """
 
     def __init__(self, rec: TableMeasures, coords: tuple[int, ...]):
         n = rec.n
         self.rec, self.n, self.coords = rec, n, coords
-        self.wanted = set(coords)
         # bit j of dead[b][i]: i matters for f but not on its branch x_j = b
         self.dead = dead = ([0] * n, [0] * n)
         halves = [half_mask(n, j) for j in range(n)]
@@ -293,23 +291,16 @@ class _Axioms:
                 elif not d >> (1 << j) & lo:
                     dead[1][i] |= 1 << j
         self.drop = [a | b for a, b in zip(*dead)]
-        self.deg_pairs = None
-        self.pairs = None  # f's branch pairs, for the stacks
-
-    def stack(self, js: list[int]) -> None:
-        """Move on to the restrictions of ``js``."""
-        self.js = js
-        self.restrictions = None
-        self.lane_pairs = {}
+        self.ones = _lanes((1 << (1 << n)) - 1)
+        self.pairs = {}
 
     def first_hit(self, kind: CoordinateMeasureKind, m: tuple) -> tuple[int, int, int, str] | None:
-        """First (i0, j0, b, axiom) of ``kind`` over the current stack, whose
-        f values are ``m``."""
+        """First (i0, j0, b, axiom) of ``kind``, whose f values are ``m``."""
         first, *rest = map(self._failing, _BASES[kind.tag])
         failing = first.union(*rest) if rest else first
         if not failing:
             return None
-        for j in self.js:
+        for j in range(self.n):
             for i in self.coords:
                 if (i, j) not in failing:
                     continue
@@ -323,13 +314,9 @@ class _Axioms:
 
     def _failing(self, tag: str) -> set[tuple[int, int]]:
         """The (i, j) at which base ``tag`` fails the threshold test."""
-        if tag == "deg":
-            if self.deg_pairs is None:
-                self.deg_pairs = self._deg_failing()
-            return self.deg_pairs
-        got = self.lane_pairs.get(tag)
+        got = self.pairs.get(tag)
         if got is None:
-            got = self.lane_pairs[tag] = self._lane_failing(tag)
+            got = self.pairs[tag] = self._deg_failing() if tag == "deg" else self._lane_failing(tag)
         return got
 
     def _deg_failing(self) -> set[tuple[int, int]]:
@@ -359,60 +346,48 @@ class _Axioms:
                     out.update((i, j) for j in drop_js)
         return out
 
-    def _stack(self) -> _RestrictionStack:
-        """The stack of the restrictions of the current ``js``, and per
-        coordinate k of its blocks the lanes the threshold tests add to:
-        ``rows[k]`` is (low, high, dropped, q), where the q pairs of j <= k
-        lead the stack and hold f's coordinate k + 1, ``low`` has 1 in
-        their bytes and ``high`` in the others (coordinate k), and
-        ``dropped`` has 1 in the bytes of the drop pairs."""
-        if self.restrictions is None:
-            n, js = self.n, self.js
-            if self.pairs is None:
-                self.pairs = _branch_pairs(n, self.rec.table)
-            self.restrictions = _RestrictionStack(n, [self.pairs[j] for j in js])
-            pair = 8 << n  # bits per branch pair
-            ones = int.from_bytes(b"\x01" * (len(js) << n), "little")
-            one = ones & (1 << pair) - 1
-            at = {j: p for p, j in enumerate(js)}
-            self.rows = []
-            q = 0
-            for k in range(n - 1):
-                while q < len(js) and js[q] <= k:
-                    q += 1
-                low = ones & (1 << pair * q) - 1
-                # bit j: drop_ij for the i whose coordinate k pair j holds
-                upto = (2 << k) - 1
-                pick = self.drop[k + 1] & upto | self.drop[k] & ~upto
-                dropped = 0
-                while pick:
-                    j = (pick & -pick).bit_length() - 1
-                    dropped += one << pair * at[j] if j in at else 0
-                    pick &= pick - 1
-                self.rows.append((low, ones - low, dropped, q))
-            self.top_bits = ones << 7
-        return self.restrictions
+    def _block(self, tag: str, j: int) -> int:
+        """Block j of the restrictions' s_x or C_x."""
+        if tag == "sens":
+            return self.rec.branch_sens_lanes(j)
+        bits = 8 << self.n
+        return self.rec.branch_cert_lanes >> bits * j & (1 << bits) - 1
 
     def _lane_failing(self, tag: str) -> set[tuple[int, int]]:
-        st, js = self._stack(), self.js
-        points = getattr(st, tag)
-        # 127 - m_i with m_i clamped to -1..127, or 0 (no byte of E reaches
-        # 0x80) for an i outside coords; a drop pair gets one more
-        lift = [
-            (128 if v < 0 else 127 - v if v < 127 else 0) if i in self.wanted else 0
-            for i, v in enumerate(getattr(self.rec, f"{tag}_i"))
-        ]
-        pair = 8 << self.n
+        n, drop, rec = self.n, self.drop, self.rec
+        m = getattr(rec, f"{tag}_i")
+        own = rec.sens_lanes if tag == "sens" else rec.cert_lanes
+        t, ones = rec.table_lanes, self.ones
+        top = ones << 7
+        # 127 - m_i with m_i clamped to -1, and one more at a drop pair:
+        # sums of at most 2n <= 40 gain at most 129, so no byte carries.
+        # The flips of _edge_sums are written out: this loop is the row's
+        # hot path on small tables
+        lift = [127 - max(v, -1) for v in m]
+        edges = {}  # per i tested: its flip and f's sensitive i-edges
+        tests = [[] for _ in range(n)]  # per j, the i whose pair (i, j) is tested
+        for i in self.coords:
+            if m[i] >= 127:  # no sum of two bytes reaches it
+                continue
+            lo, s = _lane_halves(n)[i]
+            edge = (t ^ ((t >> s) & lo | (t & lo) << s)) * 255
+            if (own + ((own >> s) & lo | (own & lo) << s) & edge) + lift[i] * ones & top:
+                pending = (1 << n) - 1 ^ 1 << i
+            else:
+                pending = drop[i]
+            if pending:
+                edges[i] = lo, s, edge
+            while pending:
+                tests[(pending & -pending).bit_length() - 1].append(i)
+                pending &= pending - 1
         out = set()
-        for k, (low, high, dropped, q) in enumerate(self.rows):
-            if lift[k] or lift[k + 1]:
-                lifted = lift[k + 1] * low + lift[k] * high + dropped
-                over = (st.edge_sums(points, k) + lifted) & self.top_bits
-                if over:
-                    out.update(
-                        (k + 1 if p < q else k, j)
-                        for p, j in enumerate(js) if over >> pair * p & (1 << pair) - 1
-                    )
+        for j, idx in enumerate(tests):
+            p = self._block(tag, j) if idx else 0
+            for i in idx:
+                lo, s, edge = edges[i]
+                sums = p + ((p >> s) & lo | (p & lo) << s) & edge
+                if sums + (lift[i] + (drop[i] >> j & 1)) * ones & top:
+                    out.add((i, j))
         return out
 
     def _value(self, kind: CoordinateMeasureKind, i: int, j: int, b: int):
@@ -422,11 +397,13 @@ class _Axioms:
 
     def _base(self, tag: str, i: int, j: int, b: int) -> int:
         """deg_i, sens_i or cert_i of f|x_j=b at f's coordinate i."""
+        n = self.n
         if tag == "deg":
-            return _top_size(self.n, self._support(j, b), i)
-        st = self._stack()
-        k = i if j > i else i - 1
-        return st.block_max(st.edge_sums(getattr(st, tag), k), 2 * self.js.index(j) + b)
+            return _top_size(n, self._support(j, b), i)
+        t, halves = self.rec.table_lanes, _lane_halves(n)
+        sums = _edge_sums(self._block(tag, j), t ^ _flip_lanes(t, *halves[i]), *halves[i])
+        lo, s = halves[j]
+        return _lane_max(sums >> s & lo if b else sums & lo, n)
 
     def _support(self, j: int, b: int) -> int:
         """The Moebius support of f|x_j=b, as masks of f's coordinates."""

@@ -93,6 +93,13 @@ class Corpus:
             return self.count
         return len(self.names)
 
+    def points(self) -> int:
+        """The sum of 2**n over the functions, counted without enumerating
+        an ``all``, ``monotone`` or ``random`` corpus."""
+        if self.kind == "named":
+            return sum(1 << f.n for _, f in self)
+        return len(self) << self.n
+
     def _tables(self) -> Iterable[int]:
         """Every table of an ``all``, ``monotone`` or ``random`` corpus, in
         corpus order."""

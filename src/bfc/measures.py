@@ -3,7 +3,7 @@
 All search-heavy measures (block sensitivity, certificates, decision-tree
 depth) run in exact mode only, guarded by arity caps that raise instead of
 truncating.  Each cap is checked by ``bf.check_arity`` inside the code
-that every caller shares (``_cert_lanes_stack``, ``TableMeasures.bs``,
+that every caller shares (``_cert_walk``, ``TableMeasures.bs``,
 ``TableMeasures.dt``, and ``coordinate._monomial_sens_violation``), so the
 theorem suite meets the same caps as the public functions;
 ``approx_degree`` and ``lp.adeg_lp`` check the approximate-degree cap.
@@ -38,17 +38,15 @@ tuples and block sensitivity decode the bytes.  deg_i takes the Möbius
 nonzeros one bit per mask S (the record's ``support``) and tests them
 against the masks of each size (``_size_levels``), from n down.
 
-Certificate walks run on stacks.  ``_cert_lanes_stack`` places tables of
-one arity side by side, each a block of 2**n points of one integer, and
-grows the subcubes of all of them in one walk over their n coordinates,
-whose flips never leave a block; a set S is then extended once for the
-stack, not once per table.  A record's own ``cert_lanes`` is the stack of
-one.  ``_RestrictionStack`` stacks the 2n restrictions f|x_j=b of one
-function the same way, for the theorem suite's ``rrcm`` row, which reads
-their s_x, their C_x and the sums of either over their sensitive edges
-for all of them at once, and builds no record for any of them.  The row
-stacks at most 2**EXACT_SEARCH_MAX_ARITY points or one branch pair at a
-time (``_STACK_POINTS``), so no stacked integer outgrows f's own lanes.
+A record's restrictions f|x_j=b are read on its own points.  Fixing
+x_j = b keeps every point x with x_j = b, and a monochromatic subcube of
+f|x_j=b there is one of f at x whose free set avoids j, so one
+certificate walk of f (``_cert_walk``) gives C_x and, in block j of
+``branch_cert_lanes``, the C_x of f|x_j=x_j at every x; block j of
+``branch_sens_lanes`` is s_x less 1 where x is sensitive to j.  An edge
+along i != j never leaves its branch of x_j, so the theorem suite's
+``rrcm`` and ``mono_dt_intersect`` rows read the restrictions' values
+off these blocks and build no record for any restriction.
 
 Every field is a pure function of the table, so concurrent readers of one
 record that race on a field compute the same value.
@@ -58,7 +56,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .bf import (
     _BIT_BYTES,
@@ -183,58 +181,79 @@ class CertificateReport(NamedTuple):
     per_point: tuple[int, ...]
 
 
-def _stacked(n: int, tables: Sequence[int]) -> int:
-    """The tables of arity n side by side: table k is block k, bits
-    k 2**n .. (k+1) 2**n - 1."""
-    stack = 0
-    for t in reversed(tables):
-        stack = stack << (1 << n) | t
-    return stack
-
-
-def _cert_lanes_stack(n: int, tables: Sequence[int]) -> int:
-    """C_x packed, n minus the dimension of the largest monochromatic subcube
-    at x, for each of ``tables`` (all of arity n) side by side, from one
-    walk: block k, bytes k 2**n .. (k+1) 2**n - 1, is table k's.
+def _cert_walk(n: int, table: int) -> tuple[int, int]:
+    """(C_x, C^j_x) packed, from one walk: C_x is n minus the dimension K_x
+    of the largest monochromatic subcube at x, and block j of the second,
+    bytes j 2**n .. (j+1) 2**n - 1, holds C^j_x = n - 1 - K^j_x, with K^j_x
+    the largest dimension of one whose free set avoids j.
 
     A subcube of a monochromatic subcube is monochromatic, so the
     dimensions of those at x are 0..K_x, and K_x counts the k >= 1 for
     which x lies in a monochromatic subcube of dimension k.  Level k
     holds, for each k-set S whose mask ``mono[S]`` (bit x set iff f is
-    constant on {x ^ T : T <= S}) is nonzero, the pair (top, mono[S])
-    with top one above the highest coordinate of S.  S + i, for i >= top,
-    has mask mono[S] & (mono[S] flipped along i) & (f agrees across i):
-    f is constant on the subcubes spanned by S at x and at x ^ i, and
-    takes one value at both.  Every superset of a zero mask is zero, so
-    a level lists only the nonzero masks, and each set is reached once,
-    from its prefix.
+    constant on {x ^ T : T <= S}) is nonzero, the pair (S, mono[S]).
+    S + i, for i above every coordinate of S, has mask mono[S] & (mono[S]
+    flipped along i) & (f agrees across i): f is constant on the subcubes
+    spanned by S at x and at x ^ i, and takes one value at both.  Every
+    superset of a zero mask is zero, so a level lists only the nonzero
+    masks, and each set is reached once, from its prefix.
 
-    Table k is block k, points k 2**n .. (k+1) 2**n - 1, of one stacked
-    table of arity ``width``.  Flips along coordinates 0..n-1 never leave
-    a block, so each mask holds the masks of S for every table, and S is
-    extended once for the stack; ``full`` covers the blocks of the tables
-    alone, so the padding of the stack to 2**width points never joins a
-    mask, and its bytes stay 0.
+    Dropping j, or any coordinate when j is not in it, from the free set
+    of a largest subcube at x leaves one of dimension K_x - 1 that avoids
+    j, so K^j_x is K_x - 1 or K_x, and it is K_x iff x lies in a mask of
+    level K_x whose set avoids j (always, when K_x = 0).  So C^j_x is C_x
+    less 1 at the points of ``avoid[j]``: after each level is extended, its
+    masks, cut to the points that lie in no mask of the next level, are
+    ORed into ``avoid[j]`` for every j outside their set.  Every j at or
+    above top, one above the highest coordinate of S, is outside S, so
+    those masks are ORed by top first and a running OR over top covers
+    those j; only the j below top take one OR per mask.
+
+    A monochromatic subcube of f|x_j=b at y is one of f at the point x
+    that puts x_j = b back into y, with a free set that avoids j, so
+    C^j_x is the certificate complexity of f|x_j=x_j at that point.
     """
     check_arity(n, EXACT_SEARCH_MAX_ARITY, "certificate search")
-    width = n + (len(tables) - 1).bit_length()
-    stack = _stacked(n, tables)
-    full = (1 << (len(tables) << n)) - 1
-    agree = [full ^ diff_mask(stack, width, i) for i in range(n)]
+    size = 1 << n
+    full = (1 << size) - 1
+    agree = [full ^ diff_mask(table, n, i) for i in range(n)]
     cx = n * _lanes(full)
-    level = [(i + 1, a) for i, a in enumerate(agree) if a]
+    level = [(1 << i, a) for i, a in enumerate(agree) if a]
+    edged = 0
+    for a in agree:
+        edged |= a
+    avoid = [full ^ edged] * n  # the points with K_x = 0
     while level:
-        up = 0
+        up = higher = 0
         wider = []
-        for top, m in level:
+        for sset, m in level:
             up |= m
-            for i in range(top, n):
-                c = m & flip_table(m, width, i) & agree[i]
+            for i in range(sset.bit_length(), n):
+                c = m & flip_table(m, n, i) & agree[i]
                 if c:
-                    wider.append((i + 1, c))
+                    wider.append((sset | 1 << i, c))
+                    higher |= c
         cx -= _lanes(up)
+        by_top = [0] * (n + 1)
+        for sset, m in level:
+            m &= ~higher
+            if m:
+                top = sset.bit_length()
+                by_top[top] |= m
+                rest = sset ^ (1 << top) - 1  # the j below top outside S
+                while rest:
+                    low = rest & -rest
+                    avoid[low.bit_length() - 1] |= m
+                    rest ^= low
+        run = 0
+        for j in range(n):
+            avoid[j] |= run
+            run |= by_top[j + 1]
         level = wider
-    return cx
+    stack = 0
+    for a in reversed(avoid):
+        stack = stack << size | a
+    return cx, int.from_bytes(cx.to_bytes(size, "little") * n, "little") - _lanes(stack)
 
 
 def _minimal_sensitive_blocks(n: int, table: int, x: int) -> list[int]:
@@ -363,9 +382,10 @@ class TableMeasures:
     ``table_measures`` hands out the shared record of each table; a record
     built directly starts empty.  Decision-tree depth recurses through the
     shared records of the restrictions.  Of the packed per-point values
-    (one byte per point, see the module docstring) only f, s_x and C_x are
-    kept; the byte masks of f's values and of the sensitive points are
-    rebuilt where they are read.
+    (one byte per point, see the module docstring) only f, s_x, C_x and
+    the restrictions' C_x are kept; the byte masks of f's values and of
+    the sensitive points, and the restrictions' s_x, are rebuilt where
+    they are read.
     """
 
     def __init__(self, n: int, table: int):
@@ -409,6 +429,15 @@ class TableMeasures:
             sx += t ^ _flip_lanes(t, lo, s)
         return sx
 
+    def branch_sens_lanes(self, j: int) -> int:
+        """Byte x is the sensitivity of f|x_j=x_j at the point x, which is
+        s_x less 1 where x is sensitive to j: block j of the restrictions'
+        s_x, the sibling of ``branch_cert_lanes``.  Built where it is read
+        and never kept, since sensitivity serves arities up to
+        ``bf.MAX_ARITY``."""
+        t = self.table_lanes
+        return self.sens_lanes - (t ^ _flip_lanes(t, *_lane_halves(self.n)[j]))
+
     @_lazy
     def point_sens(self) -> tuple[int, ...]:
         return tuple(self.sens_lanes.to_bytes(1 << self.n, "little"))
@@ -437,10 +466,21 @@ class TableMeasures:
         return max(self.deg_i, default=0)
 
     @_lazy
+    def cert_walk(self) -> tuple[int, int]:
+        """``cert_lanes`` and ``branch_cert_lanes``, from one ``_cert_walk``."""
+        return _cert_walk(self.n, self.table)
+
+    @_lazy
     def cert_lanes(self) -> int:
         """C_x packed: n minus the dimension of the largest monochromatic
-        subcube at x; the walk of ``_cert_lanes_stack`` on this table alone."""
-        return _cert_lanes_stack(self.n, (self.table,))
+        subcube at x."""
+        return self.cert_walk[0]
+
+    @_lazy
+    def branch_cert_lanes(self) -> int:
+        """n blocks of 2**n byte lanes: byte x of block j is the certificate
+        complexity of f|x_j=x_j at the point x (``_cert_walk``)."""
+        return self.cert_walk[1]
 
     @_lazy
     def point_certs(self) -> tuple[int, ...]:
@@ -561,9 +601,10 @@ class TableMeasures:
         EXACT_SEARCH_MAX_ARITY, so one pass for both would put sens_i
         behind the certificate cap.  The rrcm row needs no maximum over
         the restrictions' edges, only whether each stays below f's value:
-        it adds a threshold to the stacked sums (``_RestrictionStack``)
-        and tests one bit per byte, and runs this byte search on one block
-        only where that test fails (``coordinate._rrcm_violation``).
+        it adds a threshold to the same sums over the blocks of
+        ``branch_sens_lanes`` and ``branch_cert_lanes`` and tests one bit
+        per byte, and runs this byte search on one block only where that
+        test fails (``coordinate._Axioms``).
         """
         n, t = self.n, self.table_lanes
         return tuple(
@@ -586,75 +627,6 @@ class TableMeasures:
 def table_measures(n: int, table: int) -> TableMeasures:
     """The shared record of ``(n, table)``: the one memo of per-table measures."""
     return TableMeasures(n, table)
-
-
-# a stack of restrictions holds at most the points of one table at the arity
-# cap, or one branch pair (as many points as f), so no stacked integer
-# outgrows f's own lanes
-_STACK_POINTS = 1 << EXACT_SEARCH_MAX_ARITY
-
-
-def _branch_pairs(n: int, table: int) -> list[int]:
-    """Entry j: f with x_j moved to the top coordinate and the others kept in
-    order, whose low half is f|x_j=0 and whose high half is f|x_j=1.
-
-    Entry n - 1 is f, and entry j is entry j + 1 with coordinates j and
-    n - 1 exchanged, one delta swap.
-    """
-    pairs = [table]
-    low_top = half_mask(n, n - 1)
-    for j in range(n - 2, -1, -1):
-        shift = (1 << (n - 1)) - (1 << j)
-        d = (table >> shift ^ table) & low_top & ~half_mask(n, j)
-        table ^= d ^ d << shift
-        pairs.append(table)
-    return pairs[::-1]
-
-
-class _RestrictionStack:
-    """The restrictions f|x_j=b of an n-input table, side by side as
-    ``_cert_lanes_stack`` stacks tables: block 2p + b, of 2**(n-1) byte
-    lanes, holds f|x_j=b for the p-th of ``pairs``, each a branch pair
-    f|x_j=0, f|x_j=1 of ``_branch_pairs``.
-
-    Every field covers all blocks at once: ``edges[k]`` has byte x set iff
-    point x is sensitive to its block's coordinate k, ``sens`` is s_x, the
-    sum of the n - 1 edges, and ``cert`` is C_x, from one certificate walk.
-    Flips along coordinates 0..n-2 never leave a block.  No record of a
-    restriction is built.
-    """
-
-    def __init__(self, n: int, pairs: Sequence[int]):
-        self.n = n - 1  # the arity of each block
-        self.pairs = pairs
-        width = n + (len(pairs) - 1).bit_length()
-        self.halves = _lane_halves(width)[: self.n]
-
-    @_lazy
-    def edges(self) -> list[int]:
-        t = _lanes(_stacked(self.n + 1, self.pairs))
-        return [t ^ _flip_lanes(t, lo, s) for lo, s in self.halves]
-
-    @_lazy
-    def sens(self) -> int:
-        return sum(self.edges)
-
-    @_lazy
-    def cert(self) -> int:
-        size = 1 << self.n
-        tables = [t for p in self.pairs for t in (p & (1 << size) - 1, p >> size)]
-        return _cert_lanes_stack(self.n, tables)
-
-    def edge_sums(self, point: int, k: int) -> int:
-        """``_edge_sums`` of the packed ``point`` along each block's
-        coordinate k: at most 2(n - 1) per byte."""
-        lo, s = self.halves[k]
-        return _edge_sums(point, self.edges[k], lo, s)
-
-    def block_max(self, v: int, block: int) -> int:
-        """The largest byte of block ``block`` of the packed ``v``."""
-        bits = 8 << self.n
-        return _lane_max(v >> (bits * block) & ((1 << bits) - 1), self.n)
 
 
 # ---------------------------------------------------------------------------

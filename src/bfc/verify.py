@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import compress
 from typing import NamedTuple
 
-from .bf import ArityError, BooleanFunction, _bit_string, restrict_bit
+from .bf import ArityError, BooleanFunction, _bit_string, half_mask
 from .bounds import cs_sens_bound
 from .corpus import Corpus
 from .coordinate import (
@@ -40,7 +40,7 @@ from .coordinate import (
     _monomial_sens_violation,
     _rrcm_violation,
 )
-from .measures import TableMeasures, approx_degree, table_measures
+from .measures import TableMeasures, _lane_halves, _lane_min, approx_degree, table_measures
 
 # constants certified by the bound engine (see bounds.dp_degree and friends),
 # kept exact so that each is compared with an integer count as integers
@@ -172,15 +172,30 @@ def _markov_quadratic(bs: int, d: int) -> bool:
 def _dt_intersect(n: int, table: int, i0: int) -> tuple[int, int] | None:
     """(Cmin0(f0) + Cmin1(f1), |shared| + 1) for the branches f0, f1 at the
     0-based root ``i0`` of a monotone f, or None when a branch is constant;
-    shared are the coordinates relevant to both branches."""
-    t0 = restrict_bit(table, n, i0, 0)
-    t1 = restrict_bit(table, n, i0, 1)
-    full = (1 << (1 << (n - 1))) - 1
-    if t0 in (0, full) or t1 in (0, full):
+    shared are the coordinates relevant to both branches.
+
+    Both are read on f's own record, which builds no branch record: block
+    i0 of ``branch_cert_lanes`` holds f0's C at f's points with x_i0 = 0
+    and f1's at those with x_i0 = 1, and a coordinate k is relevant to the
+    branch x_i0 = b iff f's sensitive k-edges meet that half.
+    """
+    rec = table_measures(n, table)
+    lo = half_mask(n, i0)
+    halves = [table & lo, table >> (1 << i0) & lo]
+    if any(h in (0, lo) for h in halves):
         return None
-    r0, r1 = table_measures(n - 1, t0), table_measures(n - 1, t1)
-    shared = sum(1 for x, y in zip(r0.diffs, r1.diffs) if x and y)
-    return r0.certs.Cmin0 + r1.certs.Cmin1, shared + 1
+    shared = sum(1 for k, d in enumerate(rec.diffs) if k != i0 and d & lo and d >> (1 << i0) & lo)
+    bits = 8 << n
+    block = rec.branch_cert_lanes >> bits * i0 & (1 << bits) - 1
+    zeros, ones = rec._value_masks()
+    lo_lanes = _lane_halves(n)[i0][0]
+    # the least byte over f0's 0-points and over f1's 1-points, every other
+    # point set to 0xff
+    cmin0, cmin1 = (
+        _lane_min(block | (1 << bits) - 1 ^ points, n)
+        for points in (zeros & lo_lanes, ones & ~lo_lanes)
+    )
+    return cmin0 + cmin1, shared + 1
 
 
 class DoublingFunction:

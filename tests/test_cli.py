@@ -18,6 +18,7 @@ from bfc.bounds import (
     cs_harmonic_bound,
 )
 from bfc.cli import VERIFY_BUDGET, main
+from bfc.corpus import parse_corpus
 from bfc.lp import LP_CAP_SCAN_MAX_DEGREE
 
 
@@ -141,15 +142,31 @@ def test_verify_deterministic():
 
 
 def test_verify_budget_is_lifted_by_its_flag(monkeypatch, capsys):
-    # at the budget the corpus runs; past it only --no-budget runs it, with
-    # the output the corpus has at any budget
+    # at the budget, 25 functions of 2^4 points, the corpus runs; past it
+    # only --no-budget runs it, with the output the corpus has at any budget
     _, want = run_cli("verify", "--corpus", "random:4:25:9")
-    monkeypatch.setattr(bfc.cli, "VERIFY_BUDGET", 25)
+    monkeypatch.setattr(bfc.cli, "VERIFY_BUDGET", 400)
     assert run_cli("verify", "--corpus", "random:4:25:9") == (0, want)
-    monkeypatch.setattr(bfc.cli, "VERIFY_BUDGET", 24)
+    monkeypatch.setattr(bfc.cli, "VERIFY_BUDGET", 399)
     assert run_cli("verify", "--corpus", "random:4:25:9") == (2, "")
-    assert "more than the budget of 24" in capsys.readouterr().err
+    assert "holds 400 points (2^n per function), more than the budget of 399" in (
+        capsys.readouterr().err
+    )
     assert run_cli("verify", "--corpus", "random:4:25:9", "--no-budget") == (0, want)
+
+
+def test_verify_budget_counts_points_without_enumerating():
+    # the sum of 2^n over the corpus, from its spec alone; every corpus the
+    # README and the goldens run fits the budget
+    for spec in ("all:2", "monotone:3", "random:5:7:1", "named:MAJ:3,AND:2,KUSHILEVITZ"):
+        corpus = parse_corpus(spec)
+        assert corpus.points() == sum(1 << f.n for _, f in corpus), spec
+    assert parse_corpus("all:4").points() == 1 << 20
+    for spec in (
+        "all:4", "monotone:5", "random:6:200:42", "random:8:12:7",
+        "named:KUSHILEVITZ,MAJ:3,MAF:3,ADDR:2,PARITY:4",
+    ):
+        assert parse_corpus(spec).points() <= VERIFY_BUDGET, spec
 
 
 def test_analyze_over_arity_cap_fails_cleanly(capsys):
@@ -219,8 +236,13 @@ def test_arity_past_the_cap_fails_cleanly(argv, text, tmp_path, capsys):
         (["verify", "--corpus", "random:3:-5:1"], "corpus random:3:-5:1 needs a count >= 0"),
         (
             ["verify", "--corpus", "random:6:100000000:1"],
-            f"corpus random:6:100000000:1 holds 100000000 functions, more than the budget "
-            f"of {VERIFY_BUDGET}; --no-budget lifts it",
+            f"corpus random:6:100000000:1 holds 6400000000 points (2^n per function), "
+            f"more than the budget of {VERIFY_BUDGET}; --no-budget lifts it",
+        ),
+        (
+            ["verify", "--corpus", "random:14:100000:1"],
+            f"corpus random:14:100000:1 holds 1638400000 points (2^n per function), "
+            f"more than the budget of {VERIFY_BUDGET}; --no-budget lifts it",
         ),
         (
             ["verify", "--corpus", "random:x:3:1"],
@@ -264,7 +286,7 @@ def test_arity_past_the_cap_fails_cleanly(argv, text, tmp_path, capsys):
     ],
     ids=[
         "dmax-past-cap", "dmax-zero", "bstep-zero", "bstep-negative", "count-negative",
-        "count-past-budget",
+        "count-past-budget", "wide-count-past-budget",
         "random-arity-not-integer", "random-seed-not-integer", "all-arity-not-integer",
         "named-size-not-integer",
         "beta-zero-denominator", "cs-dmax-zero", "cs-dmax-past-cap",

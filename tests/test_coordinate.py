@@ -413,15 +413,17 @@ def test_rrcm_kernel_matches_the_reference_on_lowered_records():
 
 
 def test_rrcm_branch_values_are_the_restriction_records():
-    # the per-branch deg_i, sens_i and cert_i the kernel reads, at every
-    # (i, j, b), against the records of the restrictions themselves
+    # the per-branch deg_i, sens_i and cert_i the kernel reads off f's own
+    # record (its Moebius support, and the blocks of branch_sens_lanes and
+    # branch_cert_lanes), at every (i, j, b), against the records of the
+    # restrictions themselves
     rng = random.Random(2026)
     tables = list(_lemma_corpus())
     tables += [(n, rng.getrandbits(1 << n)) for n in range(6, 11) for _ in range(3)]
     tables += [(n, rng.getrandbits(1 << n) & rng.getrandbits(1 << n)) for n in range(6, 11)]
     for n, t in tables:
-        axioms = coordinate._Axioms(TableMeasures(n, t), tuple(range(n)))
-        axioms.stack(list(range(n)))
+        rec = TableMeasures(n, t)
+        axioms = coordinate._Axioms(rec, tuple(range(n)))
         for j in range(n):
             for b in (0, 1):
                 sub = table_measures(n - 1, restrict_bit(t, n, j, b))

@@ -17,6 +17,7 @@ from bfc.bf import (
     flip_table,
     half_mask,
     mobius_vector,
+    restrict_bit,
 )
 from bfc.corpus import parse_corpus
 from bfc.lp import adeg_lp, simplex_feasible
@@ -237,13 +238,16 @@ def test_packing_matches_the_plain_search_on_seeded_points():
             assert got == _reference_packing(blocks, full), (n, hex(t), x)
 
 
-def _dense_cert_lanes(n, table):
+def _dense_cert_lanes(n, table, avoid=None):
     """cert_lanes as read off the dense table: n at every point, less one
-    for each dimension k >= 1 of a monochromatic subcube holding the point."""
+    for each dimension k >= 1 of a monochromatic subcube holding the point;
+    with ``avoid`` = j, n - 1 less one for each k of such a subcube whose
+    free set avoids j, block j of ``branch_cert_lanes``."""
     by_dim = [0] * (n + 1)
     for smask, m in enumerate(_mono_subcubes(n, table)):
-        by_dim[smask.bit_count()] |= m
-    cx = n * measures._lanes((1 << (1 << n)) - 1)
+        if avoid is None or not smask >> avoid & 1:
+            by_dim[smask.bit_count()] |= m
+    cx = (n if avoid is None else n - 1) * measures._lanes((1 << (1 << n)) - 1)
     up = 0
     for k in range(n, 0, -1):
         up |= by_dim[k]
@@ -257,7 +261,52 @@ def test_sparse_certificate_levels_match_the_dense_table():
     tables += [(n, t) for n in (0, 5, 14) for t in (0, (1 << (1 << n)) - 1)]
     tables += [(14, family(name, 14).table) for name in ("AND", "OR", "PARITY")]
     for n, t in tables:
-        assert TableMeasures(n, t).cert_lanes == _dense_cert_lanes(n, t), (n, hex(t))
+        rec = TableMeasures(n, t)
+        assert rec.cert_lanes == _dense_cert_lanes(n, t), (n, hex(t))
+        branches = sum(_dense_cert_lanes(n, t, j) << (8 << n) * j for j in range(n))
+        assert rec.branch_cert_lanes == branches, (n, hex(t))
+
+
+def _branch_tables():
+    """all:3, monotone:4 and seeded tables of 6..10 inputs, some sparse."""
+    rng = random.Random(31)
+    tables = [(f.n, f.table) for spec in ("all:3", "monotone:4") for _, f in parse_corpus(spec)]
+    tables += [(n, rng.getrandbits(1 << n)) for n in range(6, 11) for _ in range(2)]
+    tables += [(n, rng.getrandbits(1 << n) & rng.getrandbits(1 << n)) for n in range(6, 11)]
+    return tables
+
+
+def test_branch_lanes_are_the_restrictions_lanes():
+    # byte x of block j is s_x and C_x of f|x_j=x_j at the point that
+    # drops x_j from x, at every (j, b)
+    for n, t in _branch_tables():
+        rec = TableMeasures(n, t)
+        size = 1 << n
+        certs = rec.branch_cert_lanes.to_bytes(n << n, "little")
+        for j in range(n):
+            sens = rec.branch_sens_lanes(j).to_bytes(size, "little")
+            for b in (0, 1):
+                sub = table_measures(n - 1, restrict_bit(t, n, j, b))
+                at = [x for x in range(size) if x >> j & 1 == b]
+                got_c = tuple(certs[j * size + x] for x in at)
+                got_s = tuple(sens[x] for x in at)
+                assert got_c == sub.point_certs, (n, hex(t), j, b)
+                assert got_s == sub.point_sens, (n, hex(t), j, b)
+
+
+def test_branch_certificates_lie_within_one_of_f():
+    # K^j_x is K_x or K_x - 1: dropping j from the free set of a largest
+    # monochromatic subcube at x leaves one a dimension smaller; both ends
+    # are met
+    ends = Counter()
+    for n, t in _branch_tables():
+        rec = TableMeasures(n, t)
+        certs = rec.branch_cert_lanes.to_bytes(n << n, "little")
+        for j in range(n):
+            for c, cj in zip(rec.point_certs, certs[j << n:(j + 1) << n]):
+                assert c - 1 <= cj <= c, (n, hex(t), j)
+                ends[c - cj] += 1
+    assert ends[0] and ends[1]
 
 
 def test_certificate_bound_skips_points_and_visits_loose_ones(monkeypatch):
@@ -287,28 +336,30 @@ def test_certificate_bound_skips_points_and_visits_loose_ones(monkeypatch):
     assert skipped > 0 and loose > 0
 
 
-# flip_table calls inside the certificate walks (_cert_lanes_stack), and
-# packing memo entries, over the suite on random:8:12:1 from an empty memo.
-# The dense subcube table, one flip per nonempty mask, made 27,446 flips
-# there, one sparse walk per record 12,594, and the packing search that
-# tried every fitting block at every free mask kept 4,792 entries; packing
-# every point with C_x > best, before bs started from its floor s, kept 529.
-SUITE_CERT_FLIPS, SUITE_PACKING_ENTRIES = 2106, 147
+# flip_table calls inside the certificate walks (_cert_walk), and packing
+# memo entries, over the suite on random:8:12:1 from an empty memo.  The
+# dense subcube table, one flip per nonempty mask, made 27,446 flips there,
+# one sparse walk per record 12,594, and stacked walks of f and of its
+# restrictions 2,106; one walk of f that also gives every restriction's C_x
+# makes 1,184.  The packing search that tried every fitting block at every
+# free mask kept 4,792 entries; packing every point with C_x > best, before
+# bs started from its floor s, kept 529.
+SUITE_CERT_FLIPS, SUITE_PACKING_ENTRIES = 1184, 147
 
 
 def test_certificate_and_packing_work_on_the_suite_is_pinned(monkeypatch):
     flips, inside, packings = [], [], []
-    flip, walk = measures.flip_table, measures._cert_lanes_stack
+    flip, walk = measures.flip_table, measures._cert_walk
 
     def counted_flip(*args):
         if inside:
             flips.append(1)
         return flip(*args)
 
-    def counted_walk(n, tables):
+    def counted_walk(n, table):
         inside.append(1)
         try:
-            return walk(n, tables)
+            return walk(n, table)
         finally:
             inside.pop()
 
@@ -318,7 +369,7 @@ def test_certificate_and_packing_work_on_the_suite_is_pinned(monkeypatch):
             packings.append(self)
 
     monkeypatch.setattr(measures, "flip_table", counted_flip)
-    monkeypatch.setattr(measures, "_cert_lanes_stack", counted_walk)
+    monkeypatch.setattr(measures, "_cert_walk", counted_walk)
     monkeypatch.setattr(measures, "_Packing", Recorded)
     table_measures.cache_clear()
     run_theorem_suite(parse_corpus("random:8:12:1"))
@@ -326,81 +377,47 @@ def test_certificate_and_packing_work_on_the_suite_is_pinned(monkeypatch):
     assert (len(flips), entries) == (SUITE_CERT_FLIPS, SUITE_PACKING_ENTRIES)
 
 
-def test_stacked_certificate_walk_is_one_walk_per_table():
-    # K tables side by side, K not always a power of two, with repeats: the
-    # stack's padding and its neighbours must not change any table's C_x
-    rng = random.Random(20261019)
-    for n in range(1, 9):
-        for k in (1, 2, 3, 5, 16):
-            tables = [rng.getrandbits(1 << n) for _ in range(k)]
-            tables[-1] = tables[0]
-            tables[k // 2] = rng.choice((0, (1 << (1 << n)) - 1, tables[0]))
-            single = [measures._cert_lanes_stack(n, (t,)) for t in tables]
-            stacked = sum(cx << (8 << n) * b for b, cx in enumerate(single))
-            assert measures._cert_lanes_stack(n, tables) == stacked, (n, k)
-            assert single[0] == _dense_cert_lanes(n, tables[0]), (n, k)
-
-
-def test_stack_padding_adds_no_subcube_sets(monkeypatch):
-    # copies of one table have the same nonzero sets, so a stack of 3 or 5
-    # of them (padded to 4 or 8 blocks) flips as often as the table alone
-    flips = []
-    flip = measures.flip_table
-
-    def counted(*args):
-        flips.append(1)
-        return flip(*args)
-
-    monkeypatch.setattr(measures, "flip_table", counted)
-    rng = random.Random(5)
-    for n in (4, 6, 8):
-        t = rng.getrandbits(1 << n)
-        counts = []
-        for k in (1, 3, 5):
-            flips.clear()
-            measures._cert_lanes_stack(n, (t,) * k)
-            counts.append(len(flips))
-        assert counts[0] > 0 and counts == counts[:1] * 3, (n, counts)
-
-
 def test_stacks_hold_no_more_points_than_the_capped_walk(monkeypatch):
-    # the rrcm kernel stacks f's restrictions at most 2^14 points or one
-    # branch pair (2^n points, as many as f) at a time, so no stacked
-    # integer outgrows f's own lanes
-    from bfc.coordinate import ALL_BASE_KINDS, _rrcm_violation
+    # the rrcm kernel builds the restrictions' s_x one block of 2^n points
+    # (as many as f) at a time, so no integer it builds outgrows f's own
+    # certificate lanes, and it runs no walk of its own
+    from bfc.coordinate import ALL_BASE_KINDS, _Axioms, _rrcm_violation
 
     stacks, walks = [], []
-    stack_init, walk = measures._RestrictionStack.__init__, measures._cert_lanes_stack
+    branch_sens, walk = TableMeasures.branch_sens_lanes, measures._cert_walk
 
-    def spy_stack(self, n, pairs):
-        stacks.append((n, len(pairs) << n))
-        stack_init(self, n, pairs)
+    def spy_stack(rec, j):
+        stacks.append(rec.n)
+        return branch_sens(rec, j)
 
-    def spy_walk(n, tables):
-        walks.append(len(tables) << n)
-        return walk(n, tables)
+    def spy_walk(n, table):
+        walks.append(n)
+        return walk(n, table)
 
-    monkeypatch.setattr(measures._RestrictionStack, "__init__", spy_stack)
-    monkeypatch.setattr(measures, "_cert_lanes_stack", spy_walk)
+    monkeypatch.setattr(TableMeasures, "branch_sens_lanes", spy_stack)
+    monkeypatch.setattr(measures, "_cert_walk", spy_walk)
     rng = random.Random(13)
-    rec = TableMeasures(13, rng.getrandbits(1 << 13))
-    rec.cert_i  # f's own walk, before the kernel's
-    walks.clear()
+    # x1 AND a random table, whose other coordinates drop out at x1 = 0
+    rec = TableMeasures(13, rng.getrandbits(1 << 13) & ~half_mask(13, 0))
+    rec.cert_i  # f's own walk, before the kernel
+    assert walks == [13] and any(_Axioms(rec, ()).drop)
     assert _rrcm_violation(rec, ALL_BASE_KINDS, range(13)) is None
-    # 13 branch pairs of 2^13 points, two pairs to a stack
-    assert stacks == [(13, 1 << 14)] * 6 + [(13, 1 << 13)]
-    assert walks == [1 << 14] * 6 + [1 << 13]
-    # past the certificate cap, deg and sens still run, a pair at a time
+    assert stacks and set(stacks) == {13}
+    assert walks == [13]
+    # past the certificate cap, deg and sens still run, a block at a time;
+    # a lowered sens_i makes every block of its coordinate tested
     for n in (15, 16):
         stacks.clear()
         rec = TableMeasures(n, rng.getrandbits(1 << n))
         with pytest.raises(ArityError, match=f"certificate search supports arity <= 14, got {n}"):
             _rrcm_violation(rec, ALL_BASE_KINDS, range(n))
-        assert stacks == [(n, 1 << n)] * n
+        vars(rec)["sens_i"] = (0,) + rec.sens_i[1:]
+        assert _rrcm_violation(rec, ALL_BASE_KINDS, range(n))[1:] == (0, 1, 0, "axiom1")
+        assert stacks and set(stacks) == {n}
     with pytest.raises(ArityError, match="certificate search supports arity <= 14, got 15"):
-        measures._cert_lanes_stack(15, [0])
+        measures._cert_walk(15, 0)
     with pytest.raises(ArityError, match="certificate search"):
-        TableMeasures(15, 0).cert_lanes
+        TableMeasures(15, 0).branch_cert_lanes
 
 
 def test_certificates_at_the_arity_cap():

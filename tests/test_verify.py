@@ -602,13 +602,18 @@ def test_rrcm_row_fails_on_a_deg_hit_where_cert_is_capped():
 
 
 def test_rrcm_row_builds_no_restriction_record():
-    # the row reads f's own record and stacks of the restrictions' tables
+    # the rrcm and mono_dt_intersect rows read the restrictions' values off
+    # f's own record, and no other record is built
     table_measures.cache_clear()
-    for _, f in parse_corpus("random:8:12:1"):
-        rec = table_measures(f.n, f.table)
-        size = table_measures.cache_info().currsize
-        assert verify._check_rrcm(rec) == ("PASS", "-", "-")
-        assert table_measures.cache_info().currsize == size
+    seen = set()
+    for spec in ("random:8:12:1", "monotone:4"):
+        for _, f in parse_corpus(spec):
+            rec = table_measures(f.n, f.table)
+            size = table_measures.cache_info().currsize
+            assert verify._check_rrcm(rec) == ("PASS", "-", "-")
+            seen.add(verify._check_mono_dt_intersect(rec)[0])
+            assert table_measures.cache_info().currsize == size
+    assert seen == {"PASS", "SKIP"}
 
 
 # ---------------------------------------------------------------------------
