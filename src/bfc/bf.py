@@ -12,7 +12,8 @@ import itertools
 import struct
 from functools import lru_cache
 from math import comb
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 MAX_ARITY = 20
 
@@ -96,35 +97,49 @@ def diff_mask(table: int, n: int, i0: int) -> int:
     return table ^ flip_table(table, n, i0)
 
 
+# struct reads lanes of at most 64 bits, and 7 inputs would need 128
+PERMUTATION_MAX_ARITY = 6
+
+
 @lru_cache(maxsize=None)
-def _sjt_steps(n: int) -> tuple[int, ...]:
-    """The n! - 1 steps of the Steinhaus-Johnson-Trotter walk through every
-    permutation of n items; step i exchanges the items at positions i and
-    i + 1.  The largest item sweeps across the others, down and up in turn,
-    and between two sweeps the others take one step of their own walk."""
-    if n <= 1:
-        return ()
-    down, up = range(n - 2, -1, -1), range(n - 1)
-    steps = list(down)
-    for k, i in enumerate(_sjt_steps(n - 1)):
-        # after a down sweep the largest item sits at position 0
-        steps.append(i + 1 if k % 2 == 0 else i)
-        steps.extend(up if k % 2 == 0 else down)
-    return tuple(steps)
+def _permutation_stages(n: int) -> tuple[str, int, tuple, tuple[tuple[int, ...], ...]]:
+    """(lane format, bytes, stages, lane permutations) of ``_permutation_images``.
 
-
-def _sjt_walk(n: int, table: int) -> Iterator[tuple[int, int]]:
-    """(i, table) after each of the n! - 1 steps of ``_sjt_steps``: step i
-    exchanges coordinates i and i + 1 (0-based) by one delta-swap, whose
-    mask marks the indices with bit i set and bit i + 1 clear.  With the
-    table it starts from, they are its images under every permutation.
+    Lanes are max(2**n, 8) bits wide.  Stage m, for m = n - 1 down to 1,
+    copies the lanes so far m + 1 times; copy 0 stays, and copy c + 1
+    exchanges coordinates c and m on every lane by one delta-swap, its mask
+    a lane's indices with bit c set and bit m clear times a repunit over the
+    copy's lanes.  Lane k holds x -> t(p(x)) for p = perms[k], p moving bit
+    j of a point to bit p[j], so an exchange swaps two entries of p.  Each
+    permutation is one product of exchanges, one per stage: it sits in one
+    lane, and lane 0 holds the identity.
     """
-    masks = [half_mask(n, i + 1) & ~half_mask(n, i) for i in range(n - 1)]
-    for i in _sjt_steps(n):
-        shift = 1 << i
-        d = ((table >> shift) ^ table) & masks[i]
-        table ^= d ^ (d << shift)
-        yield i, table
+    check_arity(n, PERMUTATION_MAX_ARITY, "permutation images")
+    w, perms, stages = max(1 << n, 8), [tuple(range(n))], []
+    for m in reversed(range(1, n)):
+        base, span = perms[:], w * len(perms)
+        repunit = int.from_bytes((b"\1" + bytes((w >> 3) - 1)) * len(base), "little")
+        swaps = []
+        for c in range(m):
+            lane = half_mask(n, m) & ~half_mask(n, c)
+            swaps.append(((1 << m) - (1 << c), lane * repunit << span * (c + 1)))
+            order = (*range(c), m, *range(c + 1, m), c, *range(m + 1, n))
+            perms += map(itemgetter(*order), base)
+        stages.append((span >> 3, m + 1, tuple(swaps)))
+    return f"<{len(perms)}{'BBBBHIQ'[n]}", len(perms) * w >> 3, tuple(stages), tuple(perms)
+
+
+def _permutation_images(n: int, table: int) -> tuple[int, ...]:
+    """The n! images of ``table`` under coordinate permutations, side by
+    side in one integer: lane k under permutation k of ``_permutation_stages``."""
+    fmt, size, stages, _ = _permutation_stages(n)
+    v = table
+    for span, copies, swaps in stages:
+        v = int.from_bytes(v.to_bytes(span, "little") * copies, "little")
+        for shift, mask in swaps:
+            d = ((v >> shift) ^ v) & mask
+            v ^= d ^ (d << shift)
+    return struct.unpack(fmt, v.to_bytes(size, "little"))
 
 
 # ---------------------------------------------------------------------------

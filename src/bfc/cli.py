@@ -33,17 +33,16 @@ from .coordinate import (
     mix_ds,
     potential,
 )
-from .corpus import parse_corpus
+from .corpus import POINTS_FLOOR, parse_corpus
 from .lp import LP_CAP_SCAN_MAX_DEGREE, lp_bs_cap
 from .measures import APPROX_DEGREE_MAX_ARITY, measure_report, table_measures
 from .verify import run_theorem_suite, suite_failures
 
-# points (2^n per function) `verify` runs unless --no-budget is given: the
-# suite took 0.45-8.6 us per point on all:4, monotone:5 and random corpora
-# of 6-16 inputs (raw, in-process, one 2-core x86-64 host), so the budget is
-# at most about 40 s of suite there, and all:4 (2^20 points) fits within it;
-# below 6 inputs a function's fixed cost of about 0.3 ms dominates (random
-# 4-input tables took 20 us per point, 2-input ones 76 us)
+# points `verify` runs unless --no-budget is given, 2^n per function but at
+# least corpus.POINTS_FLOOR: the suite took 0.2-8.6 us per point on all:4,
+# monotone:5 and random corpora of 2-16 inputs (raw, in-process, one 2-core
+# x86-64 host), so the budget is at most about 40 s of suite; all:4 (2^22
+# points) just fits
 VERIFY_BUDGET = 1 << 22
 
 
@@ -56,11 +55,11 @@ def _load_function(args) -> BooleanFunction:
 
 def _cmd_analyze(args) -> int:
     f = _load_function(args)
-    with_adeg = f.n <= APPROX_DEGREE_MAX_ARITY
-    report = measure_report(f, with_adeg=with_adeg, eps=Fraction(1, 3))
     print(f"n\t{f.n}")
     print(f"relevant\t{f.num_relevant()}")
-    print(f"monotone\t{int(f.is_monotone())}")
+    # flushed, so these lines stand before an error the searches raise
+    print(f"monotone\t{int(f.is_monotone())}", flush=True)
+    report = measure_report(f, with_adeg=f.n <= APPROX_DEGREE_MAX_ARITY, eps=Fraction(1, 3))
     print(report.to_tsv())
     print("coordinate\tdeg_i\tsens_i\tcert_i")
     rec = table_measures(f.n, f.table)
@@ -128,8 +127,8 @@ def _cmd_verify(args) -> int:
     points = corpus.points()
     if points > VERIFY_BUDGET and not args.no_budget:
         raise ValueError(
-            f"corpus {corpus.describe()} holds {points} points (2^n per function), "
-            f"more than the budget of {VERIFY_BUDGET}; --no-budget lifts it"
+            f"corpus {corpus.describe()} holds {points} points (2^n per function, at least "
+            f"{POINTS_FLOOR}), more than the budget of {VERIFY_BUDGET}; --no-budget lifts it"
         )
     checks = run_theorem_suite(corpus)
     print(f"corpus\t{corpus.describe()}\t{len(corpus)}")
@@ -191,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument(
         "--no-budget",
         action="store_true",
-        help=f"run a corpus of more than {VERIFY_BUDGET} points (2^n per function)",
+        help=f"run a corpus of more than {VERIFY_BUDGET} points "
+        f"(2^n per function, at least {POINTS_FLOOR})",
     )
     pv.set_defaults(fn=_cmd_verify)
 

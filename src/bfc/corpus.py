@@ -6,7 +6,7 @@ import random
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .bf import MAX_ARITY, BooleanFunction, _sjt_walk, check_arity, family
+from .bf import MAX_ARITY, BooleanFunction, _permutation_images, check_arity, family
 
 # number of monotone functions per arity, used as a generation cross-check
 DEDEKIND = {0: 2, 1: 3, 2: 6, 3: 20, 4: 168, 5: 7581}
@@ -14,6 +14,8 @@ DEDEKIND = {0: 2, 1: 3, 2: 6, 3: 20, 4: 168, 5: 7581}
 MONOTONE_ENUM_MAX_ARITY = 5
 # 2^16 tables at n = 4; the 2^32 at n = 5 would never finish
 ALL_ENUM_MAX_ARITY = 4
+# the least points a function counts: below 6 inputs its fixed cost outweighs 2**n
+POINTS_FLOOR = 64
 
 
 @lru_cache(maxsize=None)
@@ -25,14 +27,8 @@ def _monotone_tables(n: int) -> tuple[int, ...]:
     """
     if n == 0:
         return (0, 1)
-    prev = _monotone_tables(n - 1)
-    half = 1 << (n - 1)
-    out = []
-    for lo in prev:
-        for hi in prev:
-            if lo & ~hi == 0:  # lo <= hi pointwise
-                out.append(lo | (hi << half))
-    out.sort()
+    prev, half = _monotone_tables(n - 1), 1 << (n - 1)
+    out = sorted(lo | hi << half for lo in prev for hi in prev if lo & ~hi == 0)
     if len(out) != DEDEKIND[n]:
         raise AssertionError(
             f"monotone count mismatch at n={n}: {len(out)} != {DEDEKIND[n]}"
@@ -94,11 +90,11 @@ class Corpus:
         return len(self.names)
 
     def points(self) -> int:
-        """The sum of 2**n over the functions, counted without enumerating
-        an ``all``, ``monotone`` or ``random`` corpus."""
+        """The sum of max(2**n, ``POINTS_FLOOR``) over the functions, counted
+        without enumerating an ``all``, ``monotone`` or ``random`` corpus."""
         if self.kind == "named":
-            return sum(1 << f.n for _, f in self)
-        return len(self) << self.n
+            return sum(max(1 << f.n, POINTS_FLOOR) for _, f in self)
+        return len(self) * max(1 << self.n, POINTS_FLOOR)
 
     def _tables(self) -> Iterable[int]:
         """Every table of an ``all``, ``monotone`` or ``random`` corpus, in
@@ -132,8 +128,8 @@ class Corpus:
 
         Both enumerated kinds are closed under permutation and listed in
         increasing table order, so the first member met is the orbit's
-        least.  Its orbit is the table with its images along the
-        Steinhaus-Johnson-Trotter walk; ``pending`` holds the members not yet
+        least.  Its orbit is the set of its n! images, computed at once by
+        ``bf._permutation_images``; ``pending`` holds the members not yet
         met, and each is dropped when the corpus reaches it.  Only the
         tables yielded are labelled.
         """
@@ -143,13 +139,11 @@ class Corpus:
             return
         pending: set[int] = set()
         for i, t in enumerate(self._tables()):
-            if t in pending:
-                pending.remove(t)
-                continue
-            orbit = {t, *(u for _, u in _sjt_walk(self.n, t))}
-            pending |= orbit
+            if t not in pending:
+                orbit = set(_permutation_images(self.n, t))
+                pending |= orbit
+                yield self._label(i, t), BooleanFunction(self.n, t), len(orbit)
             pending.remove(t)
-            yield self._label(i, t), BooleanFunction(self.n, t), len(orbit)
 
     def describe(self) -> str:
         if self.kind == "all":

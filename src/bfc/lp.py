@@ -57,7 +57,7 @@ from math import comb, lcm
 from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .bf import BooleanFunction, _sjt_walk, check_arity
+from .bf import BooleanFunction, _permutation_images, _permutation_stages, check_arity
 from .measures import APPROX_DEGREE_MAX_ARITY
 
 LP_CAP_SCAN_MAX_DEGREE = 16
@@ -533,19 +533,10 @@ def adeg_lp(f: BooleanFunction, d: int, eps: Fraction) -> LinearProgram:
 
 def _automorphisms(f: BooleanFunction) -> list[tuple[int, ...]]:
     """Every coordinate permutation p with f(p(x)) = f(x) for all x, the
-    identity first; p moves bit j of a point to bit p[j].
-
-    The Steinhaus-Johnson-Trotter walk reaches every permutation by one
-    adjacent transposition at a time; p follows it, and the walk's table
-    after the steps so far holds f composed with their product.
-    """
-    p = list(range(f.n))
-    found = [tuple(p)]
-    for i, t in _sjt_walk(f.n, f.table):
-        p[i], p[i + 1] = p[i + 1], p[i]
-        if t == f.table:
-            found.append(tuple(p))
-    return found
+    identity first; p moves bit j of a point to bit p[j], and fixes f
+    exactly when its lane of ``bf._permutation_images`` equals f's table."""
+    *_, perms = _permutation_stages(f.n)
+    return [p for p, t in zip(perms, _permutation_images(f.n, f.table)) if t == f.table]
 
 
 def _point_map(p: Sequence[int]) -> bytes:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import bfc.bf
 from bfc.bf import (
     MAX_ARITY,
+    PERMUTATION_MAX_ARITY,
     ArityError,
     BooleanFunction,
     PartialAssignment,
@@ -763,40 +764,55 @@ def test_every_private_top_level_name_is_read():
     assert unread == []
 
 
-def test_the_lp_layer_names_only_integer_rows():
-    # an LP is integer rows a.x <= r; the rational constraint layer that
-    # turned relations into rows on every solve must not come back
+def _source_lines_naming(pattern):
+    """file:line of every line of the package that matches ``pattern``."""
     src = Path(__file__).resolve().parents[1] / "src" / "bfc"
-    gone = re.compile(r"\bRELATIONS\b|\b_row_scale\b|\b_int_rows\b|\.constraints\b")
-    named = [
+    gone = re.compile(pattern)
+    return [
         f"{path.name}:{i}"
         for path in sorted(src.glob("*.py"))
         for i, ln in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
         if gone.search(ln)
     ]
-    assert named == []
 
 
-@pytest.mark.parametrize("n", range(8))
-def test_the_sjt_walk_visits_every_permutation_once(n):
-    p = list(range(n))
-    seen = {tuple(p)}
-    for i in bfc.bf._sjt_steps(n):
-        p[i], p[i + 1] = p[i + 1], p[i]
-        seen.add(tuple(p))
-    assert len(seen) == len(bfc.bf._sjt_steps(n)) + 1 == factorial(n)
-    # on tables: t and the walk's tables are t's images under every
-    # coordinate permutation, found point by point
+def test_the_lp_layer_names_only_integer_rows():
+    # an LP is integer rows a.x <= r; the rational constraint layer that
+    # turned relations into rows on every solve must not come back
+    pattern = r"\bRELATIONS\b|\b_row_scale\b|\b_int_rows\b|\.constraints\b"
+    assert _source_lines_naming(pattern) == []
+
+
+@pytest.mark.parametrize("n", range(PERMUTATION_MAX_ARITY + 2))
+def test_every_permutation_image_sits_in_one_lane(n):
+    if n > PERMUTATION_MAX_ARITY:
+        # lanes of 2^7 bits have no struct format; the guard refuses first
+        with pytest.raises(ArityError, match=f"permutation images supports arity <= 6, got {n}"):
+            bfc.bf._permutation_images(n, 0)
+        return
+    *_, perms = bfc.bf._permutation_stages(n)
+    assert len(perms) == len(set(perms)) == factorial(n)
+    assert set(perms) == set(permutations(range(n)))
+    assert perms[0] == tuple(range(n))
+    # lane k is x -> t(p(x)) for p = perms[k], p moving bit j to bit p[j],
+    # found point by point
     rng = random.Random(n)
-    for t in [rng.getrandbits(1 << n) for _ in range(3)] if n <= 5 else []:
-        images = {
-            sum(
-                ((t >> x) & 1) << sum(((x >> j) & 1) << q[j] for j in range(n))
-                for x in range(1 << n)
-            )
-            for q in permutations(range(n))
-        }
-        walk = list(bfc.bf._sjt_walk(n, t))
-        assert [i for i, _ in walk] == list(bfc.bf._sjt_steps(n))
-        assert len(walk) == factorial(n) - 1
-        assert {t} | {u for _, u in walk} == images, (n, t)
+    for t in [0, (1 << (1 << n)) - 1, *(rng.getrandbits(1 << n) for _ in range(3))]:
+        images = bfc.bf._permutation_images(n, t)
+        assert len(images) == factorial(n) and images[0] == t
+        for p, u in zip(perms, images):
+            moved = [sum(((x >> j) & 1) << p[j] for j in range(n)) for x in range(1 << n)]
+            assert u == sum(((t >> moved[x]) & 1) << x for x in range(1 << n)), (n, t, p)
+
+
+def test_every_orbit_cap_fits_the_permutation_kernel():
+    # the corpus orbits and the automorphism group read every lane of the
+    # kernel, so no arity they admit may pass its cap
+    for cap in (ALL_ENUM_MAX_ARITY, MONOTONE_ENUM_MAX_ARITY, APPROX_DEGREE_MAX_ARITY):
+        assert cap <= PERMUTATION_MAX_ARITY
+
+
+def test_orbits_come_from_the_one_permutation_kernel():
+    # the Steinhaus-Johnson-Trotter walk took n! - 1 Python steps per orbit;
+    # every orbit now comes from the lanes of ``_permutation_images``
+    assert _source_lines_naming(r"\b_sjt_walk\b|\b_sjt_steps\b") == []

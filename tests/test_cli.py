@@ -18,7 +18,7 @@ from bfc.bounds import (
     cs_harmonic_bound,
 )
 from bfc.cli import VERIFY_BUDGET, main
-from bfc.corpus import parse_corpus
+from bfc.corpus import POINTS_FLOOR, parse_corpus
 from bfc.lp import LP_CAP_SCAN_MAX_DEGREE
 
 
@@ -142,26 +142,32 @@ def test_verify_deterministic():
 
 
 def test_verify_budget_is_lifted_by_its_flag(monkeypatch, capsys):
-    # at the budget, 25 functions of 2^4 points, the corpus runs; past it
-    # only --no-budget runs it, with the output the corpus has at any budget
+    # at the budget, 25 functions of 2^4 points counted at the floor of 64,
+    # the corpus runs; past it only --no-budget runs it, with the output the
+    # corpus has at any budget
     _, want = run_cli("verify", "--corpus", "random:4:25:9")
-    monkeypatch.setattr(bfc.cli, "VERIFY_BUDGET", 400)
+    monkeypatch.setattr(bfc.cli, "VERIFY_BUDGET", 1600)
     assert run_cli("verify", "--corpus", "random:4:25:9") == (0, want)
-    monkeypatch.setattr(bfc.cli, "VERIFY_BUDGET", 399)
+    monkeypatch.setattr(bfc.cli, "VERIFY_BUDGET", 1599)
     assert run_cli("verify", "--corpus", "random:4:25:9") == (2, "")
-    assert "holds 400 points (2^n per function), more than the budget of 399" in (
-        capsys.readouterr().err
+    assert (
+        "holds 1600 points (2^n per function, at least 64), more than the budget of 1599"
+        in capsys.readouterr().err
     )
     assert run_cli("verify", "--corpus", "random:4:25:9", "--no-budget") == (0, want)
 
 
 def test_verify_budget_counts_points_without_enumerating():
-    # the sum of 2^n over the corpus, from its spec alone; every corpus the
-    # README and the goldens run fits the budget
-    for spec in ("all:2", "monotone:3", "random:5:7:1", "named:MAJ:3,AND:2,KUSHILEVITZ"):
+    # the sum of max(2^n, 64) over the corpus, from its spec alone; every
+    # corpus the README and the goldens run fits the budget
+    for spec in (
+        "all:2", "monotone:3", "random:5:7:1", "random:7:3:1", "named:MAJ:3,AND:2,KUSHILEVITZ",
+        "named:AND:7",
+    ):
         corpus = parse_corpus(spec)
-        assert corpus.points() == sum(1 << f.n for _, f in corpus), spec
-    assert parse_corpus("all:4").points() == 1 << 20
+        assert corpus.points() == sum(max(1 << f.n, POINTS_FLOOR) for _, f in corpus), spec
+    assert parse_corpus("all:4").points() == 1 << 22 == VERIFY_BUDGET
+    assert parse_corpus("random:7:3:1").points() == 3 << 7
     for spec in (
         "all:4", "monotone:5", "random:6:200:42", "random:8:12:7",
         "named:KUSHILEVITZ,MAJ:3,MAF:3,ADDR:2,PARITY:4",
@@ -176,6 +182,21 @@ def test_analyze_over_arity_cap_fails_cleanly(capsys):
     assert code == 2
     assert err.startswith("bfc: error: ") and err.count("\n") == 1
     assert "arity" in err
+
+
+def test_analyze_prints_what_needs_no_search_before_an_error():
+    # the header lines need no search, so they stand before the error line
+    # (stdout is flushed first); MAF 5 has 15 inputs, past the certificate cap
+    result = subprocess.run(
+        [sys.executable, "-m", "bfc.cli", "analyze", "--family", "MAF", "--k", "5"],
+        env={**os.environ, "PYTHONPATH": str(Path(bfc.__file__).resolve().parents[1])},
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, check=False,
+    )
+    assert result.returncode == 2
+    assert result.stdout == (
+        "n\t15\nrelevant\t15\nmonotone\t1\n"
+        "bfc: error: certificate search supports arity <= 14, got 15\n"
+    )
 
 
 def test_analyze_malformed_tt_fails_cleanly(tmp_path, capsys):
@@ -236,12 +257,20 @@ def test_arity_past_the_cap_fails_cleanly(argv, text, tmp_path, capsys):
         (["verify", "--corpus", "random:3:-5:1"], "corpus random:3:-5:1 needs a count >= 0"),
         (
             ["verify", "--corpus", "random:6:100000000:1"],
-            f"corpus random:6:100000000:1 holds 6400000000 points (2^n per function), "
+            f"corpus random:6:100000000:1 holds 6400000000 points "
+            f"(2^n per function, at least 64), "
             f"more than the budget of {VERIFY_BUDGET}; --no-budget lifts it",
         ),
         (
             ["verify", "--corpus", "random:14:100000:1"],
-            f"corpus random:14:100000:1 holds 1638400000 points (2^n per function), "
+            f"corpus random:14:100000:1 holds 1638400000 points "
+            f"(2^n per function, at least 64), "
+            f"more than the budget of {VERIFY_BUDGET}; --no-budget lifts it",
+        ),
+        (
+            ["verify", "--corpus", "random:2:1000000:1"],
+            f"corpus random:2:1000000:1 holds 64000000 points "
+            f"(2^n per function, at least 64), "
             f"more than the budget of {VERIFY_BUDGET}; --no-budget lifts it",
         ),
         (
@@ -286,7 +315,7 @@ def test_arity_past_the_cap_fails_cleanly(argv, text, tmp_path, capsys):
     ],
     ids=[
         "dmax-past-cap", "dmax-zero", "bstep-zero", "bstep-negative", "count-negative",
-        "count-past-budget", "wide-count-past-budget",
+        "count-past-budget", "wide-count-past-budget", "tiny-count-past-budget",
         "random-arity-not-integer", "random-seed-not-integer", "all-arity-not-integer",
         "named-size-not-integer",
         "beta-zero-denominator", "cs-dmax-zero", "cs-dmax-past-cap",

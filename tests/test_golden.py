@@ -85,9 +85,11 @@ def test_one_shot_commands_run_without_mpmath(name):
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # each one-shot command is a fresh process, so what ``import bfc.cli``
-    # loads is paid on every run; records are NamedTuples, not dataclasses
+    # loads is paid on every run; records are NamedTuples, not dataclasses,
+    # and the permutation lanes are read by struct, not by the array module
     src = str(Path(bfc.__file__).resolve().parents[1])
-    code = "import sys, bfc.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    gone = "{'array', 'dataclasses', 'inspect'}"
+    code = f"import sys, bfc.cli; print(sorted({gone} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, check=True, text=True
