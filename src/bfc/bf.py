@@ -335,12 +335,16 @@ def _mobius_lanes(n: int, table: int) -> tuple[int, int]:
     return v ^ bias, w
 
 
+def _signed_lanes(n: int, v: int, w: int) -> list[int]:
+    """The 2**n lanes of ``v``, w bits each, read as two's complement."""
+    signed = f"<{1 << n}{'h' if w == 16 else 'i'}"
+    return list(struct.unpack(signed, v.to_bytes(w << n >> 3, "little")))
+
+
 def mobius_vector(n: int, table: int) -> list[int]:
     """Integer monomial coefficients of f over {0,1}, indexed by subset mask:
     the lanes of ``_mobius_lanes`` read back as signed w-bit integers."""
-    v, w = _mobius_lanes(n, table)
-    signed = f"<{1 << n}{'h' if w == 16 else 'i'}"
-    return list(struct.unpack(signed, v.to_bytes(w << n >> 3, "little")))
+    return _signed_lanes(n, *_mobius_lanes(n, table))
 
 
 _NONZERO_TO_BIT = bytes.maketrans(bytes(range(256)), b"0" + b"1" * 255)
@@ -388,15 +392,29 @@ def _support_at_one(n: int, lanes: tuple[int, int], j: int) -> int:
 
 
 def fourier_vector(n: int, table: int) -> list[int]:
-    """2**n times the Fourier coefficients, via the Walsh-Hadamard transform."""
-    v = [1 - 2 * b for b in _table_bytes(n, table)]
+    """2**n times the Fourier coefficients, via the Walsh-Hadamard transform.
+
+    The butterflies run on lanes, as in ``_mobius_lanes``: lane m, w bits
+    wide, holds 2**(w-1) plus the partial transform at mask m, starting
+    from 1 - 2 f(m).  The step for coordinate i takes the lanes a without i
+    and b = the lanes with i moved down onto them, and writes a + b back
+    without i and a - b with i, each plus the bias.  A partial transform
+    over k coordinates is a signed sum of 2**k values +-1, so every lane
+    holds at most 2**n in size, below 2**(w-1) with w = 16 to n = 14 and
+    w = 32 from 15: the integer arithmetic is lane-wise.
+    """
+    w = 16 if n <= 14 else 32
+    lw = w.bit_length() - 1
+    bias = int.from_bytes(_biased_lanes(n, w), "little")
+    ones = bytearray(w << n >> 3)
+    ones[:: w // 8] = _table_bytes(n, table)
+    # 2**(w-1) + 1 - 2 f(m) in lane m
+    v = bias + (bias >> w - 1) - (int.from_bytes(ones, "little") << 1)
     for i in range(n):
-        bit = 1 << i
-        for m in range(1 << n):
-            if m & bit:
-                a, b = v[m ^ bit], v[m]
-                v[m ^ bit], v[m] = a + b, a - b
-    return v
+        lo = half_mask(n + lw, i + lw)  # the lanes of the masks without i
+        a, b, low_bias = v & lo, v >> (w << i) & lo, bias & lo
+        v = a + b - low_bias + (a - b + low_bias << (w << i))
+    return _signed_lanes(n, v ^ bias, w)
 
 
 # ---------------------------------------------------------------------------

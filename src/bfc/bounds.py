@@ -5,15 +5,16 @@ sum 2^-(beta deg_i + (1-beta) sens_i), and the degree table is its
 beta = 1 case.  Grids are computed in double precision from per-step
 weights that are exact rationals when every exponent is an integer (so
 the degree table is dyadic) and otherwise the lower ends of
-``_pow2_bounds``, an integer enclosure of 2^(p/q) to POW2_BITS bits; the
-monotone-degree recursion is evaluated in exact rationals.  Infinite tails
-are closed forms where the cap function is polynomial and partial sums plus
-a closed-form remainder otherwise.  The remainder is taken from the upper
-ends of the enclosures, so it bounds the true remainder up to its final
-rounding to a double; the cells and partial sums are doubles and carry no
-such guarantee.  ``_mixing_weight`` is the one guard on beta for the table
-and for the crude influence minimum, which is found from its exact
-optimality condition, with no scan.
+``_pow2_bounds``, an integer enclosure of 2^(p/q) to POW2_BITS bits, each
+taken as an integer and a shift; the monotone-degree recursion is exact, on
+integers at one dyadic scale.  Infinite tails are closed forms where the
+cap function is polynomial and partial sums plus a closed-form remainder
+otherwise.  The remainder is taken from the upper ends of the enclosures,
+so it bounds the true remainder up to its final rounding to a double; the
+cells and partial sums are doubles and carry no such guarantee.
+``_mixing_weight`` is the one guard on beta for the table and for the crude
+influence minimum, which is found from its exact optimality condition, with
+no scan.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ _GUARD = 12
 EULER_GAMMA = 0.5772156649
 
 # Largest d_max of the bound tables (raw, one 2-core x86-64 host, whole
-# command at the bound): the monotone-degree recursion is quadratic in exact
-# rationals, about 0.9 s; the monotone DT values have at most 3,010 digits
-# there, below Python's 4,300-digit limit on int-to-str conversion, about
-# 0.9 s; the cs table keeps a running sum of (1/2) H_d, about 0.12 s
+# command at the bound): the monotone-degree recursion is quadratic, on
+# integers of 31,373 bits, about 0.25 s; the monotone DT values have at most
+# 3,010 digits there, below Python's 4,300-digit limit on int-to-str
+# conversion, about 0.9 s; the cs table keeps a running sum of (1/2) H_d,
+# about 0.12 s
 MONOTONE_DEGREE_MAX_DMAX = 250
 MONOTONE_DT_MAX_DMAX = 10000
 CS_TABLE_MAX_DMAX = 600
@@ -85,12 +87,17 @@ def _pow2_bounds(p: int, q: int, bits: int = POW2_BITS) -> tuple[int, int]:
     return ends[0], ends[1]
 
 
+def _pow2_parts(p: int, q: int, up: int = 0) -> tuple[int, int]:
+    """(m, s) with m * 2^s the value ``_pow2`` gives for e = p/q, q >= 1."""
+    k, r = divmod(p, q)
+    return (1, k) if r == 0 else (_pow2_bounds(r, q)[up], k - POW2_BITS)
+
+
 def _pow2(e, up=0):
     """2^e for rational e: exact when e is an integer (an int for e >= 0, a
     Fraction below), else the dyadic lower (up = 0) or upper (up = 1) end of
     ``_pow2_bounds``, within 2^(floor(e) + 1 - POW2_BITS) of 2^e."""
-    k, r = divmod(e.numerator, e.denominator)
-    m, s = (1, k) if r == 0 else (_pow2_bounds(r, e.denominator)[up], k - POW2_BITS)
+    m, s = _pow2_parts(e.numerator, e.denominator, up)
     return m << s if s >= 0 else Fraction(m, 1 << -s)
 
 
@@ -261,7 +268,9 @@ class BoundGrid(NamedTuple):
 
 def _uniform_step(d: int, beta: Fraction) -> float:
     """One restriction round of a degree-d monomial, flat sens_i >= 2 bound."""
-    return float(d * _pow2(-(beta * d + 2 * (1 - beta))))
+    a, b = beta.numerator, beta.denominator
+    m, s = _pow2_parts(-(a * d + 2 * (b - a)), b)  # the exponent is below 0
+    return d * m / (1 << -s)
 
 
 def _profile_step(d: int, beta: Fraction) -> float:
@@ -272,17 +281,19 @@ def _profile_step(d: int, beta: Fraction) -> float:
     (1-beta) sens_i) is maximised by the staircase profile a_k = 2k-3;
     at beta = 1 (rho = 1) the staircase sums to d, the flat d * 2^-d round.
     """
-    rho = _pow2(beta - 1)
-    # rho = n / 2^e: a dyadic end of _pow2, or 1 at beta = 1
-    n, e = rho.numerator, rho.denominator.bit_length() - 1
+    a, b = beta.numerator, beta.denominator
+    # rho = 2^(beta-1) = n / 2^e: a dyadic end of _pow2_parts, or 1 at beta = 1
+    n, e = _pow2_parts(a - b, b)
+    e = -e  # beta - 1 <= 0, so e >= 0
     root = isqrt(d)
     # the staircase is n^2 prof / 2^(e (root+2)), prof by Horner
     prof = d - root * root
     for k in range(root + 1, 1, -1):
         prof = prof * n + ((2 * k - 3) << e * (root + 2 - k))
     trivial = d << e * root  # d rho^2 on the same scale
-    w = _pow2(-beta * d)
-    return n * n * min(prof, trivial) * w.numerator / (w.denominator << e * (root + 2))
+    m, s = _pow2_parts(-a * d, b)  # 2^(-beta d), s <= 0
+    # one correctly rounded int/int division, as for the reduced fractions
+    return n * n * min(prof, trivial) * m / (1 << e * (root + 2) - s)
 
 
 def dp_degree(d_max: int, caps: CapProfile) -> BoundGrid:
@@ -385,25 +396,28 @@ def dp_monotone_degree(d_max: int) -> MonotoneDegreeTable:
 
     From the base 1/2 at degrees 1 and 2, each step takes the best k of
     min(k*2^-k + (1-2^-k)*prev, k*2^-d + prev); the headline adds the exact
-    dyadic tail sum_{d>d_max} d/2^d.
+    dyadic tail sum_{d>d_max} d/2^d.  Every value is dyadic and step d adds
+    at most d bits to its denominator, so the recursion runs on integers at
+    the one scale 2^T, T = 1 + 3 + ... + d_max, where prev * 2^-k is the
+    exact shift prev >> k.
     """
     if not 2 <= d_max <= MONOTONE_DEGREE_MAX_DMAX:
         raise ValueError(
             f"table supports 2 <= d_max <= {MONOTONE_DEGREE_MAX_DMAX}, got {d_max}"
         )
-    vals: list[Fraction] = [Fraction(0), Fraction(1, 2), Fraction(1, 2)]
+    t = d_max * (d_max + 1) // 2 - 2
+    vals = [0, 1 << t - 1, 1 << t - 1]
     for d in range(3, d_max + 1):
         prev = vals[d - 1]
-        best = Fraction(0)
+        best = 0
         for k in range(1, d + 1):
-            wk = Fraction(1, 1 << k)
-            wd = Fraction(1, 1 << d)
-            cand = min(k * wk + (1 - wk) * prev, k * wd + prev)
+            cand = min((k << t - k) + prev - (prev >> k), (k << t - d) + prev)
             if cand > best:
                 best = cand
         vals.append(best)
+    values = tuple(Fraction(v, 1 << t) for v in vals)
     tail = power_tail(1, d_max + 1, Fraction(1, 2))
-    return MonotoneDegreeTable(tuple(vals), vals[d_max] + tail)
+    return MonotoneDegreeTable(values, values[d_max] + tail)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Subcommands: ``analyze`` (measures, coordinate measures, potentials of one
 function), ``lp-caps`` (block-sensitivity caps per degree), ``table``
 (bound tables), ``verify`` (corpus theorem suite; exit code 0 iff clean),
 and ``family`` (write a named truth table).  Output is tab-separated and
-byte-deterministic for fixed flags and seeds.
+byte-deterministic for fixed flags and seeds.  Every command is a fresh
+process, so each ``_cmd_*`` imports the modules it runs and no others:
+``family`` loads ``bf`` alone, and ``table`` adds ``bounds``.
 """
 
 from __future__ import annotations
@@ -12,31 +14,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from .bf import BooleanFunction, FAMILY_NAMES, family
-from .bounds import (
-    CS_TABLE_MAX_DMAX,
-    cap_profile,
-    cs_sens_bound,
-    dp_degree,
-    dp_mixed_ds,
-    dp_monotone_degree,
-    ds_influence_min,
-    monotone_dt_table,
-)
-from .coordinate import (
-    CERT_I,
-    DEG_I,
-    SENS_I,
-    mix_cs,
-    mix_ds,
-    potential,
-)
-from .corpus import POINTS_FLOOR, parse_corpus
-from .lp import LP_CAP_SCAN_MAX_DEGREE, lp_bs_cap
-from .measures import APPROX_DEGREE_MAX_ARITY, measure_report, table_measures
-from .verify import run_theorem_suite, suite_failures
 
 # points `verify` runs unless --no-budget is given, 2^n per function but at
 # least corpus.POINTS_FLOOR: the suite took 0.2-8.6 us per point on all:4,
@@ -44,6 +23,32 @@ from .verify import run_theorem_suite, suite_failures
 # x86-64 host), so the budget is at most about 40 s of suite; all:4 (2^22
 # points) just fits
 VERIFY_BUDGET = 1 << 22
+# corpus.POINTS_FLOOR, written out so that building the parser loads no
+# corpus module (a test holds the two equal)
+_HELP_POINTS_FLOOR = 64
+
+# the most digits a --beta literal may have written out, its mantissa's
+# digits plus the size of its exponent: Fraction builds 10^|exponent|,
+# which took 11 s at 1e10000000; within the bound every numerator and
+# denominator prints under Python's 4,300-digit limit on int-to-str
+# conversion, and a table takes well under a second
+BETA_MAX_DIGITS = 4000
+
+
+def _check_beta_size(text: str) -> None:
+    """Refuse a --beta literal whose digits, written out with no exponent,
+    exceed ``BETA_MAX_DIGITS``, before Fraction reads it."""
+    size = sum(c.isdigit() for c in text)
+    mantissa, e, exponent = text.upper().partition("E")
+    if e and size <= BETA_MAX_DIGITS:
+        try:
+            size = sum(c.isdigit() for c in mantissa) + abs(int(exponent))
+        except ValueError:  # not a number: Fraction says so
+            pass
+    if size > BETA_MAX_DIGITS:
+        raise ValueError(
+            f"--beta {text} has {size} digits written out, more than {BETA_MAX_DIGITS}"
+        )
 
 
 def _load_function(args) -> BooleanFunction:
@@ -54,6 +59,11 @@ def _load_function(args) -> BooleanFunction:
 
 
 def _cmd_analyze(args) -> int:
+    from fractions import Fraction
+
+    from .coordinate import CERT_I, DEG_I, SENS_I, mix_cs, mix_ds, potential
+    from .measures import APPROX_DEGREE_MAX_ARITY, measure_report, table_measures
+
     f = _load_function(args)
     print(f"n\t{f.n}")
     print(f"relevant\t{f.num_relevant()}")
@@ -73,6 +83,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_lp_caps(args) -> int:
+    from .lp import LP_CAP_SCAN_MAX_DEGREE, lp_bs_cap
+
     if not 1 <= args.dmax <= LP_CAP_SCAN_MAX_DEGREE:
         raise ValueError(f"--dmax must lie in 1..{LP_CAP_SCAN_MAX_DEGREE}, got {args.dmax}")
     caps = []
@@ -86,6 +98,19 @@ def _cmd_lp_caps(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from fractions import Fraction
+
+    from .bounds import (
+        CS_TABLE_MAX_DMAX,
+        cap_profile,
+        cs_sens_bound,
+        dp_degree,
+        dp_mixed_ds,
+        dp_monotone_degree,
+        ds_influence_min,
+        monotone_dt_table,
+    )
+
     if args.bstep < 1:
         raise ValueError(f"--bstep must be >= 1, got {args.bstep}")
     if args.which == "degree":
@@ -98,6 +123,7 @@ def _cmd_table(args) -> int:
     elif args.which == "monotone-dt":
         print(monotone_dt_table(args.dmax).to_text())
     elif args.which == "ds":
+        _check_beta_size(args.beta)
         try:
             beta = Fraction(args.beta)
         except ZeroDivisionError:
@@ -123,6 +149,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .corpus import POINTS_FLOOR, parse_corpus
+    from .verify import run_theorem_suite, suite_failures
+
     corpus = parse_corpus(args.corpus)
     points = corpus.points()
     if points > VERIFY_BUDGET and not args.no_budget:
@@ -191,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-budget",
         action="store_true",
         help=f"run a corpus of more than {VERIFY_BUDGET} points "
-        f"(2^n per function, at least {POINTS_FLOOR})",
+        f"(2^n per function, at least {_HELP_POINTS_FLOOR})",
     )
     pv.set_defaults(fn=_cmd_verify)
 

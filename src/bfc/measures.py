@@ -56,6 +56,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul
 from typing import NamedTuple
 
 from .bf import (
@@ -671,10 +672,18 @@ def influence(f: BooleanFunction) -> InfluenceReport:
     """Counting influences, cross-checked exactly against the spectrum."""
     n, table = f.n, f.table
     counts = table_measures(n, table).inf_counts
+    # at step i, squares[S] (S a mask of coordinates 0..i) sums w^2 over
+    # the masks that agree with S there: those holding i are its upper half,
+    # and adding the two halves sums i out, with no Python step per mask
     w = fourier_vector(n, table)
+    squares = list(map(mul, w, w))
+    spectra = [0] * n
+    for i in reversed(range(n)):
+        half = 1 << i
+        spectra[i] = sum(squares[half:])
+        squares = list(map(add, squares[:half], squares[half:]))
     scale = 1 << n
-    for i in range(n):
-        spectral = sum(w[m] * w[m] for m in range(1 << n) if (m >> i) & 1)
+    for i, spectral in enumerate(spectra):
         if spectral != counts[i] * scale:
             raise AssertionError(
                 f"influence mismatch on coordinate {i + 1}: "

@@ -1,7 +1,10 @@
 import ast
 import hashlib
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -332,6 +335,41 @@ def test_lane_mobius_matches_the_list_butterfly_seeded():
         assert mobius_support(n, parity ^ full) == full
         assert mobius_support(n, family("AND", n).table) == 1 << ((1 << n) - 1)
         assert mobius_support(n, 0xE8 * (full // 0xFF)) == 0xE8
+
+
+def _list_fourier(n, table):
+    """The in-place Walsh-Hadamard butterfly over a list of the 2**n values
+    +-1 that the lane transform replaced, one Python step per mask and
+    coordinate."""
+    v = [1 - 2 * ((table >> x) & 1) for x in range(1 << n)]
+    for i in range(n):
+        bit = 1 << i
+        for m in range(1 << n):
+            if m & bit:
+                a, b = v[m ^ bit], v[m]
+                v[m ^ bit], v[m] = a + b, a - b
+    return v
+
+
+def test_lane_fourier_matches_the_list_butterfly():
+    # 16-bit lanes up to n = 14 and 32-bit lanes above; the constants and
+    # PARITY reach |w_S| = 2**n, the most a lane holds, with both signs
+    rng = random.Random(20261020)
+    for n in range(17):
+        full = (1 << (1 << n)) - 1
+        for t in (0, full, rng.getrandbits(1 << n)):
+            assert fourier_vector(n, t) == _list_fourier(n, t), (n, t)
+    for n in (14, 15, 16):
+        parity = family("PARITY", n).table
+        assert fourier_vector(n, parity)[-1] == 1 << n
+        assert fourier_vector(n, parity ^ ((1 << (1 << n)) - 1))[-1] == -1 << n
+    members = [
+        ("AND", 16), ("OR", 15), ("DICT", 14), ("PARITY", 13), ("MAJ", 13), ("MAJ", 15),
+        ("ADDR", 3), ("MAF", 3), ("MAF", 5), ("KUSHILEVITZ", None),
+    ]
+    for name, k in members:
+        f = family(name, k)
+        assert fourier_vector(f.n, f.table) == _list_fourier(f.n, f.table), (name, k)
 
 
 # --- families --------------------------------------------------------------
@@ -669,6 +707,52 @@ def test_public_api_is_pinned():
     ]
 
 
+def _fresh_interpreter(code):
+    """Standard output of ``code`` run by a new interpreter that imports
+    this package from its source tree."""
+    src = str(Path(bfc.bf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, check=True, text=True
+    ).stdout
+
+
+@pytest.mark.parametrize(
+    "code, loaded",
+    [
+        ("import bfc", ""),
+        ("from bfc import family", "bf"),
+        ("import bfc; bfc.cap_profile", "bounds"),
+        ("import bfc; bfc.corpus", "bf corpus"),
+    ],
+)
+def test_a_submodule_loads_when_a_name_of_it_is_read(code, loaded):
+    # ``import bfc`` loads no submodule; a name loads its home module and
+    # what that module imports
+    code += "; import sys; print(*sorted(m for m in sys.modules if m.startswith('bfc.')))"
+    assert _fresh_interpreter(code).split() == [f"bfc.{m}" for m in loaded.split()]
+
+
+def test_every_public_name_resolves_on_first_use():
+    # from a fresh package: dir() lists every name before any is read, each
+    # name imports by ``from bfc import`` and is its home module's object,
+    # and a name that is not there fails as an attribute error
+    code = (
+        "import importlib, bfc\n"
+        "assert set(bfc.__all__) <= set(dir(bfc))\n"
+        "names = {}\n"
+        "exec('from bfc import ' + ', '.join(bfc.__all__), names)\n"
+        "for name in bfc.__all__:\n"
+        "    home = importlib.import_module('bfc.' + bfc._HOME.get(name, name))\n"
+        "    assert names[name] is (home if name in bfc._PUBLIC else getattr(home, name)), name\n"
+        "try:\n"
+        "    bfc.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert _fresh_interpreter(code) == "module 'bfc' has no attribute 'no_such_name'\n"
+
+
 def test_every_public_name_is_reached_outside_the_unit_tests():
     # each exported name other than a submodule must be named by the package,
     # a script, the benchmark or the acceptance tests, not by unit tests
@@ -726,14 +810,25 @@ def _function_level_imports(node, where=None):
 
 def test_the_one_function_level_import_breaks_a_cycle():
     # lp imports APPROX_DEGREE_MAX_ARITY from measures, so measures reaches
-    # lp only inside approx_degree; every other import sits at the top
+    # lp only inside approx_degree; each cli command imports the modules it
+    # runs, so that it loads no other; every other import sits at the top
     src = Path(__file__).resolve().parents[1] / "src" / "bfc"
     found = [
         (f"{path.stem}.{where}", module)
         for path in sorted(src.glob("*.py"))
         for where, module in _function_level_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
-    assert found == [("measures.approx_degree", ".lp")]
+    assert found == [
+        ("cli._cmd_analyze", "fractions"),
+        ("cli._cmd_analyze", ".coordinate"),
+        ("cli._cmd_analyze", ".measures"),
+        ("cli._cmd_lp_caps", ".lp"),
+        ("cli._cmd_table", "fractions"),
+        ("cli._cmd_table", ".bounds"),
+        ("cli._cmd_verify", ".corpus"),
+        ("cli._cmd_verify", ".verify"),
+        ("measures.approx_degree", ".lp"),
+    ]
 
 
 def test_every_private_top_level_name_is_read():

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import mpmath
@@ -16,6 +17,7 @@ from bfc.bounds import (
     LP_CAP_TABLE,
     LP_CAPS,
     MARKOV_CAPS,
+    MONOTONE_DEGREE_MAX_DMAX,
     MONOTONE_DT_MAX_DMAX,
     SQUARE_CAPS,
     cap_profile,
@@ -165,6 +167,29 @@ def test_monotone_degree_base_and_values():
             assert v >= table.values[d - 1]
 
 
+@lru_cache(maxsize=None)
+def _monotone_degree_by_fractions():
+    """The recursion in Fractions, one step at a time, to the largest d_max;
+    a smaller d_max runs the same steps and stops sooner."""
+    vals = [Fraction(0), Fraction(1, 2), Fraction(1, 2)]
+    for d in range(3, MONOTONE_DEGREE_MAX_DMAX + 1):
+        prev, best = vals[d - 1], Fraction(0)
+        for k in range(1, d + 1):
+            wk, wd = Fraction(1, 1 << k), Fraction(1, 1 << d)
+            best = max(best, min(k * wk + (1 - wk) * prev, k * wd + prev))
+        vals.append(best)
+    return tuple(vals)
+
+
+@pytest.mark.parametrize("d_max", [2, 3, 30, 120, MONOTONE_DEGREE_MAX_DMAX])
+def test_monotone_degree_on_one_scale_equals_the_fraction_recursion(d_max):
+    table = dp_monotone_degree(d_max)
+    vals = _monotone_degree_by_fractions()[:d_max + 1]
+    assert table.values == vals
+    # the tail sum_{d > d_max} d / 2^d is (d_max + 2) / 2^d_max
+    assert table.headline == vals[d_max] + Fraction(d_max + 2, 1 << d_max)
+
+
 # --- mixed measures --------------------------------------------------------------
 
 def test_ds_influence_min_beta_one_is_finite():
@@ -310,10 +335,20 @@ def _profile_step_by_powers(d, beta):
     return n * n * min(prof, d * m ** root) * w.numerator / (m ** (root + 2) * w.denominator)
 
 
-@pytest.mark.parametrize("beta", [Fraction(1, 2), Fraction(1, 3), Fraction(7, 64), Fraction(1)])
+@pytest.mark.parametrize(
+    "beta", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(7, 64), Fraction(1)]
+)
 def test_profile_steps_by_shifts_equal_the_steps_by_powers(beta):
     for d in range(1, 401):
         assert _profile_step(d, beta) == _profile_step_by_powers(d, beta), d
+
+
+@pytest.mark.parametrize(
+    "beta", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(7, 64), Fraction(1)]
+)
+def test_uniform_steps_by_shifts_equal_the_rounded_fractions(beta):
+    for d in range(1, 401):
+        assert _uniform_step(d, beta) == float(d * _pow2(-(beta * d + 2 * (1 - beta)))), d
 
 
 def test_a_cap_profile_that_falls_is_refused(monkeypatch):

@@ -17,7 +17,7 @@ from bfc.bounds import (
     MONOTONE_DT_MAX_DMAX,
     cs_harmonic_bound,
 )
-from bfc.cli import VERIFY_BUDGET, main
+from bfc.cli import _HELP_POINTS_FLOOR, BETA_MAX_DIGITS, VERIFY_BUDGET, main
 from bfc.corpus import POINTS_FLOOR, parse_corpus
 from bfc.lp import LP_CAP_SCAN_MAX_DEGREE
 
@@ -340,6 +340,106 @@ def test_negative_beta_fails_with_one_error_line(argv, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "bfc: error: mixing weight must lie in (0, 1], got -1/2\n"
+
+
+@pytest.mark.parametrize("beta", ["1e10000000", "1e-10000000"])
+def test_a_beta_of_unbounded_size_is_refused_at_once(beta):
+    # Fraction would build 10^10000000 for either before failing; the
+    # refusal comes first, so the command ends well within the timeout
+    src = str(Path(bfc.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "bfc.cli", "table", "ds", "--beta", beta],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=30,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        f"bfc: error: --beta {beta} has 10000001 digits written out, "
+        f"more than {BETA_MAX_DIGITS}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "beta, size",
+    [
+        (f"1e-{BETA_MAX_DIGITS}", BETA_MAX_DIGITS + 1),  # past the bound by its exponent
+        ("0." + "3" * BETA_MAX_DIGITS, BETA_MAX_DIGITS + 1),
+        ("1/" + "7" * BETA_MAX_DIGITS, BETA_MAX_DIGITS + 1),
+        # an exponent of more digits than the bound is not read
+        ("1e" + "0" * BETA_MAX_DIGITS + "1", BETA_MAX_DIGITS + 2),
+    ],
+    ids=["exponent", "decimal", "fraction", "long-exponent"],
+)
+def test_a_beta_past_the_digit_bound_fails_with_one_error_line(beta, size, capsys):
+    code = main(["table", "ds", "--beta", beta, "--dmax", "2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        f"bfc: error: --beta {beta} has {size} digits written out, more than {BETA_MAX_DIGITS}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "beta, last",
+    [
+        (
+            "1e-57",
+            "influence_min_value\t"
+            "149277456004906511826120405263448672302038041113566495375360.000000000",
+        ),
+        ("0." + "3" * (BETA_MAX_DIGITS - 1), "influence_min_value\t17.704799939"),
+        (f"1e-{BETA_MAX_DIGITS - 1}", None),  # at the bound, below the resolution of 2^-beta
+    ],
+    ids=["tiny", "decimal-at-bound", "exponent-at-bound"],
+)
+def test_a_beta_within_the_digit_bound_is_read(beta, last, capsys):
+    code = main(["table", "ds", "--beta", beta, "--dmax", "2"])
+    captured = capsys.readouterr()
+    if last is None:
+        assert code == 2
+        assert captured.err.startswith("bfc: error: mixing weight 1/1000")
+        assert captured.err.endswith(" is too small: 2^-beta rounds to 1 at 192 bits\n")
+    else:
+        assert code == 0 and captured.out.splitlines()[-1] == last
+
+
+def test_no_budget_help_names_the_points_floor(capsys):
+    # the parser writes the floor out so as to load no corpus module
+    assert _HELP_POINTS_FLOOR == POINTS_FLOOR
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    words = " ".join(capsys.readouterr().out.split())
+    assert f"(2^n per function, at least {POINTS_FLOOR})" in words
+
+
+@pytest.mark.parametrize(
+    "argv, more",
+    [
+        ("family MAF --k 3", ""),
+        ("table cs --dmax 30", "bounds"),
+        ("table degree --dmax 4", "bounds"),
+        ("table monotone-degree --dmax 4", "bounds"),
+        ("table monotone-dt --dmax 4", "bounds"),
+        ("table ds --dmax 4", "bounds"),
+        ("lp-caps --dmax 2", "lp measures"),
+        ("analyze --family MAJ --k 3", "bounds coordinate lp measures"),
+        ("verify --corpus named:MAJ:5", "bounds coordinate corpus measures verify"),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, more):
+    # every command is a fresh process, so each pays for what it imports:
+    # the bfc modules loaded once it has run, beyond bfc, bfc.bf and bfc.cli
+    src = str(Path(bfc.__file__).resolve().parents[1])
+    code = (
+        "import sys; from bfc.cli import main; code = main(sys.argv[1:]); "
+        "print(*sorted(m for m in sys.modules if m.startswith('bfc.')), file=sys.stderr); "
+        "sys.exit(code)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv.split()],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    want = ["bfc.bf", "bfc.cli", *(f"bfc.{m}" for m in more.split())]
+    assert done.stderr.split() == sorted(want)
 
 
 def test_closed_stdout_pipe_ends_quietly_with_sigpipe_status():

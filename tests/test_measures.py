@@ -831,6 +831,17 @@ def test_influence_counting_matches_spectrum(args):
     influence(BooleanFunction(n, t))
 
 
+def test_influence_cross_check_catches_a_wrong_spectrum(monkeypatch):
+    # the spectrum of x2 stands in for that of the dictator x1, so the
+    # folded sums put coordinate 1's weight on coordinate 2
+    x2 = BooleanFunction.from_callable(2, lambda x: x[1]).table
+    spectrum = measures.fourier_vector
+    monkeypatch.setattr(measures, "fourier_vector", lambda n, t: spectrum(n, x2))
+    wrong = "influence mismatch on coordinate 1: count 4/4 vs spectrum 0/16"
+    with pytest.raises(AssertionError, match=wrong):
+        influence(family("DICT", 2))
+
+
 def test_influence_restriction_averaging_seeded():
     rng = random.Random(20240809)
     for _ in range(100):
