@@ -10,7 +10,8 @@ of independent columns is kept only as the integer adjugate adj = det B^-1,
 with det > 0.  Each pivot replaces one basis row and updates adj by
 Bareiss's exact division ("Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 1968), so every entry
-is a minor of the input and stays an integer.
+is a minor of the input and stays an integer.  The cap scan's bases derive
+the same integers from interpolation nodes instead (below).
 
 The start (phase 0) begins with an empty basis and takes the rows in key
 order.  A row that is independent of the basis rows so far adds to J the
@@ -40,7 +41,15 @@ the full LP: a witness spread over the members of each orbit must satisfy
 
 The cap scan ``lp_bs_cap`` runs the same solver on the moment LP written in
 the binomial basis C(t, j), with a row picker of its own, and carries each
-basis from b to b + 1, where each pivot exchanges interpolation nodes.
+basis from b to b + 1.  Its rows are +-p(k), values of p(t) =
+sum_j c_j C(t, j), so a basis is d interpolation nodes k_s with sides
+sigma_s, and each pivot exchanges one node.  ``_ScanBasis`` keeps no
+adjugate: with p(0) = 0, column s of B^-1 is sigma_s times the binomial
+coefficients of the Lagrange polynomial q_s / delta_s, where
+pi(t) = t prod_m (t - k_m), q_s = pi / (t - k_s) and delta_s = q_s(k_s).
+From the nodes, the delta_s, pi, det and the vertex it gets in O(d) each,
+with exact integer divisions, the same entering weights, pivots, vertices
+and certificates as the adjugate would give.
 Once a certificate uses only rows whose right-hand side no later LP of the
 scan raises (the rows of the points below b, and the endpoint row that
 keeps its bound), it proves every later LP infeasible, so the scan stops
@@ -53,13 +62,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import comb, lcm
+from math import comb, factorial, lcm, prod
 from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bf import BooleanFunction, _permutation_images, _permutation_stages, check_arity
 from .measures import APPROX_DEGREE_MAX_ARITY
 
+# lp_bs_cap(16), the slowest degree allowed, takes 0.38 s (raw, in-process,
+# one 2-core x86-64 host); the caps past 16 are not certified here
 LP_CAP_SCAN_MAX_DEGREE = 16
 
 
@@ -201,15 +212,24 @@ class _VertexBasis:
             line[j] = a
         self.det = piv
 
+    def _vertex(self, r_b: Sequence[int]) -> list[int]:
+        """det times the vertex on J for right-hand sides r_b by slot."""
+        return [sum(map(mul, line, r_b)) for line in self.adj]
+
+    def _weights(self, a: Sequence[int]) -> list[int]:
+        """w = a adj, the entering weights of the row a (on J) by slot."""
+        return [sum(map(mul, a, slot)) for slot in zip(*self.adj)]
+
     def run(
         self,
-        row: Callable[[int], Sequence[int]],
+        row: Callable[[int], object],
         rhs: Callable[[int], int],
         pick: Callable[[list[int], int, bool], int],
     ) -> tuple[list[int], list[int]] | None:
         """Pivot to a vertex that satisfies every row.
 
-        ``row`` and ``rhs`` give a row on the columns J by key, and
+        ``row`` gives a row by key in the form ``_weights`` takes (its
+        coefficients on J here) and ``rhs`` its right-hand side, and
         ``pick(point, det, bland)`` the key of a row violated at the vertex
         point/det: the most violated one, or the lowest-keyed one once
         ``bland`` is set; -1 when none is.  That row a, with w = a adj,
@@ -220,7 +240,7 @@ class _VertexBasis:
         satisfies every row, else a Farkas certificate as (row keys,
         multipliers).
         """
-        keys, adj = self.keys, self.adj
+        keys = self.keys
         r_b = [rhs(key) for key in keys]
         seen = set()
         bland = False
@@ -229,12 +249,10 @@ class _VertexBasis:
             bland = bland or basis in seen
             seen.add(basis)
             det = self.det
-            point = [sum(map(mul, line, r_b)) for line in adj]
-            leave = pick(point, det, bland)
+            leave = pick(self._vertex(r_b), det, bland)
             if leave < 0:
                 return None
-            a = row(leave)
-            w = [sum(map(mul, a, slot)) for slot in zip(*adj)]
+            w = self._weights(row(leave))
             slots = [j for j, v in enumerate(w) if v > 0]
             if not slots:
                 # a = (w/det) B, and B x <= r_B forces a.x >= a.vertex > r
@@ -273,8 +291,8 @@ def simplex_feasible(lp: LinearProgram) -> SimplexResult:
     if cert is None:
         r_b = [on_j[key][1] for key in basis.keys]
         x = [Fraction(0)] * lp.num_vars
-        for c, line in zip(basis.cols, basis.adj):
-            x[c] = Fraction(sum(map(mul, line, r_b)), basis.det)
+        for c, v in zip(basis.cols, basis._vertex(r_b)):
+            x[c] = Fraction(v, basis.det)
         return SimplexResult(True, tuple(x))
     y = [0] * len(lp.rows)
     for key, v in zip(*cert):
@@ -407,31 +425,133 @@ def _first_violated(vals: list[int], det: int, b: int, tau: int) -> int:
     return -1
 
 
+def _binomial_quotient(p: Sequence[int], k: int) -> list[int]:
+    """q = p / (t - k) for a root k of p, both on C(t, 1), C(t, 2), ....
+
+    t C(t, i) = (i + 1) C(t, i + 1) + i C(t, i), so p's coefficient on
+    C(t, i) is i q_{i-1} + (i - k) q_i, solved for q from the top down.
+    """
+    q = [0] * (len(p) - 1)
+    above = 0
+    for i in range(len(p) - 1, 0, -1):
+        above = q[i - 1] = (p[i] - (i + 1 - k) * above) // (i + 1)
+    return q
+
+
+def _binomial_times(q: Sequence[int], k: int) -> list[int]:
+    """q (t - k) on C(t, 1), C(t, 2), ..., one coefficient longer than q."""
+    return [(i + 1) * lo + (i + 1 - k) * hi for i, (lo, hi) in enumerate(zip([0, *q], [*q, 0]))]
+
+
 class _ScanBasis(_VertexBasis):
-    """A vertex basis of one tau chain of the cap scan.
+    """A vertex basis of one tau chain of the cap scan, kept as
+    interpolation nodes instead of an adjugate.
 
     Its columns are the d coefficients.  With no objective every basis is
     dual feasible, so a basis carries over from b to b + 1, where only
     right-hand sides change and two rows are added.  Phase 0 over the rows
     of points 1..d admits p(k) <= hi_k for k = 1..d, a unitriangular B.
-    ``rows`` holds each row by key, built once and shared by a scan's chains.
+
+    The row of key 2k + (0 or 1) is sigma (C(k, 1), ..., C(k, d)) with
+    sigma = +1 or -1, the value sigma p(k).  So a basis is d distinct nodes
+    k_s with sides sigma_s, and with p(0) = 0 column s of B^-1 is sigma_s
+    times the coefficients of the Lagrange polynomial q_s / delta_s, where
+    pi(t) = t prod_m (t - k_m), q_s = pi / (t - k_s) and delta_s = q_s(k_s)
+    (barycentric weights; Berrut & Trefethen, SIAM Review 46, 2004).  The
+    basis keeps the nodes, ``denoms`` = sigma_s delta_s, pi on C(t, 1..d+1),
+    det and the vertex ``point`` = adj r_B for the right-hand sides ``r_b``,
+    and computes from them, each in O(d) with every division exact, the
+    integers the adjugate adj = det B^-1 holds:
+
+    - a row sigma e(k) at no node has the entering weights
+      w_s = sigma det pi(k) / ((k - k_s) sigma_s delta_s);
+    - column j of adj is det q_j / (sigma_j delta_j) (``_column``), q_j by
+      one synthetic division in the binomial basis;
+    - the pivot of slot j to node k makes det' = w_j, moves the vertex to
+      (w_j point - col_j W) / det + col_j r with W = w.r_B and r the new
+      row's right-hand side, rescales delta_s by (k_s - k) / (k_s - k_j),
+      and sets delta_j' = q_j(k) and pi' = q_j (t - k);
+    - a changed right-hand side moves the vertex by col_s times the change.
+
+    ``run`` hands the basis each row as (key, right-hand side), and
+    ``_weights`` keeps it as the row that the next ``_pivot`` enters.
     """
 
-    def __init__(self, d: int, rows: list[tuple[int, ...]]):
-        self.rows = rows
-        rows.extend(_scan_row(key, d) for key in range(len(rows), 2 * d + 2))
-        super().__init__(d, enumerate(rows[2 : 2 * d + 2], 2))
+    def __init__(self, d: int):
+        self.keys: list[int] = []
+        self.cols = list(range(d))
+        self.nodes: list[int] = []
+        self.denoms: list[int] = []
+        self.pi = [1] + [0] * d  # pi(t) = t = C(t, 1) before any node
+        self.det = 1
+        # phase 0 holds every right-hand side at 0, so the vertex starts at 0
+        self.point, self.r_b = [0] * d, [0] * d
+        for k in range(1, d + 1):
+            self._pivot(k - 1, [])  # into a new slot, which needs no weights
+            self.keys.append(2 * k)
+
+    def _column(self, s: int) -> list[int]:
+        """Column s of adj: det q_s / (sigma_s delta_s)."""
+        det, denom = self.det, self.denoms[s]
+        return [det * v // denom for v in _binomial_quotient(self.pi, self.nodes[s])]
+
+    def _vertex(self, r_b: Sequence[int]) -> list[int]:
+        for s, (r, old) in enumerate(zip(r_b, self.r_b)):
+            if r != old:
+                self.point = [x + c * (r - old) for x, c in zip(self.point, self._column(s))]
+                self.r_b[s] = r
+        return self.point
+
+    def _weights(self, a: tuple[int, int]) -> list[int]:
+        self.entering = a
+        key = a[0]
+        k, nodes, det = key >> 1, self.nodes, self.det
+        if k in nodes:  # plus or minus a basis row: +-det on its slot alone
+            j = nodes.index(k)
+            w = [0] * len(nodes)
+            w[j] = det if self.keys[j] == key else -det
+            return w
+        top = (-det if key & 1 else det) * k * prod(k - m for m in nodes)
+        return [top // ((k - m) * v) for m, v in zip(nodes, self.denoms)]
+
+    def _pivot(self, j: int, w: Sequence[int]) -> None:
+        """Enter the row ``_weights`` last took at slot j, or in phase 0
+        p(k) <= hi_k for k = j + 1 at a new slot j."""
+        nodes, denoms, det = self.nodes, self.denoms, self.det
+        if j == len(nodes):
+            # after the nodes 1..j, with C(t, k) as the new column: B stays
+            # unitriangular with det 1, and q_k = pi, so delta_k = pi(k) = k!
+            k = j + 1
+            self.denoms = [v * (m - k) for m, v in zip(nodes, denoms)] + [factorial(k)]
+            self.pi = _binomial_times(self.pi[:-1], k)
+            nodes.append(k)
+            return
+        key, r = self.entering
+        k, k_j, piv = key >> 1, nodes[j], w[j]
+        q = _binomial_quotient(self.pi, k_j)
+        col = [det * v // denoms[j] for v in q]
+        mix = sum(map(mul, w, self.r_b))
+        self.point = [(piv * x - c * mix) // det + c * r for x, c in zip(self.point, col)]
+        self.r_b[j] = r
+        self.denoms = [
+            piv * v // det if s == j else v * (m - k) // (m - k_j)
+            for s, (m, v) in enumerate(zip(nodes, denoms))
+        ]
+        self.pi = _binomial_times(q, k)
+        nodes[j] = k
+        self.det = piv
 
     def solve(self, b: int, tau: int) -> tuple[list[int], list[int]] | None:
         """``run`` on the rows of points 1..b, picked from their values."""
-        rows, d = self.rows, len(self.keys)
-        rows.extend(_scan_row(key, d) for key in range(len(rows), 2 * b + 2))
+
+        def rhs(key):
+            return _scan_rhs(key, b, tau)
 
         def pick(point, det, bland):
             vals = _scan_values(point, b)
             return (_first_violated if bland else _most_violated)(vals, det, b, tau)
 
-        return self.run(rows.__getitem__, lambda key: _scan_rhs(key, b, tau), pick)
+        return self.run(lambda key: (key, rhs(key)), rhs, pick)
 
 
 def _closes(keys: Sequence[int], b: int, tau: int) -> bool:
@@ -467,8 +587,7 @@ def lp_bs_cap(d: int) -> LpCapScan:
         raise ValueError(f"lp_bs_cap supports 1 <= d <= {LP_CAP_SCAN_MAX_DEGREE}")
     profile = []
     cap = d
-    rows: list[tuple[int, ...]] = []
-    chains = (_ScanBasis(d, rows), _ScanBasis(d, rows))
+    chains = (_ScanBasis(d), _ScanBasis(d))
     closing = None  # (key, r) of each row of a checked certificate that closes
     for b in range(max(2, d), 2 * d * d + 1):
         feas = []
@@ -485,7 +604,7 @@ def lp_bs_cap(d: int) -> LpCapScan:
             if cert is not None:
                 keys, y = cert
                 checked = [(key, _scan_rhs(key, b, tau)) for key in keys]
-                if not _is_farkas(d, [(rows[key], r) for key, r in checked], y):
+                if not _is_farkas(d, [(_scan_row(key, d), r) for key, r in checked], y):
                     raise AssertionError("cap scan Farkas certificate failed exact check")
                 if _closes(keys, b, tau):
                     closing = checked

@@ -40,7 +40,14 @@ from .coordinate import (
     _monomial_sens_violation,
     _rrcm_violation,
 )
-from .measures import TableMeasures, _lane_halves, _lane_min, approx_degree, table_measures
+from .measures import (
+    TableMeasures,
+    _lane_halves,
+    _lane_min,
+    _size_levels,
+    approx_degree,
+    table_measures,
+)
 
 # constants certified by the bound engine (see bounds.dp_degree and friends),
 # kept exact so that each is compared with an integer count as integers
@@ -129,9 +136,15 @@ class StandardFormReport(NamedTuple):
 def check_standard_form_lemmas(g: BooleanFunction) -> StandardFormReport:
     """Pairwise coefficients in {-1,-2}, curvature window, degree, and the
     [0,1] grid bound of the symmetrised polynomial."""
-    b = g.n
-    if g.bit(0) != 0 or any(g.bit(1 << j) != 1 for j in range(b)):
+    if g.bit(0) != 0 or any(g.bit(1 << j) != 1 for j in range(g.n)):
         raise ValueError("function is not in standard form")
+    return _standard_form_lemmas(g, _symmetrized(g.n, g.table))
+
+
+def _standard_form_lemmas(g: BooleanFunction, p: list[int]) -> StandardFormReport:
+    """``check_standard_form_lemmas`` for a g in standard form whose
+    symmetrised polynomial p is already known."""
+    b = g.n
     rec = table_measures(b, g.table)
     mob = rec.mobius
     quad_ok = True
@@ -142,7 +155,6 @@ def check_standard_form_lemmas(g: BooleanFunction) -> StandardFormReport:
             quad_sum += c
             if c not in (-1, -2):
                 quad_ok = False
-    p = _symmetrized(b, g.table)
     pairs = b * (b - 1) // 2
     second = 2 * quad_sum
     second_ok = -4 * pairs <= second <= -2 * pairs if pairs else True
@@ -558,21 +570,22 @@ def _check_monomial_potential(rec: TableMeasures):
 
 
 def _check_top_monomial_deg_i(rec: TableMeasures):
+    """Each coordinate of each top monomial has deg_i = deg.  The first
+    failure is the least such mask and its least coordinate i with
+    deg_i != deg, so only the set bits of the support at size deg are
+    walked, in ascending order, and none when every deg_i is deg."""
     d = rec.deg
     if d == 0:
         return "PASS", 0, 0
-    for mask in range(1 << rec.n):
-        if rec.mobius[mask] and mask.bit_count() == d:
-            mm = mask
-            while mm:
-                low = mm & -mm
-                if rec.deg_i[low.bit_length() - 1] != d:
-                    return (
-                        "FAIL",
-                        f"mask={mask:#x} i={low.bit_length()}",
-                        f"deg_i != {d}",
-                    )
-                mm ^= low
+    short = sum(1 << i for i, k in enumerate(rec.deg_i) if k != d)
+    top = rec.support & _size_levels(rec.n)[d] if short else 0
+    while top:
+        low = top & -top
+        mask = low.bit_length() - 1
+        hit = mask & short
+        if hit:
+            return "FAIL", f"mask={mask:#x} i={(hit & -hit).bit_length()}", f"deg_i != {d}"
+        top ^= low
     return "PASS", "-", "-"
 
 
@@ -587,7 +600,7 @@ def _check_standard_form(rec: TableMeasures):
     linear = p[1] if len(p) > 1 else 0
     if linear != bs:
         return "FAIL", f"linear coeff {linear}", f"bs {bs}"
-    rep = check_standard_form_lemmas(g)
+    rep = _standard_form_lemmas(g, p)
     if not rep.passed:
         return "FAIL", rep.detail, "standard-form lemmas"
     return "PASS", f"b={bs}", "-"

@@ -50,6 +50,7 @@ GOLDEN = {
     ],
     "family_maf3.tt": ["family", "MAF", "--k", "3"],
     "lp_caps_dmax14.tsv": ["lp-caps", "--dmax", "14"],
+    "lp_caps_dmax16.tsv": ["lp-caps", "--dmax", "16"],
     "verify_named_readme.tsv": ["verify", "--corpus", "named:KUSHILEVITZ,MAJ:3,MAF:3"],
 }
 

@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 from itertools import permutations
 from math import comb, lcm
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -392,14 +393,15 @@ def test_lp_scan_reproduces_the_pinned_pivot_path():
 def test_scan_start_basis_is_the_inverse_binomial_matrix():
     # phase 0 over the scan rows admits p(k) <= hi_k for k = 1..d
     for d in range(1, LP_CAP_SCAN_MAX_DEGREE + 1):
-        basis = bfc.lp._ScanBasis(d, [])
+        basis = bfc.lp._ScanBasis(d)
         assert basis.keys == [2 * k for k in range(1, d + 1)]
         assert basis.cols == list(range(d))
         rows = [bfc.lp._scan_row(key, d) for key in basis.keys]
         assert basis.det == 1
+        adj = [basis._column(j) for j in range(d)]
         for i in range(d):
             for j in range(d):
-                assert sum(rows[i][t] * basis.adj[t][j] for t in range(d)) == (i == j)
+                assert sum(rows[i][t] * adj[j][t] for t in range(d)) == (i == j)
 
 
 @given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8), st.integers(0, 20))
@@ -542,7 +544,7 @@ SCAN_PIVOTS = 1532
 
 def _plain_scan(d):
     """The profile of two chains that solve every (b, tau) up to 2d^2."""
-    chains = (bfc.lp._ScanBasis(d, []), bfc.lp._ScanBasis(d, []))
+    chains = (bfc.lp._ScanBasis(d), bfc.lp._ScanBasis(d))
     return tuple(
         (b, *(chain.solve(b, tau) is None for tau, chain in enumerate(chains)))
         for b in range(max(2, d), 2 * d * d + 1)
@@ -652,17 +654,100 @@ def test_scan_solve_counts_are_pinned(monkeypatch):
 
 
 def test_scan_pivot_total_is_pinned(monkeypatch):
-    pivot = bfc.lp._VertexBasis._pivot
+    pivot = bfc.lp._ScanBasis._pivot
     calls = []
 
     def counted(self, *args):
         calls.append(1)
         return pivot(self, *args)
 
-    monkeypatch.setattr(bfc.lp._VertexBasis, "_pivot", counted)
+    monkeypatch.setattr(bfc.lp._ScanBasis, "_pivot", counted)
     for d in range(1, 12):
         lp_bs_cap(d)
     assert len(calls) == SCAN_PIVOTS
+
+
+# d = 15 and 16 as the adjugate basis scanned them: (cap, LP solves,
+# pivots with phase 0's)
+HIGH_SCANS = {15: (131, 236, 1201), 16: (149, 269, 1666)}
+
+
+def test_high_degree_scans_are_pinned(monkeypatch):
+    run, pivot = bfc.lp._VertexBasis.run, bfc.lp._ScanBasis._pivot
+    solves, pivots = [], []
+
+    def counted_run(self, *args):
+        solves.append(1)
+        return run(self, *args)
+
+    def counted_pivot(self, *args):
+        pivots.append(1)
+        return pivot(self, *args)
+
+    monkeypatch.setattr(bfc.lp._VertexBasis, "run", counted_run)
+    monkeypatch.setattr(bfc.lp._ScanBasis, "_pivot", counted_pivot)
+    for d, want in HIGH_SCANS.items():
+        solves.clear()
+        pivots.clear()
+        assert (lp_bs_cap(d).cap, len(solves), len(pivots)) == want, d
+
+
+class _AdjugateScan:
+    """The adjugate ``_VertexBasis`` on the scan's rows, with the scan's
+    picks: the oracle of the node basis ``_ScanBasis``."""
+
+    def __init__(self, d):
+        self.d = d
+        self.rows = [bfc.lp._scan_row(key, d) for key in range(2 * d + 2)]
+        self.basis = bfc.lp._VertexBasis(d, enumerate(self.rows[2:], 2))
+
+    def solve(self, b, tau):
+        rows, lp = self.rows, bfc.lp
+        rows.extend(lp._scan_row(key, self.d) for key in range(len(rows), 2 * b + 2))
+
+        def pick(point, det, bland):
+            vals = lp._scan_values(point, b)
+            return (lp._first_violated if bland else lp._most_violated)(vals, det, b, tau)
+
+        return self.basis.run(rows.__getitem__, lambda key: lp._scan_rhs(key, b, tau), pick)
+
+
+def test_node_basis_equals_the_adjugate_basis_solve_by_solve(monkeypatch):
+    # every solve of the plain scans of d = 1..12 returns the same
+    # certificate integers and leaves the same keys, det, vertex and adj;
+    # up to d = 6 every row of points 1..b has the same entering weights.
+    # Up to d = 8 each vertex the node basis reads within a solve must be
+    # adj r_B with B adj = det I, so a wrong pivot fails there, not looping
+    vertex = bfc.lp._ScanBasis._vertex
+
+    def checked_vertex(self, r_b):
+        point = vertex(self, r_b)
+        d = len(self.keys)
+        if d > 8:
+            return point
+        cols = [self._column(j) for j in range(d)]
+        rows = [bfc.lp._scan_row(key, d) for key in self.keys]
+        eye = [[sum(map(mul, a, col)) for col in cols] for a in rows]
+        assert self.det > 0 and eye == [[self.det * (i == j) for j in range(d)] for i in range(d)]
+        assert point == [sum(map(mul, line, r_b)) for line in zip(*cols)]
+        return point
+
+    monkeypatch.setattr(bfc.lp._ScanBasis, "_vertex", checked_vertex)
+    for d in range(1, 13):
+        for tau in (0, 1):
+            node, oracle = bfc.lp._ScanBasis(d), _AdjugateScan(d)
+            basis = oracle.basis
+            for b in range(max(2, d), 2 * d * d + 1):
+                assert node.solve(b, tau) == oracle.solve(b, tau), (d, b, tau)
+                assert (node.keys, node.det) == (basis.keys, basis.det), (d, b, tau)
+                r_b = [bfc.lp._scan_rhs(key, b, tau) for key in basis.keys]
+                assert node.point == basis._vertex(r_b), (d, b, tau)
+                adj = [list(column) for column in zip(*basis.adj)]
+                assert [node._column(j) for j in range(d)] == adj, (d, b, tau)
+                if d <= 6:
+                    for key in range(2, 2 * b + 2):
+                        want = basis._weights(oracle.rows[key])
+                        assert node._weights((key, 0)) == want, (d, b, tau, key)
 
 
 def test_closing_on_a_raised_endpoint_bound_is_refused(monkeypatch):

@@ -679,3 +679,63 @@ def test_doubled_loops_match_the_former_per_point_loops():
     # both failure details and the pass are met, and witnesses of both values
     assert {"3/2", "-"} <= verdicts and any(v.startswith("profile cap") for v in verdicts)
     assert witness_values == {0, 1}
+
+
+# ---------------------------------------------------------------------------
+# the top_monomial_deg_i row: the support at size deg, not every mask
+# ---------------------------------------------------------------------------
+
+def _top_monomial_full_scan(rec):
+    """The top_monomial_deg_i row by a walk over all 2^n masks and each
+    mask's coordinates in order: the oracle of the support walk."""
+    d = rec.deg
+    if d == 0:
+        return "PASS", 0, 0
+    for mask in range(1 << rec.n):
+        if rec.mobius[mask] and mask.bit_count() == d:
+            for i in range(rec.n):
+                if mask >> i & 1 and rec.deg_i[i] != d:
+                    return "FAIL", f"mask={mask:#x} i={i + 1}", f"deg_i != {d}"
+    return "PASS", "-", "-"
+
+
+def test_top_monomial_row_matches_the_full_scan_on_forged_records():
+    # deg_i forged one low at one coordinate, or at every coordinate, with
+    # deg read first: each FAIL row, mask and coordinate included, is the
+    # full scan's, and so is each PASS row
+    rng = random.Random(564)
+    tables = [(n, rng.getrandbits(1 << n)) for n in range(1, 10) for _ in range(3)]
+    tables += [(f.n, f.table) for f in (family("MAJ", 5), family("ADDR", 2), family("AND", 4))]
+    tables += [(3, 0), (4, 0x8000), (12, rng.getrandbits(1 << 12))]
+    fails = 0
+    for n, t in tables:
+        rec = TableMeasures(n, t)
+        assert verify._check_top_monomial_deg_i(rec) == _top_monomial_full_scan(rec)
+        for lowered in [(i,) for i in range(n)] + [tuple(range(n))]:
+            rec = TableMeasures(n, t)
+            rec.deg
+            vars(rec)["deg_i"] = tuple(k - (i in lowered) for i, k in enumerate(rec.deg_i))
+            row = verify._check_top_monomial_deg_i(rec)
+            assert row == _top_monomial_full_scan(rec), (n, t, lowered)
+            fails += row[0] == "FAIL"
+    assert fails > 50
+
+
+def test_standard_form_row_symmetrises_once(monkeypatch):
+    # the row and its lemmas share one symmetrised polynomial of g
+    symmetrized = verify._symmetrized
+    calls = []
+
+    def counted(n, table):
+        calls.append((n, table))
+        return symmetrized(n, table)
+
+    monkeypatch.setattr(verify, "_symmetrized", counted)
+    for f in (family("MAJ", 3), family("KUSHILEVITZ"), family("OR", 4), family("ADDR", 2)):
+        calls.clear()
+        assert verify._check_standard_form(table_measures(f.n, f.table))[0] == "PASS"
+        g = standard_form(f)
+        assert calls == [(g.n, g.table)]
+        calls.clear()
+        assert check_standard_form_lemmas(g).passed
+        assert calls == [(g.n, g.table)]
