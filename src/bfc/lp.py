@@ -11,7 +11,9 @@ with det > 0.  Each pivot replaces one basis row and updates adj by
 Bareiss's exact division ("Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 1968), so every entry
 is a minor of the input and stays an integer.  The cap scan's bases derive
-the same integers from interpolation nodes instead (below).
+the same integers from interpolation nodes instead (below): the solver asks
+each basis for a row's right-hand side and weights, the row to leave, the
+vertex and a pivot, and never for its matrix.
 
 The start (phase 0) begins with an empty basis and takes the rows in key
 order.  A row that is independent of the basis rows so far adds to J the
@@ -49,7 +51,8 @@ coefficients of the Lagrange polynomial q_s / delta_s, where
 pi(t) = t prod_m (t - k_m), q_s = pi / (t - k_s) and delta_s = q_s(k_s).
 From the nodes, the delta_s, pi, det and the vertex it gets in O(d) each,
 with exact integer divisions, the same entering weights, pivots, vertices
-and certificates as the adjugate would give.
+and certificates as the adjugate would give.  It starts in closed form at
+the nodes 1..d, where phase 0 would end.
 Once a certificate uses only rows whose right-hand side no later LP of the
 scan raises (the rows of the points below b, and the endpoint row that
 keeps its bound), it proves every later LP infeasible, so the scan stops
@@ -64,13 +67,14 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from math import comb, factorial, lcm, prod
 from operator import mul
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .bf import BooleanFunction, _permutation_images, _permutation_stages, check_arity
 from .measures import APPROX_DEGREE_MAX_ARITY
 
-# lp_bs_cap(16), the slowest degree allowed, takes 0.38 s (raw, in-process,
-# one 2-core x86-64 host); the caps past 16 are not certified here
+# lp_bs_cap(16), the slowest degree allowed, takes 0.20-0.34 s (raw,
+# in-process, one 2-core x86-64 host whose speed drifts); the caps past 16
+# are not certified here
 LP_CAP_SCAN_MAX_DEGREE = 16
 
 
@@ -161,21 +165,25 @@ class SimplexResult(NamedTuple):
 class _VertexBasis:
     """A vertex basis of rows a.x <= r, for the dual simplex.
 
-    ``keys`` are the basis rows, one per slot, and ``cols`` the columns J
-    they are independent on; ``adj`` = det B^-1 with det > 0 for their
-    square matrix B, indexed [column position][slot].  The vertex is
-    x_J = adj r_B / det, with every column outside J at 0.
+    ``keys`` are the basis rows, one per slot, ``r_b`` their right-hand
+    sides and ``cols`` the columns J they are independent on; ``adj`` =
+    det B^-1 with det > 0 for their square matrix B, indexed [column
+    position][slot].  The vertex is x_J = adj r_B / det, with every column
+    outside J at 0.  ``run`` reads the system through ``_rhs``,
+    ``_weights``, ``_pick`` and ``_vertex``, here from ``rows`` on J.
     """
 
-    def __init__(self, num_cols: int, rows: Iterable[tuple[int, Sequence[int]]]):
-        """Phase 0: admit each (key, coefficients) row, in the order given,
-        that is independent of the rows admitted before it."""
+    def __init__(self, num_cols: int, rows: Sequence[Row]):
+        """Phase 0: admit each row, in key order, that is independent of the
+        rows admitted before it; then keep the rows on J."""
         self.keys: list[int] = []
+        self.r_b: list[int] = []
         self.cols: list[int] = []
         self.adj: list[list[int]] = []
         self.det = 1
+        self.rows = rows  # as given, for phase 0's right-hand sides
         admitted: list[Sequence[int]] = []
-        for key, a in rows:
+        for key, (a, _) in enumerate(rows):
             if len(admitted) == num_cols:
                 break
             det, adj = self.det, self.adj
@@ -195,11 +203,28 @@ class _VertexBasis:
             adj.append([0] * len(admitted) + [det])
             self.cols.append(c)
             self.keys.append(key)
+            self.r_b.append(0)
             admitted.append(a)
-            self._pivot(len(w), [*w, rho])
+            self._pivot(len(w), [*w, rho], key)
+        self.rows = [([a[c] for c in self.cols], r) for a, r in rows]
 
-    def _pivot(self, j: int, w: Sequence[int]) -> None:
-        """Replace the row of slot j by the row with w = row.adj (w_j != 0).
+    def _rhs(self, key: int) -> int:
+        return self.rows[key][1]
+
+    def _weights(self, key: int) -> list[int]:
+        """w = a adj, the entering weights of row ``key`` by slot."""
+        a = self.rows[key][0]
+        return [sum(map(mul, a, slot)) for slot in zip(*self.adj)]
+
+    def _pick(self, point: list[int], bland: bool) -> int:
+        return _violated_row(self.rows, point, self.det, bland)
+
+    def _vertex(self) -> list[int]:
+        """det times the vertex on J."""
+        return [sum(map(mul, line, self.r_b)) for line in self.adj]
+
+    def _pivot(self, j: int, w: Sequence[int], key: int) -> None:
+        """Replace the row of slot j by row ``key``, w = row.adj (w_j != 0).
 
         Bareiss: the other columns divide exactly by det.  A negative pivot
         flips the sign of B's determinant, so adj is negated to keep det > 0.
@@ -211,48 +236,38 @@ class _VertexBasis:
             line[:] = [(piv * v - u * a) // det for v, u in zip(line, w)]
             line[j] = a
         self.det = piv
+        self.keys[j], self.r_b[j] = key, self._rhs(key)
 
-    def _vertex(self, r_b: Sequence[int]) -> list[int]:
-        """det times the vertex on J for right-hand sides r_b by slot."""
-        return [sum(map(mul, line, r_b)) for line in self.adj]
-
-    def _weights(self, a: Sequence[int]) -> list[int]:
-        """w = a adj, the entering weights of the row a (on J) by slot."""
-        return [sum(map(mul, a, slot)) for slot in zip(*self.adj)]
-
-    def run(
-        self,
-        row: Callable[[int], object],
-        rhs: Callable[[int], int],
-        pick: Callable[[list[int], int, bool], int],
-    ) -> tuple[list[int], list[int]] | None:
+    def run(self) -> tuple[list[int], list[int]] | None:
         """Pivot to a vertex that satisfies every row.
 
-        ``row`` gives a row by key in the form ``_weights`` takes (its
-        coefficients on J here) and ``rhs`` its right-hand side, and
-        ``pick(point, det, bland)`` the key of a row violated at the vertex
-        point/det: the most violated one, or the lowest-keyed one once
-        ``bland`` is set; -1 when none is.  That row a, with w = a adj,
-        enters the slot j with the largest w_j > 0, lowest key on ties, or
-        with ``bland`` the lowest-keyed slot with w_j > 0.  The pivot makes
-        w_j the new det, so the first rule gives the next basis the largest
-        determinant of all the valid ones.  Returns None at a vertex that
-        satisfies every row, else a Farkas certificate as (row keys,
-        multipliers).
+        ``_pick(point, bland)`` gives the key of a row violated at the
+        vertex point/det: the most violated one, or the lowest-keyed one
+        once ``bland`` is set; -1 when none is.  That row, with entering
+        weights w, enters the slot j with the largest w_j > 0, lowest key
+        on ties, or with ``bland`` the lowest-keyed slot with w_j > 0.  The
+        pivot makes w_j the new det, so the first rule gives the next basis
+        the largest determinant of all the valid ones.  The first repeated
+        basis sets ``bland``; Bland's rule never revisits a basis in exact
+        arithmetic, so a repeat under it is a faulty pivot and raises
+        AssertionError.  Returns None at a vertex that satisfies every row,
+        else a Farkas certificate as (row keys, multipliers).
         """
         keys = self.keys
-        r_b = [rhs(key) for key in keys]
         seen = set()
         bland = False
         while True:
             basis = frozenset(keys)
-            bland = bland or basis in seen
+            if basis in seen:
+                if bland:
+                    raise AssertionError("simplex basis repeated under Bland's rule")
+                bland, seen = True, set()
             seen.add(basis)
             det = self.det
-            leave = pick(self._vertex(r_b), det, bland)
+            leave = self._pick(self._vertex(), bland)
             if leave < 0:
                 return None
-            w = self._weights(row(leave))
+            w = self._weights(leave)
             slots = [j for j, v in enumerate(w) if v > 0]
             if not slots:
                 # a = (w/det) B, and B x <= r_B forces a.x >= a.vertex > r
@@ -260,10 +275,7 @@ class _VertexBasis:
             if not bland:
                 top = max(w)
                 slots = [j for j in slots if w[j] == top]
-            enter = min(slots, key=keys.__getitem__)
-            self._pivot(enter, w)
-            keys[enter] = leave
-            r_b[enter] = rhs(leave)
+            self._pivot(min(slots, key=keys.__getitem__), w, leave)
 
 
 def _violated_row(rows: Sequence[tuple[Sequence[int], int]], point, det, bland) -> int:
@@ -281,17 +293,11 @@ def _violated_row(rows: Sequence[tuple[Sequence[int], int]], point, det, bland) 
 
 def simplex_feasible(lp: LinearProgram) -> SimplexResult:
     """Exact feasibility verdict with a checked witness or Farkas certificate."""
-    basis = _VertexBasis(lp.num_vars, enumerate(a for a, _ in lp.rows))
-    on_j = [([a[c] for c in basis.cols], r) for a, r in lp.rows]
-    cert = basis.run(
-        lambda key: on_j[key][0],
-        lambda key: on_j[key][1],
-        lambda point, det, bland: _violated_row(on_j, point, det, bland),
-    )
+    basis = _VertexBasis(lp.num_vars, lp.rows)
+    cert = basis.run()
     if cert is None:
-        r_b = [on_j[key][1] for key in basis.keys]
         x = [Fraction(0)] * lp.num_vars
-        for c, v in zip(basis.cols, basis._vertex(r_b)):
+        for c, v in zip(basis.cols, basis._vertex()):
             x[c] = Fraction(v, basis.det)
         return SimplexResult(True, tuple(x))
     y = [0] * len(lp.rows)
@@ -449,8 +455,7 @@ class _ScanBasis(_VertexBasis):
 
     Its columns are the d coefficients.  With no objective every basis is
     dual feasible, so a basis carries over from b to b + 1, where only
-    right-hand sides change and two rows are added.  Phase 0 over the rows
-    of points 1..d admits p(k) <= hi_k for k = 1..d, a unitriangular B.
+    right-hand sides change and two rows are added.
 
     The row of key 2k + (0 or 1) is sigma (C(k, 1), ..., C(k, d)) with
     sigma = +1 or -1, the value sigma p(k).  So a basis is d distinct nodes
@@ -459,9 +464,9 @@ class _ScanBasis(_VertexBasis):
     pi(t) = t prod_m (t - k_m), q_s = pi / (t - k_s) and delta_s = q_s(k_s)
     (barycentric weights; Berrut & Trefethen, SIAM Review 46, 2004).  The
     basis keeps the nodes, ``denoms`` = sigma_s delta_s, pi on C(t, 1..d+1),
-    det and the vertex ``point`` = adj r_B for the right-hand sides ``r_b``,
-    and computes from them, each in O(d) with every division exact, the
-    integers the adjugate adj = det B^-1 holds:
+    det and the vertex ``point`` = adj r_B, and computes from them, each in
+    O(d) with every division exact, the integers the adjugate
+    adj = det B^-1 holds:
 
     - a row sigma e(k) at no node has the entering weights
       w_s = sigma det pi(k) / ((k - k_s) sigma_s delta_s);
@@ -473,38 +478,29 @@ class _ScanBasis(_VertexBasis):
       and sets delta_j' = q_j(k) and pi' = q_j (t - k);
     - a changed right-hand side moves the vertex by col_s times the change.
 
-    ``run`` hands the basis each row as (key, right-hand side), and
-    ``_weights`` keeps it as the row that the next ``_pivot`` enters.
+    It starts in closed form where phase 0 would end: at the upper rows
+    p(k) <= hi_k of k = 1..d, so det = 1, pi = (d + 1)! C(t, d + 1),
+    delta_k = (-1)^(d-k) k! (d - k)!, and r_B and the vertex are 0.
     """
 
     def __init__(self, d: int):
-        self.keys: list[int] = []
+        self.keys = [2 * k for k in range(1, d + 1)]
         self.cols = list(range(d))
-        self.nodes: list[int] = []
-        self.denoms: list[int] = []
-        self.pi = [1] + [0] * d  # pi(t) = t = C(t, 1) before any node
+        self.nodes = list(range(1, d + 1))
+        self.denoms = [(-1) ** (d - k) * factorial(k) * factorial(d - k) for k in self.nodes]
+        self.pi = [0] * d + [factorial(d + 1)]
         self.det = 1
-        # phase 0 holds every right-hand side at 0, so the vertex starts at 0
         self.point, self.r_b = [0] * d, [0] * d
-        for k in range(1, d + 1):
-            self._pivot(k - 1, [])  # into a new slot, which needs no weights
-            self.keys.append(2 * k)
 
     def _column(self, s: int) -> list[int]:
         """Column s of adj: det q_s / (sigma_s delta_s)."""
         det, denom = self.det, self.denoms[s]
         return [det * v // denom for v in _binomial_quotient(self.pi, self.nodes[s])]
 
-    def _vertex(self, r_b: Sequence[int]) -> list[int]:
-        for s, (r, old) in enumerate(zip(r_b, self.r_b)):
-            if r != old:
-                self.point = [x + c * (r - old) for x, c in zip(self.point, self._column(s))]
-                self.r_b[s] = r
-        return self.point
+    def _rhs(self, key: int) -> int:
+        return _scan_rhs(key, self.b, self.tau)
 
-    def _weights(self, a: tuple[int, int]) -> list[int]:
-        self.entering = a
-        key = a[0]
+    def _weights(self, key: int) -> list[int]:
         k, nodes, det = key >> 1, self.nodes, self.det
         if k in nodes:  # plus or minus a basis row: +-det on its slot alone
             j = nodes.index(k)
@@ -514,25 +510,20 @@ class _ScanBasis(_VertexBasis):
         top = (-det if key & 1 else det) * k * prod(k - m for m in nodes)
         return [top // ((k - m) * v) for m, v in zip(nodes, self.denoms)]
 
-    def _pivot(self, j: int, w: Sequence[int]) -> None:
-        """Enter the row ``_weights`` last took at slot j, or in phase 0
-        p(k) <= hi_k for k = j + 1 at a new slot j."""
+    def _pick(self, point: list[int], bland: bool) -> int:
+        vals = _scan_values(point, self.b)
+        return (_first_violated if bland else _most_violated)(vals, self.det, self.b, self.tau)
+
+    def _vertex(self) -> list[int]:
+        return self.point
+
+    def _pivot(self, j: int, w: Sequence[int], key: int) -> None:
         nodes, denoms, det = self.nodes, self.denoms, self.det
-        if j == len(nodes):
-            # after the nodes 1..j, with C(t, k) as the new column: B stays
-            # unitriangular with det 1, and q_k = pi, so delta_k = pi(k) = k!
-            k = j + 1
-            self.denoms = [v * (m - k) for m, v in zip(nodes, denoms)] + [factorial(k)]
-            self.pi = _binomial_times(self.pi[:-1], k)
-            nodes.append(k)
-            return
-        key, r = self.entering
-        k, k_j, piv = key >> 1, nodes[j], w[j]
+        k, k_j, piv, r = key >> 1, nodes[j], w[j], self._rhs(key)
         q = _binomial_quotient(self.pi, k_j)
         col = [det * v // denoms[j] for v in q]
         mix = sum(map(mul, w, self.r_b))
         self.point = [(piv * x - c * mix) // det + c * r for x, c in zip(self.point, col)]
-        self.r_b[j] = r
         self.denoms = [
             piv * v // det if s == j else v * (m - k) // (m - k_j)
             for s, (m, v) in enumerate(zip(nodes, denoms))
@@ -540,18 +531,18 @@ class _ScanBasis(_VertexBasis):
         self.pi = _binomial_times(q, k)
         nodes[j] = k
         self.det = piv
+        self.keys[j], self.r_b[j] = key, r
 
     def solve(self, b: int, tau: int) -> tuple[list[int], list[int]] | None:
-        """``run`` on the rows of points 1..b, picked from their values."""
-
-        def rhs(key):
-            return _scan_rhs(key, b, tau)
-
-        def pick(point, det, bland):
-            vals = _scan_values(point, b)
-            return (_first_violated if bland else _most_violated)(vals, det, b, tau)
-
-        return self.run(lambda key: (key, rhs(key)), rhs, pick)
+        """``run`` on the rows of points 1..b, after moving the vertex for
+        the basis rows whose right-hand side (b, tau) changes."""
+        self.b, self.tau = b, tau
+        for s, key in enumerate(self.keys):
+            step = self._rhs(key) - self.r_b[s]
+            if step:
+                self.point = [x + c * step for x, c in zip(self.point, self._column(s))]
+                self.r_b[s] += step
+        return self.run()
 
 
 def _closes(keys: Sequence[int], b: int, tau: int) -> bool:
@@ -624,9 +615,11 @@ def adeg_lp(f: BooleanFunction, d: int, eps: Fraction) -> LinearProgram:
     q P(x) <= q f(x) + p and -q P(x) <= p - q f(x).
     """
     check_arity(f.n, APPROX_DEGREE_MAX_ARITY, "approximation LP")
-    if d > f.n:
-        raise ValueError(f"degree {d} exceeds arity {f.n}")
+    if not 0 <= d <= f.n:
+        raise ValueError(f"degree {d} is outside 0..{f.n}")
     eps = Fraction(eps)
+    if eps < 0:
+        raise ValueError(f"eps {eps} is negative")
     p, q = eps.numerator, eps.denominator
     monomials = sorted(
         (m for m in range(1 << f.n) if m.bit_count() <= d),

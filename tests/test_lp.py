@@ -1,5 +1,6 @@
 import json
 import random
+import signal
 import time
 from fractions import Fraction
 from itertools import permutations
@@ -333,10 +334,10 @@ def test_simplex_switches_to_blands_rule_when_a_basis_repeats(monkeypatch):
         entered.append(key)
         return key
 
-    def blands_pivot(self, j, w):
+    def blands_pivot(self, j, w, key):
         if modes and modes[-1]:
             assert j == min((i for i, v in enumerate(w) if v > 0), key=self.keys.__getitem__)
-        pivot(self, j, w)
+        pivot(self, j, w, key)
 
     monkeypatch.setattr(bfc.lp, "_violated_row", stubborn)
     monkeypatch.setattr(bfc.lp._VertexBasis, "_pivot", blands_pivot)
@@ -391,7 +392,8 @@ def test_lp_scan_reproduces_the_pinned_pivot_path():
 
 
 def test_scan_start_basis_is_the_inverse_binomial_matrix():
-    # phase 0 over the scan rows admits p(k) <= hi_k for k = 1..d
+    # the closed-form start is where the adjugate's phase 0 over the scan
+    # rows ends: it admits p(k) <= hi_k for k = 1..d
     for d in range(1, LP_CAP_SCAN_MAX_DEGREE + 1):
         basis = bfc.lp._ScanBasis(d)
         assert basis.keys == [2 * k for k in range(1, d + 1)]
@@ -402,6 +404,9 @@ def test_scan_start_basis_is_the_inverse_binomial_matrix():
         for i in range(d):
             for j in range(d):
                 assert sum(rows[i][t] * adj[j][t] for t in range(d)) == (i == j)
+        oracle = bfc.lp._VertexBasis(d, [(bfc.lp._scan_row(key, d), 0) for key in range(2 * d + 2)])
+        assert (basis.keys, basis.det) == (oracle.keys, oracle.det), d
+        assert adj == [list(column) for column in zip(*oracle.adj)], d
 
 
 @given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8), st.integers(0, 20))
@@ -519,6 +524,31 @@ def test_scan_switches_to_blands_rule_when_a_basis_repeats(monkeypatch):
     assert fallbacks
 
 
+def test_a_basis_repeated_under_blands_rule_fails(monkeypatch):
+    # entering weights with the wrong sign for the lower rows off the nodes
+    # make pivots that undo each other; with Bland's rule too the basis
+    # repeats, and the solve must fail there instead of looping
+    weights = bfc.lp._ScanBasis._weights
+
+    def flipped(self, key):
+        w = weights(self, key)
+        return [-v for v in w] if key & 1 and key >> 1 not in self.nodes else w
+
+    def looping(*_):
+        raise TimeoutError("the solve loops")
+
+    monkeypatch.setattr(bfc.lp._ScanBasis, "_weights", flipped)
+    old = signal.signal(signal.SIGALRM, looping)
+    signal.alarm(10)
+    try:
+        for d in (2, 3, 4):
+            with pytest.raises(AssertionError, match="basis repeated under Bland's rule"):
+                lp_bs_cap(d)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
 def test_scan_refuses_a_forged_farkas_sign(monkeypatch):
     solve = bfc.lp._ScanBasis.solve
 
@@ -538,8 +568,9 @@ def test_scan_refuses_a_forged_farkas_sign(monkeypatch):
 # the scan's LP solves per degree d = 1..11, 503 in all (the scan that solves
 # every (b, tau) up to 2d^2 makes 1912); the pivot rule is deterministic
 SCAN_SOLVES = (2, 5, 10, 15, 24, 33, 48, 63, 80, 99, 124)
-# every pivot of those scans, phase 0 included
-SCAN_PIVOTS = 1532
+# every pivot of those scans; the scan bases start in closed form, past the
+# 2d phase-0 pivots of each degree that the adjugate start made
+SCAN_PIVOTS = 1532 - 2 * sum(range(1, 12))
 
 
 def _plain_scan(d):
@@ -668,8 +699,8 @@ def test_scan_pivot_total_is_pinned(monkeypatch):
 
 
 # d = 15 and 16 as the adjugate basis scanned them: (cap, LP solves,
-# pivots with phase 0's)
-HIGH_SCANS = {15: (131, 236, 1201), 16: (149, 269, 1666)}
+# pivots less the 2d of phase 0)
+HIGH_SCANS = {15: (131, 236, 1201 - 30), 16: (149, 269, 1666 - 32)}
 
 
 def test_high_degree_scans_are_pinned(monkeypatch):
@@ -692,24 +723,31 @@ def test_high_degree_scans_are_pinned(monkeypatch):
         assert (lp_bs_cap(d).cap, len(solves), len(pivots)) == want, d
 
 
-class _AdjugateScan:
-    """The adjugate ``_VertexBasis`` on the scan's rows, with the scan's
-    picks: the oracle of the node basis ``_ScanBasis``."""
+class _AdjugateScan(bfc.lp._VertexBasis):
+    """The adjugate ``_VertexBasis`` with the scan's right-hand sides and
+    picks, over a list of the scan's rows that grows with b: the oracle of
+    the node basis ``_ScanBasis``.  Phase 0 skips the zero rows of point 0
+    and admits p(k) <= hi_k for k = 1..d, so J is every column and the rows
+    on J are the rows."""
 
     def __init__(self, d):
-        self.d = d
-        self.rows = [bfc.lp._scan_row(key, d) for key in range(2 * d + 2)]
-        self.basis = bfc.lp._VertexBasis(d, enumerate(self.rows[2:], 2))
+        self.d, self.b, self.tau = d, d, 0  # for phase 0; each solve sets its own
+        super().__init__(d, [(bfc.lp._scan_row(key, d), 0) for key in range(2 * d + 2)])
+
+    def _rhs(self, key):
+        return bfc.lp._scan_rhs(key, self.b, self.tau)
+
+    def _pick(self, point, bland):
+        lp, b, tau = bfc.lp, self.b, self.tau
+        vals = lp._scan_values(point, b)
+        return (lp._first_violated if bland else lp._most_violated)(vals, self.det, b, tau)
 
     def solve(self, b, tau):
-        rows, lp = self.rows, bfc.lp
-        rows.extend(lp._scan_row(key, self.d) for key in range(len(rows), 2 * b + 2))
-
-        def pick(point, det, bland):
-            vals = lp._scan_values(point, b)
-            return (lp._first_violated if bland else lp._most_violated)(vals, det, b, tau)
-
-        return self.basis.run(rows.__getitem__, lambda key: lp._scan_rhs(key, b, tau), pick)
+        self.b, self.tau = b, tau
+        rows = self.rows
+        rows.extend((bfc.lp._scan_row(key, self.d), 0) for key in range(len(rows), 2 * b + 2))
+        self.r_b = [self._rhs(key) for key in self.keys]
+        return self.run()
 
 
 def test_node_basis_equals_the_adjugate_basis_solve_by_solve(monkeypatch):
@@ -720,8 +758,8 @@ def test_node_basis_equals_the_adjugate_basis_solve_by_solve(monkeypatch):
     # adj r_B with B adj = det I, so a wrong pivot fails there, not looping
     vertex = bfc.lp._ScanBasis._vertex
 
-    def checked_vertex(self, r_b):
-        point = vertex(self, r_b)
+    def checked_vertex(self):
+        point = vertex(self)
         d = len(self.keys)
         if d > 8:
             return point
@@ -729,25 +767,22 @@ def test_node_basis_equals_the_adjugate_basis_solve_by_solve(monkeypatch):
         rows = [bfc.lp._scan_row(key, d) for key in self.keys]
         eye = [[sum(map(mul, a, col)) for col in cols] for a in rows]
         assert self.det > 0 and eye == [[self.det * (i == j) for j in range(d)] for i in range(d)]
-        assert point == [sum(map(mul, line, r_b)) for line in zip(*cols)]
+        assert point == [sum(map(mul, line, self.r_b)) for line in zip(*cols)]
         return point
 
     monkeypatch.setattr(bfc.lp._ScanBasis, "_vertex", checked_vertex)
     for d in range(1, 13):
         for tau in (0, 1):
             node, oracle = bfc.lp._ScanBasis(d), _AdjugateScan(d)
-            basis = oracle.basis
             for b in range(max(2, d), 2 * d * d + 1):
                 assert node.solve(b, tau) == oracle.solve(b, tau), (d, b, tau)
-                assert (node.keys, node.det) == (basis.keys, basis.det), (d, b, tau)
-                r_b = [bfc.lp._scan_rhs(key, b, tau) for key in basis.keys]
-                assert node.point == basis._vertex(r_b), (d, b, tau)
-                adj = [list(column) for column in zip(*basis.adj)]
+                assert (node.keys, node.det) == (oracle.keys, oracle.det), (d, b, tau)
+                assert (node.r_b, node.point) == (oracle.r_b, oracle._vertex()), (d, b, tau)
+                adj = [list(column) for column in zip(*oracle.adj)]
                 assert [node._column(j) for j in range(d)] == adj, (d, b, tau)
                 if d <= 6:
                     for key in range(2, 2 * b + 2):
-                        want = basis._weights(oracle.rows[key])
-                        assert node._weights((key, 0)) == want, (d, b, tau, key)
+                        assert node._weights(key) == oracle._weights(key), (d, b, tau, key)
 
 
 def test_closing_on_a_raised_endpoint_bound_is_refused(monkeypatch):
@@ -782,9 +817,17 @@ def test_adeg_lp_and_approx_degree_share_one_arity_cap():
 
 
 def test_adeg_lp_shape():
-    prog = adeg_lp(family("OR", 2), 1, Fraction(1, 3))
+    or2 = family("OR", 2)
+    prog = adeg_lp(or2, 1, Fraction(1, 3))
     assert prog.num_vars == 3  # {}, {1}, {2}
     assert len(prog.rows) == 8  # two sides per input point
+    # eps = 0 is the exact degree; a degree outside 0..n or a negative eps
+    # has no LP
+    assert not simplex_feasible(adeg_lp(or2, 1, 0)).feasible
+    assert simplex_feasible(adeg_lp(or2, 2, 0)).feasible
+    for d, eps in ((-1, Fraction(1, 3)), (3, Fraction(1, 3)), (1, Fraction(-1, 3))):
+        with pytest.raises(ValueError):
+            adeg_lp(or2, d, eps)
 
 
 def _band(fx, coeffs, eps):
