@@ -52,13 +52,19 @@ pi(t) = t prod_m (t - k_m), q_s = pi / (t - k_s) and delta_s = q_s(k_s).
 From the nodes, the delta_s, pi, det and the vertex it gets in O(d) each,
 with exact integer divisions, the same entering weights, pivots, vertices
 and certificates as the adjugate would give.  It starts in closed form at
-the nodes 1..d, where phase 0 would end.
+the nodes 1..d, where phase 0 would end.  Each basis keeps the values
+det p(t), t = 0..b, at its vertex for the row picks: a pivot or a moved
+right-hand side makes the next pick recompute them, and a pick at a vertex
+that has not moved adds only the points that b gained.
 Once a certificate uses only rows whose right-hand side no later LP of the
 scan raises (the rows of the points below b, and the endpoint row that
 keeps its bound), it proves every later LP infeasible, so the scan stops
-solving.  That certificate is checked once, like every other, and each
-remaining LP only confirms that none of its rows has a larger right-hand
-side there than where it was checked.
+solving.  That certificate, closing at (b0, tau0), is checked once, like
+every other.  Only where one of its bounds can still move is it confirmed,
+that none of its rows has a larger right-hand side than where it was
+checked: at b0 for the other tau, if that LP is still to come, and at
+b0 + 1 for both.  Past b0 + 1 each of its rows is at a point below b,
+whose bounds no longer depend on b or tau.
 """
 
 from __future__ import annotations
@@ -72,9 +78,10 @@ from typing import Iterable, NamedTuple, Sequence
 from .bf import BooleanFunction, _permutation_images, _permutation_stages, check_arity
 from .measures import APPROX_DEGREE_MAX_ARITY
 
-# lp_bs_cap(16), the slowest degree allowed, takes 0.20-0.34 s (raw,
-# in-process, one 2-core x86-64 host whose speed drifts); the caps past 16
-# are not certified here
+# lp_bs_cap(16), the slowest degree allowed, takes 0.22-0.35 s (raw,
+# in-process, 15 runs alternating with the previous scan's 0.24-0.40 s on
+# one 2-core x86-64 host whose speed drifts); the caps past 16 are not
+# certified here
 LP_CAP_SCAN_MAX_DEGREE = 16
 
 
@@ -268,14 +275,13 @@ class _VertexBasis:
             if leave < 0:
                 return None
             w = self._weights(leave)
-            slots = [j for j, v in enumerate(w) if v > 0]
-            if not slots:
+            top = max(w, default=0)  # w is empty for a system of no columns
+            if top <= 0:
                 # a = (w/det) B, and B x <= r_B forces a.x >= a.vertex > r
                 return [leave, *keys], [det, *(-v for v in w)]
-            if not bland:
-                top = max(w)
-                slots = [j for j in slots if w[j] == top]
-            self._pivot(min(slots, key=keys.__getitem__), w, leave)
+            floor = 1 if bland else top  # any w_j > 0, or only the largest
+            slot = min((j for j, v in enumerate(w) if v >= floor), key=keys.__getitem__)
+            self._pivot(slot, w, leave)
 
 
 def _violated_row(rows: Sequence[tuple[Sequence[int], int]], point, det, bland) -> int:
@@ -473,10 +479,14 @@ class _ScanBasis(_VertexBasis):
     - column j of adj is det q_j / (sigma_j delta_j) (``_column``), q_j by
       one synthetic division in the binomial basis;
     - the pivot of slot j to node k makes det' = w_j, moves the vertex to
-      (w_j point - col_j W) / det + col_j r with W = w.r_B and r the new
-      row's right-hand side, rescales delta_s by (k_s - k) / (k_s - k_j),
-      and sets delta_j' = q_j(k) and pi' = q_j (t - k);
+      (w_j point + (det q_j / (sigma_j delta_j)) g) / det with
+      g = r det - w.r_B and r the new row's right-hand side, rescales
+      delta_s by (k_s - k) / (k_s - k_j), and sets delta_j' = q_j(k) and
+      pi' = q_j (t - k);
     - a changed right-hand side moves the vertex by col_s times the change.
+
+    ``vals`` holds det p(t) for t = 0..b at the vertex once a pick has read
+    them; a pivot and a moved vertex drop them.
 
     It starts in closed form where phase 0 would end: at the upper rows
     p(k) <= hi_k of k = 1..d, so det = 1, pi = (d + 1)! C(t, d + 1),
@@ -491,6 +501,7 @@ class _ScanBasis(_VertexBasis):
         self.pi = [0] * d + [factorial(d + 1)]
         self.det = 1
         self.point, self.r_b = [0] * d, [0] * d
+        self.vals: list[int] | None = None
 
     def _column(self, s: int) -> list[int]:
         """Column s of adj: det q_s / (sigma_s delta_s)."""
@@ -511,7 +522,14 @@ class _ScanBasis(_VertexBasis):
         return [top // ((k - m) * v) for m, v in zip(nodes, self.denoms)]
 
     def _pick(self, point: list[int], bland: bool) -> int:
-        vals = _scan_values(point, self.b)
+        """The row to leave, read off the values at the vertex: all of them
+        by ``_scan_values`` after the vertex moved, else only those of the
+        points that b gained since the last pick, each as sum_j c_j C(t, j)."""
+        vals = self.vals
+        if vals is None:
+            vals = self.vals = _scan_values(point, self.b)
+        for t in range(len(vals), self.b + 1):
+            vals.append(sum(map(mul, point, map(comb, repeat(t), range(1, len(point) + 1)))))
         return (_first_violated if bland else _most_violated)(vals, self.det, self.b, self.tau)
 
     def _vertex(self) -> list[int]:
@@ -521,9 +539,9 @@ class _ScanBasis(_VertexBasis):
         nodes, denoms, det = self.nodes, self.denoms, self.det
         k, k_j, piv, r = key >> 1, nodes[j], w[j], self._rhs(key)
         q = _binomial_quotient(self.pi, k_j)
-        col = [det * v // denoms[j] for v in q]
-        mix = sum(map(mul, w, self.r_b))
-        self.point = [(piv * x - c * mix) // det + c * r for x, c in zip(self.point, col)]
+        g, denom = r * det - sum(map(mul, w, self.r_b)), denoms[j]
+        self.point = [(piv * x + (det * v // denom) * g) // det for x, v in zip(self.point, q)]
+        self.vals = None
         self.denoms = [
             piv * v // det if s == j else v * (m - k) // (m - k_j)
             for s, (m, v) in enumerate(zip(nodes, denoms))
@@ -542,6 +560,7 @@ class _ScanBasis(_VertexBasis):
             if step:
                 self.point = [x + c * step for x, c in zip(self.point, self._column(s))]
                 self.r_b[s] += step
+                self.vals = None
         return self.run()
 
 
@@ -570,9 +589,10 @@ def lp_bs_cap(d: int) -> LpCapScan:
     later (b', tau') has with the same or a lower right-hand side:
     p(1) = 1, 0 <= p(k) <= 1 for 1 < k < b, and p(b) <= 1 at tau = 1 or
     -p(b) <= 0 at tau = 0.  So y >= 0 keeps y.r' <= y.r < 0 and it proves
-    them all infeasible: the scan stops solving, keeps the right-hand sides
-    it checked, and for each later (b', tau') confirms that none of its
-    rows has a larger one there.
+    them all infeasible: the scan stops solving and keeps the right-hand
+    sides it checked.  It confirms that none of its rows has a larger one
+    at (b, 1) after a close at (b, 0), and at b + 1 for both tau; past
+    b + 1 every row is at a point below b', with the bounds it had at b + 1.
     """
     if not 1 <= d <= LP_CAP_SCAN_MAX_DEGREE:
         raise ValueError(f"lp_bs_cap supports 1 <= d <= {LP_CAP_SCAN_MAX_DEGREE}")
@@ -584,7 +604,9 @@ def lp_bs_cap(d: int) -> LpCapScan:
         feas = []
         for tau, chain in enumerate(chains):
             if closing:
-                if any(_scan_rhs(key, b, tau) > r for key, r in closing):
+                # past closed_at + 1 every row is at a point below b, whose
+                # bounds are those it had at closed_at + 1 (``_scan_bounds``)
+                if b <= closed_at + 1 and any(_scan_rhs(key, b, tau) > r for key, r in closing):
                     raise AssertionError(
                         f"cap scan Farkas certificate does not cover b={b}, tau={tau}: "
                         "a bound rose"
@@ -598,7 +620,7 @@ def lp_bs_cap(d: int) -> LpCapScan:
                 if not _is_farkas(d, [(_scan_row(key, d), r) for key, r in checked], y):
                     raise AssertionError("cap scan Farkas certificate failed exact check")
                 if _closes(keys, b, tau):
-                    closing = checked
+                    closing, closed_at = checked, b
             feas.append(cert is None)
         profile.append((b, *feas))
         if any(feas):

@@ -8,6 +8,7 @@ digits, table entry) shows up here.
 import os
 import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -62,10 +63,39 @@ ONE_SHOT = (
 )
 
 
+def assert_same_lines(got, want):
+    """got == want (both str or both bytes), compared line by line with
+    line ends kept, so a mismatch names its first differing line instead of
+    diffing the whole output."""
+    pairs = zip_longest(got.splitlines(keepends=True), want.splitlines(keepends=True))
+    for number, texts in enumerate(pairs, 1):
+        if texts[0] != texts[1]:
+            line, wanted = ("(end of output)" if t is None else repr(t) for t in texts)
+            pytest.fail(f"line {number} differs:\n got: {line}\nwant: {wanted}", pytrace=False)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_output(name, capsys):
     assert main(GOLDEN[name]) == 0
-    assert capsys.readouterr().out == (DATA / name).read_text(encoding="ascii")
+    assert_same_lines(capsys.readouterr().out, (DATA / name).read_text(encoding="ascii"))
+
+
+def test_a_golden_mismatch_names_its_first_differing_line():
+    for same in ("", "a\nb", "a\nb\n", b"a\r\nb\n", "(end of output)"):
+        assert_same_lines(same, same)
+    for got, want, line in [
+        ("a\nb\nc\n", "a\nB\nc\n", "line 2 differs:\n got: 'b\\n'\nwant: 'B\\n'"),
+        ("a\nb", "a\nb\n", "line 2 differs:\n got: 'b'\nwant: 'b\\n'"),
+        ("a\n", "a\nb\n", "line 2 differs:\n got: (end of output)\nwant: 'b\\n'"),
+        (
+            "a\n(end of output)", "a\n",
+            "line 2 differs:\n got: '(end of output)'\nwant: (end of output)",
+        ),
+        (b"a\r\n", b"a\n", "line 1 differs:\n got: b'a\\r\\n'\nwant: b'a\\n'"),
+    ]:
+        with pytest.raises(pytest.fail.Exception) as failed:
+            assert_same_lines(got, want)
+        assert str(failed.value) == line
 
 
 @pytest.mark.parametrize("name", ONE_SHOT)
@@ -81,7 +111,7 @@ def test_one_shot_commands_run_without_mpmath(name):
     out = subprocess.run(
         [sys.executable, "-c", code, *GOLDEN[name]], env=env, capture_output=True, check=True
     ).stdout
-    assert out == (DATA / name).read_bytes()
+    assert_same_lines(out, (DATA / name).read_bytes())
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():

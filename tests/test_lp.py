@@ -582,6 +582,64 @@ def _plain_scan(d):
     )
 
 
+def _check_each_pick(monkeypatch, dmax, picker):
+    """The plain scans of d = 1..dmax, with ``picker`` choosing every row to
+    leave and each pick asserting that the values it reads are those of the
+    basis's vertex; returns (picks, full value passes)."""
+    pick, scan_values = bfc.lp._ScanBasis._pick, bfc.lp._scan_values
+    at, picks, passes = [], [], []
+
+    def spy_pick(self, point, bland):
+        at.append(self)
+        try:
+            return pick(self, point, bland)
+        finally:
+            at.pop()
+
+    def checked(choose):
+        def spy(vals, det, b, tau):
+            basis = at[-1]
+            assert vals == scan_values(basis.point, b), ("stale values", b, basis.keys)
+            picks.append(1)
+            return choose(vals, det, b, tau)
+        return spy
+
+    def counted_values(coeffs, b):
+        passes.append(1)
+        return scan_values(coeffs, b)
+
+    monkeypatch.setattr(bfc.lp._ScanBasis, "_pick", spy_pick)
+    monkeypatch.setattr(bfc.lp, "_scan_values", counted_values)
+    monkeypatch.setattr(bfc.lp, "_first_violated", checked(bfc.lp._first_violated))
+    monkeypatch.setattr(bfc.lp, "_most_violated", checked(picker))
+    for d in range(1, dmax + 1):
+        _plain_scan(d)
+    return len(picks), len(passes)
+
+
+@pytest.mark.parametrize("rule", ["most-violated", "bland"])
+def test_each_pick_reads_the_values_at_its_vertex(monkeypatch, rule):
+    # a basis keeps det p(t) with its vertex: a pick after a pivot or a
+    # moved right-hand side reads them afresh, and one at an unmoved vertex
+    # only adds the points that b gained
+    picker = bfc.lp._first_violated if rule == "bland" else bfc.lp._most_violated
+    picks, passes = _check_each_pick(monkeypatch, 12, picker)
+    assert 0 < passes < picks
+
+
+def test_a_pivot_that_keeps_stale_values_fails(monkeypatch):
+    pivot = bfc.lp._ScanBasis._pivot
+
+    def stale_pivot(self, *args):
+        vals = self.vals
+        pivot(self, *args)
+        self.vals = vals
+
+    monkeypatch.setattr(bfc.lp._ScanBasis, "_pivot", stale_pivot)
+    with pytest.raises(AssertionError, match="stale values"):
+        _check_each_pick(monkeypatch, 12, bfc.lp._most_violated)
+
+
 def _scan_rows(d, b, tau, keys):
     return [(bfc.lp._scan_row(k, d), bfc.lp._scan_rhs(k, b, tau)) for k in keys]
 
@@ -665,6 +723,43 @@ def test_a_bound_past_closing_may_fall_but_not_rise(monkeypatch, step):
                 lp_bs_cap(d)
         else:
             assert lp_bs_cap(d) == want, d
+
+
+def test_bounds_below_the_endpoint_are_those_of_the_next_point():
+    # so past b0 + 1 a closing certificate, whose rows are at points <= b0,
+    # has the bounds it was confirmed with at b0 + 1
+    for b in range(2, 2 * LP_CAP_SCAN_MAX_DEGREE**2 + 1):
+        for k in range(1, b):
+            want = bfc.lp._scan_bounds(k, k + 1, 0)
+            assert bfc.lp._scan_bounds(k, b, 0) == bfc.lp._scan_bounds(k, b, 1) == want, (k, b)
+
+
+def test_the_closing_certificate_is_confirmed_only_where_a_bound_can_move(monkeypatch):
+    # after the closing solve at (b0, tau0) the scan reads right-hand sides
+    # at (b0, 1) when tau0 = 0 and at b0 + 1 for both tau, and nowhere else
+    solve, rhs = bfc.lp._ScanBasis.solve, bfc.lp._scan_rhs
+    events = []
+
+    def spy_solve(self, b, tau):
+        events.append(("solve", b, tau))
+        return solve(self, b, tau)
+
+    def spy_rhs(key, b, tau):
+        events.append(("rhs", b, tau))
+        return rhs(key, b, tau)
+
+    monkeypatch.setattr(bfc.lp._ScanBasis, "solve", spy_solve)
+    monkeypatch.setattr(bfc.lp, "_scan_rhs", spy_rhs)
+    for d in range(1, 12):
+        events.clear()
+        lp_bs_cap(d)
+        last = max(i for i, event in enumerate(events) if event[0] == "solve")
+        _, b0, tau0 = events[last]
+        # the closing solve's own exact check reads (b0, tau0)
+        confirmed = {event[1:] for event in events[last + 1:]} - {(b0, tau0)}
+        want = {(b0, 1)} if tau0 == 0 else set()
+        want |= {(b0 + 1, 0), (b0 + 1, 1)} if b0 < 2 * d * d else set()
+        assert confirmed == want, d
 
 
 def test_scan_solve_counts_are_pinned(monkeypatch):
