@@ -92,8 +92,8 @@ STANDARD_KINDS = ALL_BASE_KINDS + (mix_ds(Fraction(1, 2)), mix_cs(Fraction(1, 2)
 # deg_i, sens_i and cert_i of every coordinate are fields of the table's
 # ``measures.TableMeasures`` record, so the checks below, the theorem suite
 # and the public functions share one memo.  The record reads them off its
-# one-byte-per-point integers of s_x, C_x and the Moebius coefficients,
-# with no loop over the points.
+# one-byte-per-point integers of s_x and C_x and its Moebius support, one
+# bit per mask, with no loop over the points.
 # ---------------------------------------------------------------------------
 
 # the base measures each kind reads, the mixes weighting the first by beta
@@ -482,37 +482,47 @@ def _monomial_sens_violation(
     rec: TableMeasures, ks: Iterable[int]
 ) -> tuple[int, int, int] | None:
     """(k, mask, count) for the smallest k in ``ks`` at which some monomial
-    has more than (k-1)^2 coordinates with sens_i <= k, at the first such
+    has more than (k-1)^2 coordinates with sens_i <= k, at the least such
     monomial; or None.
 
-    Only the multilinear (Moebius) basis is scanned, masks in increasing
-    order, once for every k.  The Fourier basis can never decide the check:
-    substituting x_i = (1 - y_i)/2 into f = sum c_T x^T puts every nonempty
-    Fourier support set S of 1 - 2f inside some T with c_T != 0.  So
-    |S & low| <= |T & low|, a spectral hit at k is a monomial hit at the
-    same k, and as the least k is kept, a Fourier pass never changes the
-    result.  A k whose set {i : sens_i <= k} equals that of a smaller k in
-    ``ks`` is skipped: with the same count and a larger limit it fails only
-    where the smaller k fails too.
+    Only the multilinear (Moebius) basis is scanned.  The Fourier basis can
+    never decide the check: substituting x_i = (1 - y_i)/2 into
+    f = sum c_T x^T puts every nonempty Fourier support set S of 1 - 2f
+    inside some T with c_T != 0.  So |S & low| <= |T & low|, a spectral hit
+    at k is a monomial hit at the same k, and as the least k is kept, a
+    Fourier pass never changes the result.  A k whose set
+    {i : sens_i <= k} equals that of a smaller k in ``ks`` is skipped: with
+    the same count and a larger limit it fails only where the smaller k
+    fails too; so is a k whose limit is at least the size of that set.
+
+    Each k is one bitset pass with no Python step per mask: a threshold DP
+    over the coordinates i of the set builds at[c], the 2^n-bit mask of the
+    masks holding at least c of them (at[c] gains at[c-1] on the masks
+    that hold i), and the hits at k are ``rec.support & at[limit + 1]``,
+    the least of them its lowest set bit.  The ks are tried in increasing
+    order, so the first k with a hit is the answer.
     """
     n = rec.n
     check_arity(n, EXACT_SEARCH_MAX_ARITY, "monomial sensitivity check")
     sens = rec.sens_i
-    tests = []  # (k, low-sensitivity set, limit), k increasing
+    full = (1 << (1 << n)) - 1
     prev = 0
     for k in sorted(ks):
         low = sum(1 << i for i in range(n) if sens[i] <= k)
-        if low != prev:
-            tests.append((k, low, (k - 1) ** 2))
+        if low == prev:
+            continue
         prev = low
-    hit = None
-    for mask, c in enumerate(rec.mobius):
-        if c:
-            for j, (k, low, limit) in enumerate(tests):
-                cnt = (mask & low).bit_count()
-                if cnt > limit:
-                    # from here on only a smaller k can take its place
-                    hit = (k, mask, cnt)
-                    del tests[j:]
-                    break
-    return hit
+        t = (k - 1) ** 2 + 1
+        if t > low.bit_count():
+            continue
+        at = [full] + [0] * t
+        coords = [i for i in range(n) if low >> i & 1]
+        for seen, i in enumerate(coords, 1):
+            with_i = full ^ half_mask(n, i)
+            for c in range(min(t, seen), 0, -1):
+                at[c] |= at[c - 1] & with_i
+        hits = rec.support & at[t]
+        if hits:
+            mask = (hits & -hits).bit_length() - 1
+            return k, mask, (mask & low).bit_count()
+    return None

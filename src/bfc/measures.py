@@ -68,7 +68,6 @@ from .bf import (
     fourier_vector,
     half_mask,
     mobius_support,
-    mobius_vector,
     odd_points,
     restrict_bit,
 )
@@ -450,10 +449,6 @@ class TableMeasures:
         zeros, ones = self._value_masks()
         s0, s1 = _lane_max(sx & zeros, n), _lane_max(sx & ones, n)
         return max(s0, s1), s0, s1
-
-    @_lazy
-    def mobius(self) -> tuple[int, ...]:
-        return tuple(mobius_vector(self.n, self.table))
 
     @_lazy
     def support(self) -> int:

@@ -28,10 +28,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress
+from operator import gt, mul
 from typing import NamedTuple
 
-from .bf import ArityError, BooleanFunction, _bit_string, half_mask
+from .bf import ArityError, BooleanFunction, _bit_string, _table_bytes, half_mask
 from .bounds import cs_sens_bound
 from .corpus import Corpus
 from .coordinate import (
@@ -95,17 +97,45 @@ def standard_form(f: BooleanFunction) -> BooleanFunction:
 def _symmetrized(n: int, table: int) -> list[int]:
     """Univariate coefficients after substituting one value for all inputs.
 
-    Index j holds the sum of the multilinear coefficients of all size-j
-    subsets, trailing zeros dropped; evaluating at mu recovers the expected
-    value of the function under i.i.d. Bernoulli(mu) inputs.
+    Index k holds the sum of the multilinear coefficients of all size-k
+    subsets, trailing zeros dropped; evaluating at mu gives the expected
+    value of the function under i.i.d. Bernoulli(mu) inputs.  That value
+    is sum_w a_w mu^w (1 - mu)^(n-w), with a_w the number of 1-points of
+    weight w (one popcount against ``_size_levels``), so expanding
+    (1 - mu)^(n-w) gives index k as
+    sum_{w<=k} (-1)^(k-w) C(n-w, k-w) a_w (``_weight_rows``), with no
+    Python step per mask.
     """
-    out = [0] * (n + 1)
-    for mask, c in enumerate(table_measures(n, table).mobius):
-        if c:
-            out[mask.bit_count()] += c
+    a = [(table & level).bit_count() for level in _size_levels(n)]
+    out = [sum(map(mul, row, a)) for row in _weight_rows(n)]
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return out
+
+
+@lru_cache(maxsize=None)
+def _weight_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row k holds (-1)^(k-w) C(n-w, k-w) for w = 0..k: the coefficient of
+    mu^k in mu^w (1 - mu)^(n-w)."""
+    return tuple(
+        tuple((-1) ** (k - w) * math.comb(n - w, k - w) for w in range(k + 1))
+        for k in range(n + 1)
+    )
+
+
+def _pair_coefficients(n: int, table: int) -> list[int]:
+    """The multilinear coefficients c_ij of x_i x_j, i < j in that order,
+    each read off four table bits: g(e_i + e_j) - g(e_i) - g(e_j) + g(0)."""
+    g = _table_bytes(n, table)
+    return [g[ij] - g[i] - g[j] + g[0] for ij, i, j in _pair_points(n)]
+
+
+@lru_cache(maxsize=None)
+def _pair_points(n: int) -> tuple[tuple[int, int, int], ...]:
+    """(e_i + e_j, e_i, e_j) as points, for i < j in order."""
+    return tuple(
+        (1 << i | 1 << j, 1 << i, 1 << j) for i in range(n) for j in range(i + 1, n)
+    )
 
 
 def _grid_bounded(p: list[int], b: int) -> bool:
@@ -145,20 +175,13 @@ def _standard_form_lemmas(g: BooleanFunction, p: list[int]) -> StandardFormRepor
     """``check_standard_form_lemmas`` for a g in standard form whose
     symmetrised polynomial p is already known."""
     b = g.n
-    rec = table_measures(b, g.table)
-    mob = rec.mobius
-    quad_ok = True
-    quad_sum = 0
-    for i in range(b):
-        for j in range(i + 1, b):
-            c = mob[(1 << i) | (1 << j)]
-            quad_sum += c
-            if c not in (-1, -2):
-                quad_ok = False
-    pairs = b * (b - 1) // 2
+    quad = _pair_coefficients(b, g.table)
+    quad_ok = all(c in (-1, -2) for c in quad)
+    quad_sum = sum(quad)
+    pairs = len(quad)
     second = 2 * quad_sum
     second_ok = -4 * pairs <= second <= -2 * pairs if pairs else True
-    degree_ok = len(p) - 1 <= rec.deg
+    degree_ok = len(p) - 1 <= table_measures(b, g.table).deg
     grid_ok = b < 1 or _grid_bounded(p, b)
     passed = quad_ok and second_ok and degree_ok and grid_ok
     return StandardFormReport(
@@ -545,17 +568,48 @@ def _monomial_sens_cap(d: int) -> tuple[int, int]:
     return num + d - root * root, e
 
 
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"
+
+
+@lru_cache(maxsize=None)
+def _mask_sizes(n: int) -> bytes:
+    """Byte m is |m| for every mask m of n coordinates, built by doubling:
+    the masks with the top coordinate are those below it plus one."""
+    if n == 0:
+        return b"\0"
+    below = _mask_sizes(n - 1)
+    return below + below.translate(_PLUS_ONE)
+
+
 def _check_monomial_potential(rec: TableMeasures):
-    # S(M) = sum_{i in M} 2^-sens_i, kept as w[M] = 2^K S(M) with
-    # K = max sens_i, so every comparison is between integers; w is built
-    # a coordinate at a time, the masks with i being those below plus i
-    sens = rec.sens_i
+    """S(M) = sum_{i in M} 2^-sens_i < 3/2 and at most the profile cap of
+    |M| on every monomial M of f.
+
+    S(M) is kept as w[M] = 2^K S(M) with K = max sens_i, so every
+    comparison is between integers; w is built a coordinate at a time, the
+    masks with i being those below plus i.  Both tests together read
+    w[M] <= L_|M| with L_k = min((3 * 2^K - 1) // 2, num_k 2^K // 2^e_k)
+    for the cap num_k / 2^e_k, and are run over the support's masks in
+    C-level passes (``compress`` on its bit bytes, ``map`` of ``gt``,
+    ``any``).  Only on a failure are the support's masks walked in
+    ascending order, to name the first and the test it fails.
+    """
+    n, sens = rec.n, rec.sens_i
     top = max((0,) + sens)
-    caps = [_monomial_sens_cap(d) for d in range(rec.n + 1)]
+    caps = [_monomial_sens_cap(d) for d in range(n + 1)]
     w = [0]
     for s in sens:
-        w += [x + (1 << (top - s)) for x in w]
-    for mask in compress(range(1, 1 << rec.n), rec.mobius[1:]):
+        w += map((1 << (top - s)).__add__, w[:])
+    half = ((3 << top) - 1) >> 1
+    limit = [min(half, (num << top) >> e) for num, e in caps]
+    support = rec.support & ~1
+    picked = _table_bytes(n, support)
+    sizes = compress(_mask_sizes(n), picked)
+    if not any(map(gt, compress(w, picked), map(limit.__getitem__, sizes))):
+        return "PASS", "-", "-"
+    while support:
+        mask = (support & -support).bit_length() - 1
+        support &= support - 1
         total = w[mask]
         if 2 * total >= 3 << top:
             return "FAIL", f"mask={mask:#x} S={Fraction(total, 1 << top)}", "3/2"
@@ -566,7 +620,7 @@ def _check_monomial_potential(rec: TableMeasures):
                 f"mask={mask:#x} S={Fraction(total, 1 << top)}",
                 f"profile cap {Fraction(num, 1 << e)}",
             )
-    return "PASS", "-", "-"
+    raise AssertionError("monomial potential: a mask over its limit passed both tests")
 
 
 def _check_top_monomial_deg_i(rec: TableMeasures):

@@ -214,13 +214,19 @@ def _reference_monomial_sens(n, table, sens):
 
 
 def test_monomial_sens_one_pass_matches_the_per_k_scan(monkeypatch):
-    # true sens_i never fail, so random ones stand in to reach every k
+    # true sens_i never fail, so random ones stand in to reach every k, and
+    # forced ones pass k = 1, 2 (and 3) to reach k = 3 and 4 on the larger
+    # monomials of the seeded tables of 7-12 inputs
     rng = random.Random(11)
     tables = [(n, t) for n in (2, 3) for _, f in parse_corpus(f"all:{n}") for t in [f.table]]
     tables += [(n, rng.getrandbits(1 << n)) for n in (4, 5, 6) for _ in range(30)]
+    wide = random.Random(37)
+    tables += [(n, wide.getrandbits(1 << n)) for n in range(7, 13) for _ in range(2)]
+    hits = set()
     for n, table in tables:
         rec = table_measures(n, table)
-        for sens in [rec.sens_i] + [tuple(rng.randint(0, 7) for _ in range(n)) for _ in range(4)]:
+        drawn = [tuple(rng.randint(0, 7) for _ in range(n)) for _ in range(4)]
+        for sens in [rec.sens_i] + drawn + [(2,) + (3,) * (n - 1), (4,) * n]:
             monkeypatch.setattr(TableMeasures, "sens_i", property(lambda r, s=sens: s))
             ref = _reference_monomial_sens(n, table, sens)
             # the reference scans both bases; the monomial one always decides
@@ -228,8 +234,10 @@ def test_monomial_sens_one_pass_matches_the_per_k_scan(monkeypatch):
                 k, basis, mask, cnt = ref
                 assert basis == "monomial", (n, table, sens)
                 ref = k, mask, cnt
+                hits.add(k)
             assert _monomial_sens_violation(rec, range(1, 7)) == ref, (n, table, sens)
             monkeypatch.undo()
+    assert hits == {1, 2, 3, 4}
 
 
 def _fourier_sets_covered(n, table, monomials):

@@ -23,6 +23,7 @@ GOLDEN = {
     "verify_monotone4.tsv": ["verify", "--corpus", "monotone:4"],
     "verify_random6_200_42.tsv": ["verify", "--corpus", "random:6:200:42"],
     "verify_random8_12_7.tsv": ["verify", "--corpus", "random:8:12:7"],
+    "verify_random14_2_1.tsv": ["verify", "--corpus", "random:14:2:1"],
     "verify_named.tsv": [
         "verify", "--corpus", "named:KUSHILEVITZ,MAJ:3,MAF:3,ADDR:2,PARITY:4",
     ],

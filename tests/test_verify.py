@@ -620,8 +620,9 @@ def test_rrcm_row_builds_no_restriction_record():
 # the per-point loops built by doubling, against the loops they replaced
 # ---------------------------------------------------------------------------
 
-def _old_monomial_potential(rec):
-    """The row's former loop: w[mask] built one mask at a time over all 2^n."""
+def _old_monomial_potential(rec, mobius):
+    """The row's former loop: w[mask] built one mask at a time over all 2^n,
+    each mask tested where its coefficient in ``mobius`` is nonzero."""
     sens = rec.sens_i
     top = max((0,) + sens)
     caps = [verify._monomial_sens_cap(d) for d in range(rec.n + 1)]
@@ -629,7 +630,7 @@ def _old_monomial_potential(rec):
     for mask in range(1, 1 << rec.n):
         low = mask & -mask
         w[mask] = w[mask ^ low] + (1 << (top - sens[low.bit_length() - 1]))
-        if not rec.mobius[mask]:
+        if not mobius[mask]:
             continue
         total = w[mask]
         if 2 * total >= 3 << top:
@@ -668,10 +669,16 @@ def test_doubled_loops_match_the_former_per_point_loops():
         for _ in range(3):
             f = BooleanFunction(n, rng.getrandbits(1 << n))
             rec = table_measures(n, f.table)
-            for sens in (rec.sens_i, tuple(rng.randint(0, 4) for _ in range(n))):
-                probe = SimpleNamespace(n=n, sens_i=sens, mobius=rec.mobius)
+            # forced sens_i that fail one test or the other: all 0 (a lone
+            # coordinate exceeds the size-1 cap 1/4, a pair reaches 3/2),
+            # one low coordinate among high ones, and all 3 (seven
+            # coordinates exceed the size-7 cap 13/16)
+            forced = ((0,) * n, (1,) + (6,) * (n - 1), (3,) * n)
+            for sens in (rec.sens_i, tuple(rng.randint(0, 4) for _ in range(n))) + forced:
+                probe = SimpleNamespace(n=n, sens_i=sens, support=rec.support)
                 got = verify._check_monomial_potential(probe)
-                assert got == _old_monomial_potential(probe), (n, hex(f.table), sens)
+                want = _old_monomial_potential(probe, mobius_vector(n, f.table))
+                assert got == want, (n, hex(f.table), sens)
                 verdicts.add(got[2])
             g = standard_form(f)
             assert g.table == _old_standard_form_table(f), (n, hex(f.table))
@@ -679,6 +686,36 @@ def test_doubled_loops_match_the_former_per_point_loops():
     # both failure details and the pass are met, and witnesses of both values
     assert {"3/2", "-"} <= verdicts and any(v.startswith("profile cap") for v in verdicts)
     assert witness_values == {0, 1}
+
+
+def _symmetrized_by_mobius(n, table):
+    """The Moebius coefficients summed by |S|, trailing zeros dropped."""
+    out = [0] * (n + 1)
+    for mask, c in enumerate(mobius_vector(n, table)):
+        out[mask.bit_count()] += c
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _pairs_by_mobius(n, table):
+    mob = mobius_vector(n, table)
+    return [mob[1 << i | 1 << j] for i in range(n) for j in range(i + 1, n)]
+
+
+def test_weight_popcounts_match_the_mobius_sums():
+    # every table of at most 4 inputs, then seeded tables up to 12 inputs
+    # and the standard forms of some of them
+    rng = random.Random(3707)
+    tables = [(n, t) for n in range(5) for t in range(1 << (1 << n))]
+    tables += [(n, rng.getrandbits(1 << n)) for n in range(5, 13) for _ in range(4)]
+    tables += [(n, (1 << (1 << n)) - 1) for n in range(5, 13)]
+    for n in range(5, 9):
+        g = standard_form(BooleanFunction(n, rng.getrandbits(1 << n)))
+        tables.append((g.n, g.table))
+    for n, table in tables:
+        assert verify._symmetrized(n, table) == _symmetrized_by_mobius(n, table), (n, table)
+        assert verify._pair_coefficients(n, table) == _pairs_by_mobius(n, table), (n, table)
 
 
 # ---------------------------------------------------------------------------
@@ -691,8 +728,8 @@ def _top_monomial_full_scan(rec):
     d = rec.deg
     if d == 0:
         return "PASS", 0, 0
-    for mask in range(1 << rec.n):
-        if rec.mobius[mask] and mask.bit_count() == d:
+    for mask, c in enumerate(mobius_vector(rec.n, rec.table)):
+        if c and mask.bit_count() == d:
             for i in range(rec.n):
                 if mask >> i & 1 and rec.deg_i[i] != d:
                     return "FAIL", f"mask={mask:#x} i={i + 1}", f"deg_i != {d}"
