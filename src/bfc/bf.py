@@ -288,6 +288,8 @@ class BooleanFunction:
             raise ValueError(f"expected {1 << n} table bits, got {len(bits)}")
         if set(bits) - {"0", "1"}:
             raise ValueError("table line may contain only 0 and 1")
+        if any(line.strip() for line in lines[2:]):
+            raise ValueError("truth-table text has a non-blank line after the table line")
         return cls(n, int(bits[::-1], 2) if bits else 0)
 
 

@@ -34,12 +34,12 @@ An Infeasible verdict carries Farkas multipliers y >= 0, one per row, with
 y A = 0 and y.r < 0, which are checked exactly before they are returned.
 
 The approximate degree solves ``adeg_lp`` over the polynomials that f's
-coordinate symmetries fix (``_AdegOrbits``).  Averaging an approximation
-over the permutations that fix f keeps its degree and its error, so the
-reduced LP, one variable per monomial orbit and one band per point orbit,
-is feasible exactly when the full one is.  Its verdict is still checked on
-the full LP: a witness spread over the members of each orbit must satisfy
-``adeg_lp``, and a Farkas vector lifted to every point must refute it.
+coordinate symmetries fix.  Averaging an approximation over the
+permutations that fix f keeps its degree and its error, so the reduced LP
+``_orbit_lp``, one variable per monomial orbit and one band per point orbit
+(``_mask_orbits``), is feasible exactly when the full one is.
+``_orbit_feasible`` checks its verdict on the full LP: a spread witness
+must satisfy ``adeg_lp``, and a lifted Farkas vector must refute it.
 
 The cap scan ``lp_bs_cap`` runs the same solver on the moment LP written in
 the binomial basis C(t, j), with a row picker of its own, and carries each
@@ -628,6 +628,12 @@ def lp_bs_cap(d: int) -> LpCapScan:
     return LpCapScan(d, cap, tuple(profile))
 
 
+def _monomials(n: int, d: int) -> list[int]:
+    """The masks of at most d of n coordinates, in (size, mask) order."""
+    masks = (m for m in range(1 << n) if m.bit_count() <= d)
+    return sorted(masks, key=lambda m: (m.bit_count(), m))
+
+
 def adeg_lp(f: BooleanFunction, d: int, eps: Fraction) -> LinearProgram:
     """Uniform eps-approximation by a degree <= d multilinear polynomial.
 
@@ -643,22 +649,10 @@ def adeg_lp(f: BooleanFunction, d: int, eps: Fraction) -> LinearProgram:
     if eps < 0:
         raise ValueError(f"eps {eps} is negative")
     p, q = eps.numerator, eps.denominator
-    monomials = sorted(
-        (m for m in range(1 << f.n) if m.bit_count() <= d),
-        key=lambda m: (m.bit_count(), m),
-    )
-    col = {m: j for j, m in enumerate(monomials)}
+    monomials = _monomials(f.n, d)
     rows = []
     for x in range(1 << f.n):
-        coeffs = [0] * len(monomials)
-        sub = x
-        while True:
-            j = col.get(sub)
-            if j is not None:
-                coeffs[j] = q
-            if sub == 0:
-                break
-            sub = (sub - 1) & x
+        coeffs = [q if m & x == m else 0 for m in monomials]
         qfx = q * ((f.table >> x) & 1)
         rows.append((coeffs, qfx + p))
         rows.append(([-c for c in coeffs], p - qfx))
@@ -702,76 +696,49 @@ def _lift_farkas(y: Sequence[int], orbits: Sequence[Sequence[int]]) -> list[int]
     return lifted
 
 
-class _AdegOrbits:
-    """The approximation LPs of f over the polynomials that a group of
-    coordinate permutations fixes, one variable per monomial orbit.
+def _mask_orbits(n: int, perms: Iterable[Sequence[int]]) -> list[list[int]]:
+    """The orbits of the masks of n coordinates under a group of coordinate
+    permutations, each in ascending order, listed by least member."""
+    classes: dict[int, list[int]] = {}
+    for x, least in enumerate(map(min, range(1 << n), *map(_point_map, perms))):
+        classes.setdefault(least, []).append(x)
+    return list(classes.values())
 
-    If p meets f within eps, so does p composed with any permutation that
-    fixes f, and so does their average over the group, which has the same
-    degree and one coefficient per orbit of monomials.  Such a p takes one
-    value on each orbit of points, as f does, so one band per point orbit
-    P, at its least member x_P, holds exactly when every point's band does;
-    its coefficient on a monomial orbit O is #{m in O : m <= x_P}.  Each
-    verdict is still checked against the full ``adeg_lp``: a witness spread
-    over the members of each orbit, or a Farkas vector lifted by
-    ``_lift_farkas``, must pass it, or AssertionError is raised.
-    """
 
-    def __init__(self, f: BooleanFunction, perms: Iterable[Sequence[int]]):
-        self.f = f
-        least = map(min, range(1 << f.n), *map(_point_map, perms))
-        classes: dict[int, list[int]] = {}
-        for x, label in enumerate(least):
-            classes.setdefault(label, []).append(x)
-        # in the order of their least members, which come first in each
-        self.orbits = list(classes.values())
-        self.index = [0] * (1 << f.n)
-        for k, members in enumerate(self.orbits):
-            for x in members:
-                self.index[x] = k
+def _orbit_lp(
+    f: BooleanFunction, orbits: list[list[int]], d: int, eps: Fraction
+) -> tuple[LinearProgram, list[list[int]]]:
+    """The approximation LP of f at degree d over the polynomials fixed by
+    a group with mask orbits ``orbits``, and the orbits of its columns: those
+    of size <= d, in order of (size, least member).  Such a polynomial, like
+    f, is constant on each point orbit P, so the band at P's least member x
+    stands for all of P's; its coefficient on a monomial orbit O is
+    q #{m in O : m <= x}, scaled as in ``adeg_lp`` for eps = p/q."""
+    p, q = eps.numerator, eps.denominator
+    cols = [o for o in orbits if o[0].bit_count() <= d]
+    cols.sort(key=lambda o: (o[0].bit_count(), o[0]))
+    rows = []
+    for x, *_ in orbits:
+        counts = [q * sum(m & x == m for m in o) for o in cols]
+        qfx = q * ((f.table >> x) & 1)
+        rows.append((counts, qfx + p))
+        rows.append(([-c for c in counts], p - qfx))
+    return LinearProgram(len(cols), rows), cols
 
-    def lp(self, d: int, eps: Fraction) -> tuple[LinearProgram, list[int]]:
-        """The reduced LP at degree d and its monomial orbits by column, its
-        bands scaled by q for eps = p/q as in ``adeg_lp``."""
-        orbits, index = self.orbits, self.index
-        p, q = eps.numerator, eps.denominator
-        cols = sorted(
-            (k for k, members in enumerate(orbits) if members[0].bit_count() <= d),
-            key=lambda k: (orbits[k][0].bit_count(), orbits[k][0]),
-        )
-        col = {k: j for j, k in enumerate(cols)}
-        rows = []
-        for members in orbits:
-            x = members[0]
-            counts = [0] * len(cols)
-            sub = x
-            while True:
-                j = col.get(index[sub])
-                if j is not None:
-                    counts[j] += q
-                if sub == 0:
-                    break
-                sub = (sub - 1) & x
-            qfx = q * ((self.f.table >> x) & 1)
-            rows.append((counts, qfx + p))
-            rows.append(([-c for c in counts], p - qfx))
-        return LinearProgram(len(cols), rows), cols
 
-    def feasible(self, d: int, eps: Fraction) -> bool:
-        """The verdict of ``adeg_lp(f, d, eps)``, from the reduced LP."""
-        reduced, cols = self.lp(d, eps)
-        result = simplex_feasible(reduced)
-        full = adeg_lp(self.f, d, eps)
-        if result.feasible:
-            value = dict(zip(cols, result.witness))
-            monomials = sorted(
-                (m for k in cols for m in self.orbits[k]),
-                key=lambda m: (m.bit_count(), m),
-            )
-            ok = full.satisfies([value[self.index[m]] for m in monomials])
-        else:
-            # the reduced and the full bands carry the same factor q
-            ok = _is_farkas(full.num_vars, full.rows, _lift_farkas(result.farkas, self.orbits))
-        if not ok:
-            raise AssertionError(f"orbit LP verdict at degree {d} failed the full LP")
-        return result.feasible
+def _orbit_feasible(f: BooleanFunction, orbits: list[list[int]], d: int, eps: Fraction) -> bool:
+    """The verdict of ``adeg_lp(f, d, eps)`` from one solve of ``_orbit_lp``.
+    A witness spread over each orbit's members, or a Farkas vector lifted
+    by ``_lift_farkas``, must pass the full LP, or AssertionError is raised."""
+    reduced, cols = _orbit_lp(f, orbits, d, eps)
+    result = simplex_feasible(reduced)
+    full = adeg_lp(f, d, eps)
+    if result.feasible:
+        value = {m: c for o, c in zip(cols, result.witness) for m in o}
+        ok = full.satisfies([value[m] for m in _monomials(f.n, d)])
+    else:
+        # the reduced and the full bands carry the same factor q
+        ok = _is_farkas(full.num_vars, full.rows, _lift_farkas(result.farkas, orbits))
+    if not ok:
+        raise AssertionError(f"orbit LP verdict at degree {d} failed the full LP")
+    return result.feasible

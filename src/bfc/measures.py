@@ -81,9 +81,11 @@ from .bf import (
 EXACT_SEARCH_MAX_ARITY = 14
 # approximate degree and its LP (lp.adeg_lp): three seeded 6-input tables
 # with no coordinate symmetry solve the full LP in 197-215 pivots,
-# 0.15-0.22 s, and PARITY 6 its orbit LP in 0.01 s against 0.25-0.37 s for
-# the full one; a 7-input table with no symmetry took 520 pivots, 1.6 s;
-# raw, in-process, one 2-core x86-64 host
+# 0.15-0.22 s; on the orbit LP (lp._orbit_lp), its check on the full LP
+# included, KUSHILEVITZ took 1.3 ms, MAF 3 1.9 ms and PARITY 6 7.7-7.9 ms,
+# against 15 ms, 16 ms and 0.25 s solving the full LP alone; a 7-input
+# table with no symmetry took 520 pivots, 1.6 s; raw, in-process, one
+# 2-core x86-64 host
 APPROX_DEGREE_MAX_ARITY = 6
 
 
@@ -695,21 +697,22 @@ def approx_degree(f: BooleanFunction, eps: Fraction = Fraction(1, 3)) -> int:
     keeps its degree and its error (Minsky-Papert symmetrization), so each
     degree's LP is solved over the polynomials those permutations fix: one
     variable per monomial orbit and one band per point orbit
-    (``lp._AdegOrbits``).  Every verdict is checked against the full LP
+    (``lp._orbit_lp``, on the orbits ``lp._mask_orbits`` finds once).
+    ``lp._orbit_feasible`` checks every verdict against the full LP
     ``lp.adeg_lp``, through a spread witness or a lifted Farkas vector.
     """
     check_arity(f.n, APPROX_DEGREE_MAX_ARITY, "approximate degree")
     eps = Fraction(eps)
     if not 0 < eps < Fraction(1, 2):
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
-    from .lp import _AdegOrbits, _automorphisms
+    from .lp import _automorphisms, _mask_orbits, _orbit_feasible
 
     # f's own multilinear polynomial meets the LP at d = deg f with error
     # 0, so that LP is feasible and is never solved
     top = table_measures(f.n, f.table).deg
-    orbits = _AdegOrbits(f, _automorphisms(f))
+    orbits = _mask_orbits(f.n, _automorphisms(f))
     for d in range(top):
-        if orbits.feasible(d, eps):
+        if _orbit_feasible(f, orbits, d, eps):
             return d
     return top
 

@@ -551,6 +551,12 @@ def test_tt_rejects_bad_input():
         BooleanFunction.from_tt("m=2\n0110\n")
     with pytest.raises(ValueError):
         BooleanFunction.from_tt("n=1\n0x\n")
+    with pytest.raises(ValueError, match="after the table line"):
+        BooleanFunction.from_tt("n=2\n0110\n1111\n")
+    with pytest.raises(ValueError, match="after the table line"):
+        BooleanFunction.from_tt("n=2\n0110\ngarbage\n")
+    # trailing blank lines stay accepted
+    assert BooleanFunction.from_tt("n=2\n0110\n\n \n") == family("PARITY", 2)
 
 
 def test_immutability():

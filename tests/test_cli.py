@@ -209,6 +209,18 @@ def test_analyze_malformed_tt_fails_cleanly(tmp_path, capsys):
     assert captured.err == "bfc: error: table line may contain only 0 and 1\n"
 
 
+def test_analyze_tt_with_a_line_after_the_table_fails_cleanly(tmp_path, capsys):
+    path = tmp_path / "bad.tt"
+    path.write_text("n=2\n0110\n1111\n")
+    code = main(["analyze", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "bfc: error: truth-table text has a non-blank line after the table line\n"
+    )
+
+
 def test_analyze_tt_with_a_non_integer_arity_fails_cleanly(tmp_path, capsys):
     path = tmp_path / "bad.tt"
     path.write_text("n=x\n0\n")

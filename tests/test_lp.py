@@ -18,8 +18,10 @@ from bfc.bf import ArityError, BooleanFunction, family
 from bfc.lp import (
     LP_CAP_SCAN_MAX_DEGREE,
     LinearProgram,
-    _AdegOrbits,
     _automorphisms,
+    _mask_orbits,
+    _orbit_feasible,
+    _orbit_lp,
     _point_map,
     adeg_lp,
     lp_bs_cap,
@@ -942,21 +944,28 @@ def _band_constraints(f, d, eps):
     return constraints
 
 
-def _orbit_band_constraints(orbits, d, eps):
-    """The rational bands of ``_AdegOrbits.lp``: one per point orbit, at its
-    least member x, with #{m in O : m <= x} on each monomial orbit O of
-    size <= d, the orbits ordered by the (size, mask) of their least
-    members."""
-    least = [min(o) for o in orbits.orbits]
+def _orbit_band_constraints(f, orbits, d, eps):
+    """The rational bands of ``_orbit_lp``: one per point orbit, at its
+    least member x and in the order of those, with #{m in O : m <= x} on
+    each monomial orbit O of size <= d, the orbits ordered by the
+    (size, mask) of their least members."""
+    least = [min(o) for o in orbits]
     cols = sorted(
-        (o for o, m in zip(orbits.orbits, least) if m.bit_count() <= d),
+        (o for o, m in zip(orbits, least) if m.bit_count() <= d),
         key=lambda o: (min(o).bit_count(), min(o)),
     )
     constraints = []
-    for x in least:
+    for x in sorted(least):
         coeffs = [Fraction(sum(m & x == m for m in o)) for o in cols]
-        constraints += _band(Fraction((orbits.f.table >> x) & 1), coeffs, eps)
+        constraints += _band(Fraction((f.table >> x) & 1), coeffs, eps)
     return constraints
+
+
+def _group_orbits(f, group):
+    """The orbits of f's masks under ``group`` by brute force, each in
+    ascending order, listed by least member."""
+    maps = [_point_map(p) for p in group]
+    return sorted({tuple(sorted({m[x] for m in maps})) for x in range(1 << f.n)})
 
 
 _PINNED_EPSILONS = (Fraction(1, 3), Fraction(1, 4), Fraction(2, 5))
@@ -970,14 +979,33 @@ def test_adeg_rows_are_the_built_band_constraints(name, k):
     # on the right, the <= side of each point first
     fs = [BooleanFunction(3, t) for t in range(256)] if name == "ALL" else [family(name, k)]
     for f in fs:
-        orbits = _AdegOrbits(f, _automorphisms(f))
+        group = _automorphisms(f)
+        orbits = _mask_orbits(f.n, group)
+        assert list(map(tuple, orbits)) == _group_orbits(f, group), f
         for eps in _PINNED_EPSILONS:
             for d in range(f.n + 1):
                 full = adeg_lp(f, d, eps)
                 assert full == lp(full.num_vars, _band_constraints(f, d, eps)), (f, d, eps)
-                reduced, _ = orbits.lp(d, eps)
-                want = lp(reduced.num_vars, _orbit_band_constraints(orbits, d, eps))
+                reduced, _ = _orbit_lp(f, orbits, d, eps)
+                want = lp(reduced.num_vars, _orbit_band_constraints(f, orbits, d, eps))
                 assert reduced == want, (f, d, eps)
+
+
+def test_reduced_bands_sit_at_least_members_of_any_partition():
+    # on a group's orbits every member gives the same band, so the rows
+    # are pinned to the least member on arbitrary partitions of the masks
+    rng = random.Random(38)
+    for n in (3, 4):
+        for _ in range(10):
+            f = BooleanFunction(n, rng.getrandbits(1 << n))
+            parts = {}
+            for x in range(1 << n):
+                parts.setdefault(rng.randrange(5), []).append(x)
+            orbits = sorted(parts.values())
+            for d in range(n + 1):
+                reduced, _ = _orbit_lp(f, orbits, d, Fraction(2, 5))
+                want = _orbit_band_constraints(f, orbits, d, Fraction(2, 5))
+                assert reduced == lp(reduced.num_vars, want), (f, orbits, d)
 
 
 @pytest.mark.parametrize("side", [0, 1], ids=["upper", "lower"])
@@ -1068,15 +1096,15 @@ def test_the_orbit_lp_of_a_trivial_group_is_adeg_lp_row_for_row():
     fs = [BooleanFunction(3, t) for t in range(256)]
     fs += [BooleanFunction(5, rng.getrandbits(32)) for _ in range(3)]
     for f in fs:
-        trivial = _AdegOrbits(f, [tuple(range(f.n))])
-        assert [len(o) for o in trivial.orbits] == [1] * (1 << f.n)
+        trivial = _mask_orbits(f.n, [tuple(range(f.n))])
+        assert [len(o) for o in trivial] == [1] * (1 << f.n)
         group = _automorphisms(f)
-        own = _AdegOrbits(f, group) if len(group) == 1 else None
+        own = _mask_orbits(f.n, group) if len(group) == 1 else None
         for d in range(f.n + 1):
             full = adeg_lp(f, d, Fraction(1, 3))
-            assert trivial.lp(d, Fraction(1, 3))[0] == full, (f, d)
+            assert _orbit_lp(f, trivial, d, Fraction(1, 3))[0] == full, (f, d)
             if own is not None:
-                assert own.lp(d, Fraction(1, 3))[0] == full, (f, d)
+                assert _orbit_lp(f, own, d, Fraction(1, 3))[0] == full, (f, d)
 
 
 @pytest.mark.parametrize("eps", _EPSILONS)
@@ -1107,10 +1135,10 @@ def test_a_permutation_that_does_not_fix_f_is_caught():
     f = family("MAF", 3)
     group = _automorphisms(f)
     bad = next(p for p in permutations(range(f.n)) if p not in group)
-    orbits = _AdegOrbits(f, [*group, bad])
+    orbits = _mask_orbits(f.n, [*group, bad])
     with pytest.raises(AssertionError, match="failed the full LP"):
         for d in range(degree(f)):
-            orbits.feasible(d, Fraction(1, 3))
+            _orbit_feasible(f, orbits, d, Fraction(1, 3))
 
 
 def test_a_farkas_lift_without_its_orbit_factor_is_caught(monkeypatch):
@@ -1129,14 +1157,14 @@ def test_a_farkas_lift_without_its_orbit_factor_is_caught(monkeypatch):
 def test_orbit_lp_rows_are_pinned(monkeypatch):
     # the full LPs of the same solves have 384, 384 and 32 rows
     built = []
-    reduce = _AdegOrbits.lp
+    reduce = bfc.lp._orbit_lp
 
-    def counted(self, d, eps):
-        prog, cols = reduce(self, d, eps)
+    def counted(f, orbits, d, eps):
+        prog, cols = reduce(f, orbits, d, eps)
         built.append(len(prog.rows))
         return prog, cols
 
-    monkeypatch.setattr(_AdegOrbits, "lp", counted)
+    monkeypatch.setattr(bfc.lp, "_orbit_lp", counted)
     rows = {}
     for name, k in (("KUSHILEVITZ", None), ("MAF", 3), ("MAJ", 3)):
         built.clear()
