@@ -271,7 +271,7 @@ class _Axioms:
 
     Every block is at most f's own lanes, byte by byte: s_x falls by
     [x is sensitive to j], and C_x - 1 <= C^j_x <= C_x
-    (``measures._cert_walk``).  So E_ij is at most E_i, the same sum over
+    (``measures._branch_lanes``).  So E_ij is at most E_i, the same sum over
     f's own lanes, and where E_i stays at most m_i only the drop pairs of
     i can fail; the other pairs of i are tested only where E_i does not.
     One block of 2**n points is built at a time, whatever the arity, and
@@ -399,7 +399,7 @@ class _Axioms:
         """deg_i, sens_i or cert_i of f|x_j=b at f's coordinate i."""
         n = self.n
         if tag == "deg":
-            return _top_size(n, self._support(j, b), i)
+            return _top_size(n, self._support(j, b) & ~half_mask(n, i))
         t, halves = self.rec.table_lanes, _lane_halves(n)
         sums = _edge_sums(self._block(tag, j), t ^ _flip_lanes(t, *halves[i]), *halves[i])
         lo, s = halves[j]

@@ -34,15 +34,19 @@ searches the bytes for each candidate value t = 2n, ..., 1 (or 0, ..., 2n),
 each test ``t in bytes`` one memchr in C, so it costs at most 2n passes
 and no Python step per byte.  s_x, C_x, sens_i and cert_i are built this
 way, with no loop over the points in Python; only the public ``per_point``
-tuples and block sensitivity decode the bytes.  deg_i takes the Möbius
-nonzeros one bit per mask S (the record's ``support``) and tests them
-against the masks of each size (``_size_levels``), from n down.
+tuples and block sensitivity decode the bytes.  deg and deg_i take the
+Möbius nonzeros one bit per mask S (the record's ``support``) and test
+them, all or those whose S holds i, against the masks of each size
+(``_size_levels``), from n down.
 
 A record's restrictions f|x_j=b are read on its own points.  Fixing
 x_j = b keeps every point x with x_j = b, and a monochromatic subcube of
 f|x_j=b there is one of f at x whose free set avoids j, so one
-certificate walk of f (``_cert_walk``) gives C_x and, in block j of
-``branch_cert_lanes``, the C_x of f|x_j=x_j at every x; block j of
+certificate walk of f (``_cert_walk``) gives C_x and a cut list, from
+which block j of ``branch_cert_lanes`` takes the C_x of f|x_j=x_j at
+every x (``_branch_lanes``, run on the first read of the field: only
+``mono_dt_intersect``, on monotone f, and the ``rrcm`` row at a drop
+pair read it, and a random table seldom has a drop pair); block j of
 ``branch_sens_lanes`` is s_x less 1 where x is sensitive to j.  An edge
 along i != j never leaves its branch of x_j, so the theorem suite's
 ``rrcm`` and ``mono_dt_intersect`` rows read the restrictions' values
@@ -74,10 +78,11 @@ from .bf import (
 
 # block sensitivity, certificates, DT depth, the monomial sensitivity check:
 # at n = 13-14 (PARITY 14, MAJ 13, OR 14, AND 14, a random table) C took at
-# most 0.11 s and DT under 0.001 s, bs with its C at most 0.48 s (MAJ 13),
-# deg_i, sens_i and cert_i with C at most 0.18 s, and a process peaked at
-# 29 MB (OR and AND 14, whose subcube levels are widest); raw seconds, the
-# largest of three fresh processes each, one 2-core x86-64 host
+# most 0.07 s, as did C with the restrictions' C_x, and DT under 0.001 s,
+# bs with its C at most 0.25 s (MAJ 13), deg_i, sens_i and cert_i with C
+# at most 0.06 s, and a process peaked at 29 MB (OR and AND 14, whose
+# subcube levels are widest); raw seconds, the largest of three fresh
+# processes each, one 2-core x86-64 host
 EXACT_SEARCH_MAX_ARITY = 14
 # approximate degree and its LP (lp.adeg_lp): three seeded 6-input tables
 # with no coordinate symmetry solve the full LP in 197-215 pivots,
@@ -152,13 +157,12 @@ def _size_levels(n: int) -> tuple[int, ...]:
     return tuple(a | b << s for a, b in zip(below + (0,), (0,) + below))
 
 
-def _top_size(n: int, support: int, i: int) -> int:
-    """The largest |S| with coordinate i in S and bit S of ``support`` set,
-    tested against the masks of each size from n down; 0 when there is none."""
-    with_i = support & ~half_mask(n, i)
+def _top_size(n: int, support: int) -> int:
+    """The largest |S| with bit S of ``support`` set, tested against the
+    masks of each size from n down; 0 when there is none."""
     levels = _size_levels(n)
     k = n
-    while k and not with_i & levels[k]:
+    while k and not support & levels[k]:
         k -= 1
     return k
 
@@ -183,11 +187,11 @@ class CertificateReport(NamedTuple):
     per_point: tuple[int, ...]
 
 
-def _cert_walk(n: int, table: int) -> tuple[int, int]:
-    """(C_x, C^j_x) packed, from one walk: C_x is n minus the dimension K_x
-    of the largest monochromatic subcube at x, and block j of the second,
-    bytes j 2**n .. (j+1) 2**n - 1, holds C^j_x = n - 1 - K^j_x, with K^j_x
-    the largest dimension of one whose free set avoids j.
+def _cert_walk(n: int, table: int) -> tuple[int, list[tuple[int, int]]]:
+    """(C_x packed, the cut list): C_x is n minus the dimension K_x of the
+    largest monochromatic subcube at x, and the cut list holds, for each
+    set S of a monochromatic subcube, the points x with K_x = |S| that lie
+    in one spanned by S (``_branch_lanes`` reads it).
 
     A subcube of a monochromatic subcube is monochromatic, so the
     dimensions of those at x are 0..K_x, and K_x counts the k >= 1 for
@@ -200,31 +204,23 @@ def _cert_walk(n: int, table: int) -> tuple[int, int]:
     superset of a zero mask is zero, so a level lists only the nonzero
     masks, and each set is reached once, from its prefix.
 
-    Dropping j, or any coordinate when j is not in it, from the free set
-    of a largest subcube at x leaves one of dimension K_x - 1 that avoids
-    j, so K^j_x is K_x - 1 or K_x, and it is K_x iff x lies in a mask of
-    level K_x whose set avoids j (always, when K_x = 0).  So C^j_x is C_x
-    less 1 at the points of ``avoid[j]``: after each level is extended, its
-    masks, cut to the points that lie in no mask of the next level, are
-    ORed into ``avoid[j]`` for every j outside their set.  Every j at or
-    above top, one above the highest coordinate of S, is outside S, so
-    those masks are ORed by top first and a running OR over top covers
-    those j; only the j below top take one OR per mask.
-
-    A monochromatic subcube of f|x_j=b at y is one of f at the point x
-    that puts x_j = b back into y, with a free set that avoids j, so
-    C^j_x is the certificate complexity of f|x_j=x_j at that point.
+    After a level is extended, each of its masks, cut to the points that
+    lie in no mask of the next level (those with K_x = |S|), goes on the
+    cut list when nonzero, after the entry (0, the points with K_x = 0).
+    A cut mask holds only points at its own level, so the list can be far
+    shorter than the widest level: 15 masks for OR 14, whose widest level
+    holds 3,432.  A random 14-input table keeps 495 masks of 2**14 bits,
+    about 1.1 MB.
     """
     check_arity(n, EXACT_SEARCH_MAX_ARITY, "certificate search")
-    size = 1 << n
-    full = (1 << size) - 1
+    full = (1 << (1 << n)) - 1
     agree = [full ^ diff_mask(table, n, i) for i in range(n)]
     cx = n * _lanes(full)
     level = [(1 << i, a) for i, a in enumerate(agree) if a]
     edged = 0
     for a in agree:
         edged |= a
-    avoid = [full ^ edged] * n  # the points with K_x = 0
+    cut = [(0, full ^ edged)]
     while level:
         up = higher = 0
         wider = []
@@ -236,26 +232,54 @@ def _cert_walk(n: int, table: int) -> tuple[int, int]:
                     wider.append((sset | 1 << i, c))
                     higher |= c
         cx -= _lanes(up)
-        by_top = [0] * (n + 1)
-        for sset, m in level:
-            m &= ~higher
+        keep = ~higher
+        while level:  # popped, so each mask is freed as its cut is kept
+            sset, m = level.pop()
+            m &= keep
             if m:
-                top = sset.bit_length()
-                by_top[top] |= m
-                rest = sset ^ (1 << top) - 1  # the j below top outside S
-                while rest:
-                    low = rest & -rest
-                    avoid[low.bit_length() - 1] |= m
-                    rest ^= low
-        run = 0
-        for j in range(n):
-            avoid[j] |= run
-            run |= by_top[j + 1]
+                cut.append((sset, m))
         level = wider
-    stack = 0
-    for a in reversed(avoid):
-        stack = stack << size | a
-    return cx, int.from_bytes(cx.to_bytes(size, "little") * n, "little") - _lanes(stack)
+    return cx, cut
+
+
+def _branch_lanes(n: int, cx: int, cut: list[tuple[int, int]]) -> int:
+    """C^j_x packed in n blocks: block j, bytes j 2**n .. (j+1) 2**n - 1,
+    holds C^j_x = n - 1 - K^j_x, with K^j_x the largest dimension of a
+    monochromatic subcube at x whose free set avoids j; ``cx`` and
+    ``cut`` are the two outputs of ``_cert_walk``.
+
+    Dropping j, or any coordinate when j is not in it, from the free set
+    of a largest subcube at x leaves one of dimension K_x - 1 that avoids
+    j, so K^j_x is K_x - 1 or K_x, and it is K_x iff x lies in a mask of
+    level K_x whose set avoids j (always, when K_x = 0).  So C^j_x is C_x
+    less 1 at the points of ``avoid[j]``, the OR of the cut masks whose
+    set S leaves j out.  Every point of a cut mask has K_x = |S|, so one
+    pass over the whole list serves every level.  Every j at or above
+    top, one above the highest coordinate of S, is outside S, so those
+    masks are ORed by top first and a running OR over top covers those j;
+    only the j below top take one OR per mask.
+
+    A monochromatic subcube of f|x_j=b at y is one of f at the point x
+    that puts x_j = b back into y, with a free set that avoids j, so
+    C^j_x is the certificate complexity of f|x_j=x_j at that point.
+    """
+    size = 1 << n
+    avoid = [0] * n
+    by_top = [0] * (n + 1)
+    for sset, m in cut:
+        top = sset.bit_length()
+        by_top[top] |= m
+        rest = sset ^ (1 << top) - 1  # the j below top outside S
+        while rest:
+            low = rest & -rest
+            avoid[low.bit_length() - 1] |= m
+            rest ^= low
+    run = 0
+    for j in range(n):
+        run |= by_top[j]
+        avoid[j] |= run
+    blocks = b"".join((cx - _lanes(a)).to_bytes(size, "little") for a in avoid)
+    return int.from_bytes(blocks, "little")
 
 
 def _minimal_sensitive_blocks(n: int, table: int, x: int) -> list[int]:
@@ -459,13 +483,13 @@ class TableMeasures:
 
     @_lazy
     def deg(self) -> int:
-        """The largest |S| with c_S != 0, which is the largest deg_i (every
-        such S holds some coordinate i, and deg_i finds it); 0 for constants."""
-        return max(self.deg_i, default=0)
+        """The largest |S| with c_S != 0, one scan of ``support`` by size
+        (``_top_size``); 0 for constants."""
+        return _top_size(self.n, self.support)
 
     @_lazy
-    def cert_walk(self) -> tuple[int, int]:
-        """``cert_lanes`` and ``branch_cert_lanes``, from one ``_cert_walk``."""
+    def cert_walk(self) -> tuple[int, list[tuple[int, int]]]:
+        """C_x packed and the cut list, from one ``_cert_walk``."""
         return _cert_walk(self.n, self.table)
 
     @_lazy
@@ -477,8 +501,9 @@ class TableMeasures:
     @_lazy
     def branch_cert_lanes(self) -> int:
         """n blocks of 2**n byte lanes: byte x of block j is the certificate
-        complexity of f|x_j=x_j at the point x (``_cert_walk``)."""
-        return self.cert_walk[1]
+        complexity of f|x_j=x_j at the point x, built from the walk's cut
+        list on first read (``_branch_lanes``)."""
+        return _branch_lanes(self.n, *self.cert_walk)
 
     @_lazy
     def point_certs(self) -> tuple[int, ...]:
@@ -585,7 +610,8 @@ class TableMeasures:
         i in S and c_S != 0: the largest k whose level of ``_size_levels``
         meets ``support`` on the masks that contain i (``_top_size``).
         """
-        return tuple(_top_size(self.n, self.support, i) for i in range(self.n))
+        n, support = self.n, self.support
+        return tuple(_top_size(n, support & ~half_mask(n, i)) for i in range(n))
 
     def _edge_max(self, point: int) -> tuple[int, ...]:
         """max over sensitive edges {x, x^i} of point[x] + point[x^i], per

@@ -568,6 +568,12 @@ def _monomial_sens_cap(d: int) -> tuple[int, int]:
     return num + d - root * root, e
 
 
+@lru_cache(maxsize=None)
+def _monomial_caps(n: int) -> tuple[tuple[int, int], ...]:
+    """``_monomial_sens_cap(d)`` for d = 0..n."""
+    return tuple(_monomial_sens_cap(d) for d in range(n + 1))
+
+
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
 
 
@@ -596,7 +602,7 @@ def _check_monomial_potential(rec: TableMeasures):
     """
     n, sens = rec.n, rec.sens_i
     top = max((0,) + sens)
-    caps = [_monomial_sens_cap(d) for d in range(n + 1)]
+    caps = _monomial_caps(n)
     w = [0]
     for s in sens:
         w += map((1 << (top - s)).__add__, w[:])

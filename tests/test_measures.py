@@ -267,6 +267,65 @@ def test_sparse_certificate_levels_match_the_dense_table():
         assert rec.branch_cert_lanes == branches, (n, hex(t))
 
 
+def _reference_cert_walk(n, table):
+    """(C_x, C^j_x) packed from one breadth-first walk that ORs each level's
+    cut masks into avoid[j] as it goes, the oracle of its split into
+    ``_cert_walk`` and ``_branch_lanes``."""
+    size = 1 << n
+    full = (1 << size) - 1
+    agree = [full ^ diff_mask(table, n, i) for i in range(n)]
+    cx = n * measures._lanes(full)
+    level = [(1 << i, a) for i, a in enumerate(agree) if a]
+    edged = 0
+    for a in agree:
+        edged |= a
+    avoid = [full ^ edged] * n
+    while level:
+        up = higher = 0
+        wider = []
+        for sset, m in level:
+            up |= m
+            for i in range(sset.bit_length(), n):
+                c = m & flip_table(m, n, i) & agree[i]
+                if c:
+                    wider.append((sset | 1 << i, c))
+                    higher |= c
+        cx -= measures._lanes(up)
+        by_top = [0] * (n + 1)
+        for sset, m in level:
+            m &= ~higher
+            if m:
+                top = sset.bit_length()
+                by_top[top] |= m
+                rest = sset ^ (1 << top) - 1
+                while rest:
+                    low = rest & -rest
+                    avoid[low.bit_length() - 1] |= m
+                    rest ^= low
+        run = 0
+        for j in range(n):
+            avoid[j] |= run
+            run |= by_top[j + 1]
+        level = wider
+    stack = 0
+    for a in reversed(avoid):
+        stack = stack << size | a
+    return cx, int.from_bytes(cx.to_bytes(size, "little") * n, "little") - measures._lanes(stack)
+
+
+def test_deferred_restriction_pass_matches_the_one_pass_walk():
+    rng = random.Random(20261020)
+    tables = [(n, rng.getrandbits(1 << n)) for n in range(1, 13)]
+    tables += [(f.n, f.table) for _, f in parse_corpus("all:3")]
+    tables += [(f.n, f.table) for _, f, _ in parse_corpus("monotone:5").representatives()]
+    tables += [(14, family("AND", 14).table), (14, family("OR", 14).table)]
+    tables += [(13, family("MAJ", 13).table)]
+    for n, t in tables:
+        rec = TableMeasures(n, t)
+        got = rec.cert_lanes, rec.branch_cert_lanes
+        assert got == _reference_cert_walk(n, t), (n, hex(t))
+
+
 def _branch_tables():
     """all:3, monotone:4 and seeded tables of 6..10 inputs, some sparse."""
     rng = random.Random(31)
@@ -375,6 +434,41 @@ def test_certificate_and_packing_work_on_the_suite_is_pinned(monkeypatch):
     run_theorem_suite(parse_corpus("random:8:12:1"))
     entries = sum(len(p.memo) for p in packings)
     assert (len(flips), entries) == (SUITE_CERT_FLIPS, SUITE_PACKING_ENTRIES)
+
+
+# restriction passes (_branch_lanes) over the suite on monotone:5, one per
+# record that reads branch_cert_lanes: the rrcm row where a drop pair is
+# tested, and mono_dt_intersect
+SUITE_BRANCH_PASSES = 208
+
+
+def test_restriction_pass_runs_only_where_its_lanes_are_read(monkeypatch):
+    passes, readers = [], set()
+    branch, read = measures._branch_lanes, TableMeasures.branch_cert_lanes.func
+
+    def spy_branch(n, cx, cut):
+        passes.append(n)
+        return branch(n, cx, cut)
+
+    def spy_read(rec):
+        readers.add((rec.n, rec.table))
+        return read(rec)
+
+    monkeypatch.setattr(measures, "_branch_lanes", spy_branch)
+    monkeypatch.setattr(TableMeasures.branch_cert_lanes, "func", spy_read)
+    for spec in ("random:8:12:1", "random:14:2:1"):
+        table_measures.cache_clear()
+        run_theorem_suite(parse_corpus(spec))
+        assert passes == [] and readers == set(), spec
+    table_measures.cache_clear()
+    run_theorem_suite(parse_corpus("monotone:5"))
+    assert len(passes) == len(readers) == SUITE_BRANCH_PASSES
+    rng = random.Random(7)
+    for n in (3, 8, 11):
+        t = rng.getrandbits(1 << n)
+        for field in ("cert_lanes", "certs", "bs", "cert_i"):
+            getattr(TableMeasures(n, t), field)
+    assert len(passes) == SUITE_BRANCH_PASSES
 
 
 def test_stacks_hold_no_more_points_than_the_capped_walk(monkeypatch):
