@@ -23,12 +23,15 @@ def _monotone_tables(n: int) -> tuple[int, ...]:
     """All monotone truth tables on n inputs, as sorted packed integers.
 
     A function is monotone iff both halves along the top coordinate are
-    monotone and the low half is pointwise below the high half.
+    monotone and the low half is pointwise below the high half.  The
+    tables are built high half first, each half in increasing order, so
+    they come out sorted with no sort: the high half is the more
+    significant, and ``Corpus.representatives`` relies on that order.
     """
     if n == 0:
         return (0, 1)
     prev, half = _monotone_tables(n - 1), 1 << (n - 1)
-    out = sorted(lo | hi << half for lo in prev for hi in prev if lo & ~hi == 0)
+    out = [lo | hi << half for hi in prev for lo in prev if lo & ~hi == 0]
     if len(out) != DEDEKIND[n]:
         raise AssertionError(
             f"monotone count mismatch at n={n}: {len(out)} != {DEDEKIND[n]}"

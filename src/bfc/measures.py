@@ -16,10 +16,15 @@ Memoisation has one home per table.  A ``TableMeasures`` record carries
 every per-table measure of one packed ``(n, table)`` pair, the coordinate
 measures of ``coordinate.py`` among them, each computed on first read.
 ``table_measures`` is the one bounded memo, of one shared record per
-table, so the theorem suite, the coordinate checks and the public API
-(which wraps records for :class:`~bfc.bf.BooleanFunction` values) compute
-each measure of a table once while its record stays in the memo.
-Decision-tree depth recurses through the records of the restrictions.
+table, so the coordinate checks and the public API (which wraps records
+for :class:`~bfc.bf.BooleanFunction` values) compute each measure of a
+table once while its record stays in the memo.  Decision-tree depth
+recurses through the shared records of the restrictions.  The theorem
+suite's own records are private: it builds each corpus function's record
+directly, every row reads that one record, and the record goes once the
+function's rows are done, so of the suite's tables the memo keeps only
+the restrictions the DT search shares and the standard forms of fewer
+inputs than f, and no deep table's cut list outlives its rows.
 The search returns n at once on a table with unequal numbers of 1s on the odd- and even-weight
 points: its top Möbius coefficient sum_x (-1)^(n-|x|) f(x) is then nonzero,
 so deg = n, and deg <= DT <= n.
@@ -727,6 +732,12 @@ def approx_degree(f: BooleanFunction, eps: Fraction = Fraction(1, 3)) -> int:
     ``lp._orbit_feasible`` checks every verdict against the full LP
     ``lp.adeg_lp``, through a spread witness or a lifted Farkas vector.
     """
+    return _approx_degree(table_measures(f.n, f.table), eps)
+
+
+def _approx_degree(rec: TableMeasures, eps: Fraction) -> int:
+    """``approx_degree`` of the function of the record ``rec``."""
+    f = rec.f
     check_arity(f.n, APPROX_DEGREE_MAX_ARITY, "approximate degree")
     eps = Fraction(eps)
     if not 0 < eps < Fraction(1, 2):
@@ -735,7 +746,7 @@ def approx_degree(f: BooleanFunction, eps: Fraction = Fraction(1, 3)) -> int:
 
     # f's own multilinear polynomial meets the LP at d = deg f with error
     # 0, so that LP is feasible and is never solved
-    top = table_measures(f.n, f.table).deg
+    top = rec.deg
     orbits = _mask_orbits(f.n, _automorphisms(f))
     for d in range(top):
         if _orbit_feasible(f, orbits, d, eps):

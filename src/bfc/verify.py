@@ -1,9 +1,10 @@
 """Inequality roster, structural lemma checks, and corpus verification.
 
 Every relation the toolkit certifies is evaluated function by function over
-a corpus.  Each row reads the function's measures from its shared
-``measures.TableMeasures`` record, so the rows of one function, and the
-restrictions the rows build, share every measure.  The comparisons are
+a corpus.  Each row reads the function's measures from one
+``measures.TableMeasures`` record, private to the suite and let go after
+the function's rows, so the rows of one function share every measure and
+no row looks the function up in the memo again.  The comparisons are
 exact integer ones: rational quantities (potentials, the symmetrised
 polynomial on its grid) are scaled by a common denominator, and the
 constants 4.3935, 1.325 and 8.277 are read as decimal fractions
@@ -44,10 +45,10 @@ from .coordinate import (
 )
 from .measures import (
     TableMeasures,
+    _approx_degree,
     _lane_halves,
     _lane_min,
     _size_levels,
-    approx_degree,
     table_measures,
 )
 
@@ -68,9 +69,14 @@ def standard_form(f: BooleanFunction) -> BooleanFunction:
     The result g has arity bs(f), g(0) = 0 and g = 1 on every weight-1
     input; both facts are asserted after construction.
     """
-    if f.is_constant():
+    return _standard_form(table_measures(f.n, f.table))
+
+
+def _standard_form(rec: TableMeasures) -> BooleanFunction:
+    """``standard_form`` of the function of the record ``rec``."""
+    if rec.f.is_constant():
         raise ValueError("standard form needs a non-constant function")
-    rep = table_measures(f.n, f.table).bs
+    rep = rec.bs
     b = rep.bs
     zidx = sum(bit << i for i, bit in enumerate(rep.witness_input))
     block_masks = [
@@ -81,9 +87,9 @@ def standard_form(f: BooleanFunction) -> BooleanFunction:
     idx = [zidx]
     for m in block_masks:
         idx += [x ^ m for x in idx]
-    bits = _bit_string(f.n, f.table)
+    bits = _bit_string(rec.n, rec.table)
     table = int("".join(map(bits.__getitem__, reversed(idx))), 2)
-    if f.bit(zidx):
+    if rec.table >> zidx & 1:
         table ^= (1 << (1 << b)) - 1
     g = BooleanFunction(b, table)
     if g.bit(0) != 0:
@@ -168,12 +174,14 @@ def check_standard_form_lemmas(g: BooleanFunction) -> StandardFormReport:
     [0,1] grid bound of the symmetrised polynomial."""
     if g.bit(0) != 0 or any(g.bit(1 << j) != 1 for j in range(g.n)):
         raise ValueError("function is not in standard form")
-    return _standard_form_lemmas(g, _symmetrized(g.n, g.table))
+    return _standard_form_lemmas(
+        g, _symmetrized(g.n, g.table), table_measures(g.n, g.table).deg
+    )
 
 
-def _standard_form_lemmas(g: BooleanFunction, p: list[int]) -> StandardFormReport:
+def _standard_form_lemmas(g: BooleanFunction, p: list[int], deg: int) -> StandardFormReport:
     """``check_standard_form_lemmas`` for a g in standard form whose
-    symmetrised polynomial p is already known."""
+    symmetrised polynomial p and degree are already known."""
     b = g.n
     quad = _pair_coefficients(b, g.table)
     quad_ok = all(c in (-1, -2) for c in quad)
@@ -181,7 +189,7 @@ def _standard_form_lemmas(g: BooleanFunction, p: list[int]) -> StandardFormRepor
     pairs = len(quad)
     second = 2 * quad_sum
     second_ok = -4 * pairs <= second <= -2 * pairs if pairs else True
-    degree_ok = len(p) - 1 <= table_measures(b, g.table).deg
+    degree_ok = len(p) - 1 <= deg
     grid_ok = b < 1 or _grid_bounded(p, b)
     passed = quad_ok and second_ok and degree_ok and grid_ok
     return StandardFormReport(
@@ -204,33 +212,41 @@ def _markov_quadratic(bs: int, d: int) -> bool:
 # monotone decision-tree structure
 # ---------------------------------------------------------------------------
 
-def _dt_intersect(n: int, table: int, i0: int) -> tuple[int, int] | None:
-    """(Cmin0(f0) + Cmin1(f1), |shared| + 1) for the branches f0, f1 at the
-    0-based root ``i0`` of a monotone f, or None when a branch is constant;
-    shared are the coordinates relevant to both branches.
+def _dt_intersect(rec: TableMeasures):
+    """For each 0-based root i0 of a monotone f in turn, (Cmin0(f0) +
+    Cmin1(f1), |shared| + 1) for the branches f0, f1 at i0, or None when a
+    branch is constant; shared are the coordinates relevant to both
+    branches.
 
-    Both are read on f's own record, which builds no branch record: block
-    i0 of ``branch_cert_lanes`` holds f0's C at f's points with x_i0 = 0
-    and f1's at those with x_i0 = 1, and a coordinate k is relevant to the
-    branch x_i0 = b iff f's sensitive k-edges meet that half.
+    Both are read on f's own record ``rec``, which builds no branch
+    record: block i0 of ``branch_cert_lanes`` holds f0's C at f's points
+    with x_i0 = 0 and f1's at those with x_i0 = 1, and a coordinate k is
+    relevant to the branch x_i0 = b iff f's sensitive k-edges meet that
+    half.  The lanes and value masks are read once, at the first root
+    whose branches are both non-constant, and the roots are generated
+    lazily, so a caller that stops at a root reads no later one.
     """
-    rec = table_measures(n, table)
-    lo = half_mask(n, i0)
-    halves = [table & lo, table >> (1 << i0) & lo]
-    if any(h in (0, lo) for h in halves):
-        return None
-    shared = sum(1 for k, d in enumerate(rec.diffs) if k != i0 and d & lo and d >> (1 << i0) & lo)
+    n, table, diffs = rec.n, rec.table, rec.diffs
     bits = 8 << n
-    block = rec.branch_cert_lanes >> bits * i0 & (1 << bits) - 1
-    zeros, ones = rec._value_masks()
-    lo_lanes = _lane_halves(n)[i0][0]
-    # the least byte over f0's 0-points and over f1's 1-points, every other
-    # point set to 0xff
-    cmin0, cmin1 = (
-        _lane_min(block | (1 << bits) - 1 ^ points, n)
-        for points in (zeros & lo_lanes, ones & ~lo_lanes)
-    )
-    return cmin0 + cmin1, shared + 1
+    block = (1 << bits) - 1
+    lanes = None
+    for i0, (lo_lanes, _) in enumerate(_lane_halves(n)):
+        lo = half_mask(n, i0)
+        s = 1 << i0
+        f0, f1 = table & lo, table >> s & lo
+        if f0 in (0, lo) or f1 in (0, lo):
+            yield None
+            continue
+        if lanes is None:
+            lanes = rec.branch_cert_lanes
+            zeros, ones = rec._value_masks()
+        shared = sum(1 for k, d in enumerate(diffs) if k != i0 and d & lo and d >> s & lo)
+        here = lanes >> bits * i0 & block
+        # the least byte over f0's 0-points and over f1's 1-points, every
+        # other point set to 0xff
+        cmin0 = _lane_min(here | ones | block ^ lo_lanes, n)
+        cmin1 = _lane_min(here | zeros | lo_lanes, n)
+        yield cmin0 + cmin1, shared + 1
 
 
 class DoublingFunction:
@@ -379,11 +395,28 @@ class TheoremCheck(NamedTuple):
 
 
 def _margin(left, right) -> float:
-    """left - right of a passing verdict, or -inf unless both are numbers."""
+    """left - right of a passing verdict, or -inf unless both are numbers:
+    float(left) - float(right), with -inf where float raises TypeError or
+    ValueError, left read first.  A text side is read through
+    ``_text_number``, which parses each distinct text once: most rows
+    print the same few texts, and most of those are no number."""
     try:
-        return float(left) - float(right)
+        a = _text_number(left) if type(left) is str else float(left)
+        if a is None:
+            return -math.inf
+        b = _text_number(right) if type(right) is str else float(right)
     except (TypeError, ValueError):
-        return float("-inf")
+        return -math.inf
+    return -math.inf if b is None else a - b
+
+
+@lru_cache(maxsize=1024)
+def _text_number(text: str) -> float | None:
+    """float(text), or None where that raises ValueError."""
+    try:
+        return float(text)
+    except ValueError:
+        return None
 
 
 class _Accumulator:
@@ -652,7 +685,7 @@ def _check_top_monomial_deg_i(rec: TableMeasures):
 def _check_standard_form(rec: TableMeasures):
     if rec.f.is_constant():
         return "SKIP", 0, 0
-    g = standard_form(rec.f)
+    g = _standard_form(rec)
     bs = rec.bs.bs
     if g.n != bs:
         return "FAIL", f"arity {g.n}", f"bs {bs}"
@@ -660,7 +693,14 @@ def _check_standard_form(rec: TableMeasures):
     linear = p[1] if len(p) > 1 else 0
     if linear != bs:
         return "FAIL", f"linear coeff {linear}", f"bs {bs}"
-    rep = _standard_form_lemmas(g, p)
+    # standard forms repeat over a corpus (OR_b most of all), so g's record
+    # is shared, except at f's own arity: OR_n is the standard form of OR_n
+    # and of AND_n, and the suite keeps its functions' records out of the memo
+    if g.n == rec.n:
+        g_rec = TableMeasures(g.n, g.table)
+    else:
+        g_rec = table_measures(g.n, g.table)
+    rep = _standard_form_lemmas(g, p, g_rec.deg)
     if not rep.passed:
         return "FAIL", rep.detail, "standard-form lemmas"
     return "PASS", f"b={bs}", "-"
@@ -669,7 +709,7 @@ def _check_standard_form(rec: TableMeasures):
 def _check_adeg(rec: TableMeasures):
     if rec.n > 3:
         return "SKIP", 0, 0
-    ad = approx_degree(rec.f, Fraction(1, 3))
+    ad = _approx_degree(rec, Fraction(1, 3))
     if ad > rec.deg:
         return "FAIL", f"adeg {ad}", f"deg {rec.deg}"
     bs = rec.bs.bs
@@ -703,8 +743,7 @@ def _check_mono_dt_intersect(rec: TableMeasures):
     if not rec.monotone:
         return "SKIP", 0, 0
     saw = False
-    for i0 in range(rec.n):
-        sides = _dt_intersect(rec.n, rec.table, i0)
+    for i0, sides in enumerate(_dt_intersect(rec)):
         if sides and sides[0] > sides[1]:
             return "FAIL", f"root={i0 + 1} {sides[0]}", sides[1]
         saw = saw or sides is not None
@@ -750,14 +789,17 @@ def _run_check(fn, rec: TableMeasures):
 def run_theorem_suite(corpus: Corpus, progress=None) -> list[TheoremCheck]:
     """Evaluate every registered inequality on every corpus function.
 
-    Each check runs once per orbit representative; ``progress``, if given,
-    receives the number of functions covered so far each time it passes a
-    multiple of 4096.
+    Each check runs once per orbit representative, on one record of it
+    built outside the ``table_measures`` memo and dropped after its rows,
+    so the suite's memory does not grow with the corpus: only the
+    restrictions the DT search shares and the standard forms of fewer
+    inputs stay in the memo.  ``progress``, if given, receives the number of
+    functions covered so far each time it passes a multiple of 4096.
     """
     accs = [_Accumulator(cid, ineq) for cid, ineq, _ in _GENERAL_CHECKS]
     covered = 0
     for label, f, weight in corpus.representatives():
-        rec = table_measures(f.n, f.table)
+        rec = TableMeasures(f.n, f.table)
         for acc, (_, _, fn) in zip(accs, _GENERAL_CHECKS):
             acc.record(*_run_check(fn, rec), label, weight)
         if progress and (covered + weight) >> 12 > covered >> 12:

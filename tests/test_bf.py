@@ -814,7 +814,7 @@ def _function_level_imports(node, where=None):
 
 def test_the_one_function_level_import_breaks_a_cycle():
     # lp imports APPROX_DEGREE_MAX_ARITY from measures, so measures reaches
-    # lp only inside approx_degree; each cli command imports the modules it
+    # lp only inside _approx_degree; each cli command imports the modules it
     # runs, so that it loads no other; every other import sits at the top
     src = Path(__file__).resolve().parents[1] / "src" / "bfc"
     found = [
@@ -831,7 +831,7 @@ def test_the_one_function_level_import_breaks_a_cycle():
         ("cli._cmd_table", ".bounds"),
         ("cli._cmd_verify", ".corpus"),
         ("cli._cmd_verify", ".verify"),
-        ("measures.approx_degree", ".lp"),
+        ("measures._approx_degree", ".lp"),
     ]
 
 

@@ -21,6 +21,7 @@ DATA = Path(__file__).parent / "data"
 GOLDEN = {
     "verify_all3.tsv": ["verify", "--corpus", "all:3"],
     "verify_monotone4.tsv": ["verify", "--corpus", "monotone:4"],
+    "verify_monotone5.tsv": ["verify", "--corpus", "monotone:5"],
     "verify_random6_200_42.tsv": ["verify", "--corpus", "random:6:200:42"],
     "verify_random8_12_7.tsv": ["verify", "--corpus", "random:8:12:7"],
     "verify_random14_2_1.tsv": ["verify", "--corpus", "random:14:2:1"],

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bfc.bf
-from bfc import coordinate, verify
+from bfc import coordinate, measures, verify
+from bfc import corpus as corpus_module
 from bfc.bf import ArityError, BooleanFunction, family, mobius_vector
 from bfc.corpus import DEDEKIND, Corpus, parse_corpus
 from bfc.measures import TableMeasures, block_sensitivity, degree, table_measures
@@ -43,6 +44,28 @@ def test_monotone_corpus_counts():
             assert all(f.is_monotone() for _, f in fs)
     with pytest.raises(ValueError):
         parse_corpus("monotone:6")
+
+
+def _is_monotone_table(n, table):
+    """f(x) <= f(x + e_i) at every point x with x_i = 0, read point by point."""
+    return all(
+        not table >> x & 1 or table >> (x | 1 << i) & 1
+        for x in range(1 << n) for i in range(n) if not x >> i & 1
+    )
+
+
+def test_monotone_tables_come_in_increasing_order():
+    # Corpus.representatives meets each orbit's least member first only
+    # while the tables come in increasing order, which _monotone_tables
+    # builds in place of a sort
+    assert DEDEKIND == {0: 2, 1: 3, 2: 6, 3: 20, 4: 168, 5: 7581}
+    for n in range(6):
+        tables = corpus_module._monotone_tables(n)
+        assert len(tables) == DEDEKIND[n]
+        assert all(a < b for a, b in zip(tables, tables[1:])), n
+        if n <= 3:
+            want = [t for t in range(1 << (1 << n)) if _is_monotone_table(n, t)]
+            assert list(tables) == want, n
 
 
 def test_random_corpus_reproducible():
@@ -168,32 +191,68 @@ def test_markov_consequence_examples():
 
 # --- monotone decision-tree structure ------------------------------------------------
 
+def _reference_dt_intersect(n, table, i0):
+    """The former per-root ``_dt_intersect``: (Cmin0(f0) + Cmin1(f1),
+    |shared| + 1) at the 0-based root i0 of a monotone f, or None when a
+    branch is constant, each root reading the record afresh."""
+    rec = table_measures(n, table)
+    lo = bfc.bf.half_mask(n, i0)
+    halves = [table & lo, table >> (1 << i0) & lo]
+    if any(h in (0, lo) for h in halves):
+        return None
+    shared = sum(1 for k, d in enumerate(rec.diffs) if k != i0 and d & lo and d >> (1 << i0) & lo)
+    bits = 8 << n
+    block = rec.branch_cert_lanes >> bits * i0 & (1 << bits) - 1
+    zeros, ones = rec._value_masks()
+    lo_lanes = measures._lane_halves(n)[i0][0]
+    cmin0, cmin1 = (
+        measures._lane_min(block | (1 << bits) - 1 ^ points, n)
+        for points in (zeros & lo_lanes, ones & ~lo_lanes)
+    )
+    return cmin0 + cmin1, shared + 1
+
+
+def _dt_roots(n, table):
+    """``_dt_intersect``'s sides at every root, on a private record."""
+    return list(verify._dt_intersect(TableMeasures(n, table)))
+
+
 def test_dt_intersect_maj3():
-    assert verify._dt_intersect(3, family("MAJ", 3).table, 0) == (2, 3)
+    assert _dt_roots(3, family("MAJ", 3).table)[0] == (2, 3)
 
 
 def test_dt_intersect_skips_constant_branch():
-    assert verify._dt_intersect(2, family("AND", 2).table, 0) is None
+    assert _dt_roots(2, family("AND", 2).table)[0] is None
 
 
 def test_dt_intersect_all_monotone_four_variable():
     for _, f in parse_corpus("monotone:4"):
-        for i0 in range(4):
-            sides = verify._dt_intersect(4, f.table, i0)
+        for sides in _dt_roots(4, f.table):
             assert sides is None or sides[0] <= sides[1]
 
 
 def test_dt_intersect_counts_only_coordinates_relevant_to_both_branches():
     # f = (x1 and x2) or x3: f0 = x3 and f1 = x2 or x3 share x3 alone
     table = sum(1 << x for x in range(8) if (x & 1 and x & 2) or x & 4)
-    assert verify._dt_intersect(3, table, 0) == (2, 2)
+    assert _dt_roots(3, table)[0] == (2, 2)
+
+
+def test_dt_intersect_matches_the_former_per_root_reads():
+    # one pass over the roots gives each root the sides of the former
+    # per-root function, on monotone tables and on any table
+    rng = random.Random(40)
+    tables = [(f.n, f.table) for spec in ("all:3", "monotone:5") for _, f in parse_corpus(spec)]
+    tables += [(n, rng.getrandbits(1 << n)) for n in (1, 2, 6, 8) for _ in range(6)]
+    for n, t in tables:
+        want = [_reference_dt_intersect(n, t, i0) for i0 in range(n)]
+        assert _dt_roots(n, t) == want, (n, t)
 
 
 def test_mono_dt_intersect_row_reports_the_first_failing_root(monkeypatch):
     rec = table_measures(3, family("MAJ", 3).table)
     assert verify._check_mono_dt_intersect(rec) == ("PASS", "-", "-")
     sides = {0: None, 1: (3, 3), 2: (4, 3)}
-    monkeypatch.setattr(verify, "_dt_intersect", lambda n, table, i0: sides[i0])
+    monkeypatch.setattr(verify, "_dt_intersect", lambda rec: (sides[i0] for i0 in range(rec.n)))
     assert verify._check_mono_dt_intersect(rec) == ("FAIL", "root=3 4", 3)
     sides[2] = None
     assert verify._check_mono_dt_intersect(rec) == ("PASS", "-", "-")
@@ -340,6 +399,54 @@ def test_suite_is_the_same_from_a_cold_and_a_warm_memo(spec):
     warm = run_theorem_suite(corpus)
     assert table_measures.cache_info().hits > hits
     assert cold == warm
+
+
+@pytest.mark.parametrize("spec", ["random:8:12:1", "monotone:4", "random:14:2:1"])
+def test_suite_keeps_no_record_of_its_own_functions(spec):
+    # each representative's record is private to the suite and let go after
+    # its rows; only shared records (DT restrictions, standard forms of
+    # fewer inputs) stay
+    corpus = parse_corpus(spec)
+    table_measures.cache_clear()
+    run_theorem_suite(corpus)
+    for _, f, _ in corpus.representatives():
+        misses = table_measures.cache_info().misses
+        table_measures(f.n, f.table)
+        assert table_measures.cache_info().misses == misses + 1, (spec, f)
+
+
+def _old_margin(left, right):
+    """The witness rule before text sides were parsed once: float(left) -
+    float(right), or -inf where either raises TypeError or ValueError."""
+    try:
+        return float(left) - float(right)
+    except (TypeError, ValueError):
+        return float("-inf")
+
+
+def _outcome(fn, left, right):
+    """What ``fn`` returns on the pair, or the type of what it raises; NaN
+    stands for itself so that two NaNs compare equal."""
+    try:
+        got = fn(left, right)
+    except Exception as exc:  # an exception the rule lets through
+        return type(exc)
+    return "nan" if math.isnan(got) else got
+
+
+def test_margin_keeps_the_float_difference_rule():
+    sides = [
+        0, 3, -2, True, 10 ** 400, 0.5, -1.25, float("inf"),
+        "4.3935", " 7 ", "1e999", "nan", "-inf", "-", "s=1,bs=1,C=1", "3/4", "", "0x10",
+        Fraction(3, 4), Fraction(-7, 2), [1], {"a": 1}, None, b"12",
+    ]
+    verify._text_number.cache_clear()
+    for _ in range(2):  # once parsing each text, once reading it back
+        for left in sides:
+            for right in sides:
+                want = _outcome(_old_margin, left, right)
+                assert _outcome(verify._margin, left, right) == want, (left, right)
+    assert verify._text_number.cache_info().hits > 0
 
 
 @functools.lru_cache(maxsize=None)
